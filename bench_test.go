@@ -558,9 +558,11 @@ func BenchmarkAblationParallelIngest(b *testing.B) {
 
 // BenchmarkIngestParallel measures end-to-end ingest wire speed (MB/s of
 // decompressed trajectory data through categorize + split + write) over
-// in-memory backends, serial vs pipelined. This is the CI-gated number for
-// the wire-speed ingest work: it exercises the fused encode path, the
-// allocation-free subset split, and the batched write fan-out together.
+// in-memory backends, through both entry points of the one ingest loop
+// (they differ only in virtual-clock charging, so the rows should agree).
+// This is the CI-gated number for the wire-speed ingest work: it exercises
+// decode-ahead, the fused encode path and the allocation-free subset split
+// together.
 func BenchmarkIngestParallel(b *testing.B) {
 	pdbBytes, traj := ablationDataset(b)
 	mkADA := func() *core.ADA {

@@ -71,21 +71,15 @@ type Options struct {
 	Schema *Schema
 	// Metrics selects the runtime metrics registry (nil = metrics.Default).
 	Metrics *metrics.Registry
-	// DecodeWorkers bounds IngestParallel's decode pool (<=0 selects
-	// xtc.DefaultWorkers: min of NumCPU and GOMAXPROCS).
+	// DecodeWorkers bounds the ingest decode-ahead pool (<=0 selects
+	// xtc.DefaultWorkers: min of NumCPU and GOMAXPROCS). A pool of one
+	// decodes in line on the ingest goroutine.
 	DecodeWorkers int
 	// DecodeBatchBytes overrides the encoded bytes handed to one decode
-	// worker per work item during IngestParallel (<=0 selects
-	// xtc.DefaultBatchBytes). Smaller batches lower first-frame latency
-	// for live-tailing readers; larger ones amortize per-item overhead.
+	// worker per work item (<=0 selects xtc.DefaultBatchBytes). Smaller
+	// batches hold fewer decoded frames in flight; larger ones amortize
+	// per-item overhead.
 	DecodeBatchBytes int
-	// WriteBatchFrames is the number of decoded frames handed to every
-	// subset writer per channel send during IngestParallel (<=0 selects
-	// defaultWriteBatchFrames). Batching amortizes the channel
-	// synchronization across frames — with eight tagged subsets, per-frame
-	// fan-out costs eight send/wake cycles per frame; writers still see
-	// every frame in order.
-	WriteBatchFrames int
 	// ReplicateActive mirrors every subset placed off the default (bulk)
 	// backend — the active "p" subsets under the paper's placement — onto
 	// it at ingest, so a corrupted or down primary fails over to a
@@ -123,7 +117,6 @@ type ingestMetrics struct {
 	bytesWritten    *metrics.Counter
 	decodeNS        *metrics.Histogram // per-frame decompress+decode
 	writeNS         *metrics.Histogram // per-frame categorize+split+write
-	queueHWM        *metrics.Gauge     // IngestParallel fan-out queue high-water mark, in queued frames (counting the batch in flight)
 	progressFrames  *metrics.Gauge     // frames sequenced by the in-flight ingest (live progress)
 }
 
@@ -136,7 +129,6 @@ func newIngestMetrics(reg *metrics.Registry) ingestMetrics {
 		bytesWritten:    reg.Counter("ingest.bytes.written"),
 		decodeNS:        reg.Histogram("ingest.decode.ns"),
 		writeNS:         reg.Histogram("ingest.write.ns"),
-		queueHWM:        reg.Gauge("ingest.queue_depth_hwm"),
 		progressFrames:  reg.Gauge("ingest.progress_frames"),
 	}
 }
@@ -242,46 +234,95 @@ type ParallelIngestReport struct {
 // frame, split every frame into tagged subsets, and dispatch each subset to
 // the backend its tag maps to. The structure file, label file, per-subset
 // frame indexes, and manifest are stored in the same container.
+//
+// The write path is a two-stage pipeline. An xtc.ParallelReader decodes
+// ahead on Options.DecodeWorkers goroutines while this goroutine alone
+// sequences the frames it yields — split, CRC, write, journal checkpoint —
+// so the backends see one ordered op stream whatever the pool size. Memory
+// bound: the storage node holds at most 2*DecodeWorkers+2 decode batches of
+// decoded frames, each up to 64 frames and about DecodeBatchBytes of encoded
+// input (a batch ends with the frame that crosses that size); with one
+// worker nothing decodes ahead and one frame is held, as in the paper.
 func (a *ADA) Ingest(logical string, pdbData []byte, traj io.Reader) (*IngestReport, error) {
+	pr := a.decodeAhead(traj)
+	defer pr.Close()
+	return a.ingest(logical, pdbData, xtcTrajectory{pr}, nil)
+}
+
+// ingest is every one-shot entry point: one prepare, one frame loop over
+// src, one commit. A nil par charges the virtual clock serially per frame;
+// otherwise par accumulates the stages and charges them as concurrent.
+func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, par *parallelCharge) (*IngestReport, error) {
 	var start float64
 	if a.env != nil {
 		start = a.env.Clock.Now()
 	}
 	span := a.reg.StartSpan("ingest.total")
 	defer span.End()
-	st, err := a.prepareIngest(logical, pdbData)
+	st, err := a.prepareIngest(logical, pdbData, false)
 	if err != nil {
 		return nil, err
 	}
-
-	// Decompress + categorize, one frame at a time (the storage node never
-	// holds more than a frame, which is what keeps ADA light-weight).
-	in := &countingReader{r: traj}
-	reader := xtc.NewReader(in)
-	for {
-		before := in.n
-		t0 := time.Now()
-		frame, err := reader.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		a.im.decodeNS.Observe(time.Since(t0).Nanoseconds())
-		if err != nil {
-			st.abort()
-			return nil, fmt.Errorf("core: ingest %s frame %d: %w", logical, st.report.Frames, err)
-		}
-		frameCompressed := in.n - before
-		a.chargeCPU("decompress", a.opts.Cost.decompressTime(frameCompressed))
-		a.chargeCPU("categorize", a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
-		t1 := time.Now()
-		if err := st.writeFrame(frame, frameCompressed); err != nil {
-			st.abort()
-			return nil, err
-		}
-		a.im.writeNS.Observe(time.Since(t1).Nanoseconds())
+	charge := st.chargeSerial(src.Compressed())
+	if par != nil {
+		charge = par.begin(st)
+	}
+	if err := st.ingestFrames("ingest", src, charge); err != nil {
+		st.abort()
+		return nil, err
 	}
 	st.closeAll()
+	if par != nil {
+		par.finish(st)
+	}
 	return st.finish(start)
+}
+
+// decodeAhead returns the frame source of an XTC ingest. Callers defer its
+// Close, so no exit path leaves a decode goroutine behind.
+func (a *ADA) decodeAhead(traj io.Reader) *xtc.ParallelReader {
+	pr := xtc.NewParallelReader(traj, a.opts.DecodeWorkers)
+	pr.Observe = a.im.decodeNS.Observe
+	pr.BatchBytes = a.opts.DecodeBatchBytes
+	pr.SetMetrics(a.reg)
+	return pr
+}
+
+// chargeSerial charges each frame's decompression (when the source pays any)
+// and categorization to the virtual clock one after the other, on the ingest
+// goroutine: the paper's single-core storage node.
+func (st *ingestState) chargeSerial(compressed bool) func(consumed int64) {
+	a := st.a
+	return func(consumed int64) {
+		if compressed {
+			a.chargeCPU("decompress", a.opts.Cost.decompressTime(consumed))
+		}
+		a.chargeCPU("categorize", a.opts.Cost.categorizeTime(xtc.RawFrameSize(st.structure.NAtoms())))
+	}
+}
+
+// ingestFrames is the one ingest frame loop: pull the next decoded frame and
+// its exact encoded size from src, charge its CPU cost, and append it to
+// every subset in tag order (writeFrame, which also journals a checkpoint
+// every journalCkptEvery frames). It returns at end of stream or on the
+// first error, which names its frame (op is the message's verb); the caller
+// decides whether to abort the container or leave it resumable.
+func (st *ingestState) ingestFrames(op string, src TrajectoryReader, charge func(consumed int64)) error {
+	for {
+		frame, consumed, err := src.ReadFrame()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("core: %s %s frame %d: %w", op, st.logical, st.report.Frames, err)
+		}
+		charge(consumed)
+		t0 := time.Now()
+		if err := st.writeFrame(frame, consumed); err != nil {
+			return err
+		}
+		st.a.im.writeNS.Observe(time.Since(t0).Nanoseconds())
+	}
 }
 
 // crcTee forwards writes to the staged dropping while maintaining the
@@ -343,7 +384,7 @@ func (sw *subsetWriter) writeFrame(frame *xtc.Frame) error {
 func (sw *subsetWriter) storedBytes() int64 { return sw.base + sw.w.BytesWritten() }
 
 // ingestState carries one ingest's shared context between the prepare,
-// frame-loop, and finish phases (serial and parallel paths share it).
+// frame-loop, and finish phases.
 type ingestState struct {
 	a               *ADA
 	logical         string
@@ -421,15 +462,10 @@ func (a *ADA) analyzeIngest(logical string, pdbData []byte) (*ingestState, error
 }
 
 // prepareIngest runs the structure analysis and creates the container, the
-// ingest journal, and the staged subset droppings.
-func (a *ADA) prepareIngest(logical string, pdbData []byte) (*ingestState, error) {
-	return a.prepareIngestMode(logical, pdbData, false)
-}
-
-// prepareIngestMode is prepareIngest with the journal's begin record
-// optionally marked live, which flips the recovery classification from
-// roll-back to preserve-the-prefix (see live.go).
-func (a *ADA) prepareIngestMode(logical string, pdbData []byte, live bool) (*ingestState, error) {
+// ingest journal, and the staged subset droppings. live marks the journal's
+// begin record as a streaming ingest, which flips the recovery
+// classification from roll-back to preserve-the-prefix (see live.go).
+func (a *ADA) prepareIngest(logical string, pdbData []byte, live bool) (*ingestState, error) {
 	st, err := a.analyzeIngest(logical, pdbData)
 	if err != nil {
 		return nil, err
@@ -518,7 +554,7 @@ func (st *ingestState) writeFrame(frame *xtc.Frame, compressedBytes int64) error
 	st.report.Raw += xtc.RawFrameSize(frame.NAtoms())
 	for _, sw := range st.writers {
 		if err := sw.writeFrame(frame); err != nil {
-			return fmt.Errorf("core: ingest %s: %w", st.logical, err)
+			return fmt.Errorf("core: ingest %s frame %d: %w", st.logical, st.report.Frames, err)
 		}
 	}
 	st.report.Frames++
@@ -534,8 +570,8 @@ func (st *ingestState) writeFrame(frame *xtc.Frame, compressedBytes int64) error
 // checkpoint journals the current durable high-water mark: frame count and
 // per-subset byte length plus running CRC32C. ResumeIngest truncates the
 // staged droppings back to the latest checkpoint and continues from there.
-// Only the serial ingest paths checkpoint (the parallel path's writers race
-// ahead of each other, so no consistent cut exists mid-flight).
+// The cut is consistent because one goroutine writes every subset: when it
+// is taken each staged dropping holds exactly report.Frames frames.
 func (st *ingestState) checkpoint() error {
 	rec := &journalRecord{
 		Type:       journalCkpt,
@@ -771,16 +807,4 @@ func (a *ADA) readDropping(logical, name string) ([]byte, error) {
 		return nil, fmt.Errorf("core: read %s/%s: %w", logical, name, err)
 	}
 	return buf, nil
-}
-
-// countingReader counts bytes consumed from the wrapped reader.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

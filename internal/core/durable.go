@@ -38,7 +38,7 @@ const (
 	journalCommit = "commit"
 )
 
-// journalCkptEvery is the serial ingest checkpoint interval in frames.
+// journalCkptEvery is the ingest frame loop's checkpoint interval in frames.
 const journalCkptEvery = 32
 
 // journalRecord is one line of the ingest journal.
@@ -296,37 +296,58 @@ func (a *ADA) ResumeIngest(logical string, pdbData []byte, traj io.Reader) (*Ing
 		return nil, err
 	}
 
-	// Skip the frames the checkpoint already persisted, then ingest the
-	// rest exactly like the serial path.
-	in := &countingReader{r: traj}
-	reader := xtc.NewReader(in)
+	// Skip the frames the checkpoint already persisted, then run the rest
+	// through the ingest frame loop. A failure leaves the container as it
+	// is — journaled and staged — for another resume.
+	pr := a.decodeAhead(traj)
+	defer pr.Close()
 	for i := 0; i < ck.Frames; i++ {
-		if _, err := reader.ReadFrame(); err != nil {
+		if _, _, err := pr.ReadFrameSize(); err != nil {
 			st.closeAll()
 			return nil, fmt.Errorf("core: resume %s: source ended at frame %d, checkpoint has %d: %w",
 				logical, i, ck.Frames, err)
 		}
 	}
-	for {
-		before := in.n
-		frame, err := reader.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			st.closeAll()
-			return nil, fmt.Errorf("core: resume %s frame %d: %w", logical, st.report.Frames, err)
-		}
-		consumed := in.n - before
-		a.chargeCPU("decompress", a.opts.Cost.decompressTime(consumed))
-		a.chargeCPU("categorize", a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
-		if err := st.writeFrame(frame, consumed); err != nil {
-			st.closeAll()
-			return nil, err
-		}
-	}
+	err = st.ingestFrames("resume", xtcTrajectory{pr}, st.chargeSerial(true))
 	st.closeAll()
+	if err != nil {
+		return nil, err
+	}
 	return st.finish(start)
+}
+
+// checkpointedPrefix loads one staged subset cut back to its checkpoint
+// mark (the zero mark when no checkpoint was reached, which also tolerates
+// a dropping the crash predates) and verifies it: long enough, matching the
+// journaled CRC32C, and framing to exactly the checkpoint's frame count. It
+// returns the prefix and its checksummed frame index (nil when empty).
+func (a *ADA) checkpointedPrefix(logical, tag string, mark journalSubset, frames int) ([]byte, *xtc.Index, error) {
+	prefix, err := a.readDropping(logical, stagingPrefix+subsetPrefix+tag)
+	if err != nil && !(mark.Bytes == 0 && errors.Is(err, vfs.ErrNotExist)) {
+		return nil, nil, fmt.Errorf("subset %s: %w", tag, err)
+	}
+	if int64(len(prefix)) < mark.Bytes {
+		// The journal promised bytes that never became durable — the
+		// backend lies about write ordering. Nothing trustworthy.
+		return nil, nil, fmt.Errorf("subset %s: staged dropping is %d bytes, checkpoint says %d: %w",
+			tag, len(prefix), mark.Bytes, vfs.ErrCorrupted)
+	}
+	prefix = prefix[:mark.Bytes]
+	if mark.CRC != 0 && xtc.CRC32C(prefix) != mark.CRC {
+		return nil, nil, fmt.Errorf("subset %s: checkpointed prefix fails its checksum: %w", tag, vfs.ErrCorrupted)
+	}
+	if len(prefix) == 0 {
+		return nil, nil, nil
+	}
+	idx, err := xtc.BuildIndexChecksummed(bytes.NewReader(prefix), int64(len(prefix)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("subset %s: %w", tag, err)
+	}
+	if idx.Frames() != frames {
+		return nil, nil, fmt.Errorf("subset %s: prefix holds %d frames, checkpoint says %d: %w",
+			tag, idx.Frames(), frames, vfs.ErrCorrupted)
+	}
+	return prefix, idx, nil
 }
 
 // resumeStagedState rebuilds an interrupted ingest's in-memory state from
@@ -387,56 +408,32 @@ func (a *ADA) resumeStagedState(logical string, pdbData []byte, live bool) (*ing
 	// Rebuild each subset writer over the checkpointed prefix of its
 	// staged dropping.
 	for _, tag := range tags {
-		mark := ck.Subsets[tag] // zero value when no checkpoint was reached
-		prefix, err := a.readDropping(logical, stagingPrefix+subsetPrefix+tag)
+		prefix, idx, err := a.checkpointedPrefix(logical, tag, ck.Subsets[tag], ck.Frames)
 		if err != nil {
-			if mark.Bytes == 0 && errors.Is(err, vfs.ErrNotExist) {
-				prefix = nil // the crash predates this dropping; recreate it empty
-			} else {
-				st.closeAll()
-				return fail(fmt.Errorf("core: resume %s subset %s: %w", logical, tag, err))
-			}
-		}
-		if int64(len(prefix)) < mark.Bytes {
 			st.closeAll()
-			return fail(fmt.Errorf("core: resume %s subset %s: staged dropping is %d bytes, checkpoint says %d",
-				logical, tag, len(prefix), mark.Bytes))
+			return fail(fmt.Errorf("core: resume %s %w", logical, err))
 		}
-		prefix = prefix[:mark.Bytes]
 		var prefixCRC uint32
 		if !a.opts.DisableChecksums {
 			prefixCRC = xtc.CRC32C(prefix)
-			if mark.CRC != 0 && prefixCRC != mark.CRC {
-				st.closeAll()
-				return fail(fmt.Errorf("core: resume %s subset %s: checkpointed prefix fails its checksum: %w",
-					logical, tag, vfs.ErrCorrupted))
-			}
 		}
-		var idx *xtc.Index
-		if len(prefix) > 0 {
-			idx, err = xtc.BuildIndexChecksummed(bytes.NewReader(prefix), int64(len(prefix)))
-			if err != nil {
-				st.closeAll()
-				return fail(fmt.Errorf("core: resume %s subset %s: %w", logical, tag, err))
-			}
-			if idx.Frames() != ck.Frames {
-				st.closeAll()
-				return fail(fmt.Errorf("core: resume %s subset %s: prefix holds %d frames, checkpoint says %d",
-					logical, tag, idx.Frames(), ck.Frames))
-			}
-		}
+		// The writer's dropping is built beside the staged one and renamed
+		// over it once the prefix is in: a live dataset's readers must never
+		// open a staged subset shorter than the head they hold.
 		be := a.backendFor(tag)
-		f, err := a.containers.CreateDropping(logical, stagingPrefix+subsetPrefix+tag, be)
+		staged := stagingPrefix + subsetPrefix + tag
+		f, err := a.containers.CreateDropping(logical, stagingPrefix+staged, be)
 		if err != nil {
 			st.closeAll()
 			return fail(fmt.Errorf("core: resume %s: %w", logical, err))
 		}
-		if len(prefix) > 0 {
-			if _, err := f.Write(prefix); err != nil {
-				f.Close()
-				st.closeAll()
-				return fail(fmt.Errorf("core: resume %s subset %s: %w", logical, tag, err))
-			}
+		if _, err = f.Write(prefix); err == nil {
+			err = a.containers.RenameDropping(logical, stagingPrefix+staged, staged)
+		}
+		if err != nil {
+			f.Close()
+			st.closeAll()
+			return fail(fmt.Errorf("core: resume %s subset %s: %w", logical, tag, err))
 		}
 		tee := &crcTee{f: f, enabled: !a.opts.DisableChecksums, total: prefixCRC}
 		sw := &subsetWriter{
@@ -447,7 +444,7 @@ func (a *ADA) resumeStagedState(logical string, pdbData []byte, live bool) (*ing
 			w:       xtc.NewRawWriter(tee),
 			indices: st.tagRanges[tag].Indices(),
 			natoms:  st.tagRanges[tag].Count(),
-			base:    mark.Bytes,
+			base:    int64(len(prefix)),
 		}
 		if idx != nil {
 			for i := 0; i < idx.Frames(); i++ {

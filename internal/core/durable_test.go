@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +30,7 @@ var durableDroppings = []string{
 // inspection. The ingest error, if any, is deliberately discarded: a fired
 // kill rule is the simulated crash, and even the rollback inside Ingest's
 // error path fails through the dead file system, exactly like a real crash.
-func crashIngest(t *testing.T, in *faultfs.Injector, pdbBytes, traj []byte) (*vfs.MemFS, *vfs.MemFS) {
+func crashIngest(t *testing.T, in *faultfs.Injector, opts Options, pdbBytes, traj []byte) (*vfs.MemFS, *vfs.MemFS) {
 	t.Helper()
 	ssd, hdd := vfs.NewMemFS(), vfs.NewMemFS()
 	store, err := plfs.New(
@@ -38,7 +40,8 @@ func crashIngest(t *testing.T, in *faultfs.Injector, pdbBytes, traj []byte) (*vf
 	if err != nil {
 		return ssd, hdd // the kill landed inside store construction
 	}
-	a := New(store, nil, Options{Metrics: metrics.NewRegistry()})
+	opts.Metrics = metrics.NewRegistry()
+	a := New(store, nil, opts)
 	a.Ingest("/ds", pdbBytes, bytes.NewReader(traj))
 	return ssd, hdd
 }
@@ -59,15 +62,88 @@ func rebootADA(t *testing.T, ssd, hdd *vfs.MemFS) *ADA {
 
 // countOps measures how many backend operations one clean ingest performs,
 // using a rule that can never fire so the injector only observes.
-func countOps(t *testing.T, pdbBytes, traj []byte) int64 {
+func countOps(t *testing.T, opts Options, pdbBytes, traj []byte) int64 {
 	t.Helper()
 	probe := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindErr, Op: "no-such-op", Nth: 1})
-	crashIngest(t, probe, pdbBytes, traj)
+	crashIngest(t, probe, opts, pdbBytes, traj)
 	total := probe.Ops()
 	if total < 20 {
 		t.Fatalf("probe ingest saw only %d backend ops", total)
 	}
 	return total
+}
+
+// crashState returns the rebooted stack and journal of the first kill point
+// of an ingest whose surviving journal satisfies want, sweeping the kill
+// points forwards, or backwards from the last (where the commit is) when
+// fromEnd is set.
+func crashState(t *testing.T, opts Options, pdbBytes, traj []byte, fromEnd bool, want func(recs []journalRecord) bool) (*ADA, []journalRecord) {
+	t.Helper()
+	total := countOps(t, opts, pdbBytes, traj)
+	for i := int64(1); i <= total; i++ {
+		n := i
+		if fromEnd {
+			n = total + 1 - i
+		}
+		in := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindKill, Nth: int(n)})
+		ssd, hdd := crashIngest(t, in, opts, pdbBytes, traj)
+		a := rebootADA(t, ssd, hdd)
+		if recs, err := a.readJournal("/ds"); err == nil && len(recs) > 0 && want(recs) {
+			return a, recs
+		}
+	}
+	t.Fatalf("none of %d kill points left the wanted journal", total)
+	return nil, nil
+}
+
+// endsIn matches a journal whose last record has the given type.
+func endsIn(typ string) func([]journalRecord) bool {
+	return func(recs []journalRecord) bool { return recs[len(recs)-1].Type == typ }
+}
+
+// goldenDroppings ingests the dataset cleanly and returns the reference
+// stack with every durable dropping's bytes.
+func goldenDroppings(t *testing.T, pdbBytes, traj []byte) (*ADA, map[string][]byte) {
+	t.Helper()
+	golden, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
+	if _, err := golden.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatal(err)
+	}
+	goldenBytes := map[string][]byte{}
+	for _, name := range durableDroppings {
+		data, err := golden.readDropping("/ds", name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldenBytes[name] = data
+	}
+	return golden, goldenBytes
+}
+
+// assertGolden requires the committed container to match the clean one-shot
+// ingest byte for byte, with no journal, staging or live leftovers. what
+// names the case in failure messages.
+func assertGolden(t *testing.T, a *ADA, goldenBytes map[string][]byte, what string) {
+	t.Helper()
+	for name, want := range goldenBytes {
+		got, err := a.readDropping("/ds", name)
+		if err != nil {
+			t.Fatalf("%s: read %s: %v", what, name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %s differs from one-shot ingest", what, name)
+		}
+	}
+	idx, err := a.containers.Index("/ds")
+	if err != nil {
+		t.Fatalf("%s: index: %v", what, err)
+	}
+	for _, d := range idx {
+		if d.Name == droppingJournal || strings.HasPrefix(d.Name, stagingPrefix) ||
+			d.Name == liveHeadName || strings.HasPrefix(d.Name, liveIndexPrefix) {
+			t.Fatalf("%s: leftover %s survived", what, d.Name)
+		}
+	}
 }
 
 func readSubsetFrames(t *testing.T, a *ADA, logical, tag string) []*xtc.Frame {
@@ -118,25 +194,14 @@ func sameFrames(a, b []*xtc.Frame) bool {
 func TestCrashMatrix(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 200, 3)
 
-	golden, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
-	if _, err := golden.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
-		t.Fatal(err)
-	}
-	goldenBytes := map[string][]byte{}
-	for _, name := range durableDroppings {
-		data, err := golden.readDropping("/ds", name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goldenBytes[name] = data
-	}
+	golden, goldenBytes := goldenDroppings(t, pdbBytes, traj)
 	goldenFrames := readSubsetFrames(t, golden, "/ds", TagProtein)
 
-	total := countOps(t, pdbBytes, traj)
+	total := countOps(t, Options{}, pdbBytes, traj)
 	var committed, rolledBack int
 	for n := int64(1); n <= total; n++ {
 		in := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindKill, Nth: int(n)})
-		ssd, hdd := crashIngest(t, in, pdbBytes, traj)
+		ssd, hdd := crashIngest(t, in, Options{}, pdbBytes, traj)
 		a := rebootADA(t, ssd, hdd)
 		if _, err := a.Recover(); err != nil {
 			t.Fatalf("kill %d/%d: recover: %v", n, total, err)
@@ -159,24 +224,7 @@ func TestCrashMatrix(t *testing.T) {
 
 		// Committed: every dropping byte-identical to the clean ingest, no
 		// ingest leftovers, and the tagged reads fully served.
-		for _, name := range durableDroppings {
-			got, err := a.readDropping("/ds", name)
-			if err != nil {
-				t.Fatalf("kill %d/%d: read %s: %v", n, total, name, err)
-			}
-			if !bytes.Equal(got, goldenBytes[name]) {
-				t.Fatalf("kill %d/%d: %s differs from clean ingest", n, total, name)
-			}
-		}
-		idx, err := a.containers.Index("/ds")
-		if err != nil {
-			t.Fatalf("kill %d/%d: index: %v", n, total, err)
-		}
-		for _, d := range idx {
-			if d.Name == droppingJournal || strings.HasPrefix(d.Name, stagingPrefix) {
-				t.Fatalf("kill %d/%d: leftover %s survived recovery", n, total, d.Name)
-			}
-		}
+		assertGolden(t, a, goldenBytes, fmt.Sprintf("kill %d/%d", n, total))
 		if got := readSubsetFrames(t, a, "/ds", TagProtein); !sameFrames(got, goldenFrames) {
 			t.Fatalf("kill %d/%d: recovered protein subset reads differ", n, total)
 		}
@@ -188,6 +236,105 @@ func TestCrashMatrix(t *testing.T) {
 			total, rolledBack, committed)
 	}
 	t.Logf("crash matrix: %d kill points, %d rolled back, %d committed", total, rolledBack, committed)
+}
+
+// TestIngestOpsIndependentOfDecodeConfig: the decode-ahead pool's size and
+// batch size decide only who decodes a frame, never what the backends see.
+// At every configuration an ingest issues the same number of backend ops
+// (so the crash matrix sweeps the same kill points), journals the same
+// records — read from the last crash state that still has its journal — and
+// commits the golden bytes. The journal's checkpoints are frame-exact: each
+// one's compressed counter is the summed encoded size of the frames it
+// covers, not however far the decoder's read-ahead had pulled from the
+// source when it was taken.
+func TestIngestOpsIndependentOfDecodeConfig(t *testing.T) {
+	frames := 2*journalCkptEvery + 8 // two checkpoints, and two decode batches at the largest size
+	pdbBytes, traj, _ := testDataset(t, 100, frames)
+	_, goldenBytes := goldenDroppings(t, pdbBytes, traj)
+	var wantOps int64
+	var wantJournal []journalRecord
+	for _, workers := range []int{1, 2, 8} {
+		for _, batchBytes := range []int{1, 256 << 10, 1 << 30} {
+			what := fmt.Sprintf("workers=%d batch=%d", workers, batchBytes)
+			opts := Options{DecodeWorkers: workers, DecodeBatchBytes: batchBytes}
+			ops := countOps(t, opts, pdbBytes, traj)
+			a, journal := crashState(t, opts, pdbBytes, traj, true, endsIn(journalCommit))
+			if _, err := a.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			assertGolden(t, a, goldenBytes, what)
+			if wantJournal == nil {
+				wantOps, wantJournal = ops, journal
+				continue
+			}
+			if ops != wantOps {
+				t.Errorf("%s: %d backend ops, want %d", what, ops, wantOps)
+			}
+			if !reflect.DeepEqual(journal, wantJournal) {
+				t.Errorf("%s: journal records differ", what)
+			}
+		}
+	}
+	var encoded int64
+	var ckpts int
+	for i, blob := range splitFrames(t, traj) {
+		encoded += int64(len(blob))
+		if (i+1)%journalCkptEvery == 0 {
+			ckpts++
+			if ck := wantJournal[ckpts]; ck.Type != journalCkpt || ck.Frames != i+1 || ck.Compressed != encoded {
+				t.Errorf("journal record %d is %s frames=%d compressed=%d, want the checkpoint at frame %d with compressed=%d",
+					ckpts, ck.Type, ck.Frames, ck.Compressed, i+1, encoded)
+			}
+		}
+	}
+}
+
+// TestDecodeErrorLeavesExactPrefix: a source that goes bad at frame k fails
+// the frame loop naming k, with exactly frames 0..k-1 written to every
+// subset — nothing decoded ahead of k leaks in, nothing before it is lost —
+// so the journal's last checkpoint plus the staged bytes are a valid resume
+// point. It runs through ResumeIngest, which (unlike Ingest) leaves the
+// container in place on failure, and then resumes it to the golden bytes.
+func TestDecodeErrorLeavesExactPrefix(t *testing.T) {
+	const k = journalCkptEvery + 5
+	pdbBytes, traj, _ := testDataset(t, 200, k+3)
+	_, goldenBytes := goldenDroppings(t, pdbBytes, traj)
+	bad := append([]byte(nil), traj...)
+	off := 0
+	for _, blob := range splitFrames(t, traj)[:k] {
+		off += len(blob)
+	}
+	bad[off] ^= 0xff // frame k's magic number
+
+	crashed, _ := crashState(t, Options{}, pdbBytes, traj, false, endsIn(journalBegin))
+	for _, workers := range []int{1, 4} {
+		a := New(crashed.containers, nil, Options{Metrics: metrics.NewRegistry(), DecodeWorkers: workers, DecodeBatchBytes: 1 << 30})
+		_, err := a.ResumeIngest("/ds", pdbBytes, bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("frame %d:", k)) || !errors.Is(err, xtc.ErrBadMagic) {
+			t.Fatalf("workers=%d: err = %v, want a bad magic number at frame %d", workers, err, k)
+		}
+		for _, tag := range []string{TagProtein, TagMisc} {
+			data, err := a.readDropping("/ds", stagingPrefix+subsetPrefix+tag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(splitFrames(t, data)); n != k {
+				t.Errorf("workers=%d: staged subset %s holds %d frames, want exactly %d", workers, tag, n, k)
+			}
+		}
+		recs, err := a.readJournal("/ds")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := recs[len(recs)-1]; last.Type != journalCkpt || last.Frames != journalCkptEvery {
+			t.Errorf("workers=%d: journal ends in %s at frame %d, want the checkpoint at %d",
+				workers, last.Type, last.Frames, journalCkptEvery)
+		}
+	}
+	if _, err := crashed.ResumeIngest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatal(err)
+	}
+	assertGolden(t, crashed, goldenBytes, "failed then good resume")
 }
 
 // TestRecoverActions checks each recovery classification directly.
@@ -304,33 +451,12 @@ func TestRecoverActions(t *testing.T) {
 func TestResumeIngestFromCheckpoint(t *testing.T) {
 	frames := journalCkptEvery + 8
 	pdbBytes, traj, _ := testDataset(t, 200, frames)
-	golden, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
-	if _, err := golden.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
-		t.Fatal(err)
-	}
+	_, goldenBytes := goldenDroppings(t, pdbBytes, traj)
 
-	// Find the first kill point whose crash state is a journal ending in a
+	// The first kill point whose crash state is a journal ending in a
 	// checkpoint: the frame loop past frame journalCkptEvery.
-	total := countOps(t, pdbBytes, traj)
-	var a *ADA
-	var ckFrames int
-	for n := int64(1); n <= total; n++ {
-		in := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindKill, Nth: int(n)})
-		ssd, hdd := crashIngest(t, in, pdbBytes, traj)
-		cand := rebootADA(t, ssd, hdd)
-		recs, err := cand.readJournal("/ds")
-		if err != nil || len(recs) == 0 {
-			continue
-		}
-		if last := recs[len(recs)-1]; last.Type == journalCkpt && last.Frames > 0 {
-			a, ckFrames = cand, last.Frames
-			break
-		}
-	}
-	if a == nil {
-		t.Fatal("no kill point left a checkpointed journal")
-	}
-	if ckFrames != journalCkptEvery {
+	a, recs := crashState(t, Options{}, pdbBytes, traj, false, endsIn(journalCkpt))
+	if ckFrames := recs[len(recs)-1].Frames; ckFrames != journalCkptEvery {
 		t.Fatalf("crash state checkpoint at frame %d, want %d", ckFrames, journalCkptEvery)
 	}
 
@@ -347,19 +473,7 @@ func TestResumeIngestFromCheckpoint(t *testing.T) {
 	if rep.Frames != frames {
 		t.Errorf("resumed report frames = %d, want %d", rep.Frames, frames)
 	}
-	for _, name := range durableDroppings {
-		want, err := golden.readDropping("/ds", name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.readDropping("/ds", name)
-		if err != nil {
-			t.Fatalf("resumed dataset: read %s: %v", name, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("resumed %s differs from the uninterrupted ingest", name)
-		}
-	}
+	assertGolden(t, a, goldenBytes, "resumed dataset")
 	res, err := a.Fsck("/ds")
 	if err != nil {
 		t.Fatal(err)
@@ -374,35 +488,14 @@ func TestResumeIngestFromCheckpoint(t *testing.T) {
 // identity and still commits byte-identically.
 func TestResumeIngestFromZero(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 200, 5) // < journalCkptEvery: no checkpoint ever lands
-	golden, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
-	if _, err := golden.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
-		t.Fatal(err)
-	}
+	golden, goldenBytes := goldenDroppings(t, pdbBytes, traj)
 
 	// A committed dataset has no journal, so there is nothing to resume.
 	if _, err := golden.ResumeIngest("/ds", pdbBytes, bytes.NewReader(traj)); err == nil {
 		t.Fatal("resume of a committed dataset should fail")
 	}
 
-	total := countOps(t, pdbBytes, traj)
-	var a *ADA
-	for n := int64(1); n <= total; n++ {
-		in := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindKill, Nth: int(n)})
-		ssd, hdd := crashIngest(t, in, pdbBytes, traj)
-		cand := rebootADA(t, ssd, hdd)
-		recs, err := cand.readJournal("/ds")
-		if err != nil || len(recs) == 0 {
-			continue
-		}
-		if recs[len(recs)-1].Type == journalBegin {
-			a = cand
-			break
-		}
-	}
-	if a == nil {
-		t.Fatal("no kill point left a begin-only journal")
-	}
-
+	a, _ := crashState(t, Options{}, pdbBytes, traj, false, endsIn(journalBegin))
 	rep, err := a.ResumeIngest("/ds", pdbBytes, bytes.NewReader(traj))
 	if err != nil {
 		t.Fatal(err)
@@ -410,16 +503,7 @@ func TestResumeIngestFromZero(t *testing.T) {
 	if rep.Frames != 5 {
 		t.Errorf("resumed report frames = %d, want 5", rep.Frames)
 	}
-	for _, name := range durableDroppings {
-		want, _ := golden.readDropping("/ds", name)
-		got, err := a.readDropping("/ds", name)
-		if err != nil {
-			t.Fatalf("resumed dataset: read %s: %v", name, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("resumed %s differs from the uninterrupted ingest", name)
-		}
-	}
+	assertGolden(t, a, goldenBytes, "resumed dataset")
 }
 
 // TestReplicaFailover ingests with replication, corrupts the primary active

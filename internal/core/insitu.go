@@ -37,7 +37,7 @@ func (a *ADA) IngestWithStats(logical string, pdbData []byte, tr TrajectoryReade
 	if a.env != nil {
 		start = a.env.Clock.Now()
 	}
-	st, err := a.prepareIngest(logical, pdbData)
+	st, err := a.prepareIngest(logical, pdbData, false)
 	if err != nil {
 		return nil, err
 	}

@@ -3,14 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/vfs"
 	"repro/internal/xtc"
 )
 
@@ -158,7 +156,7 @@ func (a *ADA) OpenLiveIngest(logical string, pdbData []byte) (*LiveIngest, error
 	if a.env != nil {
 		start = a.env.Clock.Now()
 	}
-	st, err := a.prepareIngestMode(logical, pdbData, true)
+	st, err := a.prepareIngest(logical, pdbData, true)
 	if err != nil {
 		return nil, err
 	}
@@ -435,41 +433,19 @@ func (a *ADA) recoverLive(logical string, recs []journalRecord) (RecoveryAction,
 		Subsets:     map[string]LiveSubset{},
 	}
 	for _, jt := range begin.Tags {
-		mark := ck.Subsets[jt.Tag]
-		prefix, err := a.readDropping(logical, stagingPrefix+subsetPrefix+jt.Tag)
+		prefix, idx, err := a.checkpointedPrefix(logical, jt.Tag, ck.Subsets[jt.Tag], ck.Frames)
 		if err != nil {
-			if mark.Bytes == 0 && errors.Is(err, vfs.ErrNotExist) {
-				prefix = nil // the kill predates this dropping
-			} else {
-				return "", fmt.Errorf("recover live subset %s: %w", jt.Tag, err)
-			}
+			return "", fmt.Errorf("recover live %w", err)
 		}
-		if int64(len(prefix)) < mark.Bytes {
-			// The journal promised bytes that never became durable — the
-			// backend lies about write ordering. Nothing trustworthy.
-			return "", fmt.Errorf("recover live subset %s: staged dropping is %d bytes, checkpoint says %d: %w",
-				jt.Tag, len(prefix), mark.Bytes, vfs.ErrCorrupted)
-		}
-		prefix = prefix[:mark.Bytes]
-		if mark.CRC != 0 && xtc.CRC32C(prefix) != mark.CRC {
-			return "", fmt.Errorf("recover live subset %s: checkpointed prefix fails its checksum: %w",
-				jt.Tag, vfs.ErrCorrupted)
-		}
-		// Rewrite the staged dropping to exactly the checkpointed prefix
-		// (CreateDropping truncates) and rebuild + republish its index.
-		if err := a.writeDropping(logical, stagingPrefix+subsetPrefix+jt.Tag, jt.Backend, prefix); err != nil {
+		// Replace the staged dropping with exactly the checkpointed prefix
+		// — by rename, never truncating in place: a tailing reader may be
+		// opening it right now under a head the dead producer published —
+		// and rebuild + republish its index.
+		if err := a.republishDropping(logical, stagingPrefix+subsetPrefix+jt.Tag, jt.Backend, prefix); err != nil {
 			return "", err
 		}
 		var ib xtc.IndexBuilder
-		if len(prefix) > 0 {
-			idx, err := xtc.BuildIndexChecksummed(bytes.NewReader(prefix), int64(len(prefix)))
-			if err != nil {
-				return "", fmt.Errorf("recover live subset %s: %w", jt.Tag, err)
-			}
-			if idx.Frames() != ck.Frames {
-				return "", fmt.Errorf("recover live subset %s: prefix holds %d frames, checkpoint says %d: %w",
-					jt.Tag, idx.Frames(), ck.Frames, vfs.ErrCorrupted)
-			}
+		if idx != nil {
 			for i := 0; i < idx.Frames(); i++ {
 				ib.AddWithCRC(idx.Size(i), idx.NAtoms(i), idx.CRC(i))
 			}
@@ -478,7 +454,7 @@ func (a *ADA) recoverLive(logical string, recs []journalRecord) (RecoveryAction,
 			return "", err
 		}
 		head.Subsets[jt.Tag] = LiveSubset{
-			NAtoms: jt.NAtoms, Bytes: mark.Bytes,
+			NAtoms: jt.NAtoms, Bytes: int64(len(prefix)),
 			Backend: jt.Backend, Ranges: jt.Ranges,
 		}
 	}

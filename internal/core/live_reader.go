@@ -18,6 +18,15 @@ var ErrLiveClosed = errors.New("core: live reader closed")
 // transitions are noticed promptly even when no new head is published.
 const liveWaitSlice = 50 * time.Millisecond
 
+// liveSealGrace bounds how long a reader that finds Seal mid-commit waits
+// for the manifest, and liveSealPoll is how often it looks. The window is a
+// manifest write and a rename wide, so the grace only runs out when the
+// sealing process died inside it.
+const (
+	liveSealGrace = 5 * time.Second
+	liveSealPoll  = 5 * time.Millisecond
+)
+
 // liveHeadAndCRC loads the dataset's head together with the CRC32C of its
 // published bytes — the token WaitLiveHead's change detection keys on. A
 // sealed dataset (manifest present, live.json swept) reports CRC 0.
@@ -182,16 +191,7 @@ func (lr *LiveReader) applyHeadLocked(h *LiveHead, crc uint32) error {
 	}
 	idxBytes, err := a.readDropping(lr.logical, liveIndexPrefix+lr.tag)
 	if errors.Is(err, vfs.ErrNotExist) {
-		// Seal raced us between the head load and the index load: the
-		// live droppings are swept. Reload the head; it must be sealed now.
-		h2, crc2, err2 := a.liveHeadAndCRC(lr.logical)
-		if err2 != nil {
-			return err2
-		}
-		if h2.Sealed {
-			return lr.applyHeadLocked(h2, crc2)
-		}
-		return err
+		return lr.awaitSealLocked(err)
 	}
 	if err != nil {
 		return fmt.Errorf("core: live %s subset %s index: %w", lr.logical, lr.tag, err)
@@ -201,6 +201,9 @@ func (lr *LiveReader) applyHeadLocked(h *LiveHead, crc uint32) error {
 		return fmt.Errorf("core: live %s subset %s: %w", lr.logical, lr.tag, err)
 	}
 	f, err := a.containers.OpenDropping(lr.logical, stagingPrefix+subsetPrefix+lr.tag)
+	if errors.Is(err, vfs.ErrNotExist) {
+		return lr.awaitSealLocked(err)
+	}
 	if err != nil {
 		return err
 	}
@@ -218,6 +221,36 @@ func (lr *LiveReader) applyHeadLocked(h *LiveHead, crc uint32) error {
 	lr.head = *h
 	lr.headCRC = crc
 	return nil
+}
+
+// awaitSealLocked handles a live dropping that is missing under an unsealed
+// head: Seal is somewhere between renaming the staged subsets to their final
+// names and sweeping live.json. The manifest is the commit point, so the
+// reader waits for it — lr.mu released between polls, so Close and other
+// callers are not held up — and then switches to the sealed droppings.
+// cause is returned when there is no commit to wait for: live.json is gone
+// too and no manifest followed it (Seal removes it only after the manifest
+// lands, so the dataset was aborted), or liveSealGrace ran out (the sealing
+// process died; Recover finishes the commit at the next start).
+func (lr *LiveReader) awaitSealLocked(cause error) error {
+	deadline := time.Now().Add(liveSealGrace)
+	for {
+		_, headErr := lr.a.containers.StatDropping(lr.logical, liveHeadName)
+		if m, err := lr.a.Manifest(lr.logical); err == nil {
+			return lr.applyHeadLocked(sealedHead(m), 0)
+		}
+		if errors.Is(headErr, vfs.ErrNotExist) || time.Now().After(deadline) {
+			return cause
+		}
+		lr.mu.Unlock()
+		select {
+		case <-lr.closed:
+			lr.mu.Lock()
+			return ErrLiveClosed
+		case <-time.After(liveSealPoll):
+		}
+		lr.mu.Lock()
+	}
 }
 
 func (lr *LiveReader) swapLocked(f vfs.File, ra *xtc.RandomAccessReader) {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -55,10 +56,7 @@ func TestLiveSealMatchesIngest(t *testing.T) {
 	const frames = journalCkptEvery + 11 // exercise both ckpt paths
 	pdbBytes, traj, _ := testDataset(t, 200, frames)
 
-	golden, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
-	if _, err := golden.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
-		t.Fatal(err)
-	}
+	golden, goldenBytes := goldenDroppings(t, pdbBytes, traj)
 
 	a, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
 	li, err := a.OpenLiveIngest("/ds", pdbBytes)
@@ -128,19 +126,7 @@ func TestLiveSealMatchesIngest(t *testing.T) {
 	}
 
 	// The sealed container is indistinguishable from the one-shot ingest.
-	for _, name := range durableDroppings {
-		want, err := golden.readDropping("/ds", name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.readDropping("/ds", name)
-		if err != nil {
-			t.Fatalf("sealed dataset: read %s: %v", name, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("sealed %s differs from one-shot ingest", name)
-		}
-	}
+	assertGolden(t, a, goldenBytes, "sealed dataset")
 	gIdx, err := golden.containers.Index("/ds")
 	if err != nil {
 		t.Fatal(err)
@@ -329,6 +315,137 @@ func TestLiveReaderWaitFrames(t *testing.T) {
 	}
 }
 
+// gateFS parks the first call of one operation ("rename", matched by its
+// target, or "remove") on a path ending in suffix until release is closed,
+// and announces it on reached: a way to stop Seal at a chosen step of its
+// commit.
+type gateFS struct {
+	vfs.FS
+	op, suffix       string
+	once             sync.Once
+	reached, release chan struct{}
+}
+
+func (g *gateFS) park(op, name string) {
+	if op == g.op && strings.HasSuffix(name, g.suffix) {
+		g.once.Do(func() {
+			close(g.reached)
+			<-g.release
+		})
+	}
+}
+
+func (g *gateFS) Rename(oldname, newname string) error {
+	g.park("rename", newname)
+	return g.FS.Rename(oldname, newname)
+}
+
+func (g *gateFS) Remove(name string) error {
+	g.park("remove", name)
+	return g.FS.Remove(name)
+}
+
+// TestLiveReaderSealUnderReader is the regression test for a reader that
+// reloads the head while Seal is mid-commit. The producer publishes a last
+// batch the reader has not seen and seals; Seal is parked either just before
+// it publishes the manifest (the staged subsets already renamed away) or
+// just before it sweeps live.json (the manifest already there). In both
+// windows the reader finds an unsealed head whose staged subset is gone; it
+// must wait for the manifest and read the last frame from the sealed
+// container instead of failing with ErrNotExist.
+func TestLiveReaderSealUnderReader(t *testing.T) {
+	const frames = 10
+	pdbBytes, traj, _ := testDataset(t, 200, frames)
+	batches := batchFrames(splitFrames(t, traj), 5)
+	for _, tc := range []struct {
+		name, op, suffix string
+		committed        bool // the manifest is published while Seal is parked
+	}{
+		{"before-manifest", "rename", "/" + droppingManifest, false},
+		{"before-sweep", "remove", "/" + liveHeadName, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ssd, hdd := vfs.NewMemFS(), vfs.NewMemFS()
+			gate := &gateFS{FS: ssd, op: tc.op, suffix: tc.suffix,
+				reached: make(chan struct{}), release: make(chan struct{})}
+			store, err := plfs.New(
+				plfs.Backend{Name: "ssd", FS: gate, Mount: "/mnt1"},
+				plfs.Backend{Name: "hdd", FS: hdd, Mount: "/mnt2"},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			producer := New(store, nil, Options{Metrics: metrics.NewRegistry()})
+			// The reader is its own stack over the same backends, as a
+			// viewer process is: parking Seal inside the producer's store
+			// must not park the reader with it.
+			a := rebootADA(t, ssd, hdd)
+			li, err := producer.OpenLiveIngest("/ds", pdbBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := li.Append(batches[0]); err != nil {
+				t.Fatal(err)
+			}
+			// An hour of allowed staleness: the reader reloads the head only
+			// when a read runs past the frames it knows.
+			lr, err := a.OpenLiveReader("/ds", TagProtein, time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lr.Close()
+			if _, err := lr.ReadFrameAt(4); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := li.Append(batches[1]); err != nil {
+				t.Fatal(err)
+			}
+			sealed := make(chan error, 1)
+			go func() {
+				_, err := li.Seal()
+				sealed <- err
+			}()
+			<-gate.reached
+
+			type read struct {
+				f   *xtc.Frame
+				err error
+			}
+			got := make(chan read, 1)
+			go func() {
+				f, err := lr.ReadFrameAt(frames - 1)
+				got <- read{f, err}
+			}()
+			var r read
+			if tc.committed {
+				r = <-got // served while Seal is still parked
+				close(gate.release)
+			} else {
+				select {
+				case r = <-got:
+					t.Fatalf("read returned (%v) before the manifest was published", r.err)
+				case <-time.After(10 * liveSealPoll):
+				}
+				close(gate.release)
+				r = <-got
+			}
+			if err := <-sealed; err != nil {
+				t.Fatal(err)
+			}
+			if r.err != nil {
+				t.Fatalf("read of the last frame across the seal: %v", r.err)
+			}
+			want := readSubsetFrames(t, a, "/ds", TagProtein)
+			if !sameFrames([]*xtc.Frame{r.f}, want[frames-1:]) {
+				t.Error("frame read across the seal differs from the sealed container's")
+			}
+			if lr.Live() || lr.Frames() != frames {
+				t.Errorf("after the seal: live=%v frames=%d, want sealed with %d", lr.Live(), lr.Frames(), frames)
+			}
+		})
+	}
+}
+
 // crashLive runs one live session (open, append every batch, seal) with the
 // injector's faults applied, discarding errors: a fired kill rule is the
 // simulated crash.
@@ -367,18 +484,7 @@ func TestLiveRecoverKillMatrix(t *testing.T) {
 	perFrame := splitFrames(t, traj)
 	batches := batchFrames(perFrame, 7)
 
-	golden, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
-	if _, err := golden.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
-		t.Fatal(err)
-	}
-	goldenBytes := map[string][]byte{}
-	for _, name := range durableDroppings {
-		data, err := golden.readDropping("/ds", name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goldenBytes[name] = data
-	}
+	_, goldenBytes := goldenDroppings(t, pdbBytes, traj)
 	goldenSubset := map[string][]byte{
 		TagProtein: goldenBytes[subsetPrefix+TagProtein],
 		TagMisc:    goldenBytes[subsetPrefix+TagMisc],
@@ -450,11 +556,11 @@ func TestLiveRecoverKillMatrix(t *testing.T) {
 			if _, err := li.Seal(); err != nil {
 				t.Fatalf("kill %d/%d: resumed seal: %v", n, total, err)
 			}
-			assertGolden(t, a, goldenBytes, n, total)
+			assertGolden(t, a, goldenBytes, fmt.Sprintf("kill %d/%d", n, total))
 
 		case RecoveryCommitted, RecoveryClean, RecoverySwept:
 			committed++
-			assertGolden(t, a, goldenBytes, n, total)
+			assertGolden(t, a, goldenBytes, fmt.Sprintf("kill %d/%d", n, total))
 
 		default:
 			// Rolled back (or the container never formed): nothing lingers.
@@ -474,31 +580,6 @@ func TestLiveRecoverKillMatrix(t *testing.T) {
 	}
 	t.Logf("live kill matrix: %d ops (stride %d), %d live, %d committed, %d rolled back",
 		total, stride, live, committed, rolledBack)
-}
-
-// assertGolden requires the committed container to match the one-shot
-// ingest byte for byte with no live or staging leftovers.
-func assertGolden(t *testing.T, a *ADA, goldenBytes map[string][]byte, n, total int64) {
-	t.Helper()
-	for name, want := range goldenBytes {
-		got, err := a.readDropping("/ds", name)
-		if err != nil {
-			t.Fatalf("kill %d/%d: read %s: %v", n, total, name, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("kill %d/%d: %s differs from one-shot ingest", n, total, name)
-		}
-	}
-	idx, err := a.containers.Index("/ds")
-	if err != nil {
-		t.Fatalf("kill %d/%d: index: %v", n, total, err)
-	}
-	for _, d := range idx {
-		if d.Name == droppingJournal || strings.HasPrefix(d.Name, stagingPrefix) ||
-			d.Name == liveHeadName || strings.HasPrefix(d.Name, liveIndexPrefix) {
-			t.Fatalf("kill %d/%d: leftover %s survived recovery", n, total, d.Name)
-		}
-	}
 }
 
 // TestResumeLiveRejectsOneShot pins the resume-mode cross-checks.

@@ -1,242 +1,84 @@
 package core
 
 import (
-	"fmt"
 	"io"
-	"sync"
-	"time"
 
 	"repro/internal/xtc"
 )
 
-// frameMsg carries one decoded frame through the ingest pipeline.
-type frameMsg struct {
-	frame      *xtc.Frame
-	compressed int64
-	seq        int
+// IngestParallel is Ingest — the same pipeline, the same ordered writes, the
+// same checkpoints, byte-identical output — with the virtual clock charged
+// as the multi-core storage node the pipeline actually uses: the CPU stages
+// overlap, so their wall time is the slowest stage rather than their sum,
+// and the decode stage is itself a pool whose wall time is the busiest
+// worker's share of the decompression, not the serial total. Device I/O time
+// is still charged as the writes happen (the backends are shared). The
+// report's Parallel section describes the pool.
+//
+// queue is unused: there is no fan-out queue any more. The pool size comes
+// from Options.DecodeWorkers.
+func (a *ADA) IngestParallel(logical string, pdbData []byte, traj io.Reader, queue int) (*IngestReport, error) {
+	pr := a.decodeAhead(traj)
+	defer pr.Close()
+	return a.ingest(logical, pdbData, xtcTrajectory{pr}, &parallelCharge{pr: pr})
 }
 
-// defaultWriteBatchFrames is the fan-out batch size when
-// Options.WriteBatchFrames is unset: large enough that channel
-// synchronization stops showing up in profiles, small enough that at most a
-// few megabytes of decoded frames are in flight per subset.
-const defaultWriteBatchFrames = 16
+// parallelCharge accumulates per-stage virtual CPU time over an ingest and
+// applies it as one concurrent charge at the end.
+type parallelCharge struct {
+	pr            *xtc.ParallelReader
+	decodeSec     []float64 // per decode worker, frames dealt round-robin
+	categorizeSec []float64 // per subset writer
+}
 
-// IngestParallel is Ingest with the storage node's cores pipelined: an
-// xtc.ParallelReader decompresses frames on a bounded worker pool (frame
-// boundaries found by a cheap scanner, blobs fanned out, results
-// re-sequenced) while one goroutine per tagged subset splits and writes its
-// dropping, fed in multi-frame batches (Options.WriteBatchFrames) so channel
-// synchronization amortizes across frames. Output is byte-identical to Ingest
-// — each subset still receives every frame in order — but the virtual wall
-// time of the CPU stages is the
-// slowest stage rather than their sum, and the decode stage itself is
-// charged as a concurrent pool: its wall time is the busiest worker's share
-// of the decompression, not the serial sum. Device I/O time is still charged
-// as the writes happen (the backends are shared).
-//
-// queue is the per-stage channel depth (<=0 selects a small default); the
-// decode pool size comes from Options.DecodeWorkers.
-func (a *ADA) IngestParallel(logical string, pdbData []byte, traj io.Reader, queue int) (*IngestReport, error) {
-	if queue <= 0 {
-		queue = 4
-	}
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
-	span := a.reg.StartSpan("ingest.total")
-	defer span.End()
-	st, err := a.prepareIngest(logical, pdbData)
-	if err != nil {
-		return nil, err
-	}
-
-	// Per-stage virtual CPU accumulators (applied as one concurrent charge
-	// at the end: the pipeline's wall time is its slowest stage). The decode
-	// stage is itself a pool: per-frame decompression time is dealt
-	// round-robin onto the virtual workers and only the busiest one
-	// contributes wall time.
-	workers := xtc.DefaultWorkers(a.opts.DecodeWorkers)
-	decodeSec := make([]float64, workers)
-	categorizeSec := make([]float64, len(st.writers))
-
-	type result struct {
-		stage string
-		err   error
-	}
-	errs := make(chan result, len(st.writers)+1)
-	// Each channel element is a batch of frames shared read-only by every
-	// writer: one send per batch instead of one per frame amortizes the
-	// channel synchronization across WriteBatchFrames frames.
-	batchN := a.opts.WriteBatchFrames
-	if batchN <= 0 {
-		batchN = defaultWriteBatchFrames
-	}
-	chans := make([]chan []frameMsg, len(st.writers))
-	for i := range chans {
-		chans[i] = make(chan []frameMsg, queue)
-	}
-	// abort closes once on the first failure so producers stop feeding.
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	fail := func(stage string, err error) {
-		errs <- result{stage, err}
-		abortOnce.Do(func() { close(abort) })
-	}
-
-	var wg sync.WaitGroup
-	// One splitter/writer per subset: consumes frames in order.
-	for i, sw := range st.writers {
-		wg.Add(1)
-		go func(i int, sw *subsetWriter) {
-			defer wg.Done()
-			for batch := range chans[i] {
-				for _, msg := range batch {
-					t0 := time.Now()
-					if err := sw.writeFrame(msg.frame); err != nil {
-						fail(sw.tag, fmt.Errorf("core: ingest %s frame %d: %w", logical, msg.seq, err))
-						// Keep draining so the producer never blocks, even
-						// when the failure lands mid-batch.
-						for range chans[i] {
-						}
-						return
-					}
-					a.im.writeNS.Observe(time.Since(t0).Nanoseconds())
-					categorizeSec[i] += a.opts.Cost.categorizeTime(xtc.RawFrameSize(sw.natoms))
-				}
-			}
-		}(i, sw)
-	}
-
-	pr := xtc.NewParallelReader(traj, workers)
-	pr.Observe = a.im.decodeNS.Observe
-	pr.BatchBytes = a.opts.DecodeBatchBytes
-	pr.SetMetrics(a.reg)
-	defer pr.Close()
-
-	// Feeder: pull re-sequenced frames off the decode pool and fan them out
-	// to the subset writers.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			for _, ch := range chans {
-				close(ch)
-			}
-		}()
-		seq := 0
-		batch := make([]frameMsg, 0, batchN)
-		// flush fans the accumulated batch out to every subset writer; the
-		// slice is shared read-only, so a fresh one starts the next batch.
-		// Returns false when a writer failure aborted the pipeline.
-		flush := func() bool {
-			if len(batch) == 0 {
-				return true
-			}
-			for _, ch := range chans {
-				// Occupancy counts the batch being sent: sampling len(ch)
-				// after the send races with the consumer and reads 0 on an
-				// idle writer even though the queue was momentarily nonempty.
-				pre := len(ch)
-				select {
-				case ch <- batch:
-					// The metric is denominated in queued *frames*, as it was
-					// before batched fan-out: every batch already in the
-					// channel is full (only the final flush can be partial,
-					// and nothing is sent after it), plus the batch in flight
-					// at its actual length.
-					a.im.queueHWM.SetMax(int64(pre)*int64(batchN) + int64(len(batch)))
-				case <-abort:
-					return false
-				}
-			}
-			batch = make([]frameMsg, 0, batchN)
-			return true
-		}
-		for {
-			frame, compressed, err := pr.ReadFrameSize()
-			if err == io.EOF {
-				flush()
-				return
-			}
-			if err != nil {
-				fail("decode", fmt.Errorf("core: ingest %s frame %d: %w", logical, seq, err))
-				return
-			}
-			if frame.NAtoms() != st.structure.NAtoms() {
-				fail("decode", fmt.Errorf("core: ingest %s frame %d has %d atoms, structure has %d",
-					logical, seq, frame.NAtoms(), st.structure.NAtoms()))
-				return
-			}
-			decodeSec[seq%workers] += a.opts.Cost.decompressTime(compressed)
-			st.report.Compressed += compressed
-			st.report.Raw += xtc.RawFrameSize(frame.NAtoms())
-			batch = append(batch, frameMsg{frame: frame, compressed: compressed, seq: seq})
-			seq++
-			// Progress advances as frames are sequenced, not at batch
-			// flushes: the report (and the progress gauge an operator polls
-			// mid-run) would otherwise lag actual pipeline progress by up to
-			// a full batch.
-			st.report.Frames = seq
-			a.im.progressFrames.Set(int64(seq))
-			if len(batch) == batchN && !flush() {
-				return
-			}
-		}
-	}()
-
-	wg.Wait()
-	st.closeAll()
-	close(errs)
-	for r := range errs {
-		if r.err != nil {
-			st.abort()
-			return nil, r.err
+// begin sizes the accumulators and returns the frame loop's charge hook.
+func (c *parallelCharge) begin(st *ingestState) func(consumed int64) {
+	workers := c.pr.Workers()
+	c.decodeSec = make([]float64, workers)
+	c.categorizeSec = make([]float64, len(st.writers))
+	cost := st.a.opts.Cost
+	return func(consumed int64) {
+		c.decodeSec[st.report.Frames%workers] += cost.decompressTime(consumed)
+		for i, sw := range st.writers {
+			c.categorizeSec[i] += cost.categorizeTime(xtc.RawFrameSize(sw.natoms))
 		}
 	}
+}
 
-	// Worker pool telemetry: real busy time per decode worker, and the
-	// round-robin virtual charge.
-	busy := pr.WorkerBusy()
-	par := &ParallelIngestReport{
-		DecodeWorkers:     workers,
-		WorkerDecodeSec:   decodeSec,
-		WorkerBusyNS:      make([]int64, workers),
-		WorkerUtilization: make([]float64, workers),
+// finish advances the clock by the slowest stage — every stage's work still
+// lands in the profile, decode workers in the shared decompress bucket, so
+// the profile totals equal the serial path's — and fills in the report's
+// pool telemetry: the round-robin virtual charge and each worker's real
+// busy time.
+func (c *parallelCharge) finish(st *ingestState) {
+	if env := st.a.env; env != nil {
+		var worst float64
+		for _, sec := range c.decodeSec {
+			env.ChargeConcurrent("storage.cpu.decompress", sec)
+			worst = max(worst, sec)
+		}
+		for _, sec := range c.categorizeSec {
+			env.ChargeConcurrent("storage.cpu.categorize", sec)
+			worst = max(worst, sec)
+		}
+		env.Clock.Advance(worst)
+	}
+	busy := c.pr.WorkerBusy()
+	rep := &ParallelIngestReport{
+		DecodeWorkers:     len(busy),
+		WorkerDecodeSec:   c.decodeSec,
+		WorkerBusyNS:      make([]int64, len(busy)),
+		WorkerUtilization: make([]float64, len(busy)),
 	}
 	var busiest int64
 	for i, d := range busy {
-		par.WorkerBusyNS[i] = d.Nanoseconds()
-		if d.Nanoseconds() > busiest {
-			busiest = d.Nanoseconds()
+		rep.WorkerBusyNS[i] = d.Nanoseconds()
+		busiest = max(busiest, rep.WorkerBusyNS[i])
+	}
+	if busiest > 0 {
+		for i, ns := range rep.WorkerBusyNS {
+			rep.WorkerUtilization[i] = float64(ns) / float64(busiest)
 		}
 	}
-	for i := range par.WorkerUtilization {
-		if busiest > 0 {
-			par.WorkerUtilization[i] = float64(par.WorkerBusyNS[i]) / float64(busiest)
-		}
-	}
-	st.report.Parallel = par
-
-	// Wall time = slowest CPU stage; every stage's work appears in the
-	// profile. Decode workers charge into the shared decompress bucket, so
-	// the profile total equals the serial path's.
-	if a.env != nil {
-		var worst float64
-		for _, sec := range decodeSec {
-			a.env.ChargeConcurrent("storage.cpu.decompress", sec)
-			if sec > worst {
-				worst = sec
-			}
-		}
-		for i := range categorizeSec {
-			a.env.ChargeConcurrent("storage.cpu.categorize", categorizeSec[i])
-			if categorizeSec[i] > worst {
-				worst = categorizeSec[i]
-			}
-		}
-		a.env.Clock.Advance(worst)
-	}
-	return st.finish(start)
+	st.report.Parallel = rep
 }

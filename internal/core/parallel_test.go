@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/blockfs"
 	"repro/internal/device"
@@ -18,19 +20,24 @@ import (
 	"repro/internal/xtc"
 )
 
-// assertParallelMatchesSerial ingests the same dataset serially and with
-// IngestParallel at the given fan-out batch size and queue depth, and
-// requires byte-identical stored output.
+// assertParallelMatchesSerial ingests the same dataset with Ingest and with
+// IngestParallel and requires byte-identical stored output. batch is the
+// decode-ahead work item in frames (0 = the default size), queue the value
+// of IngestParallel's unused argument.
 func assertParallelMatchesSerial(t *testing.T, frames, batch, queue int) {
 	t.Helper()
 	pdbBytes, traj, _ := testDataset(t, 100, frames)
+	batchBytes := 0
+	if batch > 0 {
+		batchBytes = (batch-1)*len(traj)/frames + 1
+	}
 
 	serial, serialSSD, serialHDD := newADA(t, nil, Options{Granularity: Fine})
 	srep, err := serial.Ingest("/ds", pdbBytes, bytes.NewReader(traj))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parSSD, parHDD := newADA(t, nil, Options{Granularity: Fine, WriteBatchFrames: batch})
+	par, parSSD, parHDD := newADA(t, nil, Options{Granularity: Fine, DecodeWorkers: 3, DecodeBatchBytes: batchBytes})
 	prep, err := par.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), queue)
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +82,10 @@ func TestIngestParallelMatchesSerial(t *testing.T) {
 	assertParallelMatchesSerial(t, 6, 0, 2)
 }
 
-// TestIngestParallelBatchQueueSweep covers the fan-out batching edge cases:
-// batch 1 (every frame its own send), batch sizes that do and do not divide
-// the frame count (partial final batch), a batch larger than the whole
-// trajectory, and both shallow and deep queues.
+// TestIngestParallelBatchQueueSweep covers the decode-ahead batching edge
+// cases: batch 1 (every frame its own work item), batch sizes that do and do
+// not divide the frame count (partial final batch), a batch larger than the
+// whole trajectory — and that the queue argument changes nothing.
 func TestIngestParallelBatchQueueSweep(t *testing.T) {
 	for _, batch := range []int{1, 2, 3, 16} {
 		for _, queue := range []int{1, 4} {
@@ -194,10 +201,10 @@ func TestIngestParallelErrors(t *testing.T) {
 }
 
 // TestIngestParallelWriterFailureMidBatch drives a writer into a device-full
-// failure partway through a multi-frame batch, with enough frames still
-// queued and in flight that a feeder not drained by the failing writer would
-// deadlock. The pipeline must return the failure (not hang) and the error
-// must name the frame the write failed on.
+// failure partway through a multi-frame decode batch, with frames still
+// decoding ahead. The ingest must return the failure promptly, the error
+// must name the frame the write failed on, and the decode pool must be gone
+// afterwards (every exit path closes the reader).
 func TestIngestParallelWriterFailureMidBatch(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 50, 200)
 	for _, cfg := range []struct{ batch, queue int }{{4, 1}, {1, 1}, {16, 2}} {
@@ -213,7 +220,11 @@ func TestIngestParallelWriterFailureMidBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := New(containers, nil, Options{WriteBatchFrames: cfg.batch})
+			before := runtime.NumGoroutine()
+			a := New(containers, nil, Options{
+				DecodeWorkers:    4,
+				DecodeBatchBytes: (cfg.batch-1)*len(traj)/200 + 1,
+			})
 			_, err = a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), cfg.queue)
 			if err == nil {
 				t.Fatal("parallel ingest onto a full device should fail")
@@ -224,45 +235,31 @@ func TestIngestParallelWriterFailureMidBatch(t *testing.T) {
 			if !regexp.MustCompile(`frame \d+`).MatchString(err.Error()) {
 				t.Errorf("err = %q, want the failing frame index in the message", err)
 			}
+			// Close is asynchronous: the pool drains within moments.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines after the failed ingest, %d before it", n, before)
+			}
 		})
 	}
 }
 
-// TestIngestParallelQueueHWMCountsFrames pins the unit of the fan-out
-// queue high-water mark: queued *frames*, as the metric meant before
-// batched fan-out, not channel occupancy in batches. With a batch of 8 the
-// mark must be at least one full batch (8 frames) — occupancy-denominated
-// reporting would cap it at queue+1 = 3 — and can never exceed a full
-// channel plus the batch in flight.
-func TestIngestParallelQueueHWMCountsFrames(t *testing.T) {
-	pdbBytes, traj, _ := testDataset(t, 100, 40)
-	const batch, queue = 8, 2
-	reg := metrics.NewRegistry()
-	a, _, _ := newADA(t, nil, Options{Metrics: reg, WriteBatchFrames: batch})
-	if _, err := a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), queue); err != nil {
-		t.Fatal(err)
-	}
-	hwm := reg.Snapshot().Gauges["ingest.queue_depth_hwm"]
-	if hwm < batch {
-		t.Errorf("queue_depth_hwm = %d, want ≥ %d (one full batch of frames)", hwm, batch)
-	}
-	if max := int64((queue + 1) * batch); hwm > max {
-		t.Errorf("queue_depth_hwm = %d, want ≤ %d (full channel + in-flight batch)", hwm, max)
-	}
-}
-
 // TestIngestParallelProgressNotBatchLagged covers the decode-error-mid-batch
-// report: frames sequenced into a not-yet-flushed batch must already appear
-// in the progress gauge and in the error's frame index. Before the fix both
-// were only advanced at batch flushes, so an error landing mid-batch
-// reported progress rounded down to the last batch boundary.
+// report: frames decoded ahead in the same work item as the failing one must
+// all be written before the error surfaces, so the progress gauge and the
+// error's frame index name the failing frame itself, not the start of its
+// decode batch.
 func TestIngestParallelProgressNotBatchLagged(t *testing.T) {
 	const batch, frames = 16, 21
 	pdbBytes, traj, _ := testDataset(t, 100, frames)
 	reg := metrics.NewRegistry()
-	a, _, _ := newADA(t, nil, Options{Metrics: reg, WriteBatchFrames: batch})
+	opts := Options{Metrics: reg, DecodeWorkers: 2, DecodeBatchBytes: (batch-1)*len(traj)/frames + 1}
+	a, _, _ := newADA(t, nil, opts)
 	// Truncating the stream corrupts the final frame: the decode error lands
-	// at frame 20, five frames into the second (unflushed) batch.
+	// at frame 20, five frames into the second batch.
 	_, err := a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj[:len(traj)-7]), 2)
 	if err == nil {
 		t.Fatal("truncated trajectory should fail")
@@ -276,7 +273,7 @@ func TestIngestParallelProgressNotBatchLagged(t *testing.T) {
 	}
 	// A clean run leaves the gauge at the full frame count, matching the
 	// report.
-	b, _, _ := newADA(t, nil, Options{Metrics: reg, WriteBatchFrames: batch})
+	b, _, _ := newADA(t, nil, opts)
 	rep, err := b.IngestParallel("/ds2", pdbBytes, bytes.NewReader(traj), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +291,7 @@ func TestIngestParallelProgressNotBatchLagged(t *testing.T) {
 func TestSubsetWriterFrameAllocs(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 200, 2)
 	a, _, _ := newADA(t, nil, Options{})
-	st, err := a.prepareIngest("/ds", pdbBytes)
+	st, err := a.prepareIngest("/ds", pdbBytes, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,25 +18,23 @@ type TrajectoryReader interface {
 	Compressed() bool
 }
 
-// xtcTrajectory adapts an XTC stream.
+// xtcTrajectory adapts an XTC stream. r is an *xtc.Reader, or the ingest
+// path's decode-ahead *xtc.ParallelReader; both report each frame's exact
+// encoded size, not what their read-ahead pulled from the stream.
 type xtcTrajectory struct {
-	in *countingReader
-	r  *xtc.Reader
+	r interface {
+		ReadFrameSize() (*xtc.Frame, int64, error)
+	}
 }
 
 // NewXTCTrajectory wraps a compressed (or raw) XTC stream for ingest.
 func NewXTCTrajectory(r io.Reader) TrajectoryReader {
-	in := &countingReader{r: r}
-	return &xtcTrajectory{in: in, r: xtc.NewReader(in)}
+	return xtcTrajectory{xtc.NewReader(r)}
 }
 
-func (t *xtcTrajectory) ReadFrame() (*xtc.Frame, int64, error) {
-	before := t.in.n
-	f, err := t.r.ReadFrame()
-	return f, t.in.n - before, err
-}
+func (t xtcTrajectory) ReadFrame() (*xtc.Frame, int64, error) { return t.r.ReadFrameSize() }
 
-func (t *xtcTrajectory) Compressed() bool { return true }
+func (t xtcTrajectory) Compressed() bool { return true }
 
 // dcdTrajectory adapts a DCD stream.
 type dcdTrajectory struct {
@@ -86,34 +84,8 @@ func (t *trrTrajectory) ReadFrame() (*xtc.Frame, int64, error) {
 
 func (t *trrTrajectory) Compressed() bool { return false }
 
-// IngestTrajectory is Ingest for any supported trajectory format.
+// IngestTrajectory is Ingest for any supported trajectory format, decoded in
+// line by the reader it is handed.
 func (a *ADA) IngestTrajectory(logical string, pdbData []byte, tr TrajectoryReader) (*IngestReport, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
-	st, err := a.prepareIngest(logical, pdbData)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		frame, consumed, err := tr.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			st.abort()
-			return nil, fmt.Errorf("core: ingest %s frame %d: %w", logical, st.report.Frames, err)
-		}
-		if tr.Compressed() {
-			a.chargeCPU("decompress", a.opts.Cost.decompressTime(consumed))
-		}
-		a.chargeCPU("categorize", a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
-		if err := st.writeFrame(frame, consumed); err != nil {
-			st.abort()
-			return nil, err
-		}
-	}
-	st.closeAll()
-	return st.finish(start)
+	return a.ingest(logical, pdbData, tr, nil)
 }

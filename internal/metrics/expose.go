@@ -9,7 +9,7 @@ import (
 // WriteText renders the registry in a line-oriented, greppable text form:
 //
 //	counter rpc.server.requests 42
-//	gauge   ingest.queue_depth_hwm 4
+//	gauge   ingest.progress_frames 300
 //	hist    fs.node.write.ns count=10 sum=1234 min=80 max=400 p50=100 p95=380 p99=400
 //	span    ingest.total start=1722870000000000000 dur_ns=52000000
 //

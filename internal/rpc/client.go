@@ -162,16 +162,16 @@ func (c *Client) SetTenant(tenant string) error {
 func (c *Client) ident(conn net.Conn) error {
 	req := request(opIdent)
 	req.String(c.tenant)
-	raw := req.Bytes()
-	if err := writeFrame(conn, raw); err != nil {
+	raw := sealFrame(req, 0)
+	if err := sendFrame(conn, raw, nil); err != nil {
 		return fmt.Errorf("rpc: ident send: %w", err)
 	}
-	c.m.bytesOut.Add(int64(len(raw)) + 4)
-	payload, err := readFrame(conn)
+	c.m.bytesOut.Add(int64(len(raw)))
+	payload, err := readFrame(conn, nil)
 	if err != nil {
 		return fmt.Errorf("rpc: ident receive: %w", err)
 	}
-	c.m.bytesIn.Add(int64(len(payload)) + 4)
+	c.m.bytesIn.Add(int64(len(payload)) + frameHeader)
 	return decodeStatus(xdr.NewReader(payload))
 }
 
@@ -269,7 +269,12 @@ func (c *Client) Close() error {
 }
 
 // call sends one request and decodes the status word of the response.
-func (c *Client) call(req *xdr.Writer) (*xdr.Reader, error) {
+func (c *Client) call(req *xdr.Writer) (*xdr.Reader, error) { return c.callWith(req, nil) }
+
+// callWith is call for a request whose last field is opaque data: body goes
+// out behind req (which must end with body's length word) straight from the
+// caller's slice. body is only read, and not retained past the call.
+func (c *Client) callWith(req *xdr.Writer, body []byte) (*xdr.Reader, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -277,8 +282,8 @@ func (c *Client) call(req *xdr.Writer) (*xdr.Reader, error) {
 	}
 	c.m.requests.Inc()
 	start := time.Now()
-	raw := req.Bytes()
-	payload, err := c.exchange(binary.BigEndian.Uint32(raw), raw)
+	raw := sealFrame(req, xdrPadded(len(body)))
+	payload, err := c.exchange(binary.BigEndian.Uint32(raw[frameHeader:]), raw, body)
 	if err != nil {
 		c.m.errors.Inc()
 		return nil, err
@@ -296,11 +301,11 @@ func (c *Client) call(req *xdr.Writer) (*xdr.Reader, error) {
 // exchange performs one framed round trip under the retry policy. Failed
 // attempts tear the connection down; when retrying is safe (see
 // RetryPolicy) the next attempt redials. Callers hold c.mu.
-func (c *Client) exchange(op uint32, req []byte) ([]byte, error) {
+func (c *Client) exchange(op uint32, req, body []byte) ([]byte, error) {
 	pol := c.policy
 	var backoffSpent time.Duration
 	for attempt := 1; ; attempt++ {
-		sent, payload, err := c.attempt(req)
+		sent, payload, err := c.attempt(req, body)
 		if err == nil {
 			return payload, nil
 		}
@@ -342,7 +347,7 @@ func (c *Client) exchange(op uint32, req []byte) ([]byte, error) {
 // previous attempt tore the connection down. sent reports whether the
 // request frame was completely handed to the transport — when false the
 // server provably never parsed the request, so any op is safe to re-send.
-func (c *Client) attempt(req []byte) (sent bool, payload []byte, err error) {
+func (c *Client) attempt(req, body []byte) (sent bool, payload []byte, err error) {
 	fresh := false
 	if c.conn == nil {
 		if c.addr == "" {
@@ -368,20 +373,20 @@ func (c *Client) attempt(req []byte) (sent bool, payload []byte, err error) {
 			return false, nil, ierr
 		}
 	}
-	if werr := writeFrame(conn, req); werr != nil {
+	if werr := sendFrame(conn, req, body); werr != nil {
 		return false, nil, fmt.Errorf("rpc: send: %w", werr)
 	}
-	c.m.bytesOut.Add(int64(len(req)) + 4)
-	payload, rerr := readFrame(conn)
+	c.m.bytesOut.Add(int64(len(req) + xdrPadded(len(body))))
+	payload, rerr := readFrame(conn, nil)
 	if rerr != nil {
 		return true, nil, fmt.Errorf("rpc: receive: %w", rerr)
 	}
-	c.m.bytesIn.Add(int64(len(payload)) + 4)
+	c.m.bytesIn.Add(int64(len(payload)) + frameHeader)
 	return true, payload, nil
 }
 
 func request(op uint32) *xdr.Writer {
-	w := xdr.NewWriter(256)
+	w := newFrame(256)
 	w.Uint32(op)
 	return w
 }
@@ -534,8 +539,8 @@ func (f *remoteFile) Write(p []byte) (int, error) {
 		want := end - total
 		req := request(opWrite)
 		req.Uint32(f.fd)
-		req.VarOpaque(p[total:end])
-		r, err := f.c.call(req)
+		req.Uint32(uint32(want))
+		r, err := f.c.callWith(req, p[total:end])
 		if err != nil {
 			return total, err
 		}

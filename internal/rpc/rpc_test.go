@@ -253,7 +253,7 @@ func TestFrameLimit(t *testing.T) {
 		// Absurd frame length.
 		client.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	}()
-	if _, err := readFrame(server); !errors.Is(err, ErrProtocol) {
+	if _, err := readFrame(server, nil); !errors.Is(err, ErrProtocol) {
 		t.Errorf("err = %v, want ErrProtocol", err)
 	}
 }

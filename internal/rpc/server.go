@@ -296,8 +296,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	// cs carries per-connection state across dispatches: the tenant the
 	// connection identified as (opIdent), if any.
 	cs := &connState{}
+	// buf is this connection's request buffer, reused from one request to
+	// the next: a stream of opWrites lands in the same memory instead of a
+	// fresh payload-sized allocation each. dispatch only borrows it — see
+	// the ownership rule there.
+	var buf []byte
 	for {
-		payload, err := readFrame(conn)
+		payload, err := readFrame(conn, buf)
 		if err != nil {
 			// EOF is a clean client disconnect; a deadline kick or closed
 			// conn during shutdown is the drain path. Neither is news.
@@ -307,7 +312,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			return
 		}
-		s.m.bytesIn.Add(int64(len(payload)) + 4)
+		s.m.bytesIn.Add(int64(len(payload)) + frameHeader)
 		s.m.requests.Inc()
 		if len(payload) >= 4 {
 			if op := binary.BigEndian.Uint32(payload); op <= opWatch {
@@ -317,17 +322,23 @@ func (s *Server) handleConn(conn net.Conn) {
 		start := time.Now()
 		resp := s.dispatch(cs, payload)
 		s.m.latency.Observe(time.Since(start).Nanoseconds())
+		// One oversized request must not pin its buffer for the life of
+		// the connection.
+		if buf = payload[:0]; cap(buf) > maxKeptRequestBuf {
+			buf = nil
+		}
 		// Response status word: 0 = OK, anything else = error reply.
-		if len(resp) >= 4 && binary.BigEndian.Uint32(resp) != 0 {
+		if binary.BigEndian.Uint32(resp[frameHeader:]) != 0 {
 			s.m.errors.Inc()
 		}
-		if err := writeFrame(conn, resp); err != nil {
+		binary.BigEndian.PutUint32(resp, uint32(len(resp)-frameHeader))
+		if _, err := conn.Write(resp); err != nil {
 			if !s.closing() && !errors.Is(err, net.ErrClosed) {
 				s.logf("rpc: client %s write: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
-		s.m.bytesOut.Add(int64(len(resp)) + 4)
+		s.m.bytesOut.Add(int64(len(resp)))
 		s.m.responses.Inc()
 		if s.closing() {
 			return
@@ -343,6 +354,16 @@ type connState struct {
 	ts     *tenantState
 }
 
+// maxKeptRequestBuf is the largest request buffer a connection keeps between
+// requests; ingest's per-frame subset writes (a few hundred kB) fit.
+const maxKeptRequestBuf = 1 << 20
+
+// dispatch executes one request and returns the response frame, length
+// prefix reserved but not yet filled in. payload is the connection's reused
+// request buffer: a handler must not retain it, or any slice decoded from
+// it, past its return — copy what has to outlive the call (SetClusterTable
+// does; strings copy on conversion; vfs.File.Write, like any io.Writer, may
+// not keep its argument).
 func (s *Server) dispatch(cs *connState, payload []byte) []byte {
 	r := xdr.NewReader(payload)
 	op := r.Uint32()

@@ -32,6 +32,16 @@ const maxBatchFrames = 64
 // reorders by batch sequence number, with a direct fast path when batches
 // arrive already in order (the common case for near-uniform frame cost).
 //
+// Batches in flight — scanned but not yet handed to the consumer — are
+// bounded by credits: the scanner takes one before it scans a batch and the
+// consumer returns it when that batch becomes the one being delivered, so at
+// most 2*workers+1 batches (each at most maxBatchFrames frames and about
+// BatchBytes encoded bytes) exist beyond the one the consumer is draining,
+// however unevenly the workers run.
+//
+// A pool of one has no second core to decode ahead on, so it starts no
+// goroutines at all: the consumer's goroutine scans and decodes in line.
+//
 // ParallelReader is for one consumer goroutine; ReadFrame itself must not be
 // called concurrently.
 type ParallelReader struct {
@@ -52,14 +62,15 @@ type ParallelReader struct {
 	started bool
 	work    chan scanBatch
 	results chan decodeBatch
+	credits chan struct{} // one token per batch in flight; cap = 2*workers+1
 	quit    chan struct{}
 	once    sync.Once
+	inline  *Scanner // the one-worker path's scanner
 
 	// Consumer-side re-sequencing state. cur is the batch being delivered;
-	// out-of-order arrivals wait in pending, whose size is bounded by the
-	// channel capacities: at most cap(work)+cap(results) batches can be in
-	// flight beyond the one the consumer needs, so len(pending) never
-	// exceeds 2*workers+1 (asserted by tests via maxPending).
+	// out-of-order arrivals wait in pending. Every pending batch holds a
+	// credit, so len(pending) never exceeds cap(credits) (asserted by tests
+	// via maxPending).
 	pending    map[int]decodeBatch
 	cur        decodeBatch
 	curIdx     int
@@ -165,6 +176,7 @@ func (p *ParallelReader) start() {
 	p.started = true
 	p.work = make(chan scanBatch, p.workers)
 	p.results = make(chan decodeBatch, p.workers+1)
+	p.credits = make(chan struct{}, 2*p.workers+1)
 	p.quit = make(chan struct{})
 	p.pm.workers.Set(int64(p.workers))
 
@@ -195,7 +207,14 @@ func (p *ParallelReader) start() {
 		target := p.batchBytes()
 		seq := 0
 		for {
-			blob := getBytes(target)[:0]
+			select {
+			case p.credits <- struct{}{}:
+			case <-p.quit:
+				return
+			}
+			// Preallocate the target, but not a caller's arbitrarily large
+			// one: AppendNext grows the blob as frames actually arrive.
+			blob := getBytes(min(target, 4*DefaultBatchBytes))[:0]
 			var ends []int
 			var scanErr error
 			for len(blob) < target && len(ends) < maxBatchFrames {
@@ -236,19 +255,11 @@ func (p *ParallelReader) decodeBatch(w int, it scanBatch) decodeBatch {
 	}
 	start := 0
 	for _, end := range it.ends {
-		t0 := time.Now()
-		f, err := decodeBytes(it.blob[start:end])
-		ns := time.Since(t0).Nanoseconds()
-		p.busy[w].Add(ns)
-		if p.Observe != nil {
-			p.Observe(ns)
-		}
-		p.pm.ns.Observe(ns)
+		f, err := p.decodeFrame(w, it.blob[start:end])
 		if err != nil {
 			d.err = err
 			break
 		}
-		p.pm.frames.Inc()
 		d.frames = append(d.frames, f)
 		d.sizes = append(d.sizes, int64(end-start))
 		start = end
@@ -258,6 +269,48 @@ func (p *ParallelReader) decodeBatch(w int, it scanBatch) decodeBatch {
 	return d
 }
 
+// decodeFrame decodes one encoded frame on worker w, timing it into the
+// worker's busy counter, the Observe hook and the xtc.decode.* metrics.
+func (p *ParallelReader) decodeFrame(w int, blob []byte) (*Frame, error) {
+	t0 := time.Now()
+	f, err := decodeBytes(blob)
+	ns := time.Since(t0).Nanoseconds()
+	p.busy[w].Add(ns)
+	if p.Observe != nil {
+		p.Observe(ns)
+	}
+	p.pm.ns.Observe(ns)
+	if err == nil {
+		p.pm.frames.Inc()
+	}
+	return f, err
+}
+
+// readInline is ReadFrameSize for a pool of one: scan and decode on the
+// caller's goroutine.
+func (p *ParallelReader) readInline() (*Frame, int64, error) {
+	if p.inline == nil {
+		p.inline = NewScanner(p.r)
+		p.pm.workers.Set(1)
+	}
+	blob, err := p.inline.Next()
+	var f *Frame
+	if err == nil {
+		f, err = p.decodeFrame(0, blob)
+	}
+	if err != nil {
+		p.err = err
+		return nil, 0, err
+	}
+	return f, int64(len(blob)), nil
+}
+
+// deliver makes d the batch being handed out and returns its credit.
+func (p *ParallelReader) deliver(d decodeBatch) {
+	p.cur, p.curIdx, p.haveCur = d, 0, true
+	<-p.credits
+}
+
 // ReadFrameSize decodes the next frame and reports its encoded byte length.
 // Semantics match Reader.ReadFrame: io.EOF at a clean end of stream,
 // io.ErrUnexpectedEOF for truncation. After any error the reader is done and
@@ -265,6 +318,9 @@ func (p *ParallelReader) decodeBatch(w int, it scanBatch) decodeBatch {
 func (p *ParallelReader) ReadFrameSize() (*Frame, int64, error) {
 	if p.err != nil {
 		return nil, 0, p.err
+	}
+	if p.workers == 1 {
+		return p.readInline()
 	}
 	if !p.started {
 		p.start()
@@ -287,7 +343,7 @@ func (p *ParallelReader) ReadFrameSize() (*Frame, int64, error) {
 		}
 		if d, ok := p.pending[p.next]; ok {
 			delete(p.pending, p.next)
-			p.cur, p.curIdx, p.haveCur = d, 0, true
+			p.deliver(d)
 			continue
 		}
 		d, ok := <-p.results
@@ -297,7 +353,7 @@ func (p *ParallelReader) ReadFrameSize() (*Frame, int64, error) {
 		}
 		if d.seq == p.next {
 			// In-order fast path: no re-sequencing buffer traffic.
-			p.cur, p.curIdx, p.haveCur = d, 0, true
+			p.deliver(d)
 			continue
 		}
 		p.pending[d.seq] = d

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // mixedStream interleaves compressed and raw frames (plus one small-atom
@@ -221,21 +224,71 @@ func TestParallelReaderBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelReaderPendingBounded: the out-of-order re-sequencing buffer
-// must stay bounded by the in-flight item count (work + results channel
-// capacities), not grow with the stream.
+// TestParallelReaderPendingBounded: batches in flight are bounded by the
+// reader's credits, not by how evenly the workers run. The first worker to
+// finish a decode is held inside the Observe hook (it has not delivered its
+// batch yet) while the consumer and the other seven workers run on. A
+// reader without the bound lets them decode the whole stream, which releases
+// the held worker with ~80 batches parked in pending; the bounded reader
+// runs dry at 2*workers+1 batches in flight and the timer releases it.
 func TestParallelReaderPendingBounded(t *testing.T) {
-	const workers = 8
-	stream := mixedStream(t, 90)
+	const workers, frames = 8, 90
+	stream := mixedStream(t, frames)
 	pr := NewParallelReader(bytes.NewReader(stream), workers)
 	pr.BatchBytes = 1 // one frame per batch: maximal re-sequencing pressure
 	defer pr.Close()
-	if _, err := pr.ReadAll(); err != nil {
-		t.Fatal(err)
+	var decoded atomic.Int64
+	all := make(chan struct{})
+	pr.Observe = func(int64) {
+		switch decoded.Add(1) {
+		case 1:
+			select {
+			case <-all:
+			case <-time.After(50 * time.Millisecond):
+			}
+		case frames:
+			close(all)
+		}
+	}
+	if got, err := pr.ReadAll(); err != nil || len(got) != frames {
+		t.Fatalf("%d frames, %v", len(got), err)
 	}
 	if limit := 2*workers + 1; pr.maxPending > limit {
 		t.Errorf("pending re-sequencing buffer reached %d entries, bound is %d",
 			pr.maxPending, limit)
+	}
+}
+
+// TestParallelReaderOneWorkerInline: a pool of one decodes on the caller's
+// goroutine — no scanner, worker or closer goroutine is started — and still
+// feeds WorkerBusy, Observe and the exact frame sizes.
+func TestParallelReaderOneWorkerInline(t *testing.T) {
+	stream := mixedStream(t, 6)
+	before := runtime.NumGoroutine()
+	pr := NewParallelReader(bytes.NewReader(stream), 1)
+	var total int64
+	for i := 0; i < 6; i++ {
+		_, size, err := pr.ReadFrameSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += size
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("frame %d: %d goroutines, %d before the reader existed", i, n, before)
+		}
+	}
+	if _, _, err := pr.ReadFrameSize(); err != io.EOF {
+		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+	if total != int64(len(stream)) {
+		t.Errorf("frame sizes sum to %d, stream is %d bytes", total, len(stream))
+	}
+	if busy := pr.WorkerBusy(); len(busy) != 1 || busy[0] <= 0 {
+		t.Errorf("WorkerBusy = %v, want one worker with decode time", busy)
+	}
+	pr.Close()
+	if _, err := pr.ReadFrame(); err != io.EOF {
+		t.Errorf("read after EOF and Close: %v, want the sticky io.EOF", err)
 	}
 }
 

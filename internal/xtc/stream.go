@@ -69,11 +69,19 @@ const headerLen = 4 * (4 + 9)
 // ReadFrame decodes the next frame. It returns io.EOF cleanly at the end of
 // the stream and io.ErrUnexpectedEOF for a truncated frame.
 func (r *Reader) ReadFrame() (*Frame, error) {
+	f, _, err := r.ReadFrameSize()
+	return f, err
+}
+
+// ReadFrameSize is ReadFrame that also reports the frame's exact encoded
+// byte length (the scanner's read-ahead is not counted).
+func (r *Reader) ReadFrameSize() (*Frame, int64, error) {
 	blob, err := r.s.Next()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return decodeBytes(blob)
+	f, err := decodeBytes(blob)
+	return f, int64(len(blob)), err
 }
 
 func unexpected(err error) error {
