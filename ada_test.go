@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -171,6 +172,39 @@ func TestFacadeIngestParallelAndFormats(t *testing.T) {
 	names, err := acq.Datasets()
 	if err != nil || len(names) != 2 {
 		t.Errorf("Datasets = %v, %v", names, err)
+	}
+}
+
+// TestIngestRefillsDecodedFrames: Ingest decodes into the frames its loop
+// has written out, so it allocates a trajectory's worth of decoded frames
+// less than the same ingest fed by an in-line reader, whose every frame is
+// new. (What the store itself allocates is the same on both sides.)
+func TestIngestRefillsDecodedFrames(t *testing.T) {
+	const frames = 200
+	pdbBytes, xtcBytes, err := ada.GenerateTrajectory(ada.ScaledSystem(20), frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(ingest func(acq *ada.Acquirer) (*ada.IngestReport, error)) (uint64, int64) {
+		acq := ada.New(newStore(t), nil, ada.Options{DecodeWorkers: 2, DecodeBatchBytes: 32 << 10})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := ingest(acq)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, rep.Raw
+	}
+	inline, raw := allocated(func(acq *ada.Acquirer) (*ada.IngestReport, error) {
+		return acq.IngestTrajectory("/ds", pdbBytes, ada.NewXTCTrajectory(bytes.NewReader(xtcBytes)))
+	})
+	ahead, _ := allocated(func(acq *ada.Acquirer) (*ada.IngestReport, error) {
+		return acq.Ingest("/ds", pdbBytes, bytes.NewReader(xtcBytes))
+	})
+	if saved := int64(inline) - int64(ahead); saved < raw/2 {
+		t.Errorf("Ingest allocated %d B, the in-line ingest %d B: %d B less, want at least half the %d B of decoded frames",
+			ahead, inline, saved, raw)
 	}
 }
 

@@ -72,13 +72,13 @@ type Options struct {
 	// Metrics selects the runtime metrics registry (nil = metrics.Default).
 	Metrics *metrics.Registry
 	// DecodeWorkers bounds the ingest decode-ahead pool (<=0 selects
-	// xtc.DefaultWorkers: min of NumCPU and GOMAXPROCS). A pool of one
-	// decodes in line on the ingest goroutine.
+	// xtc.DecodeAheadWorkers: a worker per core but the sequencer's, at
+	// least one). On one core it decodes in line on the ingest goroutine.
 	DecodeWorkers int
 	// DecodeBatchBytes overrides the encoded bytes handed to one decode
-	// worker per work item (<=0 selects xtc.DefaultBatchBytes). Smaller
-	// batches hold fewer decoded frames in flight; larger ones amortize
-	// per-item overhead.
+	// worker per work item (<=0 selects ingestBatchBytes, 1 MiB). Smaller
+	// batches hold fewer decoded frames in flight; larger ones decode
+	// further ahead and amortize per-item overhead.
 	DecodeBatchBytes int
 	// ReplicateActive mirrors every subset placed off the default (bulk)
 	// backend — the active "p" subsets under the paper's placement — onto
@@ -241,12 +241,12 @@ type ParallelIngestReport struct {
 // so the backends see one ordered op stream whatever the pool size. Memory
 // bound: the storage node holds at most 2*DecodeWorkers+2 decode batches of
 // decoded frames, each up to 64 frames and about DecodeBatchBytes of encoded
-// input (a batch ends with the frame that crosses that size); with one
-// worker nothing decodes ahead and one frame is held, as in the paper.
+// input (a batch ends with the frame that crosses that size), refilled once
+// written, not allocated anew; on one core a single frame, as in the paper.
 func (a *ADA) Ingest(logical string, pdbData []byte, traj io.Reader) (*IngestReport, error) {
-	pr := a.decodeAhead(traj)
-	defer pr.Close()
-	return a.ingest(logical, pdbData, xtcTrajectory{pr}, nil)
+	src := a.decodeAhead(traj)
+	defer src.Close()
+	return a.ingest(logical, pdbData, src, nil)
 }
 
 // ingest is every one-shot entry point: one prepare, one frame loop over
@@ -278,14 +278,22 @@ func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, par *
 	return st.finish(start)
 }
 
+// ingestBatchBytes is an ingest's decode work item when Options sets none,
+// four of the reader's: the frame loop runs on what is decoded ahead while a
+// decoder is held up, and six 200 kB frames (two a batch) often ran out.
+const ingestBatchBytes = 4 * xtc.DefaultBatchBytes
+
 // decodeAhead returns the frame source of an XTC ingest. Callers defer its
 // Close, so no exit path leaves a decode goroutine behind.
-func (a *ADA) decodeAhead(traj io.Reader) *xtc.ParallelReader {
-	pr := xtc.NewParallelReader(traj, a.opts.DecodeWorkers)
+func (a *ADA) decodeAhead(traj io.Reader) aheadTrajectory {
+	pr := xtc.NewParallelReader(traj, xtc.DecodeAheadWorkers(a.opts.DecodeWorkers))
 	pr.Observe = a.im.decodeNS.Observe
 	pr.BatchBytes = a.opts.DecodeBatchBytes
+	if pr.BatchBytes <= 0 {
+		pr.BatchBytes = ingestBatchBytes
+	}
 	pr.SetMetrics(a.reg)
-	return pr
+	return aheadTrajectory{pr}
 }
 
 // chargeSerial charges each frame's decompression (when the source pays any)
@@ -308,6 +316,7 @@ func (st *ingestState) chargeSerial(compressed bool) func(consumed int64) {
 // first error, which names its frame (op is the message's verb); the caller
 // decides whether to abort the container or leave it resumable.
 func (st *ingestState) ingestFrames(op string, src TrajectoryReader, charge func(consumed int64)) error {
+	recycler, _ := src.(interface{ Recycle(*xtc.Frame) })
 	for {
 		frame, consumed, err := src.ReadFrame()
 		if err == io.EOF {
@@ -322,6 +331,9 @@ func (st *ingestState) ingestFrames(op string, src TrajectoryReader, charge func
 			return err
 		}
 		st.a.im.writeNS.Observe(time.Since(t0).Nanoseconds())
+		if recycler != nil {
+			recycler.Recycle(frame) // written out; nothing keeps a decoded frame
+		}
 	}
 }
 

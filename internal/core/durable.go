@@ -299,16 +299,16 @@ func (a *ADA) ResumeIngest(logical string, pdbData []byte, traj io.Reader) (*Ing
 	// Skip the frames the checkpoint already persisted, then run the rest
 	// through the ingest frame loop. A failure leaves the container as it
 	// is — journaled and staged — for another resume.
-	pr := a.decodeAhead(traj)
-	defer pr.Close()
+	src := a.decodeAhead(traj)
+	defer src.Close()
 	for i := 0; i < ck.Frames; i++ {
-		if _, _, err := pr.ReadFrameSize(); err != nil {
+		if _, _, err := src.ReadFrameSize(); err != nil {
 			st.closeAll()
 			return nil, fmt.Errorf("core: resume %s: source ended at frame %d, checkpoint has %d: %w",
 				logical, i, ck.Frames, err)
 		}
 	}
-	err = st.ingestFrames("resume", xtcTrajectory{pr}, st.chargeSerial(true))
+	err = st.ingestFrames("resume", src, st.chargeSerial(true))
 	st.closeAll()
 	if err != nil {
 		return nil, err

@@ -18,9 +18,9 @@ import (
 // queue is unused: there is no fan-out queue any more. The pool size comes
 // from Options.DecodeWorkers.
 func (a *ADA) IngestParallel(logical string, pdbData []byte, traj io.Reader, queue int) (*IngestReport, error) {
-	pr := a.decodeAhead(traj)
-	defer pr.Close()
-	return a.ingest(logical, pdbData, xtcTrajectory{pr}, &parallelCharge{pr: pr})
+	src := a.decodeAhead(traj)
+	defer src.Close()
+	return a.ingest(logical, pdbData, src, &parallelCharge{pr: src.ParallelReader})
 }
 
 // parallelCharge accumulates per-stage virtual CPU time over an ingest and

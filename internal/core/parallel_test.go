@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"regexp"
 	"runtime"
@@ -47,13 +48,8 @@ func assertParallelMatchesSerial(t *testing.T, frames, batch, queue int) {
 		prep.Raw != srep.Raw {
 		t.Errorf("reports differ: serial %+v parallel %+v", srep, prep)
 	}
-	if len(prep.Subsets) != len(srep.Subsets) {
-		t.Fatalf("subset sets differ: %v vs %v", prep.Subsets, srep.Subsets)
-	}
-	for tag, n := range srep.Subsets {
-		if prep.Subsets[tag] != n {
-			t.Errorf("subset %s: %d vs %d bytes", tag, prep.Subsets[tag], n)
-		}
+	if !maps.Equal(prep.Subsets, srep.Subsets) {
+		t.Fatalf("subset bytes differ: %v vs %v", prep.Subsets, srep.Subsets)
 	}
 	// Byte-identical droppings on both backends.
 	for _, pair := range []struct{ a, b *vfs.MemFS }{{serialSSD, parSSD}, {serialHDD, parHDD}} {
@@ -321,16 +317,7 @@ func TestSubsetWriterFrameAllocs(t *testing.T) {
 
 func TestIngestParallelSubsetReadable(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 100, 4)
-	ssd := vfs.NewMemFS()
-	hdd := vfs.NewMemFS()
-	containers, err := plfs.New(
-		plfs.Backend{Name: "ssd", FS: ssd, Mount: "/m1"},
-		plfs.Backend{Name: "hdd", FS: hdd, Mount: "/m2"},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := New(containers, nil, Options{})
+	a, _, _ := newADA(t, nil, Options{})
 	if _, err := a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), 3); err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,16 @@ type TrajectoryReader interface {
 	Compressed() bool
 }
 
-// xtcTrajectory adapts an XTC stream. r is an *xtc.Reader, or the ingest
-// path's decode-ahead *xtc.ParallelReader; both report each frame's exact
-// encoded size, not what their read-ahead pulled from the stream.
-type xtcTrajectory struct {
-	r interface {
-		ReadFrameSize() (*xtc.Frame, int64, error)
-	}
-}
+// xtcTrajectory adapts an XTC stream decoded in line; the reader reports
+// each frame's exact encoded size, not what its read-ahead pulled.
+type xtcTrajectory struct{ r *xtc.Reader }
+
+// aheadTrajectory is the ingest path's XTC source: frames decoded ahead of
+// the frame loop, which hands each back (Recycle) once it is written out.
+type aheadTrajectory struct{ *xtc.ParallelReader }
+
+func (t aheadTrajectory) ReadFrame() (*xtc.Frame, int64, error) { return t.ReadFrameSize() }
+func (t aheadTrajectory) Compressed() bool                      { return true }
 
 // NewXTCTrajectory wraps a compressed (or raw) XTC stream for ingest.
 func NewXTCTrajectory(r io.Reader) TrajectoryReader {

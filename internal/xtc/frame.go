@@ -118,11 +118,17 @@ func decodeHeader(r *xdr.Reader, f *Frame) int {
 
 // DecodeFrame decodes one frame (compressed or raw) from r.
 func DecodeFrame(r *xdr.Reader) (*Frame, error) {
+	return decodeFrameInto(r, &Frame{})
+}
+
+// decodeFrameInto is DecodeFrame into f, overwriting every field and reusing
+// the capacity of f.Coords; f comes back whole or, with an error, unusable.
+func decodeFrameInto(r *xdr.Reader, f *Frame) (*Frame, error) {
 	magic := r.Int32()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	f := &Frame{}
+	*f = Frame{Coords: f.Coords[:0]}
 	switch magic {
 	case MagicCompressed:
 		natoms := decodeHeader(r, f)
@@ -132,7 +138,7 @@ func DecodeFrame(r *xdr.Reader) (*Frame, error) {
 		if natoms < 0 {
 			return nil, fmt.Errorf("xtc: negative atom count %d", natoms)
 		}
-		f.Coords = make([]Vec3, natoms)
+		f.Coords = growCoords(f.Coords, natoms)
 		if natoms <= smallAtomThreshold {
 			for i := 0; i < natoms; i++ {
 				for d := 0; d < 3; d++ {
@@ -175,7 +181,7 @@ func DecodeFrame(r *xdr.Reader) (*Frame, error) {
 		if natoms < 0 || natoms*12 > r.Remaining() {
 			return nil, fmt.Errorf("xtc: raw frame atom count %d exceeds buffer", natoms)
 		}
-		f.Coords = make([]Vec3, natoms)
+		f.Coords = growCoords(f.Coords, natoms)
 		for i := 0; i < natoms; i++ {
 			for d := 0; d < 3; d++ {
 				f.Coords[i][d] = r.Float32()
@@ -186,6 +192,15 @@ func DecodeFrame(r *xdr.Reader) (*Frame, error) {
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadMagic, magic)
 	}
+}
+
+// growCoords returns c resized to n atoms, reallocated only when it is too
+// small. The decoders assign every element, so stale contents never show.
+func growCoords(c []Vec3, n int) []Vec3 {
+	if cap(c) >= n {
+		return c[:n]
+	}
+	return make([]Vec3, n)
 }
 
 // Subset returns a new frame containing only the atoms whose indices are

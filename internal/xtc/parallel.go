@@ -39,8 +39,10 @@ const maxBatchFrames = 64
 // BatchBytes encoded bytes) exist beyond the one the consumer is draining,
 // however unevenly the workers run.
 //
-// A pool of one has no second core to decode ahead on, so it starts no
-// goroutines at all: the consumer's goroutine scans and decodes in line.
+// A pool of one under a scheduler with a single core (DefaultWorkers(0) == 1)
+// has nothing to decode ahead on, so it starts no goroutines at all: the
+// consumer's goroutine scans and decodes in line. With a second core a pool
+// of one is one worker running ahead of the consumer.
 //
 // ParallelReader is for one consumer goroutine; ReadFrame itself must not be
 // called concurrently.
@@ -65,7 +67,8 @@ type ParallelReader struct {
 	credits chan struct{} // one token per batch in flight; cap = 2*workers+1
 	quit    chan struct{}
 	once    sync.Once
-	inline  *Scanner // the one-worker path's scanner
+	inline  *Scanner    // the in-line path's scanner; nil when the pool runs
+	free    chan *Frame // frames handed back by Recycle, for the decoders to fill again
 
 	// Consumer-side re-sequencing state. cur is the batch being delivered;
 	// out-of-order arrivals wait in pending. Every pending batch holds a
@@ -125,6 +128,21 @@ func DefaultWorkers(n int) int {
 	return n
 }
 
+// DecodeAheadWorkers is the pool size for a reader whose consumer is itself
+// CPU-bound, as ingest's sequencing goroutine is (split, CRC, the rpc
+// client): n > 0 passes through; otherwise one worker per core less the
+// core the consumer keeps busy, and never fewer than one. With a decoder on
+// every core the workers take the consumer's core whenever they hold a
+// credit, and the consumer is the critical path: over a loopback cluster on
+// 2 cores, ingest with two workers was a tenth slower than with one and its
+// time varied half again as much from one call to the next.
+func DecodeAheadWorkers(n int) int {
+	if n > 0 {
+		return n
+	}
+	return max(1, DefaultWorkers(0)-1)
+}
+
 // NewParallelReader returns a reader over r decoding on `workers` goroutines
 // (<=0 selects DefaultWorkers).
 func NewParallelReader(r io.Reader, workers int) *ParallelReader {
@@ -134,6 +152,7 @@ func NewParallelReader(r io.Reader, workers int) *ParallelReader {
 		workers: workers,
 		pending: make(map[int]decodeBatch),
 		busy:    make([]atomic.Int64, workers),
+		free:    make(chan *Frame, maxBatchFrames),
 	}
 }
 
@@ -272,8 +291,14 @@ func (p *ParallelReader) decodeBatch(w int, it scanBatch) decodeBatch {
 // decodeFrame decodes one encoded frame on worker w, timing it into the
 // worker's busy counter, the Observe hook and the xtc.decode.* metrics.
 func (p *ParallelReader) decodeFrame(w int, blob []byte) (*Frame, error) {
+	var f *Frame
+	select {
+	case f = <-p.free:
+	default:
+		f = &Frame{}
+	}
 	t0 := time.Now()
-	f, err := decodeBytes(blob)
+	f, err := decodeBytesInto(blob, f)
 	ns := time.Since(t0).Nanoseconds()
 	p.busy[w].Add(ns)
 	if p.Observe != nil {
@@ -286,13 +311,9 @@ func (p *ParallelReader) decodeFrame(w int, blob []byte) (*Frame, error) {
 	return f, err
 }
 
-// readInline is ReadFrameSize for a pool of one: scan and decode on the
+// readInline is ReadFrameSize without a pool: scan and decode on the
 // caller's goroutine.
 func (p *ParallelReader) readInline() (*Frame, int64, error) {
-	if p.inline == nil {
-		p.inline = NewScanner(p.r)
-		p.pm.workers.Set(1)
-	}
 	blob, err := p.inline.Next()
 	var f *Frame
 	if err == nil {
@@ -319,11 +340,16 @@ func (p *ParallelReader) ReadFrameSize() (*Frame, int64, error) {
 	if p.err != nil {
 		return nil, 0, p.err
 	}
-	if p.workers == 1 {
-		return p.readInline()
+	if !p.started && p.inline == nil {
+		if p.workers == 1 && DefaultWorkers(0) == 1 {
+			p.inline = NewScanner(p.r)
+			p.pm.workers.Set(1)
+		} else {
+			p.start()
+		}
 	}
-	if !p.started {
-		p.start()
+	if p.inline != nil {
+		return p.readInline()
 	}
 	for {
 		if p.haveCur {
@@ -360,6 +386,21 @@ func (p *ParallelReader) ReadFrameSize() (*Frame, int64, error) {
 		if len(p.pending) > p.maxPending {
 			p.maxPending = len(p.pending)
 		}
+	}
+}
+
+// Recycle hands f, a frame this reader returned, back to be decoded into
+// again; the caller must not touch it afterwards. A consumer that is done
+// with each frame before it asks for many more — ingest writes a frame out
+// and drops it — then runs on the few frames in flight instead of allocating
+// every frame of the stream: no garbage collection cycle and no first-touch
+// page fault per frame, whose timing is what made one ingest's wall time
+// differ from the next. Frames beyond a batch's worth are left to the
+// collector.
+func (p *ParallelReader) Recycle(f *Frame) {
+	select {
+	case p.free <- f:
+	default:
 	}
 }
 

@@ -259,10 +259,11 @@ func TestParallelReaderPendingBounded(t *testing.T) {
 	}
 }
 
-// TestParallelReaderOneWorkerInline: a pool of one decodes on the caller's
-// goroutine — no scanner, worker or closer goroutine is started — and still
-// feeds WorkerBusy, Observe and the exact frame sizes.
+// TestParallelReaderOneWorkerInline: on a single core a pool of one decodes
+// on the caller's goroutine — no scanner, worker or closer goroutine is
+// started — and still feeds WorkerBusy, Observe and the exact frame sizes.
 func TestParallelReaderOneWorkerInline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	stream := mixedStream(t, 6)
 	before := runtime.NumGoroutine()
 	pr := NewParallelReader(bytes.NewReader(stream), 1)
@@ -289,6 +290,96 @@ func TestParallelReaderOneWorkerInline(t *testing.T) {
 	pr.Close()
 	if _, err := pr.ReadFrame(); err != io.EOF {
 		t.Errorf("read after EOF and Close: %v, want the sticky io.EOF", err)
+	}
+}
+
+// TestParallelReaderOneWorkerAhead: with a second core a pool of one is a
+// worker goroutine decoding ahead of the consumer, not the in-line path.
+func TestParallelReaderOneWorkerAhead(t *testing.T) {
+	if DefaultWorkers(0) == 1 {
+		t.Skip("one core: a pool of one decodes in line")
+	}
+	stream := mixedStream(t, 6)
+	pr := NewParallelReader(bytes.NewReader(stream), 1)
+	defer pr.Close()
+	frames, err := pr.ReadAll()
+	if err != nil || len(frames) != 6 {
+		t.Fatalf("%d frames, %v", len(frames), err)
+	}
+	if pr.inline != nil || pr.results == nil {
+		t.Error("a pool of one on several cores decoded in line")
+	}
+	if busy := pr.WorkerBusy(); len(busy) != 1 || busy[0] <= 0 {
+		t.Errorf("WorkerBusy = %v, want one worker with decode time", busy)
+	}
+}
+
+// TestParallelReaderRecycle: a consumer that hands every frame back still
+// sees the stream a serial reader decodes — compressed, raw and small frames
+// of differing atom counts refilled into one another — and runs on the frames
+// in flight: with one-frame batches no more than 2*workers+2 distinct frames
+// ever exist, because a decode past the first credits' worth starts only
+// after a delivery, and the frame before that delivery is already back.
+func TestParallelReaderRecycle(t *testing.T) {
+	const frames = 40
+	stream := mixedStream(t, frames)
+	want, err := NewReader(bytes.NewReader(stream)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		pr := NewParallelReader(bytes.NewReader(stream), workers)
+		pr.BatchBytes = 1
+		distinct := map[*Frame]bool{}
+		for k := 0; ; k++ {
+			f, err := pr.ReadFrame()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("workers=%d frame %d: %v", workers, k, err)
+			}
+			framesEqual(t, []*Frame{f}, want[k:k+1])
+			distinct[f] = true
+			pr.Recycle(f)
+		}
+		pr.Close()
+		if bound := 2*workers + 2; len(distinct) > bound {
+			t.Errorf("workers=%d: %d distinct frames for %d read, want <= %d", workers, len(distinct), frames, bound)
+		}
+	}
+}
+
+// TestDecodeIntoOverwrites: decoding into a used frame leaves nothing of
+// its old contents, whether its coordinates must grow or shrink.
+func TestDecodeIntoOverwrites(t *testing.T) {
+	sc := NewScanner(bytes.NewReader(mixedStream(t, 9)))
+	for k := 0; ; k++ {
+		blob, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := decodeBytes(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 7, 100} {
+			used := &Frame{Step: -1, Time: 9, Precision: 3, Coords: make([]Vec3, n)}
+			for i := range used.Box {
+				used.Box[i] = 7
+			}
+			for i := range used.Coords {
+				used.Coords[i] = Vec3{9, 9, 9}
+			}
+			got, err := decodeBytesInto(blob, used)
+			if err != nil || got != used {
+				t.Fatalf("frame %d into %d atoms: %p (want %p), %v", k, n, got, used, err)
+			}
+			framesEqual(t, []*Frame{got}, []*Frame{want})
+		}
 	}
 }
 
@@ -355,6 +446,9 @@ func TestParallelReaderCloseMidStreamBatched(t *testing.T) {
 // serial and under 5 with the batched pool (batch slices and channel items
 // amortize across maxBatchFrames).
 func TestDecodeAllocsSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
 	const frames = 64
 	stream := mixedStream(t, frames)
 	serial := func() {
@@ -390,5 +484,21 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 	if got := DefaultWorkers(-5); got < 1 {
 		t.Errorf("DefaultWorkers(-5) = %d", got)
+	}
+}
+
+// TestDecodeAheadWorkers: the default pool leaves the consumer a core, down
+// to a pool of one.
+func TestDecodeAheadWorkers(t *testing.T) {
+	if got := DecodeAheadWorkers(3); got != 3 {
+		t.Errorf("DecodeAheadWorkers(3) = %d", got)
+	}
+	for _, procs := range []int{1, 2, 3} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, cores := DecodeAheadWorkers(0), DefaultWorkers(0)
+		runtime.GOMAXPROCS(prev)
+		if want := max(1, cores-1); got != want {
+			t.Errorf("GOMAXPROCS %d (%d cores): DecodeAheadWorkers(0) = %d, want %d", procs, cores, got, want)
+		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 // Scratch pools for the codec hot path. Encoding and decoding a frame both
 // need an O(natoms) []int32 workspace plus an xdr.Reader, and a trajectory
 // touches those once per frame — pooling them removes the dominant per-frame
-// allocations without changing the public API (decoded Frames are still
-// freshly allocated, since callers retain them).
+// allocations without changing the public API. Decoded Frames are freshly
+// allocated, since callers retain them, unless a caller hands them back
+// (ParallelReader.Recycle).
 
 // intsPool recycles quantization workspaces. Entries are stored as
 // *[]int32 so Put does not allocate an interface box per cycle.
@@ -65,10 +66,13 @@ func putBitWriter(w *xdr.BitWriter) { bitWriterPool.Put(w) }
 var xdrReaderPool = sync.Pool{New: func() any { return xdr.NewReader(nil) }}
 
 // decodeBytes decodes one encoded frame from p using a pooled xdr.Reader.
-func decodeBytes(p []byte) (*Frame, error) {
+func decodeBytes(p []byte) (*Frame, error) { return decodeBytesInto(p, &Frame{}) }
+
+// decodeBytesInto is decodeBytes into f (see decodeFrameInto).
+func decodeBytesInto(p []byte, f *Frame) (*Frame, error) {
 	rd := xdrReaderPool.Get().(*xdr.Reader)
 	rd.Reset(p)
-	f, err := DecodeFrame(rd)
+	f, err := decodeFrameInto(rd, f)
 	rd.Reset(nil)
 	xdrReaderPool.Put(rd)
 	return f, err
