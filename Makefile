@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-decode bench-ingest bench-serve bench-stream bench-check bench-tier bench-e2e bench-e2e-compare test-faults test-crash test-tier test-cluster test-stream test-deflaked clean
+.PHONY: all build test race lint results-check bench bench-decode bench-ingest bench-serve bench-stream bench-check bench-tier bench-e2e bench-e2e-compare test-faults test-crash test-tier test-cluster test-stream test-deflaked clean
 
 all: build lint test
 
@@ -36,6 +36,13 @@ test-crash:
 lint:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
+# adabench is deterministic — a virtual clock, fixed seeds — so RESULTS.txt
+# is checked, not trusted: any change to the cost model, the simulated
+# devices or an experiment shows up as a diff here. After an intended change
+# regenerate it (`go run ./cmd/adabench > RESULTS.txt`) in the same commit.
+results-check:
+	$(GO) run ./cmd/adabench | diff - RESULTS.txt
 
 # Node-kill fault matrix: the placement suite (consistent-hash table,
 # replicated reads/writes, failover, rebalance) plus the headline matrix —

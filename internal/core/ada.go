@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pdb"
 	"repro/internal/plfs"
-	"repro/internal/rangelist"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/xtc"
@@ -107,8 +106,8 @@ type ADA struct {
 }
 
 // ingestMetrics are the real-time (wall-clock) handles for the ingest
-// pipeline's stages; the sim.Env charges model virtual hardware, these
-// measure the Go process itself.
+// pipeline's stages; the virtual-clock charges (cost.go) model the paper's
+// hardware, these measure the Go process itself.
 type ingestMetrics struct {
 	ingests         *metrics.Counter
 	frames          *metrics.Counter
@@ -183,12 +182,6 @@ func (a *ADA) IsTargetFile(name string) bool {
 	return false
 }
 
-func (a *ADA) chargeCPU(bucket string, sec float64) {
-	if a.env != nil && sec > 0 {
-		a.env.Charge("storage.cpu."+bucket, sec)
-	}
-}
-
 func (a *ADA) backendFor(tag string) string {
 	if a.opts.Schema != nil {
 		if be, ok := a.opts.Schema.Placement[tag]; ok {
@@ -220,7 +213,7 @@ type ParallelIngestReport struct {
 	DecodeWorkers int
 	// WorkerDecodeSec is the virtual decompression time charged to each
 	// pool worker (frames assigned round-robin); the stage's wall-time
-	// contribution is the maximum entry, not the sum.
+	// contribution is the maximum entry, not the sum. Nil without a clock.
 	WorkerDecodeSec []float64
 	// WorkerBusyNS is each worker's real wall-clock decode time.
 	WorkerBusyNS []int64
@@ -246,36 +239,31 @@ type ParallelIngestReport struct {
 func (a *ADA) Ingest(logical string, pdbData []byte, traj io.Reader) (*IngestReport, error) {
 	src := a.decodeAhead(traj)
 	defer src.Close()
-	return a.ingest(logical, pdbData, src, nil)
+	return a.ingest(logical, pdbData, src, false, nil)
 }
 
-// ingest is every one-shot entry point: one prepare, one frame loop over
-// src, one commit. A nil par charges the virtual clock serially per frame;
-// otherwise par accumulates the stages and charges them as concurrent.
-func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, par *parallelCharge) (*IngestReport, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
+// ingest is every one-shot entry point: open a session, run src through its
+// frame loop, seal. stats turns the in-situ statistics stage on; a non-nil
+// pool (src's own) charges the virtual clock as overlapped stages and adds
+// the pool's telemetry to the report.
+func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, stats bool, pool *xtc.ParallelReader) (*IngestReport, error) {
 	span := a.reg.StartSpan("ingest.total")
 	defer span.End()
 	st, err := a.prepareIngest(logical, pdbData, false)
 	if err != nil {
 		return nil, err
 	}
-	charge := st.chargeSerial(src.Compressed())
-	if par != nil {
-		charge = par.begin(st)
+	if stats {
+		st.stats = make(statsStage, len(st.writers))
 	}
-	if err := st.ingestFrames("ingest", src, charge); err != nil {
+	if st.pool = pool; pool != nil {
+		st.charge.overlap(pool.Workers(), len(st.writers))
+	}
+	if err := st.ingestFrames("ingest", src); err != nil {
 		st.abort()
 		return nil, err
 	}
-	st.closeAll()
-	if par != nil {
-		par.finish(st)
-	}
-	return st.finish(start)
+	return st.seal()
 }
 
 // ingestBatchBytes is an ingest's decode work item when Options sets none,
@@ -296,41 +284,38 @@ func (a *ADA) decodeAhead(traj io.Reader) aheadTrajectory {
 	return aheadTrajectory{pr}
 }
 
-// chargeSerial charges each frame's decompression (when the source pays any)
-// and categorization to the virtual clock one after the other, on the ingest
-// goroutine: the paper's single-core storage node.
-func (st *ingestState) chargeSerial(compressed bool) func(consumed int64) {
-	a := st.a
-	return func(consumed int64) {
-		if compressed {
-			a.chargeCPU("decompress", a.opts.Cost.decompressTime(consumed))
-		}
-		a.chargeCPU("categorize", a.opts.Cost.categorizeTime(xtc.RawFrameSize(st.structure.NAtoms())))
-	}
-}
-
-// ingestFrames is the one ingest frame loop: pull the next decoded frame and
-// its exact encoded size from src, charge its CPU cost, and append it to
-// every subset in tag order (writeFrame, which also journals a checkpoint
-// every journalCkptEvery frames). It returns at end of stream or on the
-// first error, which names its frame (op is the message's verb); the caller
-// decides whether to abort the container or leave it resumable.
-func (st *ingestState) ingestFrames(op string, src TrajectoryReader, charge func(consumed int64)) error {
+// ingestFrames is the one ingest frame loop, the only caller of writeFrame:
+// pull the next decoded frame and its exact encoded size from src, charge
+// its CPU cost, append it to every subset in tag order (writeFrame, which
+// also journals a checkpoint every journalCkptEvery frames), and run the
+// statistics stage over the split. It returns at end of stream or on the
+// first error — a source error names its frame (op is the message's verb) —
+// and the caller decides what follows: abort, detach, or carry on (a live
+// session whose staged subsets are still whole: st.err is nil).
+func (st *ingestState) ingestFrames(op string, src TrajectoryReader) error {
 	recycler, _ := src.(interface{ Recycle(*xtc.Frame) })
+	_, ahead := src.(aheadTrajectory) // a decode pool times its own frames
 	for {
+		t0 := time.Now()
 		frame, consumed, err := src.ReadFrame()
 		if err == io.EOF {
 			return nil
 		}
+		t1 := time.Now()
+		if !ahead {
+			st.a.im.decodeNS.Observe(t1.Sub(t0).Nanoseconds())
+		}
 		if err != nil {
 			return fmt.Errorf("core: %s %s frame %d: %w", op, st.logical, st.report.Frames, err)
 		}
-		charge(consumed)
-		t0 := time.Now()
+		st.charge.frame(st, consumed, src.Compressed())
 		if err := st.writeFrame(frame, consumed); err != nil {
 			return err
 		}
-		st.a.im.writeNS.Observe(time.Since(t0).Nanoseconds())
+		if err := st.stats.add(st.writers); err != nil {
+			return err
+		}
+		st.a.im.writeNS.Observe(time.Since(t1).Nanoseconds())
 		if recycler != nil {
 			recycler.Recycle(frame) // written out; nothing keeps a decoded frame
 		}
@@ -356,15 +341,18 @@ func (t *crcTee) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// subsetWriter owns one tagged dropping during an ingest.
+// subsetWriter owns one tagged dropping during an ingest. The session's
+// structure analysis (or, for Recover, the journal's begin record) fills in
+// the identity fields; attach gives it the staged dropping to write.
 type subsetWriter struct {
 	tag     string
 	backend string
+	indices []int  // atoms of a full frame this subset takes; nil when Recover reopened it
+	natoms  int    // atoms in the subset
+	ranges  string // indices in range-list form, as journaled and published
 	file    vfs.File
 	tee     *crcTee
 	w       *xtc.Writer
-	indices []int
-	natoms  int
 	ib      xtc.IndexBuilder
 	// base is the byte count already durable in the staged dropping when
 	// this writer started — zero on a fresh ingest, the last journaled
@@ -373,6 +361,17 @@ type subsetWriter struct {
 	// sub is the split scratch frame: each writer is driven by a single
 	// goroutine, so reusing it makes the per-frame split allocation-free.
 	sub xtc.Frame
+}
+
+// attach points the writer at its open staged dropping, which holds (or is
+// about to be given) prefix.
+func (sw *subsetWriter) attach(f vfs.File, checksums bool, prefix []byte) {
+	sw.file, sw.base = f, int64(len(prefix))
+	sw.tee = &crcTee{f: f, enabled: checksums}
+	if checksums {
+		sw.tee.total = xtc.CRC32C(prefix)
+	}
+	sw.w = xtc.NewRawWriter(sw.tee)
 }
 
 // writeFrame splits one full frame into this subset and appends it.
@@ -384,30 +383,46 @@ func (sw *subsetWriter) writeFrame(frame *xtc.Frame) error {
 	if err := sw.w.WriteFrame(&sw.sub); err != nil {
 		return fmt.Errorf("core: subset %s: %w", sw.tag, err)
 	}
-	if sw.tee.enabled {
-		sw.ib.AddWithCRC(sw.w.BytesWritten()-before, sw.sub.NAtoms(), sw.tee.last)
-	} else {
-		sw.ib.Add(sw.w.BytesWritten()-before, sw.sub.NAtoms())
-	}
+	sw.indexFrame(sw.w.BytesWritten()-before, sw.sub.NAtoms(), sw.tee.last)
 	return nil
+}
+
+// indexFrame appends one stored frame to the subset's index.
+func (sw *subsetWriter) indexFrame(size int64, natoms int, crc uint32) {
+	if sw.tee.enabled {
+		sw.ib.AddWithCRC(size, natoms, crc)
+	} else {
+		sw.ib.Add(size, natoms)
+	}
 }
 
 // storedBytes is the total size of the staged dropping.
 func (sw *subsetWriter) storedBytes() int64 { return sw.base + sw.w.BytesWritten() }
 
-// ingestState carries one ingest's shared context between the prepare,
-// frame-loop, and finish phases.
+// ingestState is the one ingest session every writer runs on. It is opened
+// (prepareIngest: new container, journal, staged subsets) or resumed
+// (resumeSession: an interrupted ingest cut back to its last checkpoint),
+// takes frames through ingestFrames any number of times, and ends exactly
+// one way: seal commits the dataset, detach lets go of it and leaves the
+// journaled container resumable, abort removes it. One goroutine drives it.
 type ingestState struct {
 	a               *ADA
 	logical         string
-	pdbData         []byte
-	structure       *pdb.Structure
-	labels          *LabelSet
-	tagRanges       map[string]*rangelist.List
+	natoms          int // atoms of a full frame
 	granularityName string
-	writers         []*subsetWriter
-	report          *IngestReport
-	journal         *journalWriter
+	// pdbData and labels are the structure analysis seal publishes; a
+	// session Recover reopened only to republish its head has neither.
+	pdbData []byte
+	labels  *LabelSet
+	writers []*subsetWriter // in tag order
+	report  *IngestReport
+	journal *journalWriter
+	// charge is the session's hook into the virtual clock (cost.go).
+	charge *ingestCharge
+	// stats, when set, is the in-situ statistics stage (insitu.go).
+	stats statsStage
+	// pool, when set, is the decode pool seal reports on (IngestParallel).
+	pool *xtc.ParallelReader
 	// staged lists the final dropping names (in publish order) whose
 	// staged copies commit renames into place; the manifest is not among
 	// them — its rename is the commit point and always happens last.
@@ -415,34 +430,42 @@ type ingestState struct {
 	// checksums collects CRC32C per staged non-subset dropping for the
 	// manifest's integrity map.
 	checksums map[string]uint32
-	// extra holds droppings a variant ingest (in-situ stats) wants
-	// published atomically with the dataset.
-	extra []extraDropping
-	// ckptFrames is the frame count at the last journaled checkpoint; live
-	// ingest uses it to avoid writing a duplicate checkpoint per batch when
-	// the frame loop's periodic one already landed on the batch boundary.
+	// ckptFrames is the frame count at the last journaled checkpoint.
 	ckptFrames int
+	// headVersion is the version of the last published live head.
+	headVersion int64
+	// err, once set, is why the session takes no more frames: a write,
+	// checkpoint, publish or seal failed, so the staged subsets may differ in
+	// frame count. Only abort, or a resume from the checkpoint, can follow.
+	err error
 }
 
-// extraDropping is a variant-specific payload staged during finish.
-type extraDropping struct {
-	name    string
-	backend string
-	data    []byte
+// newIngestState returns a session with no writers and no container yet.
+func (a *ADA) newIngestState(logical string, natoms int, granularity string) *ingestState {
+	return &ingestState{
+		a:               a,
+		logical:         logical,
+		natoms:          natoms,
+		granularityName: granularity,
+		checksums:       map[string]uint32{},
+		report:          &IngestReport{Logical: logical, NAtoms: natoms, Subsets: map[string]int64{}},
+	}
 }
 
-// addExtra schedules an additional dropping to be published with the
-// dataset's atomic commit (used by the in-situ statistics path).
-func (st *ingestState) addExtra(name, backend string, data []byte) {
-	st.extra = append(st.extra, extraDropping{name: name, backend: backend, data: data})
+// addWriter adds the next subset, in tag order.
+func (st *ingestState) addWriter(sw *subsetWriter) {
+	st.writers = append(st.writers, sw)
+	st.staged = append(st.staged, subsetPrefix+sw.tag)
 }
 
-// analyzeIngest runs the structure analysis half of prepareIngest, with no
-// container side effects (ResumeIngest reuses it against an existing
-// container).
+// analyzeIngest runs the structure analysis half of opening a session, with
+// no container side effects (resumeSession reuses it against an existing
+// container): the session comes back with its writers identified but not
+// attached to any dropping.
 func (a *ADA) analyzeIngest(logical string, pdbData []byte) (*ingestState, error) {
 	// Data pre-processor, step 1: analyze the structure file.
-	a.chargeCPU("pdbparse", a.opts.Cost.parseTime(int64(len(pdbData))))
+	charge := a.newIngestCharge()
+	charge.cpu("pdbparse", a.opts.Cost.parseTime(int64(len(pdbData))))
 	structure, err := pdb.Parse(bytes.NewReader(pdbData))
 	if err != nil {
 		return nil, fmt.Errorf("core: ingest %s: %w", logical, err)
@@ -450,40 +473,36 @@ func (a *ADA) analyzeIngest(logical string, pdbData []byte) (*ingestState, error
 	if structure.NAtoms() == 0 {
 		return nil, fmt.Errorf("core: ingest %s: structure file has no atoms", logical)
 	}
-	st := &ingestState{
-		a:         a,
-		logical:   logical,
-		pdbData:   pdbData,
-		structure: structure,
-		labels:    BuildLabels(structure),
-		checksums: map[string]uint32{},
-		report: &IngestReport{
-			Logical: logical,
-			NAtoms:  structure.NAtoms(),
-			Subsets: map[string]int64{},
-		},
-	}
-	st.granularityName = a.opts.Granularity.String()
+	labels := BuildLabels(structure)
+	granularity, tagRanges := a.opts.Granularity.String(), labels.TagRanges(a.opts.Granularity)
 	if a.opts.Schema != nil {
-		st.tagRanges = a.opts.Schema.TagRanges(structure)
-		st.granularityName = "schema:" + a.opts.Schema.Name
-	} else {
-		st.tagRanges = st.labels.TagRanges(a.opts.Granularity)
+		granularity, tagRanges = "schema:"+a.opts.Schema.Name, a.opts.Schema.TagRanges(structure)
+	}
+	st := a.newIngestState(logical, structure.NAtoms(), granularity)
+	st.pdbData, st.labels, st.charge = pdbData, labels, charge
+	for _, tag := range sortedKeys(tagRanges) {
+		ranges := tagRanges[tag]
+		st.addWriter(&subsetWriter{
+			tag:     tag,
+			backend: a.backendFor(tag),
+			indices: ranges.Indices(),
+			natoms:  ranges.Count(),
+			ranges:  ranges.String(),
+		})
 	}
 	return st, nil
 }
 
-// prepareIngest runs the structure analysis and creates the container, the
-// ingest journal, and the staged subset droppings. live marks the journal's
-// begin record as a streaming ingest, which flips the recovery
-// classification from roll-back to preserve-the-prefix (see live.go).
+// prepareIngest opens a session on a new dataset: structure analysis, then
+// the container, the ingest journal, and the staged subset droppings. live
+// marks the journal's begin record as a streaming ingest, which flips the
+// recovery classification from roll-back to preserve-the-prefix (see
+// live.go).
 func (a *ADA) prepareIngest(logical string, pdbData []byte, live bool) (*ingestState, error) {
 	st, err := a.analyzeIngest(logical, pdbData)
 	if err != nil {
 		return nil, err
 	}
-	structure := st.structure
-
 	// I/O determinator: create the container, start the ingest journal,
 	// then create the subset droppings under staging names. Nothing under
 	// a final name exists until commit, so a crash anywhere in here leaves
@@ -491,87 +510,88 @@ func (a *ADA) prepareIngest(logical string, pdbData []byte, live bool) (*ingestS
 	if err := a.containers.CreateContainer(logical); err != nil {
 		return nil, err
 	}
-	j, err := a.openJournal(logical)
-	if err != nil {
+	if st.journal, err = a.openJournal(logical); err != nil {
 		return nil, fmt.Errorf("core: ingest %s: %w", logical, err)
 	}
-	st.journal = j
 	begin := &journalRecord{
 		Type:        journalBegin,
 		Logical:     logical,
 		Granularity: st.granularityName,
-		NAtoms:      structure.NAtoms(),
+		NAtoms:      st.natoms,
 		Live:        live,
 	}
-	for _, tag := range sortedTags(st.tagRanges) {
-		begin.Tags = append(begin.Tags, journalTag{
-			Tag:     tag,
-			Backend: a.backendFor(tag),
-			NAtoms:  st.tagRanges[tag].Count(),
-			Ranges:  st.tagRanges[tag].String(),
-		})
+	for _, sw := range st.writers {
+		begin.Tags = append(begin.Tags, journalTag{Tag: sw.tag, Backend: sw.backend, NAtoms: sw.natoms, Ranges: sw.ranges})
 	}
-	if err := j.append(begin); err != nil {
+	if err := st.journal.append(begin); err != nil {
 		st.abort()
 		return nil, fmt.Errorf("core: ingest %s: %w", logical, err)
 	}
-	for _, tag := range sortedTags(st.tagRanges) {
-		ranges := st.tagRanges[tag]
-		be := a.backendFor(tag)
-		f, err := a.containers.CreateDropping(logical, stagingPrefix+subsetPrefix+tag, be)
+	for _, sw := range st.writers {
+		f, err := a.containers.CreateDropping(logical, stagingPrefix+subsetPrefix+sw.tag, sw.backend)
 		if err != nil {
 			st.abort()
 			return nil, fmt.Errorf("core: ingest %s: %w", logical, err)
 		}
-		tee := &crcTee{f: f, enabled: !a.opts.DisableChecksums}
-		st.writers = append(st.writers, &subsetWriter{
-			tag:     tag,
-			backend: be,
-			file:    f,
-			tee:     tee,
-			w:       xtc.NewRawWriter(tee),
-			indices: ranges.Indices(),
-			natoms:  ranges.Count(),
-		})
-		st.staged = append(st.staged, subsetPrefix+tag)
+		sw.attach(f, !a.opts.DisableChecksums, nil)
 	}
 	return st, nil
 }
 
-func (st *ingestState) closeAll() {
+// closeWriters closes every attached staged subset dropping.
+func (st *ingestState) closeWriters() {
 	for _, sw := range st.writers {
-		sw.file.Close()
+		if sw.file != nil {
+			sw.file.Close()
+			sw.file = nil
+		}
 	}
 }
 
-// abort tears an interrupted ingest down: close everything and roll the
-// container back best-effort (a crashed process skips this — that is what
-// the journal and Recover are for).
-func (st *ingestState) abort() {
-	st.closeAll()
+// detach lets go of the container without touching what it holds: subsets
+// and journal closed, everything on disk as the last write left it, for a
+// resume (or Recover) to pick up from the last checkpoint. Safe to call twice.
+func (st *ingestState) detach() {
+	st.closeWriters()
 	if st.journal != nil {
 		st.journal.close()
+		st.journal = nil
 	}
+}
+
+// abort tears an interrupted ingest down: detach and roll the container
+// back best-effort (a crashed process skips this — that is what the journal
+// and Recover are for).
+func (st *ingestState) abort() {
+	st.detach()
 	st.a.containers.RemoveContainer(st.logical)
 }
 
+// fail ends the session's writes with err (see ingestState.err) and lets go
+// of its handles; the container stays for a resume or an abort.
+func (st *ingestState) fail(err error) error {
+	st.err = err
+	st.detach()
+	return err
+}
+
 // writeFrame validates one decoded frame, accounts it, and appends it to
-// every subset.
+// every subset. Only ingestFrames calls it.
 func (st *ingestState) writeFrame(frame *xtc.Frame, compressedBytes int64) error {
-	if frame.NAtoms() != st.structure.NAtoms() {
+	if frame.NAtoms() != st.natoms {
 		return fmt.Errorf("core: ingest %s frame %d has %d atoms, structure has %d",
-			st.logical, st.report.Frames, frame.NAtoms(), st.structure.NAtoms())
+			st.logical, st.report.Frames, frame.NAtoms(), st.natoms)
 	}
 	st.report.Compressed += compressedBytes
 	st.report.Raw += xtc.RawFrameSize(frame.NAtoms())
 	for _, sw := range st.writers {
 		if err := sw.writeFrame(frame); err != nil {
-			return fmt.Errorf("core: ingest %s frame %d: %w", st.logical, st.report.Frames, err)
+			return st.fail(fmt.Errorf("core: ingest %s frame %d: %w", st.logical, st.report.Frames, err))
 		}
 	}
 	st.report.Frames++
 	st.a.im.progressFrames.Set(int64(st.report.Frames))
-	if st.journal != nil && st.report.Frames%journalCkptEvery == 0 {
+	if st.report.Frames%journalCkptEvery == 0 {
 		if err := st.checkpoint(); err != nil {
 			return fmt.Errorf("core: ingest %s: %w", st.logical, err)
 		}
@@ -583,8 +603,13 @@ func (st *ingestState) writeFrame(frame *xtc.Frame, compressedBytes int64) error
 // per-subset byte length plus running CRC32C. ResumeIngest truncates the
 // staged droppings back to the latest checkpoint and continues from there.
 // The cut is consistent because one goroutine writes every subset: when it
-// is taken each staged dropping holds exactly report.Frames frames.
+// is taken each staged dropping holds exactly report.Frames frames. With no
+// frame written since the last checkpoint it journals nothing — a live batch
+// that ends on the frame loop's periodic checkpoint, an empty dataset.
 func (st *ingestState) checkpoint() error {
+	if st.ckptFrames == st.report.Frames {
+		return nil
+	}
 	rec := &journalRecord{
 		Type:       journalCkpt,
 		Frames:     st.report.Frames,
@@ -596,7 +621,7 @@ func (st *ingestState) checkpoint() error {
 		rec.Subsets[sw.tag] = journalSubset{Bytes: sw.storedBytes(), CRC: sw.tee.total}
 	}
 	if err := st.journal.append(rec); err != nil {
-		return err
+		return st.fail(err)
 	}
 	st.ckptFrames = st.report.Frames
 	return nil
@@ -616,47 +641,63 @@ func (st *ingestState) writeStaged(name, backend string, data []byte) error {
 	return nil
 }
 
+// seal ends the session with the dataset committed: close the subsets,
+// settle the virtual clock, then finish. A failure leaves the session failed
+// and the container to Recover.
+func (st *ingestState) seal() (*IngestReport, error) {
+	st.closeWriters()
+	decodeSec := st.charge.settle()
+	if st.pool != nil {
+		st.report.Parallel = poolReport(st.pool, decodeSec)
+	}
+	if err := st.finish(); err != nil {
+		return nil, st.fail(err)
+	}
+	st.report.Elapsed = st.charge.elapsed()
+	return st.report, nil
+}
+
 // finish stages the metadata droppings (indexes, structure, labels, any
-// extras, and replica copies), then commits: journal commit record, rename
-// every staged dropping to its final name, publish the manifest last (its
-// rename is the atomic commit point), and retire the journal.
-func (st *ingestState) finish(start float64) (*IngestReport, error) {
+// in-situ statistics, and replica copies), then commits: journal commit
+// record, rename every staged dropping to its final name, publish the
+// manifest last (its rename is the atomic commit point), and retire the
+// journal.
+func (st *ingestState) finish() error {
 	a := st.a
 	// Persist each subset's frame index next to its dropping, enabling
 	// random-access playback without a scan.
 	for _, sw := range st.writers {
 		if err := st.writeStaged(indexPrefix+sw.tag, sw.backend,
 			sw.ib.Index().Marshal()); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	// Persist structure, labels, and any variant extras.
+	// Persist structure, labels, and any in-situ statistics.
 	if err := st.writeStaged(droppingPDB, a.backendFor(TagProtein), st.pdbData); err != nil {
-		return nil, err
+		return err
 	}
 	labelBytes, err := st.labels.Marshal()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := st.writeStaged(droppingLabels, a.backendFor(TagProtein), labelBytes); err != nil {
-		return nil, err
+		return err
 	}
-	for _, ex := range st.extra {
-		if err := st.writeStaged(ex.name, ex.backend, ex.data); err != nil {
-			return nil, err
-		}
+	if err := st.stats.stage(st); err != nil {
+		return err
 	}
 
 	manifest := &Manifest{
 		Logical:     st.logical,
 		Granularity: st.granularityName,
-		NAtoms:      st.structure.NAtoms(),
+		NAtoms:      st.natoms,
 		Frames:      st.report.Frames,
 		Compressed:  st.report.Compressed,
 		Raw:         st.report.Raw,
 		Subsets:     map[string]Subset{},
 		Placement:   map[string]string{},
+		Checksums:   st.checksums, // empty with checksums off, and then omitted
 	}
 	for _, sw := range st.writers {
 		st.report.Subsets[sw.tag] = sw.storedBytes()
@@ -665,38 +706,30 @@ func (st *ingestState) finish(start float64) (*IngestReport, error) {
 			NAtoms:  sw.natoms,
 			Bytes:   sw.storedBytes(),
 			Backend: sw.backend,
-			Ranges:  st.tagRanges[sw.tag].String(),
+			Ranges:  sw.ranges,
 		}
-		if sw.tee.enabled {
-			sub.CRC32C = sw.tee.total
-		}
+		sub.CRC32C = sw.tee.total // zero with checksums off
 		// Replicate off-default subsets onto the bulk backend so reads
 		// survive a corrupted or down primary.
 		if a.opts.ReplicateActive && sw.backend != a.defaultBE {
 			data, err := a.readDropping(st.logical, stagingPrefix+subsetPrefix+sw.tag)
 			if err != nil {
-				return nil, fmt.Errorf("core: replicate %s: %w", sw.tag, err)
+				return fmt.Errorf("core: replicate %s: %w", sw.tag, err)
 			}
 			if err := st.writeStaged(replicaPrefix+subsetPrefix+sw.tag, a.defaultBE, data); err != nil {
-				return nil, err
+				return err
 			}
 			if err := st.writeStaged(replicaPrefix+indexPrefix+sw.tag, a.defaultBE,
 				sw.ib.Index().Marshal()); err != nil {
-				return nil, err
+				return err
 			}
 			sub.Replica = a.defaultBE
 		}
 		manifest.Subsets[sw.tag] = sub
 		manifest.Placement[sw.tag] = sw.backend
 	}
-	if len(st.checksums) > 0 {
-		manifest.Checksums = st.checksums
-	}
 	if err := st.commit(manifest); err != nil {
-		return nil, err
-	}
-	if a.env != nil {
-		st.report.Elapsed = a.env.Clock.Now() - start
+		return err
 	}
 	a.im.ingests.Inc()
 	a.im.frames.Add(int64(st.report.Frames))
@@ -705,7 +738,7 @@ func (st *ingestState) finish(start float64) (*IngestReport, error) {
 	for _, n := range st.report.Subsets {
 		a.im.bytesWritten.Add(n)
 	}
-	return st.report, nil
+	return nil
 }
 
 // commit publishes the dataset. The sequence is crash-ordered: the commit
@@ -715,34 +748,36 @@ func (st *ingestState) finish(start float64) (*IngestReport, error) {
 // the container is either invisible to readers or fully consistent.
 func (st *ingestState) commit(manifest *Manifest) error {
 	a := st.a
-	if st.journal != nil {
-		rec := &journalRecord{Type: journalCommit, Staged: st.staged, Manifest: manifest}
-		if err := st.journal.append(rec); err != nil {
-			return fmt.Errorf("core: commit %s: %w", st.logical, err)
-		}
-		if err := st.journal.close(); err != nil {
-			return fmt.Errorf("core: commit %s: %w", st.logical, err)
-		}
+	rec := &journalRecord{Type: journalCommit, Staged: st.staged, Manifest: manifest}
+	if err := st.journal.append(rec); err != nil {
+		return fmt.Errorf("core: commit %s: %w", st.logical, err)
+	}
+	err := st.journal.close()
+	st.journal = nil
+	if err != nil {
+		return fmt.Errorf("core: commit %s: %w", st.logical, err)
 	}
 	for _, name := range st.staged {
 		if err := a.containers.RenameDropping(st.logical, stagingPrefix+name, name); err != nil {
 			return fmt.Errorf("core: commit %s: %w", st.logical, err)
 		}
 	}
-	manifestBytes, err := manifest.marshal()
+	return a.publishManifest(st.logical, manifest)
+}
+
+// publishManifest is the tail of a commit, first time or replayed: the
+// manifest lands under its final name by rename — the commit point — and the
+// journal, from then on only bookkeeping, is retired.
+func (a *ADA) publishManifest(logical string, m *Manifest) error {
+	data, err := m.marshal()
 	if err != nil {
 		return err
 	}
-	if err := a.writeDropping(st.logical, stagingPrefix+droppingManifest,
-		a.backendFor(TagProtein), manifestBytes); err != nil {
-		return err
+	if err := a.republishDropping(logical, droppingManifest, a.backendFor(TagProtein), data); err != nil {
+		return fmt.Errorf("core: commit %s: %w", logical, err)
 	}
-	if err := a.containers.RenameDropping(st.logical, stagingPrefix+droppingManifest, droppingManifest); err != nil {
-		return fmt.Errorf("core: commit %s: %w", st.logical, err)
-	}
-	// The dataset is live; the journal is now only bookkeeping.
-	if err := a.containers.RemoveDropping(st.logical, droppingJournal); err != nil {
-		return fmt.Errorf("core: commit %s: %w", st.logical, err)
+	if err := a.containers.RemoveDropping(logical, droppingJournal); err != nil {
+		return fmt.Errorf("core: commit %s: %w", logical, err)
 	}
 	return nil
 }
@@ -757,20 +792,6 @@ func (a *ADA) writeDropping(logical, name, backend string, data []byte) error {
 		return fmt.Errorf("core: write %s: %w", name, err)
 	}
 	return f.Close()
-}
-
-func sortedTags(m map[string]*rangelist.List) []string {
-	tags := make([]string, 0, len(m))
-	for t := range m {
-		tags = append(tags, t)
-	}
-	// Small fixed set; insertion sort keeps this dependency-free.
-	for i := 1; i < len(tags); i++ {
-		for j := i; j > 0 && tags[j] < tags[j-1]; j-- {
-			tags[j], tags[j-1] = tags[j-1], tags[j]
-		}
-	}
-	return tags
 }
 
 // Datasets lists every ingested dataset's logical name.

@@ -187,7 +187,7 @@ func (a *ADA) RecoverDataset(logical string) (RecoveryAction, error) {
 		return a.replayCommit(logical, &last)
 	}
 	if recs[0].Type == journalBegin && recs[0].Live {
-		return a.recoverLive(logical, recs)
+		return a.recoverLive(logical, &recs[0], lastCheckpoint(recs))
 	}
 	return a.rollback(logical)
 }
@@ -225,17 +225,11 @@ func (a *ADA) sweepCommitted(logical string) (RecoveryAction, error) {
 	if err != nil {
 		return "", err
 	}
-	if len(orphans) > 0 {
-		swept = true
-	}
 	reconciled, err := a.reconcilePlacement(logical)
 	if err != nil {
 		return "", err
 	}
-	if reconciled {
-		swept = true
-	}
-	if swept {
+	if swept || len(orphans) > 0 || reconciled {
 		return RecoverySwept, nil
 	}
 	return RecoveryClean, nil
@@ -258,18 +252,7 @@ func (a *ADA) replayCommit(logical string, rec *journalRecord) (RecoveryAction, 
 			return "", err
 		}
 	}
-	manifestBytes, err := rec.Manifest.marshal()
-	if err != nil {
-		return "", err
-	}
-	if err := a.writeDropping(logical, stagingPrefix+droppingManifest,
-		a.backendFor(TagProtein), manifestBytes); err != nil {
-		return "", err
-	}
-	if err := a.containers.RenameDropping(logical, stagingPrefix+droppingManifest, droppingManifest); err != nil {
-		return "", err
-	}
-	if err := a.containers.RemoveDropping(logical, droppingJournal); err != nil {
+	if err := a.publishManifest(logical, rec.Manifest); err != nil {
 		return "", err
 	}
 	// A sealed live dataset's head droppings die with the commit.
@@ -287,33 +270,27 @@ func (a *ADA) replayCommit(logical string, rec *journalRecord) (RecoveryAction, 
 // ingest then runs to a normal atomic commit. pdbData and traj must be the
 // same inputs the interrupted ingest was given.
 func (a *ADA) ResumeIngest(logical string, pdbData []byte, traj io.Reader) (*IngestReport, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
-	st, _, ck, err := a.resumeStagedState(logical, pdbData, false)
+	st, err := a.resumeSession(logical, pdbData, false)
 	if err != nil {
 		return nil, err
 	}
-
 	// Skip the frames the checkpoint already persisted, then run the rest
-	// through the ingest frame loop. A failure leaves the container as it
-	// is — journaled and staged — for another resume.
+	// through the session's frame loop. A failure leaves the container as
+	// it is — journaled and staged — for another resume.
 	src := a.decodeAhead(traj)
 	defer src.Close()
-	for i := 0; i < ck.Frames; i++ {
+	for i := 0; i < st.report.Frames; i++ {
 		if _, _, err := src.ReadFrameSize(); err != nil {
-			st.closeAll()
+			st.detach()
 			return nil, fmt.Errorf("core: resume %s: source ended at frame %d, checkpoint has %d: %w",
-				logical, i, ck.Frames, err)
+				logical, i, st.report.Frames, err)
 		}
 	}
-	err = st.ingestFrames("resume", src, st.chargeSerial(true))
-	st.closeAll()
-	if err != nil {
+	if err := st.ingestFrames("resume", src); err != nil {
+		st.detach()
 		return nil, err
 	}
-	return st.finish(start)
+	return st.seal()
 }
 
 // checkpointedPrefix loads one staged subset cut back to its checkpoint
@@ -350,135 +327,109 @@ func (a *ADA) checkpointedPrefix(logical, tag string, mark journalSubset, frames
 	return prefix, idx, nil
 }
 
-// resumeStagedState rebuilds an interrupted ingest's in-memory state from
-// its journal: the staged subsets truncated to the last checkpoint (prefix
-// CRCs verified), the subset writers and index builders reconstructed over
-// the surviving bytes, the report counters restored, and the journal
-// rewritten compactly (begin plus one checkpoint). Shared by ResumeIngest
-// (live=false) and ResumeLiveIngest (live=true); the begin record's Live
-// flag must match, since the two sessions have different commit rules.
-func (a *ADA) resumeStagedState(logical string, pdbData []byte, live bool) (*ingestState, journalRecord, journalRecord, error) {
-	var zero journalRecord
-	fail := func(err error) (*ingestState, journalRecord, journalRecord, error) {
-		return nil, zero, zero, err
+// lastCheckpoint returns the journal's latest checkpoint record — the zero
+// checkpoint (restart from frame 0) when the ingest never reached one.
+func lastCheckpoint(recs []journalRecord) *journalRecord {
+	ck := &journalRecord{Type: journalCkpt}
+	for i := range recs {
+		if recs[i].Type == journalCkpt {
+			ck = &recs[i]
+		}
+	}
+	return ck
+}
+
+// resumeSession reopens the session of an interrupted ingest at its last
+// journaled checkpoint: the structure is analyzed again and checked against
+// the journal's begin record, then cutBack attaches the writers. ResumeIngest
+// (live=false) and ResumeLiveIngest (live=true) share it; the begin record's
+// Live flag must match, since the two sessions have different commit rules.
+func (a *ADA) resumeSession(logical string, pdbData []byte, live bool) (*ingestState, error) {
+	st, err := a.analyzeIngest(logical, pdbData)
+	if err != nil {
+		return nil, err
 	}
 	recs, err := a.readJournal(logical)
 	if err != nil {
-		return fail(fmt.Errorf("core: resume %s: no journal (nothing to resume): %w", logical, err))
+		return nil, fmt.Errorf("core: resume %s: no journal (nothing to resume): %w", logical, err)
 	}
 	if len(recs) == 0 || recs[0].Type != journalBegin {
-		return fail(fmt.Errorf("core: resume %s: journal has no begin record; run Recover", logical))
+		return nil, fmt.Errorf("core: resume %s: journal has no begin record; run Recover", logical)
 	}
-	begin := recs[0]
-	if begin.Live != live {
-		if live {
-			return fail(fmt.Errorf("core: resume %s: not a live ingest; use ResumeIngest", logical))
+	begin := &recs[0]
+	switch {
+	case live && !begin.Live:
+		return nil, fmt.Errorf("core: resume %s: not a live ingest; use ResumeIngest", logical)
+	case begin.Live && !live:
+		return nil, fmt.Errorf("core: resume %s: live ingest; use ResumeLiveIngest", logical)
+	case recs[len(recs)-1].Type == journalCommit:
+		return nil, fmt.Errorf("core: resume %s: ingest already committed; run Recover", logical)
+	case st.natoms != begin.NAtoms:
+		return nil, fmt.Errorf("core: resume %s: structure has %d atoms, journal began with %d",
+			logical, st.natoms, begin.NAtoms)
+	case len(st.writers) != len(begin.Tags):
+		return nil, fmt.Errorf("core: resume %s: categorization yields %d tags, journal began with %d",
+			logical, len(st.writers), len(begin.Tags))
+	}
+	for i, sw := range st.writers {
+		if begin.Tags[i].Tag != sw.tag || begin.Tags[i].Ranges != sw.ranges {
+			return nil, fmt.Errorf("core: resume %s: tag %q does not match the journaled ingest", logical, sw.tag)
 		}
-		return fail(fmt.Errorf("core: resume %s: live ingest; use ResumeLiveIngest", logical))
 	}
-	ck := journalRecord{Type: journalCkpt} // zero checkpoint: restart from frame 0
-	for _, rec := range recs[1:] {
-		switch rec.Type {
-		case journalCkpt:
-			ck = rec
-		case journalCommit:
-			return fail(fmt.Errorf("core: resume %s: ingest already committed; run Recover", logical))
-		}
+	if err := st.cutBack(begin, lastCheckpoint(recs)); err != nil {
+		st.detach()
+		return nil, fmt.Errorf("core: resume %s: %w", logical, err)
 	}
+	return st, nil
+}
 
-	st, err := a.analyzeIngest(logical, pdbData)
-	if err != nil {
-		return fail(err)
-	}
-	if st.structure.NAtoms() != begin.NAtoms {
-		return fail(fmt.Errorf("core: resume %s: structure has %d atoms, journal began with %d",
-			logical, st.structure.NAtoms(), begin.NAtoms))
-	}
-	tags := sortedTags(st.tagRanges)
-	if len(tags) != len(begin.Tags) {
-		return fail(fmt.Errorf("core: resume %s: categorization yields %d tags, journal began with %d",
-			logical, len(tags), len(begin.Tags)))
-	}
-	for i, tag := range tags {
-		if begin.Tags[i].Tag != tag || begin.Tags[i].Ranges != st.tagRanges[tag].String() {
-			return fail(fmt.Errorf("core: resume %s: tag %q does not match the journaled ingest", logical, tag))
-		}
-	}
-
-	// Rebuild each subset writer over the checkpointed prefix of its
-	// staged dropping.
-	for _, tag := range tags {
-		prefix, idx, err := a.checkpointedPrefix(logical, tag, ck.Subsets[tag], ck.Frames)
-		if err != nil {
-			st.closeAll()
-			return fail(fmt.Errorf("core: resume %s %w", logical, err))
-		}
-		var prefixCRC uint32
-		if !a.opts.DisableChecksums {
-			prefixCRC = xtc.CRC32C(prefix)
-		}
-		// The writer's dropping is built beside the staged one and renamed
-		// over it once the prefix is in: a live dataset's readers must never
-		// open a staged subset shorter than the head they hold.
-		be := a.backendFor(tag)
-		staged := stagingPrefix + subsetPrefix + tag
-		f, err := a.containers.CreateDropping(logical, stagingPrefix+staged, be)
-		if err != nil {
-			st.closeAll()
-			return fail(fmt.Errorf("core: resume %s: %w", logical, err))
-		}
-		if _, err = f.Write(prefix); err == nil {
-			err = a.containers.RenameDropping(logical, stagingPrefix+staged, staged)
-		}
-		if err != nil {
-			f.Close()
-			st.closeAll()
-			return fail(fmt.Errorf("core: resume %s subset %s: %w", logical, tag, err))
-		}
-		tee := &crcTee{f: f, enabled: !a.opts.DisableChecksums, total: prefixCRC}
-		sw := &subsetWriter{
-			tag:     tag,
-			backend: be,
-			file:    f,
-			tee:     tee,
-			w:       xtc.NewRawWriter(tee),
-			indices: st.tagRanges[tag].Indices(),
-			natoms:  st.tagRanges[tag].Count(),
-			base:    int64(len(prefix)),
-		}
-		if idx != nil {
-			for i := 0; i < idx.Frames(); i++ {
-				if tee.enabled {
-					sw.ib.AddWithCRC(idx.Size(i), idx.NAtoms(i), idx.CRC(i))
-				} else {
-					sw.ib.Add(idx.Size(i), idx.NAtoms(i))
-				}
+// cutBack cuts st's journaled container back to the checkpoint ck and
+// attaches the session to what is left; recoverLive and the two resumes
+// share it. Every staged subset is replaced by its verified checkpointed
+// prefix — by rename, never truncating in place: a live dataset's readers
+// may be opening it under a head the dead producer published, and must never
+// find it shorter than that head. The writer keeps the new dropping open,
+// index builder and running checksum rebuilt over the prefix; the counters
+// are restored; the journal is rewritten as begin plus that one checkpoint;
+// and a live head's version carries over. On an error the caller detaches.
+func (st *ingestState) cutBack(begin, ck *journalRecord) error {
+	a := st.a
+	if begin.Live {
+		if data, err := a.readDropping(st.logical, liveHeadName); err == nil {
+			if h, err := unmarshalLiveHead(data); err == nil {
+				st.headVersion = h.Version
 			}
 		}
-		st.writers = append(st.writers, sw)
-		st.staged = append(st.staged, subsetPrefix+tag)
 	}
-	st.report.Frames = ck.Frames
-	st.report.Compressed = ck.Compressed
-	st.report.Raw = ck.Raw
-
-	// Rewrite the journal compactly: the original begin record plus one
-	// checkpoint at the resume point.
-	j, err := a.openJournal(logical)
-	if err != nil {
-		st.closeAll()
-		return fail(fmt.Errorf("core: resume %s: %w", logical, err))
-	}
-	st.journal = j
-	if err := j.append(&begin); err != nil {
-		st.abort()
-		return fail(fmt.Errorf("core: resume %s: %w", logical, err))
-	}
-	if ck.Frames > 0 {
-		if err := st.checkpoint(); err != nil {
-			st.abort()
-			return fail(fmt.Errorf("core: resume %s: %w", logical, err))
+	for _, sw := range st.writers {
+		prefix, idx, err := a.checkpointedPrefix(st.logical, sw.tag, ck.Subsets[sw.tag], ck.Frames)
+		if err != nil {
+			return err
+		}
+		staged := stagingPrefix + subsetPrefix + sw.tag
+		f, err := a.containers.CreateDropping(st.logical, stagingPrefix+staged, sw.backend)
+		if err != nil {
+			return err
+		}
+		sw.attach(f, !a.opts.DisableChecksums, prefix)
+		if _, err = f.Write(prefix); err == nil {
+			err = a.containers.RenameDropping(st.logical, stagingPrefix+staged, staged)
+		}
+		if err != nil {
+			return fmt.Errorf("subset %s: %w", sw.tag, err)
+		}
+		for i := 0; idx != nil && i < idx.Frames(); i++ {
+			sw.indexFrame(idx.Size(i), idx.NAtoms(i), idx.CRC(i))
 		}
 	}
-	return st, begin, ck, nil
+	st.report.Frames, st.report.Compressed, st.report.Raw = ck.Frames, ck.Compressed, ck.Raw
+
+	var err error
+	if st.journal, err = a.openJournal(st.logical); err != nil {
+		return err
+	}
+	if err := st.journal.append(begin); err != nil {
+		return err
+	}
+	return st.checkpoint()
 }

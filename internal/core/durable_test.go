@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,6 +80,14 @@ func countOps(t *testing.T, opts Options, pdbBytes, traj []byte) int64 {
 // fromEnd is set.
 func crashState(t *testing.T, opts Options, pdbBytes, traj []byte, fromEnd bool, want func(recs []journalRecord) bool) (*ADA, []journalRecord) {
 	t.Helper()
+	ssd, hdd, recs := crashBackends(t, opts, pdbBytes, traj, fromEnd, want)
+	return rebootADA(t, ssd, hdd), recs
+}
+
+// crashBackends is crashState before the reboot: the raw backends as the
+// kill left them.
+func crashBackends(t *testing.T, opts Options, pdbBytes, traj []byte, fromEnd bool, want func(recs []journalRecord) bool) (*vfs.MemFS, *vfs.MemFS, []journalRecord) {
+	t.Helper()
 	total := countOps(t, opts, pdbBytes, traj)
 	for i := int64(1); i <= total; i++ {
 		n := i
@@ -89,11 +98,11 @@ func crashState(t *testing.T, opts Options, pdbBytes, traj []byte, fromEnd bool,
 		ssd, hdd := crashIngest(t, in, opts, pdbBytes, traj)
 		a := rebootADA(t, ssd, hdd)
 		if recs, err := a.readJournal("/ds"); err == nil && len(recs) > 0 && want(recs) {
-			return a, recs
+			return ssd, hdd, recs
 		}
 	}
 	t.Fatalf("none of %d kill points left the wanted journal", total)
-	return nil, nil
+	return nil, nil, nil
 }
 
 // endsIn matches a journal whose last record has the given type.
@@ -481,6 +490,71 @@ func TestResumeIngestFromCheckpoint(t *testing.T) {
 	if !res.OK() {
 		t.Errorf("resumed dataset fails fsck: %+v", res.Verdicts)
 	}
+}
+
+// handleFS counts the file handles a stack opens and closes through it.
+type handleFS struct {
+	vfs.FS
+	opened, closed *atomic.Int64
+}
+
+type countedFile struct {
+	vfs.File
+	closed *atomic.Int64
+}
+
+func (h handleFS) counted(f vfs.File, err error) (vfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	h.opened.Add(1)
+	return &countedFile{File: f, closed: h.closed}, nil
+}
+
+func (h handleFS) Create(name string) (vfs.File, error) { return h.counted(h.FS.Create(name)) }
+func (h handleFS) Open(name string) (vfs.File, error)   { return h.counted(h.FS.Open(name)) }
+
+func (f *countedFile) Close() error {
+	f.closed.Add(1)
+	return f.File.Close()
+}
+
+// TestResumeIngestFailureClosesHandles resumes the crash state of
+// TestResumeIngestFromCheckpoint against sources that cannot finish it — one
+// ends before the checkpoint's frames are skipped, one tears a frame after
+// them — and requires every handle the failed resume opened, the rewritten
+// journal's included, to be closed again, with the container still
+// resumable to the golden bytes.
+func TestResumeIngestFailureClosesHandles(t *testing.T) {
+	frames := journalCkptEvery + 8
+	pdbBytes, traj, _ := testDataset(t, 200, frames)
+	_, goldenBytes := goldenDroppings(t, pdbBytes, traj)
+	ssd, hdd, _ := crashBackends(t, Options{}, pdbBytes, traj, false, endsIn(journalCkpt))
+
+	var opened, closed atomic.Int64
+	store, err := plfs.New(
+		plfs.Backend{Name: "ssd", FS: handleFS{ssd, &opened, &closed}, Mount: "/mnt1"},
+		plfs.Backend{Name: "hdd", FS: handleFS{hdd, &opened, &closed}, Mount: "/mnt2"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(store, nil, Options{Metrics: metrics.NewRegistry()})
+	for what, short := range map[string][]byte{
+		"source shorter than the checkpoint": traj[:len(traj)/4],
+		"frame torn after the checkpoint":    traj[:len(traj)-5],
+	} {
+		if _, err := a.ResumeIngest("/ds", pdbBytes, bytes.NewReader(short)); err == nil {
+			t.Fatalf("%s: resume succeeded", what)
+		}
+		if o, c := opened.Load(), closed.Load(); o == 0 || o != c {
+			t.Errorf("%s: failed resume opened %d handles, closed %d", what, o, c)
+		}
+	}
+	if _, err := a.ResumeIngest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatal(err)
+	}
+	assertGolden(t, a, goldenBytes, "resumed after failed resumes")
 }
 
 // TestResumeIngestFromZero resumes an ingest that died before its first

@@ -3,10 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/analysis"
-	"repro/internal/xtc"
 )
 
 // In-situ statistics: following the related work the paper builds on
@@ -29,71 +27,52 @@ type SubsetStats struct {
 	MeanRG float64   `json:"mean_rgyr"`
 }
 
-// IngestWithStats runs Ingest and additionally computes per-frame analysis
-// for every subset in-situ, charging the extra work to the storage node.
-// The statistics are stored as stats.<tag> droppings beside the subsets.
+// IngestWithStats is IngestTrajectory with the statistics stage on: the same
+// session and frame loop, plus per-frame analysis of every subset in-situ,
+// charged to the storage node. The statistics are stored as stats.<tag>
+// droppings beside the subsets.
 func (a *ADA) IngestWithStats(logical string, pdbData []byte, tr TrajectoryReader) (*IngestReport, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
-	st, err := a.prepareIngest(logical, pdbData, false)
-	if err != nil {
-		return nil, err
-	}
-	series := make([]*analysis.TrajectoryStats, len(st.writers))
-	for i := range series {
-		series[i] = &analysis.TrajectoryStats{}
-	}
-	for {
-		frame, consumed, err := tr.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			st.abort()
-			return nil, fmt.Errorf("core: ingest %s frame %d: %w", logical, st.report.Frames, err)
-		}
-		if tr.Compressed() {
-			a.chargeCPU("decompress", a.opts.Cost.decompressTime(consumed))
-		}
-		a.chargeCPU("categorize", a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
-		// The in-situ analysis pass reads every raw byte once more.
-		a.chargeCPU("insitu", a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
-		if err := st.writeFrame(frame, consumed); err != nil {
-			st.abort()
-			return nil, err
-		}
-		for i, sw := range st.writers {
-			// st.writeFrame just split this frame into sw.sub; the analysis
-			// pass reuses that scratch instead of re-splitting (Add copies
-			// what it retains).
-			if err := series[i].Add(&sw.sub); err != nil {
-				st.abort()
-				return nil, fmt.Errorf("core: in-situ stats %s: %w", sw.tag, err)
-			}
-		}
-	}
-	st.closeAll()
+	return a.ingest(logical, pdbData, tr, true, nil)
+}
 
-	// The stats droppings ride the same atomic commit as the subsets: they
-	// are staged by finish and published only when the manifest lands.
-	for i, sw := range st.writers {
-		stats := &SubsetStats{
-			Tag:    sw.tag,
-			Frames: series[i].Frames,
-			RGyr:   series[i].RGyr,
-			RMSD:   series[i].RMSD,
-			MSD:    series[i].MSD,
-			MeanRG: analysis.Mean(series[i].RGyr),
+// statsStage is a session's in-situ statistics stage: one analysis series
+// per subset writer, in writer order.
+type statsStage []analysis.TrajectoryStats
+
+// add folds the frame the session just wrote into every series. writeFrame
+// split it into each writer's sub; the analysis pass reuses that scratch
+// instead of re-splitting (Add copies what it retains).
+func (s statsStage) add(writers []*subsetWriter) error {
+	for i := range s {
+		if err := s[i].Add(&writers[i].sub); err != nil {
+			return fmt.Errorf("core: in-situ stats %s: %w", writers[i].tag, err)
 		}
-		data, err := json.MarshalIndent(stats, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		st.addExtra(statsPrefix+sw.tag, sw.backend, data)
 	}
-	return st.finish(start)
+	return nil
+}
+
+// stage writes each series as its subset's stats.<tag> dropping. It runs
+// inside the session's seal, so the statistics ride the same atomic commit
+// as the subsets: staged, and published only when the manifest lands.
+func (s statsStage) stage(st *ingestState) error {
+	for i := range s {
+		sw := st.writers[i]
+		data, err := json.MarshalIndent(&SubsetStats{
+			Tag:    sw.tag,
+			Frames: s[i].Frames,
+			RGyr:   s[i].RGyr,
+			RMSD:   s[i].RMSD,
+			MSD:    s[i].MSD,
+			MeanRG: analysis.Mean(s[i].RGyr),
+		}, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := st.writeStaged(statsPrefix+sw.tag, sw.backend, data); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Stats loads a subset's in-situ statistics (an error when the dataset was

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -101,5 +104,57 @@ func TestIngestWithStatsErrorPropagates(t *testing.T) {
 	if _, err := a.IngestWithStats("/x", pdbBytes,
 		NewXTCTrajectory(bytes.NewReader(traj[:len(traj)-5]))); err == nil {
 		t.Error("truncated stream should fail")
+	}
+}
+
+// TestIngestWithStatsMatchesIngest: the statistics stage adds its stats.<tag>
+// droppings and nothing else — every other dropping is byte-identical to a
+// plain Ingest of the same stream, and the manifest differs only by the
+// statistics' checksums.
+func TestIngestWithStatsMatchesIngest(t *testing.T) {
+	pdbBytes, traj, _ := testDataset(t, 200, journalCkptEvery+3)
+	golden, goldenBytes := goldenDroppings(t, pdbBytes, traj)
+	a, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
+	if _, err := a.IngestWithStats("/ds", pdbBytes, NewXTCTrajectory(bytes.NewReader(traj))); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := a.containers.Index("/ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names, stats []string
+	for _, d := range idx {
+		if strings.HasPrefix(d.Name, statsPrefix) {
+			stats = append(stats, d.Name)
+			continue
+		}
+		names = append(names, d.Name)
+		got, err := a.readDropping("/ds", d.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Name != droppingManifest && !bytes.Equal(got, goldenBytes[d.Name]) {
+			t.Errorf("%s differs from the plain ingest's", d.Name)
+		}
+	}
+	if len(names) != len(durableDroppings) || len(stats) != 2 {
+		t.Fatalf("container holds %v and %v, want %v and two stats droppings", names, stats, durableDroppings)
+	}
+	want, err := golden.Manifest("/ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.Manifest("/ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range stats {
+		if _, ok := got.Checksums[name]; !ok {
+			t.Errorf("manifest has no checksum for %s", name)
+		}
+		delete(got.Checksums, name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("manifest beyond the stats checksums differs:\n got %+v\nwant %+v", got, want)
 	}
 }

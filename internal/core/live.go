@@ -4,23 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
-	"time"
-
-	"repro/internal/xtc"
 )
 
 // Streaming (live) ingest.
 //
 // A live dataset is an ingest that has not finished yet: a running
 // simulation keeps appending frame batches while readers tail the growing
-// head. The on-disk state is the PR-4 ingest journal extended into an
-// append log — the staged subset droppings and the journal are exactly
-// those of an interrupted one-shot ingest, so `Seal` is nothing more than
-// running the ordinary atomic commit, and a crash at any point recovers
-// through the same classification machinery.
+// head. The writer is the one ingest session (ingestState, ada.go) held open
+// across calls: Append runs a batch through the session's frame loop, Seal
+// is the session's seal, and the staged subset droppings and the journal are
+// exactly those of an interrupted one-shot ingest, so a crash at any point
+// recovers through the same classification machinery.
 //
 // What streaming adds is a published head. After every appended batch the
 // writer journals a checkpoint and then republishes two kinds of read-side
@@ -41,9 +37,9 @@ import (
 // droppings, manifest last, retire the journal) and then removes the
 // live.* droppings; the result is byte-identical to a one-shot Ingest of
 // the same frames. Recover classifies a killed live dataset as
-// RecoveryLive: the staged subsets are truncated back to the last
-// journaled checkpoint and the head republished, after which
-// ResumeLiveIngest can continue appending.
+// RecoveryLive: the session is reopened from the journal, cut back to the
+// last checkpoint (cutBack, durable.go — the same cut ResumeLiveIngest
+// makes), republishes the head there and detaches.
 
 // Live dropping names. liveHeadName is the reader gate; liveIndexPrefix
 // names the per-tag published index prefixes.
@@ -74,18 +70,7 @@ type LiveHead struct {
 }
 
 // Tags returns the head's tags, sorted.
-func (h *LiveHead) Tags() []string {
-	tags := make([]string, 0, len(h.Subsets))
-	for t := range h.Subsets {
-		tags = append(tags, t)
-	}
-	for i := 1; i < len(tags); i++ {
-		for j := i; j > 0 && tags[j] < tags[j-1]; j-- {
-			tags[j], tags[j-1] = tags[j-1], tags[j]
-		}
-	}
-	return tags
-}
+func (h *LiveHead) Tags() []string { return sortedKeys(h.Subsets) }
 
 // sealedHead converts a committed manifest into the equivalent head, so
 // watchers see a live dataset and its sealed successor through one API.
@@ -113,15 +98,8 @@ func sealedHead(m *Manifest) *LiveHead {
 // once it has committed. vfs.ErrNotExist means no such dataset (or one that
 // was rolled back).
 func (a *ADA) LiveHead(logical string) (*LiveHead, error) {
-	data, err := a.readDropping(logical, liveHeadName)
-	if err == nil {
-		return unmarshalLiveHead(data)
-	}
-	m, merr := a.Manifest(logical)
-	if merr != nil {
-		return nil, err // the original live.json error (typically ErrNotExist)
-	}
-	return sealedHead(m), nil
+	h, _, err := a.liveHeadAndCRC(logical)
+	return h, err
 }
 
 func unmarshalLiveHead(data []byte) (*LiveHead, error) {
@@ -132,16 +110,14 @@ func unmarshalLiveHead(data []byte) (*LiveHead, error) {
 	return h, nil
 }
 
-// LiveIngest is an open streaming ingest session: the producer side of a
-// live dataset. It is safe for one appender goroutine; Head/Watch may be
-// called concurrently from others.
+// LiveIngest is an open streaming ingest session, the producer side of a
+// live dataset: the one ingest session (ingestState) plus head publication.
+// It is safe for one appender goroutine; Head/Watch may be called
+// concurrently from others.
 type LiveIngest struct {
-	a     *ADA
-	st    *ingestState
-	start float64
+	st *ingestState
 
 	mu      sync.Mutex
-	version int64
 	sealed  bool
 	aborted bool
 	headCh  chan struct{} // closed and replaced on every publish
@@ -152,15 +128,11 @@ type LiveIngest struct {
 // journal's begin record is marked live (so Recover preserves instead of
 // rolling back), and an empty head is published for watchers.
 func (a *ADA) OpenLiveIngest(logical string, pdbData []byte) (*LiveIngest, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
 	st, err := a.prepareIngest(logical, pdbData, true)
 	if err != nil {
 		return nil, err
 	}
-	li := &LiveIngest{a: a, st: st, start: start, headCh: make(chan struct{})}
+	li := &LiveIngest{st: st, headCh: make(chan struct{})}
 	if err := li.publishHead(); err != nil {
 		st.abort()
 		return nil, fmt.Errorf("core: live ingest %s: %w", logical, err)
@@ -171,21 +143,18 @@ func (a *ADA) OpenLiveIngest(logical string, pdbData []byte) (*LiveIngest, error
 // ResumeLiveIngest reopens a live dataset after a crash or restart: the
 // staged subsets are truncated back to the last journaled checkpoint
 // (verifying the prefix CRC), the writers and journal are rebuilt over the
-// surviving bytes, and the head is republished at the checkpoint. pdbData
-// must be the structure the dataset was opened with. The caller resumes
-// producing from frame Frames().
+// surviving bytes, and the head is republished at the checkpoint, its
+// version continuing from the last one published. pdbData must be the
+// structure the dataset was opened with. The caller resumes producing from
+// frame Frames().
 func (a *ADA) ResumeLiveIngest(logical string, pdbData []byte) (*LiveIngest, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
-	st, _, _, err := a.resumeStagedState(logical, pdbData, true)
+	st, err := a.resumeSession(logical, pdbData, true)
 	if err != nil {
 		return nil, err
 	}
-	li := &LiveIngest{a: a, st: st, start: start, headCh: make(chan struct{})}
+	li := &LiveIngest{st: st, headCh: make(chan struct{})}
 	if err := li.publishHead(); err != nil {
-		st.closeAll()
+		st.detach()
 		return nil, fmt.Errorf("core: resume live %s: %w", logical, err)
 	}
 	return li, nil
@@ -213,13 +182,19 @@ func (li *LiveIngest) Watch() <-chan struct{} {
 	return li.headCh
 }
 
+// wake releases the current watchers. Callers hold li.mu.
+func (li *LiveIngest) wake() {
+	close(li.headCh)
+	li.headCh = make(chan struct{})
+}
+
 func (li *LiveIngest) headLocked() LiveHead {
 	st := li.st
 	h := LiveHead{
 		Logical:     st.logical,
-		Version:     li.version,
+		Version:     st.headVersion,
 		Frames:      st.report.Frames,
-		NAtoms:      st.structure.NAtoms(),
+		NAtoms:      st.natoms,
 		Granularity: st.granularityName,
 		Sealed:      li.sealed,
 		Subsets:     make(map[string]LiveSubset, len(st.writers)),
@@ -229,93 +204,68 @@ func (li *LiveIngest) headLocked() LiveHead {
 			NAtoms:  sw.natoms,
 			Bytes:   sw.storedBytes(),
 			Backend: sw.backend,
-			Ranges:  st.tagRanges[sw.tag].String(),
+			Ranges:  sw.ranges,
 		}
 	}
 	return h
 }
 
-// Append decodes one XTC-encoded batch of whole frames and appends them to
-// every subset, then journals a checkpoint and publishes the new head. It
+// closedLocked is why the session takes no more frames, nil while it does.
+func (li *LiveIngest) closedLocked() error {
+	if li.sealed || li.aborted {
+		return fmt.Errorf("core: live ingest %s is closed", li.st.logical)
+	}
+	return li.st.err
+}
+
+// Append runs one XTC-encoded batch of whole frames through the session's
+// frame loop, then journals a checkpoint and publishes the new head. It
 // returns the number of frames appended. A torn final frame fails the call
 // after the batch's complete frames have been published; the producer
-// re-sends the frame intact. The byte stream across all Appends must be
-// exactly what a one-shot Ingest of the dataset would have consumed, which
-// is what makes Seal's output indistinguishable from it.
+// re-sends the frame intact. A failed write, checkpoint or publish instead
+// ends the session — the subsets may no longer hold the same frames — and
+// every later Append or Seal returns that error; Abort, or ResumeLiveIngest
+// from the last checkpoint, is what is left. The byte stream across all
+// Appends must be exactly what a one-shot Ingest of the dataset would have
+// consumed, which is what makes Seal's output indistinguishable from it.
 func (li *LiveIngest) Append(batch []byte) (int, error) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
-	if li.sealed || li.aborted {
-		return 0, fmt.Errorf("core: live ingest %s is closed", li.st.logical)
+	if err := li.closedLocked(); err != nil {
+		return 0, err
 	}
 	st := li.st
-	// Scan frame-by-frame rather than wrapping a buffered Reader: the
-	// scanner yields each frame's exact encoded bytes, so the journaled
-	// Compressed counter stays exact at every checkpoint — which is what
-	// keeps a post-crash resume's manifest byte-identical to a one-shot
-	// ingest (buffered read-ahead would smear bytes across checkpoints).
-	sc := xtc.NewScanner(bytes.NewReader(batch))
-	appended := 0
-	var decodeErr error
-	for {
-		t0 := time.Now()
-		blob, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		var frame *xtc.Frame
-		if err == nil {
-			frame, err = xtc.DecodeFrameBytes(blob)
-		}
-		li.a.im.decodeNS.Observe(time.Since(t0).Nanoseconds())
-		if err != nil {
-			decodeErr = fmt.Errorf("core: live ingest %s frame %d: %w",
-				st.logical, st.report.Frames, err)
-			break
-		}
-		consumed := int64(len(blob))
-		li.a.chargeCPU("decompress", li.a.opts.Cost.decompressTime(consumed))
-		li.a.chargeCPU("categorize", li.a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
-		t1 := time.Now()
-		if err := st.writeFrame(frame, consumed); err != nil {
-			return appended, err
-		}
-		li.a.im.writeNS.Observe(time.Since(t1).Nanoseconds())
-		appended++
-	}
-	if appended > 0 {
-		if err := li.publishLocked(); err != nil {
-			return appended, fmt.Errorf("core: live ingest %s: %w", st.logical, err)
+	before := st.report.Frames
+	// The batch is decoded in line, not ahead: that source yields each
+	// frame's exact encoded size, so the journaled Compressed counter stays
+	// exact at every checkpoint — which is what keeps a post-crash resume's
+	// manifest byte-identical to a one-shot ingest.
+	srcErr := st.ingestFrames("live ingest", NewXTCTrajectory(bytes.NewReader(batch)))
+	appended := st.report.Frames - before
+	if st.err == nil && appended > 0 && st.checkpoint() == nil { // a failed checkpoint fails the session itself
+		if err := li.publishHead(); err != nil {
+			st.fail(fmt.Errorf("core: live ingest %s: %w", st.logical, err))
 		}
 	}
-	return appended, decodeErr
-}
-
-// publishLocked checkpoints the journal at the current frame (unless the
-// frame loop just did) and republishes the head. Callers hold li.mu.
-func (li *LiveIngest) publishLocked() error {
-	st := li.st
-	if st.ckptFrames != st.report.Frames {
-		if err := st.checkpoint(); err != nil {
-			return err
-		}
+	if st.err != nil {
+		return appended, st.err
 	}
-	return li.publishHead()
+	return appended, srcErr
 }
 
 // publishHead atomically republishes live.index.<tag> for every subset and
 // then live.json. The order matters: readers load the head first, so an
 // index must never lag the head it is read under.
 func (li *LiveIngest) publishHead() error {
-	a := li.a
 	st := li.st
+	a := st.a
 	for _, sw := range st.writers {
 		if err := a.republishDropping(st.logical, liveIndexPrefix+sw.tag,
 			sw.backend, sw.ib.Index().Marshal()); err != nil {
 			return err
 		}
 	}
-	li.version++
+	st.headVersion++
 	head := li.headLocked()
 	data, err := json.Marshal(&head)
 	if err != nil {
@@ -325,8 +275,7 @@ func (li *LiveIngest) publishHead() error {
 		a.containers.Backends()[0], data); err != nil {
 		return err
 	}
-	close(li.headCh)
-	li.headCh = make(chan struct{})
+	li.wake()
 	return nil
 }
 
@@ -340,35 +289,32 @@ func (a *ADA) republishDropping(logical, name, backend string, data []byte) erro
 }
 
 // Seal converts the live dataset into an ordinary immutable container: the
-// one-shot commit path runs unchanged (stage indexes/structure/labels,
-// journal the commit record, rename everything, manifest last, retire the
-// journal) and the live.* droppings are removed. The committed container
-// is byte-identical to a one-shot Ingest of the same frames.
+// session's seal — the one-shot commit path unchanged (stage
+// indexes/structure/labels, journal the commit record, rename everything,
+// manifest last, retire the journal) — and then the live.* droppings are
+// removed. The committed container is byte-identical to a one-shot Ingest
+// of the same frames.
 func (li *LiveIngest) Seal() (*IngestReport, error) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
-	if li.sealed || li.aborted {
-		return nil, fmt.Errorf("core: live ingest %s is closed", li.st.logical)
+	if err := li.closedLocked(); err != nil {
+		return nil, err
 	}
 	st := li.st
-	// Publish any appended-but-unjournaled tail before tearing down, so a
+	// Journal any appended-but-unjournaled tail before tearing down, so a
 	// crash inside Seal still recovers to the full prefix.
-	if st.ckptFrames != st.report.Frames {
-		if err := st.checkpoint(); err != nil {
-			return nil, fmt.Errorf("core: seal %s: %w", st.logical, err)
-		}
+	if err := st.checkpoint(); err != nil {
+		return nil, fmt.Errorf("core: seal %s: %w", st.logical, err)
 	}
-	st.closeAll()
-	report, err := st.finish(li.start)
+	report, err := st.seal()
 	if err != nil {
 		return nil, err
 	}
-	if err := li.a.sweepLive(st.logical); err != nil {
-		return nil, fmt.Errorf("core: seal %s: %w", st.logical, err)
+	if err := st.a.sweepLive(st.logical); err != nil {
+		return nil, st.fail(fmt.Errorf("core: seal %s: %w", st.logical, err))
 	}
 	li.sealed = true
-	close(li.headCh) // wake watchers; LiveHead now reports the sealed manifest
-	li.headCh = make(chan struct{})
+	li.wake() // LiveHead now reports the sealed manifest
 	return report, nil
 }
 
@@ -382,8 +328,7 @@ func (li *LiveIngest) Abort() error {
 	}
 	li.aborted = true
 	li.st.abort()
-	close(li.headCh)
-	li.headCh = make(chan struct{})
+	li.wake()
 	return nil
 }
 
@@ -404,83 +349,23 @@ func (a *ADA) sweepLive(logical string) error {
 	return nil
 }
 
-// recoverLive repairs a live dataset after a kill: the staged subsets are
-// truncated back to the last journaled checkpoint (any unjournaled tail is
-// discarded, any published head can only be at or behind the checkpoint),
-// prefix CRCs are verified, the live indexes and head are republished at
-// the checkpoint, and the journal is rewritten compactly. The dataset
+// recoverLive repairs a live dataset after a kill: a session reopened from
+// the journal alone — begin names the subsets, no structure is needed to
+// publish — is cut back to the last checkpoint ck (any unjournaled tail is
+// discarded; any published head can only be at or behind the checkpoint),
+// republishes the live indexes and the head there, and detaches. The dataset
 // stays live; ResumeLiveIngest continues it and Seal finishes it.
-func (a *ADA) recoverLive(logical string, recs []journalRecord) (RecoveryAction, error) {
-	begin := recs[0]
-	ck := journalRecord{Type: journalCkpt}
-	for _, rec := range recs[1:] {
-		if rec.Type == journalCkpt {
-			ck = rec
-		}
-	}
-	version := int64(0)
-	if data, err := a.readDropping(logical, liveHeadName); err == nil {
-		if h, err := unmarshalLiveHead(data); err == nil {
-			version = h.Version
-		}
-	}
-	head := &LiveHead{
-		Logical:     logical,
-		Version:     version + 1,
-		Frames:      ck.Frames,
-		NAtoms:      begin.NAtoms,
-		Granularity: begin.Granularity,
-		Subsets:     map[string]LiveSubset{},
-	}
+func (a *ADA) recoverLive(logical string, begin, ck *journalRecord) (RecoveryAction, error) {
+	st := a.newIngestState(logical, begin.NAtoms, begin.Granularity)
 	for _, jt := range begin.Tags {
-		prefix, idx, err := a.checkpointedPrefix(logical, jt.Tag, ck.Subsets[jt.Tag], ck.Frames)
-		if err != nil {
-			return "", fmt.Errorf("recover live %w", err)
-		}
-		// Replace the staged dropping with exactly the checkpointed prefix
-		// — by rename, never truncating in place: a tailing reader may be
-		// opening it right now under a head the dead producer published —
-		// and rebuild + republish its index.
-		if err := a.republishDropping(logical, stagingPrefix+subsetPrefix+jt.Tag, jt.Backend, prefix); err != nil {
-			return "", err
-		}
-		var ib xtc.IndexBuilder
-		if idx != nil {
-			for i := 0; i < idx.Frames(); i++ {
-				ib.AddWithCRC(idx.Size(i), idx.NAtoms(i), idx.CRC(i))
-			}
-		}
-		if err := a.republishDropping(logical, liveIndexPrefix+jt.Tag, jt.Backend, ib.Index().Marshal()); err != nil {
-			return "", err
-		}
-		head.Subsets[jt.Tag] = LiveSubset{
-			NAtoms: jt.NAtoms, Bytes: int64(len(prefix)),
-			Backend: jt.Backend, Ranges: jt.Ranges,
-		}
+		st.addWriter(&subsetWriter{tag: jt.Tag, backend: jt.Backend, natoms: jt.NAtoms, ranges: jt.Ranges})
 	}
-	data, err := json.Marshal(head)
-	if err != nil {
-		return "", err
+	defer st.detach()
+	if err := st.cutBack(begin, ck); err != nil {
+		return "", fmt.Errorf("recover live: %w", err)
 	}
-	if err := a.republishDropping(logical, liveHeadName, a.containers.Backends()[0], data); err != nil {
-		return "", err
-	}
-	// Rewrite the journal compactly: begin plus the one surviving ckpt.
-	j, err := a.openJournal(logical)
-	if err != nil {
-		return "", err
-	}
-	if err := j.append(&begin); err != nil {
-		j.close()
-		return "", err
-	}
-	if ck.Frames > 0 {
-		if err := j.append(&ck); err != nil {
-			j.close()
-			return "", err
-		}
-	}
-	if err := j.close(); err != nil {
+	li := &LiveIngest{st: st, headCh: make(chan struct{})}
+	if err := li.publishHead(); err != nil {
 		return "", err
 	}
 	return RecoveryLive, nil

@@ -509,6 +509,19 @@ func TestLiveRecoverKillMatrix(t *testing.T) {
 		in := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindKill, Nth: int(n)})
 		ssd, hdd := crashLive(t, in, pdbBytes, batches)
 		a := rebootADA(t, ssd, hdd)
+		// The last version the dead producer published; every head after
+		// it — Recover's, the resume's, each append's — must be newer.
+		var version int64
+		if h, err := a.LiveHead("/ds"); err == nil && !h.Sealed {
+			version = h.Version
+		}
+		newer := func(what string, got int64) {
+			t.Helper()
+			if got <= version {
+				t.Fatalf("kill %d/%d: %s published head version %d after %d", n, total, what, got, version)
+			}
+			version = got
+		}
 		acts, err := a.Recover()
 		if err != nil {
 			t.Fatalf("kill %d/%d: recover: %v", n, total, err)
@@ -526,6 +539,7 @@ func TestLiveRecoverKillMatrix(t *testing.T) {
 			if h.Sealed {
 				t.Fatalf("kill %d/%d: recovered live head is sealed", n, total)
 			}
+			newer("Recover", h.Version)
 			for tag, sub := range h.Subsets {
 				staged, err := a.readDropping("/ds", stagingPrefix+subsetPrefix+tag)
 				if err != nil {
@@ -548,9 +562,15 @@ func TestLiveRecoverKillMatrix(t *testing.T) {
 			if li.Frames() != h.Frames {
 				t.Fatalf("kill %d/%d: resumed at frame %d, head says %d", n, total, li.Frames(), h.Frames)
 			}
+			newer("ResumeLiveIngest", li.Head().Version)
 			for _, f := range perFrame[li.Frames():] {
 				if _, err := li.Append(f); err != nil {
 					t.Fatalf("kill %d/%d: resumed append: %v", n, total, err)
+				}
+				if h, err := a.LiveHead("/ds"); err != nil {
+					t.Fatalf("kill %d/%d: head after resumed append: %v", n, total, err)
+				} else {
+					newer("Append", h.Version)
 				}
 			}
 			if _, err := li.Seal(); err != nil {
@@ -621,4 +641,125 @@ func TestResumeLiveRejectsOneShot(t *testing.T) {
 		!strings.Contains(err.Error(), "ResumeIngest") {
 		t.Fatalf("ResumeLiveIngest on a one-shot journal = %v", err)
 	}
+}
+
+// backendOps sums what vfs.Instrument counted on both backends of a metered
+// stack: every file-system op plus every file write and read call.
+func backendOps(reg *metrics.Registry) int64 {
+	s := reg.Snapshot()
+	var n int64
+	for name, c := range s.Counters {
+		if strings.Contains(name, ".ops.") {
+			n += c
+		}
+	}
+	for _, be := range []string{"fs.ssd", "fs.hdd"} {
+		n += s.Histograms[be+".write.ns"].Count + s.Histograms[be+".read.ns"].Count
+	}
+	return n
+}
+
+// TestLiveAppendOpsPerBatch pins what one Append costs the backends — for a
+// five-frame batch ten subset writes, one journal checkpoint, and the
+// republish of two live indexes and the head with the container-index
+// updates under them — to the count measured at the commit before Append
+// moved onto the session's frame loop (cf31b60).
+func TestLiveAppendOpsPerBatch(t *testing.T) {
+	const parentOps = 59
+	pdbBytes, traj, _ := testDataset(t, 200, 10)
+	reg := metrics.NewRegistry()
+	a := newMeteredADA(t, reg)
+	li, err := a.OpenLiveIngest("/ds", pdbBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Abort()
+	for i, batch := range batchFrames(splitFrames(t, traj), 5) {
+		before := backendOps(reg)
+		if n, err := li.Append(batch); err != nil || n != 5 {
+			t.Fatalf("append %d = %d, %v", i, n, err)
+		}
+		if got := backendOps(reg) - before; got != parentOps {
+			t.Errorf("append %d issued %d backend ops, the parent commit %d", i, got, parentOps)
+		}
+	}
+}
+
+// TestLiveFailedWriteIsSticky fails one subset write once, after the other
+// subset has taken the frame. The session must refuse every later Append and
+// Seal with that error rather than commit subsets of different lengths; the
+// published head stays at the last whole batch; and both ways out still
+// work: Abort, and ResumeLiveIngest cutting back to the checkpoint.
+func TestLiveFailedWriteIsSticky(t *testing.T) {
+	pdbBytes, traj, _ := testDataset(t, 200, 6)
+	batches := batchFrames(splitFrames(t, traj), 2)
+	_, goldenBytes := goldenDroppings(t, pdbBytes, traj)
+
+	// failed returns a session whose second batch hit the injected error:
+	// the writers run in tag order, so hdd's "m" took the batch's first
+	// frame before ssd's "p" — the next write on ssd once armed — failed.
+	failed := func(t *testing.T) (*ADA, *LiveIngest, error) {
+		in := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindErr, Op: "write", Nth: 1})
+		in.SetEnabled(false)
+		store, err := plfs.New(
+			plfs.Backend{Name: "ssd", FS: faultfs.Wrap(vfs.NewMemFS(), in), Mount: "/mnt1"},
+			plfs.Backend{Name: "hdd", FS: vfs.NewMemFS(), Mount: "/mnt2"},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := New(store, nil, Options{Metrics: metrics.NewRegistry()})
+		li, err := a.OpenLiveIngest("/ds", pdbBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := li.Append(batches[0]); err != nil {
+			t.Fatal(err)
+		}
+		in.SetEnabled(true)
+		n, werr := li.Append(batches[1])
+		if !errors.Is(werr, faultfs.ErrInjected) || n != 0 {
+			t.Fatalf("append over the failing write = %d, %v", n, werr)
+		}
+		// The fault fired once; nothing below fails any more.
+		if n, err := li.Append(batches[1]); err != werr || n != 0 {
+			t.Fatalf("append after the failed write = %d, %v; want the first error", n, err)
+		}
+		if _, err := li.Seal(); err != werr {
+			t.Fatalf("seal after the failed write = %v; want the first error", err)
+		}
+		if h, err := a.LiveHead("/ds"); err != nil || h.Sealed || h.Frames != 2 {
+			t.Fatalf("head after the failed write = %+v, %v; want 2 frames, live", h, err)
+		}
+		return a, li, werr
+	}
+
+	t.Run("abort", func(t *testing.T) {
+		a, li, _ := failed(t)
+		if err := li.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if names, err := a.Datasets(); err != nil || len(names) != 0 {
+			t.Fatalf("datasets after abort = %v, %v", names, err)
+		}
+	})
+	t.Run("resume", func(t *testing.T) {
+		a, _, _ := failed(t)
+		li, err := a.ResumeLiveIngest("/ds", pdbBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if li.Frames() != 2 {
+			t.Fatalf("resumed at frame %d, want the checkpoint's 2", li.Frames())
+		}
+		for _, b := range batches[1:] {
+			if _, err := li.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := li.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		assertGolden(t, a, goldenBytes, "resumed after a failed write")
+	})
 }

@@ -42,9 +42,12 @@ type Subset struct {
 }
 
 // Tags returns the manifest's tags sorted by name.
-func (m *Manifest) Tags() []string {
-	tags := make([]string, 0, len(m.Subsets))
-	for t := range m.Subsets {
+func (m *Manifest) Tags() []string { return sortedKeys(m.Subsets) }
+
+// sortedKeys returns a tag-keyed map's tags sorted by name.
+func sortedKeys[V any](m map[string]V) []string {
+	tags := make([]string, 0, len(m))
+	for t := range m {
 		tags = append(tags, t)
 	}
 	sort.Strings(tags)

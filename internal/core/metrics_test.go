@@ -67,18 +67,31 @@ func checkIngestMetrics(t *testing.T, reg *metrics.Registry, frames int, compres
 
 func TestIngestMetricsSerial(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 200, 5)
-	reg := metrics.NewRegistry()
-	a := newMeteredADA(t, reg)
-	rep, err := a.Ingest("/m.xtc", pdbBytes, bytes.NewReader(traj))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Frames != 5 {
-		t.Fatalf("frames = %d", rep.Frames)
-	}
-	checkIngestMetrics(t, reg, 5, int64(len(traj)))
-	if a.Metrics() != reg {
-		t.Error("Metrics() did not return the configured registry")
+	// Every entry point runs the one session, so each records the same
+	// metrics — the in-situ statistics path included.
+	for name, ingest := range map[string]func(a *ADA) (*IngestReport, error){
+		"Ingest": func(a *ADA) (*IngestReport, error) {
+			return a.Ingest("/m.xtc", pdbBytes, bytes.NewReader(traj))
+		},
+		"IngestWithStats": func(a *ADA) (*IngestReport, error) {
+			return a.IngestWithStats("/m.xtc", pdbBytes, NewXTCTrajectory(bytes.NewReader(traj)))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			a := newMeteredADA(t, reg)
+			rep, err := ingest(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Frames != 5 {
+				t.Fatalf("frames = %d", rep.Frames)
+			}
+			checkIngestMetrics(t, reg, 5, int64(len(traj)))
+			if a.Metrics() != reg {
+				t.Error("Metrics() did not return the configured registry")
+			}
+		})
 	}
 }
 

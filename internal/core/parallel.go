@@ -15,58 +15,24 @@ import (
 // is still charged as the writes happen (the backends are shared). The
 // report's Parallel section describes the pool.
 //
-// queue is unused: there is no fan-out queue any more. The pool size comes
-// from Options.DecodeWorkers.
+// queue is unused: there is no fan-out queue any more, and the pool size
+// comes from Options.DecodeWorkers. The entry point stays, three lines over
+// the one ingest path, because the end-to-end benchmark's parallelProbe
+// (benchmarks/e2e/run.go) times it against Ingest.
 func (a *ADA) IngestParallel(logical string, pdbData []byte, traj io.Reader, queue int) (*IngestReport, error) {
 	src := a.decodeAhead(traj)
 	defer src.Close()
-	return a.ingest(logical, pdbData, src, &parallelCharge{pr: src.ParallelReader})
+	return a.ingest(logical, pdbData, src, false, src.ParallelReader)
 }
 
-// parallelCharge accumulates per-stage virtual CPU time over an ingest and
-// applies it as one concurrent charge at the end.
-type parallelCharge struct {
-	pr            *xtc.ParallelReader
-	decodeSec     []float64 // per decode worker, frames dealt round-robin
-	categorizeSec []float64 // per subset writer
-}
-
-// begin sizes the accumulators and returns the frame loop's charge hook.
-func (c *parallelCharge) begin(st *ingestState) func(consumed int64) {
-	workers := c.pr.Workers()
-	c.decodeSec = make([]float64, workers)
-	c.categorizeSec = make([]float64, len(st.writers))
-	cost := st.a.opts.Cost
-	return func(consumed int64) {
-		c.decodeSec[st.report.Frames%workers] += cost.decompressTime(consumed)
-		for i, sw := range st.writers {
-			c.categorizeSec[i] += cost.categorizeTime(xtc.RawFrameSize(sw.natoms))
-		}
-	}
-}
-
-// finish advances the clock by the slowest stage — every stage's work still
-// lands in the profile, decode workers in the shared decompress bucket, so
-// the profile totals equal the serial path's — and fills in the report's
-// pool telemetry: the round-robin virtual charge and each worker's real
-// busy time.
-func (c *parallelCharge) finish(st *ingestState) {
-	if env := st.a.env; env != nil {
-		var worst float64
-		for _, sec := range c.decodeSec {
-			env.ChargeConcurrent("storage.cpu.decompress", sec)
-			worst = max(worst, sec)
-		}
-		for _, sec := range c.categorizeSec {
-			env.ChargeConcurrent("storage.cpu.categorize", sec)
-			worst = max(worst, sec)
-		}
-		env.Clock.Advance(worst)
-	}
-	busy := c.pr.WorkerBusy()
+// poolReport describes how the decode pool behaved: each worker's real busy
+// time, and decodeSec, the virtual charge dealt to it round-robin (nil
+// without a clock).
+func poolReport(pr *xtc.ParallelReader, decodeSec []float64) *ParallelIngestReport {
+	busy := pr.WorkerBusy()
 	rep := &ParallelIngestReport{
 		DecodeWorkers:     len(busy),
-		WorkerDecodeSec:   c.decodeSec,
+		WorkerDecodeSec:   decodeSec,
 		WorkerBusyNS:      make([]int64, len(busy)),
 		WorkerUtilization: make([]float64, len(busy)),
 	}
@@ -80,5 +46,5 @@ func (c *parallelCharge) finish(st *ingestState) {
 			rep.WorkerUtilization[i] = float64(ns) / float64(busiest)
 		}
 	}
-	st.report.Parallel = rep
+	return rep
 }

@@ -165,10 +165,7 @@ func (a *ADA) rewriteManifest(logical string, m *Manifest) error {
 	if cur, err := a.containers.StatDropping(logical, droppingManifest); err == nil {
 		be = cur.Backend
 	}
-	if err := a.writeDropping(logical, stagingPrefix+droppingManifest, be, data); err != nil {
-		return err
-	}
-	return a.containers.RenameDropping(logical, stagingPrefix+droppingManifest, droppingManifest)
+	return a.republishDropping(logical, droppingManifest, be, data)
 }
 
 // reconcilePlacement folds the plfs index's authoritative placement back

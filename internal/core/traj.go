@@ -38,11 +38,23 @@ func (t xtcTrajectory) ReadFrame() (*xtc.Frame, int64, error) { return t.r.ReadF
 
 func (t xtcTrajectory) Compressed() bool { return true }
 
-// dcdTrajectory adapts a DCD stream.
-type dcdTrajectory struct {
-	r    *dcd.Reader
-	last int64
+// rawTrajectory adapts a format of uncompressed records: read decodes the
+// next frame and consumed is the stream's running byte count, whose growth
+// over a read is what that frame consumed.
+type rawTrajectory struct {
+	read     func() (*xtc.Frame, error)
+	consumed func() int64
+	last     int64
 }
+
+func (t *rawTrajectory) ReadFrame() (*xtc.Frame, int64, error) {
+	f, err := t.read()
+	n := t.consumed() - t.last
+	t.last += n
+	return f, n, err
+}
+
+func (t *rawTrajectory) Compressed() bool { return false }
 
 // NewDCDTrajectory wraps a DCD stream for ingest.
 func NewDCDTrajectory(r io.Reader) (TrajectoryReader, error) {
@@ -50,44 +62,25 @@ func NewDCDTrajectory(r io.Reader) (TrajectoryReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &dcdTrajectory{r: d, last: d.BytesConsumed()}, nil
+	return &rawTrajectory{read: d.ReadFrame, consumed: d.BytesConsumed, last: d.BytesConsumed()}, nil
 }
 
-func (t *dcdTrajectory) ReadFrame() (*xtc.Frame, int64, error) {
-	f, err := t.r.ReadFrame()
-	consumed := t.r.BytesConsumed() - t.last
-	t.last = t.r.BytesConsumed()
-	return f, consumed, err
-}
-
-func (t *dcdTrajectory) Compressed() bool { return false }
-
-// trrTrajectory adapts a GROMACS TRR stream (full precision, uncompressed;
-// velocities and forces are dropped — ADA serves the visualization path).
-type trrTrajectory struct {
-	r    *trr.Reader
-	last int64
-}
-
-// NewTRRTrajectory wraps a TRR stream for ingest.
+// NewTRRTrajectory wraps a GROMACS TRR stream for ingest (full precision,
+// uncompressed; velocities and forces are dropped — ADA serves the
+// visualization path).
 func NewTRRTrajectory(r io.Reader) TrajectoryReader {
-	return &trrTrajectory{r: trr.NewReader(r)}
+	t := trr.NewReader(r)
+	return &rawTrajectory{consumed: t.BytesConsumed, read: func() (*xtc.Frame, error) {
+		f, err := t.ReadFrame()
+		if err != nil {
+			return nil, err
+		}
+		return f.ToXTC(), nil
+	}}
 }
-
-func (t *trrTrajectory) ReadFrame() (*xtc.Frame, int64, error) {
-	f, err := t.r.ReadFrame()
-	consumed := t.r.BytesConsumed() - t.last
-	t.last = t.r.BytesConsumed()
-	if err != nil {
-		return nil, consumed, err
-	}
-	return f.ToXTC(), consumed, nil
-}
-
-func (t *trrTrajectory) Compressed() bool { return false }
 
 // IngestTrajectory is Ingest for any supported trajectory format, decoded in
 // line by the reader it is handed.
 func (a *ADA) IngestTrajectory(logical string, pdbData []byte, tr TrajectoryReader) (*IngestReport, error) {
-	return a.ingest(logical, pdbData, tr, nil)
+	return a.ingest(logical, pdbData, tr, false, nil)
 }
