@@ -333,7 +333,7 @@ const (
 )
 
 // ErrCorrupted marks a verified read whose stored bytes fail their
-// checksum on every available copy (primary and replica).
+// checksum on every copy the store holds.
 var ErrCorrupted = vfs.ErrCorrupted
 
 // Tiering (see DESIGN.md "Tiering model"): read-path heat tracking and a

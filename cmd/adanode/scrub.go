@@ -7,7 +7,6 @@
 package main
 
 import (
-	"io"
 	"path"
 	"strings"
 	"time"
@@ -76,7 +75,7 @@ func (s *nodeScrubber) walk(dir string) {
 // verifySubset checks one subset payload against its index's per-frame
 // checksums (v1 indexes carry none and are skipped).
 func (s *nodeScrubber) verifySubset(subsetPath, indexPath string) {
-	idxBytes, err := readAll(s.fsys, indexPath)
+	idxBytes, err := vfs.ReadFile(s.fsys, indexPath)
 	if err != nil {
 		return
 	}
@@ -102,12 +101,7 @@ func (s *nodeScrubber) verifySubset(subsetPath, indexPath string) {
 			buf = make([]byte, size)
 		}
 		buf = buf[:size]
-		n, err := f.ReadAt(buf, idx.Offset(i))
-		if (err != nil && err != io.EOF) || int64(n) != size {
-			s.corrupted.Inc()
-			return
-		}
-		if xtc.CRC32C(buf) != idx.CRC(i) {
+		if vfs.ReadAtVerified(f, buf, idx.Offset(i), func(b []byte) bool { return idx.FrameOK(i, b) }) != nil {
 			s.corrupted.Inc()
 			return
 		}
@@ -128,17 +122,4 @@ func (s *nodeScrubber) throttle(budget int64) int64 {
 	}
 	time.Sleep(d)
 	return 0
-}
-
-func readAll(fsys vfs.FS, name string) ([]byte, error) {
-	f, err := fsys.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, f.Size())
-	if _, err := io.ReadFull(f, buf); err != nil && err != io.EOF {
-		return nil, err
-	}
-	return buf, nil
 }

@@ -28,8 +28,6 @@ const (
 	// stagingPrefix marks droppings an in-flight ingest has not yet
 	// published; commit renames them to their final names, manifest last.
 	stagingPrefix = "staging."
-	// replicaPrefix marks the failover copies of off-default subsets.
-	replicaPrefix = "replica."
 )
 
 // ErrUnknownTag is returned for a tag the dataset was not ingested with.
@@ -79,11 +77,6 @@ type Options struct {
 	// batches hold fewer decoded frames in flight; larger ones decode
 	// further ahead and amortize per-item overhead.
 	DecodeBatchBytes int
-	// ReplicateActive mirrors every subset placed off the default (bulk)
-	// backend — the active "p" subsets under the paper's placement — onto
-	// it at ingest, so a corrupted or down primary fails over to a
-	// byte-identical copy instead of erroring.
-	ReplicateActive bool
 	// DisableChecksums skips all CRC32C computation (no v2 indexes, no
 	// manifest checksums). Exists so the checksum overhead can be
 	// benchmarked; production ingests should leave it off.
@@ -99,7 +92,6 @@ type ADA struct {
 	reg        *metrics.Registry
 	im         ingestMetrics
 	vm         verifyMetrics
-	fm         failoverMetrics
 	// access, when set, observes every read-path dropping access (the tier
 	// subsystem's heat signal). See SetAccessFunc.
 	access AccessFunc
@@ -153,7 +145,6 @@ func New(containers *plfs.FS, env *sim.Env, opts Options) *ADA {
 		reg:        reg,
 		im:         newIngestMetrics(reg),
 		vm:         newVerifyMetrics(reg),
-		fm:         newFailoverMetrics(reg),
 	}
 }
 
@@ -658,7 +649,7 @@ func (st *ingestState) seal() (*IngestReport, error) {
 }
 
 // finish stages the metadata droppings (indexes, structure, labels, any
-// in-situ statistics, and replica copies), then commits: journal commit
+// in-situ statistics), then commits: journal commit
 // record, rename every staged dropping to its final name, publish the
 // manifest last (its rename is the atomic commit point), and retire the
 // journal.
@@ -701,31 +692,14 @@ func (st *ingestState) finish() error {
 	}
 	for _, sw := range st.writers {
 		st.report.Subsets[sw.tag] = sw.storedBytes()
-		sub := Subset{
+		manifest.Subsets[sw.tag] = Subset{
 			Tag:     sw.tag,
 			NAtoms:  sw.natoms,
 			Bytes:   sw.storedBytes(),
 			Backend: sw.backend,
 			Ranges:  sw.ranges,
+			CRC32C:  sw.tee.total, // zero with checksums off
 		}
-		sub.CRC32C = sw.tee.total // zero with checksums off
-		// Replicate off-default subsets onto the bulk backend so reads
-		// survive a corrupted or down primary.
-		if a.opts.ReplicateActive && sw.backend != a.defaultBE {
-			data, err := a.readDropping(st.logical, stagingPrefix+subsetPrefix+sw.tag)
-			if err != nil {
-				return fmt.Errorf("core: replicate %s: %w", sw.tag, err)
-			}
-			if err := st.writeStaged(replicaPrefix+subsetPrefix+sw.tag, a.defaultBE, data); err != nil {
-				return err
-			}
-			if err := st.writeStaged(replicaPrefix+indexPrefix+sw.tag, a.defaultBE,
-				sw.ib.Index().Marshal()); err != nil {
-				return err
-			}
-			sub.Replica = a.defaultBE
-		}
-		manifest.Subsets[sw.tag] = sub
 		manifest.Placement[sw.tag] = sw.backend
 	}
 	if err := st.commit(manifest); err != nil {

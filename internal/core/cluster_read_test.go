@@ -13,6 +13,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/plfs"
 	"repro/internal/vfs"
+	"repro/internal/xtc"
 )
 
 // clusterDownFS is a node whose transport is gone: every call fails with
@@ -126,6 +127,107 @@ func TestClusterBackedDegradedRead(t *testing.T) {
 	}
 	if marked < 1 {
 		t.Error("no down transitions recorded across three single-node outages")
+	}
+}
+
+// readEveryWay reads one subset through the sequential and the random-access
+// reader, and the whole dataset through OpenFull, each to its end or first
+// error.
+func readEveryWay(a *ADA, logical, tag string) (frames map[string][]*xtc.Frame, errs map[string]error) {
+	frames, errs = map[string][]*xtc.Frame{}, map[string]error{}
+	drain := func(how string, next func(i int) (*xtc.Frame, error)) {
+		for i := 0; ; i++ {
+			f, err := next(i)
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				errs[how] = err
+				return
+			}
+			frames[how] = append(frames[how], f)
+		}
+	}
+	if sr, err := a.OpenSubset(logical, tag); err != nil {
+		errs["OpenSubset"] = err
+	} else {
+		drain("OpenSubset", func(int) (*xtc.Frame, error) { return sr.ReadFrame() })
+		sr.Close()
+	}
+	if rr, err := a.OpenSubsetAt(logical, tag); err != nil {
+		errs["OpenSubsetAt"] = err
+	} else {
+		drain("OpenSubsetAt", func(i int) (*xtc.Frame, error) {
+			if i == rr.Frames() {
+				return nil, io.EOF
+			}
+			return rr.ReadFrameAt(i)
+		})
+		rr.Close()
+	}
+	if fr, err := a.OpenFull(logical); err != nil {
+		errs["OpenFull"] = err
+	} else {
+		drain("OpenFull", func(int) (*xtc.Frame, error) { return fr.ReadFrame() })
+		fr.Close()
+	}
+	return frames, errs
+}
+
+// TestClusterBackedBitRotRead flips one byte of the primary copy of the
+// active subset on the deployed fixture. Every reader must return the frames
+// of the clean read by failing that frame over to the mirror — counted, and
+// without marking the node that served the rotten bytes down; with the
+// mirror rotten too the read surfaces vfs.ErrCorrupted.
+func TestClusterBackedBitRotRead(t *testing.T) {
+	pdbBytes, traj, _ := testDataset(t, 120, 5)
+	a, c, nodes, reg := newClusterADA(t)
+	if _, err := a.Ingest("/traj.md", pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatal(err)
+	}
+	clean, errs := readEveryWay(a, "/traj.md", TagProtein)
+	if len(errs) != 0 || len(clean) != 3 {
+		t.Fatalf("clean read: %v", errs)
+	}
+
+	const payload = "/clu/traj.md/subset.p"
+	reps := c.Table().Place(payload)
+	rot := func(node string) {
+		t.Helper()
+		data, err := vfs.ReadFile(nodes[node], payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x01
+		if err := vfs.WriteFile(nodes[node], payload, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rot(reps[0])
+	got, errs := readEveryWay(a, "/traj.md", TagProtein)
+	if len(errs) != 0 {
+		t.Fatalf("read with one rotten copy: %v", errs)
+	}
+	for how, frames := range clean {
+		if len(frames) != 5 || !sameFrames(got[how], frames) {
+			t.Errorf("%s: frames read over a rotten copy differ from the clean read", how)
+		}
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["core.verify.corrupted"] < 1 || snap.Counters["placement.failover.reads"] < 1 {
+		t.Errorf("core.verify.corrupted = %d, placement.failover.reads = %d; want both counted",
+			snap.Counters["core.verify.corrupted"], snap.Counters["placement.failover.reads"])
+	}
+	if h := c.Health(); !h[reps[0]] {
+		t.Errorf("a rotten copy marked %s down", reps[0])
+	}
+
+	rot(reps[1])
+	_, errs = readEveryWay(a, "/traj.md", TagProtein)
+	for how := range clean {
+		if !errors.Is(errs[how], vfs.ErrCorrupted) {
+			t.Errorf("%s with every copy rotten = %v, want vfs.ErrCorrupted", how, errs[how])
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/metrics"
+	"repro/internal/placement"
 	"repro/internal/plfs"
 	"repro/internal/vfs"
 	"repro/internal/xtc"
@@ -580,38 +581,60 @@ func TestResumeIngestFromZero(t *testing.T) {
 	assertGolden(t, a, goldenBytes, "resumed dataset")
 }
 
-// TestReplicaFailover ingests with replication, corrupts the primary active
-// subset, and requires reads to be served byte-identically from the replica
-// with the failover counters incremented; with every copy corrupted the
+// newMirroredADA builds what a single node that wants a local mirror runs:
+// an R=2 placement cluster over its two mounts as the one plfs backend, so
+// every dropping exists twice. It returns the mounts holding the primary and
+// the mirror copy of /ds's droppings.
+func newMirroredADA(t *testing.T, reg *metrics.Registry) (a *ADA, c *placement.Cluster, primary, mirror *vfs.MemFS) {
+	t.Helper()
+	mounts := map[string]*vfs.MemFS{"m1": vfs.NewMemFS(), "m2": vfs.NewMemFS()}
+	tbl := &placement.Table{Version: 1, Replication: 2, Nodes: []placement.Node{{Name: "m1"}, {Name: "m2"}}}
+	c, err := placement.NewCluster(tbl, map[string]vfs.FS{"m1": mounts["m1"], "m2": mounts["m2"]},
+		placement.Config{HedgeDelay: -1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := plfs.New(plfs.Backend{Name: "mirrored", FS: c, Mount: "/mnt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := tbl.Place("/mnt/ds/subset.p")
+	return New(store, nil, Options{Metrics: reg}), c, mounts[reps[0]], mounts[reps[1]]
+}
+
+// assertAllUp fails if the cluster down-marked a node: a bad or missing copy
+// is not a dead node.
+func assertAllUp(t *testing.T, c *placement.Cluster) {
+	t.Helper()
+	for node, up := range c.Health() {
+		if !up {
+			t.Errorf("node %s marked down by a bad copy", node)
+		}
+	}
+}
+
+// TestReplicaFailover ingests onto a mirrored backend, corrupts the primary
+// copy of the active subset, and requires reads to be served byte-identically
+// from the mirror with the failover counted; with every copy corrupted the
 // read must surface vfs.ErrCorrupted.
 func TestReplicaFailover(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 200, 5)
 	reg := metrics.NewRegistry()
-	a, ssd, hdd := newADA(t, nil, Options{ReplicateActive: true, Metrics: reg})
+	a, c, primary, mirror := newMirroredADA(t, reg)
 	if _, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
 		t.Fatal(err)
 	}
 
-	m, err := a.Manifest("/ds")
+	prim, err := vfs.ReadFile(primary, "/mnt/ds/subset.p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Subsets[TagProtein].Replica != "hdd" {
-		t.Fatalf("protein subset replica = %q, want hdd", m.Subsets[TagProtein].Replica)
-	}
-	if m.Subsets[TagMisc].Replica != "" {
-		t.Fatalf("misc subset already lives on the bulk backend; replica = %q", m.Subsets[TagMisc].Replica)
-	}
-	prim, err := vfs.ReadFile(ssd, "/mnt1/ds/subset.p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	repl, err := vfs.ReadFile(hdd, "/mnt2/ds/replica.subset.p")
+	repl, err := vfs.ReadFile(mirror, "/mnt/ds/subset.p")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(prim, repl) {
-		t.Fatal("replica is not byte-identical to the primary")
+		t.Fatal("mirror is not byte-identical to the primary")
 	}
 
 	golden := readSubsetFrames(t, a, "/ds", TagProtein)
@@ -625,7 +648,7 @@ func TestReplicaFailover(t *testing.T) {
 	// Flip one byte in the middle of the primary: a silent bit rot.
 	bad := append([]byte(nil), prim...)
 	bad[len(bad)/2] ^= 0xff
-	if err := vfs.WriteFile(ssd, "/mnt1/ds/subset.p", bad); err != nil {
+	if err := vfs.WriteFile(primary, "/mnt/ds/subset.p", bad); err != nil {
 		t.Fatal(err)
 	}
 	got := readSubsetFrames(t, a, "/ds", TagProtein)
@@ -636,10 +659,10 @@ func TestReplicaFailover(t *testing.T) {
 	if snap.Counters["core.verify.corrupted"] == 0 {
 		t.Error("corruption not counted under core.verify.corrupted")
 	}
-	if snap.Counters["core.failover.opens"] == 0 || snap.Counters["core.failover.reads"] == 0 {
-		t.Errorf("failover counters = opens %d, reads %d; want both > 0",
-			snap.Counters["core.failover.opens"], snap.Counters["core.failover.reads"])
+	if snap.Counters["placement.failover.reads"] == 0 {
+		t.Error("failover not counted under placement.failover.reads")
 	}
+	assertAllUp(t, c)
 
 	// Random access fails over the same way.
 	rr, err := a.OpenSubsetAt("/ds", TagProtein)
@@ -657,13 +680,14 @@ func TestReplicaFailover(t *testing.T) {
 	}
 	rr.Close()
 
-	// Corrupt the replica identically: now no copy verifies and the read
-	// must surface a typed corruption error.
+	// Corrupt the mirror identically: now no copy verifies and the read
+	// must surface a typed corruption error, having checked both.
 	badRepl := append([]byte(nil), repl...)
 	badRepl[len(badRepl)/2] ^= 0xff
-	if err := vfs.WriteFile(hdd, "/mnt2/ds/replica.subset.p", badRepl); err != nil {
+	if err := vfs.WriteFile(mirror, "/mnt/ds/subset.p", badRepl); err != nil {
 		t.Fatal(err)
 	}
+	before := reg.Snapshot().Counters["core.verify.corrupted"]
 	sr, err := a.OpenSubset("/ds", TagProtein)
 	if err != nil {
 		t.Fatal(err)
@@ -678,41 +702,38 @@ func TestReplicaFailover(t *testing.T) {
 	if readErr == io.EOF || !errors.Is(readErr, vfs.ErrCorrupted) {
 		t.Fatalf("read with every copy corrupted = %v, want vfs.ErrCorrupted", readErr)
 	}
-	if reg.Snapshot().Counters["core.failover.failures"] == 0 {
-		t.Error("exhausted failover not counted under core.failover.failures")
+	if n := reg.Snapshot().Counters["core.verify.corrupted"] - before; n != 2 {
+		t.Errorf("exhausted failover checked %d bad copies, want both", n)
 	}
 }
 
 // TestFailoverPrimaryMissing serves a subset whose primary payload (and
-// index) are gone entirely — a downed or wiped fast tier.
+// index) are gone entirely — a wiped mount.
 func TestFailoverPrimaryMissing(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 200, 4)
-	reg := metrics.NewRegistry()
-	a, ssd, _ := newADA(t, nil, Options{ReplicateActive: true, Metrics: reg})
+	a, c, primary, _ := newMirroredADA(t, metrics.NewRegistry())
 	if _, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
 		t.Fatal(err)
 	}
 	golden := readSubsetFrames(t, a, "/ds", TagProtein)
 
-	if err := ssd.Remove("/mnt1/ds/subset.p"); err != nil {
+	if err := primary.Remove("/mnt/ds/subset.p"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ssd.Remove("/mnt1/ds/index.p"); err != nil {
+	if err := primary.Remove("/mnt/ds/index.p"); err != nil {
 		t.Fatal(err)
 	}
 	got := readSubsetFrames(t, a, "/ds", TagProtein)
 	if !sameFrames(got, golden) {
 		t.Fatal("reads with the primary gone differ from the clean read")
 	}
-	if reg.Snapshot().Counters["core.failover.opens"] == 0 {
-		t.Error("replica opens not counted under core.failover.opens")
-	}
+	assertAllUp(t, c)
 }
 
 // TestFsckVerdicts drives every verdict class through one dataset.
 func TestFsckVerdicts(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 200, 3)
-	a, _, hdd := newADA(t, nil, Options{ReplicateActive: true, Metrics: metrics.NewRegistry()})
+	a, _, hdd := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
 	if _, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
 		t.Fatal(err)
 	}

@@ -95,16 +95,15 @@ type LiveReader struct {
 	head     LiveHead
 	headCRC  uint32
 	lastPoll time.Time
-	file     vfs.File
-	ra       *xtc.RandomAccessReader
-	frames   int // reader-visible frames: the published head's count
+	fetch    *subsetFetch // the read path over the loaded head's droppings
+	frames   int          // reader-visible frames: the published head's count
 	sealed   bool
 	closing  bool
 	closed   chan struct{}
-	// retired holds superseded dropping handles until Close: a concurrent
+	// retired holds superseded fetches until Close: a concurrent
 	// ReadFrameAt may still be reading through a snapshot taken before a
 	// head refresh swapped the handle out.
-	retired []vfs.File
+	retired []*subsetFetch
 }
 
 // DefaultLiveStaleness bounds how stale LiveReader.Frames may run behind
@@ -153,71 +152,45 @@ func (lr *LiveReader) enter() error {
 	return nil
 }
 
-// applyHeadLocked installs a freshly loaded head: reload the subset's
-// index, reopen the dropping handle (recovery may have replaced the file
-// behind an old handle, so handles are never trusted across publishes),
-// and swap the random-access reader. Sealed heads switch to the committed
-// container's final droppings.
+// applyHeadLocked installs a freshly loaded head by opening a fresh read
+// path over its droppings (recovery may have replaced the file behind an old
+// handle, so handles are never trusted across publishes): the staged subset
+// and its live index while the dataset grows, the committed container's
+// final droppings once it is sealed. Either way every frame is checked
+// against the index it was opened with.
 func (lr *LiveReader) applyHeadLocked(h *LiveHead, crc uint32) error {
-	a := lr.a
+	payload, index := stagingPrefix+subsetPrefix+lr.tag, liveIndexPrefix+lr.tag
 	if h.Sealed {
 		if lr.sealed {
 			return nil
 		}
-		idxBytes, err := a.readDropping(lr.logical, indexPrefix+lr.tag)
-		if err != nil {
-			return fmt.Errorf("core: live %s subset %s index: %w", lr.logical, lr.tag, err)
-		}
-		idx, err := xtc.UnmarshalIndex(idxBytes)
-		if err != nil {
-			return fmt.Errorf("core: live %s subset %s: %w", lr.logical, lr.tag, err)
-		}
-		f, err := a.containers.OpenDropping(lr.logical, subsetPrefix+lr.tag)
-		if err != nil {
-			return err
-		}
-		lr.swapLocked(f, xtc.NewRandomAccessReader(f, idx))
-		lr.frames = h.Frames
-		lr.sealed = true
-		lr.head = *h
-		lr.headCRC = crc
-		return nil
-	}
-	if crc == lr.headCRC && lr.ra != nil {
+		payload, index = subsetPrefix+lr.tag, indexPrefix+lr.tag
+	} else if crc == lr.headCRC && lr.fetch != nil {
 		return nil // unchanged head
 	}
 	if _, ok := h.Subsets[lr.tag]; !ok {
 		return fmt.Errorf("%w: %q in %s", ErrUnknownTag, lr.tag, lr.logical)
 	}
-	idxBytes, err := a.readDropping(lr.logical, liveIndexPrefix+lr.tag)
-	if errors.Is(err, vfs.ErrNotExist) {
-		return lr.awaitSealLocked(err)
-	}
-	if err != nil {
-		return fmt.Errorf("core: live %s subset %s index: %w", lr.logical, lr.tag, err)
-	}
-	idx, err := xtc.UnmarshalIndex(idxBytes)
-	if err != nil {
-		return fmt.Errorf("core: live %s subset %s: %w", lr.logical, lr.tag, err)
-	}
-	f, err := a.containers.OpenDropping(lr.logical, stagingPrefix+subsetPrefix+lr.tag)
-	if errors.Is(err, vfs.ErrNotExist) {
+	fetch, err := lr.a.openFetch(lr.logical, lr.tag, payload, index, false)
+	if !h.Sealed && errors.Is(err, vfs.ErrNotExist) {
 		return lr.awaitSealLocked(err)
 	}
 	if err != nil {
 		return err
 	}
-	frames := h.Frames
-	if idx.Frames() < frames {
+	if fetch.idx.Frames() < h.Frames {
 		// Indexes are published strictly before the head, so this cannot
 		// happen on a consistent store; treat it as corruption, not a lag.
-		f.Close()
+		fetch.close()
 		return fmt.Errorf("core: live %s subset %s: index has %d frames, head %d: %w",
-			lr.logical, lr.tag, idx.Frames(), frames, vfs.ErrCorrupted)
+			lr.logical, lr.tag, fetch.idx.Frames(), h.Frames, vfs.ErrCorrupted)
 	}
-	lr.swapLocked(f, xtc.NewRandomAccessReader(f, idx))
-	lr.frames = frames
-	lr.sealed = false
+	if lr.fetch != nil {
+		lr.retired = append(lr.retired, lr.fetch)
+	}
+	lr.fetch = fetch
+	lr.frames = h.Frames
+	lr.sealed = h.Sealed
 	lr.head = *h
 	lr.headCRC = crc
 	return nil
@@ -251,14 +224,6 @@ func (lr *LiveReader) awaitSealLocked(cause error) error {
 		}
 		lr.mu.Lock()
 	}
-}
-
-func (lr *LiveReader) swapLocked(f vfs.File, ra *xtc.RandomAccessReader) {
-	if lr.file != nil {
-		lr.retired = append(lr.retired, lr.file)
-	}
-	lr.file = f
-	lr.ra = ra
 }
 
 // refreshLocked reloads the head unless the last load is within the
@@ -323,6 +288,49 @@ func (lr *LiveReader) Live() bool {
 // so playback prefetchers may decode ahead on background workers.
 func (lr *LiveReader) ConcurrentFrameReads() bool { return true }
 
+// awaitFrames blocks until the loaded head holds at least n frames, the
+// dataset seals, or the deadline (zero: none) passes, pulling in each newer
+// head as the producer publishes it. It returns the read path and frame
+// count of the head it stopped on; Close unblocks it with ErrLiveClosed.
+func (lr *LiveReader) awaitFrames(n int, deadline time.Time) (*subsetFetch, int, error) {
+	for {
+		lr.mu.Lock()
+		fetch, frames, sealed, crc := lr.fetch, lr.frames, lr.sealed, lr.headCRC
+		lr.mu.Unlock()
+		if frames >= n || sealed {
+			return fetch, frames, nil
+		}
+		wait := liveWaitSlice
+		if !deadline.IsZero() {
+			remaining := time.Until(deadline)
+			if remaining <= 0 {
+				return fetch, frames, nil
+			}
+			if remaining < wait {
+				wait = remaining
+			}
+		}
+		h, newCRC, changed, err := lr.a.WaitLiveHead(lr.logical, crc, wait)
+		if err != nil {
+			return fetch, frames, err
+		}
+		select {
+		case <-lr.closed:
+			return fetch, frames, ErrLiveClosed
+		default:
+		}
+		if changed {
+			lr.mu.Lock()
+			err := lr.applyHeadLocked(h, newCRC)
+			lr.lastPoll = time.Now()
+			lr.mu.Unlock()
+			if err != nil {
+				return fetch, frames, err
+			}
+		}
+	}
+}
+
 // ReadFrameAt decodes subset frame i. A frame at or past the live head
 // blocks until the producer publishes it (or the dataset seals — then
 // io.EOF past the final frame, like any FrameSource). Close unblocks
@@ -332,43 +340,14 @@ func (lr *LiveReader) ReadFrameAt(i int) (*xtc.Frame, error) {
 		return nil, err
 	}
 	defer lr.wg.Done()
-	for {
-		lr.mu.Lock()
-		if lr.closing {
-			lr.mu.Unlock()
-			return nil, ErrLiveClosed
-		}
-		if i < lr.frames {
-			ra := lr.ra
-			lr.mu.Unlock()
-			return ra.ReadFrameAt(i)
-		}
-		if lr.sealed {
-			lr.mu.Unlock()
-			return nil, io.EOF
-		}
-		crc := lr.headCRC
-		lr.mu.Unlock()
-
-		h, newCRC, changed, err := lr.a.WaitLiveHead(lr.logical, crc, liveWaitSlice)
-		if err != nil {
-			return nil, err
-		}
-		select {
-		case <-lr.closed:
-			return nil, ErrLiveClosed
-		default:
-		}
-		if changed {
-			lr.mu.Lock()
-			err := lr.applyHeadLocked(h, newCRC)
-			lr.lastPoll = time.Now()
-			lr.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-		}
+	fetch, frames, err := lr.awaitFrames(i+1, time.Time{})
+	if err != nil {
+		return nil, err
 	}
+	if i >= frames {
+		return nil, io.EOF // sealed short of frame i
+	}
+	return fetch.frame(i)
 }
 
 // WaitFrames blocks until the head reaches at least n frames, the dataset
@@ -379,40 +358,8 @@ func (lr *LiveReader) WaitFrames(n int, timeout time.Duration) (int, error) {
 		return 0, err
 	}
 	defer lr.wg.Done()
-	deadline := time.Now().Add(timeout)
-	for {
-		lr.mu.Lock()
-		frames, sealed, crc := lr.frames, lr.sealed, lr.headCRC
-		lr.mu.Unlock()
-		if frames >= n || sealed {
-			return frames, nil
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return frames, nil
-		}
-		if remaining > liveWaitSlice {
-			remaining = liveWaitSlice
-		}
-		h, newCRC, changed, err := lr.a.WaitLiveHead(lr.logical, crc, remaining)
-		if err != nil {
-			return frames, err
-		}
-		select {
-		case <-lr.closed:
-			return frames, ErrLiveClosed
-		default:
-		}
-		if changed {
-			lr.mu.Lock()
-			err := lr.applyHeadLocked(h, newCRC)
-			lr.lastPoll = time.Now()
-			lr.mu.Unlock()
-			if err != nil {
-				return frames, err
-			}
-		}
-	}
+	_, frames, err := lr.awaitFrames(n, time.Now().Add(timeout))
+	return frames, err
 }
 
 // Close unblocks waiters, drains in-flight reads, and releases every
@@ -429,14 +376,9 @@ func (lr *LiveReader) Close() error {
 	lr.wg.Wait()
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
-	if lr.file != nil {
-		lr.file.Close()
-		lr.file = nil
+	for _, f := range append(lr.retired, lr.fetch) {
+		f.close()
 	}
-	for _, f := range lr.retired {
-		f.Close()
-	}
-	lr.retired = nil
-	lr.ra = nil
+	lr.retired, lr.fetch = nil, nil
 	return nil
 }

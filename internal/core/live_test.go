@@ -265,6 +265,74 @@ func TestLiveReaderTails(t *testing.T) {
 	}
 }
 
+// TestLiveReaderVerifiesStagedFrames flips a byte inside one published frame
+// of the staged subset. A tailing read must refuse that frame with
+// vfs.ErrCorrupted — checked against live.index.<tag> — instead of handing
+// back a wrong coordinate, still serve the frames around it, and count both.
+func TestLiveReaderVerifiesStagedFrames(t *testing.T) {
+	const frames, bad = 5, 2
+	pdbBytes, traj, _ := testDataset(t, 200, frames)
+	reg := metrics.NewRegistry()
+	a, ssd, _ := newADA(t, nil, Options{Metrics: reg})
+	li, err := a.OpenLiveIngest("/ds", pdbBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Abort()
+	if _, err := li.Append(traj); err != nil {
+		t.Fatal(err)
+	}
+	tail := func() (got []*xtc.Frame, errs []error) {
+		lr, err := a.OpenLiveReader("/ds", TagProtein, time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lr.Close()
+		for i := 0; i < frames; i++ {
+			f, err := lr.ReadFrameAt(i)
+			got, errs = append(got, f), append(errs, err)
+		}
+		return got, errs
+	}
+	clean, errs := tail()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("clean tail frame %d: %v", i, err)
+		}
+	}
+
+	const staged = "/mnt1/ds/staging.subset.p"
+	data, err := vfs.ReadFile(ssd, staged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := len(data) / frames // raw frames of one system are all one size
+	data[bad*size+size/2] ^= 0x01
+	if err := vfs.WriteFile(ssd, staged, data); err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Snapshot()
+	got, errs := tail()
+	for i := range got {
+		if i == bad {
+			if !errors.Is(errs[i], vfs.ErrCorrupted) {
+				t.Errorf("flipped frame %d read back as %v, want vfs.ErrCorrupted", i, errs[i])
+			}
+			continue
+		}
+		if errs[i] != nil || !sameFrames(got[i:i+1], clean[i:i+1]) {
+			t.Errorf("frame %d beside the flipped one: err %v, or differs from the clean read", i, errs[i])
+		}
+	}
+	after := reg.Snapshot()
+	if n := after.Counters["core.verify.frames"] - before.Counters["core.verify.frames"]; n != frames-1 {
+		t.Errorf("core.verify.frames grew by %d over the tail, want %d", n, frames-1)
+	}
+	if n := after.Counters["core.verify.corrupted"] - before.Counters["core.verify.corrupted"]; n != 1 {
+		t.Errorf("core.verify.corrupted grew by %d over the tail, want 1", n)
+	}
+}
+
 // TestLiveReaderWaitFrames covers the bounded wait API and Close unblocking
 // a parked reader.
 func TestLiveReaderWaitFrames(t *testing.T) {

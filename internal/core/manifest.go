@@ -20,7 +20,7 @@ type Manifest struct {
 	Subsets     map[string]Subset `json:"subsets"`          // tag -> subset info
 	Placement   map[string]string `json:"placement"`        // tag -> backend
 	// Checksums maps every non-subset dropping (structure, labels, stats,
-	// indexes, replicas) to its CRC32C, closing the integrity loop fsck
+	// indexes) to its CRC32C, closing the integrity loop fsck
 	// walks. Subset droppings carry theirs in Subset.CRC32C plus the
 	// per-frame set in the v2 index. Empty on pre-checksum datasets.
 	Checksums map[string]uint32 `json:"checksums,omitempty"`
@@ -36,9 +36,6 @@ type Subset struct {
 	// CRC32C is the whole-stream checksum of the subset dropping (zero on
 	// pre-checksum datasets or when checksumming is disabled).
 	CRC32C uint32 `json:"crc32c,omitempty"`
-	// Replica names the backend holding a byte-identical copy of this
-	// subset (and its index) for failover; empty when not replicated.
-	Replica string `json:"replica,omitempty"`
 }
 
 // Tags returns the manifest's tags sorted by name.

@@ -5,209 +5,108 @@ import (
 	"io"
 
 	"repro/internal/rangelist"
-	"repro/internal/vfs"
 	"repro/internal/xtc"
 )
 
 // SubsetReader streams the decompressed frames of one tagged subset — the
-// I/O retriever's answer to `mol addfile bar.xtc tag p`. On datasets
-// ingested with checksums every frame is verified against its CRC32C as it
-// streams (failing over to the replica when one exists); legacy datasets
-// stream unverified.
+// I/O retriever's answer to `mol addfile bar.xtc tag p`. It is the one read
+// path (subsetFetch) with a cursor.
 type SubsetReader struct {
 	Tag    string
 	Info   Subset
 	Ranges *rangelist.List
-	file   vfs.File
-	r      *xtc.Reader
-	vs     *verifiedSubset // non-nil: checksummed read path
+	fetch  *subsetFetch
 	next   int
-	// heat signal for the raw path (the verified path reports from
-	// verifiedSubset, where the exact stored byte counts live).
-	logical string
-	access  AccessFunc
 }
 
-// OpenSubset resolves a tag through the indexer (manifest) and opens its
-// dropping for streaming reads.
-func (a *ADA) OpenSubset(logical, tag string) (*SubsetReader, error) {
+// resolveSubset is the indexer's half of an open: the tag's manifest entry
+// and the atom ranges it covers.
+func (a *ADA) resolveSubset(logical, tag string) (Subset, *rangelist.List, error) {
 	m, err := a.Manifest(logical)
 	if err != nil {
-		return nil, err
+		return Subset{}, nil, err
 	}
 	info, ok := m.Subsets[tag]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q in %s (have %v)", ErrUnknownTag, tag, logical, m.Tags())
+		return Subset{}, nil, fmt.Errorf("%w: %q in %s (have %v)", ErrUnknownTag, tag, logical, m.Tags())
 	}
 	ranges, err := rangelist.Parse(info.Ranges)
 	if err != nil {
-		return nil, fmt.Errorf("core: subset %s ranges: %w", tag, err)
+		return Subset{}, nil, fmt.Errorf("core: subset %s ranges: %w", tag, err)
 	}
-	vs, err := a.openVerifiedSubset(logical, info)
-	if err != nil {
-		return nil, err
-	}
-	if vs != nil {
-		return &SubsetReader{Tag: tag, Info: info, Ranges: ranges, vs: vs}, nil
-	}
-	f, err := a.openSubsetDropping(logical, info)
-	if err != nil {
-		return nil, err
-	}
-	return &SubsetReader{
-		Tag:     tag,
-		Info:    info,
-		Ranges:  ranges,
-		file:    f,
-		r:       xtc.NewReader(readerOf(f)),
-		logical: logical,
-		access:  a.access,
-	}, nil
+	return info, ranges, nil
 }
 
-// openSubsetDropping opens a subset's payload, falling over to its replica
-// when the primary will not open.
-func (a *ADA) openSubsetDropping(logical string, info Subset) (vfs.File, error) {
-	f, err := a.containers.OpenDropping(logical, subsetPrefix+info.Tag)
-	if err != nil && info.Replica != "" {
-		if rf, rerr := a.containers.OpenDropping(logical, replicaPrefix+subsetPrefix+info.Tag); rerr == nil {
-			a.fm.opens.Inc()
-			return rf, nil
-		}
+// OpenSubset resolves a tag through the indexer (manifest) and opens its
+// dropping for streaming reads. A dataset whose persisted index is lost or
+// damaged still streams, unverified (see openFetch).
+func (a *ADA) OpenSubset(logical, tag string) (*SubsetReader, error) {
+	info, ranges, err := a.resolveSubset(logical, tag)
+	if err != nil {
+		return nil, err
 	}
-	return f, err
+	fetch, err := a.openFetch(logical, tag, subsetPrefix+tag, indexPrefix+tag, true)
+	if err != nil {
+		return nil, err
+	}
+	return &SubsetReader{Tag: tag, Info: info, Ranges: ranges, fetch: fetch}, nil
 }
 
 // ReadFrame returns the next subset frame, or io.EOF.
 func (s *SubsetReader) ReadFrame() (*xtc.Frame, error) {
-	if s.vs != nil {
-		if s.next >= s.vs.frames() {
-			return nil, io.EOF
-		}
-		f, err := s.vs.frame(s.next)
-		if err != nil {
-			return nil, err
-		}
-		s.next++
-		return f, nil
+	if s.next >= s.fetch.idx.Frames() {
+		return nil, io.EOF
 	}
-	f, err := s.r.ReadFrame()
-	if err == nil && s.access != nil {
-		// The raw stream does not expose per-frame stored sizes; the
-		// uncompressed frame size is close enough for a heat signal.
-		s.access(s.logical, subsetPrefix+s.Tag, xtc.RawFrameSize(f.NAtoms()))
+	f, err := s.fetch.frame(s.next)
+	if err != nil {
+		return nil, err
 	}
-	return f, err
+	s.next++
+	return f, nil
 }
 
 // Close releases the underlying dropping handle.
-func (s *SubsetReader) Close() error {
-	if s.vs != nil {
-		return s.vs.close()
-	}
-	return s.file.Close()
-}
+func (s *SubsetReader) Close() error { return s.fetch.close() }
 
 // Size returns the subset's stored byte size.
-func (s *SubsetReader) Size() int64 {
-	if s.vs != nil {
-		return s.vs.size()
-	}
-	return s.file.Size()
-}
+func (s *SubsetReader) Size() int64 { return s.fetch.idx.TotalBytes() }
 
 // SubsetRandomReader provides random access to one tagged subset's frames
 // using the index persisted at ingest — what interactive playback
-// ("replaying the frames back and forth") needs. Frames read through a
-// checksummed index are verified (with replica failover) per fetch.
+// ("replaying the frames back and forth") needs. It is the one read path
+// (subsetFetch) plus the manifest metadata.
 type SubsetRandomReader struct {
 	Tag    string
 	Info   Subset
 	Ranges *rangelist.List
-	file   vfs.File
-	ra     *xtc.RandomAccessReader
-	vs     *verifiedSubset // non-nil: checksummed read path
-	// heat signal for the raw path (see SubsetReader).
-	logical string
-	access  AccessFunc
+	fetch  *subsetFetch
 }
 
 // OpenSubsetAt opens a tagged subset for random frame access.
 func (a *ADA) OpenSubsetAt(logical, tag string) (*SubsetRandomReader, error) {
-	m, err := a.Manifest(logical)
+	info, ranges, err := a.resolveSubset(logical, tag)
 	if err != nil {
 		return nil, err
 	}
-	info, ok := m.Subsets[tag]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q in %s (have %v)", ErrUnknownTag, tag, logical, m.Tags())
-	}
-	ranges, err := rangelist.Parse(info.Ranges)
-	if err != nil {
-		return nil, fmt.Errorf("core: subset %s ranges: %w", tag, err)
-	}
-	vs, err := a.openVerifiedSubset(logical, info)
+	fetch, err := a.openFetch(logical, tag, subsetPrefix+tag, indexPrefix+tag, false)
 	if err != nil {
 		return nil, err
 	}
-	if vs != nil {
-		return &SubsetRandomReader{Tag: tag, Info: info, Ranges: ranges, vs: vs}, nil
-	}
-	idxBytes, err := a.readDropping(logical, indexPrefix+tag)
-	if err != nil {
-		return nil, fmt.Errorf("core: subset %s index: %w", tag, err)
-	}
-	idx, err := xtc.UnmarshalIndex(idxBytes)
-	if err != nil {
-		return nil, fmt.Errorf("core: subset %s: %w", tag, err)
-	}
-	f, err := a.openSubsetDropping(logical, info)
-	if err != nil {
-		return nil, err
-	}
-	return &SubsetRandomReader{
-		Tag:     tag,
-		Info:    info,
-		Ranges:  ranges,
-		file:    f,
-		ra:      xtc.NewRandomAccessReader(f, idx),
-		logical: logical,
-		access:  a.access,
-	}, nil
+	return &SubsetRandomReader{Tag: tag, Info: info, Ranges: ranges, fetch: fetch}, nil
 }
 
 // Frames returns the subset's frame count.
-func (s *SubsetRandomReader) Frames() int {
-	if s.vs != nil {
-		return s.vs.frames()
-	}
-	return s.ra.Frames()
-}
+func (s *SubsetRandomReader) Frames() int { return s.fetch.idx.Frames() }
 
 // ReadFrameAt decodes subset frame i.
-func (s *SubsetRandomReader) ReadFrameAt(i int) (*xtc.Frame, error) {
-	if s.vs != nil {
-		return s.vs.frame(i)
-	}
-	f, err := s.ra.ReadFrameAt(i)
-	if err == nil && s.access != nil {
-		s.access(s.logical, subsetPrefix+s.Tag, xtc.RawFrameSize(f.NAtoms()))
-	}
-	return f, err
-}
+func (s *SubsetRandomReader) ReadFrameAt(i int) (*xtc.Frame, error) { return s.fetch.frame(i) }
 
-// ConcurrentFrameReads reports that ReadFrameAt is safe for concurrent use
-// on both the verified and raw paths, so playback prefetchers may decode
-// ahead on background workers.
+// ConcurrentFrameReads reports that ReadFrameAt is safe for concurrent use,
+// so playback prefetchers may decode ahead on background workers.
 func (s *SubsetRandomReader) ConcurrentFrameReads() bool { return true }
 
 // Close releases the dropping handle.
-func (s *SubsetRandomReader) Close() error {
-	if s.vs != nil {
-		return s.vs.close()
-	}
-	return s.file.Close()
-}
+func (s *SubsetRandomReader) Close() error { return s.fetch.close() }
 
 // FullReader reassembles complete frames (every atom, original order) from
 // all of a dataset's subsets — the "ADA (all)" scenario of the evaluation.
@@ -302,7 +201,3 @@ func (f *FullReader) Size() int64 {
 	}
 	return n
 }
-
-// readerOf adapts a vfs.File to io.Reader (it already is one; the helper
-// exists to make the conversion site explicit and greppable).
-func readerOf(f vfs.File) io.Reader { return f }

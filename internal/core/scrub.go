@@ -50,8 +50,8 @@ func (r *FsckResult) OK() bool {
 }
 
 // Fsck verifies one dataset end to end: subset droppings against their
-// whole-stream and per-frame CRC32Cs, replicas against the same checksums,
-// and every metadata dropping against the manifest's integrity map.
+// whole-stream and per-frame CRC32Cs, and every metadata dropping against
+// the manifest's integrity map.
 func (a *ADA) Fsck(logical string) (*FsckResult, error) {
 	res := &FsckResult{Logical: logical}
 	idx, err := a.containers.Index(logical)
@@ -87,11 +87,8 @@ func (a *ADA) Fsck(logical string) (*FsckResult, error) {
 
 	seen := map[string]bool{droppingManifest: true}
 	for _, tag := range m.Tags() {
-		sub := m.Subsets[tag]
-		for _, name := range subsetDroppings(sub) {
-			seen[name] = true
-			a.fsckSubsetDropping(logical, name, sub, add)
-		}
+		seen[subsetPrefix+tag] = true
+		a.fsckSubset(logical, m.Subsets[tag], add)
 	}
 	names := make([]string, 0, len(m.Checksums))
 	for name := range m.Checksums {
@@ -120,19 +117,10 @@ func (a *ADA) Fsck(logical string) (*FsckResult, error) {
 	return res, nil
 }
 
-// subsetDroppings lists the payload droppings one subset owns (primary and
-// replica).
-func subsetDroppings(sub Subset) []string {
-	names := []string{subsetPrefix + sub.Tag}
-	if sub.Replica != "" {
-		names = append(names, replicaPrefix+subsetPrefix+sub.Tag)
-	}
-	return names
-}
-
-// fsckSubsetDropping checks one subset payload copy: whole-stream CRC32C
-// first, then each frame against the v2 index when one is available.
-func (a *ADA) fsckSubsetDropping(logical, name string, sub Subset, add func(name, status, detail string)) {
+// fsckSubset checks one subset payload: whole-stream CRC32C first, then each
+// frame against the v2 index when one is available.
+func (a *ADA) fsckSubset(logical string, sub Subset, add func(name, status, detail string)) {
+	name := subsetPrefix + sub.Tag
 	data, err := a.readDropping(logical, name)
 	if err != nil {
 		add(name, VerdictMissing, err.Error())
@@ -149,18 +137,14 @@ func (a *ADA) fsckSubsetDropping(logical, name string, sub Subset, add func(name
 	if got := xtc.CRC32C(data); got != sub.CRC32C {
 		// Locate the damage with the per-frame checksums when possible.
 		detail := fmt.Sprintf("stream CRC32C %08x, manifest says %08x", got, sub.CRC32C)
-		idxName := indexPrefix + sub.Tag
-		if strings.HasPrefix(name, replicaPrefix) {
-			idxName = replicaPrefix + idxName
-		}
-		if idxBytes, err := a.readDropping(logical, idxName); err == nil {
+		if idxBytes, err := a.readDropping(logical, indexPrefix+sub.Tag); err == nil {
 			if idx, err := xtc.UnmarshalIndex(idxBytes); err == nil && idx.HasChecksums() {
 				for i := 0; i < idx.Frames(); i++ {
 					end := idx.Offset(i) + idx.Size(i)
 					if end > int64(len(data)) {
 						break
 					}
-					if xtc.CRC32C(data[idx.Offset(i):end]) != idx.CRC(i) {
+					if !idx.FrameOK(i, data[idx.Offset(i):end]) {
 						detail = fmt.Sprintf("frame %d fails its checksum (%s)", i, detail)
 						break
 					}

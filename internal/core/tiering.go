@@ -47,7 +47,7 @@ func IndexDropping(tag string) string { return indexPrefix + tag }
 
 // SubsetTag inverts SubsetDropping: it extracts the tag from a subset
 // payload dropping name, reporting false for every other dropping (frame
-// indexes, manifests, replicas, staged copies).
+// indexes, manifests, staged copies).
 func SubsetTag(dropping string) (string, bool) {
 	if !strings.HasPrefix(dropping, subsetPrefix) {
 		return "", false

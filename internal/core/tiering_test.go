@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faultfs"
 	"repro/internal/metrics"
@@ -75,8 +76,8 @@ func TestMoveSubsetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAccessHookObservesReads checks the read-path heat signal on both the
-// verified (checksummed) and raw paths.
+// TestAccessHookObservesReads checks the read-path heat signal of every
+// reader, on datasets ingested with checksums and without.
 func TestAccessHookObservesReads(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -112,6 +113,27 @@ func TestAccessHookObservesReads(t *testing.T) {
 			}
 			if got["/ds "+subsetPrefix+TagMisc] <= 0 {
 				t.Fatalf("random-access read recorded no heat: %v", got)
+			}
+			// A tailing read is heat on the subset too, under the name it
+			// will have once sealed, not the staging name it has now.
+			li, err := a.OpenLiveIngest("/live", pdbBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer li.Abort()
+			if _, err := li.Append(traj); err != nil {
+				t.Fatal(err)
+			}
+			lr, err := a.OpenLiveReader("/live", TagProtein, time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lr.Close()
+			if _, err := lr.ReadFrameAt(1); err != nil {
+				t.Fatal(err)
+			}
+			if got["/live "+subsetPrefix+TagProtein] <= 0 {
+				t.Fatalf("tailing read recorded no heat: %v", got)
 			}
 		})
 	}

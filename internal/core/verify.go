@@ -2,21 +2,20 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/vfs"
 	"repro/internal/xtc"
 )
 
-// Verified reads. Datasets ingested with checksums carry a per-frame CRC32C
-// in their v2 index; the read path verifies each frame lazily as it is
-// fetched. A frame that fails its checksum (or a primary that will not open
-// at all) fails over to the subset's replica when one was ingested; the
-// replica is byte-identical, so the caller sees the same frames it would
-// have read from a healthy primary. Only when every copy is bad does the
-// read surface vfs.ErrCorrupted.
+// The one read path. Every frame any reader hands out — sequential, random
+// access, merged, tailing a live dataset or reading it sealed — comes from
+// subsetFetch.frame: index entry → the frame's stored bytes → CRC32C check
+// when the index carries one → decode. Redundancy is not core's business:
+// the bytes are read with vfs.ReadAtVerified, so a dropping stored on a
+// placement replica set retries a copy that fails the check on its other
+// copies, and the caller sees the frames a healthy store would have served.
+// Only when every copy is bad does the read surface vfs.ErrCorrupted.
 
 // verifyMetrics counts checksum verification on the read path.
 type verifyMetrics struct {
@@ -33,171 +32,74 @@ func newVerifyMetrics(reg *metrics.Registry) verifyMetrics {
 	}
 }
 
-// failoverMetrics counts reads redirected to a replica.
-type failoverMetrics struct {
-	opens    *metrics.Counter // core.failover.opens: replica handles opened
-	reads    *metrics.Counter // core.failover.reads: frames served by a replica
-	failures *metrics.Counter // core.failover.failures: no copy could serve
-}
-
-func newFailoverMetrics(reg *metrics.Registry) failoverMetrics {
-	return failoverMetrics{
-		opens:    reg.Counter("core.failover.opens"),
-		reads:    reg.Counter("core.failover.reads"),
-		failures: reg.Counter("core.failover.failures"),
-	}
-}
-
-// verifiedSubset serves one subset's frames with per-frame checksum
-// verification and replica failover. Safe for concurrent ReadFrameAt use
-// (vfs.File.ReadAt is concurrency-safe by contract; the replica handle is
-// opened under a mutex).
-type verifiedSubset struct {
+// subsetFetch serves the frames of one subset payload dropping through the
+// index that describes it. Safe for concurrent frame calls (vfs.File.ReadAt
+// is concurrency-safe by contract and the byte scratch is pooled).
+type subsetFetch struct {
 	a       *ADA
 	logical string
 	tag     string
-	info    Subset
-	idx     *xtc.Index
-	primary vfs.File // nil when the primary would not open (failover-opened)
-
-	mu           sync.Mutex
-	replica      vfs.File
-	replicaErr   error
-	replicaTried bool
+	// heatName is subset.<tag>, the name the heat signal knows the payload
+	// by whatever dropping holds it while the dataset is live.
+	heatName string
+	file     vfs.File
+	idx      *xtc.Index
 }
 
-// openVerifiedSubset builds the verified read path for one subset, or
-// returns (nil, nil) when the dataset predates checksums (no v2 index), in
-// which case the caller falls back to the unverified path.
-func (a *ADA) openVerifiedSubset(logical string, info Subset) (*verifiedSubset, error) {
-	tag := info.Tag
-	v := &verifiedSubset{a: a, logical: logical, tag: tag, info: info}
-
-	if idxBytes, err := a.readDropping(logical, indexPrefix+tag); err == nil {
-		if idx, err := xtc.UnmarshalIndex(idxBytes); err == nil && idx.HasChecksums() {
-			v.idx = idx
-		}
+// openFetch opens the read path over a payload dropping and its index
+// dropping: subset.<tag> + index.<tag> for a committed dataset,
+// staging.subset.<tag> + live.index.<tag> for a live one. An index that
+// cannot be read or parsed is an error unless rescan is set; then the frames
+// are found again by a header-only scan of the payload, without their
+// checksums, so the read is unverified (fsck reports the damage).
+func (a *ADA) openFetch(logical, tag, payload, index string, rescan bool) (*subsetFetch, error) {
+	var idx *xtc.Index
+	idxBytes, err := a.readDropping(logical, index)
+	if err == nil {
+		idx, err = xtc.UnmarshalIndex(idxBytes)
 	}
-	if v.idx == nil && info.Replica != "" {
-		// Primary index unreadable or corrupt: the replica carries a
-		// byte-identical copy.
-		if idxBytes, err := a.readDropping(logical, replicaPrefix+indexPrefix+tag); err == nil {
-			if idx, err := xtc.UnmarshalIndex(idxBytes); err == nil && idx.HasChecksums() {
-				v.idx = idx
-				a.fm.opens.Inc()
-			}
-		}
+	if err != nil && !rescan {
+		return nil, fmt.Errorf("core: %s subset %s index: %w", logical, tag, err)
 	}
-	if v.idx == nil {
-		// No checksummed index survives anywhere: either a legacy dataset
-		// or index damage without a replica. Reads degrade to the
-		// unverified path (fsck still reports the damage).
-		return nil, nil
+	f, ferr := a.containers.OpenDropping(logical, payload)
+	if ferr != nil {
+		return nil, ferr
 	}
-
-	f, err := a.containers.OpenDropping(logical, subsetPrefix+tag)
 	if err != nil {
-		if info.Replica == "" {
-			return nil, err
-		}
-		// Primary gone or its backend down: serve everything from the
-		// replica.
-		v.primary = nil
-	} else {
-		v.primary = f
-	}
-	return v, nil
-}
-
-// openReplica lazily opens the replica dropping once.
-func (v *verifiedSubset) openReplica() (vfs.File, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.replicaTried {
-		return v.replica, v.replicaErr
-	}
-	v.replicaTried = true
-	if v.info.Replica == "" {
-		v.replicaErr = fmt.Errorf("core: subset %s has no replica", v.tag)
-		return nil, v.replicaErr
-	}
-	v.replica, v.replicaErr = v.a.containers.OpenDropping(v.logical, replicaPrefix+subsetPrefix+v.tag)
-	if v.replicaErr == nil {
-		v.a.fm.opens.Inc()
-	}
-	return v.replica, v.replicaErr
-}
-
-// frameBytes fetches frame i's encoded bytes, verified. The primary is
-// tried first; on a checksum mismatch or read error the replica serves the
-// same byte range.
-func (v *verifiedSubset) frameBytes(i int) ([]byte, error) {
-	if i < 0 || i >= v.idx.Frames() {
-		return nil, fmt.Errorf("core: subset %s frame %d out of range [0,%d)", v.tag, i, v.idx.Frames())
-	}
-	size := v.idx.Size(i)
-	off := v.idx.Offset(i)
-	want := v.idx.CRC(i)
-	buf := make([]byte, size)
-	if v.primary != nil {
-		n, err := v.primary.ReadAt(buf, off)
-		if (err == nil || err == io.EOF) && int64(n) == size {
-			v.a.vm.bytes.Add(size)
-			if xtc.CRC32C(buf) == want {
-				v.a.vm.frames.Inc()
-				v.a.noteAccess(v.logical, subsetPrefix+v.tag, size)
-				return buf, nil
-			}
-			v.a.vm.corrupted.Inc()
+		if idx, err = xtc.BuildIndex(f, f.Size()); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("core: %s subset %s: %w", logical, tag, err)
 		}
 	}
-	rf, err := v.openReplica()
+	return &subsetFetch{a: a, logical: logical, tag: tag, heatName: subsetPrefix + tag, file: f, idx: idx}, nil
+}
+
+// frame fetches, checks and decodes frame i. A dataset ingested without
+// checksums takes the same path; its index has nothing to check against.
+func (s *subsetFetch) frame(i int) (*xtc.Frame, error) {
+	f, err := s.idx.ReadFrame(i, func(p []byte, off int64) error {
+		return vfs.ReadAtVerified(s.file, p, off, func(b []byte) bool { return s.accept(i, b) })
+	})
 	if err != nil {
-		v.a.fm.failures.Inc()
-		return nil, fmt.Errorf("core: subset %s frame %d: %w", v.tag, i, vfs.ErrCorrupted)
+		return nil, fmt.Errorf("core: subset %s frame %d: %w", s.tag, i, err)
 	}
-	n, err := rf.ReadAt(buf, off)
-	if (err == nil || err == io.EOF) && int64(n) == size {
-		v.a.vm.bytes.Add(size)
-		if xtc.CRC32C(buf) == want {
-			v.a.fm.reads.Inc()
-			v.a.vm.frames.Inc()
-			v.a.noteAccess(v.logical, subsetPrefix+v.tag, size)
-			return buf, nil
-		}
-		v.a.vm.corrupted.Inc()
-	}
-	v.a.fm.failures.Inc()
-	return nil, fmt.Errorf("core: subset %s frame %d: primary and replica both fail verification: %w",
-		v.tag, i, vfs.ErrCorrupted)
+	s.a.noteAccess(s.logical, s.heatName, s.idx.Size(i)) // the exact stored size
+	return f, nil
 }
 
-// frame fetches and decodes frame i.
-func (v *verifiedSubset) frame(i int) (*xtc.Frame, error) {
-	buf, err := v.frameBytes(i)
-	if err != nil {
-		return nil, err
-	}
-	return xtc.DecodeFrameBytes(buf)
-}
-
-// frames returns the subset's frame count.
-func (v *verifiedSubset) frames() int { return v.idx.Frames() }
-
-// size returns the subset's stored byte length.
-func (v *verifiedSubset) size() int64 { return v.idx.TotalBytes() }
-
-func (v *verifiedSubset) close() error {
-	var first error
-	if v.primary != nil {
-		first = v.primary.Close()
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.replica != nil {
-		if err := v.replica.Close(); err != nil && first == nil {
-			first = err
+// accept is the verdict on one copy of frame i's stored bytes.
+func (s *subsetFetch) accept(i int, p []byte) bool {
+	good := s.idx.FrameOK(i, p)
+	if s.idx.HasChecksums() {
+		vm := &s.a.vm
+		vm.bytes.Add(int64(len(p)))
+		if good {
+			vm.frames.Inc()
+		} else {
+			vm.corrupted.Inc()
 		}
 	}
-	return first
+	return good
 }
+
+func (s *subsetFetch) close() error { return s.file.Close() }

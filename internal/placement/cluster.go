@@ -698,6 +698,22 @@ func (f *clusterFile) Read(p []byte) (int, error) {
 }
 
 func (f *clusterFile) ReadAt(p []byte, off int64) (int, error) {
+	return f.readAt(p, off, nil)
+}
+
+// ReadAtVerified is ReadAt for a caller that can tell good bytes from bad
+// (see vfs.ReadAtVerified): a copy whose bytes ok rejects fails over to the
+// next replica exactly like a copy whose read errored, without a down mark —
+// the node answered. Only when no copy passes is the read vfs.ErrCorrupted.
+func (f *clusterFile) ReadAtVerified(p []byte, off int64, ok func([]byte) bool) error {
+	_, err := f.readAt(p, off, ok)
+	if err == io.EOF {
+		return nil // ok has seen all of p
+	}
+	return err
+}
+
+func (f *clusterFile) readAt(p []byte, off int64, ok func([]byte) bool) (int, error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -706,11 +722,20 @@ func (f *clusterFile) ReadAt(p []byte, off int64) (int, error) {
 	f.mu.Unlock()
 	f.c.m.reads.Inc()
 	start := time.Now()
-	n, err := f.readFailover(p, off)
+	n, err := f.readFailover(p, off, ok)
 	if err == nil || err == io.EOF {
 		f.c.m.readNS.Observe(time.Since(start).Nanoseconds())
 	}
 	return n, err
+}
+
+// checked folds the caller's verdict into one copy's read result: with an ok
+// to ask, bytes that are short or that it rejects make the copy a failed one.
+func checked(ok func([]byte) bool, p []byte, n int, err error) error {
+	if ok != nil && (err == nil || err == io.EOF) && (n < len(p) || !ok(p)) {
+		return vfs.ErrCorrupted
+	}
+	return err
 }
 
 type readResult struct {
@@ -721,10 +746,10 @@ type readResult struct {
 }
 
 // readFailover reads from the replica set: the preferred replica first,
-// hedging a mirror after the hedge delay, and failing over on any error.
-// Each attempt reads into a private buffer so a late loser cannot clobber
-// the winner's bytes.
-func (f *clusterFile) readFailover(p []byte, off int64) (int, error) {
+// hedging a mirror after the hedge delay, and failing over on any error or
+// on bytes a non-nil ok rejects. Each hedged attempt reads into a private
+// buffer so a late loser cannot clobber the winner's bytes.
+func (f *clusterFile) readFailover(p []byte, off int64, ok func([]byte) bool) (int, error) {
 	order := f.order()
 	delay := f.c.hedgeDelay()
 	if delay <= 0 || len(order) == 1 {
@@ -735,7 +760,7 @@ func (f *clusterFile) readFailover(p []byte, off int64) (int, error) {
 			if err == nil {
 				var n int
 				n, err = h.ReadAt(p, off)
-				if err == nil || err == io.EOF {
+				if err = checked(ok, p, n, err); err == nil || err == io.EOF {
 					f.setPreferred(i)
 					f.c.markUp(f.reps[i])
 					return n, err
@@ -776,7 +801,7 @@ func (f *clusterFile) readFailover(p []byte, off int64) (int, error) {
 		select {
 		case r := <-results:
 			received++
-			if r.err == nil || r.err == io.EOF {
+			if r.err = checked(ok, r.buf, r.n, r.err); r.err == nil || r.err == io.EOF {
 				if hedged && r.idx != order[0] {
 					f.c.m.hedgeWins.Inc()
 				}

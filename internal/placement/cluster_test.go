@@ -189,6 +189,62 @@ func TestClusterFailoverOnCorruptedReplica(t *testing.T) {
 	}
 }
 
+// TestClusterVerifiedReadFailsOverOnRejectedBytes: a copy whose bytes the
+// caller's check rejects is a failed copy — the read moves to the mirror,
+// counts the failover, leaves the node up — whether replicas are tried in
+// turn or hedged; with every copy rejected the read is vfs.ErrCorrupted.
+func TestClusterVerifiedReadFailsOverOnRejectedBytes(t *testing.T) {
+	for name, delay := range map[string]time.Duration{"sequential": -1, "hedged": time.Hour} {
+		t.Run(name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			c, mems := newTestCluster(t, Config{HedgeDelay: delay, Metrics: reg})
+			name := "/c/set-v/dropping"
+			want := []byte("verified payload")
+			if err := vfs.WriteFile(c, name, want); err != nil {
+				t.Fatal(err)
+			}
+			reps := c.Table().Place(name)
+			if err := vfs.WriteFile(mems[reps[0]], name, []byte("verified pAyload")); err != nil {
+				t.Fatal(err)
+			}
+			f, err := c.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			asked := 0
+			ok := func(p []byte) bool { asked++; return bytes.Equal(p, want) }
+			got := make([]byte, len(want))
+			if err := vfs.ReadAtVerified(f, got, 0, ok); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("verified read over a rotten primary = %q, %v", got, err)
+			}
+			if asked != 2 {
+				t.Errorf("check ran %d times, want once per copy tried", asked)
+			}
+			if n := reg.Counter("placement.failover.reads").Value(); n != 1 {
+				t.Errorf("placement.failover.reads = %d, want 1", n)
+			}
+			if h := c.Health(); !h[reps[0]] {
+				t.Errorf("rejected bytes marked %s down", reps[0])
+			}
+			// The handle now prefers the copy that verified.
+			if err := vfs.ReadAtVerified(f, got, 0, ok); err != nil || asked != 3 {
+				t.Errorf("second read = %v after %d checks, want the good copy first", err, asked)
+			}
+			// A read past the copies' end is short on every one of them.
+			if err := vfs.ReadAtVerified(f, make([]byte, len(want)+1), 0, ok); !errors.Is(err, vfs.ErrCorrupted) {
+				t.Errorf("short verified read = %v, want vfs.ErrCorrupted", err)
+			}
+			if err := vfs.WriteFile(mems[reps[1]], name, []byte("verified paYload")); err != nil {
+				t.Fatal(err)
+			}
+			if err := vfs.ReadAtVerified(f, got, 0, ok); !errors.Is(err, vfs.ErrCorrupted) {
+				t.Errorf("verified read with every copy rotten = %v, want vfs.ErrCorrupted", err)
+			}
+		})
+	}
+}
+
 func TestClusterHedgedReadBeatsSlowNode(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c, mems := newTestCluster(t, Config{HedgeDelay: 5 * time.Millisecond, Metrics: reg})

@@ -178,6 +178,20 @@ func (f *instrumentedFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
+// ReadAtVerified forwards the verified read, so instrumenting a file with
+// several copies does not hide them; it is accounted as the one read it is.
+func (f *instrumentedFile) ReadAtVerified(p []byte, off int64, ok func([]byte) bool) error {
+	start := time.Now()
+	err := ReadAtVerified(f.File, p, off, ok)
+	f.m.readNS.Observe(time.Since(start).Nanoseconds())
+	if err != nil {
+		f.m.errors.Inc()
+		return err
+	}
+	f.m.bytesRead.Add(int64(len(p)))
+	return nil
+}
+
 func (f *instrumentedFile) Write(p []byte) (int, error) {
 	start := time.Now()
 	n, err := f.File.Write(p)

@@ -103,6 +103,28 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 	return buf, nil
 }
 
+// ReadAtVerified fills p from offset off of f and returns nil only once ok has
+// accepted the bytes. A file that holds its bytes in more than one copy (a
+// placement replica set) implements the method of the same name and treats a
+// copy ok rejects like a copy it could not read, trying the next; for any
+// other file the one copy is all there is, and bytes that are short or
+// rejected are ErrCorrupted. ok may run once per copy tried.
+func ReadAtVerified(f File, p []byte, off int64, ok func([]byte) bool) error {
+	if v, is := f.(interface {
+		ReadAtVerified(p []byte, off int64, ok func([]byte) bool) error
+	}); is {
+		return v.ReadAtVerified(p, off, ok)
+	}
+	n, err := f.ReadAt(p, off)
+	if err != nil && err != io.EOF {
+		return err
+	}
+	if n < len(p) || !ok(p) {
+		return ErrCorrupted
+	}
+	return nil
+}
+
 // WriteFile writes data to the named file, creating it.
 func WriteFile(fsys FS, name string, data []byte) error {
 	if err := fsys.MkdirAll(path.Dir(Clean(name))); err != nil {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/metrics"
 )
 
 func TestCleanPaths(t *testing.T) {
@@ -166,6 +168,66 @@ func TestReadAt(t *testing.T) {
 	if _, err := f.ReadAt(buf, -1); err == nil {
 		t.Error("negative offset should fail")
 	}
+}
+
+// TestReadAtVerified covers a file with one copy: the bytes the check
+// accepts come back, rejected or short bytes are ErrCorrupted, a read error
+// passes through, and a file that has its own ReadAtVerified is handed the
+// read — also through Instrument's wrapper, which counts it as one read.
+func TestReadAtVerified(t *testing.T) {
+	m := NewMemFS()
+	if err := WriteFile(m, "/f", []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	f, err := m.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	is := func(want string) func([]byte) bool {
+		return func(p []byte) bool { return string(p) == want }
+	}
+	if err := ReadAtVerified(f, buf, 3, is("3456")); err != nil || string(buf) != "3456" {
+		t.Errorf("accepted read = %q, %v", buf, err)
+	}
+	if err := ReadAtVerified(f, buf, 3, is("nope")); !errors.Is(err, ErrCorrupted) {
+		t.Errorf("rejected read = %v, want ErrCorrupted", err)
+	}
+	if err := ReadAtVerified(f, buf, 8, is("89")); !errors.Is(err, ErrCorrupted) {
+		t.Errorf("short read = %v, want ErrCorrupted", err)
+	}
+	f.Close()
+	if err := ReadAtVerified(f, buf, 3, is("3456")); !errors.Is(err, ErrClosed) {
+		t.Errorf("read of a closed file = %v, want ErrClosed", err)
+	}
+
+	reg := metrics.NewRegistry()
+	inner := &copiesFile{File: f}
+	wrapped := &instrumentedFile{File: inner, m: &Instrument(m, reg, "fs.t").m}
+	if err := ReadAtVerified(wrapped, buf, 3, is("3456")); err != nil || inner.calls != 1 {
+		t.Errorf("verified read through Instrument = %v, reached the file's own method %d times", err, inner.calls)
+	}
+	snap := reg.Snapshot()
+	if snap.Histograms["fs.t.read.ns"].Count != 1 || snap.Counters["fs.t.bytes_read"] != 4 {
+		t.Errorf("Instrument counted %d reads, %d bytes; want 1 read of 4 bytes",
+			snap.Histograms["fs.t.read.ns"].Count, snap.Counters["fs.t.bytes_read"])
+	}
+}
+
+// copiesFile stands in for a file with several copies: it answers verified
+// reads itself.
+type copiesFile struct {
+	File
+	calls int
+}
+
+func (c *copiesFile) ReadAtVerified(p []byte, off int64, ok func([]byte) bool) error {
+	c.calls++
+	copy(p, "3456")
+	if !ok(p) {
+		return ErrCorrupted
+	}
+	return nil
 }
 
 func TestClosedHandle(t *testing.T) {

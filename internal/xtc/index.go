@@ -134,6 +134,29 @@ func (x *Index) HasChecksums() bool {
 // CRC returns frame i's CRC32C. Only valid when HasChecksums is true.
 func (x *Index) CRC(i int) uint32 { return x.crcs[i] }
 
+// FrameOK reports whether p is frame i as the index records it: the stored
+// length and, when the index carries checksums, the CRC32C. It is the one
+// place stored bytes are compared with their index entry — every reader,
+// fsck and both scrubbers decide "is this copy good" by calling it.
+func (x *Index) FrameOK(i int, p []byte) bool {
+	return int64(len(p)) == x.sizes[i] && (!x.HasChecksums() || CRC32C(p) == x.CRC(i))
+}
+
+// ReadFrame decodes frame i from its stored bytes, which fill must put into
+// p — pooled scratch of the frame's indexed size — from the frame's indexed
+// offset. The decoded frame keeps no reference to the scratch.
+func (x *Index) ReadFrame(i int, fill func(p []byte, off int64) error) (*Frame, error) {
+	if i < 0 || i >= x.Frames() {
+		return nil, fmt.Errorf("xtc: frame %d out of range [0,%d)", i, x.Frames())
+	}
+	buf := getBytes(int(x.sizes[i]))
+	defer putBytes(buf)
+	if err := fill(buf, x.offsets[i]); err != nil {
+		return nil, err
+	}
+	return decodeBytes(buf)
+}
+
 // TotalBytes returns the stream length covered by the index.
 func (x *Index) TotalBytes() int64 {
 	if len(x.offsets) == 0 {
@@ -166,14 +189,10 @@ func (ra *RandomAccessReader) ConcurrentFrameReads() bool { return true }
 
 // ReadFrameAt decodes frame i.
 func (ra *RandomAccessReader) ReadFrameAt(i int) (*Frame, error) {
-	if i < 0 || i >= ra.idx.Frames() {
-		return nil, fmt.Errorf("xtc: frame %d out of range [0,%d)", i, ra.idx.Frames())
-	}
-	n := ra.idx.Size(i)
-	buf := getBytes(int(n))
-	defer putBytes(buf)
-	if _, err := ra.r.ReadAt(buf, ra.idx.Offset(i)); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("xtc: read frame %d: %w", i, err)
-	}
-	return decodeBytes(buf)
+	return ra.idx.ReadFrame(i, func(p []byte, off int64) error {
+		if _, err := ra.r.ReadAt(p, off); err != nil && err != io.EOF {
+			return fmt.Errorf("xtc: read frame %d: %w", i, err)
+		}
+		return nil
+	})
 }
