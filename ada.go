@@ -218,8 +218,9 @@ type (
 
 // Resilience errors.
 var (
-	// ErrBackendDown marks a backend whose retry budget is exhausted;
-	// the container store degrades instead of hanging.
+	// ErrBackendDown marks a call to a backend whose retry budget is
+	// exhausted. Every layer passes it up instead of hanging; only a
+	// StorageCluster remembers it, to read from the other replicas first.
 	ErrBackendDown = vfs.ErrBackendDown
 	// ErrClientClosed is returned by storage-node calls issued after Close.
 	ErrClientClosed = rpc.ErrClientClosed

@@ -31,22 +31,7 @@ type Platform struct {
 	StorageCost     core.StorageCost
 	Traditional     vfs.FS // baseline FS holding compressed and raw copies
 	ADA             *core.ADA
-	Containers      *plfs.FS    // the container store ADA dispatches to
 	Params          [][2]string // platform spec sheet (Tables 4 and 5)
-}
-
-// CheckStorage probes every container backend and returns the health map:
-// a nil entry per healthy backend, the transport error per down one. It is
-// how a driver distinguishes "the run can continue degraded" from "the
-// storage tier is gone" without waiting out another retry schedule.
-func (p *Platform) CheckStorage() map[string]error {
-	if p.Containers == nil {
-		return nil
-	}
-	for _, name := range p.Containers.Backends() {
-		p.Containers.Probe(name)
-	}
-	return p.Containers.BackendHealth()
 }
 
 // GB is a convenience re-export for memory sizing.
@@ -81,7 +66,6 @@ func NewSSDServer() (*Platform, error) {
 		StorageCost:     storage,
 		Traditional:     ext4,
 		ADA:             core.New(containers, env, core.Options{Cost: storage}),
-		Containers:      containers,
 		Params: [][2]string{
 			{"CPU", "Intel Xeon E5-2603 v4 @1.70GHz"},
 			{"Memory", "16 GB DRAM"},
@@ -162,7 +146,6 @@ func NewSmallCluster() (*Platform, error) {
 		StorageCost:     storage,
 		Traditional:     hybrid,
 		ADA:             core.New(containers, env, core.Options{Cost: storage, Placement: placement}),
-		Containers:      containers,
 		Params: [][2]string{
 			{"CPU", "Intel Xeon E5-2603 v4 @1.70GHz"},
 			{"Operating system", "CentOS 6.10 w/ 2.6.32-754 kernel"},
@@ -214,7 +197,6 @@ func NewFatNode() (*Platform, error) {
 		StorageCost:     storage,
 		Traditional:     xfs,
 		ADA:             core.New(containers, env, core.Options{Cost: storage}),
-		Containers:      containers,
 		Params: [][2]string{
 			{"CPU", "Intel Xeon E7-4820 v3 @1.90GHz, 40 cores (4 sockets)"},
 			{"Main memory", "DDR4 1,007 GB"},

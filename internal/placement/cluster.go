@@ -3,7 +3,6 @@ package placement
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"sync"
@@ -59,8 +58,10 @@ const (
 // Nodes that return vfs.ErrBackendDown are marked down (counted once per
 // transition under placement.node.<name>.down) and deprioritized — never
 // skipped entirely, so a wrongly marked node still gets retried when it
-// is the last copy. Any success through a node clears its mark; Probe
-// checks one explicitly.
+// is the last copy. Any read, stat or watch a node answers clears its mark;
+// Probe checks one explicitly. This is the only memory of a down node in the
+// storage stack: the layers above pass vfs.ErrBackendDown up and keep
+// dispatching, the rpc clients below bound each call by its retry budget.
 type Cluster struct {
 	mu    sync.RWMutex
 	table *Table
@@ -177,39 +178,34 @@ func (c *Cluster) Probe(name string) error {
 	if fsys == nil {
 		return fmt.Errorf("placement: unknown node %q", name)
 	}
-	if _, err := fsys.Stat("/"); err != nil {
-		c.note(name, err)
-		return err
-	}
-	c.markUp(name)
-	return nil
+	_, err := fsys.Stat("/")
+	c.note(name, err)
+	return err
 }
 
-// note records an operation failure against a node: transport-level
-// failures (vfs.ErrBackendDown, i.e. RPC retries exhausted) mark it down.
+// note records what one operation on a node says about the node: success
+// clears its down mark, a transport-level failure (vfs.ErrBackendDown, i.e.
+// RPC retries exhausted) sets it, and any other error — the node answered —
+// leaves it as it was.
 func (c *Cluster) note(name string, err error) {
-	if !errors.Is(err, vfs.ErrBackendDown) {
+	down := errors.Is(err, vfs.ErrBackendDown)
+	if err != nil && !down {
+		return
+	}
+	c.mu.RLock()
+	marked := c.down[name]
+	c.mu.RUnlock()
+	if marked == down {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.down[name] {
+	if !down {
+		delete(c.down, name)
+	} else if !c.down[name] {
 		c.down[name] = true
 		c.reg.Counter("placement.node." + name + ".down").Inc()
 	}
-}
-
-// markUp clears a node's down mark after any success through it.
-func (c *Cluster) markUp(name string) {
-	c.mu.RLock()
-	marked := c.down[name]
-	c.mu.RUnlock()
-	if !marked {
-		return
-	}
-	c.mu.Lock()
-	delete(c.down, name)
-	c.mu.Unlock()
 }
 
 // place returns the replica set for name under the current table.
@@ -227,23 +223,43 @@ func (c *Cluster) fs(name string) vfs.FS {
 	return c.nodes[name]
 }
 
-// healthOrder returns replica indices with down-marked nodes
-// deprioritized but never dropped.
-func (c *Cluster) healthOrder(reps []string) []int {
+// order appends to buf the indices of reps in the order to try them: pref
+// first (pass -1 for none), then the rest with down-marked nodes last —
+// deprioritized, never dropped, since a stale mark must not make data
+// unreachable.
+func (c *Cluster) order(buf []int, reps []string, pref int) []int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	order := make([]int, 0, len(reps))
-	for i, name := range reps {
-		if !c.down[name] {
-			order = append(order, i)
+	if pref >= 0 {
+		buf = append(buf, pref)
+	}
+	for _, down := range [2]bool{false, true} {
+		for i, name := range reps {
+			if i != pref && c.down[name] == down {
+				buf = append(buf, i)
+			}
 		}
 	}
-	for i, name := range reps {
-		if c.down[name] {
-			order = append(order, i)
+	return buf
+}
+
+// firstReplica runs op on each replica of reps in turn (see order) until one
+// answers, noting every outcome against its node's health. It returns nil on
+// the first success, else the first error.
+func (c *Cluster) firstReplica(reps []string, pref int, op func(i int) error) error {
+	var buf [4]int // replica sets are small: the order stays on the stack
+	var firstErr error
+	for _, i := range c.order(buf[:0], reps, pref) {
+		err := op(i)
+		c.note(reps[i], err)
+		if err == nil {
+			return nil
+		}
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
-	return order
+	return firstErr
 }
 
 // allNodes returns every registered node name, sorted for determinism.
@@ -283,121 +299,47 @@ func (c *Cluster) Create(name string) (vfs.File, error) {
 func (c *Cluster) Open(name string) (vfs.File, error) {
 	reps := c.place(name)
 	f := &clusterFile{c: c, name: vfs.Clean(name), reps: reps, files: make([]vfs.File, len(reps))}
-	var firstErr error
-	for _, i := range c.healthOrder(reps) {
+	err := c.firstReplica(reps, -1, func(i int) error {
 		h, err := c.fs(reps[i]).Open(name)
-		if err == nil {
-			f.files[i] = h
-			f.pref = i
-			f.size = h.Size()
-			c.markUp(reps[i])
-			return f, nil
+		if err != nil {
+			return err
 		}
-		c.note(reps[i], err)
-		if firstErr == nil {
-			firstErr = err
-		}
+		f.files[i], f.pref, f.size = h, i, h.Size()
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("placement: open %s: %w", name, err)
 	}
-	return nil, fmt.Errorf("placement: open %s: %w", name, firstErr)
-}
-
-// watchCRCTable is CRC32C (Castagnoli), matching plfs and the rpc watch op
-// so CRCs are comparable across local and remote replicas.
-var watchCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-func watchCRC(data []byte) uint32 { return crc32.Checksum(data, watchCRCTable) }
-
-// nodeWatcher is implemented by node FSes that can long-poll a file
-// server-side (rpc.Client, rpc.Pool); see plfs.WatchDropping.
-type nodeWatcher interface {
-	WatchFile(name string, lastCRC uint32, timeout time.Duration) ([]byte, uint32, bool, error)
+	return f, nil
 }
 
 // WatchFile long-polls name until its content differs from lastCRC or the
-// timeout elapses, failing over across the replica set. Replicas that
-// support server-side watching (RPC nodes) carry the poll on the node;
-// in-process replicas are polled locally. A node failure mid-watch moves
-// the poll to the next replica with the remaining timeout, so a tailing
-// reader survives losing R-1 replicas — the same guarantee demand reads
-// have.
-func (c *Cluster) WatchFile(name string, lastCRC uint32, timeout time.Duration) ([]byte, uint32, bool, error) {
-	const localPoll = 2 * time.Millisecond
+// timeout elapses (see vfs.WatchFile), failing over across the replica set.
+// A node failure mid-watch moves the poll to the next replica with the
+// remaining timeout, so a tailing reader survives losing R-1 replicas — the
+// same guarantee demand reads have.
+func (c *Cluster) WatchFile(name string, lastCRC uint32, timeout time.Duration) (data []byte, crc uint32, changed bool, err error) {
 	deadline := time.Now().Add(timeout)
 	reps := c.place(name)
-	var firstErr error
-	for _, i := range c.healthOrder(reps) {
-		node := reps[i]
-		fsys := c.fs(node)
-		remaining := time.Until(deadline)
-		if remaining < 0 {
-			remaining = 0
-		}
-		if nw, ok := fsys.(nodeWatcher); ok {
-			data, crc, changed, err := nw.WatchFile(name, lastCRC, remaining)
-			if err == nil {
-				c.markUp(node)
-				return data, crc, changed, nil
-			}
-			c.note(node, err)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		// In-process replica: poll locally until change or deadline.
-		for {
-			data, err := vfs.ReadFile(fsys, name)
-			if err != nil && !errors.Is(err, vfs.ErrNotExist) {
-				c.note(node, err)
-				if firstErr == nil {
-					firstErr = err
-				}
-				break
-			}
-			crc := uint32(0)
-			if err == nil {
-				crc = watchCRC(data)
-			} else {
-				data = nil
-			}
-			if crc != lastCRC {
-				c.markUp(node)
-				return data, crc, true, nil
-			}
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				return nil, lastCRC, false, nil
-			}
-			if remaining < localPoll {
-				time.Sleep(remaining)
-			} else {
-				time.Sleep(localPoll)
-			}
-		}
+	err = c.firstReplica(reps, -1, func(i int) (err error) {
+		data, crc, changed, err = vfs.WatchFile(c.fs(reps[i]), name, lastCRC, time.Until(deadline))
+		return err
+	})
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("placement: watch %s: %w", name, err)
 	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("placement: watch %s: no replicas", name)
-	}
-	return nil, 0, false, fmt.Errorf("placement: watch %s: %w", name, firstErr)
+	return data, crc, changed, nil
 }
 
 // Stat implements vfs.FS, failing over across the replica set. Absence is
 // reported only when every replica agrees (or is unreachable).
-func (c *Cluster) Stat(name string) (vfs.FileInfo, error) {
+func (c *Cluster) Stat(name string) (info vfs.FileInfo, err error) {
 	reps := c.place(name)
-	var firstErr error
-	for _, i := range c.healthOrder(reps) {
-		info, err := c.fs(reps[i]).Stat(name)
-		if err == nil {
-			c.markUp(reps[i])
-			return info, nil
-		}
-		c.note(reps[i], err)
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return vfs.FileInfo{}, firstErr
+	err = c.firstReplica(reps, -1, func(i int) (err error) {
+		info, err = c.fs(reps[i]).Stat(name)
+		return err
+	})
+	return info, err
 }
 
 // ReadDir implements vfs.FS as a union over every node, so listings stay
@@ -602,7 +544,10 @@ func (f *replFile) Close() error {
 
 // clusterFile is a read handle spanning a replica set: per-replica
 // handles open lazily, reads prefer the last replica that answered, any
-// error fails over to the next replica, and slow reads hedge. Safe for
+// error fails over to the next replica, and slow reads hedge. The handle is
+// one version of the file — the one whose size it took at Open — and a
+// replica found holding another size is a failed copy for it, so a read
+// never joins the length of one version to the bytes of another. Safe for
 // concurrent use (prefetching readers issue overlapping ReadAts).
 type clusterFile struct {
 	c    *Cluster
@@ -629,7 +574,9 @@ func (f *clusterFile) Write(p []byte) (int, error) {
 	return 0, fmt.Errorf("placement: %s opened read-only (writes go through Create)", f.name)
 }
 
-// handle returns the open handle for replica i, opening it on demand.
+// handle returns the open handle for replica i, opening it on demand. A
+// copy that is not the size this handle was opened at has been replaced (or
+// not yet replaced) since: it is refused rather than read.
 func (f *clusterFile) handle(i int) (vfs.File, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -642,6 +589,11 @@ func (f *clusterFile) handle(i int) (vfs.File, error) {
 	h, err := f.c.fs(f.reps[i]).Open(f.name)
 	if err != nil {
 		return nil, err
+	}
+	if size := h.Size(); size != f.size {
+		h.Close()
+		return nil, fmt.Errorf("placement: %s on %s is %d bytes, this handle opened %d: another version",
+			f.name, f.reps[i], size, f.size)
 	}
 	f.files[i] = h
 	return h, nil
@@ -665,25 +617,10 @@ func (f *clusterFile) setPreferred(i int) {
 	f.mu.Unlock()
 }
 
-// order returns replica indices to try: the preferred replica, then the
-// rest healthy-first.
-func (f *clusterFile) order() []int {
+func (f *clusterFile) preferred() int {
 	f.mu.Lock()
-	pref := f.pref
-	f.mu.Unlock()
-	rest := make([]string, 0, len(f.reps))
-	idx := make(map[string]int, len(f.reps))
-	for i, name := range f.reps {
-		idx[name] = i
-		if i != pref {
-			rest = append(rest, name)
-		}
-	}
-	order := []int{pref}
-	for _, i := range f.c.healthOrder(rest) {
-		order = append(order, idx[rest[i]])
-	}
-	return order
+	defer f.mu.Unlock()
+	return f.pref
 }
 
 func (f *clusterFile) Read(p []byte) (int, error) {
@@ -750,34 +687,36 @@ type readResult struct {
 // on bytes a non-nil ok rejects. Each hedged attempt reads into a private
 // buffer so a late loser cannot clobber the winner's bytes.
 func (f *clusterFile) readFailover(p []byte, off int64, ok func([]byte) bool) (int, error) {
-	order := f.order()
 	delay := f.c.hedgeDelay()
-	if delay <= 0 || len(order) == 1 {
+	if delay <= 0 || len(f.reps) == 1 {
 		// Plain sequential failover.
-		var firstErr error
-		for pos, i := range order {
+		var n, tried int
+		var eof error // io.EOF when the copy that answered ended inside p
+		err := f.c.firstReplica(f.reps, f.preferred(), func(i int) error {
+			tried++
 			h, err := f.handle(i)
 			if err == nil {
-				var n int
 				n, err = h.ReadAt(p, off)
 				if err = checked(ok, p, n, err); err == nil || err == io.EOF {
+					eof = err
 					f.setPreferred(i)
-					f.c.markUp(f.reps[i])
-					return n, err
+					return nil
 				}
 			}
-			f.c.note(f.reps[i], err)
 			f.dropHandle(i)
-			if firstErr == nil {
-				firstErr = err
-			}
-			if pos < len(order)-1 {
+			if tried < len(f.reps) {
 				f.c.m.failovers.Inc()
 			}
+			return err
+		})
+		if err != nil {
+			return 0, fmt.Errorf("placement: read %s: all replicas failed: %w", f.name, err)
 		}
-		return 0, fmt.Errorf("placement: read %s: all replicas failed: %w", f.name, firstErr)
+		return n, eof
 	}
 
+	var buf [4]int
+	order := f.c.order(buf[:0], f.reps, f.preferred())
 	results := make(chan readResult, len(order))
 	launch := func(i int) {
 		go func() {
@@ -806,7 +745,7 @@ func (f *clusterFile) readFailover(p []byte, off int64, ok func([]byte) bool) (i
 					f.c.m.hedgeWins.Inc()
 				}
 				f.setPreferred(r.idx)
-				f.c.markUp(f.reps[r.idx])
+				f.c.note(f.reps[r.idx], nil)
 				return copy(p, r.buf[:r.n]), r.err
 			}
 			f.c.note(f.reps[r.idx], r.err)
@@ -815,9 +754,11 @@ func (f *clusterFile) readFailover(p []byte, off int64, ok func([]byte) bool) (i
 				firstErr = r.err
 			}
 			if launched < len(order) {
-				f.c.m.failovers.Inc()
 				launch(order[launched])
 				launched++
+			}
+			if received < launched {
+				f.c.m.failovers.Inc() // another copy is still to answer
 			}
 		case <-timer.C:
 			if launched < len(order) {

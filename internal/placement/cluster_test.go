@@ -4,6 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,6 +252,118 @@ func TestClusterVerifiedReadFailsOverOnRejectedBytes(t *testing.T) {
 	}
 }
 
+// failingFS hands out files whose reads start failing when fail is set — a
+// disk that dies under an open handle.
+type failingFS struct {
+	vfs.FS
+	fail *atomic.Bool
+}
+
+func (s failingFS) Open(name string) (vfs.File, error) {
+	f, err := s.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return failingFile{File: f, fail: s.fail}, nil
+}
+
+type failingFile struct {
+	vfs.File
+	fail *atomic.Bool
+}
+
+func (f failingFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.fail.Load() {
+		return 0, errors.New("input/output error")
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestClusterReadHandleNeverMixesVersions replaces the file on the mirror,
+// with content of another length, between Open and a read that is forced onto
+// the mirror — by the preferred copy failing, then by a hedge over a slow
+// one. Read the way vfs.ReadFile reads, the handle must give one whole
+// version or an error, never the length of one version filled from the other.
+func TestClusterReadHandleNeverMixesVersions(t *testing.T) {
+	v1 := []byte("version one of the file")
+	for _, mode := range []string{"failover", "hedge"} {
+		for _, v2 := range [][]byte{[]byte("v2, shorter"), []byte("version two of the file, and longer")} {
+			t.Run(fmt.Sprintf("%s/%d-to-%d-bytes", mode, len(v1), len(v2)), func(t *testing.T) {
+				reg := metrics.NewRegistry()
+				cfg := Config{HedgeDelay: -1, Metrics: reg}
+				if mode == "hedge" {
+					cfg.HedgeDelay = 5 * time.Millisecond
+				}
+				c, mems := newTestCluster(t, cfg)
+				name := "/c/set-m/dropping"
+				if err := vfs.WriteFile(c, name, v1); err != nil {
+					t.Fatal(err)
+				}
+				reps := c.Table().Place(name)
+				var primaryDies atomic.Bool
+				if mode == "hedge" {
+					c.AddNode(reps[0], slowFS{FS: mems[reps[0]], delay: 100 * time.Millisecond})
+				} else {
+					c.AddNode(reps[0], failingFS{FS: mems[reps[0]], fail: &primaryDies})
+				}
+				f, err := c.Open(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				if err := vfs.WriteFile(mems[reps[1]], name, v2); err != nil {
+					t.Fatal(err)
+				}
+				primaryDies.Store(true)
+
+				got := make([]byte, f.Size())
+				_, err = io.ReadFull(f, got)
+				if err == io.EOF || err == io.ErrUnexpectedEOF {
+					err = nil // vfs.ReadFile takes the short read as the file
+				}
+				if err == nil && !bytes.Equal(got, v1) && !bytes.Equal(got, v2) {
+					t.Fatalf("read %q: neither %q nor %q", got, v1, v2)
+				}
+				if mode == "hedge" && (err != nil || !bytes.Equal(got, v1)) {
+					t.Errorf("hedged read = %q, %v; want the slow primary's version", got, err)
+				}
+				if mode == "failover" && err == nil {
+					t.Errorf("read %q with the opened copy dead and the mirror replaced, want an error", got)
+				}
+				if n := reg.Counter("placement.failover.reads").Value(); n < 1 {
+					t.Errorf("placement.failover.reads = %d, want a failed copy counted", n)
+				}
+				if h := c.Health(); !h[reps[1]] {
+					t.Errorf("holding another version marked %s down", reps[1])
+				}
+			})
+		}
+	}
+}
+
+// TestClusterHealthyReadAtAllocs pins the cost of asking the health map on
+// the per-frame path: a read its preferred replica answers allocates nothing.
+func TestClusterHealthyReadAtAllocs(t *testing.T) {
+	c, _ := newTestCluster(t, Config{HedgeDelay: -1})
+	name := "/c/set-a/dropping"
+	if err := vfs.WriteFile(c, name, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 1024)
+	accept := func([]byte) bool { return true }
+	if n := testing.AllocsPerRun(200, func() { f.ReadAt(buf, 0) }); n != 0 {
+		t.Errorf("healthy ReadAt allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { vfs.ReadAtVerified(f, buf, 0, accept) }); n != 0 {
+		t.Errorf("healthy ReadAtVerified allocates %v times, want 0", n)
+	}
+}
+
 func TestClusterHedgedReadBeatsSlowNode(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c, mems := newTestCluster(t, Config{HedgeDelay: 5 * time.Millisecond, Metrics: reg})
@@ -407,4 +526,63 @@ func TestSetTableRejectsStaleAndUnknownNodes(t *testing.T) {
 	if c.Table().Version != 2 {
 		t.Fatalf("table version = %d", c.Table().Version)
 	}
+}
+
+// TestOneHealthSource keeps the memory of a down node in one place. No source
+// file under internal/ or cmd/ outside this package may test an error for
+// vfs.ErrBackendDown — that is how a second failure detector starts — and
+// the two watch paths above vfs.WatchFile may not grow a poll of their own.
+func TestOneHealthSource(t *testing.T) {
+	tests := regexp.MustCompile(`errors\.Is\([^()]*ErrBackendDown`)
+	files := 0
+	for _, root := range []string{"../../internal", "../../cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			files++
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			path = filepath.ToSlash(path)
+			if strings.HasPrefix(path, "../../internal/placement/") {
+				return nil
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				if tests.MatchString(line) {
+					t.Errorf("%s:%d tests for ErrBackendDown; only placement.Cluster remembers a down node", path, i+1)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if files < 50 {
+		t.Fatalf("guard looked at only %d source files; is it running in internal/placement?", files)
+	}
+
+	noSleep := func(path, from, to string) {
+		t.Helper()
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := string(src)
+		if from != "" {
+			start := strings.Index(body, from)
+			if start < 0 {
+				t.Fatalf("%s: no %q", path, from)
+			}
+			body = body[start:]
+			body = body[:strings.Index(body, to)+len(to)]
+		}
+		if strings.Contains(body, "time.Sleep") {
+			t.Errorf("%s sleeps in its watch; the poll is vfs.WatchFile", path)
+		}
+	}
+	noSleep("../plfs/watch.go", "", "")
+	noSleep("cluster.go", "func (c *Cluster) WatchFile(", "\n}\n")
 }

@@ -123,7 +123,6 @@ func (n *matrixNode) stop() {
 type matrixHarness struct {
 	nodes map[string]*matrixNode
 	c     *placement.Cluster
-	store *plfs.FS
 	ada   *core.ADA
 	reg   *metrics.Registry
 }
@@ -158,7 +157,6 @@ func newMatrixHarness(t *testing.T) *matrixHarness {
 		t.Fatal(err)
 	}
 	store.SetMetrics(h.reg)
-	h.store = store
 	h.ada = core.New(store, nil, core.Options{Metrics: h.reg})
 	return h
 }
@@ -444,12 +442,6 @@ func TestMatrixKillNodeMidIngest(t *testing.T) {
 						if err := h.c.Probe(name); err != nil {
 							t.Fatalf("probe %s: %v", name, err)
 						}
-					}
-					// The failed ingest fail-fast-marked the whole cluster
-					// backend in plfs; revive it now that the node is back,
-					// the same probe an operator runs after a restart.
-					if err := h.store.Probe("clu"); err != nil {
-						t.Fatalf("revive plfs backend: %v", err)
 					}
 					actions, err := h.ada.Recover()
 					if err != nil {

@@ -56,9 +56,6 @@ func (p *FS) ReplaceDropping(logical, src, dst string) error {
 	if b == nil {
 		return fmt.Errorf("plfs: index references unknown backend %q", srcOwner)
 	}
-	if err := p.checkLocked(b); err != nil {
-		return err
-	}
 	dir := containerPath(b, logical)
 	p.ensureUsageLocked(b)
 	var prev int64
@@ -66,7 +63,6 @@ func (p *FS) ReplaceDropping(logical, src, dst string) error {
 		prev = statSize(b, logical, dst)
 	}
 	if err := b.FS.Rename(path.Join(dir, src), path.Join(dir, dst)); err != nil {
-		p.noteLocked(b, err)
 		return fmt.Errorf("plfs: replace dropping %q: %w", dst, err)
 	}
 	if prev != 0 {
@@ -119,17 +115,15 @@ func (p *FS) SweepOrphans(logical string) ([]string, error) {
 	var removed []string
 	for i := range p.backends {
 		b := &p.backends[i]
-		if err := p.checkLocked(b); err != nil {
-			return removed, err
-		}
 		dir := containerPath(b, logical)
-		if !vfs.Exists(b.FS, dir) {
+		if gone, err := absent(b, dir); err != nil {
+			return removed, fmt.Errorf("plfs: sweep container on %s: %w", b.Name, err)
+		} else if gone {
 			continue
 		}
 		p.ensureUsageLocked(b)
 		entries, err := b.FS.ReadDir(dir)
 		if err != nil {
-			p.noteLocked(b, err)
 			return removed, fmt.Errorf("plfs: sweep container on %s: %w", b.Name, err)
 		}
 		for _, e := range entries {
@@ -143,7 +137,6 @@ func (p *FS) SweepOrphans(logical string) ([]string, error) {
 				continue
 			}
 			if err := b.FS.Remove(path.Join(dir, e.Name)); err != nil {
-				p.noteLocked(b, err)
 				return removed, fmt.Errorf("plfs: sweep orphan %q: %w", e.Name, err)
 			}
 			if countedFile(e.Name) {
@@ -158,8 +151,13 @@ func (p *FS) SweepOrphans(logical string) ([]string, error) {
 	out := make([]Dropping, 0, len(idx))
 	changed := false
 	for _, d := range idx {
-		b := p.byName[d.Backend]
-		if b == nil || !vfs.Exists(b.FS, path.Join(containerPath(b, logical), d.Name)) {
+		gone := true
+		if b := p.byName[d.Backend]; b != nil {
+			if gone, err = absent(b, path.Join(containerPath(b, logical), d.Name)); err != nil {
+				return removed, fmt.Errorf("plfs: sweep entry %q on %s: %w", d.Name, b.Name, err)
+			}
+		}
+		if gone {
 			changed = true
 			continue
 		}

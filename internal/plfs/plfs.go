@@ -55,7 +55,6 @@ type FS struct {
 	mu       sync.Mutex
 	backends []Backend
 	byName   map[string]*Backend
-	down     map[string]error // backend name -> transport error that marked it down
 	usage    map[string]int64 // backend name -> bytes of dropping data on disk
 	seeded   map[string]bool  // backend name -> usage counter seeded from a walk
 	reg      *metrics.Registry
@@ -73,7 +72,6 @@ func New(backends ...Backend) (*FS, error) {
 	}
 	p := &FS{
 		byName: map[string]*Backend{},
-		down:   map[string]error{},
 		usage:  map[string]int64{},
 		seeded: map[string]bool{},
 		reg:    metrics.Default,
@@ -127,6 +125,17 @@ func containerPath(b *Backend, logical string) string {
 	return path.Join(b.Mount, vfs.Clean(logical))
 }
 
+// absent reports whether name does not exist on b. A backend that cannot say
+// — its transport is down — is an error, never read as absence: the sweeps
+// below delete and unlink on the strength of this answer.
+func absent(b *Backend, name string) (bool, error) {
+	_, err := b.FS.Stat(name)
+	if errors.Is(err, vfs.ErrNotExist) {
+		return true, nil
+	}
+	return false, err
+}
+
 // CreateContainer creates the container structure for a logical file on
 // every backend (a top-level directory per mount, as in Fig 6).
 func (p *FS) CreateContainer(logical string) error {
@@ -134,11 +143,7 @@ func (p *FS) CreateContainer(logical string) error {
 	defer p.mu.Unlock()
 	for i := range p.backends {
 		b := &p.backends[i]
-		if err := p.checkLocked(b); err != nil {
-			return err
-		}
 		if err := b.FS.MkdirAll(containerPath(b, logical)); err != nil {
-			p.noteLocked(b, err)
 			return fmt.Errorf("plfs: create container on %s: %w", b.Name, err)
 		}
 	}
@@ -163,9 +168,6 @@ func (p *FS) CreateDropping(logical, dropping, backend string) (vfs.File, error)
 	b, ok := p.byName[backend]
 	if !ok {
 		return nil, fmt.Errorf("plfs: unknown backend %q", backend)
-	}
-	if err := p.checkLocked(b); err != nil {
-		return nil, err
 	}
 	idx, err := p.readIndexLocked(logical)
 	if err != nil {
@@ -194,7 +196,6 @@ func (p *FS) CreateDropping(logical, dropping, backend string) (vfs.File, error)
 	}
 	f, err := b.FS.Create(full)
 	if err != nil {
-		p.noteLocked(b, err)
 		return nil, fmt.Errorf("plfs: create dropping: %w", err)
 	}
 	if prev != 0 {
@@ -221,8 +222,8 @@ func (p *FS) CreateDropping(logical, dropping, backend string) (vfs.File, error)
 func (p *FS) OpenDropping(logical, dropping string) (vfs.File, error) {
 	p.mu.Lock()
 	idx, err := p.readIndexLocked(logical)
+	p.mu.Unlock()
 	if err != nil {
-		p.mu.Unlock()
 		return nil, err
 	}
 	var owner *Backend
@@ -232,23 +233,11 @@ func (p *FS) OpenDropping(logical, dropping string) (vfs.File, error) {
 			break
 		}
 	}
-	if owner != nil {
-		if err := p.checkLocked(owner); err != nil {
-			p.mu.Unlock()
-			return nil, err
-		}
-	}
-	p.mu.Unlock()
 	if owner == nil {
 		return nil, fmt.Errorf("%w: dropping %q in container %q", vfs.ErrNotExist, dropping, logical)
 	}
 	p.count("backend." + owner.Name + ".droppings_opened")
-	f, err := owner.FS.Open(path.Join(containerPath(owner, logical), dropping))
-	if err != nil {
-		p.note(owner, err)
-		return nil, err
-	}
-	return f, nil
+	return owner.FS.Open(path.Join(containerPath(owner, logical), dropping))
 }
 
 // StatDropping returns index info plus the current size of a dropping.
@@ -264,12 +253,8 @@ func (p *FS) StatDropping(logical, dropping string) (Dropping, error) {
 			continue
 		}
 		b := p.byName[d.Backend]
-		if err := p.checkLocked(b); err != nil {
-			return Dropping{}, err
-		}
 		info, err := b.FS.Stat(path.Join(containerPath(b, logical), dropping))
 		if err != nil {
-			p.noteLocked(b, err)
 			return Dropping{}, err
 		}
 		d.Size = info.Size
@@ -340,18 +325,16 @@ func (p *FS) RemoveContainer(logical string) error {
 	found := false
 	for i := range p.backends {
 		b := &p.backends[i]
-		if err := p.checkLocked(b); err != nil {
-			return err
-		}
 		dir := containerPath(b, logical)
-		if !vfs.Exists(b.FS, dir) {
+		if gone, err := absent(b, dir); err != nil {
+			return fmt.Errorf("plfs: remove container on %s: %w", b.Name, err)
+		} else if gone {
 			continue
 		}
 		found = true
 		p.ensureUsageLocked(b)
 		entries, err := b.FS.ReadDir(dir)
 		if err != nil {
-			p.noteLocked(b, err)
 			return fmt.Errorf("plfs: remove container on %s: %w", b.Name, err)
 		}
 		for _, e := range entries {
@@ -359,7 +342,6 @@ func (p *FS) RemoveContainer(logical string) error {
 				return fmt.Errorf("plfs: unexpected directory %q in container %q", e.Name, logical)
 			}
 			if err := b.FS.Remove(path.Join(dir, e.Name)); err != nil {
-				p.noteLocked(b, err)
 				return fmt.Errorf("plfs: remove dropping %q: %w", e.Name, err)
 			}
 			if countedFile(e.Name) {
@@ -367,7 +349,6 @@ func (p *FS) RemoveContainer(logical string) error {
 			}
 		}
 		if err := b.FS.Remove(dir); err != nil {
-			p.noteLocked(b, err)
 			return fmt.Errorf("plfs: remove container dir on %s: %w", b.Name, err)
 		}
 	}
@@ -417,9 +398,6 @@ func (p *FS) RenameDropping(logical, oldname, newname string) error {
 	if b == nil {
 		return fmt.Errorf("plfs: index references unknown backend %q", owner)
 	}
-	if err := p.checkLocked(b); err != nil {
-		return err
-	}
 	dir := containerPath(b, logical)
 	p.ensureUsageLocked(b)
 	// Cross-backend shadows were rejected above, so an index entry for
@@ -432,7 +410,6 @@ func (p *FS) RenameDropping(logical, oldname, newname string) error {
 		}
 	}
 	if err := b.FS.Rename(path.Join(dir, oldname), path.Join(dir, newname)); err != nil {
-		p.noteLocked(b, err)
 		return fmt.Errorf("plfs: rename dropping %q: %w", oldname, err)
 	}
 	if prev != 0 {
@@ -475,15 +452,11 @@ func (p *FS) RemoveDropping(logical, dropping string) error {
 	if b == nil {
 		return fmt.Errorf("plfs: index references unknown backend %q", owner)
 	}
-	if err := p.checkLocked(b); err != nil {
-		return err
-	}
 	p.ensureUsageLocked(b)
 	full := path.Join(containerPath(b, logical), dropping)
 	sz := statSize(b, logical, dropping)
 	if err := b.FS.Remove(full); err != nil &&
 		!errors.Is(err, vfs.ErrNotExist) {
-		p.noteLocked(b, err)
 		return fmt.Errorf("plfs: remove dropping %q: %w", dropping, err)
 	}
 	if sz != 0 {
@@ -508,20 +481,14 @@ func (p *FS) writeIndexLocked(logical string, idx []Dropping) error {
 		fmt.Fprintf(&sb, "%s\t%s\n", d.Name, d.Backend)
 	}
 	if err := vfs.ReplaceFile(p.backends[0].FS, p.indexPath(logical), []byte(sb.String())); err != nil {
-		p.noteLocked(&p.backends[0], err)
 		return fmt.Errorf("plfs: write index for %q: %w", logical, err)
 	}
 	return nil
 }
 
 func (p *FS) readIndexLocked(logical string) ([]Dropping, error) {
-	canon := &p.backends[0]
-	if err := p.checkLocked(canon); err != nil {
-		return nil, err
-	}
-	data, err := vfs.ReadFile(canon.FS, p.indexPath(logical))
+	data, err := vfs.ReadFile(p.backends[0].FS, p.indexPath(logical))
 	if err != nil {
-		p.noteLocked(canon, err)
 		return nil, fmt.Errorf("plfs: container %q: %w", logical, err)
 	}
 	var idx []Dropping

@@ -3,6 +3,7 @@ package plfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/vfs"
@@ -275,5 +276,93 @@ func TestListContainers(t *testing.T) {
 	names, _ = p.ListContainers()
 	if len(names) != 2 {
 		t.Errorf("after remove: %v", names)
+	}
+}
+
+// flakyFS is a MemFS whose transport can go away: while failed, every call
+// the store dispatches to it returns the typed down error an rpc client
+// returns once its retry budget is spent.
+type flakyFS struct {
+	*vfs.MemFS
+	failed bool
+}
+
+func (f *flakyFS) down() error {
+	return fmt.Errorf("rpc: stat failed after 4 attempts: %w: connection refused", vfs.ErrBackendDown)
+}
+
+func (f *flakyFS) Create(name string) (vfs.File, error) {
+	if f.failed {
+		return nil, f.down()
+	}
+	return f.MemFS.Create(name)
+}
+
+func (f *flakyFS) Open(name string) (vfs.File, error) {
+	if f.failed {
+		return nil, f.down()
+	}
+	return f.MemFS.Open(name)
+}
+
+func (f *flakyFS) Stat(name string) (vfs.FileInfo, error) {
+	if f.failed {
+		return vfs.FileInfo{}, f.down()
+	}
+	return f.MemFS.Stat(name)
+}
+
+// TestDeadBackendIsDispatchedNotRemembered: the store holds no health state.
+// While a backend is down every call routed to it carries the typed error up
+// and the other backend keeps serving; the moment it is back the very next
+// call succeeds, with nothing to probe or revive in between.
+func TestDeadBackendIsDispatchedNotRemembered(t *testing.T) {
+	flaky := &flakyFS{MemFS: vfs.NewMemFS()}
+	p, err := New(
+		Backend{Name: "good", FS: vfs.NewMemFS(), Mount: "/mnt1"},
+		Backend{Name: "flaky", FS: flaky, Mount: "/mnt2"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CreateContainer("/traj"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := p.CreateDropping("/traj", "subset.p", "flaky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for cycle := 1; cycle <= 3; cycle++ {
+		flaky.failed = true
+		if _, err := p.StatDropping("/traj", "subset.p"); !errors.Is(err, vfs.ErrBackendDown) {
+			t.Fatalf("cycle %d: stat on dead backend = %v, want ErrBackendDown", cycle, err)
+		}
+		if _, err := p.OpenDropping("/traj", "subset.p"); !errors.Is(err, vfs.ErrBackendDown) {
+			t.Fatalf("cycle %d: open on dead backend = %v, want ErrBackendDown", cycle, err)
+		}
+		if _, err := p.CreateDropping("/traj", "more.p", "flaky"); !errors.Is(err, vfs.ErrBackendDown) {
+			t.Fatalf("cycle %d: create on dead backend = %v, want ErrBackendDown", cycle, err)
+		}
+		// A backend that cannot answer is not an empty one: the orphan sweep
+		// must not unlink the droppings it holds.
+		if _, err := p.SweepOrphans("/traj"); !errors.Is(err, vfs.ErrBackendDown) {
+			t.Fatalf("cycle %d: sweep over a dead backend = %v, want ErrBackendDown", cycle, err)
+		}
+		g, err := p.CreateDropping("/traj", "other.p", "good")
+		if err != nil {
+			t.Fatalf("cycle %d: healthy backend refused work: %v", cycle, err)
+		}
+		g.Close()
+
+		flaky.failed = false
+		if _, err := p.StatDropping("/traj", "subset.p"); err != nil {
+			t.Fatalf("cycle %d: first call after the backend returned: %v", cycle, err)
+		}
+	}
+	flaky.failed = true
+	if err := p.RemoveContainer("/traj"); !errors.Is(err, vfs.ErrBackendDown) {
+		t.Fatalf("remove with a backend down = %v, want ErrBackendDown: its part of the container may survive", err)
 	}
 }

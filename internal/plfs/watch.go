@@ -1,89 +1,32 @@
 package plfs
 
 import (
-	"errors"
-	"hash/crc32"
 	"path"
 	"time"
 
 	"repro/internal/vfs"
 )
 
-// watchPollInterval is the local fallback poll cadence for WatchDropping.
-// Backends that implement fileWatcher (the RPC client does, pushing the
-// poll server-side) never pay it.
-const watchPollInterval = 2 * time.Millisecond
-
-var watchCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// fileWatcher is implemented by backends that can block server-side until a
-// file's content changes — the RPC client forwards the whole long-poll in
-// one call instead of re-reading over the wire every few milliseconds.
-type fileWatcher interface {
-	WatchFile(name string, lastCRC uint32, timeout time.Duration) (data []byte, crc uint32, changed bool, err error)
-}
-
 // WatchDropping blocks until the dropping's content differs from lastCRC or
-// the timeout elapses, then returns the current content and its CRC32C.
-// A dropping that does not exist reads as empty with CRC 0, so creation,
-// replacement, and removal all count as changes. This is the notify/poll
-// primitive live-head tailing is built on: readers pass the CRC of the head
-// they last saw and wake when a new one is published.
+// the timeout elapses, then returns the current content and its CRC32C
+// (see vfs.WatchFile, which carries the wait on the owning backend). A
+// dropping not (yet) in the index is watched on the canonical backend, where
+// the live head is always published.
 func (p *FS) WatchDropping(logical, dropping string, lastCRC uint32, timeout time.Duration) ([]byte, uint32, bool, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		p.mu.Lock()
-		idx, err := p.readIndexLocked(logical)
-		if err != nil {
-			p.mu.Unlock()
-			return nil, 0, false, err
-		}
-		// Resolve the owner; a dropping not (yet) in the index is watched on
-		// the canonical backend, where the live head is always published.
-		owner := &p.backends[0]
-		for _, d := range idx {
-			if d.Name == dropping {
-				if b, ok := p.byName[d.Backend]; ok {
-					owner = b
-				}
-				break
+	p.mu.Lock()
+	idx, err := p.readIndexLocked(logical)
+	p.mu.Unlock()
+	if err != nil {
+		return nil, 0, false, err
+	}
+	owner := &p.backends[0]
+	for _, d := range idx {
+		if d.Name == dropping {
+			if b, ok := p.byName[d.Backend]; ok {
+				owner = b
 			}
-		}
-		if err := p.checkLocked(owner); err != nil {
-			p.mu.Unlock()
-			return nil, 0, false, err
-		}
-		full := path.Join(containerPath(owner, logical), dropping)
-		fsys := owner.FS
-		p.mu.Unlock()
-
-		if fw, ok := fsys.(fileWatcher); ok {
-			remaining := time.Until(deadline)
-			if remaining < 0 {
-				remaining = 0
-			}
-			return fw.WatchFile(full, lastCRC, remaining)
-		}
-
-		data, err := vfs.ReadFile(fsys, full)
-		if err != nil && !errors.Is(err, vfs.ErrNotExist) {
-			return nil, 0, false, err
-		}
-		crc := uint32(0)
-		if err == nil {
-			crc = crc32.Checksum(data, watchCRCTable)
-		} else {
-			data = nil
-		}
-		if crc != lastCRC {
-			return data, crc, true, nil
-		}
-		if remaining := time.Until(deadline); remaining <= 0 {
-			return nil, lastCRC, false, nil
-		} else if remaining < watchPollInterval {
-			time.Sleep(remaining)
-		} else {
-			time.Sleep(watchPollInterval)
+			break
 		}
 	}
+	return vfs.WatchFile(owner.FS, path.Join(containerPath(owner, logical), dropping), lastCRC, timeout)
 }

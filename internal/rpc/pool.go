@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,9 +21,27 @@ import (
 // stay bound to the connection that opened them, which is safe because
 // the server's handle table is per-process: the handle remains valid even
 // if that member redials.
+//
+// A watch long-poll holds its connection for the whole poll, so it never
+// rides a member: watches have connections of their own, which pick never
+// returns — dialed lazily, one per concurrent watch, reused once idle.
 type Pool struct {
 	clients []*Client
 	next    atomic.Uint64
+
+	addr   string
+	dialer Dialer
+
+	mu sync.Mutex // guards the fields below
+	// What a new watch connection is set up with: the members' settings as
+	// of the last Set call.
+	policy RetryPolicy
+	tenant string
+	reg    *metrics.Registry
+
+	watches []*Client // every watch connection made so far
+	idle    []*Client // those no watch is riding
+	closed  bool
 }
 
 var _ vfs.FS = (*Pool)(nil)
@@ -34,7 +53,10 @@ func NewPool(addr string, size int, dialer Dialer, policy RetryPolicy) *Pool {
 	if size < 1 {
 		size = 1
 	}
-	p := &Pool{clients: make([]*Client, size)}
+	p := &Pool{
+		clients: make([]*Client, size),
+		addr:    addr, dialer: dialer, policy: policy, reg: metrics.Default,
+	}
 	for i := range p.clients {
 		p.clients[i] = DialLazy(addr, dialer, policy)
 	}
@@ -47,14 +69,17 @@ func (p *Pool) pick() *Client {
 	return p.clients[(n-1)%uint64(len(p.clients))]
 }
 
-// SetTenant identifies every member connection's traffic as tenant (see
-// Client.SetTenant). Members that cannot reach the node right now still
-// record the identity and re-declare it on their next successful redial,
-// so one down member does not abort pool-wide identification; the first
-// hard failure is still reported.
+// SetTenant identifies the traffic of every connection, watch connections
+// included, as tenant (see Client.SetTenant). Connections that cannot reach
+// the node right now still record the identity and re-declare it on their
+// next successful redial, so one down member does not abort pool-wide
+// identification; the first hard failure is still reported.
 func (p *Pool) SetTenant(tenant string) error {
+	p.mu.Lock()
+	p.tenant = tenant
+	p.mu.Unlock()
 	var first error
-	for _, c := range p.clients {
+	for _, c := range p.conns() {
 		if err := c.SetTenant(tenant); err != nil && first == nil {
 			first = err
 		}
@@ -62,16 +87,24 @@ func (p *Pool) SetTenant(tenant string) error {
 	return first
 }
 
-// SetRetryPolicy replaces the retry policy on every member connection.
+// SetRetryPolicy replaces the retry policy on every connection, watch
+// connections included.
 func (p *Pool) SetRetryPolicy(pol RetryPolicy) {
-	for _, c := range p.clients {
+	p.mu.Lock()
+	p.policy = pol
+	p.mu.Unlock()
+	for _, c := range p.conns() {
 		c.SetRetryPolicy(pol)
 	}
 }
 
-// SetMetrics points every member's counters at reg.
+// SetMetrics points every connection's counters at reg, watch connections
+// included.
 func (p *Pool) SetMetrics(reg *metrics.Registry) {
-	for _, c := range p.clients {
+	p.mu.Lock()
+	p.reg = reg
+	p.mu.Unlock()
+	for _, c := range p.conns() {
 		c.SetMetrics(reg)
 	}
 }
@@ -86,10 +119,15 @@ func (p *Pool) PushClusterTable(data []byte, version uint64) error {
 	return p.pick().PushClusterTable(data, version)
 }
 
-// Close closes every member connection, returning the first error.
+// Close closes every member and watch connection, returning the first
+// error. Like Client.Close it waits for calls in flight, a parked watch
+// included; later watches return ErrClientClosed.
 func (p *Pool) Close() error {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
 	var first error
-	for _, c := range p.clients {
+	for _, c := range p.conns() {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -118,9 +156,35 @@ func (p *Pool) Remove(name string) error { return p.pick().Remove(name) }
 // Rename implements vfs.FS.
 func (p *Pool) Rename(oldname, newname string) error { return p.pick().Rename(oldname, newname) }
 
-// WatchFile long-polls name via one member connection (see
-// Client.WatchFile). The poll parks that member for its duration; demand
-// traffic keeps flowing on the others.
+// conns returns every connection the pool owns, members and watch
+// connections alike, for the calls that configure or close them all.
+func (p *Pool) conns() []*Client {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append(append([]*Client(nil), p.clients...), p.watches...)
+}
+
+// WatchFile long-polls name (see Client.WatchFile) on a watch connection,
+// so the poll parks nothing demand traffic is routed to.
 func (p *Pool) WatchFile(name string, lastCRC uint32, timeout time.Duration) ([]byte, uint32, bool, error) {
-	return p.pick().WatchFile(name, lastCRC, timeout)
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, 0, false, ErrClientClosed
+	}
+	var c *Client
+	if n := len(p.idle); n > 0 {
+		c, p.idle = p.idle[n-1], p.idle[:n-1]
+	} else {
+		c = DialLazy(p.addr, p.dialer, p.policy)
+		c.tenant, c.m = p.tenant, newClientMetrics(p.reg)
+		p.watches = append(p.watches, c)
+	}
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.idle = append(p.idle, c)
+		p.mu.Unlock()
+	}()
+	return c.WatchFile(name, lastCRC, timeout)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -141,5 +143,115 @@ func TestClusterTableEndpoint(t *testing.T) {
 	}
 	if _, v := srv.ClusterTable(); v != 2 {
 		t.Fatalf("node table version = %d after stale put, want 2", v)
+	}
+}
+
+// watchCRCTable is the polynomial vfs.WatchFile reports CRCs in; the watch
+// tests compute the CRC they expect with it.
+var watchCRCTable = crc32.MakeTable(crc32.Castagnoli)
+
+// TestPoolWatchDoesNotParkDemandCalls parks as many long-polls as the pool
+// has members on an unchanged file and then issues demand traffic: the
+// watches ride connections of their own, so stats — and a read on a file
+// bound to a member before the watches began — finish in a small fraction of
+// the watch timeout instead of queueing behind a parked poll.
+func TestPoolWatchDoesNotParkDemandCalls(t *testing.T) {
+	store := vfs.NewMemFS()
+	for name, data := range map[string]string{"/head": "v1", "/file": "payload"} {
+		if err := vfs.WriteFile(store, name, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr, reg, _ := startPoolNode(t, store)
+	pool := NewPool(addr, 2, nil, DefaultRetryPolicy())
+	defer pool.Close()
+	creg := metrics.NewRegistry()
+	pool.SetMetrics(creg)
+	if err := pool.SetTenant("tailer"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := pool.Open("/file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	const watchTimeout = 2 * time.Second
+	type result struct {
+		data    []byte
+		changed bool
+		err     error
+	}
+	woken := make(chan result, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			data, _, changed, err := pool.WatchFile("/head", watchCRC([]byte("v1")), watchTimeout)
+			woken <- result{data, changed, err}
+		}()
+	}
+	parked := reg.Counter("rpc.server.op.watch")
+	for deadline := time.Now().Add(watchTimeout / 2); parked.Value() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 watches reached the node", parked.Value())
+		}
+	}
+
+	start := time.Now()
+	for i := 0; i < 50; i++ {
+		if _, err := pool.Stat("/file"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, len("payload"))
+	if _, err := f.ReadAt(got, 0); err != nil && err != io.EOF || string(got) != "payload" {
+		t.Fatalf("read beside parked watches = %q, %v", got, err)
+	}
+	if d := time.Since(start); d > watchTimeout/4 {
+		t.Fatalf("demand calls took %v beside two parked %v watches", d, watchTimeout)
+	}
+	select {
+	case r := <-woken:
+		t.Fatalf("a watch returned with the file unchanged: %+v", r)
+	default:
+	}
+
+	// The watches are still live: a change wakes both.
+	if err := vfs.WriteFile(store, "/head", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if r := <-woken; r.err != nil || !r.changed || string(r.data) != "v2" {
+			t.Fatalf("parked watch woke with %+v", r)
+		}
+	}
+
+	// One connection per concurrent watch, reused once idle, and set up like
+	// the members: same metrics, same tenant, closed with the pool.
+	if _, _, changed, err := pool.WatchFile("/head", 0, time.Second); err != nil || !changed {
+		t.Fatalf("watch on an idle connection = changed %v, %v", changed, err)
+	}
+	if n := reg.Counter("rpc.server.connections").Value(); n != 4 {
+		t.Errorf("node saw %d connections, want 2 members + 2 watch connections", n)
+	}
+	if n := creg.Counter("rpc.client.requests").Value(); n != 2+1+50+1+3 {
+		t.Errorf("rpc.client.requests = %d, want 2 idents, 1 open, 50 stats, 1 read and 3 watches in one registry", n)
+	}
+	pool.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, CallTimeout: time.Second})
+	for _, c := range pool.conns() {
+		if c.tenant != "tailer" || c.policy.MaxAttempts != 1 {
+			t.Errorf("a pool connection has tenant %q, policy %+v", c.tenant, c.policy)
+		}
+	}
+	if len(pool.conns()) != 4 {
+		t.Errorf("pool owns %d connections, want 4", len(pool.conns()))
+	}
+	pool.Close()
+	if _, _, _, err := pool.WatchFile("/head", 0, 0); !errors.Is(err, ErrClientClosed) {
+		t.Errorf("watch on a closed pool = %v, want ErrClientClosed", err)
+	}
+	for _, c := range pool.conns() {
+		if !c.closed {
+			t.Error("Close left a pool connection open")
+		}
 	}
 }

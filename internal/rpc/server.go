@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log"
 	"net"
@@ -614,52 +613,25 @@ func (s *Server) ClusterTable() ([]byte, uint64) {
 	return append([]byte(nil), s.tableData...), s.tableVersion
 }
 
-// watchCRCTable is CRC32C (Castagnoli) — the same polynomial plfs and xtc
-// use, so the CRCs a live reader carries are valid on either side of the
-// wire.
-var watchCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// watch long-polls name server-side: it re-reads the file every watchPoll
-// until its CRC32C differs from lastCRC or the timeout elapses. A missing
-// file reads as empty with CRC 0, so creation, replacement, and removal all
-// count as changes. This is the wire half of plfs.WatchDropping — clients
-// forward the whole poll in one opWatch call instead of re-reading the file
-// over the network every few milliseconds.
+// watch is the wire half of vfs.WatchFile: clients forward the whole
+// long-poll in one opWatch call instead of re-reading the file over the
+// network every few milliseconds. Each look at the file is vfs.WatchFile's
+// single check; what the node adds is its own cadence (watchPoll), the
+// maxWatchTimeout cap, and giving up as soon as it starts closing, so a parked
+// watch never holds up a drain.
 func (s *Server) watch(name string, lastCRC uint32, timeout time.Duration) ([]byte, uint32, bool, error) {
-	if timeout < 0 {
-		timeout = 0
-	}
-	if timeout > maxWatchTimeout {
-		timeout = maxWatchTimeout
-	}
 	poll := s.watchPoll
 	if poll <= 0 {
 		poll = defaultWatchPoll
 	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(min(timeout, maxWatchTimeout))
 	for {
-		data, err := vfs.ReadFile(s.fsys, name)
-		if err != nil && !errors.Is(err, vfs.ErrNotExist) {
-			return nil, 0, false, err
-		}
-		crc := uint32(0)
-		if err == nil {
-			crc = crc32.Checksum(data, watchCRCTable)
-		} else {
-			data = nil
-		}
-		if crc != lastCRC {
-			return data, crc, true, nil
-		}
+		data, crc, changed, err := vfs.WatchFile(s.fsys, name, lastCRC, 0)
 		remaining := time.Until(deadline)
-		if remaining <= 0 || s.closing() {
-			return nil, lastCRC, false, nil
+		if err != nil || changed || remaining <= 0 || s.closing() {
+			return data, crc, changed, err
 		}
-		if remaining < poll {
-			time.Sleep(remaining)
-		} else {
-			time.Sleep(poll)
-		}
+		time.Sleep(min(remaining, poll))
 	}
 }
 

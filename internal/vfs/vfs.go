@@ -11,11 +11,13 @@ package vfs
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"path"
 	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Errors returned by FS implementations.
@@ -27,8 +29,8 @@ var (
 	ErrClosed   = errors.New("vfs: file already closed")
 	// ErrBackendDown marks a backend whose transport is gone: the remote
 	// storage node is unreachable or stopped responding within its retry
-	// budget. Layers above (plfs, cluster) use it to degrade instead of
-	// hanging or blindly retrying.
+	// budget. Every layer passes it up wrapped; a placement.Cluster is the
+	// one layer that remembers it, to read from the other replicas first.
 	ErrBackendDown = errors.New("vfs: backend down")
 	// ErrCorrupted marks stored data whose checksum no longer matches what
 	// was written: a flipped bit on disk, a torn write, or a truncated
@@ -123,6 +125,48 @@ func ReadAtVerified(f File, p []byte, off int64, ok func([]byte) bool) error {
 		return ErrCorrupted
 	}
 	return nil
+}
+
+// watchPoll is how often WatchFile re-reads a file it has to poll itself.
+const watchPoll = 2 * time.Millisecond
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// WatchFile blocks until the named file's content differs from lastCRC or
+// the timeout elapses, then returns the content and its CRC32C with
+// changed=true, or (nil, lastCRC, false) when nothing changed in time. A file
+// that does not exist reads as nil with CRC 0, so creation, replacement and
+// removal all count as changes; a timeout of zero or less is a single check.
+// Tailing readers pass the CRC of the head they last saw and wake when a new
+// one is published.
+//
+// A file system with a WatchFile method of its own takes the whole call — an
+// rpc client parks one request on its node, a placement cluster fails over
+// across replicas; any other is re-read every watchPoll.
+func WatchFile(fsys FS, name string, lastCRC uint32, timeout time.Duration) ([]byte, uint32, bool, error) {
+	if w, is := fsys.(interface {
+		WatchFile(name string, lastCRC uint32, timeout time.Duration) ([]byte, uint32, bool, error)
+	}); is {
+		return w.WatchFile(name, lastCRC, timeout)
+	}
+	deadline := time.Now().Add(timeout)
+	for {
+		data, err := ReadFile(fsys, name)
+		if errors.Is(err, ErrNotExist) {
+			data, err = nil, nil
+		}
+		if err != nil {
+			return nil, 0, false, err
+		}
+		if crc := crc32.Checksum(data, castagnoli); crc != lastCRC {
+			return data, crc, true, nil
+		}
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
+			return nil, lastCRC, false, nil
+		}
+		time.Sleep(min(remaining, watchPoll))
+	}
 }
 
 // WriteFile writes data to the named file, creating it.

@@ -2,10 +2,12 @@ package vfs
 
 import (
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -228,6 +230,94 @@ func (c *copiesFile) ReadAtVerified(p []byte, off int64, ok func([]byte) bool) e
 		return ErrCorrupted
 	}
 	return nil
+}
+
+// watcherFS stands in for a file system that can wait for a change itself
+// (an rpc client, a placement cluster): it answers WatchFile calls.
+type watcherFS struct {
+	FS
+	calls   int
+	timeout time.Duration
+}
+
+func (w *watcherFS) WatchFile(name string, lastCRC uint32, timeout time.Duration) ([]byte, uint32, bool, error) {
+	w.calls++
+	w.timeout = timeout
+	return []byte("theirs"), 7, true, nil
+}
+
+// deadFS fails every open the way an exhausted rpc client does.
+type deadFS struct{ FS }
+
+func (deadFS) Open(string) (File, error) { return nil, ErrBackendDown }
+
+// TestWatchFile covers the one poll: a stale CRC returns at once, an
+// unchanged file waits out the timeout (zero = one look), a change, a creation
+// and a removal each wake it, a missing file is nil with CRC 0, a read error
+// passes through, and a file system with its own WatchFile is handed the call.
+func TestWatchFile(t *testing.T) {
+	crc := func(s string) uint32 { return crc32.Checksum([]byte(s), crc32.MakeTable(crc32.Castagnoli)) }
+	write := func(s string) func(*MemFS) error {
+		return func(m *MemFS) error { return WriteFile(m, "/head", []byte(s)) }
+	}
+	remove := func(m *MemFS) error { return m.Remove("/head") }
+	for _, tc := range []struct {
+		name    string
+		start   func(*MemFS) error // nil: the file does not exist yet
+		lastCRC uint32
+		timeout time.Duration
+		then    func(*MemFS) error // what happens 10 ms into the watch, if anything
+		data    string             // "" stands for nil
+		crc     uint32
+		changed bool
+	}{
+		{"stale CRC returns at once", write("v1"), 0, time.Minute, nil, "v1", crc("v1"), true},
+		{"unchanged file times out", write("v1"), crc("v1"), 30 * time.Millisecond, nil, "", crc("v1"), false},
+		{"zero timeout is one look", write("v1"), crc("v1"), 0, nil, "", crc("v1"), false},
+		{"missing file is CRC 0", nil, 0, 30 * time.Millisecond, nil, "", 0, false},
+		{"replacement wakes the poll", write("v1"), crc("v1"), time.Minute, write("v2"), "v2", crc("v2"), true},
+		{"creation wakes the poll", nil, 0, time.Minute, write("born"), "born", crc("born"), true},
+		{"removal wakes the poll", write("v1"), crc("v1"), time.Minute, remove, "", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMemFS()
+			if tc.start != nil {
+				if err := tc.start(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done := make(chan error, 1)
+			go func() {
+				time.Sleep(10 * time.Millisecond)
+				if tc.then == nil {
+					done <- nil
+				} else {
+					done <- tc.then(m)
+				}
+			}()
+			start := time.Now()
+			data, got, changed, err := WatchFile(m, "/head", tc.lastCRC, tc.timeout)
+			elapsed := time.Since(start)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if err != nil || changed != tc.changed || got != tc.crc || string(data) != tc.data || (tc.data == "") != (data == nil) {
+				t.Fatalf("WatchFile = (%q, %#x, %v, %v), want (%q, %#x, %v)", data, got, changed, err, tc.data, tc.crc, tc.changed)
+			}
+			if !tc.changed && elapsed < tc.timeout {
+				t.Errorf("returned unchanged after %v, before the %v timeout", elapsed, tc.timeout)
+			}
+		})
+	}
+
+	if _, _, _, err := WatchFile(deadFS{NewMemFS()}, "/head", 0, time.Minute); !errors.Is(err, ErrBackendDown) {
+		t.Errorf("watch over a dead file system = %v, want its error", err)
+	}
+	w := &watcherFS{FS: deadFS{NewMemFS()}}
+	data, got, changed, err := WatchFile(w, "/head", 3, time.Hour)
+	if err != nil || !changed || got != 7 || string(data) != "theirs" || w.calls != 1 || w.timeout != time.Hour {
+		t.Errorf("hand-off = (%q, %d, %v, %v) after %d calls with timeout %v", data, got, changed, err, w.calls, w.timeout)
+	}
 }
 
 func TestClosedHandle(t *testing.T) {
