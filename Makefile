@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint results-check bench bench-decode bench-ingest bench-serve bench-stream bench-check bench-tier bench-e2e bench-e2e-compare test-faults test-crash test-tier test-cluster test-stream test-deflaked clean
+.PHONY: all build test race lint fuzz results-check bench bench-decode bench-ingest bench-serve bench-stream bench-check bench-tier bench-e2e bench-e2e-compare test-faults test-crash test-tier test-cluster test-stream test-deflaked clean
 
 all: build lint test
 
@@ -37,6 +37,18 @@ lint:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
+# Ten seconds of native fuzzing per decoder that takes bytes from outside
+# (rule: no panic, an error or a frame, allocation bounded by input length).
+# The seed corpora already run under plain `go test`; this looks past them.
+# Minimization is capped per input: at its 60 s default, shrinking the first
+# coverage-expanding DCD stream outlasts the whole run (measured: 118
+# execs/s against 13 000 with the cap).
+FUZZTIME ?= 10s
+FUZZFLAGS = -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+fuzz:
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzDecodeFrame ./internal/xtc
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzDCDReader ./internal/dcd
+
 # adabench is deterministic — a virtual clock, fixed seeds — so RESULTS.txt
 # is checked, not trusted: any change to the cost model, the simulated
 # devices or an experiment shows up as a diff here. After an intended change
@@ -61,12 +73,12 @@ test-cluster:
 # bounded-queue ingestor and tailing source (including the headline test:
 # a producer killed mid-append by fault injection while concurrent readers
 # tail, every observed prefix identical to the final sealed container), the
-# core live writer/reader with the mid-append kill-point sweep, vmd tail
-# mode, the rpc watch long-poll, and the serve fabric's live handles.
+# core live writer/reader with the mid-append kill-point sweep, the rpc
+# watch long-poll, and the serve fabric's live handles.
 test-stream:
 	$(GO) test -race -count=1 ./internal/stream/
 	$(GO) test -race -count=1 -run 'Live|Tail|Watch' \
-		./internal/core/ ./internal/vmd/ ./internal/rpc/ ./internal/serve/ ./cmd/adactl/
+		./internal/core/ ./internal/rpc/ ./internal/serve/ ./cmd/adactl/
 
 # The two tests that used to fail a few runs in ten on a 2-CPU host — the
 # decode pool's in-flight bound and tailing readers across a seal and a
@@ -88,11 +100,10 @@ test-tier:
 bench: bench-decode bench-ingest bench-serve bench-stream bench-tier
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# Decode/prefetch benchmarks rendered to BENCH_decode.json (ns/op, MB/s,
-# allocs/op, vstall, cpus, per-worker utilization) for the CI artifact and
-# regression tracking.
+# Decode benchmarks rendered to BENCH_decode.json (ns/op, MB/s, allocs/op,
+# cpus, per-worker utilization) for the CI artifact and regression tracking.
 bench-decode:
-	$(GO) test -run '^$$' -bench 'ParallelDecode|XTCDecode|PlaybackPrefetch' -benchmem . \
+	$(GO) test -run '^$$' -bench 'ParallelDecode|XTCDecode' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_decode.json
 
 # Ingest wire-speed benchmarks (fused XTC encode, end-to-end ingest over
@@ -136,7 +147,7 @@ bench-serve:
 BENCH_MAX_REGRESS ?= 15
 BENCH_SPEEDUP ?= workers-4:serial:3.0
 bench-check:
-	$(GO) test -run '^$$' -bench 'ParallelDecode|XTCDecode|PlaybackPrefetch' -benchmem . \
+	$(GO) test -run '^$$' -bench 'ParallelDecode|XTCDecode' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-new.json
 	$(GO) test -run '^$$' -bench 'XTCEncode|IngestParallel' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-ingest-new.json

@@ -487,8 +487,8 @@ type (
 	// LiveReader tails one subset of a live dataset at the core layer;
 	// most callers want the higher-level StreamSource.
 	LiveReader = core.LiveReader
-	// StreamSource is a tailing FrameSource over a live dataset; wrap it
-	// in a prefetching session source to play a trajectory as it grows.
+	// StreamSource is a tailing FrameSource over a live dataset; open a
+	// fabric handle over it to play a trajectory as it grows.
 	StreamSource = stream.Source
 	// StreamOptions configures a StreamSource (staleness bound, metrics).
 	StreamOptions = stream.Options

@@ -25,7 +25,6 @@ import (
 	"repro/internal/plfs"
 	"repro/internal/sim"
 	"repro/internal/vfs"
-	"repro/internal/vmd"
 	"repro/internal/xdr"
 	"repro/internal/xtc"
 )
@@ -195,7 +194,7 @@ func BenchmarkXTCPrecision(b *testing.B) {
 	}
 }
 
-// --- Parallel decode + prefetch benches ----------------------------------
+// --- Parallel decode benches ----------------------------------------------
 
 // decodeStream builds a jittered multi-frame compressed stream once per
 // process, plus its total raw coordinate payload for MB/s reporting.
@@ -296,67 +295,6 @@ func BenchmarkParallelDecode(b *testing.B) {
 			}
 			reportCPUs(b)
 		})
-	}
-}
-
-// BenchmarkPlaybackPrefetch prices the prefetch decorator on the viewer's
-// replay patterns: virtual stall seconds (vstall) with and without
-// prediction, over a cache deliberately too small for the working set.
-func BenchmarkPlaybackPrefetch(b *testing.B) {
-	stream, _ := parallelDecodeStream(b)
-	idx, err := xtc.BuildIndex(bytes.NewReader(stream), int64(len(stream)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ra := xtc.NewRandomAccessReader(bytes.NewReader(stream), idx)
-	n := ra.Frames()
-	f0, err := ra.ReadFrameAt(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	budget := 3 * xtc.RawFrameSize(f0.NAtoms())
-	patterns := []struct {
-		name    string
-		pattern []int
-	}{
-		{"sequential", vmd.Sequential(n)},
-		{"back-and-forth", vmd.BackAndForth(n, 3)},
-	}
-	for _, pat := range patterns {
-		for _, prefetch := range []bool{false, true} {
-			name := pat.name + "/plain"
-			if prefetch {
-				name = pat.name + "/prefetch"
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				var stall float64
-				for i := 0; i < b.N; i++ {
-					env := sim.NewEnv()
-					s := vmd.NewSession(env, 0, vmd.ComputeCost{})
-					var src vmd.FrameSource
-					var pf *vmd.PrefetchSource
-					if prefetch {
-						pf = s.NewPrefetchSource(ra, idx, 4, 8)
-						src = pf
-					} else {
-						src = s.ChargeDecompression(ra, idx)
-					}
-					cache := s.NewFrameCache(src, budget)
-					st, err := s.Play(cache, pat.pattern)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if pf != nil {
-						pf.Stop()
-					}
-					cache.Release()
-					stall = st.StallSec
-				}
-				b.ReportMetric(stall, "vstall")
-				reportCPUs(b)
-			})
-		}
 	}
 }
 

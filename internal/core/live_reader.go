@@ -80,10 +80,9 @@ func (a *ADA) WaitLiveHead(logical string, lastCRC uint32, timeout time.Duration
 // vmd.FrameSource over a growing frame range. Frames() reports the
 // published head (refreshed at most every staleness interval), ReadFrameAt
 // on a frame at or past the head blocks until the producer publishes it —
-// which is what lets a playback prefetcher park a worker on head+1 as its
-// notification mechanism — and once the dataset seals the reader switches
-// to the committed container and returns io.EOF past the end. Safe for
-// concurrent ReadFrameAt callers.
+// a reader parked on head+1 needs no other notification — and once the
+// dataset seals the reader switches to the committed container and returns
+// io.EOF past the end. Safe for concurrent ReadFrameAt callers.
 type LiveReader struct {
 	a         *ADA
 	logical   string
@@ -271,8 +270,8 @@ func (lr *LiveReader) Head() (LiveHead, error) {
 	return lr.head, nil
 }
 
-// Live reports whether the dataset is still growing. It is the tail-mode
-// marker vmd's prefetcher keys on.
+// Live reports whether the dataset is still growing. It is the live-source
+// marker serve.Handle keys on.
 func (lr *LiveReader) Live() bool {
 	if err := lr.enter(); err != nil {
 		return false
@@ -285,7 +284,7 @@ func (lr *LiveReader) Live() bool {
 }
 
 // ConcurrentFrameReads reports that ReadFrameAt is safe for concurrent use,
-// so playback prefetchers may decode ahead on background workers.
+// so the serve fabric's workers need not serialize on the handle.
 func (lr *LiveReader) ConcurrentFrameReads() bool { return true }
 
 // awaitFrames blocks until the loaded head holds at least n frames, the

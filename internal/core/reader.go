@@ -102,7 +102,7 @@ func (s *SubsetRandomReader) Frames() int { return s.fetch.idx.Frames() }
 func (s *SubsetRandomReader) ReadFrameAt(i int) (*xtc.Frame, error) { return s.fetch.frame(i) }
 
 // ConcurrentFrameReads reports that ReadFrameAt is safe for concurrent use,
-// so playback prefetchers may decode ahead on background workers.
+// so the serve fabric's workers need not serialize on the handle.
 func (s *SubsetRandomReader) ConcurrentFrameReads() bool { return true }
 
 // Close releases the dropping handle.

@@ -232,6 +232,11 @@ func trimSpaces(s string) string {
 	return s[:end]
 }
 
+// recordChunk is the most memory a record's 4-byte length marker can claim
+// before any of the record has arrived: one allocation for every record up
+// to 65k atoms.
+const recordChunk = 256 << 10
+
 func (d *Reader) readRecord() ([]byte, error) {
 	var n [4]byte
 	if _, err := io.ReadFull(d.r, n[:]); err != nil {
@@ -241,9 +246,15 @@ func (d *Reader) readRecord() ([]byte, error) {
 	if size > 1<<28 {
 		return nil, fmt.Errorf("%w: record of %d bytes", ErrFormat, size)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(d.r, payload); err != nil {
-		return nil, unexpected(err)
+	// The marker is trusted for one chunk; past that the buffer doubles
+	// only as the stream delivers what the marker promised.
+	payload := make([]byte, 0, min(int(size), recordChunk))
+	for len(payload) < int(size) {
+		got := len(payload)
+		payload = append(payload, make([]byte, min(int(size)-got, max(got, recordChunk)))...)
+		if _, err := io.ReadFull(d.r, payload[got:]); err != nil {
+			return nil, unexpected(err)
+		}
 	}
 	var tail [4]byte
 	if _, err := io.ReadFull(d.r, tail[:]); err != nil {
@@ -279,7 +290,6 @@ func (d *Reader) ReadFrame() (*xtc.Frame, error) {
 		f.Box[4] = float32(math.Float64frombits(binary.LittleEndian.Uint64(cell[16:])) / 10)
 		f.Box[8] = float32(math.Float64frombits(binary.LittleEndian.Uint64(cell[40:])) / 10)
 	}
-	f.Coords = make([]xtc.Vec3, d.hdr.NAtoms)
 	for dim := 0; dim < 3; dim++ {
 		rec, err := d.readRecord()
 		if err == io.EOF {
@@ -294,6 +304,11 @@ func (d *Reader) ReadFrame() (*xtc.Frame, error) {
 		if len(rec) != d.hdr.NAtoms*4 {
 			return nil, fmt.Errorf("%w: coordinate record of %d bytes for %d atoms",
 				ErrFormat, len(rec), d.hdr.NAtoms)
+		}
+		if dim == 0 {
+			// Sized only now: the header's atom count has a record of that
+			// many coordinates behind it.
+			f.Coords = make([]xtc.Vec3, d.hdr.NAtoms)
 		}
 		for i := 0; i < d.hdr.NAtoms; i++ {
 			f.Coords[i][dim] = math.Float32frombits(binary.LittleEndian.Uint32(rec[i*4:])) / 10

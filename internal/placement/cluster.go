@@ -548,7 +548,7 @@ func (f *replFile) Close() error {
 // one version of the file — the one whose size it took at Open — and a
 // replica found holding another size is a failed copy for it, so a read
 // never joins the length of one version to the bytes of another. Safe for
-// concurrent use (prefetching readers issue overlapping ReadAts).
+// concurrent use (the serve fabric's workers issue overlapping ReadAts).
 type clusterFile struct {
 	c    *Cluster
 	name string

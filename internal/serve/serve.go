@@ -14,8 +14,8 @@
 // every flight is dispatched by the fair-share scheduler and decoded once
 // regardless of how many sessions wait on it.
 //
-// The same scheduler and cache run in two harnesses: the live Fabric
-// (goroutine workers, wall clock) and Simulate (single-threaded
+// One request path (state.lookup, state.complete) runs in two harnesses: the
+// live Fabric (goroutine workers, wall clock) and Simulate (single-threaded
 // discrete-event loop on a virtual clock) — the latter is what the fairness
 // tests and the adaload baseline use, so latency percentiles are
 // deterministic run-to-run.
@@ -44,9 +44,10 @@ type FrameSource interface {
 	ReadFrameAt(i int) (*xtc.Frame, error)
 }
 
-// concurrentSource mirrors vmd's marker: sources that declare concurrent
-// reads are decoded by several workers at once, others serialize behind a
-// per-handle mutex.
+// concurrentSource marks sources whose ReadFrameAt is safe from several
+// goroutines (xtc.RandomAccessReader and readers built on it): they are
+// decoded by several workers at once, others serialize behind a per-handle
+// mutex.
 type concurrentSource interface {
 	ConcurrentFrameReads() bool
 }
@@ -99,48 +100,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// flight is one in-progress decode: the unit of scheduling and of
-// coalescing. Every session demanding its key between submit and completion
-// attaches to the same flight; the first demander's tenant pays for it.
-type flight struct {
-	key    Key
-	tenant string
-	cost   int64
-	h      *Handle
-	done   chan struct{}
-	frame  *xtc.Frame
-	err    error
-}
-
-// serveMetrics is the fabric's serve.* instrumentation set.
-type serveMetrics struct {
-	requests  *metrics.Counter
-	hits      *metrics.Counter
-	misses    *metrics.Counter
-	evictions *metrics.Counter
-	rejected  *metrics.Counter
-	decodes   *metrics.Counter
-	coalesced *metrics.Counter
-	throttled *metrics.Counter
-	bytes     *metrics.Gauge
-	queueHWM  *metrics.Gauge
-}
-
-func newServeMetrics(reg *metrics.Registry) serveMetrics {
-	return serveMetrics{
-		requests:  reg.Counter("serve.requests"),
-		hits:      reg.Counter("serve.cache.hits"),
-		misses:    reg.Counter("serve.cache.misses"),
-		evictions: reg.Counter("serve.cache.evictions"),
-		rejected:  reg.Counter("serve.cache.rejected"),
-		decodes:   reg.Counter("serve.decodes"),
-		coalesced: reg.Counter("serve.coalesced"),
-		throttled: reg.Counter("serve.throttled"),
-		bytes:     reg.Gauge("serve.cache.bytes"),
-		queueHWM:  reg.Gauge("serve.queue_depth_hwm"),
-	}
-}
-
 // tenantMetrics are the per-tenant handles a Handle caches at Open.
 type tenantMetrics struct {
 	requests *metrics.Counter
@@ -157,35 +116,25 @@ func newTenantMetrics(reg *metrics.Registry, tenant string) tenantMetrics {
 // Fabric is the live multi-tenant serving layer. Open handles, read frames
 // through them from any number of goroutines, Close when done.
 type Fabric struct {
-	cfg  Config
-	now  func() float64
-	reg  *metrics.Registry
-	heat *tier.Tracker
-	sm   serveMetrics
+	now func() float64
+	reg *metrics.Registry
 	// sleep is the throttle wait, replaceable in tests.
 	sleep func(sec float64)
 
-	mu      sync.Mutex
-	cond    *sync.Cond // wakes workers on submit and on close
-	cache   *frameCache
-	sched   *scheduler
-	flights map[Key]*flight
-	closed  bool
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	cond   *sync.Cond // wakes workers on submit and on close
+	st     state
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // New starts a fabric with cfg.Workers decode dispatchers.
 func New(cfg Config) *Fabric {
 	cfg = cfg.withDefaults()
 	f := &Fabric{
-		cfg:     cfg,
-		now:     cfg.Now,
-		reg:     cfg.Metrics,
-		heat:    tier.NewTracker(cfg.Now, cfg.HeatHalfLife),
-		sm:      newServeMetrics(cfg.Metrics),
-		cache:   newFrameCache(cfg.CacheBytes),
-		sched:   newScheduler(cfg.QuantumBytes, cfg.RateBps, cfg.BurstBytes),
-		flights: map[Key]*flight{},
+		now: cfg.Now,
+		reg: cfg.Metrics,
+		st:  newState(cfg, cfg.Now),
 		sleep: func(sec float64) {
 			time.Sleep(time.Duration(sec * float64(time.Second)))
 		},
@@ -201,10 +150,12 @@ func New(cfg Config) *Fabric {
 // Heat exposes the fabric's admission tracker (shared eviction signal;
 // adanode also feeds it to the tier migrator so cache admission and tier
 // placement agree on what is hot).
-func (f *Fabric) Heat() *tier.Tracker { return f.heat }
+func (f *Fabric) Heat() *tier.Tracker { return f.st.heat }
 
 // Close fails every queued flight with ErrClosed, stops the workers, and
-// waits for in-progress decodes to finish. Idempotent.
+// waits for in-progress decodes to finish. Idempotent. The failed flights
+// stay in the flight table: a closed fabric refuses every read before the
+// lookup, so nothing consults it again.
 func (f *Fabric) Close() {
 	f.mu.Lock()
 	if f.closed {
@@ -212,8 +163,7 @@ func (f *Fabric) Close() {
 		return
 	}
 	f.closed = true
-	for _, fl := range f.sched.drain() {
-		delete(f.flights, fl.key)
+	for _, fl := range f.st.sched.drain() {
 		fl.err = ErrClosed
 		close(fl.done)
 	}
@@ -227,14 +177,14 @@ func (f *Fabric) Close() {
 // The handle satisfies vmd.FrameSource and is safe for concurrent use.
 func (f *Fabric) Open(tenant, logical, tag string, natoms int, src FrameSource) *Handle {
 	h := &Handle{
-		f:       f,
-		tenant:  tenant,
-		logical: logical,
-		tag:     tag,
-		natoms:  natoms,
-		cost:    xtc.RawFrameSize(natoms),
-		src:     src,
-		tm:      newTenantMetrics(f.reg, tenant),
+		f:        f,
+		tenant:   tenant,
+		logical:  logical,
+		tag:      tag,
+		dropping: droppingPrefix + tag,
+		cost:     xtc.RawFrameSize(natoms),
+		src:      src,
+		tm:       newTenantMetrics(f.reg, tenant),
 	}
 	if cs, ok := src.(concurrentSource); !ok || !cs.ConcurrentFrameReads() {
 		h.srcMu = &sync.Mutex{}
@@ -245,15 +195,15 @@ func (f *Fabric) Open(tenant, logical, tag string, natoms int, src FrameSource) 
 // Handle is one tenant's view into the fabric: a FrameSource whose reads go
 // through the shared cache, the fair-share scheduler, and coalescing.
 type Handle struct {
-	f       *Fabric
-	tenant  string
-	logical string
-	tag     string
-	natoms  int
-	cost    int64
-	src     FrameSource
-	srcMu   *sync.Mutex
-	tm      tenantMetrics
+	f        *Fabric
+	tenant   string
+	logical  string
+	tag      string
+	dropping string // the subset's heat name, built once
+	cost     int64
+	src      FrameSource
+	srcMu    *sync.Mutex
+	tm       tenantMetrics
 }
 
 // Frames returns the underlying source's frame count. For a live source
@@ -262,8 +212,9 @@ type Handle struct {
 // prefixes are immutable.
 func (h *Handle) Frames() int { return h.src.Frames() }
 
-// liveSource mirrors vmd's tail marker: sources over a still-growing
-// dataset (stream.Source, core.LiveReader).
+// liveSource marks sources over a still-growing dataset (stream.Source,
+// core.LiveReader), whose ReadFrameAt(head) blocks until the producer
+// publishes that frame.
 type liveSource interface {
 	Live() bool
 }
@@ -291,69 +242,36 @@ func (h *Handle) read(i int) (*xtc.Frame, error) {
 }
 
 // ReadFrameAt returns frame i through the fabric: a cache hit is immediate;
-// a miss either attaches to the in-flight decode of the same frame
-// (coalesced — counted once as a decode, however many handles wait) or
-// submits a new flight to the fair-share scheduler and waits for a worker.
+// a miss waits for the flight the lookup attached it to or submitted.
 func (h *Handle) ReadFrameAt(i int) (*xtc.Frame, error) {
 	f := h.f
 	start := time.Now()
-	f.heat.Record(h.logical, droppingPrefix+h.tag, h.cost)
-	f.sm.requests.Inc()
 	h.tm.requests.Inc()
 
-	k := Key{Logical: h.logical, Tag: h.tag, Frame: i}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if fr, ok := f.cache.get(k); ok {
-		f.sm.hits.Inc()
-		f.mu.Unlock()
-		h.tm.readNS.Observe(time.Since(start).Nanoseconds())
-		return fr, nil
+	fr, fl, submitted := f.st.lookup(Key{Logical: h.logical, Tag: h.tag, Frame: i}, h.dropping, h.tenant, h.cost)
+	if submitted {
+		fl.h, fl.done = h, make(chan struct{})
+		f.cond.Signal()
 	}
-	f.sm.misses.Inc()
-	if fl, ok := f.flights[k]; ok {
-		f.sm.coalesced.Inc()
-		f.mu.Unlock()
-		<-fl.done
-		h.tm.readNS.Observe(time.Since(start).Nanoseconds())
-		return fl.frame, fl.err
-	}
-	fl := &flight{key: k, tenant: h.tenant, cost: h.cost, h: h, done: make(chan struct{})}
-	f.flights[k] = fl
-	f.sched.submit(fl)
-	f.sm.queueHWM.SetMax(int64(f.sched.pending))
-	f.cond.Signal()
 	f.mu.Unlock()
 
-	<-fl.done
-	h.tm.readNS.Observe(time.Since(start).Nanoseconds())
-	return fl.frame, fl.err
-}
-
-// admitLocked runs heat-based admission for a completed decode. Must be
-// called with f.mu held.
-func (f *Fabric) admitLocked(k Key, fr *xtc.Frame, bytes int64) {
-	incoming := f.heat.Heat(k.Logical, k.dropping())
-	ok, evicted := f.cache.admit(k, fr, bytes, func(victim Key) bool {
-		// An incoming frame may displace a victim only if its subset is at
-		// least as hot; rejecting the newcomer otherwise keeps a bulk scan's
-		// one-touch frames from flushing an interactive session's working
-		// set.
-		return f.heat.Heat(victim.Logical, victim.dropping()) <= incoming
-	})
-	f.sm.evictions.Add(int64(evicted))
-	if !ok {
-		f.sm.rejected.Inc()
+	var err error
+	if fl != nil {
+		<-fl.done
+		fr, err = fl.frame, fl.err
 	}
-	f.sm.bytes.Set(f.cache.used)
+	h.tm.readNS.Observe(time.Since(start).Nanoseconds())
+	return fr, err
 }
 
 // worker is one decode dispatcher: it pulls flights off the fair-share
-// scheduler, decodes them, publishes results (waking every coalesced
-// waiter), and feeds the cache through admission.
+// scheduler, decodes them, completes them (feeding the cache through
+// admission), and wakes every coalesced waiter.
 func (f *Fabric) worker() {
 	defer f.wg.Done()
 	for {
@@ -366,7 +284,7 @@ func (f *Fabric) worker() {
 			}
 			var notBefore float64
 			var queued int
-			fl, notBefore, queued = f.sched.next(f.now())
+			fl, notBefore, queued = f.st.sched.next(f.now())
 			if fl != nil {
 				break
 			}
@@ -377,7 +295,7 @@ func (f *Fabric) worker() {
 			// Queued work exists but every tenant is over quota: wait out the
 			// throttle in capped slices so a submit for an eligible tenant is
 			// picked up promptly.
-			f.sm.throttled.Inc()
+			f.st.sm.throttled.Inc()
 			f.mu.Unlock()
 			wait := notBefore - f.now()
 			if wait > 0.002 {
@@ -391,15 +309,10 @@ func (f *Fabric) worker() {
 		f.mu.Unlock()
 
 		frame, err := fl.h.read(fl.key.Frame)
-		f.sm.decodes.Inc()
 
 		f.mu.Lock()
-		if err == nil {
-			f.admitLocked(fl.key, frame, fl.cost)
-		}
-		delete(f.flights, fl.key)
+		f.st.complete(fl, frame, err)
 		f.mu.Unlock()
-		fl.frame, fl.err = frame, err
 		close(fl.done)
 	}
 }

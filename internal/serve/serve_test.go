@@ -151,7 +151,7 @@ func TestSchedulerQuotaThrottle(t *testing.T) {
 func TestCacheAdmissionHeat(t *testing.T) {
 	now := 0.0
 	tr := tier.NewTracker(func() float64 { return now }, 0)
-	c := newFrameCache(200)
+	c := xtc.FrameLRU[Key]{Budget: 200}
 	hot := func(k Key) float64 { return tr.Heat(k.Logical, k.dropping()) }
 	evictOK := func(incoming Key) func(Key) bool {
 		return func(victim Key) bool { return hot(victim) <= hot(incoming) }
@@ -160,26 +160,26 @@ func TestCacheAdmissionHeat(t *testing.T) {
 	tr.Record("/a", "subset.p", 1000)
 	a0, a1 := Key{"/a", "p", 0}, Key{"/a", "p", 1}
 	for _, k := range []Key{a0, a1} {
-		if ok, _ := c.admit(k, nil, 100, evictOK(k)); !ok {
+		if ok, _ := c.Admit(k, nil, 100, evictOK(k)); !ok {
 			t.Fatalf("admit %v into empty space failed", k)
 		}
 	}
 	// Cold newcomer: /b has a tenth of /a's heat, so it must be rejected.
 	tr.Record("/b", "subset.p", 100)
 	b0 := Key{"/b", "p", 0}
-	if ok, _ := c.admit(b0, nil, 100, evictOK(b0)); ok {
+	if ok, _ := c.Admit(b0, nil, 100, evictOK(b0)); ok {
 		t.Fatal("cold subset displaced a hot one")
 	}
-	if _, ok := c.get(a0); !ok {
+	if _, ok := c.Get(a0); !ok {
 		t.Fatal("rejected admission evicted the resident frame")
 	}
 	// Heat /b past /a: now it earns residency.
 	tr.Record("/b", "subset.p", 10000)
-	if ok, evicted := c.admit(b0, nil, 100, evictOK(b0)); !ok || evicted != 1 {
+	if ok, evicted := c.Admit(b0, nil, 100, evictOK(b0)); !ok || evicted != 1 {
 		t.Fatalf("hot newcomer: admitted=%v evicted=%d, want true/1", ok, evicted)
 	}
-	if c.len() != 2 || c.used != 200 {
-		t.Errorf("cache holds %d frames / %d bytes, want 2 / 200", c.len(), c.used)
+	if c.Len() != 2 || c.Used() != 200 {
+		t.Errorf("cache holds %d frames / %d bytes, want 2 / 200", c.Len(), c.Used())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/metrics"
-	"repro/internal/tier"
 	"repro/internal/xtc"
 )
 
@@ -36,8 +35,9 @@ type SimSession struct {
 	Start   float64 // virtual start time
 }
 
-// SimReport summarizes a Simulate run; the latency distributions land in the
-// config's metrics registry (serve.tenant.<t>.read_ns and
+// SimReport summarizes a Simulate run: how far the run moved the serve.*
+// counters of the config's metrics registry, plus the makespan. The latency
+// distributions land in the same registry (serve.tenant.<t>.read_ns and
 // serve.class.<c>.read_ns, in virtual nanoseconds).
 type SimReport struct {
 	Reads     int64
@@ -82,7 +82,7 @@ type simSess struct {
 	SimSession
 	step    int
 	cost    int64
-	readNS  *metrics.Histogram
+	tm      tenantMetrics
 	classNS *metrics.Histogram
 }
 
@@ -92,13 +92,28 @@ type simWaiter struct {
 	issued float64
 }
 
-// Simulate replays the given sessions against one fabric — same scheduler,
-// cache, and admission logic as the live path — as a single-threaded
-// discrete-event simulation on a virtual clock. One virtual decode server
-// models the node's decode bandwidth (CostModel.DecodeBps); cache hits are
-// served off-queue at HitBps. The run is fully deterministic: identical
-// inputs produce identical latency histograms, which is what lets CI gate
-// on p50/p99 with a tight regression bar.
+// counted reads the report's counts off the request path's counters, less
+// what they held at base.
+func (m serveMetrics) counted(base SimReport) SimReport {
+	return SimReport{
+		Reads:     m.requests.Value() - base.Reads,
+		Hits:      m.hits.Value() - base.Hits,
+		Decodes:   m.decodes.Value() - base.Decodes,
+		Coalesced: m.coalesced.Value() - base.Coalesced,
+		Evictions: m.evictions.Value() - base.Evictions,
+		Rejected:  m.rejected.Value() - base.Rejected,
+		Throttled: m.throttled.Value() - base.Throttled,
+	}
+}
+
+// Simulate replays the given sessions against one fabric — the live path's
+// own lookup and completion, over the same scheduler, cache, and admission —
+// as a single-threaded discrete-event simulation on a virtual clock. One
+// virtual decode server models the node's decode bandwidth
+// (CostModel.DecodeBps); cache hits are served off-queue at HitBps. The run
+// is fully deterministic: identical inputs produce identical latency
+// histograms, which is what lets CI gate on p50/p99 with a tight regression
+// bar.
 func Simulate(cfg Config, cost CostModel, sessions []SimSession) SimReport {
 	cfg = cfg.withDefaults()
 	if cost.DecodeBps <= 0 {
@@ -108,16 +123,13 @@ func Simulate(cfg Config, cost CostModel, sessions []SimSession) SimReport {
 		cost.HitBps = DefaultCostModel.HitBps
 	}
 	reg := cfg.Metrics
-	sm := newServeMetrics(reg)
 
 	now := 0.0
-	heatTr := tier.NewTracker(func() float64 { return now }, cfg.HeatHalfLife)
-	cache := newFrameCache(cfg.CacheBytes)
-	sched := newScheduler(cfg.QuantumBytes, cfg.RateBps, cfg.BurstBytes)
-	flights := map[Key]*flight{}
+	st := newState(cfg, func() float64 { return now })
+	base := st.sm.counted(SimReport{})
 	waiters := map[*flight][]simWaiter{}
 
-	var rep SimReport
+	var makespan float64
 	var events eventHeap
 	seq := 0
 	push := func(e *event) {
@@ -132,57 +144,39 @@ func Simulate(cfg Config, cost CostModel, sessions []SimSession) SimReport {
 			s.Class = s.Tenant
 		}
 		s.cost = xtc.RawFrameSize(s.NAtoms)
-		s.readNS = reg.Histogram(fmt.Sprintf("serve.tenant.%s.read_ns", s.Tenant))
+		s.tm = newTenantMetrics(reg, s.Tenant)
 		s.classNS = reg.Histogram(fmt.Sprintf("serve.class.%s.read_ns", s.Class))
 		if len(s.Pattern) > 0 {
 			push(&event{at: s.Start, kind: evIssue, sess: s})
 		}
 	}
 
-	serverBusy := false
-	observe := func(s *simSess, latSec float64) {
+	// served closes one read: latency observed, next demand scheduled.
+	served := func(s *simSess, latSec, doneAt float64) {
 		ns := int64(latSec * 1e9)
-		s.readNS.Observe(ns)
+		s.tm.readNS.Observe(ns)
 		s.classNS.Observe(ns)
-		reg.Counter(fmt.Sprintf("serve.tenant.%s.requests", s.Tenant)).Inc()
-	}
-	finish := func(s *simSess, doneAt float64) {
-		if doneAt > rep.Makespan {
-			rep.Makespan = doneAt
+		s.tm.requests.Inc()
+		if doneAt > makespan {
+			makespan = doneAt
 		}
 		if s.step < len(s.Pattern) {
 			push(&event{at: doneAt + s.Think, kind: evIssue, sess: s})
 		}
 	}
-	admit := func(k Key, fr *xtc.Frame, bytes int64) {
-		incoming := heatTr.Heat(k.Logical, k.dropping())
-		ok, evicted := cache.admit(k, fr, bytes, func(victim Key) bool {
-			return heatTr.Heat(victim.Logical, victim.dropping()) <= incoming
-		})
-		rep.Evictions += int64(evicted)
-		sm.evictions.Add(int64(evicted))
-		if !ok {
-			rep.Rejected++
-			sm.rejected.Inc()
-		}
-		sm.bytes.Set(cache.used)
-	}
-	var pump func()
-	pump = func() {
+	serverBusy := false
+	pump := func() {
 		if serverBusy {
 			return
 		}
-		fl, notBefore, queued := sched.next(now)
+		fl, notBefore, queued := st.sched.next(now)
 		if fl != nil {
-			rep.Decodes++
-			sm.decodes.Inc()
 			serverBusy = true
 			push(&event{at: now + float64(fl.cost)/cost.DecodeBps, kind: evDone, fl: fl})
 			return
 		}
 		if queued > 0 && !math.IsInf(notBefore, 1) {
-			rep.Throttled++
-			sm.throttled.Inc()
+			st.sm.throttled.Inc()
 			push(&event{at: notBefore, kind: evPump})
 		}
 	}
@@ -193,49 +187,33 @@ func Simulate(cfg Config, cost CostModel, sessions []SimSession) SimReport {
 		switch e.kind {
 		case evIssue:
 			s := e.sess
-			i := s.Pattern[s.step]
+			k := Key{Logical: s.Logical, Tag: s.Tag, Frame: s.Pattern[s.step]}
 			s.step++
-			rep.Reads++
-			sm.requests.Inc()
-			heatTr.Record(s.Logical, droppingPrefix+s.Tag, s.cost)
-			k := Key{Logical: s.Logical, Tag: s.Tag, Frame: i}
-			if _, ok := cache.get(k); ok {
-				rep.Hits++
-				sm.hits.Inc()
+			_, fl, submitted := st.lookup(k, k.dropping(), s.Tenant, s.cost)
+			if fl == nil {
 				lat := float64(s.cost) / cost.HitBps
-				observe(s, lat)
-				finish(s, now+lat)
+				served(s, lat, now+lat)
 				continue
 			}
-			sm.misses.Inc()
-			if fl, ok := flights[k]; ok {
-				rep.Coalesced++
-				sm.coalesced.Inc()
-				waiters[fl] = append(waiters[fl], simWaiter{sess: s, issued: now})
-				continue
+			waiters[fl] = append(waiters[fl], simWaiter{sess: s, issued: now})
+			if submitted {
+				pump()
 			}
-			fl := &flight{key: k, tenant: s.Tenant, cost: s.cost}
-			flights[k] = fl
-			waiters[fl] = []simWaiter{{sess: s, issued: now}}
-			sched.submit(fl)
-			sm.queueHWM.SetMax(int64(sched.pending))
-			pump()
 		case evDone:
-			fl := e.fl
 			serverBusy = false
 			// The simulated decode always succeeds; content is not modeled,
 			// only residency and timing.
-			admit(fl.key, nil, fl.cost)
-			for _, w := range waiters[fl] {
-				observe(w.sess, now-w.issued)
-				finish(w.sess, now)
+			st.complete(e.fl, nil, nil)
+			for _, w := range waiters[e.fl] {
+				served(w.sess, now-w.issued, now)
 			}
-			delete(waiters, fl)
-			delete(flights, fl.key)
+			delete(waiters, e.fl)
 			pump()
 		case evPump:
 			pump()
 		}
 	}
+	rep := st.sm.counted(base)
+	rep.Makespan = makespan
 	return rep
 }

@@ -46,8 +46,8 @@ type Options struct {
 }
 
 // Source tails one subset of a live dataset. It implements vmd.FrameSource
-// and vmd's tail-mode marker (Live), so a PrefetchSource wrapping it pins
-// prediction to head+1 and parks a worker as the head watcher.
+// and the live-source marker (Live) a serve.Handle opened over it reports,
+// so one tail serves any number of viewers through the fabric.
 type Source struct {
 	lr  *core.LiveReader
 	lag *metrics.Histogram
@@ -69,8 +69,8 @@ func Open(a *core.ADA, logical, tag string, opts Options) (*Source, error) {
 // Frames reports the current head position (frames visible so far).
 func (s *Source) Frames() int { return s.lr.Frames() }
 
-// Live reports whether the dataset is still growing. vmd.NewPrefetchSource
-// checks this to enable tail mode.
+// Live reports whether the dataset is still growing; serve.Handle.Live
+// passes it on.
 func (s *Source) Live() bool { return s.lr.Live() }
 
 // ConcurrentFrameReads marks the source safe for parallel readers.

@@ -1,8 +1,8 @@
 package vmd
 
 import (
-	"container/list"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/metrics"
@@ -38,16 +38,16 @@ func (s CacheStats) HitRate() float64 {
 // limited memory to make room for subsequent phases of frames" mechanism
 // the paper's Section 2.1 describes. A cache too small for the working set
 // thrashes under back-and-forth replay, which is exactly why ADA's smaller
-// protein-only frames keep playback fluent.
+// protein-only frames keep playback fluent. It is the compute-side
+// instantiation of the serve fabric's LRU: one key space (frame numbers),
+// no admission veto, every resident byte accounted against the session's
+// memory.
 type FrameCache struct {
-	src    FrameSource
-	mem    *Memory
-	budget int64
-	lru    *list.List            // front = most recent; values are cacheEntry
-	lookup map[int]*list.Element // frame number -> element
-	used   int64                 // bytes currently cached (maintained on insert/evict)
-	stats  CacheStats
-	cm     cacheMetrics
+	src   FrameSource
+	mem   *Memory
+	lru   xtc.FrameLRU[int]
+	stats CacheStats
+	cm    cacheMetrics
 	// access, when set, observes cache hits — replayed frames served from
 	// memory that never reach the storage read path. Misses reach the
 	// storage-side core.AccessFunc through the underlying FrameSource, so a
@@ -76,12 +76,6 @@ func newCacheMetrics(reg *metrics.Registry) cacheMetrics {
 	}
 }
 
-type cacheEntry struct {
-	frame *xtc.Frame
-	num   int
-	bytes int64
-}
-
 // memPlayback is the memory-accounting label for cached frames.
 const memPlayback = "playback-cache"
 
@@ -89,13 +83,14 @@ const memPlayback = "playback-cache"
 // frames, accounted against the session's memory. A budget of 0 means
 // "whatever memory remains".
 func (s *Session) NewFrameCache(src FrameSource, budget int64) *FrameCache {
+	if budget <= 0 {
+		budget = math.MaxInt64
+	}
 	return &FrameCache{
-		src:    src,
-		mem:    s.Mem,
-		budget: budget,
-		lru:    list.New(),
-		lookup: map[int]*list.Element{},
-		cm:     newCacheMetrics(s.metrics),
+		src: src,
+		mem: s.Mem,
+		lru: xtc.FrameLRU[int]{Budget: budget},
+		cm:  newCacheMetrics(s.metrics),
 	}
 }
 
@@ -112,22 +107,15 @@ func (c *FrameCache) Stats() CacheStats { return c.stats }
 // Len returns the number of cached frames.
 func (c *FrameCache) Len() int { return c.lru.Len() }
 
-// usedBytes returns the bytes currently held. It is a running counter
-// maintained on insert and evict, not a walk of the LRU list — the walk made
-// every cache miss O(cached frames).
-func (c *FrameCache) usedBytes() int64 { return c.used }
-
 // Frame returns frame i, loading and caching it on a miss.
 func (c *FrameCache) Frame(i int) (*xtc.Frame, error) {
-	if e, ok := c.lookup[i]; ok {
-		c.lru.MoveToFront(e)
+	if f, ok := c.lru.Get(i); ok {
 		c.stats.Hits++
 		c.cm.hits.Inc()
-		ent := e.Value.(cacheEntry)
 		if c.access != nil {
-			c.access(ent.bytes)
+			c.access(xtc.RawFrameSize(f.NAtoms()))
 		}
-		return ent.frame, nil
+		return f, nil
 	}
 	c.stats.Misses++
 	c.cm.misses.Inc()
@@ -136,54 +124,44 @@ func (c *FrameCache) Frame(i int) (*xtc.Frame, error) {
 		return nil, fmt.Errorf("vmd: playback frame %d: %w", i, err)
 	}
 	size := xtc.RawFrameSize(f.NAtoms())
-	if c.budget > 0 && size > c.budget {
+	c.stats.BytesLoaded += size
+	c.cm.bytes.Add(size)
+	if size > c.lru.Budget {
 		// Frame larger than the whole budget: serve it uncached.
-		c.stats.BytesLoaded += size
-		c.cm.bytes.Add(size)
 		return f, nil
 	}
 	// Evict until the frame fits the budget and the session memory.
-	for c.budget > 0 && c.usedBytes()+size > c.budget && c.lru.Len() > 0 {
-		c.evictOldest()
+	for c.lru.Used()+size > c.lru.Budget && c.evictOldest() {
 	}
 	for c.mem.Alloc(memPlayback, size) != nil {
-		if c.lru.Len() == 0 {
+		if !c.evictOldest() {
 			// Nothing left to evict: hand the frame out uncached rather
 			// than failing playback.
-			c.stats.BytesLoaded += size
-			c.cm.bytes.Add(size)
 			return f, nil
 		}
-		c.evictOldest()
 	}
-	e := c.lru.PushFront(cacheEntry{frame: f, num: i, bytes: size})
-	c.lookup[i] = e
-	c.used += size
-	c.stats.BytesLoaded += size
-	c.cm.bytes.Add(size)
+	c.lru.Admit(i, f, size, func(int) bool { return true })
 	c.cm.resident.Set(int64(c.lru.Len()))
 	return f, nil
 }
 
-func (c *FrameCache) evictOldest() {
-	e := c.lru.Back()
-	if e == nil {
-		return
+// evictOldest returns the least recently used frame's bytes to the session
+// memory; false when nothing is cached.
+func (c *FrameCache) evictOldest() bool {
+	_, bytes, ok := c.lru.EvictOldest()
+	if !ok {
+		return false
 	}
-	entry := e.Value.(cacheEntry)
-	c.lru.Remove(e)
-	delete(c.lookup, entry.num)
-	c.used -= entry.bytes
-	c.mem.Free(memPlayback, entry.bytes)
+	c.mem.Free(memPlayback, bytes)
 	c.stats.Evictions++
 	c.cm.evictions.Inc()
 	c.cm.resident.Set(int64(c.lru.Len()))
+	return true
 }
 
 // Release drops every cached frame and returns the memory.
 func (c *FrameCache) Release() {
-	for c.lru.Len() > 0 {
-		c.evictOldest()
+	for c.evictOldest() {
 	}
 }
 
@@ -268,43 +246,39 @@ type PlayStats struct {
 // all source time is attributed to stalls and the render charge stays
 // per-frame as in Play.
 func (s *Session) PlayThrough(src FrameSource, pattern []int) (PlayStats, error) {
-	var st PlayStats
-	for _, i := range pattern {
-		var before float64
-		if s.env != nil {
-			before = s.env.Clock.Now()
-		}
+	return s.play(func(i int) (*xtc.Frame, error) {
 		f, err := src.ReadFrameAt(i)
 		if err != nil {
-			return st, fmt.Errorf("vmd: playback frame %d: %w", i, err)
+			return nil, fmt.Errorf("vmd: playback frame %d: %w", i, err)
 		}
-		if s.env != nil {
-			st.StallSec += s.env.Clock.Now() - before
-		}
-		renderSec := float64(f.NAtoms()) * s.cost.RenderSecPerAtomFrame / s.cost.factor()
-		s.charge("render", renderSec)
-		st.RenderSec += renderSec
-		st.FramesShown++
-	}
-	return st, nil
+		return f, nil
+	}, pattern)
 }
 
 // Play renders the frames named by pattern through the cache, charging
 // render time per displayed frame and attributing miss-loading time to
-// stalls.
+// stalls (a hit moves no virtual clock, so it adds none).
 func (s *Session) Play(cache *FrameCache, pattern []int) (PlayStats, error) {
+	st, err := s.play(cache.Frame, pattern)
+	if err == nil {
+		st.Cache = cache.Stats()
+	}
+	return st, err
+}
+
+// play is the one playback loop: read, time the read as stall, render.
+func (s *Session) play(read func(i int) (*xtc.Frame, error), pattern []int) (PlayStats, error) {
 	var st PlayStats
 	for _, i := range pattern {
 		var before float64
 		if s.env != nil {
 			before = s.env.Clock.Now()
 		}
-		missesBefore := cache.stats.Misses
-		f, err := cache.Frame(i)
+		f, err := read(i)
 		if err != nil {
 			return st, err
 		}
-		if s.env != nil && cache.stats.Misses > missesBefore {
+		if s.env != nil {
 			st.StallSec += s.env.Clock.Now() - before
 		}
 		renderSec := float64(f.NAtoms()) * s.cost.RenderSecPerAtomFrame / s.cost.factor()
@@ -312,6 +286,5 @@ func (s *Session) Play(cache *FrameCache, pattern []int) (PlayStats, error) {
 		st.RenderSec += renderSec
 		st.FramesShown++
 	}
-	st.Cache = cache.Stats()
 	return st, nil
 }

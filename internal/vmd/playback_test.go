@@ -218,3 +218,46 @@ func TestPlayChargesRenderAndStalls(t *testing.T) {
 		t.Errorf("warm run stalled: %+v", st2)
 	}
 }
+
+// TestFrameCacheUsedBytesCounter pins the cache's byte accounting: across
+// misses, evictions, and a full release, what the LRU says it holds, what
+// the session memory was charged for it, and frames × frame size agree.
+func TestFrameCacheUsedBytesCounter(t *testing.T) {
+	_, src, _ := playbackFixture(t, 8)
+	s := NewSession(nil, 0, ComputeCost{})
+	f0, err := src.ReadFrameAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := xtc.RawFrameSize(f0.NAtoms())
+	cache := s.NewFrameCache(src, 3*size)
+	check := func(when string) {
+		t.Helper()
+		var charged int64
+		for _, l := range s.Mem.Labels() {
+			if l.Label == memPlayback {
+				charged = l.Bytes
+			}
+		}
+		want := int64(cache.Len()) * size
+		if got := cache.lru.Used(); got != want || charged != want {
+			t.Fatalf("%s: lru holds %d bytes, memory charged %d, %d frames make %d",
+				when, got, charged, cache.Len(), want)
+		}
+	}
+	check("empty")
+	for _, i := range BackAndForth(8, 3) {
+		if _, err := cache.Frame(i); err != nil {
+			t.Fatal(err)
+		}
+		check("during playback")
+	}
+	if cache.Stats().Evictions == 0 {
+		t.Fatal("fixture never evicted; counter path untested")
+	}
+	cache.Release()
+	check("after release")
+	if cache.Len() != 0 {
+		t.Errorf("released cache holds %d frames", cache.Len())
+	}
+}

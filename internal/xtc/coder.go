@@ -336,6 +336,10 @@ func decompressCoords(blob []byte, natoms int, minInt [3]int32, sizeInt [3]uint3
 	if smallIdx < firstIdx || smallIdx > lastIdx {
 		return fmt.Errorf("xtc: small index %d out of range [%d,%d]", smallIdx, firstIdx, lastIdx)
 	}
+	if sizeInt[0] == 0 || sizeInt[1] == 0 || sizeInt[2] == 0 {
+		// An extent is max-min+1; zero would divide the unpacking by zero.
+		return fmt.Errorf("xtc: empty coordinate extent %v", sizeInt)
+	}
 	st := newCoderState(smallIdx)
 
 	bitSize := uint(0)

@@ -138,6 +138,16 @@ func decodeFrameInto(r *xdr.Reader, f *Frame) (*Frame, error) {
 		if natoms < 0 {
 			return nil, fmt.Errorf("xtc: negative atom count %d", natoms)
 		}
+		// Stored plain an atom is twelve bytes; compressed, no coding spends
+		// less than a bit on one (five bits open every run, and a run's
+		// atoms cost more than one each).
+		need := natoms * 12
+		if natoms > smallAtomThreshold {
+			need = (natoms + 7) / 8
+		}
+		if err := atomsFit(r, natoms, need); err != nil {
+			return nil, err
+		}
 		f.Coords = growCoords(f.Coords, natoms)
 		if natoms <= smallAtomThreshold {
 			for i := 0; i < natoms; i++ {
@@ -178,8 +188,11 @@ func decodeFrameInto(r *xdr.Reader, f *Frame) (*Frame, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if natoms < 0 || natoms*12 > r.Remaining() {
-			return nil, fmt.Errorf("xtc: raw frame atom count %d exceeds buffer", natoms)
+		if natoms < 0 {
+			return nil, fmt.Errorf("xtc: negative atom count %d", natoms)
+		}
+		if err := atomsFit(r, natoms, natoms*12); err != nil {
+			return nil, err
 		}
 		f.Coords = growCoords(f.Coords, natoms)
 		for i := 0; i < natoms; i++ {
@@ -192,6 +205,17 @@ func decodeFrameInto(r *xdr.Reader, f *Frame) (*Frame, error) {
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadMagic, magic)
 	}
+}
+
+// atomsFit bounds a header's atom count by the bytes left to back it, before
+// anything is sized from it: a frame that claims more atoms than its bytes
+// could hold is a short buffer, not a request for memory.
+func atomsFit(r *xdr.Reader, natoms, need int) error {
+	if need > r.Remaining() {
+		return fmt.Errorf("xtc: %d atoms need %d bytes, %d remain: %w",
+			natoms, need, r.Remaining(), xdr.ErrShortBuffer)
+	}
+	return nil
 }
 
 // growCoords returns c resized to n atoms, reallocated only when it is too

@@ -168,8 +168,8 @@ func (x *Index) TotalBytes() int64 {
 
 // RandomAccessReader reads individual frames by number. ReadFrameAt is safe
 // for concurrent use (io.ReaderAt is concurrency-safe by contract and the
-// scratch buffers are pooled), which lets playback prefetchers decode ahead
-// on background workers.
+// scratch buffers are pooled), which lets the serve fabric's workers decode
+// several frames of one source at once.
 type RandomAccessReader struct {
 	r   io.ReaderAt
 	idx *Index
