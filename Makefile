@@ -37,8 +37,9 @@ lint:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
-# Ten seconds of native fuzzing per decoder that takes bytes from outside
-# (rule: no panic, an error or a frame, allocation bounded by input length).
+# Ten seconds of native fuzzing per parser that takes bytes from outside —
+# the xtc and dcd frame decoders and the rpc client's read-reply parser
+# (rule: no panic, a typed error or a result, allocation bounded by input length).
 # The seed corpora already run under plain `go test`; this looks past them.
 # Minimization is capped per input: at its 60 s default, shrinking the first
 # coverage-expanding DCD stream outlasts the whole run (measured: 118
@@ -48,6 +49,7 @@ FUZZFLAGS = -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 fuzz:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzDecodeFrame ./internal/xtc
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzDCDReader ./internal/dcd
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzReadReply ./internal/rpc
 
 # adabench is deterministic — a virtual clock, fixed seeds — so RESULTS.txt
 # is checked, not trusted: any change to the cost model, the simulated

@@ -53,11 +53,14 @@ func (a *ADA) OpenSubset(logical, tag string) (*SubsetReader, error) {
 }
 
 // ReadFrame returns the next subset frame, or io.EOF.
-func (s *SubsetReader) ReadFrame() (*xtc.Frame, error) {
+func (s *SubsetReader) ReadFrame() (*xtc.Frame, error) { return s.readFrameInto(&xtc.Frame{}) }
+
+// readFrameInto is ReadFrame decoding into dst (see subsetFetch.frameInto).
+func (s *SubsetReader) readFrameInto(dst *xtc.Frame) (*xtc.Frame, error) {
 	if s.next >= s.fetch.idx.Frames() {
 		return nil, io.EOF
 	}
-	f, err := s.fetch.frame(s.next)
+	f, err := s.fetch.frameInto(s.next, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -114,6 +117,9 @@ type FullReader struct {
 	NAtoms  int
 	subsets []*SubsetReader
 	indices [][]int
+	// scratch[i] is what subset i's frames decode into on their way to being
+	// scattered into the full frame: none of them outlives a ReadFrame.
+	scratch []xtc.Frame
 }
 
 // OpenFull opens every subset of the dataset and merges them.
@@ -135,6 +141,7 @@ func (a *ADA) OpenFull(logical string) (*FullReader, error) {
 	if len(fr.subsets) == 0 {
 		return nil, fmt.Errorf("core: dataset %s has no subsets", logical)
 	}
+	fr.scratch = make([]xtc.Frame, len(fr.subsets))
 	return fr, nil
 }
 
@@ -145,7 +152,7 @@ func (f *FullReader) ReadFrame() (*xtc.Frame, error) {
 	var out *xtc.Frame
 	eofs := 0
 	for i, sr := range f.subsets {
-		sub, err := sr.ReadFrame()
+		sub, err := sr.readFrameInto(&f.scratch[i])
 		if err == io.EOF {
 			eofs++
 			continue

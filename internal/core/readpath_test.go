@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"io"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -107,6 +109,49 @@ func TestReadFrameAtAllocs(t *testing.T) {
 	})
 	if allocs > parentAllocs {
 		t.Errorf("ReadFrameAt allocates %v times a frame, the parent commit %d", allocs, parentAllocs)
+	}
+}
+
+// TestFullReaderAllocatesOneFrame pins what reassembling a full frame costs
+// in memory: the frame handed out, and nothing else of a frame's size. Each
+// subset's frame decodes into scratch the reader keeps, where it used to
+// arrive as a fresh frame dropped right after the scatter — the dataset's
+// atoms allocated twice a ReadFrame. The frames handed out stay the caller's:
+// a later ReadFrame must not reach back into an earlier one.
+func TestFullReaderAllocatesOneFrame(t *testing.T) {
+	const frames = 9
+	pdbBytes, traj, _ := testDataset(t, 100, frames)
+	a, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
+	if _, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := a.OpenFull("/ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	first, err := fr.ReadFrame() // sizes the scratch
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := first.Clone()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i < frames; i++ {
+		if _, err := fr.ReadFrame(); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	frameBytes := uint64(12 * fr.NAtoms)
+	if per := (after.TotalAlloc - before.TotalAlloc) / (frames - 1); per > frameBytes*3/2 && !raceEnabled {
+		t.Errorf("FullReader.ReadFrame allocates %d bytes a frame, the frame itself is %d", per, frameBytes)
+	}
+	if !reflect.DeepEqual(first, kept) {
+		t.Error("a later ReadFrame changed a frame already handed out")
+	}
+	if _, err := fr.ReadFrame(); err != io.EOF {
+		t.Errorf("past the last frame: %v, want io.EOF", err)
 	}
 }
 

@@ -74,10 +74,15 @@ func (a *ADA) openFetch(logical, tag, payload, index string, rescan bool) (*subs
 	return &subsetFetch{a: a, logical: logical, tag: tag, heatName: subsetPrefix + tag, file: f, idx: idx}, nil
 }
 
-// frame fetches, checks and decodes frame i. A dataset ingested without
-// checksums takes the same path; its index has nothing to check against.
-func (s *subsetFetch) frame(i int) (*xtc.Frame, error) {
-	f, err := s.idx.ReadFrame(i, func(p []byte, off int64) error {
+// frame fetches, checks and decodes frame i into a new Frame, the caller's to
+// keep. A dataset ingested without checksums takes the same path; its index
+// has nothing to check against.
+func (s *subsetFetch) frame(i int) (*xtc.Frame, error) { return s.frameInto(i, &xtc.Frame{}) }
+
+// frameInto is frame into dst, whose Coords are overwritten and reused: for a
+// reader that copies out of each frame and keeps none.
+func (s *subsetFetch) frameInto(i int, dst *xtc.Frame) (*xtc.Frame, error) {
+	f, err := s.idx.ReadFrame(i, dst, func(p []byte, off int64) error {
 		return vfs.ReadAtVerified(s.file, p, off, func(b []byte) bool { return s.accept(i, b) })
 	})
 	if err != nil {

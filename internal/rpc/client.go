@@ -269,12 +269,15 @@ func (c *Client) Close() error {
 }
 
 // call sends one request and decodes the status word of the response.
-func (c *Client) call(req *xdr.Writer) (*xdr.Reader, error) { return c.callWith(req, nil) }
+func (c *Client) call(req *xdr.Writer) (*xdr.Reader, error) { return c.callWith(req, nil, nil) }
 
-// callWith is call for a request whose last field is opaque data: body goes
-// out behind req (which must end with body's length word) straight from the
-// caller's slice. body is only read, and not retained past the call.
-func (c *Client) callWith(req *xdr.Writer, body []byte) (*xdr.Reader, error) {
+// callWith is call for the two requests that move file data, which goes
+// between the wire and the caller's slice without passing through a message
+// buffer. body, for a write, goes out behind req (which must end with body's
+// length word); it is only read. into, for a read, is where the reply's data
+// lands (see readReply), the reader returned holding just the fields before
+// it; after a failed call into holds garbage. Neither is retained.
+func (c *Client) callWith(req *xdr.Writer, body, into []byte) (*xdr.Reader, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -283,7 +286,7 @@ func (c *Client) callWith(req *xdr.Writer, body []byte) (*xdr.Reader, error) {
 	c.m.requests.Inc()
 	start := time.Now()
 	raw := sealFrame(req, xdrPadded(len(body)))
-	payload, err := c.exchange(binary.BigEndian.Uint32(raw[frameHeader:]), raw, body)
+	payload, err := c.exchange(binary.BigEndian.Uint32(raw[frameHeader:]), raw, body, into)
 	if err != nil {
 		c.m.errors.Inc()
 		return nil, err
@@ -301,11 +304,11 @@ func (c *Client) callWith(req *xdr.Writer, body []byte) (*xdr.Reader, error) {
 // exchange performs one framed round trip under the retry policy. Failed
 // attempts tear the connection down; when retrying is safe (see
 // RetryPolicy) the next attempt redials. Callers hold c.mu.
-func (c *Client) exchange(op uint32, req, body []byte) ([]byte, error) {
+func (c *Client) exchange(op uint32, req, body, into []byte) ([]byte, error) {
 	pol := c.policy
 	var backoffSpent time.Duration
 	for attempt := 1; ; attempt++ {
-		sent, payload, err := c.attempt(req, body)
+		sent, payload, err := c.attempt(req, body, into)
 		if err == nil {
 			return payload, nil
 		}
@@ -347,7 +350,7 @@ func (c *Client) exchange(op uint32, req, body []byte) ([]byte, error) {
 // previous attempt tore the connection down. sent reports whether the
 // request frame was completely handed to the transport — when false the
 // server provably never parsed the request, so any op is safe to re-send.
-func (c *Client) attempt(req, body []byte) (sent bool, payload []byte, err error) {
+func (c *Client) attempt(req, body, into []byte) (sent bool, payload []byte, err error) {
 	fresh := false
 	if c.conn == nil {
 		if c.addr == "" {
@@ -377,11 +380,11 @@ func (c *Client) attempt(req, body []byte) (sent bool, payload []byte, err error
 		return false, nil, fmt.Errorf("rpc: send: %w", werr)
 	}
 	c.m.bytesOut.Add(int64(len(req) + xdrPadded(len(body))))
-	payload, rerr := readFrame(conn, nil)
+	payload, received, rerr := readReply(conn, into)
 	if rerr != nil {
 		return true, nil, fmt.Errorf("rpc: receive: %w", rerr)
 	}
-	c.m.bytesIn.Add(int64(len(payload)) + frameHeader)
+	c.m.bytesIn.Add(int64(received))
 	return true, payload, nil
 }
 
@@ -490,28 +493,36 @@ func (f *remoteFile) Size() int64 {
 	return f.size
 }
 
+// ioChunk is the most file data one opRead or opWrite carries: larger reads
+// and writes go as several calls, each well under the frame limit.
+const ioChunk = MaxPayload / 4
+
 func (f *remoteFile) ReadAt(p []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, vfs.ErrClosed
 	}
-	req := request(opRead)
-	req.Uint32(f.fd)
-	req.Int64(off)
-	req.Uint32(uint32(len(p)))
-	r, err := f.c.call(req)
-	if err != nil {
-		return 0, err
+	total := 0
+	for total < len(p) {
+		part := p[total:min(total+ioChunk, len(p))]
+		req := request(opRead)
+		req.Uint32(f.fd)
+		req.Int64(off + int64(total))
+		req.Uint32(uint32(len(part)))
+		r, err := f.c.callWith(req, nil, part)
+		if err != nil {
+			return total, err
+		}
+		eof := r.Uint32() != 0
+		n := int(r.Uint32()) // readReply has put that many bytes in part
+		if err := r.Err(); err != nil {
+			return total, err
+		}
+		total += n
+		if eof || n < len(part) {
+			return total, io.EOF
+		}
 	}
-	eof := r.Uint32() != 0
-	data := r.VarOpaque()
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	n := copy(p, data)
-	if eof || n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return total, nil
 }
 
 func (f *remoteFile) Read(p []byte) (int, error) {
@@ -530,9 +541,8 @@ func (f *remoteFile) Write(p []byte) (int, error) {
 	}
 	total := 0
 	// Chunk large writes under the frame limit.
-	const chunk = MaxPayload / 4
 	for total < len(p) {
-		end := total + chunk
+		end := total + ioChunk
 		if end > len(p) {
 			end = len(p)
 		}
@@ -540,7 +550,7 @@ func (f *remoteFile) Write(p []byte) (int, error) {
 		req := request(opWrite)
 		req.Uint32(f.fd)
 		req.Uint32(uint32(want))
-		r, err := f.c.callWith(req, p[total:end])
+		r, err := f.c.callWith(req, p[total:end], nil)
 		if err != nil {
 			return total, err
 		}

@@ -13,11 +13,15 @@
 // connection at a time; clients serialize with a mutex.
 //
 // Every message is built with its length prefix already in the buffer
-// (newFrame, sealFrame) and leaves in one write. An opWrite request is the
-// exception that proves the rule: its head is [length|opcode|fd|n] and the
-// n payload bytes plus XDR pad follow straight from the caller's slice as
-// one vectored write (sendFrame) — on the wire exactly the var-opaque
-// encoding, without the payload ever being copied into a message buffer.
+// (newFrame, sealFrame) and leaves in one write. The two messages that carry
+// file data skip the message buffer, each on the wire exactly the var-opaque
+// encoding it always was. An opWrite request's head is [length|opcode|fd|n]
+// and the n payload bytes plus XDR pad follow straight from the caller's
+// slice as one vectored write (sendFrame). An opRead reply is
+// [length|status|eof|n] with the n bytes and pad behind it: the node reads
+// the file into that frame (connState.readReply), and the client takes the
+// head in one conn read and the bytes in the next, into the slice its caller
+// wants filled (readReply). Either way a payload is copied once per side.
 package rpc
 
 import (
@@ -121,6 +125,74 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// readReplyHead is the fixed head of an OK opRead reply: the length prefix,
+// then status, eof and the data's var-opaque length word.
+const readReplyHead = frameHeader + 12
+
+// maxReadErrorReply bounds the error reply a read call accepts: the message
+// is an error string, and a prefix must not be able to ask for more memory
+// than one could honestly need.
+const maxReadErrorReply = 1 << 16
+
+// readReply receives the response to one call. With into empty that is
+// readFrame. A read passes the slice its caller wants filled, and an OK
+// reply's n data bytes go from the socket straight into into[:n]; the payload
+// returned is then only [status|eof|n]. The head arrives in one conn read and
+// the data in the next, so a reply costs what readFrame's prefix-then-payload
+// does; an error reply may end right behind its status word and the string's
+// length, so no more than that can be waited for before looking. received
+// counts every byte taken off the wire, head, data and pad.
+func readReply(r io.Reader, into []byte) (payload []byte, received int, err error) {
+	if len(into) == 0 {
+		payload, err = readFrame(r, nil)
+		return payload, frameHeader + len(payload), err
+	}
+	head := make([]byte, readReplyHead)
+	got, err := io.ReadAtLeast(r, head, frameHeader+4)
+	if err != nil {
+		return nil, 0, err
+	}
+	prefix := binary.BigEndian.Uint32(head)
+	if binary.BigEndian.Uint32(head[frameHeader:]) != 0 {
+		// An error reply is read whole, the way readFrame would have.
+		if prefix > maxReadErrorReply || prefix < uint32(got-frameHeader) {
+			return nil, 0, fmt.Errorf("%w: %d-byte error reply to a read", ErrProtocol, prefix)
+		}
+		payload = make([]byte, prefix)
+		err = readRest(r, payload[copy(payload, head[frameHeader:got]):])
+		return payload, frameHeader + len(payload), err
+	}
+	if err := readRest(r, head[got:]); err != nil {
+		return nil, 0, err
+	}
+	n := binary.BigEndian.Uint32(head[frameHeader+8:])
+	if n > uint32(len(into)) || prefix != uint32(readReplyHead-frameHeader+xdrPadded(int(n))) {
+		return nil, 0, fmt.Errorf("%w: read reply of %d bytes in a %d-byte frame, %d asked for",
+			ErrProtocol, n, prefix, len(into))
+	}
+	if padded := xdrPadded(int(n)); padded == int(n) {
+		err = readRest(r, into[:n])
+	} else {
+		// Data that ends off a word boundary has its pad behind it, and a
+		// third conn read just for that would make the reply cost more than
+		// it used to: take both at once and copy. Frames never come this way.
+		tail := make([]byte, padded)
+		err = readRest(r, tail)
+		copy(into, tail[:n])
+	}
+	return head[frameHeader:], frameHeader + int(prefix), err
+}
+
+// readRest is io.ReadFull for the inside of a frame, where running out of
+// bytes is never a clean end of stream.
+func readRest(r io.Reader, p []byte) error {
+	_, err := io.ReadFull(r, p)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // respondErr encodes an error response (an unsealed frame, like every

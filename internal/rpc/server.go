@@ -351,18 +351,35 @@ func (s *Server) handleConn(conn net.Conn) {
 type connState struct {
 	tenant string
 	ts     *tenantState
+	reply  []byte // opRead's reply frame, reused from one read to the next
 }
 
-// maxKeptRequestBuf is the largest request buffer a connection keeps between
-// requests; ingest's per-frame subset writes (a few hundred kB) fit.
+// maxKeptRequestBuf is the largest request buffer, and the largest read-reply
+// buffer, a connection keeps between requests; ingest's per-frame subset
+// writes and playback's per-frame reads (a few hundred kB) fit.
 const maxKeptRequestBuf = 1 << 20
+
+// readReply returns size bytes to build one opRead reply in: the connection's
+// kept buffer, grown when too small — but one oversized read must not pin its
+// buffer for the life of the connection, and gets a buffer of its own.
+func (cs *connState) readReply(size int) []byte {
+	if size > maxKeptRequestBuf {
+		return make([]byte, size)
+	}
+	if cap(cs.reply) < size {
+		cs.reply = make([]byte, size)
+	}
+	return cs.reply[:size]
+}
 
 // dispatch executes one request and returns the response frame, length
 // prefix reserved but not yet filled in. payload is the connection's reused
 // request buffer: a handler must not retain it, or any slice decoded from
 // it, past its return — copy what has to outlive the call (SetClusterTable
 // does; strings copy on conversion; vfs.File.Write, like any io.Writer, may
-// not keep its argument).
+// not keep its argument). The converse holds for what comes back: an opRead
+// reply is the connection's reused reply buffer, valid until cs's next
+// dispatch.
 func (s *Server) dispatch(cs *connState, payload []byte) []byte {
 	r := xdr.NewReader(payload)
 	op := r.Uint32()
@@ -409,8 +426,11 @@ func (s *Server) dispatch(cs *connState, payload []byte) []byte {
 		if err != nil {
 			return respondErr(err)
 		}
-		buf := make([]byte, n)
-		got, err := f.ReadAt(buf, off)
+		// The file is read straight into the reply, behind the head its
+		// outcome is then patched into: [len|status|eof|n|data|pad], the bytes
+		// respondOK + VarOpaque would produce with the data copied only once.
+		resp := cs.readReply(readReplyHead + xdrPadded(int(n)))
+		got, err := f.ReadAt(resp[readReplyHead:readReplyHead+int(n)], off)
 		if err != nil && err != io.EOF {
 			return respondErr(err)
 		}
@@ -420,10 +440,12 @@ func (s *Server) dispatch(cs *connState, payload []byte) []byte {
 				time.Sleep(d)
 			}
 		}
-		w := respondOK()
-		w.Uint32(boolWord(err == io.EOF))
-		w.VarOpaque(buf[:got])
-		return w.Bytes()
+		resp = resp[:readReplyHead+xdrPadded(got)]
+		binary.BigEndian.PutUint32(resp[frameHeader:], 0)
+		binary.BigEndian.PutUint32(resp[frameHeader+4:], boolWord(err == io.EOF))
+		binary.BigEndian.PutUint32(resp[frameHeader+8:], uint32(got))
+		clear(resp[readReplyHead+got:])
+		return resp
 
 	case opWrite:
 		fd := r.Uint32()

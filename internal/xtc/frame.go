@@ -1,8 +1,10 @@
 package xtc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/xdr"
 )
@@ -194,13 +196,21 @@ func decodeFrameInto(r *xdr.Reader, f *Frame) (*Frame, error) {
 		if err := atomsFit(r, natoms, natoms*12); err != nil {
 			return nil, err
 		}
-		f.Coords = growCoords(f.Coords, natoms)
-		for i := 0; i < natoms; i++ {
-			for d := 0; d < 3; d++ {
-				f.Coords[i][d] = r.Float32()
-			}
+		// The coordinates are one run of big-endian floats, taken whole and
+		// converted in twelve-byte windows: a bounds check an atom, where
+		// r.Float32 tests the reader's sticky error three times.
+		body := r.Opaque(natoms * 12)
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
-		return f, r.Err()
+		f.Coords = growCoords(f.Coords, natoms)
+		for i := range f.Coords {
+			b := body[i*12 : i*12+12]
+			f.Coords[i][0] = math.Float32frombits(binary.BigEndian.Uint32(b))
+			f.Coords[i][1] = math.Float32frombits(binary.BigEndian.Uint32(b[4:]))
+			f.Coords[i][2] = math.Float32frombits(binary.BigEndian.Uint32(b[8:]))
+		}
+		return f, nil
 
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadMagic, magic)

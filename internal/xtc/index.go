@@ -142,10 +142,11 @@ func (x *Index) FrameOK(i int, p []byte) bool {
 	return int64(len(p)) == x.sizes[i] && (!x.HasChecksums() || CRC32C(p) == x.CRC(i))
 }
 
-// ReadFrame decodes frame i from its stored bytes, which fill must put into
-// p — pooled scratch of the frame's indexed size — from the frame's indexed
-// offset. The decoded frame keeps no reference to the scratch.
-func (x *Index) ReadFrame(i int, fill func(p []byte, off int64) error) (*Frame, error) {
+// ReadFrame decodes frame i into dst — a new Frame for one the caller keeps,
+// or one whose Coords it may overwrite — from its stored bytes, which fill
+// must put into p — pooled scratch of the frame's indexed size — from the
+// frame's indexed offset. The decoded frame keeps no reference to the scratch.
+func (x *Index) ReadFrame(i int, dst *Frame, fill func(p []byte, off int64) error) (*Frame, error) {
 	if i < 0 || i >= x.Frames() {
 		return nil, fmt.Errorf("xtc: frame %d out of range [0,%d)", i, x.Frames())
 	}
@@ -154,7 +155,7 @@ func (x *Index) ReadFrame(i int, fill func(p []byte, off int64) error) (*Frame, 
 	if err := fill(buf, x.offsets[i]); err != nil {
 		return nil, err
 	}
-	return decodeBytes(buf)
+	return decodeBytesInto(buf, dst)
 }
 
 // TotalBytes returns the stream length covered by the index.
@@ -189,7 +190,7 @@ func (ra *RandomAccessReader) ConcurrentFrameReads() bool { return true }
 
 // ReadFrameAt decodes frame i.
 func (ra *RandomAccessReader) ReadFrameAt(i int) (*Frame, error) {
-	return ra.idx.ReadFrame(i, func(p []byte, off int64) error {
+	return ra.idx.ReadFrame(i, &Frame{}, func(p []byte, off int64) error {
 		if _, err := ra.r.ReadAt(p, off); err != nil && err != io.EOF {
 			return fmt.Errorf("xtc: read frame %d: %w", i, err)
 		}

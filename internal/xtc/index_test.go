@@ -178,7 +178,7 @@ func TestIndexReadFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range orig {
-		f, err := idx.ReadFrame(i, func(p []byte, off int64) error {
+		f, err := idx.ReadFrame(i, &Frame{}, func(p []byte, off int64) error {
 			if int64(len(p)) != idx.Size(i) || off != idx.Offset(i) {
 				t.Fatalf("frame %d: fill got %d bytes at %d, index says %d at %d", i, len(p), off, idx.Size(i), idx.Offset(i))
 			}
@@ -193,11 +193,11 @@ func TestIndexReadFrame(t *testing.T) {
 		}
 	}
 	boom := errors.New("boom")
-	if _, err := idx.ReadFrame(0, func([]byte, int64) error { return boom }); err != boom {
+	if _, err := idx.ReadFrame(0, &Frame{}, func([]byte, int64) error { return boom }); err != boom {
 		t.Errorf("fill error came back as %v", err)
 	}
 	for _, i := range []int{-1, 4} {
-		if _, err := idx.ReadFrame(i, func([]byte, int64) error { t.Fatal("fill called"); return nil }); err == nil {
+		if _, err := idx.ReadFrame(i, &Frame{}, func([]byte, int64) error { t.Fatal("fill called"); return nil }); err == nil {
 			t.Errorf("frame %d: no range error", i)
 		}
 	}
