@@ -492,9 +492,6 @@ type (
 	StreamSource = stream.Source
 	// StreamOptions configures a StreamSource (staleness bound, metrics).
 	StreamOptions = stream.Options
-	// StreamIngestor decouples a bursty producer from storage latency with
-	// a bounded append queue; backpressure lands in stream.append.blocked_ns.
-	StreamIngestor = stream.Ingestor
 )
 
 // RecoveryLive: a streaming ingest was killed mid-append; the container is
@@ -523,13 +520,6 @@ func BuildXTCIndex(r io.ReaderAt, size int64) (*XTCIndex, error) {
 // dataset.
 func OpenStream(acq *Acquirer, logical, tag string, opts StreamOptions) (*StreamSource, error) {
 	return stream.Open(acq, logical, tag, opts)
-}
-
-// NewStreamIngestor wraps an open live-ingest session with a bounded append
-// queue (0 selects the default bound); reg may be nil. Close drains the
-// queue and seals the dataset.
-func NewStreamIngestor(li *LiveIngest, queueBatches int, reg *MetricsRegistry) *StreamIngestor {
-	return stream.NewIngestor(li, queueBatches, reg)
 }
 
 // Runtime observability (see internal/metrics): the storage stack —

@@ -186,7 +186,7 @@ func TestIngestRefillsDecodedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocated := func(ingest func(acq *ada.Acquirer) (*ada.IngestReport, error)) (uint64, int64) {
-		acq := ada.New(newStore(t), nil, ada.Options{DecodeWorkers: 2, DecodeBatchBytes: 32 << 10})
+		acq := ada.New(newStore(t), nil, ada.Options{})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		rep, err := ingest(acq)

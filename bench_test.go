@@ -145,9 +145,8 @@ func BenchmarkXTCEncode(b *testing.B) {
 }
 
 // reportCPUs records the scheduler width as a benchmark metric. The CI
-// regression gate (cmd/benchjson -compare) uses it twice: to undo the
-// -GOMAXPROCS name suffix when diffing runs from different machines, and to
-// skip speedup assertions the runner lacks the cores to satisfy.
+// regression gate (cmd/benchjson -compare) uses it to undo the -GOMAXPROCS
+// name suffix when diffing runs from different machines.
 func reportCPUs(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cpus")
 }
@@ -194,9 +193,9 @@ func BenchmarkXTCPrecision(b *testing.B) {
 	}
 }
 
-// --- Parallel decode benches ----------------------------------------------
+// --- Stream decode benches ------------------------------------------------
 
-// decodeStream builds a jittered multi-frame compressed stream once per
+// streamDecodeInput builds a jittered multi-frame compressed stream once per
 // process, plus its total raw coordinate payload for MB/s reporting.
 var (
 	decOnce   sync.Once
@@ -205,7 +204,7 @@ var (
 	decErr    error
 )
 
-func parallelDecodeStream(b *testing.B) ([]byte, int64) {
+func streamDecodeInput(b *testing.B) ([]byte, int64) {
 	b.Helper()
 	decOnce.Do(func() {
 		sys, err := gpcr.Scaled(4).Build()
@@ -217,9 +216,8 @@ func parallelDecodeStream(b *testing.B) ([]byte, int64) {
 		rng := rand.New(rand.NewSource(5))
 		var buf bytes.Buffer
 		w := xtc.NewWriter(&buf)
-		// 64 frames ≈ 9 MB encoded: enough for several 256 KB decode
-		// batches per worker, so the batched pipeline is actually
-		// exercised rather than degenerating to one work item.
+		// 64 frames ≈ 2.8 MB encoded (8.4 MB raw): about the 3 MiB an
+		// AheadReader decodes ahead.
 		const frames = 64
 		for k := 0; k < frames; k++ {
 			f.Step = int32(k)
@@ -242,56 +240,37 @@ func parallelDecodeStream(b *testing.B) ([]byte, int64) {
 	return decStream, decRaw
 }
 
-// BenchmarkParallelDecode measures multi-frame stream decode throughput:
-// the serial Reader baseline against ParallelReader at 1/2/4/8 workers.
-// The stream is fully preloaded in memory (bytes.Reader), so the numbers
-// are pure decode with no I/O confound. MB/s is raw coordinate payload;
-// the acceptance bar is >=3x over serial at 4 workers, gated in CI by
-// `make bench-check` (and skipped automatically on runners with fewer
-// schedulable CPUs than workers — see cmd/benchjson). Each workers-N run
-// also reports per-worker utilization (busy time relative to the busiest
-// worker, from ParallelReader.WorkerBusy), so flat scaling is diagnosable
-// from the JSON artifact: near-1.0 everywhere means the pool is balanced
-// and the bottleneck is elsewhere.
-func BenchmarkParallelDecode(b *testing.B) {
-	stream, raw := parallelDecodeStream(b)
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(raw)
-		for i := 0; i < b.N; i++ {
-			if _, err := xtc.NewReader(bytes.NewReader(stream)).ReadAll(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportCPUs(b)
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+// BenchmarkStreamDecode measures multi-frame stream decode throughput: the
+// serial Reader against the AheadReader ingest uses. The stream is fully
+// preloaded in memory (bytes.Reader), so the numbers are pure decode with no
+// I/O confound, and MB/s is raw coordinate payload. The consumer here does
+// no work, so the ahead row prices the decoder's hand-off, not the overlap
+// an ingest gets from it: that shows in BenchmarkIngestParallel and in the
+// end-to-end benchmark's ingest_mbps.
+func BenchmarkStreamDecode(b *testing.B) {
+	stream, raw := streamDecodeInput(b)
+	for _, tc := range []struct {
+		name string
+		read func() error
+	}{
+		{"serial", func() error {
+			_, err := xtc.NewReader(bytes.NewReader(stream)).ReadAll()
+			return err
+		}},
+		{"ahead", func() error {
+			pr := xtc.NewAheadReader(bytes.NewReader(stream))
+			defer pr.Close()
+			_, err := pr.ReadAll()
+			return err
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(raw)
-			busy := make([]int64, workers)
 			for i := 0; i < b.N; i++ {
-				pr := xtc.NewParallelReader(bytes.NewReader(stream), workers)
-				if _, err := pr.ReadAll(); err != nil {
+				if err := tc.read(); err != nil {
 					b.Fatal(err)
 				}
-				for w, d := range pr.WorkerBusy() {
-					busy[w] += d.Nanoseconds()
-				}
-				pr.Close()
-			}
-			var busiest int64
-			for _, ns := range busy {
-				if ns > busiest {
-					busiest = ns
-				}
-			}
-			for w, ns := range busy {
-				util := 0.0
-				if busiest > 0 {
-					util = float64(ns) / float64(busiest)
-				}
-				b.ReportMetric(util, fmt.Sprintf("w%d_util", w))
 			}
 			reportCPUs(b)
 		})
@@ -453,9 +432,10 @@ func BenchmarkAblationPlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelIngest compares the serial ingest loop against
-// the pipelined one (decoder + per-subset writers on separate goroutines):
-// real ns/op for the host, vsec for the modeled multi-core storage node.
+// BenchmarkAblationParallelIngest compares the serial ingest loop's virtual
+// clock against the pipelined one's (the decode stage overlapped with each
+// subset's categorization): real ns/op for the host, vsec for the modeled
+// multi-core storage node, which is the same on every host.
 func BenchmarkAblationParallelIngest(b *testing.B) {
 	pdbBytes, traj := ablationDataset(b)
 	mkADA := func(env *sim.Env) *core.ADA {

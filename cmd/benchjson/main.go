@@ -3,21 +3,15 @@
 // fixed fields (ns_per_op, mb_per_s, bytes_per_op, allocs_per_op); any other
 // unit — like the vstall virtual-stall metric — lands in the metrics map.
 //
-//	go test -run '^$' -bench ParallelDecode -benchmem . | go run ./cmd/benchjson
+//	go test -run '^$' -bench StreamDecode -benchmem . | go run ./cmd/benchjson
 //
 // With -compare it instead diffs two such JSON files and acts as the CI
 // perf-regression gate:
 //
-//	benchjson -compare old.json new.json -max-regress 15 \
-//	    -assert-speedup workers-4:serial:3.0
+//	benchjson -compare old.json new.json -max-regress 15
 //
 // The delta table goes to stdout. The exit status is 1 when any shared
-// benchmark regressed by more than -max-regress percent, or when a speedup
-// assertion (ratio of two benchmarks in new.json, matched by sub-benchmark
-// suffix) falls below its bar. Speedup assertions whose numerator names a
-// worker count the run's recorded "cpus" metric cannot satisfy are skipped
-// with a note: a 2-core runner cannot show a 4-worker wall-clock speedup,
-// and failing on physics would only teach people to ignore the gate.
+// benchmark regressed by more than -max-regress percent.
 package main
 
 import (
@@ -27,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"strconv"
 	"strings"
 )
@@ -176,98 +169,8 @@ func printDeltaTable(w io.Writer, rows []deltaRow, maxRegress float64) {
 	fmt.Fprintf(w, "(regression bar: -%.0f%% on MB/s, +%.0f%% on ns/op)\n", maxRegress, maxRegress)
 }
 
-// speedupSpec is one -assert-speedup entry: the ratio of two benchmarks in
-// the NEW results, matched by sub-benchmark suffix, must reach Ratio.
-type speedupSpec struct {
-	num, den string
-	ratio    float64
-}
-
-func parseSpeedupSpecs(s string) ([]speedupSpec, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var specs []speedupSpec
-	for _, part := range strings.Split(s, ",") {
-		f := strings.Split(part, ":")
-		if len(f) != 3 {
-			return nil, fmt.Errorf("bad speedup spec %q (want num:den:ratio)", part)
-		}
-		ratio, err := strconv.ParseFloat(f[2], 64)
-		if err != nil || ratio <= 0 {
-			return nil, fmt.Errorf("bad speedup ratio in %q", part)
-		}
-		specs = append(specs, speedupSpec{num: f[0], den: f[1], ratio: ratio})
-	}
-	return specs, nil
-}
-
-// findResult locates the unique result whose canonical name is key or ends
-// in "/key".
-func findResult(rs []Result, key string) (Result, error) {
-	var found []Result
-	for _, r := range rs {
-		name := canonicalName(r)
-		if name == key || strings.HasSuffix(name, "/"+key) {
-			found = append(found, r)
-		}
-	}
-	switch len(found) {
-	case 0:
-		return Result{}, fmt.Errorf("no benchmark matches %q", key)
-	case 1:
-		return found[0], nil
-	}
-	return Result{}, fmt.Errorf("%d benchmarks match %q", len(found), key)
-}
-
-var trailingCount = regexp.MustCompile(`-(\d+)$`)
-
-// checkSpeedup evaluates one assertion against the new results. ok=false
-// only on a hard failure; an assertion the runner lacks the cores to
-// satisfy reports ok=true with a skip note.
-func checkSpeedup(rs []Result, spec speedupSpec) (line string, ok bool) {
-	num, err := findResult(rs, spec.num)
-	if err != nil {
-		return fmt.Sprintf("speedup %s/%s: %v", spec.num, spec.den, err), false
-	}
-	den, err := findResult(rs, spec.den)
-	if err != nil {
-		return fmt.Sprintf("speedup %s/%s: %v", spec.num, spec.den, err), false
-	}
-	// CPU gate: a numerator named e.g. workers-4 needs 4 schedulable CPUs
-	// for a wall-clock speedup to be physically possible.
-	if m := trailingCount.FindStringSubmatch(spec.num); m != nil {
-		need, _ := strconv.Atoi(m[1])
-		if cpus, has := num.Metrics["cpus"]; has && int(cpus) < need {
-			return fmt.Sprintf("speedup %s/%s: SKIP (run recorded %d cpus, assertion needs %d)",
-				spec.num, spec.den, int(cpus), need), true
-		}
-	}
-	var speedup float64
-	switch {
-	case num.MBPerS > 0 && den.MBPerS > 0:
-		speedup = num.MBPerS / den.MBPerS
-	case num.NsPerOp > 0:
-		speedup = den.NsPerOp / num.NsPerOp
-	default:
-		return fmt.Sprintf("speedup %s/%s: no comparable metric", spec.num, spec.den), false
-	}
-	verdict := "ok"
-	if speedup < spec.ratio {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf("speedup %s/%s = %.2fx (want >= %.2fx)  %s",
-		spec.num, spec.den, speedup, spec.ratio, verdict), speedup >= spec.ratio
-}
-
 // runCompare drives the gate and returns the process exit code.
-func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64, speedups string) int {
-	specs, err := parseSpeedupSpecs(speedups)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		return 2
-	}
+func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64) int {
 	base, err := loadResults(oldPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -280,13 +183,6 @@ func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64, speedu
 	}
 	rows, failed := compareResults(base, fresh, maxRegress)
 	printDeltaTable(w, rows, maxRegress)
-	for _, spec := range specs {
-		line, ok := checkSpeedup(fresh, spec)
-		fmt.Fprintln(w, line)
-		if !ok {
-			failed = true
-		}
-	}
 	if failed {
 		fmt.Fprintln(w, "RESULT: FAIL")
 		return 1
@@ -298,7 +194,6 @@ func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64, speedu
 func main() {
 	compare := flag.Bool("compare", false, "compare two benchjson files: -compare old.json new.json")
 	maxRegress := flag.Float64("max-regress", 15, "percent slowdown on any shared benchmark that fails the gate")
-	speedups := flag.String("assert-speedup", "", "comma-separated num:den:ratio assertions on the new results")
 	flag.Parse()
 
 	if *compare {
@@ -307,20 +202,19 @@ func main() {
 		// paths; re-parse whatever followed them.
 		args := flag.Args()
 		if len(args) < 2 {
-			fmt.Fprintln(os.Stderr, "usage: benchjson -compare old.json new.json [-max-regress pct] [-assert-speedup num:den:ratio,...]")
+			fmt.Fprintln(os.Stderr, "usage: benchjson -compare old.json new.json [-max-regress pct]")
 			os.Exit(2)
 		}
 		if len(args) > 2 {
 			rest := flag.NewFlagSet("compare", flag.ExitOnError)
 			maxRegress = rest.Float64("max-regress", *maxRegress, "percent slowdown that fails the gate")
-			speedups = rest.String("assert-speedup", *speedups, "num:den:ratio assertions")
 			rest.Parse(args[2:])
 			if rest.NArg() != 0 {
 				fmt.Fprintln(os.Stderr, "benchjson: unexpected arguments:", rest.Args())
 				os.Exit(2)
 			}
 		}
-		os.Exit(runCompare(os.Stdout, args[0], args[1], *maxRegress, *speedups))
+		os.Exit(runCompare(os.Stdout, args[0], args[1], *maxRegress))
 	}
 
 	var results []Result

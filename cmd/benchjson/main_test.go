@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -101,60 +100,6 @@ func TestCompareResultsRegression(t *testing.T) {
 	}
 }
 
-func TestCheckSpeedup(t *testing.T) {
-	mk := func(cpus float64) []Result {
-		m := map[string]float64{"cpus": cpus}
-		// go test appends "-GOMAXPROCS" to names only on multi-proc runs.
-		suffix := ""
-		if cpus > 1 {
-			suffix = "-" + strconv.Itoa(int(cpus))
-		}
-		return []Result{
-			{Name: "BenchmarkParallelDecode/serial" + suffix, MBPerS: 100, Metrics: m},
-			{Name: "BenchmarkParallelDecode/workers-4" + suffix, MBPerS: 350, Metrics: m},
-		}
-	}
-	spec := speedupSpec{num: "workers-4", den: "serial", ratio: 3.0}
-
-	if line, ok := checkSpeedup(mk(4), spec); !ok || !strings.Contains(line, "3.50x") {
-		t.Errorf("3.5x at 4 cpus: ok=%v line=%q", ok, line)
-	}
-	// Below the bar: hard failure.
-	rs := mk(4)
-	rs[1].MBPerS = 250
-	if line, ok := checkSpeedup(rs, spec); ok || !strings.Contains(line, "FAIL") {
-		t.Errorf("2.5x at 4 cpus: ok=%v line=%q", ok, line)
-	}
-	// Too few cores for the assertion to be physical: skip, not fail.
-	rs = mk(1)
-	rs[1].MBPerS = 100
-	if line, ok := checkSpeedup(rs, spec); !ok || !strings.Contains(line, "SKIP") {
-		t.Errorf("1 cpu: ok=%v line=%q", ok, line)
-	}
-	// Unknown benchmark name: hard failure.
-	if _, ok := checkSpeedup(mk(4), speedupSpec{num: "workers-16", den: "serial", ratio: 2}); ok {
-		t.Error("missing numerator passed")
-	}
-}
-
-func TestParseSpeedupSpecs(t *testing.T) {
-	specs, err := parseSpeedupSpecs("workers-4:serial:3.0,workers-2:serial:1.5")
-	if err != nil || len(specs) != 2 {
-		t.Fatalf("specs=%v err=%v", specs, err)
-	}
-	if specs[0] != (speedupSpec{num: "workers-4", den: "serial", ratio: 3.0}) {
-		t.Errorf("spec[0] = %+v", specs[0])
-	}
-	for _, bad := range []string{"workers-4:serial", "a:b:xyz", "a:b:-1"} {
-		if _, err := parseSpeedupSpecs(bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
-	}
-	if specs, err := parseSpeedupSpecs(""); err != nil || specs != nil {
-		t.Errorf("empty spec: %v, %v", specs, err)
-	}
-}
-
 // TestRunCompareEndToEnd drives the gate exactly as `make bench-check` does,
 // including the cross-machine name canonicalization (suffix-free 1-proc
 // baseline vs an 8-proc fresh run).
@@ -174,29 +119,29 @@ func TestRunCompareEndToEnd(t *testing.T) {
 	cpus8 := map[string]float64{"cpus": 8}
 	baseline := write("old.json", []Result{
 		{Name: "BenchmarkXTCDecode", MBPerS: 140, NsPerOp: 100},
-		{Name: "BenchmarkParallelDecode/serial", MBPerS: 140, NsPerOp: 100},
-		{Name: "BenchmarkParallelDecode/workers-4", MBPerS: 150, NsPerOp: 95},
+		{Name: "BenchmarkStreamDecode/serial", MBPerS: 140, NsPerOp: 100},
+		{Name: "BenchmarkStreamDecode/ahead", MBPerS: 150, NsPerOp: 95},
 	})
 	good := write("new.json", []Result{
 		{Name: "BenchmarkXTCDecode-8", MBPerS: 500, NsPerOp: 30, Metrics: cpus8},
-		{Name: "BenchmarkParallelDecode/serial-8", MBPerS: 450, NsPerOp: 33, Metrics: cpus8},
-		{Name: "BenchmarkParallelDecode/workers-4-8", MBPerS: 1500, NsPerOp: 10, Metrics: cpus8},
+		{Name: "BenchmarkStreamDecode/serial-8", MBPerS: 450, NsPerOp: 33, Metrics: cpus8},
+		{Name: "BenchmarkStreamDecode/ahead-8", MBPerS: 1500, NsPerOp: 10, Metrics: cpus8},
 	})
 
 	var out strings.Builder
-	if code := runCompare(&out, baseline, good, 15, "workers-4:serial:3.0"); code != 0 {
+	if code := runCompare(&out, baseline, good, 15); code != 0 {
 		t.Fatalf("good run exited %d:\n%s", code, out.String())
 	}
-	for _, want := range []string{"BenchmarkParallelDecode/workers-4", "3.33x", "RESULT: ok"} {
+	for _, want := range []string{"BenchmarkStreamDecode/ahead ", "RESULT: ok"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
 	}
 
 	// Feeding the stale numbers as the fresh run must fail the gate: the
-	// improved baseline regressed and the speedup bar is missed.
+	// improved baseline regressed.
 	out.Reset()
-	if code := runCompare(&out, good, baseline, 15, "workers-4:serial:3.0"); code != 1 {
+	if code := runCompare(&out, good, baseline, 15); code != 1 {
 		t.Fatalf("stale run exited %d:\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "REGRESSION") || !strings.Contains(out.String(), "RESULT: FAIL") {
@@ -204,7 +149,7 @@ func TestRunCompareEndToEnd(t *testing.T) {
 	}
 
 	// Unreadable input is a usage error, not a gate verdict.
-	if code := runCompare(&out, baseline, filepath.Join(dir, "missing.json"), 15, ""); code != 2 {
+	if code := runCompare(&out, baseline, filepath.Join(dir, "missing.json"), 15); code != 2 {
 		t.Errorf("missing file exited %d", code)
 	}
 }

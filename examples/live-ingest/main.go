@@ -39,14 +39,13 @@ func main() {
 	fmt.Printf("generated %d frames (%d bytes compressed) in %d batches\n",
 		frames, len(xtcBytes), len(batches))
 
-	// Open the live session and wrap it in the buffering ingestor: Enqueue
-	// returns as soon as the batch is queued, and a single drain goroutine
-	// appends in order. Close drains the queue and seals the dataset.
+	// Open the live session. Each Append returns once its batch is durable
+	// and published as the new head; Seal turns the dataset into an
+	// ordinary container.
 	li, err := acq.OpenLiveIngest("/live.xtc", pdbBytes)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ing := ada.NewStreamIngestor(li, 0, reg)
 
 	// Tail the protein subset while it grows. The source blocks reads past
 	// the head until the producer publishes, so the consumer just reads
@@ -78,11 +77,12 @@ func main() {
 	}()
 
 	for _, b := range batches {
-		if err := ing.Enqueue(b); err != nil {
+		if _, err := li.Append(b); err != nil {
+			li.Abort() // the tail sees the dataset vanish
 			log.Fatal(err)
 		}
 	}
-	report, err := ing.Close() // drain + seal
+	report, err := li.Seal()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,10 +109,8 @@ func main() {
 	fmt.Printf("sealed container replays %d frames through the ordinary subset reader\n", n)
 
 	snap := reg.Snapshot()
-	fmt.Printf("stream.publishes=%d stream.append.frames=%d stream.append.bytes=%d\n",
-		snap.Counters["stream.publishes"],
-		snap.Counters["stream.append.frames"],
-		snap.Counters["stream.append.bytes"])
+	fmt.Printf("head version=%d (open + one per batch), tail lag observations=%d\n",
+		li.Head().Version, snap.Histograms["stream.tail.lag_frames"].Count)
 }
 
 // splitBatches cuts a compressed XTC stream into batches of n whole frames

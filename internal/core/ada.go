@@ -68,15 +68,6 @@ type Options struct {
 	Schema *Schema
 	// Metrics selects the runtime metrics registry (nil = metrics.Default).
 	Metrics *metrics.Registry
-	// DecodeWorkers bounds the ingest decode-ahead pool (<=0 selects
-	// xtc.DecodeAheadWorkers: a worker per core but the sequencer's, at
-	// least one). On one core it decodes in line on the ingest goroutine.
-	DecodeWorkers int
-	// DecodeBatchBytes overrides the encoded bytes handed to one decode
-	// worker per work item (<=0 selects ingestBatchBytes, 1 MiB). Smaller
-	// batches hold fewer decoded frames in flight; larger ones decode
-	// further ahead and amortize per-item overhead.
-	DecodeBatchBytes int
 	// DisableChecksums skips all CRC32C computation (no v2 indexes, no
 	// manifest checksums). Exists so the checksum overhead can be
 	// benchmarked; production ingests should leave it off.
@@ -194,23 +185,6 @@ type IngestReport struct {
 	Raw        int64            // bytes after decompression
 	Subsets    map[string]int64 // tag -> stored subset bytes
 	Elapsed    float64          // virtual seconds spent in ingest
-	// Parallel describes the decode worker pool; nil for serial Ingest.
-	Parallel *ParallelIngestReport
-}
-
-// ParallelIngestReport describes how IngestParallel's decode pool behaved.
-type ParallelIngestReport struct {
-	// DecodeWorkers is the size of the decode pool.
-	DecodeWorkers int
-	// WorkerDecodeSec is the virtual decompression time charged to each
-	// pool worker (frames assigned round-robin); the stage's wall-time
-	// contribution is the maximum entry, not the sum. Nil without a clock.
-	WorkerDecodeSec []float64
-	// WorkerBusyNS is each worker's real wall-clock decode time.
-	WorkerBusyNS []int64
-	// WorkerUtilization is each worker's real busy time relative to the
-	// busiest worker (1.0 = as busy as the bottleneck worker).
-	WorkerUtilization []float64
 }
 
 // Ingest runs the full ADA write path for one dataset: parse the structure
@@ -219,25 +193,38 @@ type ParallelIngestReport struct {
 // the backend its tag maps to. The structure file, label file, per-subset
 // frame indexes, and manifest are stored in the same container.
 //
-// The write path is a two-stage pipeline. An xtc.ParallelReader decodes
-// ahead on Options.DecodeWorkers goroutines while this goroutine alone
-// sequences the frames it yields — split, CRC, write, journal checkpoint —
-// so the backends see one ordered op stream whatever the pool size. Memory
-// bound: the storage node holds at most 2*DecodeWorkers+2 decode batches of
-// decoded frames, each up to 64 frames and about DecodeBatchBytes of encoded
-// input (a batch ends with the frame that crosses that size), refilled once
+// The write path is a two-stage pipeline. An xtc.AheadReader decodes on one
+// goroutine ahead of this one, which alone sequences the frames it yields —
+// split, CRC, write, journal checkpoint — so the backends see one ordered op
+// stream. Memory bound: the storage node holds the frames of about 3 MiB of
+// encoded input decoded ahead (never more than 64, never fewer than two),
+// plus the one being decoded and the one being written, refilled once
 // written, not allocated anew; on one core a single frame, as in the paper.
 func (a *ADA) Ingest(logical string, pdbData []byte, traj io.Reader) (*IngestReport, error) {
 	src := a.decodeAhead(traj)
 	defer src.Close()
-	return a.ingest(logical, pdbData, src, false, nil)
+	return a.ingest(logical, pdbData, src, false, false)
+}
+
+// IngestParallel is Ingest — the same pipeline, the same ordered writes, the
+// same checkpoints, byte-identical output — with the virtual clock charged
+// as the multi-core storage node the pipeline actually uses: the decode
+// stage and each subset's categorization overlap, so their wall time is the
+// slowest stage rather than their sum. Device I/O time is still charged as
+// the writes happen (the backends are shared).
+//
+// queue is unused. The entry point stays because the end-to-end benchmark's
+// parallelProbe (benchmarks/e2e/run.go) times it against Ingest.
+func (a *ADA) IngestParallel(logical string, pdbData []byte, traj io.Reader, queue int) (*IngestReport, error) {
+	src := a.decodeAhead(traj)
+	defer src.Close()
+	return a.ingest(logical, pdbData, src, false, true)
 }
 
 // ingest is every one-shot entry point: open a session, run src through its
-// frame loop, seal. stats turns the in-situ statistics stage on; a non-nil
-// pool (src's own) charges the virtual clock as overlapped stages and adds
-// the pool's telemetry to the report.
-func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, stats bool, pool *xtc.ParallelReader) (*IngestReport, error) {
+// frame loop, seal. stats turns the in-situ statistics stage on; overlap
+// charges the virtual clock as overlapped stages (IngestParallel).
+func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, stats, overlap bool) (*IngestReport, error) {
 	span := a.reg.StartSpan("ingest.total")
 	defer span.End()
 	st, err := a.prepareIngest(logical, pdbData, false)
@@ -247,8 +234,8 @@ func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, stats
 	if stats {
 		st.stats = make(statsStage, len(st.writers))
 	}
-	if st.pool = pool; pool != nil {
-		st.charge.overlap(pool.Workers(), len(st.writers))
+	if overlap {
+		st.charge.overlap(len(st.writers))
 	}
 	if err := st.ingestFrames("ingest", src); err != nil {
 		st.abort()
@@ -257,20 +244,11 @@ func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, stats
 	return st.seal()
 }
 
-// ingestBatchBytes is an ingest's decode work item when Options sets none,
-// four of the reader's: the frame loop runs on what is decoded ahead while a
-// decoder is held up, and six 200 kB frames (two a batch) often ran out.
-const ingestBatchBytes = 4 * xtc.DefaultBatchBytes
-
 // decodeAhead returns the frame source of an XTC ingest. Callers defer its
 // Close, so no exit path leaves a decode goroutine behind.
 func (a *ADA) decodeAhead(traj io.Reader) aheadTrajectory {
-	pr := xtc.NewParallelReader(traj, xtc.DecodeAheadWorkers(a.opts.DecodeWorkers))
+	pr := xtc.NewAheadReader(traj)
 	pr.Observe = a.im.decodeNS.Observe
-	pr.BatchBytes = a.opts.DecodeBatchBytes
-	if pr.BatchBytes <= 0 {
-		pr.BatchBytes = ingestBatchBytes
-	}
 	pr.SetMetrics(a.reg)
 	return aheadTrajectory{pr}
 }
@@ -285,7 +263,7 @@ func (a *ADA) decodeAhead(traj io.Reader) aheadTrajectory {
 // session whose staged subsets are still whole: st.err is nil).
 func (st *ingestState) ingestFrames(op string, src TrajectoryReader) error {
 	recycler, _ := src.(interface{ Recycle(*xtc.Frame) })
-	_, ahead := src.(aheadTrajectory) // a decode pool times its own frames
+	_, ahead := src.(aheadTrajectory) // the decoder times its own frames
 	for {
 		t0 := time.Now()
 		frame, consumed, err := src.ReadFrame()
@@ -412,8 +390,6 @@ type ingestState struct {
 	charge *ingestCharge
 	// stats, when set, is the in-situ statistics stage (insitu.go).
 	stats statsStage
-	// pool, when set, is the decode pool seal reports on (IngestParallel).
-	pool *xtc.ParallelReader
 	// staged lists the final dropping names (in publish order) whose
 	// staged copies commit renames into place; the manifest is not among
 	// them — its rename is the commit point and always happens last.
@@ -637,10 +613,7 @@ func (st *ingestState) writeStaged(name, backend string, data []byte) error {
 // and the container to Recover.
 func (st *ingestState) seal() (*IngestReport, error) {
 	st.closeWriters()
-	decodeSec := st.charge.settle()
-	if st.pool != nil {
-		st.report.Parallel = poolReport(st.pool, decodeSec)
-	}
+	st.charge.settle()
 	if err := st.finish(); err != nil {
 		return nil, st.fail(err)
 	}

@@ -72,15 +72,16 @@ func (c StorageCost) categorizeTime(n int64) float64 { return c.seconds(n, c.Cat
 // nil check per call. Serial mode, the default, advances the clock by each
 // frame's decompression and categorization one after the other — the paper's
 // single-core storage node. Overlapped mode (IngestParallel) accumulates the
-// same work per decode worker and per subset writer, and settle advances the
-// clock by the slowest of them.
+// same work per stage — the one decoder, each subset writer — and settle
+// advances the clock by the slowest of them. Nothing in either mode reads the
+// host the ingest runs on.
 type ingestCharge struct {
 	env   *sim.Env
 	cost  StorageCost
 	start float64 // the clock when the session opened
 
-	decodeSec     []float64 // overlapped: per decode worker, frames dealt round-robin
-	categorizeSec []float64 // overlapped: per subset writer
+	decodeSec     float64   // overlapped: the decode stage
+	categorizeSec []float64 // overlapped: per subset writer; nil in serial mode
 }
 
 // newIngestCharge starts a session's hook; nil when there is no clock.
@@ -98,11 +99,10 @@ func (c *ingestCharge) cpu(bucket string, sec float64) {
 	}
 }
 
-// overlap switches the hook to overlapped charging for a pool of workers
-// decoders feeding writers subset writers.
-func (c *ingestCharge) overlap(workers, writers int) {
+// overlap switches the hook to overlapped charging for a decoder feeding
+// writers subset writers.
+func (c *ingestCharge) overlap(writers int) {
 	if c != nil {
-		c.decodeSec = make([]float64, workers)
 		c.categorizeSec = make([]float64, writers)
 	}
 }
@@ -114,8 +114,8 @@ func (c *ingestCharge) frame(st *ingestState, consumed int64, compressed bool) {
 	if c == nil {
 		return
 	}
-	if c.decodeSec != nil {
-		c.decodeSec[st.report.Frames%len(c.decodeSec)] += c.cost.decompressTime(consumed)
+	if c.categorizeSec != nil {
+		c.decodeSec += c.cost.decompressTime(consumed)
 		for i, sw := range st.writers {
 			c.categorizeSec[i] += c.cost.categorizeTime(xtc.RawFrameSize(sw.natoms))
 		}
@@ -133,24 +133,19 @@ func (c *ingestCharge) frame(st *ingestState, consumed int64, compressed bool) {
 
 // settle runs as the session seals, after the last frame and before the
 // metadata is staged. Overlapped stages advance the clock by the slowest one
-// — every stage's work still lands in the profile, decode workers in the
-// shared decompress bucket, so the profile totals equal the serial path's —
-// and the per-worker decode charge is returned for the pool report.
-func (c *ingestCharge) settle() []float64 {
-	if c == nil || c.decodeSec == nil {
-		return nil
+// — every stage's work still lands in the profile, so the profile totals
+// equal the serial path's.
+func (c *ingestCharge) settle() {
+	if c == nil || c.categorizeSec == nil {
+		return
 	}
-	var worst float64
-	for _, sec := range c.decodeSec {
-		c.env.ChargeConcurrent("storage.cpu.decompress", sec)
-		worst = max(worst, sec)
-	}
+	c.env.ChargeConcurrent("storage.cpu.decompress", c.decodeSec)
+	worst := c.decodeSec
 	for _, sec := range c.categorizeSec {
 		c.env.ChargeConcurrent("storage.cpu.categorize", sec)
 		worst = max(worst, sec)
 	}
 	c.env.Clock.Advance(worst)
-	return c.decodeSec
 }
 
 // elapsed is the virtual seconds since the session opened.

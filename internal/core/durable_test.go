@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -27,12 +28,21 @@ var durableDroppings = []string{
 	"structure.pdb", "labels.json", "manifest.json",
 }
 
+// ingestVia is one way to run a one-shot ingest of /ds.
+type ingestVia func(a *ADA, pdbBytes, traj []byte) error
+
+// viaIngest is Ingest: decode ahead, serial virtual clock.
+func viaIngest(a *ADA, pdbBytes, traj []byte) error {
+	_, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj))
+	return err
+}
+
 // crashIngest runs one ingest attempt with the injector's faults applied to
 // both backends and returns the raw (fault-free) backends for post-crash
 // inspection. The ingest error, if any, is deliberately discarded: a fired
 // kill rule is the simulated crash, and even the rollback inside Ingest's
 // error path fails through the dead file system, exactly like a real crash.
-func crashIngest(t *testing.T, in *faultfs.Injector, opts Options, pdbBytes, traj []byte) (*vfs.MemFS, *vfs.MemFS) {
+func crashIngest(t *testing.T, in *faultfs.Injector, via ingestVia, pdbBytes, traj []byte) (*vfs.MemFS, *vfs.MemFS) {
 	t.Helper()
 	ssd, hdd := vfs.NewMemFS(), vfs.NewMemFS()
 	store, err := plfs.New(
@@ -42,9 +52,7 @@ func crashIngest(t *testing.T, in *faultfs.Injector, opts Options, pdbBytes, tra
 	if err != nil {
 		return ssd, hdd // the kill landed inside store construction
 	}
-	opts.Metrics = metrics.NewRegistry()
-	a := New(store, nil, opts)
-	a.Ingest("/ds", pdbBytes, bytes.NewReader(traj))
+	via(New(store, nil, Options{Metrics: metrics.NewRegistry()}), pdbBytes, traj)
 	return ssd, hdd
 }
 
@@ -64,10 +72,10 @@ func rebootADA(t *testing.T, ssd, hdd *vfs.MemFS) *ADA {
 
 // countOps measures how many backend operations one clean ingest performs,
 // using a rule that can never fire so the injector only observes.
-func countOps(t *testing.T, opts Options, pdbBytes, traj []byte) int64 {
+func countOps(t *testing.T, via ingestVia, pdbBytes, traj []byte) int64 {
 	t.Helper()
 	probe := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindErr, Op: "no-such-op", Nth: 1})
-	crashIngest(t, probe, opts, pdbBytes, traj)
+	crashIngest(t, probe, via, pdbBytes, traj)
 	total := probe.Ops()
 	if total < 20 {
 		t.Fatalf("probe ingest saw only %d backend ops", total)
@@ -79,24 +87,24 @@ func countOps(t *testing.T, opts Options, pdbBytes, traj []byte) int64 {
 // of an ingest whose surviving journal satisfies want, sweeping the kill
 // points forwards, or backwards from the last (where the commit is) when
 // fromEnd is set.
-func crashState(t *testing.T, opts Options, pdbBytes, traj []byte, fromEnd bool, want func(recs []journalRecord) bool) (*ADA, []journalRecord) {
+func crashState(t *testing.T, via ingestVia, pdbBytes, traj []byte, fromEnd bool, want func(recs []journalRecord) bool) (*ADA, []journalRecord) {
 	t.Helper()
-	ssd, hdd, recs := crashBackends(t, opts, pdbBytes, traj, fromEnd, want)
+	ssd, hdd, recs := crashBackends(t, via, pdbBytes, traj, fromEnd, want)
 	return rebootADA(t, ssd, hdd), recs
 }
 
 // crashBackends is crashState before the reboot: the raw backends as the
 // kill left them.
-func crashBackends(t *testing.T, opts Options, pdbBytes, traj []byte, fromEnd bool, want func(recs []journalRecord) bool) (*vfs.MemFS, *vfs.MemFS, []journalRecord) {
+func crashBackends(t *testing.T, via ingestVia, pdbBytes, traj []byte, fromEnd bool, want func(recs []journalRecord) bool) (*vfs.MemFS, *vfs.MemFS, []journalRecord) {
 	t.Helper()
-	total := countOps(t, opts, pdbBytes, traj)
+	total := countOps(t, via, pdbBytes, traj)
 	for i := int64(1); i <= total; i++ {
 		n := i
 		if fromEnd {
 			n = total + 1 - i
 		}
 		in := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindKill, Nth: int(n)})
-		ssd, hdd := crashIngest(t, in, opts, pdbBytes, traj)
+		ssd, hdd := crashIngest(t, in, via, pdbBytes, traj)
 		a := rebootADA(t, ssd, hdd)
 		if recs, err := a.readJournal("/ds"); err == nil && len(recs) > 0 && want(recs) {
 			return ssd, hdd, recs
@@ -207,11 +215,11 @@ func TestCrashMatrix(t *testing.T) {
 	golden, goldenBytes := goldenDroppings(t, pdbBytes, traj)
 	goldenFrames := readSubsetFrames(t, golden, "/ds", TagProtein)
 
-	total := countOps(t, Options{}, pdbBytes, traj)
+	total := countOps(t, viaIngest, pdbBytes, traj)
 	var committed, rolledBack int
 	for n := int64(1); n <= total; n++ {
 		in := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindKill, Nth: int(n)})
-		ssd, hdd := crashIngest(t, in, Options{}, pdbBytes, traj)
+		ssd, hdd := crashIngest(t, in, viaIngest, pdbBytes, traj)
 		a := rebootADA(t, ssd, hdd)
 		if _, err := a.Recover(); err != nil {
 			t.Fatalf("kill %d/%d: recover: %v", n, total, err)
@@ -248,41 +256,147 @@ func TestCrashMatrix(t *testing.T) {
 	t.Logf("crash matrix: %d kill points, %d rolled back, %d committed", total, rolledBack, committed)
 }
 
-// TestIngestOpsIndependentOfDecodeConfig: the decode-ahead pool's size and
-// batch size decide only who decodes a frame, never what the backends see.
-// At every configuration an ingest issues the same number of backend ops
-// (so the crash matrix sweeps the same kill points), journals the same
-// records — read from the last crash state that still has its journal — and
-// commits the golden bytes. The journal's checkpoints are frame-exact: each
-// one's compressed counter is the summed encoded size of the frames it
-// covers, not however far the decoder's read-ahead had pulled from the
-// source when it was taken.
+// opLog is a vfs.FS that records every op it passes, with its path and,
+// for reads and writes, its size: the sequence the backends see.
+type opLog struct {
+	vfs.FS
+	ops *[]string
+}
+
+func (l opLog) log(format string, args ...any) { *l.ops = append(*l.ops, fmt.Sprintf(format, args...)) }
+
+func (l opLog) Create(name string) (vfs.File, error) {
+	l.log("create %s", name)
+	f, err := l.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return loggedFile{f, l}, nil
+}
+
+func (l opLog) Open(name string) (vfs.File, error) {
+	l.log("open %s", name)
+	f, err := l.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return loggedFile{f, l}, nil
+}
+
+func (l opLog) Stat(name string) (vfs.FileInfo, error) {
+	l.log("stat %s", name)
+	return l.FS.Stat(name)
+}
+
+func (l opLog) ReadDir(name string) ([]vfs.FileInfo, error) {
+	l.log("readdir %s", name)
+	return l.FS.ReadDir(name)
+}
+
+func (l opLog) MkdirAll(name string) error {
+	l.log("mkdirall %s", name)
+	return l.FS.MkdirAll(name)
+}
+
+func (l opLog) Remove(name string) error {
+	l.log("remove %s", name)
+	return l.FS.Remove(name)
+}
+
+func (l opLog) Rename(oldname, newname string) error {
+	l.log("rename %s %s", oldname, newname)
+	return l.FS.Rename(oldname, newname)
+}
+
+type loggedFile struct {
+	vfs.File
+	l opLog
+}
+
+func (f loggedFile) Read(p []byte) (int, error) {
+	f.l.log("read %s %d", f.Name(), len(p))
+	return f.File.Read(p)
+}
+
+func (f loggedFile) ReadAt(p []byte, off int64) (int, error) {
+	f.l.log("readat %s %d %d", f.Name(), len(p), off)
+	return f.File.ReadAt(p, off)
+}
+
+func (f loggedFile) Write(p []byte) (int, error) {
+	f.l.log("write %s %d", f.Name(), len(p))
+	return f.File.Write(p)
+}
+
+func (f loggedFile) Close() error {
+	f.l.log("close %s", f.Name())
+	return f.File.Close()
+}
+
+// TestIngestOpsIndependentOfDecodeConfig: whether a frame is decoded ahead
+// or in line decides only who decodes it, never what the backends see.
+// Ingest and IngestParallel decode ahead (in line on one core), and
+// IngestTrajectory over NewXTCTrajectory decodes in line: each issues the
+// same op sequence, journals the same records — read from the last crash
+// state that still has its journal — and commits the golden bytes. The
+// journal's checkpoints are frame-exact: each one's compressed counter is
+// the summed encoded size of the frames it covers, not however far the
+// decoder had read ahead when it was taken.
 func TestIngestOpsIndependentOfDecodeConfig(t *testing.T) {
-	frames := 2*journalCkptEvery + 8 // two checkpoints, and two decode batches at the largest size
+	frames := 2*journalCkptEvery + 8 // two checkpoints and a partial tail
 	pdbBytes, traj, _ := testDataset(t, 100, frames)
 	_, goldenBytes := goldenDroppings(t, pdbBytes, traj)
-	var wantOps int64
+	inOneCore := func(via ingestVia) ingestVia {
+		return func(a *ADA, pdbBytes, traj []byte) error {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			return via(a, pdbBytes, traj)
+		}
+	}
+	viaParallel := func(a *ADA, pdbBytes, traj []byte) error {
+		_, err := a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), 0)
+		return err
+	}
+	ways := []struct {
+		name string
+		via  ingestVia
+	}{
+		{"Ingest", viaIngest},
+		{"IngestParallel", viaParallel},
+		{"Ingest/GOMAXPROCS=1", inOneCore(viaIngest)},
+		{"IngestParallel/GOMAXPROCS=1", inOneCore(viaParallel)},
+		{"IngestTrajectory", func(a *ADA, pdbBytes, traj []byte) error {
+			_, err := a.IngestTrajectory("/ds", pdbBytes, NewXTCTrajectory(bytes.NewReader(traj)))
+			return err
+		}},
+	}
+	var wantOps []string
 	var wantJournal []journalRecord
-	for _, workers := range []int{1, 2, 8} {
-		for _, batchBytes := range []int{1, 256 << 10, 1 << 30} {
-			what := fmt.Sprintf("workers=%d batch=%d", workers, batchBytes)
-			opts := Options{DecodeWorkers: workers, DecodeBatchBytes: batchBytes}
-			ops := countOps(t, opts, pdbBytes, traj)
-			a, journal := crashState(t, opts, pdbBytes, traj, true, endsIn(journalCommit))
-			if _, err := a.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			assertGolden(t, a, goldenBytes, what)
-			if wantJournal == nil {
-				wantOps, wantJournal = ops, journal
-				continue
-			}
-			if ops != wantOps {
-				t.Errorf("%s: %d backend ops, want %d", what, ops, wantOps)
-			}
-			if !reflect.DeepEqual(journal, wantJournal) {
-				t.Errorf("%s: journal records differ", what)
-			}
+	for _, w := range ways {
+		var ops []string
+		store, err := plfs.New(
+			plfs.Backend{Name: "ssd", FS: opLog{vfs.NewMemFS(), &ops}, Mount: "/mnt1"},
+			plfs.Backend{Name: "hdd", FS: opLog{vfs.NewMemFS(), &ops}, Mount: "/mnt2"},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.via(New(store, nil, Options{Metrics: metrics.NewRegistry()}), pdbBytes, traj); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		a, journal := crashState(t, w.via, pdbBytes, traj, true, endsIn(journalCommit))
+		if _, err := a.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		assertGolden(t, a, goldenBytes, w.name)
+		if wantJournal == nil {
+			wantOps, wantJournal = ops, journal
+			continue
+		}
+		if !reflect.DeepEqual(ops, wantOps) {
+			t.Errorf("%s: %d backend ops differ from Ingest's %d", w.name, len(ops), len(wantOps))
+		}
+		if !reflect.DeepEqual(journal, wantJournal) {
+			t.Errorf("%s: journal records differ", w.name)
 		}
 	}
 	var encoded int64
@@ -304,7 +418,8 @@ func TestIngestOpsIndependentOfDecodeConfig(t *testing.T) {
 // subset — nothing decoded ahead of k leaks in, nothing before it is lost —
 // so the journal's last checkpoint plus the staged bytes are a valid resume
 // point. It runs through ResumeIngest, which (unlike Ingest) leaves the
-// container in place on failure, and then resumes it to the golden bytes.
+// container in place on failure, twice — a failed resume is itself a valid
+// resume point — and then resumes it to the golden bytes.
 func TestDecodeErrorLeavesExactPrefix(t *testing.T) {
 	const k = journalCkptEvery + 5
 	pdbBytes, traj, _ := testDataset(t, 200, k+3)
@@ -316,12 +431,12 @@ func TestDecodeErrorLeavesExactPrefix(t *testing.T) {
 	}
 	bad[off] ^= 0xff // frame k's magic number
 
-	crashed, _ := crashState(t, Options{}, pdbBytes, traj, false, endsIn(journalBegin))
-	for _, workers := range []int{1, 4} {
-		a := New(crashed.containers, nil, Options{Metrics: metrics.NewRegistry(), DecodeWorkers: workers, DecodeBatchBytes: 1 << 30})
+	crashed, _ := crashState(t, viaIngest, pdbBytes, traj, false, endsIn(journalBegin))
+	for attempt := 1; attempt <= 2; attempt++ {
+		a := New(crashed.containers, nil, Options{Metrics: metrics.NewRegistry()})
 		_, err := a.ResumeIngest("/ds", pdbBytes, bytes.NewReader(bad))
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("frame %d:", k)) || !errors.Is(err, xtc.ErrBadMagic) {
-			t.Fatalf("workers=%d: err = %v, want a bad magic number at frame %d", workers, err, k)
+			t.Fatalf("attempt %d: err = %v, want a bad magic number at frame %d", attempt, err, k)
 		}
 		for _, tag := range []string{TagProtein, TagMisc} {
 			data, err := a.readDropping("/ds", stagingPrefix+subsetPrefix+tag)
@@ -329,7 +444,7 @@ func TestDecodeErrorLeavesExactPrefix(t *testing.T) {
 				t.Fatal(err)
 			}
 			if n := len(splitFrames(t, data)); n != k {
-				t.Errorf("workers=%d: staged subset %s holds %d frames, want exactly %d", workers, tag, n, k)
+				t.Errorf("attempt %d: staged subset %s holds %d frames, want exactly %d", attempt, tag, n, k)
 			}
 		}
 		recs, err := a.readJournal("/ds")
@@ -337,8 +452,8 @@ func TestDecodeErrorLeavesExactPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		if last := recs[len(recs)-1]; last.Type != journalCkpt || last.Frames != journalCkptEvery {
-			t.Errorf("workers=%d: journal ends in %s at frame %d, want the checkpoint at %d",
-				workers, last.Type, last.Frames, journalCkptEvery)
+			t.Errorf("attempt %d: journal ends in %s at frame %d, want the checkpoint at %d",
+				attempt, last.Type, last.Frames, journalCkptEvery)
 		}
 	}
 	if _, err := crashed.ResumeIngest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
@@ -465,7 +580,7 @@ func TestResumeIngestFromCheckpoint(t *testing.T) {
 
 	// The first kill point whose crash state is a journal ending in a
 	// checkpoint: the frame loop past frame journalCkptEvery.
-	a, recs := crashState(t, Options{}, pdbBytes, traj, false, endsIn(journalCkpt))
+	a, recs := crashState(t, viaIngest, pdbBytes, traj, false, endsIn(journalCkpt))
 	if ckFrames := recs[len(recs)-1].Frames; ckFrames != journalCkptEvery {
 		t.Fatalf("crash state checkpoint at frame %d, want %d", ckFrames, journalCkptEvery)
 	}
@@ -530,7 +645,7 @@ func TestResumeIngestFailureClosesHandles(t *testing.T) {
 	frames := journalCkptEvery + 8
 	pdbBytes, traj, _ := testDataset(t, 200, frames)
 	_, goldenBytes := goldenDroppings(t, pdbBytes, traj)
-	ssd, hdd, _ := crashBackends(t, Options{}, pdbBytes, traj, false, endsIn(journalCkpt))
+	ssd, hdd, _ := crashBackends(t, viaIngest, pdbBytes, traj, false, endsIn(journalCkpt))
 
 	var opened, closed atomic.Int64
 	store, err := plfs.New(
@@ -570,7 +685,7 @@ func TestResumeIngestFromZero(t *testing.T) {
 		t.Fatal("resume of a committed dataset should fail")
 	}
 
-	a, _ := crashState(t, Options{}, pdbBytes, traj, false, endsIn(journalBegin))
+	a, _ := crashState(t, viaIngest, pdbBytes, traj, false, endsIn(journalBegin))
 	rep, err := a.ResumeIngest("/ds", pdbBytes, bytes.NewReader(traj))
 	if err != nil {
 		t.Fatal(err)

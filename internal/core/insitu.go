@@ -32,7 +32,7 @@ type SubsetStats struct {
 // charged to the storage node. The statistics are stored as stats.<tag>
 // droppings beside the subsets.
 func (a *ADA) IngestWithStats(logical string, pdbData []byte, tr TrajectoryReader) (*IngestReport, error) {
-	return a.ingest(logical, pdbData, tr, true, nil)
+	return a.ingest(logical, pdbData, tr, true, false)
 }
 
 // statsStage is a session's in-situ statistics stage: one analysis series

@@ -107,6 +107,12 @@ func TestIngestMetricsParallel(t *testing.T) {
 		t.Fatalf("frames = %d", rep.Frames)
 	}
 	checkIngestMetrics(t, reg, 6, int64(len(traj)))
+	// The decoder reports its own series: every frame decoded and timed.
+	s := reg.Snapshot()
+	if s.Counters["xtc.decode.frames"] != 6 || s.Histograms["xtc.decode.ns"].Count != 6 {
+		t.Errorf("xtc.decode.frames = %d, xtc.decode.ns observations = %d, want 6 each",
+			s.Counters["xtc.decode.frames"], s.Histograms["xtc.decode.ns"].Count)
+	}
 }
 
 // TestIngestMetricsTransparent: the same ingest against a metered and an

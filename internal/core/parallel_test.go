@@ -21,24 +21,35 @@ import (
 	"repro/internal/xtc"
 )
 
-// assertParallelMatchesSerial ingests the same dataset with Ingest and with
-// IngestParallel and requires byte-identical stored output. batch is the
-// decode-ahead work item in frames (0 = the default size), queue the value
-// of IngestParallel's unused argument.
+// assertParallelMatchesSerial ingests the same dataset with IngestParallel
+// and with a reference — Ingest, or with batch > 0 a live session appended
+// batch frames at a time and sealed — and requires byte-identical stored
+// output. queue is the value of IngestParallel's unused argument.
 func assertParallelMatchesSerial(t *testing.T, frames, batch, queue int) {
 	t.Helper()
 	pdbBytes, traj, _ := testDataset(t, 100, frames)
-	batchBytes := 0
-	if batch > 0 {
-		batchBytes = (batch-1)*len(traj)/frames + 1
-	}
 
 	serial, serialSSD, serialHDD := newADA(t, nil, Options{Granularity: Fine})
-	srep, err := serial.Ingest("/ds", pdbBytes, bytes.NewReader(traj))
+	var srep *IngestReport
+	var err error
+	if batch == 0 {
+		srep, err = serial.Ingest("/ds", pdbBytes, bytes.NewReader(traj))
+	} else {
+		var li *LiveIngest
+		if li, err = serial.OpenLiveIngest("/ds", pdbBytes); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batchFrames(splitFrames(t, traj), batch) {
+			if _, err := li.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srep, err = li.Seal()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parSSD, parHDD := newADA(t, nil, Options{Granularity: Fine, DecodeWorkers: 3, DecodeBatchBytes: batchBytes})
+	par, parSSD, parHDD := newADA(t, nil, Options{Granularity: Fine})
 	prep, err := par.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), queue)
 	if err != nil {
 		t.Fatal(err)
@@ -78,10 +89,10 @@ func TestIngestParallelMatchesSerial(t *testing.T) {
 	assertParallelMatchesSerial(t, 6, 0, 2)
 }
 
-// TestIngestParallelBatchQueueSweep covers the decode-ahead batching edge
-// cases: batch 1 (every frame its own work item), batch sizes that do and do
-// not divide the frame count (partial final batch), a batch larger than the
-// whole trajectory — and that the queue argument changes nothing.
+// TestIngestParallelBatchQueueSweep holds IngestParallel to a live session
+// fed the same frames in batches: one frame each, batch sizes that do and do
+// not divide the frame count (a partial final batch), one batch larger than
+// the whole trajectory — and the queue argument changes nothing.
 func TestIngestParallelBatchQueueSweep(t *testing.T) {
 	for _, batch := range []int{1, 2, 3, 16} {
 		for _, queue := range []int{1, 4} {
@@ -92,6 +103,10 @@ func TestIngestParallelBatchQueueSweep(t *testing.T) {
 	}
 }
 
+// TestIngestParallelPipelinedTimeIsMaxOfStages: IngestParallel charges the
+// same CPU work as Ingest, but its clock advances past the structure parse by
+// exactly the slowest overlapped stage — the decode of every frame's encoded
+// bytes, or one subset's categorization — whatever host it runs on.
 func TestIngestParallelPipelinedTimeIsMaxOfStages(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 100, 6)
 
@@ -106,8 +121,7 @@ func TestIngestParallelPipelinedTimeIsMaxOfStages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same total CPU work appears in both profiles (within float
-	// reassociation: the parallel path sums per-worker partials) ...
+	// Same total CPU work appears in both profiles ...
 	sd := envS.Profile.Get("storage.cpu.decompress")
 	pd := envP.Profile.Get("storage.cpu.decompress")
 	if diff := math.Abs(sd - pd); diff > 1e-9*math.Max(sd, 1) {
@@ -119,60 +133,29 @@ func TestIngestParallelPipelinedTimeIsMaxOfStages(t *testing.T) {
 		t.Errorf("parallel ingest clock %.6f not faster than serial %.6f",
 			envP.Clock.Now(), envS.Clock.Now())
 	}
-}
-
-func TestIngestParallelWorkerReport(t *testing.T) {
-	pdbBytes, traj, _ := testDataset(t, 100, 7)
-	env := sim.NewEnv()
-	a, _, _ := newADA(t, env, Options{DecodeWorkers: 3})
-	rep, err := a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), 2)
+	// The stages, summed frame by frame in the order the ingest charges them.
+	cost := DefaultStorageCost()
+	m, err := par.Manifest("/ds")
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := rep.Parallel
-	if par == nil {
-		t.Fatal("IngestParallel report has no Parallel section")
-	}
-	if par.DecodeWorkers != 3 {
-		t.Errorf("DecodeWorkers = %d, want 3", par.DecodeWorkers)
-	}
-	if len(par.WorkerDecodeSec) != 3 || len(par.WorkerBusyNS) != 3 || len(par.WorkerUtilization) != 3 {
-		t.Fatalf("per-worker slices sized %d/%d/%d, want 3",
-			len(par.WorkerDecodeSec), len(par.WorkerBusyNS), len(par.WorkerUtilization))
-	}
-	// The virtual decode charge is dealt round-robin: its sum must equal
-	// the serial decompress total, and with 7 frames over 3 workers every
-	// worker got at least two frames of work.
-	var sum float64
-	for w, sec := range par.WorkerDecodeSec {
-		if sec <= 0 {
-			t.Errorf("worker %d charged %v virtual seconds", w, sec)
-		}
-		sum += sec
-	}
-	if total := env.Profile.Get("storage.cpu.decompress"); math.Abs(sum-total) > 1e-12*math.Max(total, 1) {
-		t.Errorf("per-worker virtual decode sums to %v, profile has %v", sum, total)
-	}
-	maxUtil := 0.0
-	for w, u := range par.WorkerUtilization {
-		if u < 0 || u > 1 {
-			t.Errorf("worker %d utilization %v out of [0,1]", w, u)
-		}
-		if u > maxUtil {
-			maxUtil = u
+	var decode float64
+	categorize := map[string]float64{}
+	for _, blob := range splitFrames(t, traj) {
+		decode += cost.decompressTime(int64(len(blob)))
+		for tag, sub := range m.Subsets {
+			categorize[tag] += cost.categorizeTime(xtc.RawFrameSize(sub.NAtoms))
 		}
 	}
-	if maxUtil != 1 {
-		t.Errorf("busiest worker utilization = %v, want 1", maxUtil)
+	if pd != decode {
+		t.Errorf("decompress charge %v, the decode stage is %v", pd, decode)
 	}
-	// Serial ingest reports no pool.
-	b, _, _ := newADA(t, nil, Options{})
-	srep, err := b.Ingest("/s", pdbBytes, bytes.NewReader(traj))
-	if err != nil {
-		t.Fatal(err)
+	slowest := decode
+	for _, sec := range categorize {
+		slowest = max(slowest, sec)
 	}
-	if srep.Parallel != nil {
-		t.Errorf("serial ingest unexpectedly reported a decode pool: %+v", srep.Parallel)
+	if got, want := envP.Clock.Now(), envP.Profile.Get("storage.cpu.pdbparse")+slowest; got != want {
+		t.Errorf("parallel ingest clock %v, want the parse plus the slowest stage %v", got, want)
 	}
 }
 
@@ -197,14 +180,18 @@ func TestIngestParallelErrors(t *testing.T) {
 }
 
 // TestIngestParallelWriterFailureMidBatch drives a writer into a device-full
-// failure partway through a multi-frame decode batch, with frames still
-// decoding ahead. The ingest must return the failure promptly, the error
-// must name the frame the write failed on, and the decode pool must be gone
-// afterwards (every exit path closes the reader).
+// failure partway through the trajectory, with frames still decoding ahead
+// (and, on one core, decoded in line). The ingest must return the failure
+// promptly, the error must name the frame the write failed on, and the
+// decoder must be gone afterwards (every exit path closes the reader).
 func TestIngestParallelWriterFailureMidBatch(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 50, 200)
-	for _, cfg := range []struct{ batch, queue int }{{4, 1}, {1, 1}, {16, 2}} {
-		t.Run(fmt.Sprintf("batch=%d/queue=%d", cfg.batch, cfg.queue), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		procs int
+	}{{"ahead", runtime.GOMAXPROCS(0)}, {"inline", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
 			dev := device.Device{
 				Name: "tiny", ReadBW: 100 * device.MB, WriteBW: 100 * device.MB,
 				Capacity: 6 * blockfs.BlockSize,
@@ -217,11 +204,8 @@ func TestIngestParallelWriterFailureMidBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := runtime.NumGoroutine()
-			a := New(containers, nil, Options{
-				DecodeWorkers:    4,
-				DecodeBatchBytes: (cfg.batch-1)*len(traj)/200 + 1,
-			})
-			_, err = a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), cfg.queue)
+			a := New(containers, nil, Options{})
+			_, err = a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), 1)
 			if err == nil {
 				t.Fatal("parallel ingest onto a full device should fail")
 			}
@@ -231,7 +215,7 @@ func TestIngestParallelWriterFailureMidBatch(t *testing.T) {
 			if !regexp.MustCompile(`frame \d+`).MatchString(err.Error()) {
 				t.Errorf("err = %q, want the failing frame index in the message", err)
 			}
-			// Close is asynchronous: the pool drains within moments.
+			// Close is asynchronous: the decoder exits within moments.
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
@@ -243,29 +227,28 @@ func TestIngestParallelWriterFailureMidBatch(t *testing.T) {
 	}
 }
 
-// TestIngestParallelProgressNotBatchLagged covers the decode-error-mid-batch
-// report: frames decoded ahead in the same work item as the failing one must
-// all be written before the error surfaces, so the progress gauge and the
-// error's frame index name the failing frame itself, not the start of its
-// decode batch.
+// TestIngestParallelProgressNotBatchLagged covers the decode-error report:
+// every frame decoded ahead of the failing one must be written before the
+// error surfaces, so the progress gauge and the error's frame index name the
+// failing frame itself, not where the decoder had got to.
 func TestIngestParallelProgressNotBatchLagged(t *testing.T) {
-	const batch, frames = 16, 21
+	const frames = 21
 	pdbBytes, traj, _ := testDataset(t, 100, frames)
 	reg := metrics.NewRegistry()
-	opts := Options{Metrics: reg, DecodeWorkers: 2, DecodeBatchBytes: (batch-1)*len(traj)/frames + 1}
+	opts := Options{Metrics: reg}
 	a, _, _ := newADA(t, nil, opts)
 	// Truncating the stream corrupts the final frame: the decode error lands
-	// at frame 20, five frames into the second batch.
+	// at frame 20, behind twenty frames decoded ahead.
 	_, err := a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj[:len(traj)-7]), 2)
 	if err == nil {
 		t.Fatal("truncated trajectory should fail")
 	}
 	if want := fmt.Sprintf("frame %d", frames-1); !strings.Contains(err.Error(), want) {
-		t.Errorf("err = %q, want the mid-batch failing frame (%s) named", err, want)
+		t.Errorf("err = %q, want the failing frame (%s) named", err, want)
 	}
 	if got := reg.Snapshot().Gauges["ingest.progress_frames"]; got != frames-1 {
-		t.Errorf("ingest.progress_frames = %d after error at frame %d, want %d (not the last batch boundary %d)",
-			got, frames-1, frames-1, batch)
+		t.Errorf("ingest.progress_frames = %d after error at frame %d, want %d",
+			got, frames-1, frames-1)
 	}
 	// A clean run leaves the gauge at the full frame count, matching the
 	// report.

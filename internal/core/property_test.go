@@ -132,9 +132,9 @@ func TestQuickIngestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickParallelReaderMatchesSerial: for random datasets and random worker
-// counts, xtc.ParallelReader yields frame-for-frame exactly what the serial
-// xtc.Reader yields.
+// TestQuickParallelReaderMatchesSerial: for random datasets,
+// xtc.AheadReader yields frame-for-frame exactly what the serial xtc.Reader
+// yields.
 func TestQuickParallelReaderMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -146,7 +146,7 @@ func TestQuickParallelReaderMatchesSerial(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pr := xtc.NewParallelReader(bytes.NewReader(traj), rng.Intn(8)+1)
+		pr := xtc.NewAheadReader(bytes.NewReader(traj))
 		defer pr.Close()
 		got, err := pr.ReadAll()
 		if err != nil || len(got) != len(want) {

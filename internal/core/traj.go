@@ -24,7 +24,7 @@ type xtcTrajectory struct{ r *xtc.Reader }
 
 // aheadTrajectory is the ingest path's XTC source: frames decoded ahead of
 // the frame loop, which hands each back (Recycle) once it is written out.
-type aheadTrajectory struct{ *xtc.ParallelReader }
+type aheadTrajectory struct{ *xtc.AheadReader }
 
 func (t aheadTrajectory) ReadFrame() (*xtc.Frame, int64, error) { return t.ReadFrameSize() }
 func (t aheadTrajectory) Compressed() bool                      { return true }
@@ -82,5 +82,5 @@ func NewTRRTrajectory(r io.Reader) TrajectoryReader {
 // IngestTrajectory is Ingest for any supported trajectory format, decoded in
 // line by the reader it is handed.
 func (a *ADA) IngestTrajectory(logical string, pdbData []byte, tr TrajectoryReader) (*IngestReport, error) {
-	return a.ingest(logical, pdbData, tr, false, nil)
+	return a.ingest(logical, pdbData, tr, false, false)
 }

@@ -3,11 +3,13 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
 	"runtime"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/faultfs"
@@ -279,4 +281,69 @@ func TestDispatchWriteAllocsIndependentOfPayload(t *testing.T) {
 	if per := heapPerRun(100, dispatchWrite(512<<10)); per > 4096 {
 		t.Errorf("dispatch allocates %.0f heap bytes per 512 KiB write", per)
 	}
+}
+
+// TestHostilePrefixAllocatesAsBytesArrive: a length prefix is a claim, not
+// a payload. Four bytes asking for 64 MiB and then hanging up — what any
+// peer can send a node before it has identified itself — must cost the node
+// one chunk, not the 64 MiB claimed; a payload that does arrive is read
+// whole, through the doubling, however the reader splits it.
+func TestHostilePrefixAllocatesAsBytesArrive(t *testing.T) {
+	var err error
+	hostile := []byte{0x04, 0x00, 0x00, 0x00}
+	if per := heapPerRun(1, func() { _, err = readFrame(bytes.NewReader(hostile), nil) }); per >= 1<<20 {
+		t.Errorf("a %d-byte hostile prefix allocated %.0f bytes", len(hostile), per)
+	}
+	if err != io.EOF {
+		t.Errorf("prefix then hang-up = %v, want io.EOF", err)
+	}
+	for _, n := range []int{0, 1, frameChunk - 1, frameChunk, frameChunk + 1, 5*frameChunk + 3} {
+		data := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(data)
+		wire := append(binary.BigEndian.AppendUint32(nil, uint32(n)), data...)
+		got, err := readFrame(iotest.HalfReader(bytes.NewReader(wire)), nil)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%d-byte payload: %d bytes back, %v", n, len(got), err)
+		}
+		want := io.ErrUnexpectedEOF
+		if n == 1 {
+			want = io.EOF // none of the payload arrived, as with the hostile prefix
+		}
+		if _, err := readFrame(bytes.NewReader(wire[:len(wire)-1]), nil); n > 0 && err != want {
+			t.Errorf("%d-byte payload cut short by one: %v, want %v", n, err, want)
+		}
+	}
+}
+
+// FuzzReadFrame holds the node's request parser to the rule for bytes from
+// outside: whatever a peer sends, readFrame does not panic, allocates in
+// proportion to what arrived (one chunk beyond it at most, then doubling),
+// and returns either the payload the prefix announced or a typed error:
+// ErrProtocol, or the stream ending.
+func FuzzReadFrame(f *testing.F) {
+	huge := binary.BigEndian.AppendUint32(nil, MaxPayload)
+	for _, seed := range [][]byte{
+		{}, {0, 0}, {0, 0, 0, 0}, {0, 0, 0, 3, 'a', 'b', 'c'}, {0, 0, 0, 5, 'a'},
+		{0x04, 0, 0, 0}, {0xff, 0xff, 0xff, 0xff}, append(huge, 1, 2, 3, 4),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		var payload []byte
+		var err error
+		got := heapPerRun(1, func() { payload, err = readFrame(bytes.NewReader(input), nil) })
+		if limit := float64(4*len(input) + 1<<20); got > limit {
+			t.Fatalf("a %d-byte input made readFrame allocate %.0f bytes, limit %.0f", len(input), got, limit)
+		}
+		switch {
+		case err == nil:
+			n := binary.BigEndian.Uint32(input)
+			if uint32(len(payload)) != n || !bytes.Equal(payload, input[frameHeader:frameHeader+len(payload)]) {
+				t.Fatalf("a %d-byte input announcing %d bytes returned %d others", len(input), n, len(payload))
+			}
+		case errors.Is(err, ErrProtocol), err == io.EOF, err == io.ErrUnexpectedEOF:
+		default:
+			t.Fatalf("a %d-byte input produced an untyped error: %v", len(input), err)
+		}
+	})
 }

@@ -104,27 +104,43 @@ func sendFrame(w io.Writer, head, body []byte) error {
 	return err
 }
 
+// frameChunk is the most memory a length prefix can claim before any of its
+// payload has arrived.
+const frameChunk = 64 << 10
+
 // readFrame receives one length-prefixed payload (the prefix is consumed,
 // not returned). The payload lands in buf when buf has the capacity and in
 // a fresh buffer otherwise; either way the returned slice is only as long
 // as this payload, so a reused buffer never shows a previous one's bytes.
+// A fresh buffer starts at one chunk and doubles only as the payload
+// arrives, so four bytes of prefix cannot make a node allocate MaxPayload.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxPayload {
 		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, n)
 	}
-	if int(n) > cap(buf) {
-		buf = make([]byte, n)
+	if n > cap(buf) {
+		buf = make([]byte, 0, min(n, frameChunk))
 	}
-	payload := buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	for got := 0; got < n; {
+		if got == cap(buf) {
+			grown := make([]byte, got, min(n, 2*got))
+			copy(grown, buf[:got])
+			buf = grown
+		}
+		m, err := io.ReadFull(r, buf[got:min(n, cap(buf))])
+		if got += m; err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
-	return payload, nil
+	return buf[:n], nil
 }
 
 // readReplyHead is the fixed head of an OK opRead reply: the length prefix,

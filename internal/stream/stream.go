@@ -1,25 +1,13 @@
-// Package stream is the live-container subsystem: a producer appends frame
-// batches to an open dataset through a bounded queue while readers tail the
-// growing head with bounded staleness.
+// Package stream is the reader half of the live-container subsystem: while
+// a producer appends frame batches to an open dataset (core.LiveIngest,
+// called directly — Append returns once the batch is durable and published,
+// which is all the backpressure a producer needs), readers tail the growing
+// head with bounded staleness.
 //
-// The package is a thin orchestration layer over internal/core. The writer
-// half (Ingestor) wraps core.LiveIngest with a bounded append queue so a
-// bursty producer decouples from storage latency and backpressure becomes
-// observable: when the queue is full, Enqueue blocks and the stall is
-// recorded in stream.append.blocked_ns. The reader half (Source) wraps
-// core.LiveReader into a vmd.FrameSource whose head advances as the
-// producer publishes, with tail lag surfaced per read.
-//
-// All metrics live under the stream.* prefix:
-//
-//	stream.append.frames      frames accepted by the drain loop
-//	stream.append.bytes       encoded bytes appended
-//	stream.append.ns          per-batch Append latency histogram
-//	stream.append.blocked_ns  producer time spent blocked on a full queue
-//	stream.queue.depth        current queue depth (gauge)
-//	stream.queue.hwm          high-water mark of the queue depth
-//	stream.publishes          head publications observed by the ingestor
-//	stream.tail.lag_frames    head-minus-position lag per tailing read
+// Source wraps core.LiveReader into a vmd.FrameSource whose head advances as
+// the producer publishes, with tail lag surfaced per read in the
+// stream.tail.lag_frames histogram (head-minus-position lag per tailing
+// read).
 package stream
 
 import (

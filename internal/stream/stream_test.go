@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"sync"
 	"testing"
@@ -141,8 +140,7 @@ func tailAll(src *Source, out *[]*xtc.Frame, mu *sync.Mutex, errc chan<- error, 
 }
 
 // TestTailSeesEveryPrefix is the headline streaming test: a producer
-// appends through the bounded ingestor queue while concurrent tailing
-// readers follow the head; every frame any reader observes must be
+// appends batch after batch while concurrent tailing readers follow the head; every frame any reader observes must be
 // byte-identical to the same frame of the final sealed container. The kill
 // subtest crashes the producer's file system mid-append, reboots, recovers,
 // resumes, and seals — readers tail across the crash.
@@ -191,7 +189,6 @@ func TestTailSeesEveryPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := metrics.NewRegistry()
-		ing := NewIngestor(li, 4, reg)
 
 		// Two concurrent tails, started before any frame exists.
 		var mu sync.Mutex
@@ -210,14 +207,17 @@ func TestTailSeesEveryPrefix(t *testing.T) {
 		}
 
 		for _, b := range batches {
-			if err := ing.Enqueue(b); err != nil {
-				break // append failed downstream (the kill); handled below
+			if _, err = li.Append(b); err != nil {
+				break // the kill; handled below
 			}
 		}
-		rep, err := ing.Close()
+		var rep *core.IngestReport
+		if err == nil {
+			rep, err = li.Seal()
+		}
 		if kill {
 			if err == nil {
-				t.Fatal("kill run: ingestor closed cleanly; kill never fired")
+				t.Fatal("kill run: session sealed cleanly; kill never fired")
 			}
 			// The producer crashed. Reboot on the surviving storage, recover,
 			// resume the live session, and run it to seal.
@@ -274,8 +274,8 @@ func TestTailSeesEveryPrefix(t *testing.T) {
 				}
 			}
 		}
-		if reg.Counter("stream.publishes").Value() == 0 {
-			t.Error("no publishes recorded")
+		if li.Head().Version == 0 {
+			t.Error("no head published")
 		}
 		if reg.Histogram("stream.tail.lag_frames").Count() == 0 {
 			t.Error("no tail lag observations recorded")
@@ -284,50 +284,6 @@ func TestTailSeesEveryPrefix(t *testing.T) {
 
 	t.Run("clean", func(t *testing.T) { run(t, false) })
 	t.Run("kill", func(t *testing.T) { run(t, true) })
-}
-
-// TestIngestorBackpressure forces the bounded queue to fill: with every
-// backend op slowed, the producer outruns the drain loop and Enqueue must
-// block, surfacing the stall through stream.append.blocked_ns.
-func TestIngestorBackpressure(t *testing.T) {
-	const frames = 24
-	pdbBytes, traj := testDataset(t, 200, frames)
-
-	in := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindSlow, Delay: 2 * time.Millisecond})
-	ssd, hdd := vfs.NewMemFS(), vfs.NewMemFS()
-	a := core.New(newStore(t, faultfs.Wrap(ssd, in), faultfs.Wrap(hdd, in)), nil,
-		core.Options{Metrics: metrics.NewRegistry()})
-
-	li, err := a.OpenLiveIngest("/ds", pdbBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	ing := NewIngestor(li, 1, reg)
-	for _, f := range splitFrames(t, traj) {
-		if err := ing.Enqueue(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := ing.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Frames != frames {
-		t.Fatalf("sealed %d frames", rep.Frames)
-	}
-	if v := reg.Counter("stream.append.blocked_ns").Value(); v == 0 {
-		t.Error("queue never applied backpressure (blocked_ns = 0)")
-	}
-	if v := reg.Gauge("stream.queue.hwm").Value(); v < 1 {
-		t.Errorf("queue high-water mark = %d", v)
-	}
-	if v := reg.Counter("stream.append.frames").Value(); v != frames {
-		t.Errorf("append.frames = %d", v)
-	}
-	if v := reg.Counter("stream.append.bytes").Value(); v != int64(len(traj)) {
-		t.Errorf("append.bytes = %d, want %d", v, len(traj))
-	}
 }
 
 // TestStalenessBound checks the documented staleness contract: after a
@@ -371,36 +327,5 @@ func TestStalenessBound(t *testing.T) {
 			t.Fatal("source still live after seal")
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestIngestorFailure: an append error aborts the session on Close and the
-// container is removed.
-func TestIngestorFailure(t *testing.T) {
-	pdbBytes, traj := testDataset(t, 200, 4)
-	a := core.New(newStore(t, vfs.NewMemFS(), vfs.NewMemFS()), nil,
-		core.Options{Metrics: metrics.NewRegistry()})
-	li, err := a.OpenLiveIngest("/ds", pdbBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ing := NewIngestor(li, 2, nil)
-	// A torn batch (half a frame) fails the decode inside Append.
-	perFrame := splitFrames(t, traj)
-	if err := ing.Enqueue(perFrame[0][:len(perFrame[0])/2]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ing.Close(); err == nil {
-		t.Fatal("close after torn append succeeded")
-	}
-	names, err := a.Datasets()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 0 {
-		t.Fatalf("aborted session left containers: %v", names)
-	}
-	if _, err := a.LiveHead("/ds"); !errors.Is(err, vfs.ErrNotExist) {
-		t.Fatalf("head after abort = %v", err)
 	}
 }

@@ -60,8 +60,8 @@ func framesEqual(t *testing.T, got, want []*Frame) {
 	}
 }
 
-// TestParallelReaderMatchesSerial: byte-identical semantics at every worker
-// count, including more workers than frames.
+// TestParallelReaderMatchesSerial: frame-for-frame the serial Reader's
+// stream, decoded ahead and decoded in line on one core.
 func TestParallelReaderMatchesSerial(t *testing.T) {
 	stream := mixedStream(t, 9)
 	want, err := NewReader(bytes.NewReader(stream)).ReadAll()
@@ -71,17 +71,16 @@ func TestParallelReaderMatchesSerial(t *testing.T) {
 	if len(want) != 9 {
 		t.Fatalf("serial read %d frames", len(want))
 	}
-	for _, workers := range []int{1, 2, 4, 8, 16} {
-		pr := NewParallelReader(bytes.NewReader(stream), workers)
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		prev := runtime.GOMAXPROCS(procs)
+		pr := NewAheadReader(bytes.NewReader(stream))
 		got, err := pr.ReadAll()
+		pr.Close()
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 		}
 		framesEqual(t, got, want)
-		if pr.Workers() != workers {
-			t.Errorf("Workers() = %d, want %d", pr.Workers(), workers)
-		}
-		pr.Close()
 	}
 }
 
@@ -89,13 +88,21 @@ func TestParallelReaderMatchesSerial(t *testing.T) {
 // length (the feed into virtual-time decompression charging).
 func TestParallelReaderFrameSizes(t *testing.T) {
 	stream := mixedStream(t, 6)
-	pr := NewParallelReader(bytes.NewReader(stream), 2)
+	pr := NewAheadReader(bytes.NewReader(stream))
 	defer pr.Close()
+	if total := sumFrameSizes(t, pr); total != int64(len(stream)) {
+		t.Errorf("frame sizes sum to %d, stream is %d bytes", total, len(stream))
+	}
+}
+
+// sumFrameSizes reads pr to its end and sums the encoded frame sizes.
+func sumFrameSizes(t *testing.T, pr *AheadReader) int64 {
+	t.Helper()
 	var total int64
 	for {
 		_, size, err := pr.ReadFrameSize()
 		if err == io.EOF {
-			break
+			return total
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -105,14 +112,11 @@ func TestParallelReaderFrameSizes(t *testing.T) {
 		}
 		total += size
 	}
-	if total != int64(len(stream)) {
-		t.Errorf("frame sizes sum to %d, stream is %d bytes", total, len(stream))
-	}
 }
 
 // TestParallelReaderEmptyStream: immediate clean EOF, and EOF is sticky.
 func TestParallelReaderEmptyStream(t *testing.T) {
-	pr := NewParallelReader(bytes.NewReader(nil), 4)
+	pr := NewAheadReader(bytes.NewReader(nil))
 	defer pr.Close()
 	if frames, err := pr.ReadAll(); err != nil || len(frames) != 0 {
 		t.Fatalf("empty stream: %d frames, %v", len(frames), err)
@@ -128,7 +132,7 @@ func TestParallelReaderEmptyStream(t *testing.T) {
 // returns io.EOF, matching the serial Reader.
 func TestParallelReaderStickyEOF(t *testing.T) {
 	stream := mixedStream(t, 4)
-	pr := NewParallelReader(bytes.NewReader(stream), 2)
+	pr := NewAheadReader(bytes.NewReader(stream))
 	defer pr.Close()
 	if frames, err := pr.ReadAll(); err != nil || len(frames) != 4 {
 		t.Fatalf("%d frames, %v", len(frames), err)
@@ -142,7 +146,7 @@ func TestParallelReaderStickyEOF(t *testing.T) {
 // deadlock, and later reads fail cleanly.
 func TestParallelReaderCloseMidStream(t *testing.T) {
 	stream := mixedStream(t, 12)
-	pr := NewParallelReader(bytes.NewReader(stream), 2)
+	pr := NewAheadReader(bytes.NewReader(stream))
 	if _, err := pr.ReadFrame(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,118 +159,142 @@ func TestParallelReaderCloseMidStream(t *testing.T) {
 
 // TestParallelReaderCloseUnstarted: closing before any read is legal.
 func TestParallelReaderCloseUnstarted(t *testing.T) {
-	pr := NewParallelReader(bytes.NewReader(mixedStream(t, 2)), 2)
+	pr := NewAheadReader(bytes.NewReader(mixedStream(t, 2)))
 	pr.Close()
 	if _, err := pr.ReadFrame(); err == nil {
 		t.Fatal("read after Close succeeded")
 	}
 }
 
-// TestParallelReaderWorkerBusy: with enough frames, decode time lands on the
-// workers and is visible through WorkerBusy.
-func TestParallelReaderWorkerBusy(t *testing.T) {
-	stream := mixedStream(t, 16)
-	pr := NewParallelReader(bytes.NewReader(stream), 2)
-	defer pr.Close()
-	if _, err := pr.ReadAll(); err != nil {
-		t.Fatal(err)
-	}
-	busy := pr.WorkerBusy()
-	if len(busy) != 2 {
-		t.Fatalf("WorkerBusy len %d", len(busy))
-	}
-	var total int64
-	for _, d := range busy {
-		total += int64(d)
-	}
-	if total <= 0 {
-		t.Error("no decode time recorded on any worker")
-	}
-}
-
 // TestParallelReaderObserve: the per-decode hook fires once per frame.
 func TestParallelReaderObserve(t *testing.T) {
 	stream := mixedStream(t, 5)
-	pr := NewParallelReader(bytes.NewReader(stream), 1)
+	pr := NewAheadReader(bytes.NewReader(stream))
 	defer pr.Close()
-	var calls int64
-	pr.Observe = func(ns int64) { calls++ } // 1 worker: no data race
+	var calls atomic.Int64
+	pr.Observe = func(ns int64) { calls.Add(1) }
 	if frames, err := pr.ReadAll(); err != nil || len(frames) != 5 {
 		t.Fatalf("%d frames, %v", len(frames), err)
 	}
-	if calls != 5 {
-		t.Errorf("Observe fired %d times, want 5", calls)
+	if n := calls.Load(); n != 5 {
+		t.Errorf("Observe fired %d times, want 5", n)
 	}
 }
 
-// TestParallelReaderBatchEquivalence sweeps the batch-size target against
-// worker counts: single-frame batches, a few frames per batch, many frames,
-// and a target larger than the whole stream (which then hits the
-// maxBatchFrames cap — the stream is longer than one maximal batch). Every
-// combination must be frame-for-frame identical to the serial Reader.
+// lookaheads are the aheadBytes the sweeps below run at: the floor of two
+// frames, a handful, and a target larger than the stream, which then hits
+// the maxLookahead cap.
+var lookaheads = []int{1, 300, 4096, 1 << 40}
+
+// TestParallelReaderBatchEquivalence sweeps the lookahead over a stream
+// longer than its cap: every depth is frame-for-frame the serial Reader.
 func TestParallelReaderBatchEquivalence(t *testing.T) {
-	stream := mixedStream(t, maxBatchFrames+33)
+	stream := mixedStream(t, maxLookahead+33)
 	want, err := NewReader(bytes.NewReader(stream)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batchBytes := range []int{1, 300, 4096, 1 << 30} {
-		for _, workers := range []int{1, 2, 3, 8} {
-			pr := NewParallelReader(bytes.NewReader(stream), workers)
-			pr.BatchBytes = batchBytes
-			got, err := pr.ReadAll()
-			if err != nil {
-				t.Fatalf("batch=%d workers=%d: %v", batchBytes, workers, err)
-			}
-			framesEqual(t, got, want)
-			pr.Close()
+	for _, ahead := range lookaheads {
+		pr := NewAheadReader(bytes.NewReader(stream))
+		pr.aheadBytes = ahead
+		got, err := pr.ReadAll()
+		if err != nil {
+			t.Fatalf("ahead=%d: %v", ahead, err)
 		}
+		framesEqual(t, got, want)
+		pr.Close()
 	}
 }
 
-// TestParallelReaderPendingBounded: batches in flight are bounded by the
-// reader's credits, not by how evenly the workers run. The first worker to
-// finish a decode is held inside the Observe hook (it has not delivered its
-// batch yet) while the consumer and the other seven workers run on. A
-// reader without the bound lets them decode the whole stream, which releases
-// the held worker with ~80 batches parked in pending; the bounded reader
-// runs dry at 2*workers+1 batches in flight and the timer releases it.
-func TestParallelReaderPendingBounded(t *testing.T) {
-	const workers, frames = 8, 90
+// heldReader returns a reader that has handed out its first frame to a
+// consumer that then holds off, once its decoder has stopped: the channel
+// full and one more frame decoded, waiting to be sent. decoded counts the
+// decodes; nil when the reader decodes in line.
+func heldReader(t *testing.T, stream []byte, ahead int) (pr *AheadReader, first *Frame, decoded *atomic.Int64) {
+	t.Helper()
+	pr = NewAheadReader(bytes.NewReader(stream))
+	pr.aheadBytes = ahead
+	decoded = new(atomic.Int64)
+	pr.Observe = func(int64) { decoded.Add(1) }
+	first, err := pr.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.out == nil {
+		pr.Close()
+		return nil, nil, nil
+	}
+	for deadline := time.Now().Add(5 * time.Second); decoded.Load() < int64(pr.depth+2) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room to overrun
+	return pr, first, decoded
+}
+
+// TestAheadReaderLookaheadBounded: what is decoded ahead is bounded by the
+// channel, not by how long the consumer takes. The consumer holds off after
+// the first frame; a decoder without the bound would decode the whole
+// stream, the bounded one stops at the channel's depth plus the frame it
+// waits to send. Then the consumer drains, handing every frame back, and no
+// more than depth+2 distinct frames ever exist: the channel's, the
+// decoder's and its own. Closing a held reader instead unblocks the decoder,
+// which exits.
+func TestAheadReaderLookaheadBounded(t *testing.T) {
+	const frames = 90
 	stream := mixedStream(t, frames)
-	pr := NewParallelReader(bytes.NewReader(stream), workers)
-	pr.BatchBytes = 1 // one frame per batch: maximal re-sequencing pressure
-	defer pr.Close()
-	var decoded atomic.Int64
-	all := make(chan struct{})
-	pr.Observe = func(int64) {
-		switch decoded.Add(1) {
-		case 1:
-			select {
-			case <-all:
-			case <-time.After(50 * time.Millisecond):
-			}
-		case frames:
-			close(all)
+	for _, ahead := range lookaheads {
+		pr, first, decoded := heldReader(t, stream, ahead)
+		if pr == nil {
+			t.Skip("one core: decoded in line")
 		}
-	}
-	if got, err := pr.ReadAll(); err != nil || len(got) != frames {
-		t.Fatalf("%d frames, %v", len(got), err)
-	}
-	if limit := 2*workers + 1; pr.maxPending > limit {
-		t.Errorf("pending re-sequencing buffer reached %d entries, bound is %d",
-			pr.maxPending, limit)
+		bound := pr.depth + 2
+		if n := decoded.Load(); n != int64(bound) {
+			t.Errorf("ahead=%d: %d frames decoded with the consumer held, want the depth %d + 2", ahead, n, pr.depth)
+		}
+		distinct := map[*Frame]bool{first: true}
+		pr.Recycle(first)
+		for {
+			f, err := pr.ReadFrame()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			distinct[f] = true
+			pr.Recycle(f)
+		}
+		pr.Close()
+		if len(distinct) > bound {
+			t.Errorf("ahead=%d: %d distinct frames for %d read, want <= depth %d + 2", ahead, len(distinct), frames, pr.depth)
+		}
+
+		before := runtime.NumGoroutine()
+		pr, _, _ = heldReader(t, stream, ahead)
+		pr.Close()
+		pr.Close() // idempotent
+		if _, err := pr.ReadFrame(); err == nil {
+			t.Fatalf("ahead=%d: read after Close succeeded", ahead)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("ahead=%d: %d goroutines after Close, %d before the reader", ahead, n, before)
+		}
 	}
 }
 
-// TestParallelReaderOneWorkerInline: on a single core a pool of one decodes
-// on the caller's goroutine — no scanner, worker or closer goroutine is
-// started — and still feeds WorkerBusy, Observe and the exact frame sizes.
+// TestParallelReaderOneWorkerInline: on a single core the consumer decodes
+// in line — no goroutine is started — and the Observe hook and the exact
+// frame sizes still work.
 func TestParallelReaderOneWorkerInline(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	stream := mixedStream(t, 6)
 	before := runtime.NumGoroutine()
-	pr := NewParallelReader(bytes.NewReader(stream), 1)
+	pr := NewAheadReader(bytes.NewReader(stream))
+	var decodes int
+	pr.Observe = func(int64) { decodes++ } // in line: no data race
 	var total int64
 	for i := 0; i < 6; i++ {
 		_, size, err := pr.ReadFrameSize()
@@ -284,8 +312,8 @@ func TestParallelReaderOneWorkerInline(t *testing.T) {
 	if total != int64(len(stream)) {
 		t.Errorf("frame sizes sum to %d, stream is %d bytes", total, len(stream))
 	}
-	if busy := pr.WorkerBusy(); len(busy) != 1 || busy[0] <= 0 {
-		t.Errorf("WorkerBusy = %v, want one worker with decode time", busy)
+	if decodes != 6 {
+		t.Errorf("Observe fired %d times, want 6", decodes)
 	}
 	pr.Close()
 	if _, err := pr.ReadFrame(); err != io.EOF {
@@ -293,33 +321,29 @@ func TestParallelReaderOneWorkerInline(t *testing.T) {
 	}
 }
 
-// TestParallelReaderOneWorkerAhead: with a second core a pool of one is a
-// worker goroutine decoding ahead of the consumer, not the in-line path.
+// TestParallelReaderOneWorkerAhead: with a second core the frames after the
+// first are decoded on a goroutine ahead of the consumer, with a lookahead
+// between its floor and its cap.
 func TestParallelReaderOneWorkerAhead(t *testing.T) {
 	if DefaultWorkers(0) == 1 {
-		t.Skip("one core: a pool of one decodes in line")
+		t.Skip("one core: decoded in line")
 	}
 	stream := mixedStream(t, 6)
-	pr := NewParallelReader(bytes.NewReader(stream), 1)
+	pr := NewAheadReader(bytes.NewReader(stream))
 	defer pr.Close()
 	frames, err := pr.ReadAll()
 	if err != nil || len(frames) != 6 {
 		t.Fatalf("%d frames, %v", len(frames), err)
 	}
-	if pr.inline != nil || pr.results == nil {
-		t.Error("a pool of one on several cores decoded in line")
-	}
-	if busy := pr.WorkerBusy(); len(busy) != 1 || busy[0] <= 0 {
-		t.Errorf("WorkerBusy = %v, want one worker with decode time", busy)
+	if pr.out == nil || pr.depth < 2 || pr.depth > maxLookahead {
+		t.Errorf("decoded in line or at depth %d on several cores", pr.depth)
 	}
 }
 
 // TestParallelReaderRecycle: a consumer that hands every frame back still
 // sees the stream a serial reader decodes — compressed, raw and small frames
 // of differing atom counts refilled into one another — and runs on the frames
-// in flight: with one-frame batches no more than 2*workers+2 distinct frames
-// ever exist, because a decode past the first credits' worth starts only
-// after a delivery, and the frame before that delivery is already back.
+// in flight: no more than depth+2 distinct frames ever exist.
 func TestParallelReaderRecycle(t *testing.T) {
 	const frames = 40
 	stream := mixedStream(t, frames)
@@ -327,9 +351,9 @@ func TestParallelReaderRecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		pr := NewParallelReader(bytes.NewReader(stream), workers)
-		pr.BatchBytes = 1
+	for _, ahead := range []int{1, aheadBytes} {
+		pr := NewAheadReader(bytes.NewReader(stream))
+		pr.aheadBytes = ahead
 		distinct := map[*Frame]bool{}
 		for k := 0; ; k++ {
 			f, err := pr.ReadFrame()
@@ -337,15 +361,15 @@ func TestParallelReaderRecycle(t *testing.T) {
 				break
 			}
 			if err != nil {
-				t.Fatalf("workers=%d frame %d: %v", workers, k, err)
+				t.Fatalf("ahead=%d frame %d: %v", ahead, k, err)
 			}
 			framesEqual(t, []*Frame{f}, want[k:k+1])
 			distinct[f] = true
 			pr.Recycle(f)
 		}
 		pr.Close()
-		if bound := 2*workers + 2; len(distinct) > bound {
-			t.Errorf("workers=%d: %d distinct frames for %d read, want <= %d", workers, len(distinct), frames, bound)
+		if bound := pr.depth + 2; len(distinct) > bound {
+			t.Errorf("ahead=%d: %d distinct frames for %d read, want <= %d", ahead, len(distinct), frames, bound)
 		}
 	}
 }
@@ -383,68 +407,49 @@ func TestDecodeIntoOverwrites(t *testing.T) {
 	}
 }
 
-// TestParallelReaderFrameSizesBatched: per-frame encoded sizes survive
-// batching — they sum to the stream length at every batch-size target.
+// TestParallelReaderFrameSizesBatched: per-frame encoded sizes sum to the
+// stream length at every lookahead.
 func TestParallelReaderFrameSizesBatched(t *testing.T) {
 	stream := mixedStream(t, 20)
-	for _, batchBytes := range []int{1, 500, 1 << 30} {
-		pr := NewParallelReader(bytes.NewReader(stream), 3)
-		pr.BatchBytes = batchBytes
-		var total int64
-		for {
-			_, size, err := pr.ReadFrameSize()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += size
-		}
-		if total != int64(len(stream)) {
-			t.Errorf("batch=%d: frame sizes sum to %d, stream is %d bytes",
-				batchBytes, total, len(stream))
+	for _, ahead := range lookaheads {
+		pr := NewAheadReader(bytes.NewReader(stream))
+		pr.aheadBytes = ahead
+		if total := sumFrameSizes(t, pr); total != int64(len(stream)) {
+			t.Errorf("ahead=%d: frame sizes sum to %d, stream is %d bytes", ahead, total, len(stream))
 		}
 		pr.Close()
 	}
 }
 
-// TestParallelReaderCloseMidStreamBatched closes the reader while workers
-// are mid-batch, at several batch sizes, with a concurrent WorkerBusy poller
-// (documented safe at any point). Run under -race this is the shutdown
-// data-race check for the batched pipeline.
+// TestParallelReaderCloseMidStreamBatched closes the reader while the
+// decoder is mid-stream — blocked on a full channel, or still decoding — at
+// every lookahead, with the consumer handing frames back. Run under -race
+// this is the shutdown data-race check for the decode-ahead goroutine.
 func TestParallelReaderCloseMidStreamBatched(t *testing.T) {
 	stream := mixedStream(t, 60)
-	for _, batchBytes := range []int{1, 700, 1 << 30} {
-		pr := NewParallelReader(bytes.NewReader(stream), 4)
-		pr.BatchBytes = batchBytes
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < 100; i++ {
-				pr.WorkerBusy()
-			}
-		}()
+	for _, ahead := range lookaheads {
+		pr := NewAheadReader(bytes.NewReader(stream))
+		pr.aheadBytes = ahead
 		for i := 0; i < 3; i++ {
-			if _, err := pr.ReadFrame(); err != nil {
-				t.Fatalf("batch=%d frame %d: %v", batchBytes, i, err)
+			f, err := pr.ReadFrame()
+			if err != nil {
+				t.Fatalf("ahead=%d frame %d: %v", ahead, i, err)
 			}
+			pr.Recycle(f)
 		}
 		pr.Close()
 		pr.Close() // idempotent
-		<-done
 		if _, err := pr.ReadFrame(); err == nil {
-			t.Fatalf("batch=%d: read after Close succeeded", batchBytes)
+			t.Fatalf("ahead=%d: read after Close succeeded", ahead)
 		}
 	}
 }
 
 // TestDecodeAllocsSteadyState asserts the ingest path is zero-copy in the
-// steady state: scanner bytes land in one pooled blob, decode scratch comes
-// from pools, and the only per-frame heap traffic left is the Frame and its
-// Coords (plus amortized slice growth) — about 3 allocations per frame
-// serial and under 5 with the batched pool (batch slices and channel items
-// amortize across maxBatchFrames).
+// steady state: scanner bytes land in one reused buffer, decode scratch
+// comes from pools, and the only per-frame heap traffic left is the Frame
+// and its Coords (plus amortized slice growth) — about 3 allocations per
+// frame, serial or decoded ahead (channel items are values).
 func TestDecodeAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -460,16 +465,16 @@ func TestDecodeAllocsSteadyState(t *testing.T) {
 	if per := testing.AllocsPerRun(10, serial) / frames; per > 3.5 {
 		t.Errorf("serial decode: %.2f allocs/frame, want <= 3.5", per)
 	}
-	parallel := func() {
-		pr := NewParallelReader(bytes.NewReader(stream), 2)
+	ahead := func() {
+		pr := NewAheadReader(bytes.NewReader(stream))
 		if _, err := pr.ReadAll(); err != nil {
 			t.Fatal(err)
 		}
 		pr.Close()
 	}
-	parallel()
-	if per := testing.AllocsPerRun(10, parallel) / frames; per > 5 {
-		t.Errorf("parallel decode: %.2f allocs/frame, want <= 5", per)
+	ahead()
+	if per := testing.AllocsPerRun(10, ahead) / frames; per > 3.5 {
+		t.Errorf("decode ahead: %.2f allocs/frame, want <= 3.5", per)
 	}
 }
 
@@ -484,21 +489,5 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 	if got := DefaultWorkers(-5); got < 1 {
 		t.Errorf("DefaultWorkers(-5) = %d", got)
-	}
-}
-
-// TestDecodeAheadWorkers: the default pool leaves the consumer a core, down
-// to a pool of one.
-func TestDecodeAheadWorkers(t *testing.T) {
-	if got := DecodeAheadWorkers(3); got != 3 {
-		t.Errorf("DecodeAheadWorkers(3) = %d", got)
-	}
-	for _, procs := range []int{1, 2, 3} {
-		prev := runtime.GOMAXPROCS(procs)
-		got, cores := DecodeAheadWorkers(0), DefaultWorkers(0)
-		runtime.GOMAXPROCS(prev)
-		if want := max(1, cores-1); got != want {
-			t.Errorf("GOMAXPROCS %d (%d cores): DecodeAheadWorkers(0) = %d, want %d", procs, cores, got, want)
-		}
 	}
 }

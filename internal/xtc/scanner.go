@@ -10,9 +10,7 @@ import (
 // Scanner walks a concatenated frame stream and yields each frame's complete
 // encoded bytes *without* decoding coordinates. Framing needs only the magic,
 // the atom count, and (for large compressed frames) the blob length, so a
-// scan is orders of magnitude cheaper than a decode — which is what lets
-// ParallelReader decouple cheap framing from expensive decompression and fan
-// the decode out across cores.
+// scan is orders of magnitude cheaper than a decode.
 type Scanner struct {
 	br     *bufio.Reader
 	buf    []byte
@@ -26,13 +24,11 @@ func NewScanner(r io.Reader) *Scanner {
 }
 
 // fill extends buf by n bytes read from the stream. On a read error the
-// buffer is returned at its original length, so callers accumulating many
-// frames keep every complete frame scanned so far.
+// buffer is returned at its original length.
 func (s *Scanner) fill(buf []byte, n int) ([]byte, error) {
 	old := len(buf)
 	if cap(buf) < old+n {
-		// Amortized growth: an exact-size allocation per frame would make
-		// multi-frame batch accumulation quadratic.
+		// Amortized growth: the buffer is reused frame after frame.
 		newCap := 2 * cap(buf)
 		if newCap < old+n {
 			newCap = old + n
@@ -48,14 +44,11 @@ func (s *Scanner) fill(buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// AppendNext appends the next frame's encoded bytes to dst and returns the
+// appendNext appends the next frame's encoded bytes to dst and returns the
 // extended buffer. On any error dst is returned unchanged (no partial frame
-// bytes), so a batching caller keeps every frame appended before the error.
-// Errors match Next: io.EOF at a clean end of stream, io.ErrUnexpectedEOF
-// for a truncated frame. This is the zero-copy feed for batched parallel
-// decode — frames land directly in the caller's batch blob with no
-// intermediate per-frame copy.
-func (s *Scanner) AppendNext(dst []byte) ([]byte, error) {
+// bytes). Errors match Next: io.EOF at a clean end of stream,
+// io.ErrUnexpectedEOF for a truncated frame.
+func (s *Scanner) appendNext(dst []byte) ([]byte, error) {
 	head, err := s.br.Peek(4)
 	if err != nil {
 		if err == io.EOF {
@@ -124,7 +117,7 @@ func (s *Scanner) AppendNext(dst []byte) ([]byte, error) {
 // following Next call. It returns io.EOF cleanly at the end of the stream
 // and io.ErrUnexpectedEOF for a truncated frame.
 func (s *Scanner) Next() ([]byte, error) {
-	buf, err := s.AppendNext(s.buf[:0])
+	buf, err := s.appendNext(s.buf[:0])
 	if err != nil {
 		return nil, err
 	}

@@ -62,20 +62,21 @@ func readAllVia(t *testing.T, kind string, stream []byte) ([]*Frame, error) {
 			frames = append(frames, f)
 		}
 	case "parallel":
-		pr := NewParallelReader(bytes.NewReader(stream), 3)
+		pr := NewAheadReader(bytes.NewReader(stream))
 		defer pr.Close()
 		return pr.ReadAll()
 	case "parallel-frame-batch":
-		// One frame per work item: the error always lands on its own batch.
-		pr := NewParallelReader(bytes.NewReader(stream), 3)
-		pr.BatchBytes = 1
+		// The lookahead at its floor: the decoder waits on the consumer, and
+		// the error queues behind at most two frames.
+		pr := NewAheadReader(bytes.NewReader(stream))
+		pr.aheadBytes = 1
 		defer pr.Close()
 		return pr.ReadAll()
 	case "parallel-whole-batch":
-		// Everything in one work item: the error rides behind intact frames
-		// inside the same batch.
-		pr := NewParallelReader(bytes.NewReader(stream), 3)
-		pr.BatchBytes = 1 << 30
+		// The lookahead at its cap: the whole stream is decoded ahead, and
+		// the error rides behind every intact frame in the channel.
+		pr := NewAheadReader(bytes.NewReader(stream))
+		pr.aheadBytes = 1 << 40
 		defer pr.Close()
 		return pr.ReadAll()
 	}
@@ -84,7 +85,8 @@ func readAllVia(t *testing.T, kind string, stream []byte) ([]*Frame, error) {
 }
 
 // readerKinds are the frame-reader variants every framing-error table runs
-// over; the batch-size extremes pin the batched pipeline's error placement.
+// over; the lookahead extremes pin where the decode-ahead channel places
+// the error.
 var readerKinds = []string{"reader", "scanner", "parallel", "parallel-frame-batch", "parallel-whole-batch"}
 
 // TestTruncationTable cuts a 3-frame stream at every interesting byte
@@ -165,7 +167,7 @@ func TestScannerAppendNext(t *testing.T) {
 	buf := make([]byte, 0, 8)
 	var ends []int
 	for {
-		grown, err := sc.AppendNext(buf)
+		grown, err := sc.appendNext(buf)
 		if err == io.EOF {
 			break
 		}
@@ -190,11 +192,11 @@ func TestScannerAppendNext(t *testing.T) {
 	buf = buf[:0]
 	for i := 0; i < 2; i++ {
 		var err error
-		if buf, err = sc.AppendNext(buf); err != nil {
+		if buf, err = sc.appendNext(buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	grown, err := sc.AppendNext(buf)
+	grown, err := sc.appendNext(buf)
 	if err != io.ErrUnexpectedEOF {
 		t.Fatalf("torn frame: got %v", err)
 	}

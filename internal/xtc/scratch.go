@@ -11,7 +11,7 @@ import (
 // touches those once per frame — pooling them removes the dominant per-frame
 // allocations without changing the public API. Decoded Frames are freshly
 // allocated, since callers retain them, unless a caller hands them back
-// (ParallelReader.Recycle).
+// (AheadReader.Recycle).
 
 // intsPool recycles quantization workspaces. Entries are stored as
 // *[]int32 so Put does not allocate an interface box per cycle.
@@ -30,8 +30,7 @@ func putInts(s []int32) {
 	intsPool.Put(&s)
 }
 
-// bytesPool recycles frame-sized byte buffers (scanner blobs, random-access
-// reads).
+// bytesPool recycles frame-sized byte buffers (random-access reads).
 var bytesPool sync.Pool
 
 // getBytes returns a []byte of length n, reusing pooled capacity.
