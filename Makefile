@@ -38,9 +38,10 @@ lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # Ten seconds of native fuzzing per parser that takes bytes from outside —
-# the xtc and dcd frame decoders, the rpc client's read-reply parser and the
-# node's request-frame reader (rule: no panic, a typed error or a result,
-# allocation bounded by input length).
+# the xtc and dcd frame decoders, the rpc client's read-reply parser, the
+# node's request-frame reader and the placement table a peer serves (rule:
+# no panic, a typed error or a result, allocation bounded by input length;
+# an accepted table places any directory on exactly R distinct table nodes).
 # The seed corpora already run under plain `go test`; this looks past them.
 # Minimization is capped per input: at its 60 s default, shrinking the first
 # coverage-expanding DCD stream outlasts the whole run (measured: 118
@@ -52,6 +53,7 @@ fuzz:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzDCDReader ./internal/dcd
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzReadReply ./internal/rpc
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzReadFrame ./internal/rpc
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzPlacementTable ./internal/placement
 
 # adabench is deterministic — a virtual clock, fixed seeds — so RESULTS.txt
 # is checked, not trusted: any change to the cost model, the simulated

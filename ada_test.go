@@ -3,12 +3,17 @@ package ada_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"net"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	ada "repro"
+	"repro/internal/xtc"
 )
 
 // newStore builds a two-backend in-memory container store.
@@ -205,6 +210,138 @@ func TestIngestRefillsDecodedFrames(t *testing.T) {
 	if saved := int64(inline) - int64(ahead); saved < raw/2 {
 		t.Errorf("Ingest allocated %d B, the in-line ingest %d B: %d B less, want at least half the %d B of decoded frames",
 			ahead, inline, saved, raw)
+	}
+}
+
+// killableListener is a storage node's listener whose kill takes the node
+// off the network: the listener closes, and so does every connection it
+// accepted, as when the node's process dies.
+type killableListener struct {
+	net.Listener
+	mu     sync.Mutex
+	conns  []net.Conn
+	killed bool
+}
+
+func (l *killableListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.killed {
+		conn.Close()
+		return nil, net.ErrClosed
+	}
+	l.conns = append(l.conns, conn)
+	return conn, nil
+}
+
+func (l *killableListener) kill() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.killed {
+		return
+	}
+	l.killed = true
+	l.Listener.Close()
+	for _, conn := range l.conns {
+		conn.Close()
+	}
+}
+
+// proteinFrames reads every frame of the protein subset through a fresh
+// random-access reader.
+func proteinFrames(t *testing.T, acq *ada.Acquirer, logical string) []*xtc.Frame {
+	t.Helper()
+	sub, err := acq.OpenSubsetAt(logical, ada.TagProtein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	frames := make([]*xtc.Frame, sub.Frames())
+	for i := range frames {
+		if frames[i], err = sub.ReadFrameAt(i); err != nil {
+			t.Fatalf("protein frame %d: %v", i, err)
+		}
+	}
+	return frames
+}
+
+// TestFacadeClusterSnippet runs README's "Multi-node cluster" Go snippet —
+// a zero ClusterConfig over two loopback storage nodes with replication 2 —
+// and holds its protein frames to the same ingest over one in-memory
+// backend, before and after one node is killed.
+func TestFacadeClusterSnippet(t *testing.T) {
+	const logical = "/bar.xtc"
+	pdbBytes, xtcBytes, err := ada.GenerateTrajectory(ada.ScaledSystem(100), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ada.NewContainerStore(ada.Backend{Name: "mem", FS: ada.NewMemFS(), Mount: "/mem"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refAcq := ada.New(ref, nil, ada.Options{})
+	if _, err := refAcq.Ingest(logical, pdbBytes, bytes.NewReader(xtcBytes)); err != nil {
+		t.Fatal(err)
+	}
+	want := proteinFrames(t, refAcq, logical)
+
+	listeners := map[string]*killableListener{}
+	tableJSON := `{"version": 1, "replication": 2, "nodes": [`
+	for i, name := range []string{"n1", "n2"} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kl := &killableListener{Listener: ln}
+		listeners[name] = kl
+		served := make(chan error, 1)
+		go func() { served <- ada.ServeStorageNode(kl, ada.NewMemFS(), nil) }()
+		t.Cleanup(func() { kl.kill(); <-served })
+		if i > 0 {
+			tableJSON += ", "
+		}
+		tableJSON += fmt.Sprintf(`{"name": %q, "addr": %q}`, name, ln.Addr())
+	}
+	tableJSON += "]}"
+
+	tbl, err := ada.ParsePlacementTable([]byte(tableJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := map[string]ada.FS{}
+	for _, n := range tbl.Nodes {
+		pool := ada.NewStorageNodePool(n.Addr, 2, nil, ada.DefaultRetryPolicy())
+		t.Cleanup(func() { pool.Close() })
+		nodes[n.Name] = pool
+	}
+	clu, err := ada.NewStorageCluster(tbl, nodes, ada.ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := ada.NewContainerStore(ada.Backend{Name: "clu", FS: clu, Mount: "/clu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acq := ada.New(store, nil, ada.Options{})
+	if _, err := acq.Ingest(logical, pdbBytes, bytes.NewReader(xtcBytes)); err != nil {
+		t.Fatal(err)
+	}
+	if got := proteinFrames(t, acq, logical); !reflect.DeepEqual(got, want) {
+		t.Fatal("protein frames read through the cluster differ from the in-memory ingest")
+	}
+
+	// Kill the container's primary, the replica every read tries first.
+	victim := clu.Table().PlaceDir("/clu" + logical)[0]
+	listeners[victim].kill()
+	if got := proteinFrames(t, acq, logical); !reflect.DeepEqual(got, want) {
+		t.Fatalf("with %s killed, protein frames differ from the in-memory ingest", victim)
+	}
+	if clu.Health()[victim] {
+		t.Errorf("reads after %s was killed never failed over from it", victim)
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/blockfs"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/gpcr"
 	"repro/internal/metrics"
+	"repro/internal/platform"
 	"repro/internal/plfs"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -96,7 +96,7 @@ func BenchmarkTurnaroundScenarios(b *testing.B) {
 	cfg := fullConfig(b)
 	for _, sc := range bench.Scenarios {
 		b.Run(string(sc), func(b *testing.B) {
-			p, err := cluster.NewSSDServer()
+			p, err := platform.NewSSDServer()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -299,7 +299,7 @@ func ablationDataset(b *testing.B) ([]byte, []byte) {
 }
 
 func generate(cfg gpcr.Config, frames int) ([]byte, []byte, error) {
-	p, err := cluster.NewSSDServer()
+	p, err := platform.NewSSDServer()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -322,7 +322,7 @@ func BenchmarkAblationOffload(b *testing.B) {
 	b.Run("compute-side", func(b *testing.B) {
 		var cpu float64
 		for i := 0; i < b.N; i++ {
-			p, err := cluster.NewSSDServer()
+			p, err := platform.NewSSDServer()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -342,7 +342,7 @@ func BenchmarkAblationOffload(b *testing.B) {
 	b.Run("storage-side", func(b *testing.B) {
 		var cpu float64
 		for i := 0; i < b.N; i++ {
-			p, err := cluster.NewSSDServer()
+			p, err := platform.NewSSDServer()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -604,7 +604,7 @@ func BenchmarkAblationStoreCompressed(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			var vsec float64
 			for i := 0; i < b.N; i++ {
-				p, err := cluster.NewSSDServer()
+				p, err := platform.NewSSDServer()
 				if err != nil {
 					b.Fatal(err)
 				}

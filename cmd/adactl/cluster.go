@@ -229,7 +229,7 @@ func cmdClusterRebalance(out io.Writer, args []string) error {
 			fss[name] = pools[name]
 		}
 	}
-	cluster, err := placement.NewCluster(cur, fss, placement.Config{HedgeDelay: -1})
+	cluster, err := placement.NewCluster(cur, fss, placement.Config{})
 	if err != nil {
 		return err
 	}

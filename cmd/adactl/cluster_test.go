@@ -72,7 +72,7 @@ func TestClusterPushStatusRebalance(t *testing.T) {
 		"n1": rpc.NewPool(addr1, 1, nil, rpc.DefaultRetryPolicy()),
 		"n2": rpc.NewPool(addr2, 1, nil, rpc.DefaultRetryPolicy()),
 	}
-	c, err := placement.NewCluster(v1, fss, placement.Config{HedgeDelay: -1})
+	c, err := placement.NewCluster(v1, fss, placement.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

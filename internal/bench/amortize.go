@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/device"
+	"repro/internal/platform"
 )
 
 // runAmortize quantifies Section 2.1's "constant burden" argument: the
@@ -14,7 +14,7 @@ import (
 // time on the SSD-server model after k sessions at 5,006 frames, and the
 // break-even session count.
 func runAmortize(cfg *Config) (*Table, error) {
-	p, err := cluster.NewSSDServer()
+	p, err := platform.NewSSDServer()
 	if err != nil {
 		return nil, err
 	}

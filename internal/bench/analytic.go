@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/cluster"
+	"repro/internal/platform"
 )
 
 // Scenario names one of the evaluation's four data paths.
@@ -50,7 +50,7 @@ type Point struct {
 // RunAnalytic evaluates one scenario at one frame count using the
 // platform's analytic read models and CPU cost models. The memory and kill
 // rules mirror internal/vmd's live Session exactly.
-func RunAnalytic(p *cluster.Platform, dm *DataModel, sc Scenario, frames int) Point {
+func RunAnalytic(p *platform.Platform, dm *DataModel, sc Scenario, frames int) Point {
 	baseRead, adaRead := p.AnalyticModels()
 	cost := p.ComputeCost
 	factor := 1.0

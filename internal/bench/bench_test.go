@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/gpcr"
+	"repro/internal/platform"
 )
 
 func testConfig(t testing.TB) *Config {
@@ -43,7 +43,7 @@ func TestMeasureModel(t *testing.T) {
 
 func TestAnalyticShapesSSD(t *testing.T) {
 	cfg := testConfig(t)
-	p, err := cluster.NewSSDServer()
+	p, err := platform.NewSSDServer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAnalyticShapesSSD(t *testing.T) {
 
 func TestAnalyticShapesCluster(t *testing.T) {
 	cfg := testConfig(t)
-	p, err := cluster.NewSmallCluster()
+	p, err := platform.NewSmallCluster()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestAnalyticShapesFatNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = cfg
-	p, err := cluster.NewFatNode()
+	p, err := platform.NewFatNode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestAnalyticMatchesMeasured(t *testing.T) {
 	}
 	const frames = 300
 	for _, sc := range Scenarios {
-		p, err := cluster.NewSSDServer()
+		p, err := platform.NewSSDServer()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/gpcr"
+	"repro/internal/platform"
 )
 
 // Frame-count series used in the paper.
@@ -123,7 +123,7 @@ func runTable2(cfg *Config) (*Table, error) {
 
 // seriesTable runs the four scenarios over a frame series on a platform and
 // formats one metric per cell.
-func seriesTable(id, title string, mk func() (*cluster.Platform, error),
+func seriesTable(id, title string, mk func() (*platform.Platform, error),
 	dm *DataModel, frames []int, scenarios []Scenario,
 	cell func(Point) string) (*Table, error) {
 	p, err := mk()
@@ -151,7 +151,7 @@ func seriesTable(id, title string, mk func() (*cluster.Platform, error),
 
 func runFig7a(cfg *Config) (*Table, error) {
 	t, err := seriesTable("fig7a", "SSD server: raw data retrieval time (s)",
-		cluster.NewSSDServer, cfg.Model, SSDFrames, Scenarios,
+		platform.NewSSDServer, cfg.Model, SSDFrames, Scenarios,
 		func(pt Point) string { return fmtSec(pt.RetrievalSec) })
 	if err != nil {
 		return nil, err
@@ -163,12 +163,12 @@ func runFig7a(cfg *Config) (*Table, error) {
 
 func runFig7b(cfg *Config) (*Table, error) {
 	t, err := seriesTable("fig7b", "SSD server: data processing turnaround time (s)",
-		cluster.NewSSDServer, cfg.Model, SSDFrames, Scenarios,
+		platform.NewSSDServer, cfg.Model, SSDFrames, Scenarios,
 		func(pt Point) string { return fmtSec(pt.Turnaround) })
 	if err != nil {
 		return nil, err
 	}
-	p, err := cluster.NewSSDServer()
+	p, err := platform.NewSSDServer()
 	if err != nil {
 		return nil, err
 	}
@@ -183,12 +183,12 @@ func runFig7b(cfg *Config) (*Table, error) {
 
 func runFig7c(cfg *Config) (*Table, error) {
 	t, err := seriesTable("fig7c", "SSD server: memory usage (MB)",
-		cluster.NewSSDServer, cfg.Model, SSDFrames, Scenarios,
+		platform.NewSSDServer, cfg.Model, SSDFrames, Scenarios,
 		func(pt Point) string { return fmtMB(pt.MemoryPeak) })
 	if err != nil {
 		return nil, err
 	}
-	p, err := cluster.NewSSDServer()
+	p, err := platform.NewSSDServer()
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func runFig7c(cfg *Config) (*Table, error) {
 }
 
 func runFig8(cfg *Config) (*Table, error) {
-	p, err := cluster.NewSSDServer()
+	p, err := platform.NewSSDServer()
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +255,7 @@ func runFig8(cfg *Config) (*Table, error) {
 	return t, nil
 }
 
-func platformParams(id, title string, mk func() (*cluster.Platform, error)) (*Table, error) {
+func platformParams(id, title string, mk func() (*platform.Platform, error)) (*Table, error) {
 	p, err := mk()
 	if err != nil {
 		return nil, err
@@ -268,21 +268,21 @@ func platformParams(id, title string, mk func() (*cluster.Platform, error)) (*Ta
 }
 
 func runTable4(*Config) (*Table, error) {
-	return platformParams("table4", "Small-cluster system parameters", cluster.NewSmallCluster)
+	return platformParams("table4", "Small-cluster system parameters", platform.NewSmallCluster)
 }
 
 func runTable5(*Config) (*Table, error) {
-	return platformParams("table5", "Fat-node server parameters", cluster.NewFatNode)
+	return platformParams("table5", "Fat-node server parameters", platform.NewFatNode)
 }
 
 func runFig9a(cfg *Config) (*Table, error) {
 	t, err := seriesTable("fig9a", "Cluster: raw data retrieval time (s)",
-		cluster.NewSmallCluster, cfg.Model, ClusterFrames, Scenarios,
+		platform.NewSmallCluster, cfg.Model, ClusterFrames, Scenarios,
 		func(pt Point) string { return fmtSec(pt.RetrievalSec) })
 	if err != nil {
 		return nil, err
 	}
-	p, err := cluster.NewSmallCluster()
+	p, err := platform.NewSmallCluster()
 	if err != nil {
 		return nil, err
 	}
@@ -297,12 +297,12 @@ func runFig9a(cfg *Config) (*Table, error) {
 
 func runFig9b(cfg *Config) (*Table, error) {
 	t, err := seriesTable("fig9b", "Cluster: data processing turnaround time (s)",
-		cluster.NewSmallCluster, cfg.Model, ClusterFrames, Scenarios,
+		platform.NewSmallCluster, cfg.Model, ClusterFrames, Scenarios,
 		func(pt Point) string { return fmtSec(pt.Turnaround) })
 	if err != nil {
 		return nil, err
 	}
-	p, err := cluster.NewSmallCluster()
+	p, err := platform.NewSmallCluster()
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +316,7 @@ func runFig9b(cfg *Config) (*Table, error) {
 
 func runFig9c(cfg *Config) (*Table, error) {
 	t, err := seriesTable("fig9c", "Cluster: memory usage (MB)",
-		cluster.NewSmallCluster, cfg.Model, ClusterFrames, Scenarios,
+		platform.NewSmallCluster, cfg.Model, ClusterFrames, Scenarios,
 		func(pt Point) string { return fmtMB(pt.MemoryPeak) })
 	if err != nil {
 		return nil, err
@@ -347,7 +347,7 @@ var fatScenarios = []Scenario{CBase, ADAAll, ADAProtein}
 
 func runFig10a(cfg *Config) (*Table, error) {
 	t, err := seriesTable("fig10a", "Fat node: raw data retrieval time (min)",
-		cluster.NewFatNode, cfg.Model, FatFrames, fatScenarios,
+		platform.NewFatNode, cfg.Model, FatFrames, fatScenarios,
 		func(pt Point) string { return fmtMin(pt.RetrievalSec) })
 	if err != nil {
 		return nil, err
@@ -358,12 +358,12 @@ func runFig10a(cfg *Config) (*Table, error) {
 
 func runFig10b(cfg *Config) (*Table, error) {
 	t, err := seriesTable("fig10b", "Fat node: data processing turnaround time (min)",
-		cluster.NewFatNode, cfg.Model, FatFrames, fatScenarios,
+		platform.NewFatNode, cfg.Model, FatFrames, fatScenarios,
 		func(pt Point) string { return fmtMin(pt.Turnaround) })
 	if err != nil {
 		return nil, err
 	}
-	p, err := cluster.NewFatNode()
+	p, err := platform.NewFatNode()
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +376,7 @@ func runFig10b(cfg *Config) (*Table, error) {
 
 func runFig10c(cfg *Config) (*Table, error) {
 	t, err := seriesTable("fig10c", "Fat node: memory usage (GB)",
-		cluster.NewFatNode, cfg.Model, FatFrames, fatScenarios,
+		platform.NewFatNode, cfg.Model, FatFrames, fatScenarios,
 		func(pt Point) string { return fmtGB(pt.MemoryPeak) })
 	if err != nil {
 		return nil, err
@@ -388,12 +388,12 @@ func runFig10c(cfg *Config) (*Table, error) {
 
 func runFig10d(cfg *Config) (*Table, error) {
 	t, err := seriesTable("fig10d", "Fat node: energy consumption (kJ)",
-		cluster.NewFatNode, cfg.Model, FatFrames, fatScenarios,
+		platform.NewFatNode, cfg.Model, FatFrames, fatScenarios,
 		func(pt Point) string { return fmt.Sprintf("%.0f", pt.EnergyKJ) })
 	if err != nil {
 		return nil, err
 	}
-	p, err := cluster.NewFatNode()
+	p, err := platform.NewFatNode()
 	if err != nil {
 		return nil, err
 	}

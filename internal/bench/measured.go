@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/vmd"
 )
@@ -20,7 +20,7 @@ type MeasuredPoint struct {
 // RunMeasured executes one scenario end-to-end through the real middleware
 // on a staged dataset: real codec, real container reads, virtual clock.
 // An OOM kill is reported in the Point, not as an error.
-func RunMeasured(p *cluster.Platform, ds *cluster.Dataset, sc Scenario) (*MeasuredPoint, error) {
+func RunMeasured(p *platform.Platform, ds *platform.Dataset, sc Scenario) (*MeasuredPoint, error) {
 	// Isolate this run's accounting.
 	p.Env.Profile.Reset()
 	start := p.Env.Clock.Now()

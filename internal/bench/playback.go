@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gpcr"
+	"repro/internal/platform"
 	"repro/internal/vfs"
 	"repro/internal/vmd"
 	"repro/internal/xtc"
@@ -17,7 +17,7 @@ import (
 // traditional full frames (decompressing on every miss) thrashes, while
 // ADA's protein-only frames fit and replay from memory.
 func runPlayback(cfg *Config) (*Table, error) {
-	p, err := cluster.NewSSDServer()
+	p, err := platform.NewSSDServer()
 	if err != nil {
 		return nil, err
 	}

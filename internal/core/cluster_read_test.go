@@ -40,7 +40,7 @@ func newClusterADA(t testing.TB) (*ADA, *placement.Cluster, map[string]vfs.FS, *
 		Nodes: []placement.Node{{Name: "n1"}, {Name: "n2"}, {Name: "n3"}},
 	}
 	reg := metrics.NewRegistry()
-	c, err := placement.NewCluster(tbl, nodes, placement.Config{HedgeDelay: -1, Metrics: reg})
+	c, err := placement.NewCluster(tbl, nodes, placement.Config{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -705,7 +705,7 @@ func newMirroredADA(t *testing.T, reg *metrics.Registry) (a *ADA, c *placement.C
 	mounts := map[string]*vfs.MemFS{"m1": vfs.NewMemFS(), "m2": vfs.NewMemFS()}
 	tbl := &placement.Table{Version: 1, Replication: 2, Nodes: []placement.Node{{Name: "m1"}, {Name: "m2"}}}
 	c, err := placement.NewCluster(tbl, map[string]vfs.FS{"m1": mounts["m1"], "m2": mounts["m2"]},
-		placement.Config{HedgeDelay: -1, Metrics: reg})
+		placement.Config{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

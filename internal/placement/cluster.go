@@ -14,25 +14,14 @@ import (
 
 // Config tunes a Cluster.
 type Config struct {
-	// HedgeDelay is how long a read waits on the primary replica before
-	// racing a mirror. Zero derives the delay from the observed read
-	// latency (3x the p99, clamped; DefaultHedgeDelay until enough
-	// samples accumulate); a negative value disables hedging.
+	// Deprecated: HedgeDelay is ignored; reads fail over sequentially. It
+	// is removed with the next change to the end-to-end benchmark, the last
+	// caller that sets it.
 	HedgeDelay time.Duration
 	// Metrics receives the placement.* counters (metrics.Default when
 	// nil).
 	Metrics *metrics.Registry
 }
-
-// DefaultHedgeDelay is the hedge delay used before the latency histogram
-// has enough samples to derive one.
-const DefaultHedgeDelay = 50 * time.Millisecond
-
-// hedge delay clamp bounds for the p99-derived value.
-const (
-	minHedgeDelay = 2 * time.Millisecond
-	maxHedgeDelay = 500 * time.Millisecond
-)
 
 // Cluster is a vfs.FS over a set of storage nodes, routed by a placement
 // Table:
@@ -45,9 +34,8 @@ const (
 //   - Open/ReadAt fail over across replicas on any error — a down node
 //     (vfs.ErrBackendDown after RPC retries) or a corrupted copy
 //     (vfs.ErrCorrupted from a verifying layer) silently degrades to the
-//     next replica. Reads also hedge: if the preferred replica has not
-//     answered within the hedge delay, a mirror is raced and the first
-//     success wins, so one slow node cannot stall playback.
+//     next replica. A slow replica that still answers is waited on, not
+//     raced.
 //   - MkdirAll/Remove broadcast to every node (directories exist
 //     everywhere; Remove tolerates per-node absence).
 //   - Rename requires source and destination to share a replica set
@@ -68,17 +56,14 @@ type Cluster struct {
 	nodes map[string]vfs.FS
 	down  map[string]bool
 
-	cfg Config
 	reg *metrics.Registry
 	m   clusterMetrics
 }
 
 type clusterMetrics struct {
-	reads      *metrics.Counter
-	readNS     *metrics.Histogram
-	failovers  *metrics.Counter
-	hedgeFired *metrics.Counter
-	hedgeWins  *metrics.Counter
+	reads     *metrics.Counter
+	readNS    *metrics.Histogram
+	failovers *metrics.Counter
 }
 
 // NewCluster builds a cluster over the table and one FS per node. Every
@@ -104,14 +89,11 @@ func NewCluster(table *Table, nodes map[string]vfs.FS, cfg Config) (*Cluster, er
 		table: table,
 		nodes: all,
 		down:  map[string]bool{},
-		cfg:   cfg,
 		reg:   reg,
 		m: clusterMetrics{
-			reads:      reg.Counter("placement.reads"),
-			readNS:     reg.Histogram("placement.read.ns"),
-			failovers:  reg.Counter("placement.failover.reads"),
-			hedgeFired: reg.Counter("placement.hedge.fired"),
-			hedgeWins:  reg.Counter("placement.hedge.wins"),
+			reads:     reg.Counter("placement.reads"),
+			readNS:    reg.Histogram("placement.read.ns"),
+			failovers: reg.Counter("placement.failover.reads"),
 		},
 	}, nil
 }
@@ -294,8 +276,8 @@ func (c *Cluster) Create(name string) (vfs.File, error) {
 	return &replFile{name: vfs.Clean(name), reps: reps, files: files, c: c}, nil
 }
 
-// Open implements vfs.FS, returning a read handle that fails over (and
-// hedges) across the replica set.
+// Open implements vfs.FS, returning a read handle that fails over across
+// the replica set.
 func (c *Cluster) Open(name string) (vfs.File, error) {
 	reps := c.place(name)
 	f := &clusterFile{c: c, name: vfs.Clean(name), reps: reps, files: make([]vfs.File, len(reps))}
@@ -478,28 +460,6 @@ func sameSet(a, b []string) bool {
 	return true
 }
 
-// hedgeDelay resolves the configured or p99-derived hedge delay
-// (0 disables; see Config.HedgeDelay).
-func (c *Cluster) hedgeDelay() time.Duration {
-	if c.cfg.HedgeDelay < 0 {
-		return 0
-	}
-	if c.cfg.HedgeDelay > 0 {
-		return c.cfg.HedgeDelay
-	}
-	if c.m.readNS.Count() < 64 {
-		return DefaultHedgeDelay
-	}
-	d := 3 * time.Duration(c.m.readNS.Quantile(0.99))
-	if d < minHedgeDelay {
-		d = minHedgeDelay
-	}
-	if d > maxHedgeDelay {
-		d = maxHedgeDelay
-	}
-	return d
-}
-
 // replFile mirrors writes across a replica set, primary first. Reads come
 // from the primary (the caller just wrote the bytes; this is the
 // read-back-verify path, not playback).
@@ -544,7 +504,7 @@ func (f *replFile) Close() error {
 
 // clusterFile is a read handle spanning a replica set: per-replica
 // handles open lazily, reads prefer the last replica that answered, any
-// error fails over to the next replica, and slow reads hedge. The handle is
+// error fails over to the next replica. The handle is
 // one version of the file — the one whose size it took at Open — and a
 // replica found holding another size is a failed copy for it, so a read
 // never joins the length of one version to the bytes of another. Safe for
@@ -650,6 +610,8 @@ func (f *clusterFile) ReadAtVerified(p []byte, off int64, ok func([]byte) bool) 
 	return err
 }
 
+// readAt reads from the replica set in turn, the preferred replica first,
+// failing over on any error or on bytes a non-nil ok rejects.
 func (f *clusterFile) readAt(p []byte, off int64, ok func([]byte) bool) (int, error) {
 	f.mu.Lock()
 	if f.closed {
@@ -659,11 +621,30 @@ func (f *clusterFile) readAt(p []byte, off int64, ok func([]byte) bool) (int, er
 	f.mu.Unlock()
 	f.c.m.reads.Inc()
 	start := time.Now()
-	n, err := f.readFailover(p, off, ok)
-	if err == nil || err == io.EOF {
-		f.c.m.readNS.Observe(time.Since(start).Nanoseconds())
+	var n, tried int
+	var eof error // io.EOF when the copy that answered ended inside p
+	err := f.c.firstReplica(f.reps, f.preferred(), func(i int) error {
+		tried++
+		h, err := f.handle(i)
+		if err == nil {
+			n, err = h.ReadAt(p, off)
+			if err = checked(ok, p, n, err); err == nil || err == io.EOF {
+				eof = err
+				f.setPreferred(i)
+				return nil
+			}
+		}
+		f.dropHandle(i)
+		if tried < len(f.reps) {
+			f.c.m.failovers.Inc()
+		}
+		return err
+	})
+	if err != nil {
+		return 0, fmt.Errorf("placement: read %s: all replicas failed: %w", f.name, err)
 	}
-	return n, err
+	f.c.m.readNS.Observe(time.Since(start).Nanoseconds())
+	return n, eof
 }
 
 // checked folds the caller's verdict into one copy's read result: with an ok
@@ -673,103 +654,6 @@ func checked(ok func([]byte) bool, p []byte, n int, err error) error {
 		return vfs.ErrCorrupted
 	}
 	return err
-}
-
-type readResult struct {
-	idx int
-	n   int
-	err error
-	buf []byte
-}
-
-// readFailover reads from the replica set: the preferred replica first,
-// hedging a mirror after the hedge delay, and failing over on any error or
-// on bytes a non-nil ok rejects. Each hedged attempt reads into a private
-// buffer so a late loser cannot clobber the winner's bytes.
-func (f *clusterFile) readFailover(p []byte, off int64, ok func([]byte) bool) (int, error) {
-	delay := f.c.hedgeDelay()
-	if delay <= 0 || len(f.reps) == 1 {
-		// Plain sequential failover.
-		var n, tried int
-		var eof error // io.EOF when the copy that answered ended inside p
-		err := f.c.firstReplica(f.reps, f.preferred(), func(i int) error {
-			tried++
-			h, err := f.handle(i)
-			if err == nil {
-				n, err = h.ReadAt(p, off)
-				if err = checked(ok, p, n, err); err == nil || err == io.EOF {
-					eof = err
-					f.setPreferred(i)
-					return nil
-				}
-			}
-			f.dropHandle(i)
-			if tried < len(f.reps) {
-				f.c.m.failovers.Inc()
-			}
-			return err
-		})
-		if err != nil {
-			return 0, fmt.Errorf("placement: read %s: all replicas failed: %w", f.name, err)
-		}
-		return n, eof
-	}
-
-	var buf [4]int
-	order := f.c.order(buf[:0], f.reps, f.preferred())
-	results := make(chan readResult, len(order))
-	launch := func(i int) {
-		go func() {
-			h, err := f.handle(i)
-			if err != nil {
-				results <- readResult{idx: i, err: err}
-				return
-			}
-			buf := make([]byte, len(p))
-			n, err := h.ReadAt(buf, off)
-			results <- readResult{idx: i, n: n, err: err, buf: buf}
-		}()
-	}
-	launched := 1
-	launch(order[0])
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	hedged := false
-	var firstErr error
-	for received := 0; received < launched; {
-		select {
-		case r := <-results:
-			received++
-			if r.err = checked(ok, r.buf, r.n, r.err); r.err == nil || r.err == io.EOF {
-				if hedged && r.idx != order[0] {
-					f.c.m.hedgeWins.Inc()
-				}
-				f.setPreferred(r.idx)
-				f.c.note(f.reps[r.idx], nil)
-				return copy(p, r.buf[:r.n]), r.err
-			}
-			f.c.note(f.reps[r.idx], r.err)
-			f.dropHandle(r.idx)
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if launched < len(order) {
-				launch(order[launched])
-				launched++
-			}
-			if received < launched {
-				f.c.m.failovers.Inc() // another copy is still to answer
-			}
-		case <-timer.C:
-			if launched < len(order) {
-				hedged = true
-				f.c.m.hedgeFired.Inc()
-				launch(order[launched])
-				launched++
-			}
-		}
-	}
-	return 0, fmt.Errorf("placement: read %s: all replicas failed: %w", f.name, firstErr)
 }
 
 func (f *clusterFile) Close() error {

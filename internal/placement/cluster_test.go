@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/vfs"
@@ -29,30 +28,6 @@ func (downFS) ReadDir(string) ([]vfs.FileInfo, error) { return nil, vfs.ErrBacke
 func (downFS) MkdirAll(string) error                  { return vfs.ErrBackendDown }
 func (downFS) Remove(string) error                    { return vfs.ErrBackendDown }
 func (downFS) Rename(string, string) error            { return vfs.ErrBackendDown }
-
-// slowFS delays reads, standing in for one overloaded node.
-type slowFS struct {
-	vfs.FS
-	delay time.Duration
-}
-
-func (s slowFS) Open(name string) (vfs.File, error) {
-	f, err := s.FS.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return slowFile{File: f, delay: s.delay}, nil
-}
-
-type slowFile struct {
-	vfs.File
-	delay time.Duration
-}
-
-func (f slowFile) ReadAt(p []byte, off int64) (int, error) {
-	time.Sleep(f.delay)
-	return f.File.ReadAt(p, off)
-}
 
 // corruptFS serves reads that fail verification, standing in for a replica
 // whose CRC check rejected the bytes.
@@ -103,7 +78,7 @@ func holders(mems map[string]*vfs.MemFS, name string) []string {
 }
 
 func TestClusterWriteLandsOnExactlyRReplicas(t *testing.T) {
-	c, mems := newTestCluster(t, Config{HedgeDelay: -1})
+	c, mems := newTestCluster(t, Config{})
 	want := []byte("replicated bytes")
 	for i := 0; i < 8; i++ {
 		name := fmt.Sprintf("/c/set-%d/dropping", i)
@@ -136,7 +111,7 @@ func TestClusterWriteLandsOnExactlyRReplicas(t *testing.T) {
 
 func TestClusterDegradedReadsWithNodeDown(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c, _ := newTestCluster(t, Config{HedgeDelay: -1, Metrics: reg})
+	c, _ := newTestCluster(t, Config{Metrics: reg})
 	payloads := map[string][]byte{}
 	for i := 0; i < 12; i++ {
 		name := fmt.Sprintf("/c/set-%d/dropping", i)
@@ -177,7 +152,7 @@ func TestClusterDegradedReadsWithNodeDown(t *testing.T) {
 }
 
 func TestClusterFailoverOnCorruptedReplica(t *testing.T) {
-	c, mems := newTestCluster(t, Config{HedgeDelay: -1})
+	c, mems := newTestCluster(t, Config{})
 	name := "/c/set-x/dropping"
 	want := []byte("verified payload")
 	if err := vfs.WriteFile(c, name, want); err != nil {
@@ -198,58 +173,57 @@ func TestClusterFailoverOnCorruptedReplica(t *testing.T) {
 
 // TestClusterVerifiedReadFailsOverOnRejectedBytes: a copy whose bytes the
 // caller's check rejects is a failed copy — the read moves to the mirror,
-// counts the failover, leaves the node up — whether replicas are tried in
-// turn or hedged; with every copy rejected the read is vfs.ErrCorrupted.
+// counts the failover, leaves the node up; with every copy rejected the read
+// is vfs.ErrCorrupted.
 func TestClusterVerifiedReadFailsOverOnRejectedBytes(t *testing.T) {
-	for name, delay := range map[string]time.Duration{"sequential": -1, "hedged": time.Hour} {
-		t.Run(name, func(t *testing.T) {
-			reg := metrics.NewRegistry()
-			c, mems := newTestCluster(t, Config{HedgeDelay: delay, Metrics: reg})
-			name := "/c/set-v/dropping"
-			want := []byte("verified payload")
-			if err := vfs.WriteFile(c, name, want); err != nil {
-				t.Fatal(err)
-			}
-			reps := c.Table().Place(name)
-			if err := vfs.WriteFile(mems[reps[0]], name, []byte("verified pAyload")); err != nil {
-				t.Fatal(err)
-			}
-			f, err := c.Open(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			asked := 0
-			ok := func(p []byte) bool { asked++; return bytes.Equal(p, want) }
-			got := make([]byte, len(want))
-			if err := vfs.ReadAtVerified(f, got, 0, ok); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("verified read over a rotten primary = %q, %v", got, err)
-			}
-			if asked != 2 {
-				t.Errorf("check ran %d times, want once per copy tried", asked)
-			}
-			if n := reg.Counter("placement.failover.reads").Value(); n != 1 {
-				t.Errorf("placement.failover.reads = %d, want 1", n)
-			}
-			if h := c.Health(); !h[reps[0]] {
-				t.Errorf("rejected bytes marked %s down", reps[0])
-			}
-			// The handle now prefers the copy that verified.
-			if err := vfs.ReadAtVerified(f, got, 0, ok); err != nil || asked != 3 {
-				t.Errorf("second read = %v after %d checks, want the good copy first", err, asked)
-			}
-			// A read past the copies' end is short on every one of them.
-			if err := vfs.ReadAtVerified(f, make([]byte, len(want)+1), 0, ok); !errors.Is(err, vfs.ErrCorrupted) {
-				t.Errorf("short verified read = %v, want vfs.ErrCorrupted", err)
-			}
-			if err := vfs.WriteFile(mems[reps[1]], name, []byte("verified paYload")); err != nil {
-				t.Fatal(err)
-			}
-			if err := vfs.ReadAtVerified(f, got, 0, ok); !errors.Is(err, vfs.ErrCorrupted) {
-				t.Errorf("verified read with every copy rotten = %v, want vfs.ErrCorrupted", err)
-			}
-		})
-	}
+	// Replicas are tried in turn, primary first.
+	t.Run("sequential", func(t *testing.T) {
+		reg := metrics.NewRegistry()
+		c, mems := newTestCluster(t, Config{Metrics: reg})
+		name := "/c/set-v/dropping"
+		want := []byte("verified payload")
+		if err := vfs.WriteFile(c, name, want); err != nil {
+			t.Fatal(err)
+		}
+		reps := c.Table().Place(name)
+		if err := vfs.WriteFile(mems[reps[0]], name, []byte("verified pAyload")); err != nil {
+			t.Fatal(err)
+		}
+		f, err := c.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		asked := 0
+		ok := func(p []byte) bool { asked++; return bytes.Equal(p, want) }
+		got := make([]byte, len(want))
+		if err := vfs.ReadAtVerified(f, got, 0, ok); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("verified read over a rotten primary = %q, %v", got, err)
+		}
+		if asked != 2 {
+			t.Errorf("check ran %d times, want once per copy tried", asked)
+		}
+		if n := reg.Counter("placement.failover.reads").Value(); n != 1 {
+			t.Errorf("placement.failover.reads = %d, want 1", n)
+		}
+		if h := c.Health(); !h[reps[0]] {
+			t.Errorf("rejected bytes marked %s down", reps[0])
+		}
+		// The handle now prefers the copy that verified.
+		if err := vfs.ReadAtVerified(f, got, 0, ok); err != nil || asked != 3 {
+			t.Errorf("second read = %v after %d checks, want the good copy first", err, asked)
+		}
+		// A read past the copies' end is short on every one of them.
+		if err := vfs.ReadAtVerified(f, make([]byte, len(want)+1), 0, ok); !errors.Is(err, vfs.ErrCorrupted) {
+			t.Errorf("short verified read = %v, want vfs.ErrCorrupted", err)
+		}
+		if err := vfs.WriteFile(mems[reps[1]], name, []byte("verified paYload")); err != nil {
+			t.Fatal(err)
+		}
+		if err := vfs.ReadAtVerified(f, got, 0, ok); !errors.Is(err, vfs.ErrCorrupted) {
+			t.Errorf("verified read with every copy rotten = %v, want vfs.ErrCorrupted", err)
+		}
+	})
 }
 
 // failingFS hands out files whose reads start failing when fail is set — a
@@ -280,71 +254,56 @@ func (f failingFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestClusterReadHandleNeverMixesVersions replaces the file on the mirror,
-// with content of another length, between Open and a read that is forced onto
-// the mirror — by the preferred copy failing, then by a hedge over a slow
-// one. Read the way vfs.ReadFile reads, the handle must give one whole
-// version or an error, never the length of one version filled from the other.
+// with content of another length, between Open and a read the failing
+// preferred copy forces onto the mirror. Read the way vfs.ReadFile reads, the
+// handle must give one whole version or an error, never the length of one
+// version filled from the other.
 func TestClusterReadHandleNeverMixesVersions(t *testing.T) {
 	v1 := []byte("version one of the file")
-	for _, mode := range []string{"failover", "hedge"} {
-		for _, v2 := range [][]byte{[]byte("v2, shorter"), []byte("version two of the file, and longer")} {
-			t.Run(fmt.Sprintf("%s/%d-to-%d-bytes", mode, len(v1), len(v2)), func(t *testing.T) {
-				reg := metrics.NewRegistry()
-				cfg := Config{HedgeDelay: -1, Metrics: reg}
-				if mode == "hedge" {
-					cfg.HedgeDelay = 5 * time.Millisecond
-				}
-				c, mems := newTestCluster(t, cfg)
-				name := "/c/set-m/dropping"
-				if err := vfs.WriteFile(c, name, v1); err != nil {
-					t.Fatal(err)
-				}
-				reps := c.Table().Place(name)
-				var primaryDies atomic.Bool
-				if mode == "hedge" {
-					c.AddNode(reps[0], slowFS{FS: mems[reps[0]], delay: 100 * time.Millisecond})
-				} else {
-					c.AddNode(reps[0], failingFS{FS: mems[reps[0]], fail: &primaryDies})
-				}
-				f, err := c.Open(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer f.Close()
-				if err := vfs.WriteFile(mems[reps[1]], name, v2); err != nil {
-					t.Fatal(err)
-				}
-				primaryDies.Store(true)
+	for _, v2 := range [][]byte{[]byte("v2, shorter"), []byte("version two of the file, and longer")} {
+		t.Run(fmt.Sprintf("failover/%d-to-%d-bytes", len(v1), len(v2)), func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			c, mems := newTestCluster(t, Config{Metrics: reg})
+			name := "/c/set-m/dropping"
+			if err := vfs.WriteFile(c, name, v1); err != nil {
+				t.Fatal(err)
+			}
+			reps := c.Table().Place(name)
+			var primaryDies atomic.Bool
+			c.AddNode(reps[0], failingFS{FS: mems[reps[0]], fail: &primaryDies})
+			f, err := c.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := vfs.WriteFile(mems[reps[1]], name, v2); err != nil {
+				t.Fatal(err)
+			}
+			primaryDies.Store(true)
 
-				got := make([]byte, f.Size())
-				_, err = io.ReadFull(f, got)
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					err = nil // vfs.ReadFile takes the short read as the file
-				}
-				if err == nil && !bytes.Equal(got, v1) && !bytes.Equal(got, v2) {
-					t.Fatalf("read %q: neither %q nor %q", got, v1, v2)
-				}
-				if mode == "hedge" && (err != nil || !bytes.Equal(got, v1)) {
-					t.Errorf("hedged read = %q, %v; want the slow primary's version", got, err)
-				}
-				if mode == "failover" && err == nil {
-					t.Errorf("read %q with the opened copy dead and the mirror replaced, want an error", got)
-				}
-				if n := reg.Counter("placement.failover.reads").Value(); n < 1 {
-					t.Errorf("placement.failover.reads = %d, want a failed copy counted", n)
-				}
-				if h := c.Health(); !h[reps[1]] {
-					t.Errorf("holding another version marked %s down", reps[1])
-				}
-			})
-		}
+			got := make([]byte, f.Size())
+			_, err = io.ReadFull(f, got)
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				err = nil // vfs.ReadFile takes the short read as the file
+			}
+			if err == nil {
+				t.Errorf("read %q with the opened copy dead and the mirror replaced, want an error", got)
+			}
+			if n := reg.Counter("placement.failover.reads").Value(); n < 1 {
+				t.Errorf("placement.failover.reads = %d, want a failed copy counted", n)
+			}
+			if h := c.Health(); !h[reps[1]] {
+				t.Errorf("holding another version marked %s down", reps[1])
+			}
+		})
 	}
 }
 
-// TestClusterHealthyReadAtAllocs pins the cost of asking the health map on
-// the per-frame path: a read its preferred replica answers allocates nothing.
+// TestClusterHealthyReadAtAllocs pins the cost of the per-frame path under a
+// zero Config, the one a deployment gets by default: a read its preferred
+// replica answers allocates nothing — no goroutine, no private buffer.
 func TestClusterHealthyReadAtAllocs(t *testing.T) {
-	c, _ := newTestCluster(t, Config{HedgeDelay: -1})
+	c, _ := newTestCluster(t, Config{})
 	name := "/c/set-a/dropping"
 	if err := vfs.WriteFile(c, name, make([]byte, 4096)); err != nil {
 		t.Fatal(err)
@@ -364,54 +323,8 @@ func TestClusterHealthyReadAtAllocs(t *testing.T) {
 	}
 }
 
-func TestClusterHedgedReadBeatsSlowNode(t *testing.T) {
-	reg := metrics.NewRegistry()
-	c, mems := newTestCluster(t, Config{HedgeDelay: 5 * time.Millisecond, Metrics: reg})
-	name := "/c/set-h/dropping"
-	want := []byte("hedged payload")
-	if err := vfs.WriteFile(c, name, want); err != nil {
-		t.Fatal(err)
-	}
-	primary := c.Table().Place(name)[0]
-	c.AddNode(primary, slowFS{FS: mems[primary], delay: 300 * time.Millisecond})
-	start := time.Now()
-	got, err := vfs.ReadFile(c, name)
-	elapsed := time.Since(start)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("hedged read = %q, %v", got, err)
-	}
-	if elapsed > 200*time.Millisecond {
-		t.Fatalf("hedged read took %v; the slow primary stalled playback", elapsed)
-	}
-	if reg.Counter("placement.hedge.fired").Value() < 1 {
-		t.Fatal("hedge never fired")
-	}
-	if reg.Counter("placement.hedge.wins").Value() < 1 {
-		t.Fatal("hedge fired but the mirror never won")
-	}
-}
-
-func TestClusterAutoHedgeDelayFromP99(t *testing.T) {
-	reg := metrics.NewRegistry()
-	c, _ := newTestCluster(t, Config{Metrics: reg})
-	// Before any samples: the static default.
-	if d := c.hedgeDelay(); d != DefaultHedgeDelay {
-		t.Fatalf("cold hedge delay = %v, want %v", d, DefaultHedgeDelay)
-	}
-	// Feed the latency histogram fast reads; the derived delay collapses
-	// toward 3x p99, clamped below the default.
-	h := reg.Histogram("placement.read.ns")
-	for i := 0; i < 200; i++ {
-		h.Observe(int64(200 * time.Microsecond))
-	}
-	d := c.hedgeDelay()
-	if d >= DefaultHedgeDelay || d < minHedgeDelay {
-		t.Fatalf("derived hedge delay = %v, want clamped below default", d)
-	}
-}
-
 func TestClusterReadDirUnionAndRename(t *testing.T) {
-	c, mems := newTestCluster(t, Config{HedgeDelay: -1})
+	c, mems := newTestCluster(t, Config{})
 	dir := "/c/set-r"
 	if err := vfs.WriteFile(c, dir+"/staging.a", []byte("aa")); err != nil {
 		t.Fatal(err)
@@ -466,7 +379,7 @@ func TestClusterReadDirUnionAndRename(t *testing.T) {
 }
 
 func TestClusterRemoveSemantics(t *testing.T) {
-	c, mems := newTestCluster(t, Config{HedgeDelay: -1})
+	c, mems := newTestCluster(t, Config{})
 	name := "/c/set-rm/dropping"
 	if err := vfs.WriteFile(c, name, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -492,7 +405,7 @@ func TestClusterRemoveSemantics(t *testing.T) {
 }
 
 func TestClusterWriteFailsWithReplicaDown(t *testing.T) {
-	c, mems := newTestCluster(t, Config{HedgeDelay: -1})
+	c, mems := newTestCluster(t, Config{})
 	name := "/c/set-w/dropping"
 	victim := c.Table().Place(name)[1] // the mirror
 	c.AddNode(victim, downFS{})

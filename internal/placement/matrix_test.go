@@ -147,7 +147,7 @@ func newMatrixHarness(t *testing.T) *matrixHarness {
 		}
 	})
 	tbl := &placement.Table{Version: 1, Replication: 2, Nodes: tblNodes}
-	c, err := placement.NewCluster(tbl, fss, placement.Config{HedgeDelay: -1, Metrics: h.reg})
+	c, err := placement.NewCluster(tbl, fss, placement.Config{Metrics: h.reg})
 	if err != nil {
 		t.Fatal(err)
 	}

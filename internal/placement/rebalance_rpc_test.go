@@ -41,7 +41,7 @@ func TestRebalanceMovesLargeDroppingOverRPC(t *testing.T) {
 		}
 	})
 	tbl := &placement.Table{Version: 1, Replication: 2, Nodes: tblNodes}
-	c, err := placement.NewCluster(tbl, fss, placement.Config{HedgeDelay: -1})
+	c, err := placement.NewCluster(tbl, fss, placement.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

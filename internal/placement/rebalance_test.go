@@ -55,7 +55,7 @@ func assertLayout(t *testing.T, c *Cluster, mems map[string]*vfs.MemFS, payloads
 }
 
 func TestRebalanceNodeJoin(t *testing.T) {
-	c, mems := newTestCluster(t, Config{HedgeDelay: -1})
+	c, mems := newTestCluster(t, Config{})
 	payloads := seedCluster(t, c, 16)
 	assertLayout(t, c, mems, payloads)
 
@@ -104,7 +104,7 @@ func TestRebalanceNodeJoin(t *testing.T) {
 }
 
 func TestRebalanceNodeDrain(t *testing.T) {
-	c, mems := newTestCluster(t, Config{HedgeDelay: -1})
+	c, mems := newTestCluster(t, Config{})
 	mems["n4"] = vfs.NewMemFS()
 	c.AddNode("n4", mems["n4"])
 	four := &Table{Version: 2, Replication: 2,
@@ -134,7 +134,7 @@ func TestRebalanceNodeDrain(t *testing.T) {
 }
 
 func TestRebalanceCrashMidCopyIsRerunnable(t *testing.T) {
-	c, mems := newTestCluster(t, Config{HedgeDelay: -1})
+	c, mems := newTestCluster(t, Config{})
 	payloads := seedCluster(t, c, 12)
 
 	// n4's FS dies partway through the copy phase: fail every write after
@@ -185,7 +185,7 @@ func (f *crashAfterFS) Create(name string) (vfs.File, error) {
 }
 
 func TestRebalanceRejectsStaleTarget(t *testing.T) {
-	c, _ := newTestCluster(t, Config{HedgeDelay: -1})
+	c, _ := newTestCluster(t, Config{})
 	same := &Table{Version: 1, Replication: 2, Nodes: threeNodes()}
 	if _, err := c.Rebalance(same, nil); err == nil {
 		t.Fatal("rebalance to the same version accepted")

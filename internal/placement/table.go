@@ -4,7 +4,7 @@
 // consistent-hash ring for everything unpinned, so new containers spread
 // without touching the table. Cluster is a vfs.FS over the node set that
 // enforces the layout: writes commit primary-then-mirror across the
-// replica set, reads fail over (and hedge) across replicas, and Rebalance
+// replica set, reads fail over from replica to replica, and Rebalance
 // migrates data when the table changes.
 //
 // The placement key of a path is its parent directory

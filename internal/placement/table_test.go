@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -178,4 +179,67 @@ func contains(xs []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// FuzzPlacementTable drives Unmarshal, the parser for the table bytes a peer
+// serves (a node stores them opaque; adanode -join and adactl parse them),
+// with arbitrary input. Rules: no panic; allocation bounded by the input
+// length; and an accepted table places any directory on exactly Replication
+// distinct nodes, all of them its own.
+func FuzzPlacementTable(f *testing.F) {
+	for _, tbl := range []*Table{
+		{Version: 1, Replication: 2, Nodes: threeNodes()},
+		{Version: 2, Replication: 2, Nodes: append(threeNodes(), Node{Name: "n4", Addr: "a4"})},
+		{Version: 7, Replication: 2, Nodes: threeNodes(), Pins: map[string][]string{"/c/pinned": {"n2", "n3"}}},
+		{Version: 1, Replication: 1, Nodes: []Node{{Name: "solo"}}, Pins: map[string][]string{"/": {"solo"}}},
+	} {
+		data, err := tbl.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, "/c/pinned")
+	}
+	f.Add([]byte(`{"replication": 3, "nodes": [{"name": "a"}, {"name": "b"}]}`), "/")
+	f.Add([]byte(`null`), "")
+	f.Fuzz(func(t *testing.T, data []byte, dir string) {
+		var tbl *Table
+		var err error
+		var reps []string
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if tbl, err = Unmarshal(data); err == nil {
+			reps = tbl.PlaceDir(dir)
+		}
+		runtime.ReadMemStats(&after)
+		// Each node costs its ring points (64 hashes and entries) for at
+		// least 12 bytes of JSON, hence the per-byte slack.
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := uint64(512*(len(data)+len(dir)) + 64<<10); got > limit {
+			t.Fatalf("a %d-byte table and a %d-byte directory allocated %d bytes, limit %d", len(data), len(dir), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if len(reps) != tbl.Replication {
+			t.Fatalf("PlaceDir(%q) = %v, want %d replicas", dir, reps, tbl.Replication)
+		}
+		seen := map[string]bool{}
+		for _, name := range reps {
+			if seen[name] {
+				t.Fatalf("PlaceDir(%q) = %v repeats %q", dir, reps, name)
+			}
+			seen[name] = true
+			if !contains(nodeNames(tbl.Nodes), name) {
+				t.Fatalf("PlaceDir(%q) = %v names %q, not a table node", dir, reps, name)
+			}
+		}
+	})
+}
+
+func nodeNames(nodes []Node) []string {
+	names := make([]string, len(nodes))
+	for i, n := range nodes {
+		names[i] = n.Name
+	}
+	return names
 }

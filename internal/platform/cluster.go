@@ -1,10 +1,10 @@
-// Package cluster assembles the paper's three evaluation platforms — the
+// Package platform assembles the paper's three evaluation platforms — the
 // NVMe SSD server (Section 4.1), the nine-node hybrid OrangeFS cluster
 // (Section 4.2, Table 4), and the 1 TB fat-node server (Section 4.3,
 // Table 5) — from the device, network, file-system, and middleware
 // substrates, with cost models calibrated so the virtual-time results
 // reproduce the paper's shapes.
-package cluster
+package platform
 
 import (
 	"fmt"

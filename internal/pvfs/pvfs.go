@@ -14,7 +14,7 @@
 // library behaves). A caller that streams in small chunks touches one
 // stripe per call and therefore serializes, like a client with no
 // readahead; whole-file reads (vfs.ReadFile) get the full parallelism. The
-// analytic models in internal/cluster assume the parallel whole-file case.
+// analytic models in internal/platform assume the parallel whole-file case.
 package pvfs
 
 import (

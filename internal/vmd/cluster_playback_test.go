@@ -59,9 +59,7 @@ func TestClusterPlaybackSurvivesNodeDeath(t *testing.T) {
 		Version: 1, Replication: 2,
 		Nodes: []placement.Node{{Name: "n1"}, {Name: "n2"}, {Name: "n3"}},
 	}
-	c, err := placement.NewCluster(tbl, nodes, placement.Config{
-		HedgeDelay: -1, Metrics: metrics.NewRegistry(),
-	})
+	c, err := placement.NewCluster(tbl, nodes, placement.Config{Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
