@@ -38,10 +38,12 @@ lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # Ten seconds of native fuzzing per parser that takes bytes from outside —
-# the xtc and dcd frame decoders, the rpc client's read-reply parser, the
-# node's request-frame reader and the placement table a peer serves (rule:
-# no panic, a typed error or a result, allocation bounded by input length;
-# an accepted table places any directory on exactly R distinct table nodes).
+# the xtc, dcd and trr frame decoders, the xtc frame index a dropping holds,
+# the rpc client's read-reply parser, the node's request-frame reader and
+# the placement table a peer serves (rule: no panic, a typed error or a
+# result, allocation bounded by input length; an accepted index tiles the
+# stream with positive entries whose ends fit an int64; an accepted table
+# places any directory on exactly R distinct table nodes).
 # The seed corpora already run under plain `go test`; this looks past them.
 # Minimization is capped per input: at its 60 s default, shrinking the first
 # coverage-expanding DCD stream outlasts the whole run (measured: 118
@@ -50,7 +52,9 @@ FUZZTIME ?= 10s
 FUZZFLAGS = -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 fuzz:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzDecodeFrame ./internal/xtc
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzUnmarshalIndex ./internal/xtc
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzDCDReader ./internal/dcd
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzTRRReader ./internal/trr
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzReadReply ./internal/rpc
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzReadFrame ./internal/rpc
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzPlacementTable ./internal/placement

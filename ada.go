@@ -219,9 +219,10 @@ type (
 	StorageCluster = placement.Cluster
 	// ClusterConfig tunes a cluster (its metrics registry).
 	ClusterConfig = placement.Config
-	// NodePool is a vfs.FS fanning calls over several connections to one
-	// storage node; register one per node as the Cluster's FS.
-	NodePool = rpc.Pool
+	// NodePool is the client of one storage node, a vfs.FS that keeps a
+	// connection per call in flight; register one per node as the
+	// Cluster's FS.
+	NodePool = rpc.Client
 )
 
 // NewStorageCluster builds the replicated cluster FS: every node the
@@ -233,12 +234,12 @@ func NewStorageCluster(tbl *PlacementTable, nodes map[string]FS, cfg ClusterConf
 // ParsePlacementTable decodes and validates a placement table's JSON form.
 func ParsePlacementTable(data []byte) (*PlacementTable, error) { return placement.Unmarshal(data) }
 
-// NewStorageNodePool opens size lazy connections to one storage node under
-// the given retry policy (nil dialer means plain TCP). Pool calls fail
-// with ErrBackendDown once retries exhaust, which is what lets a Cluster
-// fail over instead of hanging.
-func NewStorageNodePool(addr string, size int, dialer NodeDialer, policy RetryPolicy) *NodePool {
-	return rpc.NewPool(addr, size, dialer, policy)
+// NewStorageNodePool returns a client of one storage node that dials
+// lazily, under the given retry policy (nil dialer means plain TCP). Its
+// calls fail with ErrBackendDown once retries exhaust, which is what lets a
+// Cluster fail over instead of hanging.
+func NewStorageNodePool(addr string, dialer NodeDialer, policy RetryPolicy) *NodePool {
+	return rpc.DialLazy(addr, dialer, policy)
 }
 
 // ErrCorrupted marks a verified read whose stored bytes fail their

@@ -314,7 +314,7 @@ func TestFacadeClusterSnippet(t *testing.T) {
 	}
 	nodes := map[string]ada.FS{}
 	for _, n := range tbl.Nodes {
-		pool := ada.NewStorageNodePool(n.Addr, 2, nil, ada.DefaultRetryPolicy())
+		pool := ada.NewStorageNodePool(n.Addr, nil, ada.DefaultRetryPolicy())
 		t.Cleanup(func() { pool.Close() })
 		nodes[n.Name] = pool
 	}

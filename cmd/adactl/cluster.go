@@ -210,23 +210,23 @@ func cmdClusterRebalance(out io.Writer, args []string) error {
 		return err
 	}
 
-	// One pool per node across both memberships: leaving nodes must still
-	// serve copies out, joining nodes must accept copies in.
-	pools := map[string]*rpc.Pool{}
+	// One client per node across both memberships: leaving nodes must
+	// still serve copies out, joining nodes must accept copies in.
+	clients := map[string]*rpc.Client{}
 	defer func() {
-		for _, p := range pools {
-			p.Close()
+		for _, c := range clients {
+			c.Close()
 		}
 	}()
 	fss := map[string]vfs.FS{}
 	for name, a := range curAddrs {
-		pools[name] = rpc.NewPool(a, 2, nil, clusterPolicy(*timeout))
-		fss[name] = pools[name]
+		clients[name] = rpc.DialLazy(a, nil, clusterPolicy(*timeout))
+		fss[name] = clients[name]
 	}
 	for name, a := range nextAddrs {
-		if _, ok := pools[name]; !ok {
-			pools[name] = rpc.NewPool(a, 2, nil, clusterPolicy(*timeout))
-			fss[name] = pools[name]
+		if _, ok := clients[name]; !ok {
+			clients[name] = rpc.DialLazy(a, nil, clusterPolicy(*timeout))
+			fss[name] = clients[name]
 		}
 	}
 	cluster, err := placement.NewCluster(cur, fss, placement.Config{})

@@ -69,8 +69,8 @@ func TestClusterPushStatusRebalance(t *testing.T) {
 
 	// Write a few containers through the 2-node cluster, as an ADA would.
 	fss := map[string]vfs.FS{
-		"n1": rpc.NewPool(addr1, 1, nil, rpc.DefaultRetryPolicy()),
-		"n2": rpc.NewPool(addr2, 1, nil, rpc.DefaultRetryPolicy()),
+		"n1": rpc.DialLazy(addr1, nil, rpc.DefaultRetryPolicy()),
+		"n2": rpc.DialLazy(addr2, nil, rpc.DefaultRetryPolicy()),
 	}
 	c, err := placement.NewCluster(v1, fss, placement.Config{})
 	if err != nil {

@@ -93,6 +93,10 @@ func (s *nodeScrubber) verifySubset(subsetPath, indexPath string) {
 	}
 	defer f.Close()
 	s.files.Inc()
+	if idx.TotalBytes() > f.Size() {
+		s.corrupted.Inc() // the index claims frames past the payload's end
+		return
+	}
 	var budget int64
 	buf := make([]byte, 0)
 	for i := 0; i < idx.Frames(); i++ {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/vfs"
+	"repro/internal/xdr"
 	"repro/internal/xtc"
 )
 
@@ -51,5 +52,31 @@ func TestNodeScrubberFindsRottenFrame(t *testing.T) {
 		if tc.corrupted == 0 && snap.Counters["node.scrub.bytes"] != int64(payload.Len()) {
 			t.Errorf("%s: node.scrub.bytes = %d, want %d", tc.name, snap.Counters["node.scrub.bytes"], payload.Len())
 		}
+	}
+}
+
+// TestNodeScrubberCountsIndexPastPayload: a checksummed index whose one
+// entry claims 2^62 bytes parses, but the payload beside it holds a few
+// hundred; the scrubber counts it under node.scrub.corrupted instead of
+// sizing a buffer from the claim.
+func TestNodeScrubberCountsIndexPastPayload(t *testing.T) {
+	rotten := xdr.NewWriter(32)
+	rotten.Uint32(0x58494432) // "XID2": one entry of offset, size, natoms, CRC32C
+	rotten.Uint32(1)
+	rotten.Int64(0)
+	rotten.Int64(1 << 62)
+	rotten.Int32(10)
+	rotten.Uint32(0)
+	fsys := vfs.NewMemFS()
+	if err := vfs.WriteFile(fsys, "/mnt/ds/index.p", rotten.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.WriteFile(fsys, "/mnt/ds/subset.p", make([]byte, 300)); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	newNodeScrubber(fsys, 0, reg).pass()
+	if got := reg.Snapshot().Counters["node.scrub.corrupted"]; got != 1 {
+		t.Errorf("node.scrub.corrupted = %d, want 1", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/plfs"
 	"repro/internal/vfs"
+	"repro/internal/xdr"
 )
 
 // tinyDeviceADA builds an ADA whose SSD backend is a device too small for
@@ -116,4 +117,34 @@ func TestCorruptIndexReportsError(t *testing.T) {
 		t.Fatalf("sequential read should survive index corruption: %v", err)
 	}
 	sr.Close()
+}
+
+// TestIndexPastPayloadIsCorrupt: an index whose entries parse but reach far
+// past the payload (one frame of 2^62 bytes) is refused at open as
+// vfs.ErrCorrupted instead of sizing a buffer from the claim; the
+// sequential reader, which may rescan, finds the frames again.
+func TestIndexPastPayloadIsCorrupt(t *testing.T) {
+	pdbBytes, traj, _ := testDataset(t, 300, 2)
+	a, ssd, _ := newADA(t, nil, Options{})
+	if _, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatal(err)
+	}
+	rotten := xdr.NewWriter(28)
+	rotten.Uint32(0x58494458) // "XIDX": one entry of offset, size, natoms
+	rotten.Uint32(1)
+	rotten.Int64(0)
+	rotten.Int64(1 << 62)
+	rotten.Int32(10)
+	if err := vfs.WriteFile(ssd, "/mnt1/ds/index.p", rotten.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if rr, err := a.OpenSubsetAt("/ds", TagProtein); !errors.Is(err, vfs.ErrCorrupted) {
+		if err == nil {
+			rr.Close()
+		}
+		t.Fatalf("OpenSubsetAt over an index past the payload = %v, want vfs.ErrCorrupted", err)
+	}
+	if got := readSubsetFrames(t, a, "/ds", TagProtein); len(got) != 2 {
+		t.Fatalf("rescanning reader read %d frames, want 2", len(got))
+	}
 }

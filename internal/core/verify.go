@@ -49,9 +49,11 @@ type subsetFetch struct {
 // openFetch opens the read path over a payload dropping and its index
 // dropping: subset.<tag> + index.<tag> for a committed dataset,
 // staging.subset.<tag> + live.index.<tag> for a live one. An index that
-// cannot be read or parsed is an error unless rescan is set; then the frames
-// are found again by a header-only scan of the payload, without their
-// checksums, so the read is unverified (fsck reports the damage).
+// cannot be read or parsed, or that covers more bytes than the payload
+// holds, is an error (the latter wrapping vfs.ErrCorrupted) unless rescan is
+// set; then the frames are found again by a header-only scan of the payload,
+// without their checksums, so the read is unverified (fsck reports the
+// damage).
 func (a *ADA) openFetch(logical, tag, payload, index string, rescan bool) (*subsetFetch, error) {
 	var idx *xtc.Index
 	idxBytes, err := a.readDropping(logical, index)
@@ -65,8 +67,16 @@ func (a *ADA) openFetch(logical, tag, payload, index string, rescan bool) (*subs
 	if ferr != nil {
 		return nil, ferr
 	}
+	size := f.Size()
+	if err == nil && idx.TotalBytes() > size {
+		err = fmt.Errorf("%w: index covers %d bytes, the payload holds %d", vfs.ErrCorrupted, idx.TotalBytes(), size)
+		if !rescan {
+			f.Close()
+			return nil, fmt.Errorf("core: %s subset %s index: %w", logical, tag, err)
+		}
+	}
 	if err != nil {
-		if idx, err = xtc.BuildIndex(f, f.Size()); err != nil {
+		if idx, err = xtc.BuildIndex(f, size); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("core: %s subset %s: %w", logical, tag, err)
 		}

@@ -1,6 +1,6 @@
 // Node-kill fault matrix: a real multi-node ADA cluster — TCP rpc servers
-// over per-node stores, placement.Cluster routing through rpc.Pool clients
-// — with each node killed, restarted, and partitioned at swept points
+// over per-node stores, placement.Cluster routing through one rpc.Client
+// per node — with each node killed, restarted, and partitioned at swept points
 // mid-read and mid-ingest. The matrix asserts the robustness headline:
 // R=2 reads stay byte-identical through any single node death, failover
 // completes within the retry deadline instead of hanging, and a node crash
@@ -71,13 +71,13 @@ const (
 // builds a fresh server over the same disk on the same address — a process
 // restart, losing the old server's handle table but not the data.
 type matrixNode struct {
-	name string
-	addr string
-	disk *vfs.MemFS
-	srv  *rpc.Server
-	ln   *faultfs.NodeListener
-	inj  *faultfs.Injector
-	pool *rpc.Pool
+	name   string
+	addr   string
+	disk   *vfs.MemFS
+	srv    *rpc.Server
+	ln     *faultfs.NodeListener
+	inj    *faultfs.Injector
+	client *rpc.Client
 }
 
 func (n *matrixNode) start(t *testing.T) {
@@ -135,14 +135,14 @@ func newMatrixHarness(t *testing.T) *matrixHarness {
 	for _, name := range []string{"n1", "n2", "n3"} {
 		n := &matrixNode{name: name, disk: vfs.NewMemFS()}
 		n.start(t)
-		n.pool = rpc.NewPool(n.addr, 2, nil, matrixPolicy())
+		n.client = rpc.DialLazy(n.addr, nil, matrixPolicy())
 		h.nodes[name] = n
 		tblNodes = append(tblNodes, placement.Node{Name: name, Addr: n.addr})
-		fss[name] = n.pool
+		fss[name] = n.client
 	}
 	t.Cleanup(func() {
 		for _, n := range h.nodes {
-			n.pool.Close()
+			n.client.Close()
 			n.stop()
 		}
 	})
@@ -432,7 +432,7 @@ func TestMatrixKillNodeMidIngest(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/op-%d", victim, killAfter), func(t *testing.T) {
 				h := newMatrixHarness(t)
 				n := h.nodes[victim]
-				h.c.AddNode(victim, &tripwireFS{FS: n.pool, left: killAfter, fire: func() { n.ln.Kill() }})
+				h.c.AddNode(victim, &tripwireFS{FS: n.client, left: killAfter, fire: func() { n.ln.Kill() }})
 
 				_, ingestErr := h.ada.Ingest(matrixLogical, pdbBytes, bytes.NewReader(traj))
 				outcome := "committed"

@@ -13,7 +13,7 @@ import (
 
 // TestRebalanceMovesLargeDroppingOverRPC drains a holder of a directory whose
 // one file is 40 MiB — past what a node serves in a single read — out of a
-// three-node cluster of real rpc node pools. Rebalance moves droppings whole
+// three-node cluster of real rpc node clients. Rebalance moves droppings whole
 // (vfs.ReadFile from the source, and twice from the destination to verify),
 // so each of those reads has to arrive in chunks; a subset dropping of the
 // end-to-end benchmark's dataset is larger than this one.
@@ -29,14 +29,14 @@ func TestRebalanceMovesLargeDroppingOverRPC(t *testing.T) {
 	for _, name := range []string{"n1", "n2", "n3"} {
 		n := &matrixNode{name: name, disk: vfs.NewMemFS()}
 		n.start(t)
-		n.pool = rpc.NewPool(n.addr, 2, nil, policy)
+		n.client = rpc.DialLazy(n.addr, nil, policy)
 		nodes[name] = n
-		fss[name] = n.pool
+		fss[name] = n.client
 		tblNodes = append(tblNodes, placement.Node{Name: name, Addr: n.addr})
 	}
 	t.Cleanup(func() {
 		for _, n := range nodes {
-			n.pool.Close()
+			n.client.Close()
 			n.stop()
 		}
 	})

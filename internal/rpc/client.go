@@ -22,33 +22,48 @@ var ErrClientClosed = errors.New("rpc: client closed")
 // the fault harness wrap the transport (e.g. faultfs.WrapConn).
 type Dialer func(addr string) (net.Conn, error)
 
-// Client is a vfs.FS backed by a remote storage node. It is safe for
-// concurrent use; requests are serialized over the single connection.
+// Client is a vfs.FS backed by one storage node. It is safe for concurrent
+// use, and concurrent calls do not queue behind each other: a connection
+// carries one call at a time, as the wire protocol has it, and the client
+// keeps as many connections as it has calls in flight. Every call takes an
+// idle connection, or dials a new one, and gives it back when it returns, so
+// a parked WatchFile never holds a connection a demand call is waiting for.
+// A client made by NewClient has no address to dial: it has exactly one
+// connection, and its calls take turns on it.
 //
-// A dialed client (Dial/DialWith, as opposed to NewClient over an existing
-// connection) runs every call under its RetryPolicy: per-attempt
-// connection deadlines, and redial-and-retry with bounded exponential
-// backoff when that is provably safe (see RetryPolicy for the idempotency
-// rules). The server's file-handle table is per-process, not
-// per-connection, so open handles stay valid across a reconnect to the
-// same node. Retries are counted under "rpc.client.retries", suppressed
-// unsafe retries under "rpc.client.retries_suppressed", and backoff sleeps
-// under the "rpc.client.retry.backoff_ns" histogram.
+// A dialed client (Dial/DialWith/DialLazy) runs every call under its
+// RetryPolicy: per-attempt connection deadlines, and redial-and-retry with
+// bounded exponential backoff when that is provably safe (see RetryPolicy
+// for the idempotency rules). The server's file-handle table is
+// per-process, not per-connection, so an open handle is valid on every
+// connection to the same node, across reconnects included. Retries are
+// counted under "rpc.client.retries", suppressed unsafe retries under
+// "rpc.client.retries_suppressed", and backoff sleeps under the
+// "rpc.client.retry.backoff_ns" histogram.
 //
 // When retries are exhausted (or redial fails) the returned error wraps
 // vfs.ErrBackendDown, so layers above can degrade instead of hanging.
-// Close waits for an in-flight call to finish, then closes the transport;
-// later calls return ErrClientClosed.
+// Close waits for the calls in flight to finish, then closes every
+// connection; later calls return ErrClientClosed.
 type Client struct {
-	mu     sync.Mutex
-	conn   net.Conn // nil after a transport teardown until the next redial
-	addr   string   // non-empty iff dialed (enables redial retry)
-	tenant string   // re-declared on every redial once SetTenant is called
+	addr string // non-empty iff dialed (enables dialing and redial retry)
+	dial Dialer
+	turn sync.Mutex // with no addr, calls take turns on the one connection
+
+	mu     sync.Mutex // guards the fields below
+	idle   []*conn    // connections no call holds
+	tenant string     // declared on each connection before its next call
 	closed bool
 	policy RetryPolicy
-	dial   Dialer
 	rng    *rand.Rand
 	m      clientMetrics
+	calls  sync.WaitGroup // calls in flight; Close waits for them
+}
+
+// conn is one connection to the node and the tenant it has declared.
+type conn struct {
+	net.Conn
+	tenant string
 }
 
 // clientMetrics are the client-side request/response/error/retry handles.
@@ -86,28 +101,21 @@ func Dial(addr string) (*Client, error) { return DialWith(addr, nil, DefaultRetr
 // DialWith connects to a storage node through dialer (nil means plain TCP)
 // under the given retry policy.
 func DialWith(addr string, dialer Dialer, policy RetryPolicy) (*Client, error) {
-	if dialer == nil {
-		dialer = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
-	}
-	conn, err := dialer(addr)
+	c := DialLazy(addr, dialer, policy)
+	nc, err := c.dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
 	}
-	c := &Client{
-		conn: conn, addr: addr, dial: dialer,
-		policy: policy,
-		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
-		m:      newClientMetrics(metrics.Default),
-	}
+	c.idle = []*conn{{Conn: nc}}
 	return c, nil
 }
 
 // DialLazy returns a dialed client without connecting yet: the first call
-// redials under the retry policy, exactly as if an earlier attempt had
-// torn the connection down. Cluster fabrics use it so constructing a
-// multi-node client succeeds while some nodes are down — the node's
-// failure surfaces (wrapping vfs.ErrBackendDown once retries exhaust)
-// only on calls that actually route to it.
+// dials under the retry policy, exactly as if an earlier attempt had torn a
+// connection down. Cluster fabrics use it so constructing a multi-node
+// client succeeds while some nodes are down — the node's failure surfaces
+// (wrapping vfs.ErrBackendDown once retries exhaust) only on calls that
+// actually route to it.
 func DialLazy(addr string, dialer Dialer, policy RetryPolicy) *Client {
 	if dialer == nil {
 		dialer = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
@@ -120,12 +128,26 @@ func DialLazy(addr string, dialer Dialer, policy RetryPolicy) *Client {
 	}
 }
 
+// Pool is the client type under its old name.
+//
+// Deprecated: use Client. Pool is removed with NewPool.
+type Pool = Client
+
+// NewPool returns DialLazy(addr, dialer, policy).
+//
+// Deprecated: use DialLazy. size is ignored: a client already keeps a
+// connection per call in flight. NewPool is removed with the benchmark
+// harness's next revision.
+func NewPool(addr string, size int, dialer Dialer, policy RetryPolicy) *Client {
+	return DialLazy(addr, dialer, policy)
+}
+
 // NewClient wraps an existing connection (useful for tests over pipes).
 // The client fails fast on transport errors — with no dial address there
 // is nothing to redial — but still applies the policy's call deadline.
-func NewClient(conn net.Conn) *Client {
+func NewClient(nc net.Conn) *Client {
 	return &Client{
-		conn:   conn,
+		idle:   []*conn{{Conn: nc}},
 		policy: DefaultRetryPolicy(),
 		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 		m:      newClientMetrics(metrics.Default),
@@ -142,10 +164,11 @@ func (c *Client) SetMetrics(reg *metrics.Registry) {
 
 // SetTenant identifies this client's traffic as belonging to tenant: the
 // node accounts (and, when configured, rate-limits) its reads under
-// rpc.tenant.<name>.*. The identity sticks to the client, not the
-// connection — after a redial the next attempt re-declares it before
-// resending the interrupted call, so per-tenant accounting survives
-// transport blips. Identifying is idempotent; the last name sent wins.
+// rpc.tenant.<name>.*. It declares the name on one connection now and
+// returns that call's error. The identity sticks to the client, not the
+// connection: every other connection, a redialed one included, declares it
+// before its next call, so per-tenant accounting survives transport blips.
+// Identifying is idempotent; the last name sent wins.
 func (c *Client) SetTenant(tenant string) error {
 	req := request(opIdent)
 	req.String(tenant)
@@ -156,23 +179,27 @@ func (c *Client) SetTenant(tenant string) error {
 	return err
 }
 
-// ident declares c.tenant on conn (a fresh redial). Callers hold c.mu and
-// have already armed the call deadline. The real request has not been sent
-// yet, so a failure here is always safe to retry.
-func (c *Client) ident(conn net.Conn) error {
+// ident declares tenant on pc before a call. Callers have already armed the
+// call deadline. The call's request has not been sent yet, so a failure here
+// is always safe to retry.
+func ident(pc *conn, tenant string, m clientMetrics) error {
 	req := request(opIdent)
-	req.String(c.tenant)
+	req.String(tenant)
 	raw := sealFrame(req, 0)
-	if err := sendFrame(conn, raw, nil); err != nil {
+	if err := sendFrame(pc, raw, nil); err != nil {
 		return fmt.Errorf("rpc: ident send: %w", err)
 	}
-	c.m.bytesOut.Add(int64(len(raw)))
-	payload, err := readFrame(conn, nil)
+	m.bytesOut.Add(int64(len(raw)))
+	payload, err := readFrame(pc, nil)
 	if err != nil {
 		return fmt.Errorf("rpc: ident receive: %w", err)
 	}
-	c.m.bytesIn.Add(int64(len(payload)) + frameHeader)
-	return decodeStatus(xdr.NewReader(payload))
+	m.bytesIn.Add(int64(len(payload)) + frameHeader)
+	if err := decodeStatus(xdr.NewReader(payload)); err != nil {
+		return err
+	}
+	pc.tenant = tenant
+	return nil
 }
 
 // FetchClusterTable retrieves the node's cluster placement table and its
@@ -208,12 +235,16 @@ func (c *Client) PushClusterTable(data []byte, version uint64) error {
 // or when the timeout elapses (changed=false). The poll runs server-side —
 // one round trip parks on the node instead of hammering reads over the
 // wire — which is what makes remote live-head tailing cheap. A missing
-// file reads as empty with CRC 0.
+// file reads as empty with CRC 0. The poll parks only the connection it
+// holds; other calls take other connections.
 //
 // The requested timeout is clamped to half the policy's CallTimeout so the
 // server's reply always beats the client's connection deadline.
 func (c *Client) WatchFile(name string, lastCRC uint32, timeout time.Duration) ([]byte, uint32, bool, error) {
-	if t := c.policy.CallTimeout; t > 0 && timeout > t/2 {
+	c.mu.Lock()
+	t := c.policy.CallTimeout
+	c.mu.Unlock()
+	if t > 0 && timeout > t/2 {
 		timeout = t / 2
 	}
 	if timeout < 0 {
@@ -249,27 +280,42 @@ func (c *Client) SetRetryPolicy(p RetryPolicy) {
 	c.policy = p
 }
 
-// Close shuts the client down. It waits for an in-flight call (including
-// its redial/backoff loop) to finish, so it never races the redial path or
-// leaks a freshly dialed connection. Calls issued after Close return
-// ErrClientClosed; so does a second Close.
+// Close shuts the client down. It waits for the calls in flight (their
+// redial/backoff loops and parked watches included) to finish, and a
+// connection such a call dialed is closed when it returns, never parked.
+// Calls issued after Close return ErrClientClosed; so does a second Close.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return ErrClientClosed
 	}
 	c.closed = true
-	if c.conn == nil {
-		return nil
+	idle := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	var first error
+	for _, pc := range idle {
+		if err := pc.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
+	c.calls.Wait()
+	return first
 }
 
 // call sends one request and decodes the status word of the response.
 func (c *Client) call(req *xdr.Writer) (*xdr.Reader, error) { return c.callWith(req, nil, nil) }
+
+// inflight is one call's hold on its client: the connection it rides (nil
+// until dialed, and again after an attempt tears it down) and the settings
+// it took when it began.
+type inflight struct {
+	pc     *conn
+	pol    RetryPolicy
+	tenant string
+	m      clientMetrics
+}
 
 // callWith is call for the two requests that move file data, which goes
 // between the wire and the caller's slice without passing through a message
@@ -278,44 +324,78 @@ func (c *Client) call(req *xdr.Writer) (*xdr.Reader, error) { return c.callWith(
 // lands (see readReply), the reader returned holding just the fields before
 // it; after a failed call into holds garbage. Neither is retained.
 func (c *Client) callWith(req *xdr.Writer, body, into []byte) (*xdr.Reader, error) {
+	if c.addr == "" {
+		c.turn.Lock()
+		defer c.turn.Unlock()
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return nil, ErrClientClosed
 	}
-	c.m.requests.Inc()
+	c.calls.Add(1)
+	defer c.calls.Done()
+	call := inflight{pol: c.policy, tenant: c.tenant, m: c.m}
+	if n := len(c.idle); n > 0 {
+		call.pc, c.idle = c.idle[n-1], c.idle[:n-1]
+	}
+	c.mu.Unlock()
+	defer c.release(&call)
+
+	call.m.requests.Inc()
 	start := time.Now()
 	raw := sealFrame(req, xdrPadded(len(body)))
-	payload, err := c.exchange(binary.BigEndian.Uint32(raw[frameHeader:]), raw, body, into)
+	op := binary.BigEndian.Uint32(raw[frameHeader:])
+	payload, err := c.exchange(&call, op, raw, body, into)
 	if err != nil {
-		c.m.errors.Inc()
+		call.m.errors.Inc()
 		return nil, err
 	}
-	c.m.responses.Inc()
-	c.m.latency.Observe(time.Since(start).Nanoseconds())
+	call.m.responses.Inc()
+	call.m.latency.Observe(time.Since(start).Nanoseconds())
 	r := xdr.NewReader(payload)
 	if err := decodeStatus(r); err != nil {
-		c.m.errors.Inc()
+		call.m.errors.Inc()
 		return nil, err
+	}
+	if op == opIdent {
+		call.pc.tenant = call.tenant
 	}
 	return r, nil
 }
 
-// exchange performs one framed round trip under the retry policy. Failed
-// attempts tear the connection down; when retrying is safe (see
-// RetryPolicy) the next attempt redials. Callers hold c.mu.
-func (c *Client) exchange(op uint32, req, body, into []byte) ([]byte, error) {
-	pol := c.policy
+// release gives a call's connection back to the idle list, or closes it
+// when the client was closed while the call ran.
+func (c *Client) release(call *inflight) {
+	if call.pc == nil {
+		return
+	}
+	c.mu.Lock()
+	closed := c.closed
+	if !closed {
+		c.idle = append(c.idle, call.pc)
+	}
+	c.mu.Unlock()
+	if closed {
+		call.pc.Close()
+	}
+}
+
+// exchange performs one framed round trip under the call's retry policy.
+// Failed attempts tear the connection down; when retrying is safe (see
+// RetryPolicy) the next attempt redials.
+func (c *Client) exchange(call *inflight, op uint32, req, body, into []byte) ([]byte, error) {
+	pol := call.pol
 	var backoffSpent time.Duration
 	for attempt := 1; ; attempt++ {
-		sent, payload, err := c.attempt(req, body, into)
+		sent, payload, err := c.attempt(call, op, req, body, into)
 		if err == nil {
 			return payload, nil
 		}
-		if c.conn != nil {
+		if call.pc != nil {
 			// The conn's state is indeterminate mid-frame: discard it.
-			c.conn.Close()
-			c.conn = nil
+			call.pc.Close()
+			call.pc = nil
 		}
 		if c.addr == "" {
 			return nil, err // wraps an existing conn; nothing to redial
@@ -324,7 +404,7 @@ func (c *Client) exchange(op uint32, req, body, into []byte) ([]byte, error) {
 			// The full frame reached the kernel and the reply was lost:
 			// the server may have applied the op, so re-sending could
 			// double-apply it. Fail with the outcome unknown.
-			c.m.suppressed.Inc()
+			call.m.suppressed.Inc()
 			return nil, fmt.Errorf("rpc: %s reply lost after send; op is not idempotent, not retried: %w",
 				opName(op), err)
 		}
@@ -332,59 +412,56 @@ func (c *Client) exchange(op uint32, req, body, into []byte) ([]byte, error) {
 			return nil, fmt.Errorf("rpc: %s failed after %d attempts: %w: %w",
 				opName(op), attempt, vfs.ErrBackendDown, err)
 		}
-		d := c.backoffDelay(attempt)
+		d := c.backoffDelay(pol, attempt)
 		if pol.BackoffBudget > 0 && backoffSpent+d > pol.BackoffBudget {
 			return nil, fmt.Errorf("rpc: %s exhausted its %v backoff budget: %w: %w",
 				opName(op), pol.BackoffBudget, vfs.ErrBackendDown, err)
 		}
 		backoffSpent += d
-		c.m.backoffNS.Observe(int64(d))
+		call.m.backoffNS.Observe(int64(d))
 		if d > 0 {
 			time.Sleep(d)
 		}
-		c.m.retries.Inc()
+		call.m.retries.Inc()
 	}
 }
 
-// attempt performs a single framed round trip, redialing first if the
-// previous attempt tore the connection down. sent reports whether the
-// request frame was completely handed to the transport — when false the
-// server provably never parsed the request, so any op is safe to re-send.
-func (c *Client) attempt(req, body, into []byte) (sent bool, payload []byte, err error) {
-	fresh := false
-	if c.conn == nil {
+// attempt performs a single framed round trip, dialing first if the call
+// holds no connection. A connection whose declared tenant is not the
+// call's declares it before the request goes out (SetTenant's own request
+// is the declaration). sent reports whether the request frame was
+// completely handed to the transport — when false the server provably
+// never parsed the request, so any op is safe to re-send.
+func (c *Client) attempt(call *inflight, op uint32, req, body, into []byte) (sent bool, payload []byte, err error) {
+	if call.pc == nil {
 		if c.addr == "" {
 			return false, nil, fmt.Errorf("rpc: connection lost: %w", vfs.ErrBackendDown)
 		}
-		conn, derr := c.dial(c.addr)
+		nc, derr := c.dial(c.addr)
 		if derr != nil {
 			return false, nil, fmt.Errorf("rpc: redial %s: %w", c.addr, derr)
 		}
-		c.conn = conn
-		fresh = true
+		call.pc = &conn{Conn: nc}
 	}
-	conn := c.conn
-	if t := c.policy.CallTimeout; t > 0 {
-		conn.SetDeadline(time.Now().Add(t))
-		defer conn.SetDeadline(time.Time{})
+	pc := call.pc
+	if t := call.pol.CallTimeout; t > 0 {
+		pc.SetDeadline(time.Now().Add(t))
+		defer pc.SetDeadline(time.Time{})
 	}
-	if fresh && c.tenant != "" {
-		// Re-declare the tenant before the interrupted call goes out, so
-		// the new connection's reads stay attributed. The request frame has
-		// not been sent, so sent=false keeps any op retry-safe.
-		if ierr := c.ident(conn); ierr != nil {
+	if op != opIdent && pc.tenant != call.tenant {
+		if ierr := ident(pc, call.tenant, call.m); ierr != nil {
 			return false, nil, ierr
 		}
 	}
-	if werr := sendFrame(conn, req, body); werr != nil {
+	if werr := sendFrame(pc, req, body); werr != nil {
 		return false, nil, fmt.Errorf("rpc: send: %w", werr)
 	}
-	c.m.bytesOut.Add(int64(len(req) + xdrPadded(len(body))))
-	payload, received, rerr := readReply(conn, into)
+	call.m.bytesOut.Add(int64(len(req) + xdrPadded(len(body))))
+	payload, received, rerr := readReply(pc, into)
 	if rerr != nil {
 		return true, nil, fmt.Errorf("rpc: receive: %w", rerr)
 	}
-	c.m.bytesIn.Add(int64(received))
+	call.m.bytesIn.Add(int64(received))
 	return true, payload, nil
 }
 

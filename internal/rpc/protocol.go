@@ -10,7 +10,7 @@
 // A request body is: uint32 opcode, then opcode-specific XDR fields. A
 // response body is: uint32 status (0 = OK, 1 = error), then either an error
 // string or opcode-specific fields. One request is in flight per
-// connection at a time; clients serialize with a mutex.
+// connection at a time; a client keeps a connection per call in flight.
 //
 // Every message is built with its length prefix already in the buffer
 // (newFrame, sealFrame) and leaves in one write. The two messages that carry

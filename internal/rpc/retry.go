@@ -75,9 +75,8 @@ func idempotentOp(op uint32) bool {
 // backoffDelay computes the sleep before retry number `retry` (1-based):
 // exponential growth capped at MaxBackoff, with full jitter on the top
 // half so synchronized clients desynchronize while keeping a floor.
-// Callers hold c.mu (the rng is mu-guarded).
-func (c *Client) backoffDelay(retry int) time.Duration {
-	pol := c.policy
+// Calls run side by side, so the shared rng is drawn under c.mu.
+func (c *Client) backoffDelay(pol RetryPolicy, retry int) time.Duration {
 	d := pol.BaseBackoff
 	if d <= 0 {
 		return 0
@@ -93,5 +92,7 @@ func (c *Client) backoffDelay(retry int) time.Duration {
 		d = pol.MaxBackoff
 	}
 	half := d / 2
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return half + time.Duration(c.rng.Int63n(int64(half)+1))
 }

@@ -152,14 +152,23 @@ func NewReader(r io.Reader) *Reader {
 // BytesConsumed returns encoded bytes read so far.
 func (r *Reader) BytesConsumed() int64 { return r.consumed }
 
+// readChunk is the most memory a header's block size can claim before any
+// of the block has arrived.
+const readChunk = 256 << 10
+
+// read returns the next n bytes of the stream in the reader's buffer. A
+// header's block size is trusted for one chunk; past that the buffer grows
+// only as the stream delivers what the header promised.
 func (r *Reader) read(n int) ([]byte, error) {
-	if cap(r.buf) < n {
-		r.buf = make([]byte, n)
+	b := r.buf[:0]
+	for got := 0; got < n; got = len(b) {
+		b = append(b, make([]byte, min(n-got, max(got, readChunk)))...)
+		if _, err := io.ReadFull(r.r, b[got:]); err != nil {
+			r.buf = b
+			return nil, err
+		}
 	}
-	b := r.buf[:n]
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		return nil, err
-	}
+	r.buf = b
 	r.consumed += int64(n)
 	return b, nil
 }
@@ -213,10 +222,10 @@ func (r *Reader) finishFrame(x *xdr.Reader, irSize, eSize, boxSize, virSize, pre
 		}
 	}
 	checkVec := func(name string, sz int32) (bool, error) {
-		switch sz {
+		switch int64(sz) {
 		case 0:
 			return false, nil
-		case natoms * 12:
+		case int64(natoms) * 12:
 			return true, nil
 		default:
 			return false, fmt.Errorf("%w: %s block of %d bytes for %d atoms (double precision unsupported)",

@@ -111,3 +111,62 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	})
 }
+
+// indexBlob serializes entries as a version-1 index without checking them,
+// the way a rotten index dropping could read.
+func indexBlob(entries ...[3]int64) []byte {
+	w := xdr.NewWriter(8 + 20*len(entries))
+	w.Uint32(indexMagic)
+	w.Uint32(uint32(len(entries)))
+	for _, e := range entries {
+		w.Int64(e[0])
+		w.Int64(e[1])
+		w.Int32(int32(e[2]))
+	}
+	return w.Bytes()
+}
+
+// FuzzUnmarshalIndex holds the index parser to the rule for bytes from
+// outside: no panic, memory in proportion to the input (an entry is at
+// least 20 bytes of input and 24 of index), and an accepted index tiles the
+// stream from offset 0 with entries of at least one byte whose ends an int64
+// holds.
+func FuzzUnmarshalIndex(f *testing.F) {
+	var v1, v2 IndexBuilder
+	for i, size := range []int64{120, 88, 300} {
+		v1.Add(size, 10+i)
+		v2.AddWithCRC(size, 10+i, uint32(i))
+	}
+	f.Add(v1.Index().Marshal())
+	f.Add(v2.Index().Marshal())
+	f.Add(indexBlob([3]int64{0, 1 << 62, 10}))
+	f.Add(indexBlob([3]int64{0, 1 << 62, 10}, [3]int64{1 << 62, 1 << 62, 10}))
+	f.Add(indexBlob([3]int64{0, math.MaxInt64, 10}))
+	f.Add(indexBlob([3]int64{0, 0, 10}))
+	f.Add(indexBlob()[:6])
+	claim := indexBlob()
+	binary.BigEndian.PutUint32(claim[4:], math.MaxUint32)
+	f.Add(claim)
+	f.Fuzz(func(t *testing.T, input []byte) {
+		var x *Index
+		var err error
+		got := allocated(func() { x, err = UnmarshalIndex(input) })
+		if limit := uint64(2*len(input) + 1<<20); got > limit {
+			t.Fatalf("parsing %d bytes allocated %d, limit %d", len(input), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		var end int64
+		for i := 0; i < x.Frames(); i++ {
+			off, size := x.Offset(i), x.Size(i)
+			if off != end || size <= 0 || size > math.MaxInt64-off {
+				t.Fatalf("accepted entry %d at %d of %d bytes after an end at %d", i, off, size, end)
+			}
+			end = off + size
+		}
+		if x.TotalBytes() != end {
+			t.Fatalf("TotalBytes = %d, entries end at %d", x.TotalBytes(), end)
+		}
+	})
+}

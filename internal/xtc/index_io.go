@@ -2,6 +2,7 @@ package xtc
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/xdr"
 )
@@ -43,7 +44,11 @@ func (x *Index) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalIndex parses a serialized index, either version.
+// UnmarshalIndex parses a serialized index, either version. Its entries
+// must tile the stream from offset 0: each starts where the last ended, is
+// at least one byte long, and ends at an offset an int64 can hold. Whether
+// the stream is that long is for the caller, who has it, to check
+// (TotalBytes).
 func UnmarshalIndex(data []byte) (*Index, error) {
 	r := xdr.NewReader(data)
 	magic := r.Uint32()
@@ -79,7 +84,7 @@ func UnmarshalIndex(data []byte) (*Index, error) {
 		if magic == indexMagicV2 {
 			x.crcs[i] = r.Uint32()
 		}
-		if x.offsets[i] != prevEnd || x.sizes[i] <= 0 || x.natoms[i] < 0 {
+		if x.offsets[i] != prevEnd || x.sizes[i] <= 0 || x.sizes[i] > math.MaxInt64-prevEnd || x.natoms[i] < 0 {
 			return nil, fmt.Errorf("xtc: corrupt index entry %d", i)
 		}
 		prevEnd = x.offsets[i] + x.sizes[i]
