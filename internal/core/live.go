@@ -112,15 +112,14 @@ func unmarshalLiveHead(data []byte) (*LiveHead, error) {
 
 // LiveIngest is an open streaming ingest session, the producer side of a
 // live dataset: the one ingest session (ingestState) plus head publication.
-// It is safe for one appender goroutine; Head/Watch may be called
-// concurrently from others.
+// It is safe for one appender goroutine; Frames and Head may be called
+// concurrently from others. Tailers learn of new heads through WaitLiveHead.
 type LiveIngest struct {
 	st *ingestState
 
 	mu      sync.Mutex
 	sealed  bool
 	aborted bool
-	headCh  chan struct{} // closed and replaced on every publish
 }
 
 // OpenLiveIngest starts a streaming ingest: the container, journal, and
@@ -132,7 +131,7 @@ func (a *ADA) OpenLiveIngest(logical string, pdbData []byte) (*LiveIngest, error
 	if err != nil {
 		return nil, err
 	}
-	li := &LiveIngest{st: st, headCh: make(chan struct{})}
+	li := &LiveIngest{st: st}
 	if err := li.publishHead(); err != nil {
 		st.abort()
 		return nil, fmt.Errorf("core: live ingest %s: %w", logical, err)
@@ -152,7 +151,7 @@ func (a *ADA) ResumeLiveIngest(logical string, pdbData []byte) (*LiveIngest, err
 	if err != nil {
 		return nil, err
 	}
-	li := &LiveIngest{st: st, headCh: make(chan struct{})}
+	li := &LiveIngest{st: st}
 	if err := li.publishHead(); err != nil {
 		st.detach()
 		return nil, fmt.Errorf("core: resume live %s: %w", logical, err)
@@ -172,20 +171,6 @@ func (li *LiveIngest) Head() LiveHead {
 	li.mu.Lock()
 	defer li.mu.Unlock()
 	return li.headLocked()
-}
-
-// Watch returns a channel closed at the next head publish — the in-process
-// notification path for tailing readers co-located with the producer.
-func (li *LiveIngest) Watch() <-chan struct{} {
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	return li.headCh
-}
-
-// wake releases the current watchers. Callers hold li.mu.
-func (li *LiveIngest) wake() {
-	close(li.headCh)
-	li.headCh = make(chan struct{})
 }
 
 func (li *LiveIngest) headLocked() LiveHead {
@@ -271,12 +256,7 @@ func (li *LiveIngest) publishHead() error {
 	if err != nil {
 		return err
 	}
-	if err := a.republishDropping(st.logical, liveHeadName,
-		a.containers.Backends()[0], data); err != nil {
-		return err
-	}
-	li.wake()
-	return nil
+	return a.republishDropping(st.logical, liveHeadName, a.containers.Backends()[0], data)
 }
 
 // republishDropping atomically replaces a dropping's content: write under a
@@ -314,7 +294,6 @@ func (li *LiveIngest) Seal() (*IngestReport, error) {
 		return nil, st.fail(fmt.Errorf("core: seal %s: %w", st.logical, err))
 	}
 	li.sealed = true
-	li.wake() // LiveHead now reports the sealed manifest
 	return report, nil
 }
 
@@ -328,7 +307,6 @@ func (li *LiveIngest) Abort() error {
 	}
 	li.aborted = true
 	li.st.abort()
-	li.wake()
 	return nil
 }
 
@@ -364,7 +342,7 @@ func (a *ADA) recoverLive(logical string, begin, ck *journalRecord) (RecoveryAct
 	if err := st.cutBack(begin, ck); err != nil {
 		return "", fmt.Errorf("recover live: %w", err)
 	}
-	li := &LiveIngest{st: st, headCh: make(chan struct{})}
+	li := &LiveIngest{st: st}
 	if err := li.publishHead(); err != nil {
 		return "", err
 	}

@@ -82,14 +82,18 @@ func (a *ADA) WaitLiveHead(logical string, lastCRC uint32, timeout time.Duration
 // on a frame at or past the head blocks until the producer publishes it —
 // a reader parked on head+1 needs no other notification — and once the
 // dataset seals the reader switches to the committed container and returns
-// io.EOF past the end. Safe for concurrent ReadFrameAt callers.
+// io.EOF past the end. Safe for concurrent ReadFrameAt callers. The reader
+// holds one read path at a time: a head refresh closes the one it replaces.
 type LiveReader struct {
 	a         *ADA
 	logical   string
 	tag       string
 	staleness time.Duration
 
-	mu       sync.Mutex
+	// mu is held shared by ReadFrameAt across a frame read and exclusively
+	// by everything that changes the fields below, so a refresh that swaps
+	// fetch waits out the reads still going through the old one.
+	mu       sync.RWMutex
 	wg       sync.WaitGroup // in-flight public calls; Close drains it
 	head     LiveHead
 	headCRC  uint32
@@ -99,10 +103,6 @@ type LiveReader struct {
 	sealed   bool
 	closing  bool
 	closed   chan struct{}
-	// retired holds superseded fetches until Close: a concurrent
-	// ReadFrameAt may still be reading through a snapshot taken before a
-	// head refresh swapped the handle out.
-	retired []*subsetFetch
 }
 
 // DefaultLiveStaleness bounds how stale LiveReader.Frames may run behind
@@ -153,10 +153,11 @@ func (lr *LiveReader) enter() error {
 
 // applyHeadLocked installs a freshly loaded head by opening a fresh read
 // path over its droppings (recovery may have replaced the file behind an old
-// handle, so handles are never trusted across publishes): the staged subset
-// and its live index while the dataset grows, the committed container's
-// final droppings once it is sealed. Either way every frame is checked
-// against the index it was opened with.
+// handle, so handles are never trusted across publishes) and closing the one
+// it replaces: the staged subset and its live index while the dataset grows,
+// the committed container's final droppings once it is sealed. Either way
+// every frame is checked against the index it was opened with. The caller
+// holds lr.mu exclusively, so no ReadFrameAt is reading through the old one.
 func (lr *LiveReader) applyHeadLocked(h *LiveHead, crc uint32) error {
 	payload, index := stagingPrefix+subsetPrefix+lr.tag, liveIndexPrefix+lr.tag
 	if h.Sealed {
@@ -185,7 +186,7 @@ func (lr *LiveReader) applyHeadLocked(h *LiveHead, crc uint32) error {
 			lr.logical, lr.tag, fetch.idx.Frames(), h.Frames, vfs.ErrCorrupted)
 	}
 	if lr.fetch != nil {
-		lr.retired = append(lr.retired, lr.fetch)
+		lr.fetch.close()
 	}
 	lr.fetch = fetch
 	lr.frames = h.Frames
@@ -289,21 +290,21 @@ func (lr *LiveReader) ConcurrentFrameReads() bool { return true }
 
 // awaitFrames blocks until the loaded head holds at least n frames, the
 // dataset seals, or the deadline (zero: none) passes, pulling in each newer
-// head as the producer publishes it. It returns the read path and frame
-// count of the head it stopped on; Close unblocks it with ErrLiveClosed.
-func (lr *LiveReader) awaitFrames(n int, deadline time.Time) (*subsetFetch, int, error) {
+// head as the producer publishes it. It returns the frame count of the head
+// it stopped on; Close unblocks it with ErrLiveClosed.
+func (lr *LiveReader) awaitFrames(n int, deadline time.Time) (int, error) {
 	for {
-		lr.mu.Lock()
-		fetch, frames, sealed, crc := lr.fetch, lr.frames, lr.sealed, lr.headCRC
-		lr.mu.Unlock()
+		lr.mu.RLock()
+		frames, sealed, crc := lr.frames, lr.sealed, lr.headCRC
+		lr.mu.RUnlock()
 		if frames >= n || sealed {
-			return fetch, frames, nil
+			return frames, nil
 		}
 		wait := liveWaitSlice
 		if !deadline.IsZero() {
 			remaining := time.Until(deadline)
 			if remaining <= 0 {
-				return fetch, frames, nil
+				return frames, nil
 			}
 			if remaining < wait {
 				wait = remaining
@@ -311,11 +312,11 @@ func (lr *LiveReader) awaitFrames(n int, deadline time.Time) (*subsetFetch, int,
 		}
 		h, newCRC, changed, err := lr.a.WaitLiveHead(lr.logical, crc, wait)
 		if err != nil {
-			return fetch, frames, err
+			return frames, err
 		}
 		select {
 		case <-lr.closed:
-			return fetch, frames, ErrLiveClosed
+			return frames, ErrLiveClosed
 		default:
 		}
 		if changed {
@@ -324,7 +325,7 @@ func (lr *LiveReader) awaitFrames(n int, deadline time.Time) (*subsetFetch, int,
 			lr.lastPoll = time.Now()
 			lr.mu.Unlock()
 			if err != nil {
-				return fetch, frames, err
+				return frames, err
 			}
 		}
 	}
@@ -339,14 +340,18 @@ func (lr *LiveReader) ReadFrameAt(i int) (*xtc.Frame, error) {
 		return nil, err
 	}
 	defer lr.wg.Done()
-	fetch, frames, err := lr.awaitFrames(i+1, time.Time{})
+	frames, err := lr.awaitFrames(i+1, time.Time{})
 	if err != nil {
 		return nil, err
 	}
 	if i >= frames {
 		return nil, io.EOF // sealed short of frame i
 	}
-	return fetch.frame(i)
+	// Heads only grow and published prefixes are immutable, so whichever
+	// head is loaded now holds frame i.
+	lr.mu.RLock()
+	defer lr.mu.RUnlock()
+	return lr.fetch.frame(i)
 }
 
 // WaitFrames blocks until the head reaches at least n frames, the dataset
@@ -357,12 +362,12 @@ func (lr *LiveReader) WaitFrames(n int, timeout time.Duration) (int, error) {
 		return 0, err
 	}
 	defer lr.wg.Done()
-	_, frames, err := lr.awaitFrames(n, time.Now().Add(timeout))
+	frames, err := lr.awaitFrames(n, time.Now().Add(timeout))
 	return frames, err
 }
 
-// Close unblocks waiters, drains in-flight reads, and releases every
-// dropping handle the reader accumulated across head refreshes.
+// Close unblocks waiters, drains in-flight reads, and releases the read
+// path's dropping handles.
 func (lr *LiveReader) Close() error {
 	lr.mu.Lock()
 	if lr.closing {
@@ -375,9 +380,7 @@ func (lr *LiveReader) Close() error {
 	lr.wg.Wait()
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
-	for _, f := range append(lr.retired, lr.fetch) {
-		f.close()
-	}
-	lr.retired, lr.fetch = nil, nil
+	lr.fetch.close()
+	lr.fetch = nil
 	return nil
 }

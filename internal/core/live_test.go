@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,8 +181,8 @@ func TestLiveAbort(t *testing.T) {
 	}
 }
 
-// TestLiveReaderTails drives a producer and a concurrent tailing reader:
-// every frame the reader observes must be byte-identical to the same frame
+// TestLiveReaderTails drives a producer and two concurrent tailers sharing
+// one reader: every frame they observe must be byte-identical to the same frame
 // of the final sealed container, ReadFrameAt past the head must block until
 // the frame is published, and the seal must surface as io.EOF.
 func TestLiveReaderTails(t *testing.T) {
@@ -206,24 +207,29 @@ func TestLiveReaderTails(t *testing.T) {
 		i int
 		f *xtc.Frame
 	}
-	results := make(chan got, frames)
-	errc := make(chan error, 1)
+	// Two tailers share the reader, so a head refresh one of them makes
+	// swaps the read path under the other's reads.
+	const tailers = 2
+	results := make(chan got, tailers*frames)
+	errc := make(chan error, tailers)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			f, err := lr.ReadFrameAt(i)
-			if err == io.EOF {
-				return
+	for r := 0; r < tailers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				f, err := lr.ReadFrameAt(i)
+				if err == io.EOF {
+					return
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+				results <- got{i, f}
 			}
-			if err != nil {
-				errc <- err
-				return
-			}
-			results <- got{i, f}
-		}
-	}()
+		}()
+	}
 
 	batches := batchFrames(splitFrames(t, traj), 5)
 	for _, b := range batches {
@@ -254,8 +260,8 @@ func TestLiveReaderTails(t *testing.T) {
 			t.Fatalf("tailed frame %d differs from sealed frame", g.i)
 		}
 	}
-	if seen != frames {
-		t.Fatalf("tail observed %d frames, want %d", seen, frames)
+	if seen != tailers*frames {
+		t.Fatalf("%d tailers observed %d frames, want %d each", tailers, seen, frames)
 	}
 	if lr.Live() {
 		t.Error("sealed dataset still reports live")
@@ -511,6 +517,72 @@ func TestLiveReaderSealUnderReader(t *testing.T) {
 				t.Errorf("after the seal: live=%v frames=%d, want sealed with %d", lr.Live(), lr.Frames(), frames)
 			}
 		})
+	}
+}
+
+// TestLiveReaderHoldsOneHandle tails a producer publishing one frame per
+// head, reading each frame as it lands, and counts the handles the reader's
+// own stack holds open: a head refresh closes the read path it replaces, so
+// however many heads the tail crosses — and across the seal — one payload
+// handle stays open, and Close releases it.
+func TestLiveReaderHoldsOneHandle(t *testing.T) {
+	const frames = 24
+	pdbBytes, traj, _ := testDataset(t, 200, frames)
+	ssd, hdd := vfs.NewMemFS(), vfs.NewMemFS()
+	producer := rebootADA(t, ssd, hdd)
+	var opened, closed atomic.Int64
+	store, err := plfs.New(
+		plfs.Backend{Name: "ssd", FS: handleFS{ssd, &opened, &closed}, Mount: "/mnt1"},
+		plfs.Backend{Name: "hdd", FS: handleFS{hdd, &opened, &closed}, Mount: "/mnt2"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(store, nil, Options{Metrics: metrics.NewRegistry()})
+
+	li, err := producer.OpenLiveIngest("/ds", pdbBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An hour of allowed staleness: each read past the known head loads
+	// exactly the one head that published it.
+	lr, err := a.OpenLiveReader("/ds", TagProtein, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holding := func(when string) {
+		t.Helper()
+		if open := opened.Load() - closed.Load(); open > 2 {
+			t.Fatalf("%s: the reader holds %d open handles, want at most 2", when, open)
+		}
+	}
+	var got []*xtc.Frame
+	for i, frame := range splitFrames(t, traj) {
+		if _, err := li.Append(frame); err != nil {
+			t.Fatal(err)
+		}
+		f, err := lr.ReadFrameAt(i)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		got = append(got, f)
+		holding(fmt.Sprintf("after %d one-frame heads", i+1))
+	}
+	if _, err := li.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lr.ReadFrameAt(frames); err != io.EOF {
+		t.Fatalf("read past the sealed end: %v, want io.EOF", err)
+	}
+	holding("after the seal")
+	if !sameFrames(got, readSubsetFrames(t, a, "/ds", TagProtein)) {
+		t.Error("tailed frames differ from the sealed container's")
+	}
+	if err := lr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if o, c := opened.Load(), closed.Load(); o != c {
+		t.Errorf("after Close the reader's stack opened %d handles and closed %d", o, c)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -13,9 +12,10 @@ import (
 
 // Fsck and scrubbing: the offline/background halves of the integrity story.
 // Fsck walks one dataset and checks every dropping against the checksums
-// recorded at ingest; the Scrubber repeats that over all datasets at a
+// recorded at ingest; a Scrubber pass repeats that over all datasets at a
 // bounded byte rate so latent corruption (bit rot, torn repairs) is found
-// before a reader trips over it.
+// before a reader trips over it. `adactl scrub` runs one pass; the background
+// loop is the storage node's (adanode -scrub-rate), over the files it serves.
 
 // Dropping verdicts reported by Fsck.
 const (
@@ -197,10 +197,6 @@ type Scrubber struct {
 	a    *ADA
 	rate int64 // payload bytes per second; <=0 = unthrottled
 	sm   scrubMetrics
-
-	mu   sync.Mutex
-	stop chan struct{}
-	done chan struct{}
 }
 
 // NewScrubber returns a scrubber over this instance's datasets. rate bounds
@@ -222,12 +218,7 @@ func (a *ADA) NewScrubber(rate int64) *Scrubber {
 }
 
 // Run executes one full scrub pass synchronously.
-func (s *Scrubber) Run() (*ScrubReport, error) { return s.run(s.stopCh()) }
-
-// run is one pass gated on an explicit stop channel (nil = uncancellable).
-// The channel is captured once per pass: Stop clears the Scrubber's fields
-// before closing it, so re-reading them mid-pass would lose the signal.
-func (s *Scrubber) run(stop chan struct{}) (*ScrubReport, error) {
+func (s *Scrubber) Run() (*ScrubReport, error) {
 	start := time.Now()
 	names, err := s.a.Datasets()
 	if err != nil {
@@ -261,10 +252,7 @@ func (s *Scrubber) run(stop chan struct{}) (*ScrubReport, error) {
 				budget += sub.Bytes
 			}
 		}
-		budget = s.throttle(budget, stop)
-		if cancelled(stop) {
-			break
-		}
+		budget = s.throttle(budget)
 	}
 	rep.Elapsed = time.Since(start)
 	s.sm.passes.Inc()
@@ -273,7 +261,7 @@ func (s *Scrubber) run(stop chan struct{}) (*ScrubReport, error) {
 
 // throttle sleeps long enough to keep the pass at the configured byte
 // rate, returning the remaining (un-slept) budget.
-func (s *Scrubber) throttle(budget int64, stop chan struct{}) int64 {
+func (s *Scrubber) throttle(budget int64) int64 {
 	if s.rate <= 0 || budget <= 0 {
 		return 0
 	}
@@ -281,62 +269,6 @@ func (s *Scrubber) throttle(budget int64, stop chan struct{}) int64 {
 	if d < time.Millisecond {
 		return budget // too small to sleep; carry it forward
 	}
-	select {
-	case <-time.After(d):
-	case <-stop: // a nil channel never fires, leaving the timer in charge
-	}
+	time.Sleep(d)
 	return 0
-}
-
-func (s *Scrubber) stopCh() chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stop
-}
-
-func cancelled(stop chan struct{}) bool {
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// Start launches repeated scrub passes in the background, sleeping interval
-// between passes. Stop cancels the loop.
-func (s *Scrubber) Start(interval time.Duration) {
-	s.mu.Lock()
-	if s.stop != nil {
-		s.mu.Unlock()
-		return // already running
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.stop, s.done = stop, done
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		for {
-			s.run(stop) // pass errors are reflected in the metrics only
-			select {
-			case <-stop:
-				return
-			case <-time.After(interval):
-			}
-		}
-	}()
-}
-
-// Stop cancels a background scrub loop and waits for it to exit.
-func (s *Scrubber) Stop() {
-	s.mu.Lock()
-	stop, done := s.stop, s.done
-	s.stop, s.done = nil, nil
-	s.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

@@ -1,107 +1,40 @@
 package serve
 
-import "math"
-
-// tokenBucket meters one tenant's decode bandwidth in bytes/sec with a burst
-// allowance. It is guarded by the owning scheduler's (or fabric's) mutex;
-// times are clock seconds from the fabric's clock.
-type tokenBucket struct {
-	rate   float64 // refill, bytes/sec; <=0 disables metering
-	burst  float64 // capacity, bytes
-	tokens float64
-	last   float64 // clock reading of the last refill
-}
-
-func newTokenBucket(rate float64, burst int64) *tokenBucket {
-	b := &tokenBucket{rate: rate, burst: float64(burst)}
-	b.tokens = b.burst
-	return b
-}
-
-func (b *tokenBucket) refill(now float64) {
-	if b.rate <= 0 {
-		return
-	}
-	if dt := now - b.last; dt > 0 {
-		b.tokens += dt * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-}
-
-// need returns the tokens a request of the given cost must see in the
-// bucket: a request larger than the whole bucket becomes eligible at a full
-// bucket (and drives the balance negative when taken), so an undersized
-// burst throttles oversized frames instead of starving them forever.
-func (b *tokenBucket) need(cost int64) float64 {
-	if c := float64(cost); c < b.burst {
-		return c
-	}
-	return b.burst
-}
-
-// eligibleAt returns the clock time a request of the given cost can be paid
-// for — now if the bucket already covers it.
-func (b *tokenBucket) eligibleAt(now float64, cost int64) float64 {
-	if b.rate <= 0 {
-		return now
-	}
-	b.refill(now)
-	need := b.need(cost)
-	if b.tokens >= need {
-		return now
-	}
-	return now + (need-b.tokens)/b.rate
-}
-
-func (b *tokenBucket) take(cost int64) {
-	if b.rate <= 0 {
-		return
-	}
-	b.tokens -= float64(cost)
-}
-
 // tenantQueue is one tenant's FIFO of pending decode flights plus its DRR
-// and quota state.
+// state.
 type tenantQueue struct {
 	name    string
 	q       []*flight
 	deficit int64 // DRR byte credit carried between rounds
 	granted bool  // quantum already granted at the current cursor visit
-	bucket  *tokenBucket
-	active  bool // in the scheduler's ring
+	active  bool  // in the scheduler's ring
 }
 
-// scheduler is a deficit-round-robin fair-share queue of decode flights with
-// per-tenant token buckets: each cursor visit grants a tenant at most one
-// quantum of byte credit (lazily — only when its head does not already fit),
-// a tenant keeps serving while its accumulated deficit covers its head, and
-// a flight is dispatchable only when the tenant's token bucket can also pay
-// for it. Deficits persist across rounds, so a request larger than the
-// quantum accumulates credit over several visits instead of starving, and a
-// drained tenant forfeits its credit — an idle tenant cannot bank bandwidth.
-// All methods require external locking.
+// scheduler is a deficit-round-robin fair-share queue of decode flights:
+// each cursor visit grants a tenant at most one quantum of byte credit
+// (lazily — only when its head does not already fit), and a tenant keeps
+// serving while its accumulated deficit covers its head. Deficits persist
+// across rounds, so a request larger than the quantum accumulates credit over
+// several visits instead of starving, and a drained tenant forfeits its
+// credit — an idle tenant cannot bank bandwidth. All methods require
+// external locking.
 type scheduler struct {
 	quantum int64
-	rate    float64
-	burst   int64
 	tenants map[string]*tenantQueue
 	ring    []*tenantQueue // active tenants, first-submit order
 	cursor  int
 	pending int
 }
 
-func newScheduler(quantum int64, rate float64, burst int64) *scheduler {
-	return &scheduler{quantum: quantum, rate: rate, burst: burst, tenants: map[string]*tenantQueue{}}
+func newScheduler(quantum int64) *scheduler {
+	return &scheduler{quantum: quantum, tenants: map[string]*tenantQueue{}}
 }
 
 // submit queues a flight under its tenant.
 func (s *scheduler) submit(fl *flight) {
 	t := s.tenants[fl.tenant]
 	if t == nil {
-		t = &tenantQueue{name: fl.tenant, bucket: newTokenBucket(s.rate, s.burst)}
+		t = &tenantQueue{name: fl.tenant}
 		s.tenants[fl.tenant] = t
 	}
 	t.q = append(t.q, fl)
@@ -114,61 +47,44 @@ func (s *scheduler) submit(fl *flight) {
 	}
 }
 
-// next pops the next dispatchable flight. When nothing is dispatchable it
-// returns nil with notBefore = the earliest clock time a queued flight's
-// token bucket can pay (+Inf with an empty queue) and the number of flights
-// still queued. Deficit-only blockage never ends a call — the scan loops,
-// granting one quantum per visit, until either a flight dispatches or every
-// queued head is waiting on its bucket.
-func (s *scheduler) next(now float64) (fl *flight, notBefore float64, queued int) {
-	notBefore = math.Inf(1)
+// next pops the next flight, nil only when nothing is queued. The scan
+// loops, granting one quantum per visit, until a head's deficit covers it:
+// every visit adds credit toward some head, so a queued flight always
+// dispatches.
+func (s *scheduler) next() *flight {
 	if s.pending == 0 {
-		return nil, notBefore, 0
+		return nil
 	}
 	for {
-		deficitBlocked := false
-		for scanned := 0; scanned < len(s.ring); scanned++ {
-			t := s.ring[s.cursor]
-			head := t.q[0]
-			if !t.granted && t.deficit < head.cost {
-				// Lazy per-visit grant: credit only accrues toward a head
-				// that needs it, so a bucket-throttled tenant cannot bank an
-				// unbounded deficit while it waits.
-				t.deficit += s.quantum
-				t.granted = true
-			}
-			if at := t.bucket.eligibleAt(now, head.cost); at > now {
-				if at < notBefore {
-					notBefore = at
-				}
-			} else if t.deficit >= head.cost {
-				t.deficit -= head.cost
-				t.bucket.take(head.cost)
-				t.q = t.q[1:]
-				s.pending--
-				if len(t.q) == 0 {
-					// A drained tenant forfeits its remaining credit.
-					t.deficit, t.granted, t.active = 0, false, false
-					s.ring = append(s.ring[:s.cursor], s.ring[s.cursor+1:]...)
-					if len(s.ring) > 0 {
-						s.cursor %= len(s.ring)
-						s.ring[s.cursor].granted = false
-					} else {
-						s.cursor = 0
-					}
-				}
-				// The cursor stays on the served tenant: it keeps serving on
-				// later calls while its deficit lasts (classic DRR batching).
-				return head, now, s.pending
-			} else {
-				deficitBlocked = true
-			}
-			s.cursor = (s.cursor + 1) % len(s.ring)
-			s.ring[s.cursor].granted = false
+		t := s.ring[s.cursor]
+		head := t.q[0]
+		if !t.granted && t.deficit < head.cost {
+			// Lazy per-visit grant: credit only accrues toward a head that
+			// needs it.
+			t.deficit += s.quantum
+			t.granted = true
 		}
-		if !deficitBlocked {
-			return nil, notBefore, s.pending
+		if t.deficit >= head.cost {
+			t.deficit -= head.cost
+			t.q = t.q[1:]
+			s.pending--
+			if len(t.q) == 0 {
+				// A drained tenant forfeits its remaining credit.
+				t.deficit, t.granted, t.active = 0, false, false
+				s.ring = append(s.ring[:s.cursor], s.ring[s.cursor+1:]...)
+				if len(s.ring) > 0 {
+					s.cursor %= len(s.ring)
+					s.ring[s.cursor].granted = false
+				} else {
+					s.cursor = 0
+				}
+			}
+			// The cursor stays on the served tenant: it keeps serving on
+			// later calls while its deficit lasts (classic DRR batching).
+			return head
 		}
+		s.cursor = (s.cursor + 1) % len(s.ring)
+		s.ring[s.cursor].granted = false
 	}
 }
 

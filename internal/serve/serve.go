@@ -2,10 +2,11 @@
 // into a multi-tenant serving fabric: many playback sessions multiplex over
 // a single size-bounded decoded-frame cache with heat-aware admission
 // (the tiering tracker's decayed byte heat decides whether an incoming frame
-// may displace a resident one), per-tenant token-bucket quotas with
-// deficit-round-robin fair-share dispatch (one bulk scan cannot starve
-// interactive playback), and singleflight request coalescing (N sessions
-// demanding the same frame trigger one decode).
+// may displace a resident one), deficit-round-robin fair-share dispatch (one
+// bulk scan cannot starve interactive playback), and singleflight request
+// coalescing (N sessions demanding the same frame trigger one decode).
+// Metering a tenant's bandwidth is the storage node's job
+// (rpc.Server.SetTenantQuota, adanode -tenant-rate); the fabric only orders.
 //
 // A session opens a Handle naming its tenant and subset; the handle
 // satisfies vmd.FrameSource, so existing playback code plugs in unchanged —
@@ -56,18 +57,10 @@ type concurrentSource interface {
 type Config struct {
 	// CacheBytes bounds the shared decoded-frame cache (default 256 MiB).
 	CacheBytes int64
-	// RateBps is each tenant's decode quota in raw bytes/sec; <=0 leaves
-	// tenants unmetered (fair-share DRR still applies).
-	RateBps float64
-	// BurstBytes is the token-bucket capacity (default 8 MiB).
-	BurstBytes int64
 	// QuantumBytes is the DRR credit granted per scheduler visit
 	// (default 1 MiB — a handful of frames).
 	QuantumBytes int64
-	// HeatHalfLife is the cache-admission heat decay in clock seconds
-	// (default 300).
-	HeatHalfLife float64
-	// Now supplies the clock for quotas and heat (default: wall clock).
+	// Now supplies the clock for admission heat (default: wall clock).
 	// Simulate ignores it and drives its own event time.
 	Now func() float64
 	// Metrics receives serve.* instrumentation (default metrics.Default).
@@ -81,14 +74,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.BurstBytes <= 0 {
-		c.BurstBytes = 8 << 20
-	}
 	if c.QuantumBytes <= 0 {
 		c.QuantumBytes = 1 << 20
-	}
-	if c.HeatHalfLife <= 0 {
-		c.HeatHalfLife = 300
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.Default
@@ -116,10 +103,7 @@ func newTenantMetrics(reg *metrics.Registry, tenant string) tenantMetrics {
 // Fabric is the live multi-tenant serving layer. Open handles, read frames
 // through them from any number of goroutines, Close when done.
 type Fabric struct {
-	now func() float64
 	reg *metrics.Registry
-	// sleep is the throttle wait, replaceable in tests.
-	sleep func(sec float64)
 
 	mu     sync.Mutex
 	cond   *sync.Cond // wakes workers on submit and on close
@@ -131,14 +115,7 @@ type Fabric struct {
 // New starts a fabric with cfg.Workers decode dispatchers.
 func New(cfg Config) *Fabric {
 	cfg = cfg.withDefaults()
-	f := &Fabric{
-		now: cfg.Now,
-		reg: cfg.Metrics,
-		st:  newState(cfg, cfg.Now),
-		sleep: func(sec float64) {
-			time.Sleep(time.Duration(sec * float64(time.Second)))
-		},
-	}
+	f := &Fabric{reg: cfg.Metrics, st: newState(cfg, cfg.Now)}
 	f.cond = sync.NewCond(&f.mu)
 	for w := 0; w < cfg.Workers; w++ {
 		f.wg.Add(1)
@@ -173,7 +150,7 @@ func (f *Fabric) Close() {
 }
 
 // Open returns a tenant's handle onto one subset of one dataset. natoms
-// sizes the subset's frames — the unit of quota and admission accounting.
+// sizes the subset's frames — the unit of fair-share and admission accounting.
 // The handle satisfies vmd.FrameSource and is safe for concurrent use.
 func (f *Fabric) Open(tenant, logical, tag string, natoms int, src FrameSource) *Handle {
 	h := &Handle{
@@ -276,37 +253,15 @@ func (f *Fabric) worker() {
 	defer f.wg.Done()
 	for {
 		f.mu.Lock()
-		var fl *flight
-		for fl == nil {
-			if f.closed {
-				f.mu.Unlock()
-				return
-			}
-			var notBefore float64
-			var queued int
-			fl, notBefore, queued = f.st.sched.next(f.now())
-			if fl != nil {
-				break
-			}
-			if queued == 0 {
-				f.cond.Wait()
-				continue
-			}
-			// Queued work exists but every tenant is over quota: wait out the
-			// throttle in capped slices so a submit for an eligible tenant is
-			// picked up promptly.
-			f.st.sm.throttled.Inc()
-			f.mu.Unlock()
-			wait := notBefore - f.now()
-			if wait > 0.002 {
-				wait = 0.002
-			}
-			if wait > 0 {
-				f.sleep(wait)
-			}
-			f.mu.Lock()
+		fl := f.st.sched.next()
+		for fl == nil && !f.closed {
+			f.cond.Wait()
+			fl = f.st.sched.next()
 		}
 		f.mu.Unlock()
+		if fl == nil {
+			return
+		}
 
 		frame, err := fl.h.read(fl.key.Frame)
 

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/metrics"
@@ -32,39 +35,17 @@ func (s *stubSource) ReadFrameAt(i int) (*xtc.Frame, error) {
 	return &xtc.Frame{Step: int32(i), Coords: make([]xtc.Vec3, s.natoms)}, nil
 }
 
-func TestTokenBucket(t *testing.T) {
-	b := newTokenBucket(100, 200) // 100 B/s, burst 200
-	if at := b.eligibleAt(0, 150); at != 0 {
-		t.Errorf("full bucket eligibleAt = %v, want 0", at)
-	}
-	b.take(150)
-	if at := b.eligibleAt(0, 100); at != 0.5 {
-		t.Errorf("eligibleAt after drain = %v, want 0.5 (50 short at 100 B/s)", at)
-	}
-	// Oversized requests become eligible at a full bucket, not never.
-	b2 := newTokenBucket(100, 200)
-	b2.take(200)
-	if at := b2.eligibleAt(0, 1000); at != 2 {
-		t.Errorf("oversized eligibleAt = %v, want 2 (refill to burst)", at)
-	}
-	// Unmetered bucket is always eligible.
-	b3 := newTokenBucket(0, 0)
-	if at := b3.eligibleAt(5, 1<<40); at != 5 {
-		t.Errorf("unmetered eligibleAt = %v, want now", at)
-	}
-}
-
 // TestSchedulerDRRAlternates: equal-cost tenants are served strictly
 // round-robin.
 func TestSchedulerDRRAlternates(t *testing.T) {
-	s := newScheduler(100, 0, 0)
+	s := newScheduler(100)
 	for i := 0; i < 4; i++ {
 		s.submit(&flight{tenant: "a", cost: 100})
 		s.submit(&flight{tenant: "b", cost: 100})
 	}
 	var order []string
 	for {
-		fl, _, _ := s.next(0)
+		fl := s.next()
 		if fl == nil {
 			break
 		}
@@ -86,7 +67,7 @@ func TestSchedulerDRRAlternates(t *testing.T) {
 // frames cost it turns.
 func TestSchedulerDRRByteFair(t *testing.T) {
 	const quantum = 100
-	s := newScheduler(quantum, 0, 0)
+	s := newScheduler(quantum)
 	for i := 0; i < 30; i++ {
 		s.submit(&flight{tenant: "small", cost: 100})
 	}
@@ -95,7 +76,7 @@ func TestSchedulerDRRByteFair(t *testing.T) {
 	}
 	bytes := map[string]int64{}
 	for dispatched := 0; dispatched < 20; dispatched++ {
-		fl, _, _ := s.next(0)
+		fl := s.next()
 		if fl == nil {
 			t.Fatalf("scheduler stalled after %d dispatches", dispatched)
 		}
@@ -116,33 +97,94 @@ func TestSchedulerDRRByteFair(t *testing.T) {
 // TestSchedulerLargeHeadAccumulates: a request bigger than the quantum is
 // served after enough visits instead of starving.
 func TestSchedulerLargeHeadAccumulates(t *testing.T) {
-	s := newScheduler(100, 0, 0)
+	s := newScheduler(100)
 	s.submit(&flight{tenant: "a", cost: 1000})
-	fl, _, _ := s.next(0)
+	fl := s.next()
 	if fl == nil || fl.cost != 1000 {
 		t.Fatalf("oversized head not dispatched: %+v", fl)
 	}
 }
 
-// TestSchedulerQuotaThrottle: an over-quota tenant's head reports a finite
-// notBefore and dispatches once the bucket refills.
-func TestSchedulerQuotaThrottle(t *testing.T) {
-	s := newScheduler(1000, 100, 100) // 100 B/s, burst 100
-	s.submit(&flight{tenant: "a", cost: 100})
-	fl, _, _ := s.next(0)
-	if fl == nil {
-		t.Fatal("burst should cover the first request")
+// TestSchedulerAlwaysDispatches checks, over random tenants, costs, quanta
+// and submit/dispatch interleavings, the contract the worker and Simulate
+// rely on: while anything is queued, next dispatches a flight — the oldest
+// of its tenant — and returns nil only on an empty queue. Tenants backlogged
+// from the first dispatch and never drained keep the byte-share bound of
+// TestSchedulerDRRByteFair: served bytes diverge by at most one max-size
+// request plus one quantum.
+func TestSchedulerAlwaysDispatches(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		quantum := 1 + rng.Int63n(1000)
+		tenants := 1 + rng.Intn(6)
+		var maxCost int64
+		s := newScheduler(quantum)
+		queued := map[string][]*flight{}
+		pending := 0
+		submit := func(tenant string) {
+			fl := &flight{tenant: tenant, cost: 1 + rng.Int63n(2000)}
+			maxCost = max(maxCost, fl.cost)
+			s.submit(fl)
+			queued[tenant] = append(queued[tenant], fl)
+			pending++
+		}
+		// Every tenant starts backlogged, with zero credit.
+		backlogged := map[string]bool{}
+		for n := 0; n < tenants; n++ {
+			name := fmt.Sprintf("t%d", n)
+			backlogged[name] = true
+			for k := 1 + rng.Intn(8); k > 0; k-- {
+				submit(name)
+			}
+		}
+		served := map[string]int64{}
+		for step := 0; step < 400; step++ {
+			if rng.Intn(3) == 0 {
+				submit(fmt.Sprintf("t%d", rng.Intn(tenants+2))) // sometimes a newcomer
+				continue
+			}
+			fl := s.next()
+			if pending == 0 {
+				if fl != nil {
+					t.Logf("seed %d: dispatched %+v from an empty queue", seed, fl)
+					return false
+				}
+				continue
+			}
+			if fl == nil {
+				t.Logf("seed %d step %d: %d queued, nothing dispatched", seed, step, pending)
+				return false
+			}
+			if q := queued[fl.tenant]; len(q) == 0 || q[0] != fl {
+				t.Logf("seed %d: tenant %s served out of order", seed, fl.tenant)
+				return false
+			}
+			queued[fl.tenant] = queued[fl.tenant][1:]
+			pending--
+			if len(queued[fl.tenant]) == 0 {
+				delete(backlogged, fl.tenant) // a drained tenant forfeits its credit
+			}
+			served[fl.tenant] += fl.cost
+			for a := range backlogged {
+				for b := range backlogged {
+					if d := served[a] - served[b]; d > maxCost+quantum {
+						t.Logf("seed %d: %s served %d bytes, %s %d: diverge by %d > %d + %d",
+							seed, a, served[a], b, served[b], d, maxCost, quantum)
+						return false
+					}
+				}
+			}
+		}
+		for ; pending > 0; pending-- {
+			if s.next() == nil {
+				t.Logf("seed %d: %d flights stranded", seed, pending)
+				return false
+			}
+		}
+		return s.next() == nil
 	}
-	s.submit(&flight{tenant: "a", cost: 100})
-	fl, notBefore, queued := s.next(0)
-	if fl != nil {
-		t.Fatal("second request dispatched with an empty bucket")
-	}
-	if queued != 1 || notBefore != 1 {
-		t.Errorf("notBefore = %v queued = %d, want 1s refill and 1 queued", notBefore, queued)
-	}
-	if fl, _, _ = s.next(notBefore); fl == nil {
-		t.Error("request still throttled after the bucket refilled")
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -333,25 +375,5 @@ func TestFabricCloseFailsQueued(t *testing.T) {
 	}
 	if _, err := h.ReadFrameAt(2); !errors.Is(err, ErrClosed) {
 		t.Errorf("read on closed fabric: err = %v, want ErrClosed", err)
-	}
-}
-
-// TestFabricQuotaThrottlesLiveReads: with a tight per-tenant quota a burst
-// of misses takes at least the token-refill time.
-func TestFabricQuotaThrottlesLiveReads(t *testing.T) {
-	src := &stubSource{frames: 8, natoms: 1000}
-	cost := xtc.RawFrameSize(1000)
-	// Burst covers one frame; refilling for each further frame takes
-	// cost/rate = 20ms.
-	f, _ := newTestFabric(t, Config{Workers: 1, RateBps: float64(cost) * 50, BurstBytes: cost})
-	h := f.Open("alice", "/ds", "p", 1000, src)
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		if _, err := h.ReadFrameAt(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Errorf("4 misses at 1 frame/20ms quota finished in %v, want >= 50ms", elapsed)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"container/heap"
 	"fmt"
-	"math"
 
 	"repro/internal/metrics"
 	"repro/internal/xtc"
@@ -46,7 +45,6 @@ type SimReport struct {
 	Coalesced int64
 	Evictions int64
 	Rejected  int64
-	Throttled int64 // scheduler passes where every queued tenant was over quota
 	Makespan  float64
 }
 
@@ -54,7 +52,6 @@ type SimReport struct {
 const (
 	evIssue = iota // a session demands its next frame
 	evDone         // the decode server finishes a flight
-	evPump         // re-try dispatch after a quota throttle window
 )
 
 type event struct {
@@ -102,7 +99,6 @@ func (m serveMetrics) counted(base SimReport) SimReport {
 		Coalesced: m.coalesced.Value() - base.Coalesced,
 		Evictions: m.evictions.Value() - base.Evictions,
 		Rejected:  m.rejected.Value() - base.Rejected,
-		Throttled: m.throttled.Value() - base.Throttled,
 	}
 }
 
@@ -169,15 +165,9 @@ func Simulate(cfg Config, cost CostModel, sessions []SimSession) SimReport {
 		if serverBusy {
 			return
 		}
-		fl, notBefore, queued := st.sched.next(now)
-		if fl != nil {
+		if fl := st.sched.next(); fl != nil {
 			serverBusy = true
 			push(&event{at: now + float64(fl.cost)/cost.DecodeBps, kind: evDone, fl: fl})
-			return
-		}
-		if queued > 0 && !math.IsInf(notBefore, 1) {
-			st.sm.throttled.Inc()
-			push(&event{at: notBefore, kind: evPump})
 		}
 	}
 
@@ -208,8 +198,6 @@ func Simulate(cfg Config, cost CostModel, sessions []SimSession) SimReport {
 				served(w.sess, now-w.issued, now)
 			}
 			delete(waiters, e.fl)
-			pump()
-		case evPump:
 			pump()
 		}
 	}

@@ -20,6 +20,9 @@ const droppingPrefix = "subset."
 
 func (k Key) dropping() string { return droppingPrefix + k.Tag }
 
+// heatHalfLife is the cache-admission heat decay, in clock seconds.
+const heatHalfLife = 300
+
 // flight is one in-progress decode: the unit of scheduling and of
 // coalescing. Every session demanding its key between submit and completion
 // attaches to the same flight; the first demander's tenant pays for it.
@@ -42,7 +45,6 @@ type serveMetrics struct {
 	rejected  *metrics.Counter
 	decodes   *metrics.Counter
 	coalesced *metrics.Counter
-	throttled *metrics.Counter
 	bytes     *metrics.Gauge
 	queueHWM  *metrics.Gauge
 }
@@ -56,7 +58,6 @@ func newServeMetrics(reg *metrics.Registry) serveMetrics {
 		rejected:  reg.Counter("serve.cache.rejected"),
 		decodes:   reg.Counter("serve.decodes"),
 		coalesced: reg.Counter("serve.coalesced"),
-		throttled: reg.Counter("serve.throttled"),
 		bytes:     reg.Gauge("serve.cache.bytes"),
 		queueHWM:  reg.Gauge("serve.queue_depth_hwm"),
 	}
@@ -78,8 +79,8 @@ func newState(cfg Config, now func() float64) state {
 	return state{
 		cache:   xtc.FrameLRU[Key]{Budget: cfg.CacheBytes},
 		flights: map[Key]*flight{},
-		sched:   newScheduler(cfg.QuantumBytes, cfg.RateBps, cfg.BurstBytes),
-		heat:    tier.NewTracker(now, cfg.HeatHalfLife),
+		sched:   newScheduler(cfg.QuantumBytes),
+		heat:    tier.NewTracker(now, heatHalfLife),
 		sm:      newServeMetrics(cfg.Metrics),
 	}
 }
