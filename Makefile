@@ -106,12 +106,14 @@ test-deflaked:
 	$(GO) test -race -count=10 -run 'TestAheadReaderLookaheadBounded' ./internal/xtc/
 	$(GO) test -race -count=10 -run 'TestTailSeesEveryPrefix' ./internal/stream/
 
-# Heat-driven tiering suite: tracker/planner/spec units, the deterministic
-# two-dataset migration end-to-end, read-during-migration byte-identity, and
-# the migration kill-point sweep extending the crash matrix — all under -race.
+# Heat-driven tiering suite: tracker/planner/spec units, the HeatFS feeder,
+# the deterministic two-dataset migration end-to-end, read-during-migration
+# byte-identity, the migration kill-point sweep extending the crash matrix,
+# and adanode's heat wiring over rpc — all under -race.
 test-tier:
 	$(GO) test -race -count=1 ./internal/tier/
-	$(GO) test -race -count=1 -run 'MoveSubset|AccessHook|ReadDuringMigration|CrashMidMigration' ./internal/core/
+	$(GO) test -race -count=1 -run 'MoveSubset|ReadDuringMigration|CrashMidMigration' ./internal/core/
+	$(GO) test -race -count=1 -run 'Tier|Heat' ./cmd/adanode/
 
 # One iteration of every benchmark — a smoke pass proving the bench
 # harness still runs end to end, not a measurement.
@@ -177,11 +179,12 @@ bench-e2e-compare:
 	bash benchmarks/run.sh compare benchmarks/e2e/baseline.json benchmarks/e2e/out/runs.json
 
 # Tiering benchmarks rendered to BENCH_tier.txt for the CI artifact:
-# migration-pipeline throughput plus the read-path A/B for the heat hook
-# (budget: <2% read tax, asserted structurally by TestHeatHookReadTax).
+# migration-pipeline throughput plus the read-path A/B of a plain store
+# against a HeatFS-wrapped one (budget: <2% read tax, asserted structurally
+# by TestHeatHookReadTax).
 bench-tier:
 	$(GO) test -count=1 -run 'HeatHookReadTax' -v \
-		-bench 'MigrationThroughput|ReadNoHeatHook|ReadWithHeatHook' -benchmem \
+		-bench 'MigrationThroughput|ReadNoHeatFS|ReadWithHeatFS' -benchmem \
 		./internal/tier/ > BENCH_tier.txt
 	cat BENCH_tier.txt
 

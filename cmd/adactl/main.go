@@ -534,11 +534,11 @@ func cmdWatch(a *core.ADA, out io.Writer, args []string) error {
 }
 
 // cmdTier reports the store's tiering state: per-backend byte usage and
-// every subset's placement. With -spec it evaluates the watermarks a node
-// would enforce, and -step runs one migration planning round — a manual
-// rebalance. A fresh CLI process has no heat history, so a -step demotion
-// ranks purely by the policy's tie-break (size); continuous heat-driven
-// migration lives in adanode -tier-spec.
+// every subset's placement. With -spec it is a placement report against the
+// budget a node would enforce, and -step runs one migration planning round —
+// a manual rebalance. A one-shot process serves no reads, so it has no heat:
+// a -step demotion ranks by size alone. Heat-driven migration is adanode
+// -tier-spec's, whose migrator learns from the bytes the node serves.
 func cmdTier(a *core.ADA, containers *plfs.FS, args []string) error {
 	fs := flag.NewFlagSet("tier", flag.ExitOnError)
 	spec := fs.String("spec", "", `tier spec, e.g. "fast=ssd,slow=hdd,cap=64MiB"`)
@@ -550,13 +550,11 @@ func cmdTier(a *core.ADA, containers *plfs.FS, args []string) error {
 		}
 		return tierListing(a, containers)
 	}
-	cfg, pol, err := tier.ParseSpec(*spec)
+	cfg, err := tier.ParseSpec(*spec)
 	if err != nil {
 		return err
 	}
-	trk := tier.NewTracker(tier.WallClock(), cfg.HalfLife)
-	a.SetAccessFunc(trk.Record)
-	mig, err := tier.NewMigrator(a, containers, trk, pol, cfg)
+	mig, err := tier.NewMigrator(a, containers, tier.NewTracker(tier.WallClock(), cfg.HalfLife), cfg)
 	if err != nil {
 		return err
 	}

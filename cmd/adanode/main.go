@@ -200,7 +200,7 @@ func run(cfg *config, stdout io.Writer) error {
 		// Served subset reads feed the heat tracker; the migrator reads and
 		// moves droppings through the uninstrumented FS, like the scrubber,
 		// so rebalancing I/O stays out of the fs.node.* serving counters.
-		fsys = newHeatFS(fsys, trk.Record)
+		fsys = tier.HeatFS(fsys, trk)
 		m.Run()
 		mig = m
 		c := m.Config()

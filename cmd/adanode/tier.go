@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/plfs"
@@ -24,9 +23,9 @@ import (
 
 // setupTiering builds the node-local store view, repairs any migration or
 // ingest a crash interrupted, and returns the migrator (not yet running)
-// plus the tracker the served read path should feed.
+// plus the tracker the served read path should feed through tier.HeatFS.
 func setupTiering(base vfs.FS, spec string) (*tier.Migrator, *tier.Tracker, error) {
-	cfg, pol, err := tier.ParseSpec(spec)
+	cfg, err := tier.ParseSpec(spec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -42,70 +41,9 @@ func setupTiering(base vfs.FS, spec string) (*tier.Migrator, *tier.Tracker, erro
 		return nil, nil, fmt.Errorf("recover: %w", err)
 	}
 	trk := tier.NewTracker(tier.WallClock(), cfg.HalfLife)
-	a.SetAccessFunc(trk.Record)
-	mig, err := tier.NewMigrator(a, containers, trk, pol, cfg)
+	mig, err := tier.NewMigrator(a, containers, trk, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	return mig, trk, nil
-}
-
-// heatFS decorates the served file system so subset payload reads feed the
-// heat tracker. Only reads are observed; every other operation passes
-// through untouched.
-type heatFS struct {
-	vfs.FS
-	record core.AccessFunc
-}
-
-func newHeatFS(inner vfs.FS, record core.AccessFunc) vfs.FS {
-	return &heatFS{FS: inner, record: record}
-}
-
-func (h *heatFS) Open(name string) (vfs.File, error) {
-	f, err := h.FS.Open(name)
-	if err != nil {
-		return f, err
-	}
-	if logical, dropping, ok := containerTarget(name); ok {
-		return &heatFile{File: f, logical: logical, dropping: dropping, record: h.record}, nil
-	}
-	return f, nil
-}
-
-// containerTarget parses a served path /<backend>/<logical...>/<dropping>
-// and reports whether it is a subset payload worth tracking.
-func containerTarget(name string) (logical, dropping string, ok bool) {
-	parts := strings.Split(strings.Trim(vfs.Clean(name), "/"), "/")
-	if len(parts) < 3 {
-		return "", "", false
-	}
-	dropping = parts[len(parts)-1]
-	if _, ok := core.SubsetTag(dropping); !ok {
-		return "", "", false
-	}
-	return "/" + strings.Join(parts[1:len(parts)-1], "/"), dropping, true
-}
-
-type heatFile struct {
-	vfs.File
-	logical  string
-	dropping string
-	record   core.AccessFunc
-}
-
-func (f *heatFile) Read(p []byte) (int, error) {
-	n, err := f.File.Read(p)
-	if n > 0 {
-		f.record(f.logical, f.dropping, int64(n))
-	}
-	return n, err
-}
-
-func (f *heatFile) ReadAt(p []byte, off int64) (int, error) {
-	n, err := f.File.ReadAt(p, off)
-	if n > 0 {
-		f.record(f.logical, f.dropping, int64(n))
-	}
-	return n, err
 }

@@ -83,9 +83,6 @@ type ADA struct {
 	reg        *metrics.Registry
 	im         ingestMetrics
 	vm         verifyMetrics
-	// access, when set, observes every read-path dropping access (the tier
-	// subsystem's heat signal). See SetAccessFunc.
-	access AccessFunc
 }
 
 // ingestMetrics are the real-time (wall-clock) handles for the ingest

@@ -9,44 +9,20 @@ import (
 	"repro/internal/xtc"
 )
 
-// Tiering support: the read-path access hook the tier subsystem feeds its
-// heat tracker from, and the migration executor its planner drives. The
-// executor reuses the durability primitives of the ingest commit protocol —
-// staged copies under "staging." names, whole-stream verification before
-// publish, an atomic index re-point as the commit point — so a migration
-// has the same crash story as an ingest: at every kill point the container
-// index resolves each dropping to exactly one complete copy and recovery
-// sweeps the rest.
-
-// AccessFunc observes one read-path access to a dropping: the dataset's
-// logical name, the dropping name (e.g. "subset.p"), and the bytes served.
-// Implementations must be cheap and non-blocking — the hook runs inline on
-// every frame fetch, concurrently from however many reader goroutines the
-// application has.
-type AccessFunc func(logical, dropping string, bytes int64)
-
-// SetAccessFunc registers the read-path access observer (nil disables).
-// Set it before serving reads: readers capture it at open and the field is
-// read without synchronization.
-func (a *ADA) SetAccessFunc(fn AccessFunc) { a.access = fn }
-
-// noteAccess reports one access to the registered observer, if any.
-func (a *ADA) noteAccess(logical, dropping string, n int64) {
-	if a.access != nil {
-		a.access(logical, dropping, n)
-	}
-}
-
-// SubsetDropping returns the dropping name of a tagged subset's payload —
-// the name AccessFunc reports and the key external trackers should use.
-func SubsetDropping(tag string) string { return subsetPrefix + tag }
+// Tiering support: the dropping names the tier subsystem keys heat by, and
+// the migration executor its planner drives. The executor reuses the
+// durability primitives of the ingest commit protocol — staged copies under
+// "staging." names, whole-stream verification before publish, an atomic
+// index re-point as the commit point — so a migration has the same crash
+// story as an ingest: at every kill point the container index resolves each
+// dropping to exactly one complete copy and recovery sweeps the rest.
 
 // IndexDropping returns the dropping name of a tagged subset's frame index,
 // which MoveSubset relocates together with the payload.
 func IndexDropping(tag string) string { return indexPrefix + tag }
 
-// SubsetTag inverts SubsetDropping: it extracts the tag from a subset
-// payload dropping name, reporting false for every other dropping (frame
+// SubsetTag extracts the tag from a subset payload dropping name
+// ("subset.<tag>"), reporting false for every other dropping (frame
 // indexes, manifests, staged copies).
 func SubsetTag(dropping string) (string, bool) {
 	if !strings.HasPrefix(dropping, subsetPrefix) {

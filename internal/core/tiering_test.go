@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/faultfs"
 	"repro/internal/metrics"
@@ -73,69 +72,6 @@ func TestMoveSubsetRoundTrip(t *testing.T) {
 	}
 	if _, err := a.MoveSubset("/ds", TagProtein, "tape"); err == nil {
 		t.Fatal("move to unknown backend succeeded")
-	}
-}
-
-// TestAccessHookObservesReads checks the read-path heat signal of every
-// reader, on datasets ingested with checksums and without.
-func TestAccessHookObservesReads(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"verified", Options{Metrics: metrics.NewRegistry()}},
-		{"raw", Options{Metrics: metrics.NewRegistry(), DisableChecksums: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			pdbBytes, traj, _ := testDataset(t, 200, 3)
-			a, _, _ := newADA(t, nil, tc.opts)
-			if _, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
-				t.Fatal(err)
-			}
-			var mu sync.Mutex
-			got := map[string]int64{}
-			a.SetAccessFunc(func(logical, dropping string, n int64) {
-				mu.Lock()
-				got[logical+" "+dropping] += n
-				mu.Unlock()
-			})
-			readSubsetFrames(t, a, "/ds", TagProtein)
-			rr, err := a.OpenSubsetAt("/ds", TagMisc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rr.ReadFrameAt(1); err != nil {
-				t.Fatal(err)
-			}
-			rr.Close()
-			if got["/ds "+subsetPrefix+TagProtein] <= 0 {
-				t.Fatalf("streaming read recorded no heat: %v", got)
-			}
-			if got["/ds "+subsetPrefix+TagMisc] <= 0 {
-				t.Fatalf("random-access read recorded no heat: %v", got)
-			}
-			// A tailing read is heat on the subset too, under the name it
-			// will have once sealed, not the staging name it has now.
-			li, err := a.OpenLiveIngest("/live", pdbBytes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer li.Abort()
-			if _, err := li.Append(traj); err != nil {
-				t.Fatal(err)
-			}
-			lr, err := a.OpenLiveReader("/live", TagProtein, time.Hour)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer lr.Close()
-			if _, err := lr.ReadFrameAt(1); err != nil {
-				t.Fatal(err)
-			}
-			if got["/live "+subsetPrefix+TagProtein] <= 0 {
-				t.Fatalf("tailing read recorded no heat: %v", got)
-			}
-		})
 	}
 }
 

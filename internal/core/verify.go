@@ -36,14 +36,10 @@ func newVerifyMetrics(reg *metrics.Registry) verifyMetrics {
 // index that describes it. Safe for concurrent frame calls (vfs.File.ReadAt
 // is concurrency-safe by contract and the byte scratch is pooled).
 type subsetFetch struct {
-	a       *ADA
-	logical string
-	tag     string
-	// heatName is subset.<tag>, the name the heat signal knows the payload
-	// by whatever dropping holds it while the dataset is live.
-	heatName string
-	file     vfs.File
-	idx      *xtc.Index
+	a    *ADA
+	tag  string
+	file vfs.File
+	idx  *xtc.Index
 }
 
 // openFetch opens the read path over a payload dropping and its index
@@ -81,7 +77,7 @@ func (a *ADA) openFetch(logical, tag, payload, index string, rescan bool) (*subs
 			return nil, fmt.Errorf("core: %s subset %s: %w", logical, tag, err)
 		}
 	}
-	return &subsetFetch{a: a, logical: logical, tag: tag, heatName: subsetPrefix + tag, file: f, idx: idx}, nil
+	return &subsetFetch{a: a, tag: tag, file: f, idx: idx}, nil
 }
 
 // frame fetches, checks and decodes frame i into a new Frame, the caller's to
@@ -98,7 +94,6 @@ func (s *subsetFetch) frameInto(i int, dst *xtc.Frame) (*xtc.Frame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: subset %s frame %d: %w", s.tag, i, err)
 	}
-	s.a.noteAccess(s.logical, s.heatName, s.idx.Size(i)) // the exact stored size
 	return f, nil
 }
 

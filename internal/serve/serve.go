@@ -124,11 +124,6 @@ func New(cfg Config) *Fabric {
 	return f
 }
 
-// Heat exposes the fabric's admission tracker (shared eviction signal;
-// adanode also feeds it to the tier migrator so cache admission and tier
-// placement agree on what is hot).
-func (f *Fabric) Heat() *tier.Tracker { return f.st.heat }
-
 // Close fails every queued flight with ErrClosed, stops the workers, and
 // waits for in-progress decodes to finish. Idempotent. The failed flights
 // stay in the flight table: a closed fabric refuses every read before the

@@ -7,25 +7,31 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/plfs"
+	"repro/internal/vfs"
 )
 
-// benchStore stages one ingested dataset and a serving ADA instance.
-func benchStore(b *testing.B, scale, frames int) (*core.ADA, *plfs.FS) {
+// benchStore stages one ingested dataset and returns an ADA instance
+// serving it. With trk set, the instance reads through backends wrapped in
+// HeatFS, the way a tiering node serves them.
+func benchStore(b *testing.B, scale, frames int, trk *Tracker) *core.ADA {
 	b.Helper()
 	pdbBytes, traj := testDataset(b, scale, frames)
-	containers := newStore(b)
+	ssd, hdd := vfs.NewMemFS(), vfs.NewMemFS()
 	reg := metrics.NewRegistry()
-	ingestPlaced(b, containers, reg, "/ds",
+	ingestPlaced(b, storeOver(b, ssd, hdd), reg, "/ds",
 		core.Placement{core.TagProtein: "ssd", core.TagMisc: "hdd"}, pdbBytes, traj)
-	return core.New(containers, nil, core.Options{Metrics: reg}), containers
+	served := storeOver(b, ssd, hdd)
+	if trk != nil {
+		served = heatedStore(b, ssd, hdd, trk)
+	}
+	return core.New(served, nil, core.Options{Metrics: reg})
 }
 
 // BenchmarkMigrationThroughput measures the full crash-safe move pipeline —
 // source verify, staged copy, read-back verify, atomic publish, manifest
 // rewrite — by bouncing one protein subset between the two backends.
 func BenchmarkMigrationThroughput(b *testing.B) {
-	a, _ := benchStore(b, 20, 8)
+	a := benchStore(b, 20, 8, nil)
 	targets := [2]string{"hdd", "ssd"}
 	n, err := a.MoveSubset("/ds", core.TagProtein, targets[0])
 	if err != nil {
@@ -59,24 +65,22 @@ func streamSubset(b *testing.B, a *core.ADA) int {
 	}
 }
 
-// BenchmarkReadNoHeatHook is the baseline for BenchmarkReadWithHeatHook:
-// the same streaming read with no access observer installed.
-func BenchmarkReadNoHeatHook(b *testing.B) {
-	a, _ := benchStore(b, 20, 8)
+// BenchmarkReadNoHeatFS is the baseline for BenchmarkReadWithHeatFS: the
+// same streaming read over unwrapped backends.
+func BenchmarkReadNoHeatFS(b *testing.B) {
+	a := benchStore(b, 20, 8, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		streamSubset(b, a)
 	}
 }
 
-// BenchmarkReadWithHeatHook streams through a live tracker, the
-// configuration every read pays once tiering is on. Compare ns/op against
-// BenchmarkReadNoHeatHook: the delta is the heat tax (budget: under 2%,
-// asserted structurally by TestHeatHookReadTax).
-func BenchmarkReadWithHeatHook(b *testing.B) {
-	a, _ := benchStore(b, 20, 8)
-	trk := NewTracker(WallClock(), 60)
-	a.SetAccessFunc(trk.Record)
+// BenchmarkReadWithHeatFS streams through HeatFS-wrapped backends feeding a
+// live tracker, the configuration every served read pays once tiering is
+// on. Compare ns/op against BenchmarkReadNoHeatFS: the delta is the heat
+// tax (budget: under 2%, asserted structurally by TestHeatHookReadTax).
+func BenchmarkReadWithHeatFS(b *testing.B) {
+	a := benchStore(b, 20, 8, NewTracker(WallClock(), 60))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		streamSubset(b, a)
@@ -84,8 +88,9 @@ func BenchmarkReadWithHeatHook(b *testing.B) {
 }
 
 // TestHeatHookReadTax pins the <2% read-tax budget without a flaky
-// wall-clock A/B: the hook adds exactly one Tracker.Record per frame
-// fetched, so the tax is Record's cost over the frame fetch's cost. Record
+// wall-clock A/B: HeatFS adds exactly one Tracker.Record per payload ReadAt,
+// one per frame fetched, so the tax is Record's cost over the frame fetch's
+// cost. Record
 // is a map probe plus a few float ops (~100ns); a frame fetch decodes and
 // checksum-verifies kilobytes. The ratio holds with an order of magnitude
 // to spare, so the assertion survives loaded CI machines.
@@ -130,7 +135,7 @@ func TestHeatHookReadTax(t *testing.T) {
 		t.Fatal("no frames streamed")
 	}
 
-	// Per-access hook cost, same treatment.
+	// Per-access Record cost, same treatment.
 	trk := NewTracker(WallClock(), 60)
 	const records = 200_000
 	recordCost := time.Duration(1 << 62)
@@ -147,6 +152,6 @@ func TestHeatHookReadTax(t *testing.T) {
 	tax := float64(recordCost) / float64(frameCost)
 	t.Logf("frame fetch %v, heat record %v, read tax %.3f%%", frameCost, recordCost, 100*tax)
 	if tax >= 0.02 {
-		t.Fatalf("heat hook costs %.2f%% of a frame fetch, budget is 2%%", 100*tax)
+		t.Fatalf("heat recording costs %.2f%% of a frame fetch, budget is 2%%", 100*tax)
 	}
 }

@@ -1,0 +1,69 @@
+package tier
+
+import (
+	"strings"
+
+	"repro/internal/core"
+	"repro/internal/vfs"
+)
+
+// livePrefix marks a dataset still being ingested: its payload is
+// staging.subset.<tag> until the seal renames it to subset.<tag>.
+const livePrefix = "staging."
+
+// HeatFS decorates a served file system so that reads of subset payloads
+// feed trk: the one heat feeder. Paths follow the container layout
+// /<mount>/<logical...>/<dropping>. Read and ReadAt of subset.<tag> record
+// their bytes under that dropping, and so do reads of a live payload,
+// staging.subset.<tag>, so a tailed dataset is hot under the name it keeps
+// once sealed. Nothing else is recorded — frame indexes, manifests, staged
+// migration copies — and every other operation passes through unchanged.
+func HeatFS(inner vfs.FS, trk *Tracker) vfs.FS { return &heatedFS{FS: inner, trk: trk} }
+
+type heatedFS struct {
+	vfs.FS
+	trk *Tracker
+}
+
+func (h *heatedFS) Open(name string) (vfs.File, error) {
+	f, err := h.FS.Open(name)
+	if err != nil {
+		return f, err
+	}
+	if logical, dropping, ok := payloadTarget(name); ok {
+		return &heatFile{File: f, trk: h.trk, logical: logical, dropping: dropping}, nil
+	}
+	return f, nil
+}
+
+// payloadTarget parses /<mount>/<logical...>/<dropping> and reports the
+// dataset and the subset payload name to record, if the path is one.
+func payloadTarget(name string) (logical, dropping string, ok bool) {
+	parts := strings.Split(strings.Trim(vfs.Clean(name), "/"), "/")
+	if len(parts) < 3 {
+		return "", "", false
+	}
+	dropping = strings.TrimPrefix(parts[len(parts)-1], livePrefix)
+	if _, ok := core.SubsetTag(dropping); !ok {
+		return "", "", false
+	}
+	return "/" + strings.Join(parts[1:len(parts)-1], "/"), dropping, true
+}
+
+type heatFile struct {
+	vfs.File
+	trk               *Tracker
+	logical, dropping string
+}
+
+func (f *heatFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.trk.Record(f.logical, f.dropping, int64(n))
+	return n, err
+}
+
+func (f *heatFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.trk.Record(f.logical, f.dropping, int64(n))
+	return n, err
+}

@@ -21,12 +21,13 @@ type Config struct {
 	Fast            string
 	Slow            string
 	CapacityBytes   int64
-	HighWater       float64       // demotion trigger (fraction of cap; default 0.9)
-	LowWater        float64       // demotion target (fraction of cap; default 0.7)
-	PromoteHeat     float64       // min decayed heat to promote (default 1 byte)
-	HalfLife        float64       // heat half-life in seconds (default 60)
-	Interval        time.Duration // background planning period (default 5s)
-	MaxMovesPerStep int           // cap on migrations per Step (0 = unlimited)
+	HighWater       float64        // demotion trigger (fraction of cap; default 0.9)
+	LowWater        float64        // demotion target (fraction of cap; default 0.7)
+	PromoteHeat     float64        // min decayed heat to promote (default 1 byte)
+	HalfLife        float64        // heat half-life in seconds (default 60)
+	Interval        time.Duration  // background planning period (default 5s)
+	MaxMovesPerStep int            // cap on migrations per Step (0 = unlimited)
+	Pins            map[string]Pin // per-tag overrides, across datasets
 }
 
 // withDefaults fills unset fields.
@@ -47,6 +48,31 @@ func (c Config) withDefaults() Config {
 		c.Interval = 5 * time.Second
 	}
 	return c
+}
+
+// validate checks the fields that do not depend on the store's backends.
+func (c Config) validate() error {
+	if c.CapacityBytes <= 0 {
+		return fmt.Errorf("tier: capacity (cap=) must be positive (got %d)", c.CapacityBytes)
+	}
+	if c.LowWater <= 0 || c.HighWater > 1 || c.LowWater > c.HighWater {
+		return fmt.Errorf("tier: watermarks must satisfy 0 < low <= high <= 1 (got low=%g high=%g)",
+			c.LowWater, c.HighWater)
+	}
+	if c.Interval < 0 || c.MaxMovesPerStep < 0 {
+		return fmt.Errorf("tier: interval and max must not be negative (got %v, %d)",
+			c.Interval, c.MaxMovesPerStep)
+	}
+	return nil
+}
+
+// Candidate is one subset the planner considers moving.
+type Candidate struct {
+	Logical string
+	Tag     string
+	Backend string  // current owner (plfs index truth)
+	Bytes   int64   // payload + frame-index bytes a move would copy
+	Heat    float64 // decayed heat from the tracker
 }
 
 // Move records one executed migration.
@@ -102,7 +128,6 @@ type Migrator struct {
 	a   *core.ADA
 	fs  *plfs.FS
 	tr  *Tracker
-	pol Policy
 	cfg Config
 	mm  migratorMetrics
 
@@ -112,8 +137,8 @@ type Migrator struct {
 }
 
 // NewMigrator validates cfg against the store's backends and returns a
-// planner. pol nil selects the default decayed-LFU policy.
-func NewMigrator(a *core.ADA, fs *plfs.FS, tr *Tracker, pol Policy, cfg Config) (*Migrator, error) {
+// planner ranking subsets by the heat tr has accumulated.
+func NewMigrator(a *core.ADA, fs *plfs.FS, tr *Tracker, cfg Config) (*Migrator, error) {
 	cfg = cfg.withDefaults()
 	names := map[string]bool{}
 	for _, n := range fs.Backends() {
@@ -128,17 +153,10 @@ func NewMigrator(a *core.ADA, fs *plfs.FS, tr *Tracker, pol Policy, cfg Config) 
 	if cfg.Fast == cfg.Slow {
 		return nil, fmt.Errorf("tier: fast and slow are both %q", cfg.Fast)
 	}
-	if cfg.CapacityBytes <= 0 {
-		return nil, fmt.Errorf("tier: capacity must be positive (got %d)", cfg.CapacityBytes)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	if cfg.LowWater <= 0 || cfg.HighWater > 1 || cfg.LowWater > cfg.HighWater {
-		return nil, fmt.Errorf("tier: watermarks must satisfy 0 < low <= high <= 1 (got low=%g high=%g)",
-			cfg.LowWater, cfg.HighWater)
-	}
-	if pol == nil {
-		pol = NewLFU()
-	}
-	m := &Migrator{a: a, fs: fs, tr: tr, pol: pol, cfg: cfg, mm: newMigratorMetrics(a.Metrics())}
+	m := &Migrator{a: a, fs: fs, tr: tr, cfg: cfg, mm: newMigratorMetrics(a.Metrics())}
 	m.mm.capacity.Set(cfg.CapacityBytes)
 	return m, nil
 }
@@ -231,13 +249,12 @@ func (m *Migrator) step() (*StepReport, error) {
 	// Demotion: triggered above the high watermark, drains to the low one.
 	if rep.FastUsage > high {
 		onFast := filter(cands, func(c Candidate) bool {
-			return c.Backend == m.cfg.Fast && m.pol.Pin(c.Logical, c.Tag) == PinNone
+			return c.Backend == m.cfg.Fast && m.cfg.Pins[c.Tag] == PinNone
 		})
 		// Coldest first; among equals, biggest first frees space fastest.
 		sort.SliceStable(onFast, func(i, j int) bool {
-			si, sj := m.pol.Score(onFast[i]), m.pol.Score(onFast[j])
-			if si != sj {
-				return si < sj
+			if hi, hj := onFast[i].Heat, onFast[j].Heat; hi != hj {
+				return hi < hj
 			}
 			return onFast[i].Bytes > onFast[j].Bytes
 		})
@@ -266,22 +283,21 @@ func (m *Migrator) step() (*StepReport, error) {
 		if c.Backend == m.cfg.Fast {
 			return false
 		}
-		switch m.pol.Pin(c.Logical, c.Tag) {
+		switch m.cfg.Pins[c.Tag] {
 		case PinNever:
 			return false
 		case PinFast:
 			return true
 		}
-		return m.pol.Score(c) >= m.cfg.PromoteHeat
+		return c.Heat >= m.cfg.PromoteHeat
 	})
 	sort.SliceStable(offFast, func(i, j int) bool {
-		// Pinned-to-fast candidates lead; then by score descending.
-		pi := m.pol.Pin(offFast[i].Logical, offFast[i].Tag) == PinFast
-		pj := m.pol.Pin(offFast[j].Logical, offFast[j].Tag) == PinFast
+		// Pinned-to-fast candidates lead; then by heat descending.
+		pi, pj := m.cfg.Pins[offFast[i].Tag] == PinFast, m.cfg.Pins[offFast[j].Tag] == PinFast
 		if pi != pj {
 			return pi
 		}
-		return m.pol.Score(offFast[i]) > m.pol.Score(offFast[j])
+		return offFast[i].Heat > offFast[j].Heat
 	})
 	for _, c := range offFast {
 		if !budget() {
@@ -397,7 +413,7 @@ func (m *Migrator) Report() (*Report, error) {
 			Backend: c.Backend,
 			Bytes:   c.Bytes,
 			Heat:    c.Heat,
-			Pin:     m.pol.Pin(c.Logical, c.Tag),
+			Pin:     m.cfg.Pins[c.Tag],
 		})
 	}
 	return r, nil

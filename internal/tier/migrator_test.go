@@ -47,15 +47,27 @@ func testDataset(t testing.TB, scale, frames int) (pdbBytes, traj []byte) {
 }
 
 func newStore(t testing.TB) *plfs.FS {
+	return storeOver(t, vfs.NewMemFS(), vfs.NewMemFS())
+}
+
+// storeOver mounts a two-backend container store over the given backends;
+// two stores over the same backends see the same datasets.
+func storeOver(t testing.TB, ssd, hdd vfs.FS) *plfs.FS {
 	t.Helper()
 	containers, err := plfs.New(
-		plfs.Backend{Name: "ssd", FS: vfs.NewMemFS(), Mount: "/mnt1"},
-		plfs.Backend{Name: "hdd", FS: vfs.NewMemFS(), Mount: "/mnt2"},
+		plfs.Backend{Name: "ssd", FS: ssd, Mount: "/mnt1"},
+		plfs.Backend{Name: "hdd", FS: hdd, Mount: "/mnt2"},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return containers
+}
+
+// heatedStore is storeOver with each backend wrapped in HeatFS, the way a
+// storage node serves them: reads through it feed trk.
+func heatedStore(t testing.TB, ssd, hdd vfs.FS, trk *Tracker) *plfs.FS {
+	return storeOver(t, HeatFS(ssd, trk), HeatFS(hdd, trk))
 }
 
 // ingestPlaced ingests one dataset with an explicit tag placement.
@@ -108,7 +120,7 @@ func sameFrames(a, b []*xtc.Frame) bool {
 
 func subsetBackend(t testing.TB, containers *plfs.FS, logical, tag string) string {
 	t.Helper()
-	d, err := containers.StatDropping(logical, core.SubsetDropping(tag))
+	d, err := containers.StatDropping(logical, "subset."+tag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +130,16 @@ func subsetBackend(t testing.TB, containers *plfs.FS, logical, tag string) strin
 // TestMigratorEndToEnd is the subsystem's deterministic acceptance test.
 // Two datasets: /a ingested entirely on the slow backend, /b entirely on
 // the fast one, which starts over the high watermark. A vmd playback
-// session replays only /a's protein subset, heating it through both signal
-// paths (cache hits via FrameCache.SetAccessFunc, misses via the storage
-// AccessFunc). One planning round must then demote both of /b's cold
-// subsets and promote /a's hot protein subset — with every byte served
-// before and after identical, and the move visible in the tier.* metrics.
+// session replays only /a's protein subset through a store whose backends
+// are wrapped in HeatFS, so the cache misses that reach storage heat it.
+// The migrator runs over an unwrapped store on the same backends. One
+// planning round must then demote both of /b's cold subsets and promote
+// /a's hot protein subset — with every byte served before and after
+// identical, and the move visible in the tier.* metrics.
 func TestMigratorEndToEnd(t *testing.T) {
 	pdbBytes, traj := testDataset(t, 200, 6)
-	containers := newStore(t)
+	ssd, hdd := vfs.NewMemFS(), vfs.NewMemFS()
+	containers := storeOver(t, ssd, hdd)
 	reg := metrics.NewRegistry()
 	allSlow := core.Placement{core.TagProtein: "hdd", core.TagMisc: "hdd"}
 	allFast := core.Placement{core.TagProtein: "ssd", core.TagMisc: "ssd"}
@@ -144,7 +158,6 @@ func TestMigratorEndToEnd(t *testing.T) {
 	// advances it.
 	env := sim.NewEnv()
 	trk := NewTracker(env.Clock.Now, 60)
-	a.SetAccessFunc(trk.Record)
 
 	// Size the fast budget so /b alone breaches the high watermark, but a
 	// single demoted subset's worth of space fits /a's protein subset.
@@ -154,24 +167,21 @@ func TestMigratorEndToEnd(t *testing.T) {
 		CapacityBytes: (u0-1)*10/9 - 10, // high watermark lands just under u0
 		HighWater:     0.9, LowWater: 0.1,
 	}
-	m, err := NewMigrator(a, containers, trk, nil, cfg)
+	m, err := NewMigrator(a, containers, trk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Replay /a's protein subset: a back-and-forth sweep through a frame
-	// cache. Misses decode through storage (core's AccessFunc observes
-	// them); repeats hit the cache, whose hook reports what storage cannot
-	// see. Together the tracker counts every access exactly once.
-	src, err := a.OpenSubsetAt("/a", core.TagProtein)
+	// cache. Misses read through the heated store; repeats hit the cache and
+	// never reach storage, as a remote viewer's would not reach the node.
+	served := core.New(heatedStore(t, ssd, hdd, trk), nil, core.Options{Metrics: reg})
+	src, err := served.OpenSubsetAt("/a", core.TagProtein)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := vmd.NewSession(nil, 0, vmd.ComputeCost{})
 	cache := s.NewFrameCache(src, 1<<30)
-	cache.SetAccessFunc(func(b int64) {
-		trk.Record("/a", core.SubsetDropping(core.TagProtein), b)
-	})
 	st, err := s.Play(cache, vmd.BackAndForth(6, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -181,14 +191,14 @@ func TestMigratorEndToEnd(t *testing.T) {
 	}
 	cache.Release()
 	src.Close()
-	hot := trk.Heat("/a", core.SubsetDropping(core.TagProtein))
+	hot := trk.Heat("/a", "subset."+core.TagProtein)
 	if hot <= 0 {
 		t.Fatal("playback produced no heat")
 	}
 	// Five minutes of idle (five half-lives) decays the heat but leaves it
 	// above the promotion bar: the signal survives the planning delay.
 	env.Clock.Advance(300)
-	if h := trk.Heat("/a", core.SubsetDropping(core.TagProtein)); h <= 1 || h >= hot {
+	if h := trk.Heat("/a", "subset."+core.TagProtein); h <= 1 || h >= hot {
 		t.Fatalf("decayed heat = %g (was %g)", h, hot)
 	}
 
@@ -225,10 +235,10 @@ func TestMigratorEndToEnd(t *testing.T) {
 			t.Errorf("%s/%s on %s, want %s", k[0], k[1], got, be)
 		}
 	}
-	// Every subset still reads byte-identically. Detach the hook first:
-	// these verification reads are the test's, not the workload's, and must
-	// not heat the cold subsets before the convergence check below.
-	a.SetAccessFunc(nil)
+	// Every subset still reads byte-identically. These verification reads
+	// are the test's, not the workload's: they go through the unwrapped
+	// store, so they do not heat the cold subsets before the convergence
+	// check below.
 	for k, frames := range golden {
 		if !sameFrames(readFrames(t, a, k[0], k[1]), frames) {
 			t.Errorf("%s/%s frames changed across migration", k[0], k[1])
@@ -282,13 +292,11 @@ func TestMigratorPinNever(t *testing.T) {
 	ingestPlaced(t, containers, reg, "/ds", allFast, pdbBytes, traj)
 	a := core.New(containers, nil, core.Options{Metrics: reg})
 	trk := NewTracker((&virtualClock{}).Now, 0)
-	pol := NewLFU()
-	pol.SetPin(core.TagProtein, PinNever)
-	pol.SetPin(core.TagMisc, PinNever)
-	m, err := NewMigrator(a, containers, trk, pol, Config{
+	m, err := NewMigrator(a, containers, trk, Config{
 		Fast: "ssd", Slow: "hdd",
 		CapacityBytes: containers.UsageOf("ssd") / 2, // hopelessly over budget
 		HighWater:     0.9, LowWater: 0.1,
+		Pins: map[string]Pin{core.TagProtein: PinNever, core.TagMisc: PinNever},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,10 +321,9 @@ func TestMigratorPinFastPromotesCold(t *testing.T) {
 	ingestPlaced(t, containers, reg, "/ds", allSlow, pdbBytes, traj)
 	a := core.New(containers, nil, core.Options{Metrics: reg})
 	trk := NewTracker((&virtualClock{}).Now, 0) // no accesses: everything cold
-	pol := NewLFU()
-	pol.SetPin(core.TagProtein, PinFast)
-	m, err := NewMigrator(a, containers, trk, pol, Config{
+	m, err := NewMigrator(a, containers, trk, Config{
 		Fast: "ssd", Slow: "hdd", CapacityBytes: 1 << 30,
+		Pins: map[string]Pin{core.TagProtein: PinFast},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +348,7 @@ func TestMigratorMaxMovesPerStep(t *testing.T) {
 	ingestPlaced(t, containers, reg, "/ds", allFast, pdbBytes, traj)
 	a := core.New(containers, nil, core.Options{Metrics: reg})
 	trk := NewTracker((&virtualClock{}).Now, 0)
-	m, err := NewMigrator(a, containers, trk, nil, Config{
+	m, err := NewMigrator(a, containers, trk, Config{
 		Fast: "ssd", Slow: "hdd",
 		CapacityBytes: 1, // everything must leave...
 		HighWater:     0.9, LowWater: 0.1,
@@ -375,7 +382,7 @@ func TestNewMigratorValidation(t *testing.T) {
 	a := core.New(containers, nil, core.Options{Metrics: metrics.NewRegistry()})
 	trk := NewTracker((&virtualClock{}).Now, 0)
 	ok := Config{Fast: "ssd", Slow: "hdd", CapacityBytes: 1 << 20}
-	if _, err := NewMigrator(a, containers, trk, nil, ok); err != nil {
+	if _, err := NewMigrator(a, containers, trk, ok); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	for name, mutate := range map[string]func(*Config){
@@ -385,10 +392,13 @@ func TestNewMigratorValidation(t *testing.T) {
 		"zero capacity": func(c *Config) { c.CapacityBytes = 0 },
 		"low > high":    func(c *Config) { c.LowWater = 0.95; c.HighWater = 0.5 },
 		"high > 1":      func(c *Config) { c.HighWater = 1.5 },
+		// A negative interval would panic the background loop's ticker.
+		"negative interval": func(c *Config) { c.Interval = -time.Second },
+		"negative max":      func(c *Config) { c.MaxMovesPerStep = -1 },
 	} {
 		cfg := ok
 		mutate(&cfg)
-		if _, err := NewMigrator(a, containers, trk, nil, cfg); err == nil {
+		if _, err := NewMigrator(a, containers, trk, cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -404,7 +414,7 @@ func TestMigratorRunStop(t *testing.T) {
 	ingestPlaced(t, containers, reg, "/ds", allFast, pdbBytes, traj)
 	a := core.New(containers, nil, core.Options{Metrics: reg})
 	trk := NewTracker((&virtualClock{}).Now, 0)
-	m, err := NewMigrator(a, containers, trk, nil, Config{
+	m, err := NewMigrator(a, containers, trk, Config{
 		Fast: "ssd", Slow: "hdd", CapacityBytes: 1,
 		HighWater: 0.9, LowWater: 0.1,
 		Interval: time.Millisecond,

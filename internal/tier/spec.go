@@ -2,10 +2,36 @@ package tier
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
 )
+
+// Pin is a per-tag placement override that outranks heat.
+type Pin int
+
+const (
+	// PinNone lets heat decide (the default).
+	PinNone Pin = iota
+	// PinFast keeps the tag on the fast backend: it is promoted like any
+	// hot subset but never demoted, regardless of heat or watermarks.
+	PinFast
+	// PinNever excludes the tag from migration entirely — it stays where
+	// ingest placed it.
+	PinNever
+)
+
+func (p Pin) String() string {
+	switch p {
+	case PinFast:
+		return "fast"
+	case PinNever:
+		return "never"
+	default:
+		return "none"
+	}
+}
 
 // ParseSpec parses a -tier-spec flag value: comma-separated key=value
 // pairs.
@@ -25,11 +51,8 @@ import (
 // Example:
 //
 //	-tier-spec fast=ssd,slow=hdd,cap=64MiB,high=0.9,low=0.7,halflife=5m
-//
-// The returned *LFU carries the pins; pass both to NewMigrator.
-func ParseSpec(spec string) (Config, *LFU, error) {
-	cfg := Config{}
-	pol := NewLFU()
+func ParseSpec(spec string) (Config, error) {
+	cfg := Config{Pins: map[string]Pin{}}
 	for _, field := range strings.Split(spec, ",") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -37,7 +60,7 @@ func ParseSpec(spec string) (Config, *LFU, error) {
 		}
 		k, v, ok := strings.Cut(field, "=")
 		if !ok {
-			return cfg, nil, fmt.Errorf("tier: spec field %q is not key=value", field)
+			return cfg, fmt.Errorf("tier: spec field %q is not key=value", field)
 		}
 		var err error
 		switch k {
@@ -66,38 +89,36 @@ func ParseSpec(spec string) (Config, *LFU, error) {
 		case "pin":
 			tag, mode, ok := strings.Cut(v, ":")
 			if !ok || tag == "" {
-				return cfg, nil, fmt.Errorf("tier: pin %q is not tag:mode", v)
+				return cfg, fmt.Errorf("tier: pin %q is not tag:mode", v)
 			}
 			switch mode {
 			case "fast":
-				pol.SetPin(tag, PinFast)
+				cfg.Pins[tag] = PinFast
 			case "never":
-				pol.SetPin(tag, PinNever)
+				cfg.Pins[tag] = PinNever
 			case "none":
-				pol.SetPin(tag, PinNone)
+				delete(cfg.Pins, tag)
 			default:
-				return cfg, nil, fmt.Errorf("tier: pin mode %q (want fast|never|none)", mode)
+				return cfg, fmt.Errorf("tier: pin mode %q (want fast|never|none)", mode)
 			}
 		default:
-			return cfg, nil, fmt.Errorf("tier: unknown spec key %q", k)
+			return cfg, fmt.Errorf("tier: unknown spec key %q", k)
 		}
 		if err != nil {
-			return cfg, nil, fmt.Errorf("tier: spec %s=%s: %w", k, v, err)
+			return cfg, fmt.Errorf("tier: spec %s=%s: %w", k, v, err)
 		}
 	}
 	if cfg.Fast == "" || cfg.Slow == "" {
-		return cfg, nil, fmt.Errorf("tier: spec needs fast= and slow= backends")
-	}
-	if cfg.CapacityBytes <= 0 {
-		return cfg, nil, fmt.Errorf("tier: spec needs cap= (fast backend capacity)")
+		return cfg, fmt.Errorf("tier: spec needs fast= and slow= backends")
 	}
 	// Return the effective configuration so callers can build the tracker
 	// (which needs HalfLife) before the migrator.
-	return cfg.withDefaults(), pol, nil
+	cfg = cfg.withDefaults()
+	return cfg, cfg.validate()
 }
 
-// ParseSize parses a byte count with an optional binary suffix:
-// "64MiB", "8M", "1024".
+// ParseSize parses a non-negative byte count with an optional binary suffix:
+// "64MiB", "8M", "1024". A count that overflows int64 is an error.
 func ParseSize(s string) (int64, error) {
 	orig := s
 	mult := int64(1)
@@ -114,7 +135,7 @@ func ParseSize(s string) (int64, error) {
 		}
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("bad size %q", orig)
 	}
 	return n * mult, nil

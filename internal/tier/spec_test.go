@@ -6,8 +6,9 @@ import (
 )
 
 func TestParseSpecFull(t *testing.T) {
-	cfg, pol, err := ParseSpec(
-		"fast=ssd,slow=hdd,cap=64MiB,high=0.8,low=0.5,promote=2KiB,halflife=5m,interval=30s,max=3,pin=p:fast,pin=water:never")
+	cfg, err := ParseSpec(
+		"fast=ssd,slow=hdd,cap=64MiB,high=0.8,low=0.5,promote=2KiB,halflife=5m,interval=30s,max=3," +
+			"pin=p:fast,pin=water:never,pin=m:fast,pin=m:none")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,16 +30,17 @@ func TestParseSpecFull(t *testing.T) {
 	if cfg.Interval != 30*time.Second || cfg.MaxMovesPerStep != 3 {
 		t.Errorf("interval = %v, max = %d", cfg.Interval, cfg.MaxMovesPerStep)
 	}
-	if pol.Pin("/any", "p") != PinFast || pol.Pin("/any", "water") != PinNever {
-		t.Error("pins not installed")
+	if cfg.Pins["p"] != PinFast || cfg.Pins["water"] != PinNever {
+		t.Errorf("pins not installed: %v", cfg.Pins)
 	}
-	if pol.Pin("/any", "m") != PinNone {
-		t.Error("unpinned tag not PinNone")
+	// pin=tag:none clears an earlier pin; an unpinned tag is PinNone.
+	if len(cfg.Pins) != 2 || cfg.Pins["m"] != PinNone || cfg.Pins["ion"] != PinNone {
+		t.Errorf("pins = %v, want p and water only", cfg.Pins)
 	}
 }
 
 func TestParseSpecDefaults(t *testing.T) {
-	cfg, _, err := ParseSpec("fast=a,slow=b,cap=1024")
+	cfg, err := ParseSpec("fast=a,slow=b,cap=1024")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,19 +54,23 @@ func TestParseSpecDefaults(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"",                                 // missing everything
-		"fast=a,cap=1M",                    // missing slow
-		"fast=a,slow=b",                    // missing cap
-		"fast=a,slow=b,cap=0",              // zero cap
-		"fast=a,slow=b,cap=1M,bogus=1",     // unknown key
-		"fast=a,slow=b,cap=nope",           // bad size
-		"fast=a,slow=b,cap=1M,high=x",      // bad float
-		"fast=a,slow=b,cap=1M,pin=p",       // pin without mode
-		"fast=a,slow=b,cap=1M,pin=p:up",    // unknown pin mode
-		"fast,slow=b,cap=1M",               // not key=value
-		"fast=a,slow=b,cap=1M,halflife=60", // duration without unit
+		"",                                     // missing everything
+		"fast=a,cap=1M",                        // missing slow
+		"fast=a,slow=b",                        // missing cap
+		"fast=a,slow=b,cap=0",                  // zero cap
+		"fast=a,slow=b,cap=1M,bogus=1",         // unknown key
+		"fast=a,slow=b,cap=nope",               // bad size
+		"fast=a,slow=b,cap=1M,high=x",          // bad float
+		"fast=a,slow=b,cap=1M,pin=p",           // pin without mode
+		"fast=a,slow=b,cap=1M,pin=p:up",        // unknown pin mode
+		"fast,slow=b,cap=1M",                   // not key=value
+		"fast=a,slow=b,cap=1M,halflife=60",     // duration without unit
+		"fast=a,slow=b,cap=1M,interval=-1s",    // would panic the ticker
+		"fast=a,slow=b,cap=1M,max=-1",          // negative move cap
+		"fast=a,slow=b,cap=18014398509481985K", // wraps to 1 KiB
+		"fast=a,slow=b,cap=1M,promote=-1K",     // would promote zero heat
 	} {
-		if _, _, err := ParseSpec(spec); err == nil {
+		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded", spec)
 		}
 	}
@@ -82,30 +88,21 @@ func TestParseSize(t *testing.T) {
 		{"8MiB", 8 << 20},
 		{"2G", 2 << 30},
 		{"2GiB", 2 << 30},
+		{"8589934591G", 8589934591 << 30}, // the largest count of G that fits
+		{"9223372036854775807", 1<<63 - 1},
 	} {
 		got, err := ParseSize(c.in)
 		if err != nil || got != c.want {
 			t.Errorf("ParseSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
 		}
 	}
-	for _, bad := range []string{"", "xMiB", "1.5M", "M"} {
+	for _, bad := range []string{
+		"", "xMiB", "1.5M", "M",
+		"-5M", "-1", // negative
+		"8589934592G", "18014398509481985K", "9223372036854775808", // overflow
+	} {
 		if _, err := ParseSize(bad); err == nil {
 			t.Errorf("ParseSize(%q) succeeded", bad)
 		}
-	}
-}
-
-func TestLFUPins(t *testing.T) {
-	p := NewLFU()
-	p.SetPin("p", PinFast)
-	if p.Pin("/a", "p") != PinFast || p.Pin("/b", "p") != PinFast {
-		t.Error("pin not per-tag across datasets")
-	}
-	p.SetPin("p", PinNone) // clearing
-	if p.Pin("/a", "p") != PinNone {
-		t.Error("pin not cleared")
-	}
-	if got := p.Score(Candidate{Heat: 42}); got != 42 {
-		t.Errorf("LFU score = %g", got)
 	}
 }

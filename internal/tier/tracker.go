@@ -1,7 +1,8 @@
 // Package tier adds heat-driven tiering to the container store: it tracks
-// per-dropping access heat from the read path and runs a background
-// migration planner that promotes hot droppings to the fast backend and
-// demotes cold ones when the fast backend fills past a high watermark.
+// per-dropping access heat from the bytes a storage node serves (HeatFS)
+// and runs a background migration planner that promotes hot droppings to
+// the fast backend and demotes cold ones when the fast backend fills past a
+// high watermark.
 //
 // The paper's placement decision (protein subset to the SSD, MISC to the
 // HDD) is static — made once at ingest from the schema. Tiering makes it
@@ -15,7 +16,6 @@ package tier
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -26,26 +26,20 @@ type Key struct {
 	Dropping string // dropping name, e.g. "subset.p"
 }
 
-// HeatEntry is one row of a Tracker snapshot.
-type HeatEntry struct {
-	Key
-	Heat float64 // exponentially decayed bytes
-}
-
 // Tracker aggregates read-path accesses into per-dropping heat with
 // exponential decay: an access adds its byte count, and heat halves every
 // HalfLife seconds of the supplied clock. Decay is folded in lazily at
 // observation time, so an idle tracker costs nothing and heat depends only
 // on the access/clock sequence — deterministic under a virtual clock.
 //
-// Record matches core.AccessFunc, so a tracker plugs straight into
-// (*core.ADA).SetAccessFunc. It is safe for concurrent use.
+// A storage node feeds it through HeatFS; the serve fabric keeps its own
+// for cache admission. It is safe for concurrent use.
 type Tracker struct {
 	mu       sync.Mutex
 	now      func() float64
 	halfLife float64
 	heat     map[Key]*cell
-	// One-entry lookup cache: the hook runs on every frame fetch and
+	// One-entry lookup cache: Record runs on every payload read and
 	// playback hammers a single dropping, so skipping the map's two string
 	// hashes on consecutive same-key accesses keeps the read tax down.
 	lastKey  Key
@@ -59,7 +53,7 @@ type cell struct {
 
 // NewTracker returns a tracker reading time (in seconds) from now and
 // halving heat every halfLife seconds. A non-positive halfLife disables
-// decay (pure LFU).
+// decay: heat is then a plain byte count.
 func NewTracker(now func() float64, halfLife float64) *Tracker {
 	return &Tracker{now: now, halfLife: halfLife, heat: map[Key]*cell{}}
 }
@@ -72,7 +66,7 @@ func WallClock() func() float64 {
 }
 
 // decayTo folds decay into c up to clock reading at. Folds shorter than a
-// millionth of the half-life are deferred — Exp2 is the hook's costliest
+// millionth of the half-life are deferred — Exp2 is Record's costliest
 // instruction and 2^-dt/h is 1 to nine digits there; keeping c.last anchored
 // means the deferred interval still decays in full at the next real fold, so
 // nothing is lost, only batched.
@@ -91,7 +85,7 @@ func (t *Tracker) decayTo(c *cell, at float64) {
 }
 
 // Record observes one access: the dropping's heat gains `bytes` after decay
-// up to the current clock. Its signature matches core.AccessFunc.
+// up to the current clock.
 func (t *Tracker) Record(logical, dropping string, bytes int64) {
 	if bytes <= 0 {
 		return
@@ -131,42 +125,4 @@ func (t *Tracker) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.heat)
-}
-
-// Forget drops every heat series of one dataset — call when the dataset is
-// removed so the planner stops ranking its ghosts.
-func (t *Tracker) Forget(logical string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k := range t.heat {
-		if k.Logical == logical {
-			delete(t.heat, k)
-		}
-	}
-	if t.lastKey.Logical == logical {
-		t.lastCell = nil
-	}
-}
-
-// Snapshot returns every tracked dropping with decayed heat, hottest first
-// (ties broken by key for determinism).
-func (t *Tracker) Snapshot() []HeatEntry {
-	at := t.now()
-	t.mu.Lock()
-	out := make([]HeatEntry, 0, len(t.heat))
-	for k, c := range t.heat {
-		t.decayTo(c, at)
-		out = append(out, HeatEntry{Key: k, Heat: c.heat})
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Heat != out[j].Heat {
-			return out[i].Heat > out[j].Heat
-		}
-		if out[i].Logical != out[j].Logical {
-			return out[i].Logical < out[j].Logical
-		}
-		return out[i].Dropping < out[j].Dropping
-	})
-	return out
 }

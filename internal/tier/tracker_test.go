@@ -58,7 +58,7 @@ func TestTrackerDecay(t *testing.T) {
 
 func TestTrackerNoDecay(t *testing.T) {
 	clk := &virtualClock{}
-	tr := NewTracker(clk.Now, 0) // halfLife <= 0: pure LFU
+	tr := NewTracker(clk.Now, 0) // halfLife <= 0: no decay
 	tr.Record("/ds", "subset.p", 100)
 	clk.Advance(1e6)
 	tr.Record("/ds", "subset.p", 100)
@@ -73,38 +73,6 @@ func TestTrackerIgnoresNonPositive(t *testing.T) {
 	tr.Record("/ds", "subset.p", -5)
 	if tr.Len() != 0 {
 		t.Fatalf("tracked %d series after no-op records", tr.Len())
-	}
-}
-
-func TestTrackerSnapshotAndForget(t *testing.T) {
-	clk := &virtualClock{}
-	tr := NewTracker(clk.Now, 10)
-	tr.Record("/a", "subset.p", 300)
-	tr.Record("/a", "subset.m", 100)
-	tr.Record("/b", "subset.p", 200)
-	tr.Record("/b", "subset.m", 100)
-	snap := tr.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot len = %d", len(snap))
-	}
-	// Hottest first; equal heat breaks ties by (logical, dropping).
-	want := []HeatEntry{
-		{Key{"/a", "subset.p"}, 300},
-		{Key{"/b", "subset.p"}, 200},
-		{Key{"/a", "subset.m"}, 100},
-		{Key{"/b", "subset.m"}, 100},
-	}
-	for i := range want {
-		if snap[i] != want[i] {
-			t.Fatalf("snapshot[%d] = %+v, want %+v", i, snap[i], want[i])
-		}
-	}
-	tr.Forget("/a")
-	if tr.Len() != 2 {
-		t.Fatalf("len after Forget = %d", tr.Len())
-	}
-	if got := tr.Heat("/a", "subset.p"); got != 0 {
-		t.Fatalf("forgotten heat = %g", got)
 	}
 }
 

@@ -48,11 +48,6 @@ type FrameCache struct {
 	lru   xtc.FrameLRU[int]
 	stats CacheStats
 	cm    cacheMetrics
-	// access, when set, observes cache hits — replayed frames served from
-	// memory that never reach the storage read path. Misses reach the
-	// storage-side core.AccessFunc through the underlying FrameSource, so a
-	// heat tracker wiring both signals counts every access exactly once.
-	access func(bytes int64)
 }
 
 // cacheMetrics mirror CacheStats into the runtime registry under
@@ -94,13 +89,6 @@ func (s *Session) NewFrameCache(src FrameSource, budget int64) *FrameCache {
 	}
 }
 
-// SetAccessFunc registers an observer for cache hits (nil disables). The
-// tiering heat tracker uses it to keep replayed droppings hot even when the
-// frame cache absorbs every read: hits are the only accesses the storage
-// path cannot see. The caller's closure binds the dataset and dropping
-// names — the cache itself does not know what it plays.
-func (c *FrameCache) SetAccessFunc(fn func(bytes int64)) { c.access = fn }
-
 // Stats returns the accumulated cache statistics.
 func (c *FrameCache) Stats() CacheStats { return c.stats }
 
@@ -112,9 +100,6 @@ func (c *FrameCache) Frame(i int) (*xtc.Frame, error) {
 	if f, ok := c.lru.Get(i); ok {
 		c.stats.Hits++
 		c.cm.hits.Inc()
-		if c.access != nil {
-			c.access(xtc.RawFrameSize(f.NAtoms()))
-		}
 		return f, nil
 	}
 	c.stats.Misses++
