@@ -39,11 +39,12 @@ lint:
 
 # Ten seconds of native fuzzing per parser that takes bytes from outside —
 # the xtc, dcd and trr frame decoders, the xtc frame index a dropping holds,
-# the rpc client's read-reply parser, the node's request-frame reader and
-# the placement table a peer serves (rule: no panic, a typed error or a
-# result, allocation bounded by input length; an accepted index tiles the
-# stream with positive entries whose ends fit an int64; an accepted table
-# places any directory on exactly R distinct table nodes).
+# the rpc client's read-reply parser, the node's request-frame reader, the
+# placement table a peer serves and the container index every dropping
+# resolves through (rule: no panic, a typed error or a result, allocation
+# bounded by input length; an accepted index tiles the stream with positive
+# entries whose ends fit an int64; an accepted table places any directory on
+# exactly R distinct table nodes).
 # The seed corpora already run under plain `go test`; this looks past them.
 # Minimization is capped per input: at its 60 s default, shrinking the first
 # coverage-expanding DCD stream outlasts the whole run (measured: 118
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzReadReply ./internal/rpc
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzReadFrame ./internal/rpc
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzPlacementTable ./internal/placement
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzContainerIndex ./internal/plfs
 
 # adabench is deterministic — a virtual clock, fixed seeds — so RESULTS.txt
 # is checked, not trusted: any change to the cost model, the simulated

@@ -591,9 +591,12 @@ func cmdTier(a *core.ADA, containers *plfs.FS, args []string) error {
 
 // tierListing prints placement and usage without a spec: what is where.
 func tierListing(a *core.ADA, containers *plfs.FS) error {
-	usage := containers.Usage()
 	for _, name := range containers.Backends() {
-		fmt.Printf("backend %-4s %12d bytes\n", name, usage[name])
+		n, err := containers.UsageOf(name)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("backend %-4s %12d bytes\n", name, n)
 	}
 	datasets, err := a.Datasets()
 	if err != nil {

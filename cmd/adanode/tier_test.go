@@ -13,6 +13,62 @@ import (
 	"repro/internal/vfs"
 )
 
+// tierStore is the two-tier container store setupTiering views the served
+// tree as, over fsys.
+func tierStore(t *testing.T, fsys vfs.FS) *plfs.FS {
+	t.Helper()
+	containers, err := plfs.New(
+		plfs.Backend{Name: "ssd", FS: fsys, Mount: "/ssd"},
+		plfs.Backend{Name: "hdd", FS: fsys, Mount: "/hdd"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return containers
+}
+
+// TestTierSeesClientIngest checks that the node's migrator measures bytes
+// its clients wrote: they reach the tree through the rpc server, never
+// through the migrator's own store, and a round after they land must see
+// them on the fast backend and demote them.
+func TestTierSeesClientIngest(t *testing.T) {
+	pdbBytes, traj, err := ada.GenerateTrajectory(ada.ScaledSystem(200), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := vfs.NewMemFS()
+	mig, _, err := setupTiering(base, "fast=ssd,slow=hdd,cap=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := mig.Step(); err != nil || rep.FastUsage != 0 {
+		t.Fatalf("first round over an empty tree = %+v, %v", rep, err)
+	}
+
+	srv := rpc.NewServer(base, nil)
+	ln := newLocalListener(t)
+	go srv.Serve(ln)
+	defer srv.Close()
+	c, err := rpc.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	allFast := core.Placement{core.TagProtein: "ssd", core.TagMisc: "ssd"}
+	if _, err := core.New(tierStore(t, c), nil, core.Options{Placement: allFast}).
+		Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := mig.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Demotions) != 2 {
+		t.Fatalf("round after a client ingest = %+v, want both subsets demoted", rep)
+	}
+}
+
 // TestTierHeatFromServedReads wires tiering the way run does: subset reads
 // the rpc server answers over the HeatFS-wrapped tree raise the tracker's
 // heat, and the migrator's own moves, made through the unwrapped tree, do
@@ -22,16 +78,7 @@ func TestTierHeatFromServedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := func(fsys vfs.FS) *plfs.FS {
-		containers, err := plfs.New(
-			plfs.Backend{Name: "ssd", FS: fsys, Mount: "/ssd"},
-			plfs.Backend{Name: "hdd", FS: fsys, Mount: "/hdd"},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return containers
-	}
+	store := func(fsys vfs.FS) *plfs.FS { return tierStore(t, fsys) }
 	base := vfs.NewMemFS()
 	allFast := core.Placement{core.TagProtein: "ssd", core.TagMisc: "ssd"}
 	if _, err := core.New(store(base), nil, core.Options{Placement: allFast}).

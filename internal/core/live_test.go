@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,9 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/metrics"
+	"repro/internal/placement"
 	"repro/internal/plfs"
+	"repro/internal/rpc"
 	"repro/internal/vfs"
 	"repro/internal/xtc"
 )
@@ -802,10 +805,12 @@ func backendOps(reg *metrics.Registry) int64 {
 // TestLiveAppendOpsPerBatch pins what one Append costs the backends — for a
 // five-frame batch ten subset writes, one journal checkpoint, and the
 // republish of two live indexes and the head with the container-index
-// updates under them — to the count measured at the commit before Append
-// moved onto the session's frame loop (cf31b60).
+// updates under them. 59 when Append moved onto the session's frame loop
+// (cf31b60); 56 since the container store stopped keeping a byte ledger,
+// which took the stat before each of a publish's three renames over a live
+// file.
 func TestLiveAppendOpsPerBatch(t *testing.T) {
-	const parentOps = 59
+	const pinnedOps = 56
 	pdbBytes, traj, _ := testDataset(t, 200, 10)
 	reg := metrics.NewRegistry()
 	a := newMeteredADA(t, reg)
@@ -819,10 +824,93 @@ func TestLiveAppendOpsPerBatch(t *testing.T) {
 		if n, err := li.Append(batch); err != nil || n != 5 {
 			t.Fatalf("append %d = %d, %v", i, n, err)
 		}
-		if got := backendOps(reg) - before; got != parentOps {
-			t.Errorf("append %d issued %d backend ops, the parent commit %d", i, got, parentOps)
+		if got := backendOps(reg) - before; got != pinnedOps {
+			t.Errorf("append %d issued %d backend ops, pinned at %d", i, got, pinnedOps)
 		}
 	}
+}
+
+// TestRemoteOpsPerIngestAndAppend pins, by op, the round trips three rpc
+// nodes under an R=2 placement cluster serve for one ingest and for one
+// five-frame Append. No write asks a file its size: the only size calls left
+// are vfs.ReadFile sizing a file it has just opened.
+func TestRemoteOpsPerIngestAndAppend(t *testing.T) {
+	pdbBytes, traj, _ := testDataset(t, 200, 10)
+	srvReg := metrics.NewRegistry()
+	fss := map[string]vfs.FS{}
+	var nodes []placement.Node
+	for _, name := range []string{"n1", "n2", "n3"} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := rpc.NewServer(vfs.NewMemFS(), nil)
+		srv.SetMetrics(srvReg)
+		go srv.Serve(ln)
+		c, err := rpc.Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close(); srv.Close() })
+		fss[name] = c
+		nodes = append(nodes, placement.Node{Name: name, Addr: ln.Addr().String()})
+	}
+	reg := metrics.NewRegistry()
+	c, err := placement.NewCluster(&placement.Table{Version: 1, Replication: 2, Nodes: nodes}, fss,
+		placement.Config{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := plfs.New(plfs.Backend{Name: "clu", FS: c, Mount: "/clu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(store, nil, Options{Metrics: reg})
+
+	// served counts the ops the nodes answer while do runs.
+	served := func(do func()) map[string]int64 {
+		before := srvReg.Snapshot().Counters
+		do()
+		out := map[string]int64{}
+		for name, n := range srvReg.Snapshot().Counters {
+			if op, ok := strings.CutPrefix(name, "rpc.server.op."); ok && n != before[name] {
+				out[op] = n - before[name]
+			}
+		}
+		return out
+	}
+	check := func(what string, got, want map[string]int64) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: nodes served %v, pinned %v", what, got, want)
+		}
+		if got["size"] > got["open"] {
+			t.Errorf("%s: %d size calls for %d opens", what, got["size"], got["open"])
+		}
+	}
+
+	check("ingest", served(func() {
+		if _, err := a.Ingest("/one", pdbBytes, bytes.NewReader(traj)); err != nil {
+			t.Fatal(err)
+		}
+	}), map[string]int64{
+		"close": 66, "create": 50, "mkdirall": 54, "open": 16, "read": 15,
+		"remove": 3, "rename": 48, "size": 16, "write": 86,
+	})
+
+	li, err := a.OpenLiveIngest("/live", pdbBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Abort()
+	check("append", served(func() {
+		if n, err := li.Append(batchFrames(splitFrames(t, traj), 5)[0]); err != nil || n != 5 {
+			t.Fatalf("append = %d, %v", n, err)
+		}
+	}), map[string]int64{
+		"close": 24, "create": 18, "mkdirall": 18, "open": 6, "read": 6,
+		"rename": 18, "size": 6, "write": 40,
+	})
 }
 
 // TestLiveFailedWriteIsSticky fails one subset write once, after the other

@@ -363,18 +363,20 @@ func TestMatrixKillNodeMidRead(t *testing.T) {
 }
 
 // tripwireFS counts every store operation against one node — including
-// writes on files it handed out — and fires once when the budget runs out.
-// Registering it as the victim's cluster FS turns "kill after the Nth op"
-// into a deterministic mid-ingest crash point.
+// writes on files it handed out — and fires once when the budget runs out
+// (never, with a zero budget). Registering it as the victim's cluster FS
+// turns "kill after the Nth op" into a deterministic mid-ingest crash point.
 type tripwireFS struct {
 	vfs.FS
 	mu   sync.Mutex
+	ops  int
 	left int
 	fire func()
 }
 
 func (f *tripwireFS) tick() {
 	f.mu.Lock()
+	f.ops++
 	f.left--
 	hit := f.left == 0
 	f.mu.Unlock()
@@ -421,14 +423,32 @@ func (f *tripwireFile) Write(p []byte) (int, error) { f.fs.tick(); return f.File
 // an ingest, restarts it, runs Recover, and asserts the all-or-nothing
 // invariant: the dataset is either gone from every node, or committed with
 // frames byte-identical to the reference and exactly one copy per replica.
+// The early points land in journal/staging writes, the late ones straddle
+// the commit window (journal commit record, staged renames, manifest
+// publish), where recovery must replay instead of roll back.
+//
+// N runs over every op: a dry run counts what each node sees in a healthy
+// ingest, and every victim is swept up to the busiest node's count, so a
+// change to the op count cannot move a point onto or off a defect. A point
+// past the victim's own count fires in the read-back or not at all: the
+// ingest commits with the node up.
 func TestMatrixKillNodeMidIngest(t *testing.T) {
 	pdbBytes, traj, want := matrixFixture(t)
+	dry := newMatrixHarness(t)
+	counted := map[string]*tripwireFS{}
+	for name, n := range dry.nodes {
+		counted[name] = &tripwireFS{FS: n.client}
+		dry.c.AddNode(name, counted[name])
+	}
+	if _, err := dry.ada.Ingest(matrixLogical, pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatalf("dry run: %v", err)
+	}
+	points := 0
+	for _, c := range counted {
+		points = max(points, c.ops)
+	}
 	for _, victim := range []string{"n1", "n2", "n3"} {
-		// A replica node sees ~105-125 ops for this fixture; the early
-		// points land in journal/staging writes, the late ones straddle the
-		// commit window (journal commit record, staged renames, manifest
-		// publish), where recovery must replay instead of roll back.
-		for _, killAfter := range []int{2, 8, 30, 96, 104, 112, 120} {
+		for killAfter := 1; killAfter <= points; killAfter++ {
 			t.Run(fmt.Sprintf("%s/op-%d", victim, killAfter), func(t *testing.T) {
 				h := newMatrixHarness(t)
 				n := h.nodes[victim]

@@ -3,7 +3,6 @@ package plfs
 import (
 	"fmt"
 	"path"
-	"strings"
 
 	"repro/internal/vfs"
 )
@@ -33,7 +32,7 @@ import (
 func (p *FS) ReplaceDropping(logical, src, dst string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if strings.ContainsAny(dst, "/\t\n") || dst == "" || dst == indexFileName {
+	if !validName(dst) {
 		return fmt.Errorf("plfs: invalid dropping name %q", dst)
 	}
 	idx, err := p.readIndexLocked(logical)
@@ -53,20 +52,9 @@ func (p *FS) ReplaceDropping(logical, src, dst string) error {
 		return fmt.Errorf("%w: dropping %q in container %q", vfs.ErrNotExist, src, logical)
 	}
 	b := p.byName[srcOwner]
-	if b == nil {
-		return fmt.Errorf("plfs: index references unknown backend %q", srcOwner)
-	}
 	dir := containerPath(b, logical)
-	p.ensureUsageLocked(b)
-	var prev int64
-	if dstOwner == srcOwner {
-		prev = statSize(b, logical, dst)
-	}
 	if err := b.FS.Rename(path.Join(dir, src), path.Join(dir, dst)); err != nil {
 		return fmt.Errorf("plfs: replace dropping %q: %w", dst, err)
-	}
-	if prev != 0 {
-		p.addUsageLocked(srcOwner, -prev) // the rename overwrote a same-backend dst
 	}
 	out := make([]Dropping, 0, len(idx))
 	for _, d := range idx {
@@ -83,13 +71,8 @@ func (p *FS) ReplaceDropping(logical, src, dst string) error {
 	// cleanup, not correctness — failure here just leaves an orphan for
 	// SweepOrphans.
 	if dstOwner != "" && dstOwner != srcOwner {
-		if ob := p.byName[dstOwner]; ob != nil {
-			p.ensureUsageLocked(ob)
-			sz := statSize(ob, logical, dst)
-			if err := ob.FS.Remove(path.Join(containerPath(ob, logical), dst)); err == nil && sz != 0 {
-				p.addUsageLocked(dstOwner, -sz)
-			}
-		}
+		ob := p.byName[dstOwner]
+		ob.FS.Remove(path.Join(containerPath(ob, logical), dst))
 	}
 	return nil
 }
@@ -101,6 +84,11 @@ func (p *FS) ReplaceDropping(logical, src, dst string) error {
 // replace) and index entries whose file is gone. It returns the removed
 // files as "backend:name" strings. Safe to call on a healthy container —
 // it then removes nothing and rewrites nothing.
+//
+// A leftover index ".tmp" also rewrites the index. On a replicated backend
+// the index replace renames replica by replica, so a replace torn between
+// them leaves replicas holding different indexes; the rewrite makes them
+// one again.
 func (p *FS) SweepOrphans(logical string) ([]string, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -113,6 +101,7 @@ func (p *FS) SweepOrphans(logical string) ([]string, error) {
 		ref[d.Backend+"\x00"+d.Name] = true
 	}
 	var removed []string
+	changed := false
 	for i := range p.backends {
 		b := &p.backends[i]
 		dir := containerPath(b, logical)
@@ -121,7 +110,6 @@ func (p *FS) SweepOrphans(logical string) ([]string, error) {
 		} else if gone {
 			continue
 		}
-		p.ensureUsageLocked(b)
 		entries, err := b.FS.ReadDir(dir)
 		if err != nil {
 			return removed, fmt.Errorf("plfs: sweep container on %s: %w", b.Name, err)
@@ -139,9 +127,7 @@ func (p *FS) SweepOrphans(logical string) ([]string, error) {
 			if err := b.FS.Remove(path.Join(dir, e.Name)); err != nil {
 				return removed, fmt.Errorf("plfs: sweep orphan %q: %w", e.Name, err)
 			}
-			if countedFile(e.Name) {
-				p.addUsageLocked(b.Name, -e.Size)
-			}
+			changed = changed || i == 0 && e.Name == indexFileName+".tmp"
 			removed = append(removed, b.Name+":"+e.Name)
 		}
 	}
@@ -149,13 +135,11 @@ func (p *FS) SweepOrphans(logical string) ([]string, error) {
 	// index write did not, so the old name still resolves and the entry for
 	// the staged name points at nothing.
 	out := make([]Dropping, 0, len(idx))
-	changed := false
 	for _, d := range idx {
-		gone := true
-		if b := p.byName[d.Backend]; b != nil {
-			if gone, err = absent(b, path.Join(containerPath(b, logical), d.Name)); err != nil {
-				return removed, fmt.Errorf("plfs: sweep entry %q on %s: %w", d.Name, b.Name, err)
-			}
+		b := p.byName[d.Backend]
+		gone, err := absent(b, path.Join(containerPath(b, logical), d.Name))
+		if err != nil {
+			return removed, fmt.Errorf("plfs: sweep entry %q on %s: %w", d.Name, b.Name, err)
 		}
 		if gone {
 			changed = true

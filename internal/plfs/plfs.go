@@ -11,12 +11,10 @@
 package plfs
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"path"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -50,18 +48,22 @@ type Dropping struct {
 // crash point is recoverable.
 var ErrCrossBackend = errors.New("plfs: cross-backend rename")
 
+// ErrCorruptIndex is returned when a container index does not parse, names
+// a dropping the store would refuse to create, or names a backend the store
+// lacks. Every entry an index yields therefore resolves to a backend.
+var ErrCorruptIndex = errors.New("plfs: corrupt container index")
+
+// validName reports whether name may name a dropping.
+func validName(name string) bool {
+	return name != "" && name != indexFileName && !strings.ContainsAny(name, "/\t\n")
+}
+
 // FS is a PLFS-like container store over multiple backends.
 type FS struct {
 	mu       sync.Mutex
 	backends []Backend
 	byName   map[string]*Backend
-	usage    map[string]int64 // backend name -> bytes of dropping data on disk
-	seeded   map[string]bool  // backend name -> usage counter seeded from a walk
 	reg      *metrics.Registry
-	// bytesGauge caches each backend's usage gauge: the ingest write path
-	// updates usage once per frame per subset, and rebuilding the metric
-	// name allocates on every call. Reset when reg changes (SetMetrics).
-	bytesGauge map[string]*metrics.Gauge
 }
 
 // New returns a container store over the given backends. Backend names must
@@ -72,8 +74,6 @@ func New(backends ...Backend) (*FS, error) {
 	}
 	p := &FS{
 		byName: map[string]*Backend{},
-		usage:  map[string]int64{},
-		seeded: map[string]bool{},
 		reg:    metrics.Default,
 	}
 	for i := range backends {
@@ -97,10 +97,6 @@ func (p *FS) SetMetrics(reg *metrics.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.reg = reg
-	p.bytesGauge = nil
-	for name, v := range p.usage {
-		p.usageGaugeLocked(name).Set(v)
-	}
 }
 
 // count bumps one dispatch counter, namespaced per backend so the paper's
@@ -173,7 +169,7 @@ func (p *FS) CreateDropping(logical, dropping, backend string) (vfs.File, error)
 	if err != nil {
 		return nil, err
 	}
-	if strings.ContainsAny(dropping, "/\t\n") || dropping == "" || dropping == indexFileName {
+	if !validName(dropping) {
 		return nil, fmt.Errorf("plfs: invalid dropping name %q", dropping)
 	}
 	// Best-effort early full check: capacity-bounded backends (blockfs)
@@ -183,23 +179,9 @@ func (p *FS) CreateDropping(logical, dropping, backend string) (vfs.File, error)
 	if fb, ok := b.FS.(interface{ FreeBytes() int64 }); ok && fb.FreeBytes() <= 0 {
 		return nil, fmt.Errorf("plfs: create dropping on %s: %w", b.Name, vfs.ErrNoSpace)
 	}
-	p.ensureUsageLocked(b)
-	full := path.Join(containerPath(b, logical), dropping)
-	// The index tells us whether Create will truncate an existing file on
-	// this backend; only then is a stat needed for the accounting delta.
-	var prev int64
-	for _, d := range idx {
-		if d.Name == dropping && d.Backend == backend {
-			prev = statSize(b, logical, dropping)
-			break
-		}
-	}
-	f, err := b.FS.Create(full)
+	f, err := b.FS.Create(path.Join(containerPath(b, logical), dropping))
 	if err != nil {
 		return nil, fmt.Errorf("plfs: create dropping: %w", err)
-	}
-	if prev != 0 {
-		p.addUsageLocked(b.Name, -prev) // Create truncated the old content
 	}
 	// Record (or re-point) the dropping.
 	out := idx[:0]
@@ -214,7 +196,7 @@ func (p *FS) CreateDropping(logical, dropping, backend string) (vfs.File, error)
 		return nil, err
 	}
 	p.count("backend." + backend + ".droppings_created")
-	return &acctFile{File: f, fs: p, backend: b.Name}, nil
+	return f, nil
 }
 
 // OpenDropping opens an existing dropping for reading, resolving its
@@ -272,10 +254,7 @@ func (p *FS) Index(logical string) ([]Dropping, error) {
 		return nil, err
 	}
 	for i := range idx {
-		b, ok := p.byName[idx[i].Backend]
-		if !ok {
-			return nil, fmt.Errorf("plfs: index references unknown backend %q", idx[i].Backend)
-		}
+		b := p.byName[idx[i].Backend]
 		info, err := b.FS.Stat(path.Join(containerPath(b, logical), idx[i].Name))
 		if err == nil {
 			idx[i].Size = info.Size
@@ -319,11 +298,16 @@ func (p *FS) ListContainers() ([]string, error) {
 // than trusting the index, so it also disposes of torn containers — ones a
 // crash left with orphan droppings, a stale index temp file, or no
 // readable index at all — which is what crash recovery relies on.
+//
+// The index goes last, so the canonical backend is swept after the others
+// and its index after its other files: ListContainers finds a container only
+// by its index, and a removal that fails part way must leave that index for
+// Recover to find the rest by.
 func (p *FS) RemoveContainer(logical string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	found := false
-	for i := range p.backends {
+	for i := len(p.backends) - 1; i >= 0; i-- {
 		b := &p.backends[i]
 		dir := containerPath(b, logical)
 		if gone, err := absent(b, dir); err != nil {
@@ -332,20 +316,25 @@ func (p *FS) RemoveContainer(logical string) error {
 			continue
 		}
 		found = true
-		p.ensureUsageLocked(b)
 		entries, err := b.FS.ReadDir(dir)
 		if err != nil {
 			return fmt.Errorf("plfs: remove container on %s: %w", b.Name, err)
 		}
+		names := make([]string, 0, len(entries)+1)
 		for _, e := range entries {
 			if e.IsDir {
 				return fmt.Errorf("plfs: unexpected directory %q in container %q", e.Name, logical)
 			}
-			if err := b.FS.Remove(path.Join(dir, e.Name)); err != nil {
-				return fmt.Errorf("plfs: remove dropping %q: %w", e.Name, err)
+			if e.Name != indexFileName {
+				names = append(names, e.Name)
 			}
-			if countedFile(e.Name) {
-				p.addUsageLocked(b.Name, -e.Size)
+		}
+		if len(names) < len(entries) {
+			names = append(names, indexFileName)
+		}
+		for _, name := range names {
+			if err := b.FS.Remove(path.Join(dir, name)); err != nil {
+				return fmt.Errorf("plfs: remove dropping %q: %w", name, err)
 			}
 		}
 		if err := b.FS.Remove(dir); err != nil {
@@ -366,7 +355,7 @@ func (p *FS) RemoveContainer(logical string) error {
 func (p *FS) RenameDropping(logical, oldname, newname string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if strings.ContainsAny(newname, "/\t\n") || newname == "" || newname == indexFileName {
+	if !validName(newname) {
 		return fmt.Errorf("plfs: invalid dropping name %q", newname)
 	}
 	idx, err := p.readIndexLocked(logical)
@@ -395,25 +384,9 @@ func (p *FS) RenameDropping(logical, oldname, newname string) error {
 		}
 	}
 	b := p.byName[owner]
-	if b == nil {
-		return fmt.Errorf("plfs: index references unknown backend %q", owner)
-	}
 	dir := containerPath(b, logical)
-	p.ensureUsageLocked(b)
-	// Cross-backend shadows were rejected above, so an index entry for
-	// newname means a same-backend file the rename will overwrite.
-	var prev int64
-	for _, d := range idx {
-		if d.Name == newname {
-			prev = statSize(b, logical, newname)
-			break
-		}
-	}
 	if err := b.FS.Rename(path.Join(dir, oldname), path.Join(dir, newname)); err != nil {
 		return fmt.Errorf("plfs: rename dropping %q: %w", oldname, err)
-	}
-	if prev != 0 {
-		p.addUsageLocked(owner, -prev) // the rename overwrote newname
 	}
 	out := make([]Dropping, 0, len(idx))
 	for _, d := range idx {
@@ -449,18 +422,10 @@ func (p *FS) RemoveDropping(logical, dropping string) error {
 		return fmt.Errorf("%w: dropping %q in container %q", vfs.ErrNotExist, dropping, logical)
 	}
 	b := p.byName[owner]
-	if b == nil {
-		return fmt.Errorf("plfs: index references unknown backend %q", owner)
-	}
-	p.ensureUsageLocked(b)
 	full := path.Join(containerPath(b, logical), dropping)
-	sz := statSize(b, logical, dropping)
 	if err := b.FS.Remove(full); err != nil &&
 		!errors.Is(err, vfs.ErrNotExist) {
 		return fmt.Errorf("plfs: remove dropping %q: %w", dropping, err)
-	}
-	if sz != 0 {
-		p.addUsageLocked(b.Name, -sz)
 	}
 	return p.writeIndexLocked(logical, out)
 }
@@ -492,18 +457,14 @@ func (p *FS) readIndexLocked(logical string) ([]Dropping, error) {
 		return nil, fmt.Errorf("plfs: container %q: %w", logical, err)
 	}
 	var idx []Dropping
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
+	for i, text := range strings.Split(string(data), "\n") {
+		text = strings.TrimSpace(text)
 		if text == "" {
 			continue
 		}
 		parts := strings.Split(text, "\t")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("plfs: corrupt index for %q at line %s",
-				logical, strconv.Itoa(line))
+		if len(parts) != 2 || !validName(parts[0]) || p.byName[parts[1]] == nil {
+			return nil, fmt.Errorf("%w: %q line %d", ErrCorruptIndex, logical, i+1)
 		}
 		idx = append(idx, Dropping{Name: parts[0], Backend: parts[1]})
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/vfs"
@@ -365,4 +366,91 @@ func TestDeadBackendIsDispatchedNotRemembered(t *testing.T) {
 	if err := p.RemoveContainer("/traj"); !errors.Is(err, vfs.ErrBackendDown) {
 		t.Fatalf("remove with a backend down = %v, want ErrBackendDown: its part of the container may survive", err)
 	}
+	// The index goes last, so what survives is still found.
+	if names, err := p.ListContainers(); err != nil || len(names) != 1 {
+		t.Fatalf("containers after a partial remove = %v, %v; want /traj, for recovery to find", names, err)
+	}
+}
+
+// indexed returns a store whose container /c holds subset.p on ssd and
+// staging.subset.p on hdd, with index as its .plfs_index.
+func indexed(t testing.TB, index []byte) *FS {
+	p, ssd, hdd := twoBackends()
+	if err := p.CreateContainer("/c"); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		vfs.WriteFile(ssd, "/mnt1/c/subset.p", []byte("frames")),
+		vfs.WriteFile(hdd, "/mnt2/c/staging.subset.p", []byte("frames")),
+		vfs.WriteFile(ssd, "/mnt1/c/"+indexFileName, index),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// indexOps runs every operation that resolves droppings through the index
+// and returns their errors.
+func indexOps(p *FS) []error {
+	var errs []error
+	_, err := p.Index("/c")
+	errs = append(errs, err)
+	_, err = p.StatDropping("/c", "subset.p")
+	errs = append(errs, err)
+	f, err := p.OpenDropping("/c", "subset.p")
+	if err == nil {
+		f.Close()
+	}
+	errs = append(errs, err,
+		p.RenameDropping("/c", "staging.subset.p", "subset.q"),
+		p.ReplaceDropping("/c", "staging.subset.p", "subset.p"),
+		p.RemoveDropping("/c", "subset.p"))
+	_, err = p.SweepOrphans("/c")
+	return append(errs, err)
+}
+
+// TestCorruptIndex checks that an index naming a backend the store lacks,
+// or holding a line longer than a line scanner's buffer, is a corrupt index
+// to every operation. StatDropping once dereferenced the missing backend,
+// and the long line once ended the index there without an error, dropping
+// the entries after it.
+func TestCorruptIndex(t *testing.T) {
+	for name, index := range map[string]string{
+		"unknown backend": "subset.p\tnvme\n",
+		"long line":       "subset.p\tssd\n" + strings.Repeat("x", 70<<10) + "\nstaging.subset.p\thdd\n",
+	} {
+		for i, err := range indexOps(indexed(t, []byte(index))) {
+			if !errors.Is(err, ErrCorruptIndex) {
+				t.Errorf("%s: op %d = %v, want ErrCorruptIndex", name, i, err)
+			}
+		}
+	}
+}
+
+// FuzzContainerIndex writes arbitrary bytes as a container's .plfs_index and
+// runs every index-resolving operation over it. Rule: no panic, and every
+// error is typed — a corrupt index, a missing dropping, or a refused
+// cross-backend rename.
+func FuzzContainerIndex(f *testing.F) {
+	for _, seed := range []string{
+		"subset.p\tssd\nstaging.subset.p\thdd\n",
+		"subset.p\tssd\nstaging.subset.p\tssd\n",
+		"subset.p\tnvme\n",
+		"subset.p\tssd\tx\n",
+		"../subset.p\tssd\n",
+		"\n \n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, index []byte) {
+		for i, err := range indexOps(indexed(t, index)) {
+			if err != nil && !errors.Is(err, ErrCorruptIndex) &&
+				!errors.Is(err, vfs.ErrNotExist) && !errors.Is(err, ErrCrossBackend) {
+				t.Fatalf("op %d over index %q: untyped error %v", i, index, err)
+			}
+		}
+	})
 }

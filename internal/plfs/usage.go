@@ -1,135 +1,69 @@
 package plfs
 
 import (
+	"errors"
+	"fmt"
 	"path"
 	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/vfs"
 )
 
-// Per-backend byte accounting. The tier planner's watermark decisions and
-// the plfs.backend.<name>.bytes gauges both read from here, so the numbers
-// must stay correct without walking the mounts on every query: the store
-// walks each backend once — lazily, the first time an operation touches it
-// or Usage is queried — to seed the counter, then every mutating operation
-// (dropping writes, truncating re-creates, renames over existing files,
-// removes, orphan sweeps) applies its delta inline. The seed walk replaces
-// whatever the counter held, so the walk's disk truth wins over any deltas
-// applied before it ran.
+// Per-backend usage is measured, not kept. UsageOf walks the backend's
+// mount each time it is asked and sums the dropping files it finds; the
+// store holds no byte counter and charges nothing on the write path. The
+// tier planner, the one consumer, asks once per round and once after each
+// move, and the walk sees bytes from every writer of the mount — a node's
+// clients write through rpc, never through the node's own store.
 //
 // Only dropping data counts. Container indexes and the ".tmp" siblings the
-// atomic-replace protocol stages are bookkeeping, not placed data, and are
-// excluded both from the seed walk and from the incremental updates.
+// atomic-replace protocol stages are bookkeeping, not placed data.
 
-// countedFile reports whether a container file participates in usage
-// accounting.
+// countedFile reports whether a container file counts as usage.
 func countedFile(name string) bool {
 	return name != indexFileName && !strings.HasSuffix(name, ".tmp")
 }
 
-// ensureUsageLocked seeds a backend's usage counter from one walk of its
-// mount, once. Best-effort: a missing or unreachable mount seeds as the
-// bytes found so far — accounting is an advisory capacity signal, not a
-// ledger, and later deltas still apply.
-func (p *FS) ensureUsageLocked(b *Backend) {
-	if p.seeded[b.Name] {
-		return
+// UsageOf walks one backend's mount and returns the bytes of dropping data
+// on it, publishing them as the plfs.backend.<name>.bytes gauge. A missing
+// mount is 0 and a directory that vanishes mid-walk is empty; any other
+// error is returned, because a short sum must not pass for the truth.
+func (p *FS) UsageOf(backend string) (int64, error) {
+	b, ok := p.byName[backend]
+	if !ok {
+		return 0, fmt.Errorf("plfs: unknown backend %q", backend)
 	}
-	p.seeded[b.Name] = true
-	total := int64(0)
-	vfs.Walk(b.FS, b.Mount, func(_ string, info vfs.FileInfo) error {
-		if countedFile(info.Name) {
-			total += info.Size
-		}
-		return nil
-	})
-	p.usage[b.Name] = total
-	p.usageGaugeLocked(b.Name).Set(total)
-}
-
-// usageGaugeLocked returns the cached plfs.backend.<name>.bytes gauge,
-// resolving it from the registry on first use (and again after SetMetrics):
-// the write path updates it once per frame per subset, so per-call name
-// construction would allocate in the ingest hot loop.
-func (p *FS) usageGaugeLocked(name string) *metrics.Gauge {
-	if g, ok := p.bytesGauge[name]; ok {
-		return g
-	}
-	if p.bytesGauge == nil {
-		p.bytesGauge = map[string]*metrics.Gauge{}
-	}
-	g := p.reg.Gauge("plfs.backend." + name + ".bytes")
-	p.bytesGauge[name] = g
-	return g
-}
-
-// addUsageLocked applies a byte delta to one backend's counter and mirrors
-// it to the gauge. Clamped at zero: a subtraction racing a best-effort seed
-// must not publish a negative residency.
-func (p *FS) addUsageLocked(name string, delta int64) {
-	v := p.usage[name] + delta
-	if v < 0 {
-		v = 0
-	}
-	p.usage[name] = v
-	p.usageGaugeLocked(name).Set(v)
-}
-
-func (p *FS) addUsage(name string, delta int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.addUsageLocked(name, delta)
-}
-
-// Usage reports the bytes of dropping data resident on each backend, keyed
-// by backend name. The map is a copy; mutating it does not affect the
-// store.
-func (p *FS) Usage() map[string]int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]int64, len(p.backends))
-	for i := range p.backends {
-		b := &p.backends[i]
-		p.ensureUsageLocked(b)
-		out[b.Name] = p.usage[b.Name]
-	}
-	return out
-}
-
-// UsageOf reports the bytes resident on one backend (zero for unknown
-// names).
-func (p *FS) UsageOf(backend string) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b := p.byName[backend]; b != nil {
-		p.ensureUsageLocked(b)
-	}
-	return p.usage[backend]
-}
-
-// acctFile wraps the writable handle CreateDropping returns so every byte
-// that lands in a dropping is charged to its backend as it is written.
-type acctFile struct {
-	vfs.File
-	fs      *FS
-	backend string
-}
-
-func (f *acctFile) Write(b []byte) (int, error) {
-	before := f.File.Size()
-	n, err := f.File.Write(b)
-	if after := f.File.Size(); after != before {
-		f.fs.addUsage(f.backend, after-before)
-	}
-	return n, err
-}
-
-// statSize returns the size of name on b, or zero if it does not exist.
-func statSize(b *Backend, logical, name string) int64 {
-	info, err := b.FS.Stat(path.Join(containerPath(b, logical), name))
+	n, err := usageUnder(b.FS, b.Mount)
 	if err != nil {
-		return 0
+		return 0, fmt.Errorf("plfs: usage of %s: %w", backend, err)
 	}
-	return info.Size
+	p.mu.Lock()
+	p.reg.Gauge("plfs.backend." + backend + ".bytes").Set(n)
+	p.mu.Unlock()
+	return n, nil
+}
+
+func usageUnder(fsys vfs.FS, dir string) (int64, error) {
+	entries, err := fsys.ReadDir(dir)
+	if errors.Is(err, vfs.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, e := range entries {
+		if !e.IsDir {
+			if countedFile(e.Name) {
+				total += e.Size
+			}
+			continue
+		}
+		n, err := usageUnder(fsys, path.Join(dir, e.Name))
+		if err != nil {
+			return 0, err
+		}
+		total += n
+	}
+	return total, nil
 }

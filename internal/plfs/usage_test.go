@@ -3,6 +3,7 @@ package plfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/blockfs"
@@ -26,6 +27,20 @@ func putDropping(t *testing.T, p *FS, logical, name, backend string, data []byte
 	}
 }
 
+// usage walks every backend of p.
+func usage(t *testing.T, p *FS) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	for _, name := range p.Backends() {
+		n, err := p.UsageOf(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = n
+	}
+	return out
+}
+
 func TestUsageAccounting(t *testing.T) {
 	p, _, _ := twoBackends()
 	reg := metrics.NewRegistry()
@@ -35,7 +50,7 @@ func TestUsageAccounting(t *testing.T) {
 	}
 	putDropping(t, p, "/c", "a", "ssd", make([]byte, 100))
 	putDropping(t, p, "/c", "b", "hdd", make([]byte, 50))
-	u := p.Usage()
+	u := usage(t, p)
 	if u["ssd"] != 100 || u["hdd"] != 50 {
 		t.Fatalf("usage = %v, want ssd:100 hdd:50", u)
 	}
@@ -43,16 +58,16 @@ func TestUsageAccounting(t *testing.T) {
 		t.Fatalf("ssd gauge = %d, want 100", got)
 	}
 
-	// Recreate truncates: the counter follows the overwrite.
+	// Recreate truncates: the walk sees the overwrite.
 	putDropping(t, p, "/c", "a", "ssd", make([]byte, 40))
-	if got := p.UsageOf("ssd"); got != 40 {
+	if got := usage(t, p)["ssd"]; got != 40 {
 		t.Fatalf("ssd usage after overwrite = %d, want 40", got)
 	}
 	// Rename moves bytes within the backend: no net change.
 	if err := p.RenameDropping("/c", "a", "a2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.UsageOf("ssd"); got != 40 {
+	if got := usage(t, p)["ssd"]; got != 40 {
 		t.Fatalf("ssd usage after rename = %d, want 40", got)
 	}
 	// Rename over an existing dropping subtracts the overwritten bytes.
@@ -60,27 +75,27 @@ func TestUsageAccounting(t *testing.T) {
 	if err := p.RenameDropping("/c", "a3", "a2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.UsageOf("ssd"); got != 7 {
+	if got := usage(t, p)["ssd"]; got != 7 {
 		t.Fatalf("ssd usage after rename-overwrite = %d, want 7", got)
 	}
 	if err := p.RemoveDropping("/c", "a2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.UsageOf("ssd"); got != 0 {
+	if got := usage(t, p)["ssd"]; got != 0 {
 		t.Fatalf("ssd usage after remove = %d, want 0", got)
 	}
 	if err := p.RemoveContainer("/c"); err != nil {
 		t.Fatal(err)
 	}
-	u = p.Usage()
+	u = usage(t, p)
 	if u["ssd"] != 0 || u["hdd"] != 0 {
 		t.Fatalf("usage after container removal = %v, want zeros", u)
 	}
 }
 
 // TestUsageSeedsFromDisk checks that a fresh FS over existing backends
-// learns its counters by walking the mounts once, and that the index
-// dropping and temp files are not counted.
+// measures what is already on the mounts, and that the index dropping and
+// temp files are not counted.
 func TestUsageSeedsFromDisk(t *testing.T) {
 	p, ssd, hdd := twoBackends()
 	if err := p.CreateContainer("/c"); err != nil {
@@ -100,9 +115,57 @@ func TestUsageSeedsFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := p2.Usage()
+	u := usage(t, p2)
 	if u["ssd"] != 64 || u["hdd"] != 32 {
 		t.Fatalf("seeded usage = %v, want ssd:64 hdd:32", u)
+	}
+}
+
+// listFailFS is a MemFS whose listing of one directory fails with err.
+type listFailFS struct {
+	*vfs.MemFS
+	dir string
+	err error
+}
+
+func (f listFailFS) ReadDir(name string) ([]vfs.FileInfo, error) {
+	if name == f.dir {
+		return nil, f.err
+	}
+	return f.MemFS.ReadDir(name)
+}
+
+// TestUsageWalkRules: a directory gone by the time the walk lists it is
+// empty and a missing mount is 0, but any other listing error fails the
+// walk rather than pass a short sum for the truth.
+func TestUsageWalkRules(t *testing.T) {
+	mem := vfs.NewMemFS()
+	for name, size := range map[string]int{"/mnt/a/subset.p": 10, "/mnt/b/subset.p": 20} {
+		if err := vfs.WriteFile(mem, name, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store := func(listErr error) *FS {
+		p, err := New(
+			Backend{Name: "ssd", FS: listFailFS{mem, "/mnt/b", listErr}, Mount: "/mnt"},
+			Backend{Name: "hdd", FS: mem, Mount: "/none"},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if n, err := store(fmt.Errorf("%w: /mnt/b", vfs.ErrNotExist)).UsageOf("ssd"); err != nil || n != 10 {
+		t.Errorf("walk past a vanished directory = %d, %v; want 10", n, err)
+	}
+	if n, err := store(nil).UsageOf("hdd"); err != nil || n != 0 {
+		t.Errorf("missing mount = %d, %v; want 0", n, err)
+	}
+	if n, err := store(vfs.ErrBackendDown).UsageOf("ssd"); !errors.Is(err, vfs.ErrBackendDown) {
+		t.Errorf("walk over a failing listing = %d, %v; want ErrBackendDown", n, err)
+	}
+	if _, err := store(nil).UsageOf("nvme"); err == nil {
+		t.Error("usage of an unknown backend succeeded")
 	}
 }
 
@@ -147,7 +210,7 @@ func TestReplaceDroppingCrossBackend(t *testing.T) {
 			t.Fatal("staging entry survives in index")
 		}
 	}
-	if u := p.Usage(); u["ssd"] != 0 || u["hdd"] != 3 {
+	if u := usage(t, p); u["ssd"] != 0 || u["hdd"] != 3 {
 		t.Fatalf("usage after replace = %v, want ssd:0 hdd:3", u)
 	}
 	// Replacing from a missing source fails cleanly.
@@ -173,7 +236,7 @@ func TestReplaceDroppingSameBackend(t *testing.T) {
 	if d.Backend != "ssd" || d.Size != 2 {
 		t.Fatalf("x = %+v, want backend ssd size 2", d)
 	}
-	if got := p.UsageOf("ssd"); got != 2 {
+	if got := usage(t, p)["ssd"]; got != 2 {
 		t.Fatalf("ssd usage = %d, want 2", got)
 	}
 }

@@ -22,9 +22,7 @@ func (p *FS) WatchDropping(logical, dropping string, lastCRC uint32, timeout tim
 	owner := &p.backends[0]
 	for _, d := range idx {
 		if d.Name == dropping {
-			if b, ok := p.byName[d.Backend]; ok {
-				owner = b
-			}
+			owner = p.byName[d.Backend]
 			break
 		}
 	}

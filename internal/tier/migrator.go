@@ -209,9 +209,11 @@ func (m *Migrator) candidates() ([]Candidate, error) {
 // Step runs one planning round: demote coldest-first while the fast backend
 // is over the high watermark (down to the low watermark), then promote
 // hottest-first while promotions fit under the high watermark. Each move is
-// executed crash-safely through core.MoveSubset before the next is planned,
-// so usage numbers stay truthful mid-round. Deterministic given the
-// tracker's clock and the store's contents.
+// executed crash-safely through core.MoveSubset and the fast backend is
+// walked again before the next is planned, so usage numbers stay truthful
+// mid-round. A round that fails (a move, or a walk) ends there, counted under
+// tier.step_errors, and leaves the usage gauges as the last clean round set
+// them. Deterministic given the tracker's clock and the store's contents.
 func (m *Migrator) Step() (*StepReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -219,8 +221,7 @@ func (m *Migrator) Step() (*StepReport, error) {
 	rep, err := m.step()
 	if err != nil {
 		m.mm.stepErrors.Inc()
-	}
-	if rep != nil {
+	} else {
 		m.mm.fastUsage.Set(rep.FastUsage)
 		high := int64(m.cfg.HighWater * float64(m.cfg.CapacityBytes))
 		if rep.FastUsage > high {
@@ -234,7 +235,11 @@ func (m *Migrator) Step() (*StepReport, error) {
 }
 
 func (m *Migrator) step() (*StepReport, error) {
-	rep := &StepReport{FastUsage: m.fs.UsageOf(m.cfg.Fast)}
+	rep := &StepReport{}
+	var err error
+	if rep.FastUsage, err = m.fs.UsageOf(m.cfg.Fast); err != nil {
+		return rep, fmt.Errorf("tier: %w", err)
+	}
 	cands, err := m.candidates()
 	if err != nil {
 		return rep, err
@@ -244,6 +249,23 @@ func (m *Migrator) step() (*StepReport, error) {
 	moves := 0
 	budget := func() bool {
 		return m.cfg.MaxMovesPerStep <= 0 || moves < m.cfg.MaxMovesPerStep
+	}
+	// move migrates c to the other backend, then walks the fast backend
+	// again so the next decision sees what the move freed or took.
+	move := func(c Candidate, to string, done *[]Move, count *metrics.Counter) error {
+		n, err := m.a.MoveSubset(c.Logical, c.Tag, to)
+		if err == nil {
+			rep.FastUsage, err = m.fs.UsageOf(m.cfg.Fast)
+		}
+		if err != nil {
+			return fmt.Errorf("tier: move %s/%s to %s: %w", c.Logical, c.Tag, to, err)
+		}
+		moves++
+		*done = append(*done, Move{Logical: c.Logical, Tag: c.Tag, From: c.Backend, To: to, Bytes: n})
+		rep.BytesMoved += n
+		count.Inc()
+		m.mm.bytesMoved.Add(n)
+		return nil
 	}
 
 	// Demotion: triggered above the high watermark, drains to the low one.
@@ -262,17 +284,9 @@ func (m *Migrator) step() (*StepReport, error) {
 			if rep.FastUsage <= low || !budget() {
 				break
 			}
-			n, err := m.a.MoveSubset(c.Logical, c.Tag, m.cfg.Slow)
-			rep.FastUsage = m.fs.UsageOf(m.cfg.Fast)
-			if err != nil {
-				return rep, fmt.Errorf("tier: demote %s/%s: %w", c.Logical, c.Tag, err)
+			if err := move(c, m.cfg.Slow, &rep.Demotions, m.mm.demotions); err != nil {
+				return rep, err
 			}
-			moves++
-			mv := Move{Logical: c.Logical, Tag: c.Tag, From: m.cfg.Fast, To: m.cfg.Slow, Bytes: n}
-			rep.Demotions = append(rep.Demotions, mv)
-			rep.BytesMoved += n
-			m.mm.demotions.Inc()
-			m.mm.bytesMoved.Add(n)
 		}
 	}
 
@@ -306,17 +320,9 @@ func (m *Migrator) step() (*StepReport, error) {
 		if rep.FastUsage+c.Bytes > high {
 			continue // try a smaller candidate further down the ranking
 		}
-		n, err := m.a.MoveSubset(c.Logical, c.Tag, m.cfg.Fast)
-		rep.FastUsage = m.fs.UsageOf(m.cfg.Fast)
-		if err != nil {
-			return rep, fmt.Errorf("tier: promote %s/%s: %w", c.Logical, c.Tag, err)
+		if err := move(c, m.cfg.Fast, &rep.Promotions, m.mm.promotions); err != nil {
+			return rep, err
 		}
-		moves++
-		mv := Move{Logical: c.Logical, Tag: c.Tag, From: c.Backend, To: m.cfg.Fast, Bytes: n}
-		rep.Promotions = append(rep.Promotions, mv)
-		rep.BytesMoved += n
-		m.mm.promotions.Inc()
-		m.mm.bytesMoved.Add(n)
 	}
 	return rep, nil
 }
@@ -400,10 +406,15 @@ func (m *Migrator) Report() (*Report, error) {
 		return nil, err
 	}
 	r := &Report{
-		Usage:    m.fs.Usage(),
+		Usage:    map[string]int64{},
 		Capacity: m.cfg.CapacityBytes,
 		Fast:     m.cfg.Fast,
 		Slow:     m.cfg.Slow,
+	}
+	for _, name := range m.fs.Backends() {
+		if r.Usage[name], err = m.fs.UsageOf(name); err != nil {
+			return nil, fmt.Errorf("tier: %w", err)
+		}
 	}
 	r.FastUsage = r.Usage[m.cfg.Fast]
 	for _, c := range cands {

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 	"time"
@@ -161,7 +162,7 @@ func TestMigratorEndToEnd(t *testing.T) {
 
 	// Size the fast budget so /b alone breaches the high watermark, but a
 	// single demoted subset's worth of space fits /a's protein subset.
-	u0 := containers.UsageOf("ssd")
+	u0 := ssdUsage(t, containers)
 	cfg := Config{
 		Fast: "ssd", Slow: "hdd",
 		CapacityBytes: (u0-1)*10/9 - 10, // high watermark lands just under u0
@@ -252,9 +253,9 @@ func TestMigratorEndToEnd(t *testing.T) {
 	if snap.Counters["tier.bytes_moved"] != rep.BytesMoved {
 		t.Errorf("tier.bytes_moved = %d, want %d", snap.Counters["tier.bytes_moved"], rep.BytesMoved)
 	}
-	if snap.Gauges["tier.fast_usage_bytes"] != containers.UsageOf("ssd") {
+	if snap.Gauges["tier.fast_usage_bytes"] != ssdUsage(t, containers) {
 		t.Errorf("tier.fast_usage_bytes = %d, want %d",
-			snap.Gauges["tier.fast_usage_bytes"], containers.UsageOf("ssd"))
+			snap.Gauges["tier.fast_usage_bytes"], ssdUsage(t, containers))
 	}
 	if snap.Gauges["tier.over_high_watermark"] != 0 {
 		t.Error("still over the high watermark after the round")
@@ -274,7 +275,7 @@ func TestMigratorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.FastUsage != containers.UsageOf("ssd") || len(r.Subsets) != 4 {
+	if r.FastUsage != ssdUsage(t, containers) || len(r.Subsets) != 4 {
 		t.Fatalf("report = %+v", r)
 	}
 	for _, sp := range r.Subsets {
@@ -282,6 +283,16 @@ func TestMigratorEndToEnd(t *testing.T) {
 			t.Errorf("report places %s/%s on %s", sp.Logical, sp.Tag, sp.Backend)
 		}
 	}
+}
+
+// ssdUsage walks the fast backend.
+func ssdUsage(t *testing.T, containers *plfs.FS) int64 {
+	t.Helper()
+	n, err := containers.UsageOf("ssd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestMigratorPinNever(t *testing.T) {
@@ -294,7 +305,7 @@ func TestMigratorPinNever(t *testing.T) {
 	trk := NewTracker((&virtualClock{}).Now, 0)
 	m, err := NewMigrator(a, containers, trk, Config{
 		Fast: "ssd", Slow: "hdd",
-		CapacityBytes: containers.UsageOf("ssd") / 2, // hopelessly over budget
+		CapacityBytes: ssdUsage(t, containers) / 2, // hopelessly over budget
 		HighWater:     0.9, LowWater: 0.1,
 		Pins: map[string]Pin{core.TagProtein: PinNever, core.TagMisc: PinNever},
 	})
@@ -310,6 +321,48 @@ func TestMigratorPinNever(t *testing.T) {
 	}
 	if reg.Snapshot().Gauges["tier.over_high_watermark"] != 1 {
 		t.Error("over-watermark gauge not raised")
+	}
+}
+
+// listDownFS is a backend whose directory listings fail while down.
+type listDownFS struct {
+	vfs.FS
+	down bool
+}
+
+func (f *listDownFS) ReadDir(name string) ([]vfs.FileInfo, error) {
+	if f.down {
+		return nil, vfs.ErrBackendDown
+	}
+	return f.FS.ReadDir(name)
+}
+
+// TestMigratorWalkErrorEndsRound: a round whose usage walk fails moves
+// nothing, returns the walk's error, and counts it, rather than plan from
+// a short sum.
+func TestMigratorWalkErrorEndsRound(t *testing.T) {
+	pdbBytes, traj := testDataset(t, 150, 3)
+	ssd := &listDownFS{FS: vfs.NewMemFS()}
+	containers := storeOver(t, ssd, vfs.NewMemFS())
+	reg := metrics.NewRegistry()
+	allFast := core.Placement{core.TagProtein: "ssd", core.TagMisc: "ssd"}
+	ingestPlaced(t, containers, reg, "/ds", allFast, pdbBytes, traj)
+	m, err := NewMigrator(core.New(containers, nil, core.Options{Metrics: reg}), containers,
+		NewTracker((&virtualClock{}).Now, 0), Config{Fast: "ssd", Slow: "hdd", CapacityBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssd.down = true
+	rep, err := m.Step()
+	if !errors.Is(err, vfs.ErrBackendDown) || len(rep.Demotions) != 0 {
+		t.Fatalf("round over a failing walk = %+v, %v; want no moves and ErrBackendDown", rep, err)
+	}
+	if n := reg.Snapshot().Counters["tier.step_errors"]; n != 1 {
+		t.Errorf("tier.step_errors = %d, want 1", n)
+	}
+	ssd.down = false
+	if rep, err := m.Step(); err != nil || len(rep.Demotions) != 2 {
+		t.Fatalf("round after the backend returned = %+v, %v; want both subsets demoted", rep, err)
 	}
 }
 
