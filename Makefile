@@ -40,8 +40,8 @@ lint:
 # Ten seconds of native fuzzing per parser that takes bytes from outside —
 # the xtc, dcd and trr frame decoders, the xtc frame index a dropping holds,
 # the rpc client's read-reply parser, the node's request-frame reader, the
-# placement table a peer serves and the container index every dropping
-# resolves through (rule: no panic, a typed error or a result, allocation
+# placement table a peer serves, the container index every dropping
+# resolves through and the live head a tailing reader gates on (rule: no panic, a typed error or a result, allocation
 # bounded by input length; an accepted index tiles the stream with positive
 # entries whose ends fit an int64; an accepted table places any directory on
 # exactly R distinct table nodes).
@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzReadFrame ./internal/rpc
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzPlacementTable ./internal/placement
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzContainerIndex ./internal/plfs
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzLiveHead ./internal/core
 
 # adabench is deterministic — a virtual clock, fixed seeds — so RESULTS.txt
 # is checked, not trusted: any change to the cost model, the simulated
@@ -100,12 +101,14 @@ test-stream:
 	$(GO) test -race -count=1 -run 'Live|Tail|Watch' \
 		./internal/core/ ./internal/rpc/ ./internal/serve/ ./cmd/adactl/
 
-# The two scheduling-dependent tests — the decode-ahead lookahead bound
-# (the consumer held, then Close mid-stream) and tailing readers across a
-# seal and a kill — repeated, so a regression in either shows up in CI
-# rather than once a week.
+# The scheduling-dependent tests — the decode-ahead lookahead bound (the
+# consumer held, then Close mid-stream), Stop waiting out the decoder, a
+# live Append handing its batch back with no decoder still reading it, and
+# tailing readers across a seal and a kill — repeated, so a regression in
+# any shows up in CI rather than once a week.
 test-deflaked:
-	$(GO) test -race -count=10 -run 'TestAheadReaderLookaheadBounded' ./internal/xtc/
+	$(GO) test -race -count=10 -run 'TestAheadReaderLookaheadBounded|TestAheadReaderStopWaits' ./internal/xtc/
+	$(GO) test -race -count=20 -run 'TestLiveAppendReleasesBatch' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestTailSeesEveryPrefix' ./internal/stream/
 
 # Heat-driven tiering suite: tracker/planner/spec units, the HeatFS feeder,

@@ -389,7 +389,7 @@ type ingestState struct {
 	stats statsStage
 	// staged lists the final dropping names (in publish order) whose
 	// staged copies commit renames into place; the manifest is not among
-	// them — its rename is the commit point and always happens last.
+	// them — its put is the commit point and always happens last.
 	staged []string
 	// checksums collects CRC32C per staged non-subset dropping for the
 	// manifest's integrity map.
@@ -620,9 +620,8 @@ func (st *ingestState) seal() (*IngestReport, error) {
 
 // finish stages the metadata droppings (indexes, structure, labels, any
 // in-situ statistics), then commits: journal commit
-// record, rename every staged dropping to its final name, publish the
-// manifest last (its rename is the atomic commit point), and retire the
-// journal.
+// record, rename every staged dropping to its final name, put the
+// manifest last (the atomic commit point), and retire the journal.
 func (st *ingestState) finish() error {
 	a := st.a
 	// Persist each subset's frame index next to its dropping, enabling
@@ -687,7 +686,7 @@ func (st *ingestState) finish() error {
 
 // commit publishes the dataset. The sequence is crash-ordered: the commit
 // record makes the ingest replayable before any final name exists, the
-// per-dropping renames are each atomic, and the manifest rename — the one
+// per-dropping renames are each atomic, and the manifest put — the one
 // readers gate on — happens strictly last. Whatever op a crash lands on,
 // the container is either invisible to readers or fully consistent.
 func (st *ingestState) commit(manifest *Manifest) error {
@@ -710,14 +709,14 @@ func (st *ingestState) commit(manifest *Manifest) error {
 }
 
 // publishManifest is the tail of a commit, first time or replayed: the
-// manifest lands under its final name by rename — the commit point — and the
+// manifest is put under its final name — the commit point — and the
 // journal, from then on only bookkeeping, is retired.
 func (a *ADA) publishManifest(logical string, m *Manifest) error {
 	data, err := m.marshal()
 	if err != nil {
 		return err
 	}
-	if err := a.republishDropping(logical, droppingManifest, a.backendFor(TagProtein), data); err != nil {
+	if err := a.containers.PutDropping(logical, droppingManifest, a.backendFor(TagProtein), data); err != nil {
 		return fmt.Errorf("core: commit %s: %w", logical, err)
 	}
 	if err := a.containers.RemoveDropping(logical, droppingJournal); err != nil {

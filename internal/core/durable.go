@@ -22,9 +22,9 @@ import (
 //	ckpt   — durable high-water mark: frames, per-subset bytes + CRC32C
 //	commit — the full manifest plus the list of staged droppings
 //
-// Commit then renames every staged dropping to its final name and publishes
-// the manifest last; the manifest rename is the single atomic commit point
-// readers gate on. A crash at any op therefore leaves the container in
+// Commit then renames every staged dropping to its final name and puts the
+// manifest last (plfs.PutDropping, replaced whole in place); the manifest
+// put is the single atomic commit point readers gate on. A crash at any op therefore leaves the container in
 // exactly one of three states: invisible to readers (no manifest), fully
 // consistent (manifest present), or mid-commit with a replayable journal.
 // Recover classifies each container and rolls it back, replays the commit,

@@ -138,7 +138,9 @@ func goldenDroppings(t *testing.T, pdbBytes, traj []byte) (*ADA, map[string][]by
 }
 
 // assertGolden requires the committed container to match the clean one-shot
-// ingest byte for byte, with no journal, staging or live leftovers. what
+// ingest byte for byte, with no journal, staging or live leftovers, and no
+// file the container index does not name (a torn put's temp sibling is
+// invisible to the index, so only a sweep of the directories finds it). what
 // names the case in failure messages.
 func assertGolden(t *testing.T, a *ADA, goldenBytes map[string][]byte, what string) {
 	t.Helper()
@@ -160,6 +162,9 @@ func assertGolden(t *testing.T, a *ADA, goldenBytes map[string][]byte, what stri
 			d.Name == liveHeadName || strings.HasPrefix(d.Name, liveIndexPrefix) {
 			t.Fatalf("%s: leftover %s survived", what, d.Name)
 		}
+	}
+	if orphans, err := a.containers.SweepOrphans("/ds"); err != nil || len(orphans) != 0 {
+		t.Fatalf("%s: unindexed files survived: %v, %v", what, orphans, err)
 	}
 }
 
@@ -332,42 +337,20 @@ func (f loggedFile) Close() error {
 	return f.File.Close()
 }
 
-// TestIngestOpsIndependentOfDecodeConfig: whether a frame is decoded ahead
-// or in line decides only who decodes it, never what the backends see.
-// Ingest and IngestParallel decode ahead (in line on one core), and
-// IngestTrajectory over NewXTCTrajectory decodes in line: each issues the
-// same op sequence, journals the same records — read from the last crash
-// state that still has its journal — and commits the golden bytes. The
-// journal's checkpoints are frame-exact: each one's compressed counter is
-// the summed encoded size of the frames it covers, not however far the
-// decoder had read ahead when it was taken.
-func TestIngestOpsIndependentOfDecodeConfig(t *testing.T) {
-	frames := 2*journalCkptEvery + 8 // two checkpoints and a partial tail
-	pdbBytes, traj, _ := testDataset(t, 100, frames)
+// decodeWay is one way of running the session of /ds, named for failures.
+type decodeWay struct {
+	name string
+	via  ingestVia
+}
+
+// sameOpsEveryWay runs each way over logged backends, and again up to the
+// last kill point that still leaves its journal, which Recover then
+// finishes. Every way must issue the first way's backend op sequence,
+// journal its records and commit the golden bytes; the first way's journal
+// is returned.
+func sameOpsEveryWay(t *testing.T, pdbBytes, traj []byte, ways []decodeWay) []journalRecord {
+	t.Helper()
 	_, goldenBytes := goldenDroppings(t, pdbBytes, traj)
-	inOneCore := func(via ingestVia) ingestVia {
-		return func(a *ADA, pdbBytes, traj []byte) error {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			return via(a, pdbBytes, traj)
-		}
-	}
-	viaParallel := func(a *ADA, pdbBytes, traj []byte) error {
-		_, err := a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), 0)
-		return err
-	}
-	ways := []struct {
-		name string
-		via  ingestVia
-	}{
-		{"Ingest", viaIngest},
-		{"IngestParallel", viaParallel},
-		{"Ingest/GOMAXPROCS=1", inOneCore(viaIngest)},
-		{"IngestParallel/GOMAXPROCS=1", inOneCore(viaParallel)},
-		{"IngestTrajectory", func(a *ADA, pdbBytes, traj []byte) error {
-			_, err := a.IngestTrajectory("/ds", pdbBytes, NewXTCTrajectory(bytes.NewReader(traj)))
-			return err
-		}},
-	}
 	var wantOps []string
 	var wantJournal []journalRecord
 	for _, w := range ways {
@@ -392,12 +375,49 @@ func TestIngestOpsIndependentOfDecodeConfig(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(ops, wantOps) {
-			t.Errorf("%s: %d backend ops differ from Ingest's %d", w.name, len(ops), len(wantOps))
+			t.Errorf("%s: %d backend ops differ from %s's %d", w.name, len(ops), ways[0].name, len(wantOps))
 		}
 		if !reflect.DeepEqual(journal, wantJournal) {
-			t.Errorf("%s: journal records differ", w.name)
+			t.Errorf("%s: journal records differ from %s's", w.name, ways[0].name)
 		}
 	}
+	return wantJournal
+}
+
+// inOneCore runs via with GOMAXPROCS at 1, where the decoder runs in line.
+func inOneCore(via ingestVia) ingestVia {
+	return func(a *ADA, pdbBytes, traj []byte) error {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return via(a, pdbBytes, traj)
+	}
+}
+
+// TestIngestOpsIndependentOfDecodeConfig: whether a frame is decoded ahead
+// or in line decides only who decodes it, never what the backends see.
+// Ingest and IngestParallel decode ahead (in line on one core), and
+// IngestTrajectory over NewXTCTrajectory decodes in line: each issues the
+// same op sequence, journals the same records — read from the last crash
+// state that still has its journal — and commits the golden bytes. The
+// journal's checkpoints are frame-exact: each one's compressed counter is
+// the summed encoded size of the frames it covers, not however far the
+// decoder had read ahead when it was taken.
+func TestIngestOpsIndependentOfDecodeConfig(t *testing.T) {
+	frames := 2*journalCkptEvery + 8 // two checkpoints and a partial tail
+	pdbBytes, traj, _ := testDataset(t, 100, frames)
+	viaParallel := func(a *ADA, pdbBytes, traj []byte) error {
+		_, err := a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), 0)
+		return err
+	}
+	wantJournal := sameOpsEveryWay(t, pdbBytes, traj, []decodeWay{
+		{"Ingest", viaIngest},
+		{"IngestParallel", viaParallel},
+		{"Ingest/GOMAXPROCS=1", inOneCore(viaIngest)},
+		{"IngestParallel/GOMAXPROCS=1", inOneCore(viaParallel)},
+		{"IngestTrajectory", func(a *ADA, pdbBytes, traj []byte) error {
+			_, err := a.IngestTrajectory("/ds", pdbBytes, NewXTCTrajectory(bytes.NewReader(traj)))
+			return err
+		}},
+	})
 	var encoded int64
 	var ckpts int
 	for i, blob := range splitFrames(t, traj) {

@@ -1,0 +1,104 @@
+package core
+
+import (
+	"encoding/json"
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/vfs"
+)
+
+// allocated reports the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// typedLiveErr reports whether err is one a caller of the live read side can
+// tell apart: a head that does not parse, a dropping or tag that is not
+// there, an index that disagrees with the head, or a closed reader.
+func typedLiveErr(err error) bool {
+	var syntax *json.SyntaxError
+	var typ *json.UnmarshalTypeError
+	return errors.As(err, &syntax) || errors.As(err, &typ) ||
+		errors.Is(err, vfs.ErrNotExist) || errors.Is(err, vfs.ErrCorrupted) ||
+		errors.Is(err, ErrUnknownTag) || errors.Is(err, ErrLiveClosed)
+}
+
+// FuzzLiveHead writes arbitrary bytes as the live.json of a live dataset
+// holding four frames, then runs the read side over it: LiveHead,
+// OpenLiveReader on the "p" subset, Frames and a short WaitFrames. Rule: no
+// panic, allocation bounded by the input's length, and every error typed.
+func FuzzLiveHead(f *testing.F) {
+	pdbBytes, traj, _ := testDataset(f, 200, 4)
+	head := func(edit func(*LiveHead)) []byte {
+		h := LiveHead{Logical: "/ds", Version: 2, Frames: 4, NAtoms: 226, Granularity: "coarse",
+			Subsets: map[string]LiveSubset{
+				TagProtein: {NAtoms: 10, Bytes: 400, Backend: "ssd", Ranges: "0-9"},
+				TagMisc:    {NAtoms: 216, Bytes: 4000, Backend: "hdd", Ranges: "10-225"},
+			}}
+		edit(&h)
+		data, err := json.Marshal(&h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	for _, seed := range [][]byte{
+		head(func(*LiveHead) {}),
+		head(func(h *LiveHead) { h.Sealed = true }),
+		head(func(h *LiveHead) { h.Frames = -3 }),
+		head(func(h *LiveHead) { h.Frames = 1 << 40 }),
+		head(func(h *LiveHead) { delete(h.Subsets, TagProtein) }),
+		[]byte(`{"frames": 1e400}`),
+		[]byte(`{"subsets": {"p": 7}}`),
+		[]byte(`{"frames": 2, "subsets": {"p": {}}`),
+		[]byte("null"),
+		[]byte("{}"),
+		nil,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		a, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
+		li, err := a.OpenLiveIngest("/ds", pdbBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := li.Append(traj); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.containers.PutDropping("/ds", liveHeadName, a.containers.Backends()[0], input); err != nil {
+			t.Fatal(err)
+		}
+		var errs []error
+		got := allocated(func() {
+			_, err := a.LiveHead("/ds")
+			errs = append(errs, err)
+			lr, err := a.OpenLiveReader("/ds", TagProtein, time.Millisecond)
+			errs = append(errs, err)
+			if err != nil {
+				return
+			}
+			defer lr.Close()
+			lr.Frames()
+			_, err = lr.WaitFrames(5, 3*time.Millisecond)
+			errs = append(errs, err)
+		})
+		if limit := uint64(32*len(input) + 1<<20); got > limit {
+			t.Fatalf("reading a %d-byte head allocated %d, limit %d", len(input), got, limit)
+		}
+		for i, err := range errs {
+			if err != nil && !typedLiveErr(err) {
+				t.Fatalf("call %d over head %q: untyped error %v", i, strings.TrimSpace(string(input)), err)
+			}
+		}
+	})
+}

@@ -13,28 +13,31 @@ import (
 // A live dataset is an ingest that has not finished yet: a running
 // simulation keeps appending frame batches while readers tail the growing
 // head. The writer is the one ingest session (ingestState, ada.go) held open
-// across calls: Append runs a batch through the session's frame loop, Seal
-// is the session's seal, and the staged subset droppings and the journal are
-// exactly those of an interrupted one-shot ingest, so a crash at any point
-// recovers through the same classification machinery.
+// across calls: Append runs a batch through the session's frame loop,
+// decoded ahead by the one-shot ingest's source, Seal is the session's seal,
+// and the staged subset droppings and the journal are exactly those of an
+// interrupted one-shot ingest, so a crash at any point recovers through the
+// same classification machinery.
 //
 // What streaming adds is a published head. After every appended batch the
-// writer journals a checkpoint and then republishes two kinds of read-side
+// writer journals a checkpoint and then puts two kinds of read-side
 // droppings, strictly in this order:
 //
 //	live.index.<tag> — the subset's frame index up to the checkpoint
 //	live.json        — the head: version, frame count, per-subset sizes
 //
-// Each republish is an atomic same-backend rename, and readers gate on
-// live.json, so a reader never observes frames the journal has not made
-// durable: staged bytes >= journaled checkpoint >= published head at every
-// instant, which is what makes every observed prefix crash-stable. A
-// reader that loads live.json at version v and then live.index.<tag> may
-// see a NEWER index — indexes are published before the head — but never an
-// older one, and it reads only head.Frames entries of it.
+// Each put replaces the dropping whole in place (plfs.PutDropping: a temp
+// sibling renamed over it on its own backend, the container index written
+// only the first time), and readers gate on live.json, so a reader never
+// observes frames the journal has not made durable: staged bytes >=
+// journaled checkpoint >= published head at every instant, which is what
+// makes every observed prefix crash-stable. A reader that loads live.json
+// at version v and then live.index.<tag> may see a NEWER index — indexes
+// are published before the head — but never an older one, and it reads
+// only head.Frames entries of it.
 //
 // Seal commits the dataset through the one-shot path (rename staged
-// droppings, manifest last, retire the journal) and then removes the
+// droppings, put the manifest last, retire the journal) and then removes the
 // live.* droppings; the result is byte-identical to a one-shot Ingest of
 // the same frames. Recover classifies a killed live dataset as
 // RecoveryLive: the session is reopened from the journal, cut back to the
@@ -221,11 +224,16 @@ func (li *LiveIngest) Append(batch []byte) (int, error) {
 	}
 	st := li.st
 	before := st.report.Frames
-	// The batch is decoded in line, not ahead: that source yields each
-	// frame's exact encoded size, so the journaled Compressed counter stays
-	// exact at every checkpoint — which is what keeps a post-crash resume's
-	// manifest byte-identical to a one-shot ingest.
-	srcErr := st.ingestFrames("live ingest", NewXTCTrajectory(bytes.NewReader(batch)))
+	// The batch is decoded ahead, by the one-shot ingest's source (in line
+	// on one core). It reports each frame's exact encoded size, so the
+	// journaled Compressed counter stays exact at every checkpoint — which
+	// is what keeps a post-crash resume's manifest byte-identical to a
+	// one-shot ingest. Stop, not Close: the caller owns batch again once
+	// Append returns, so the decoder must have stopped reading it, and a
+	// bytes.Reader never blocks the wait.
+	src := st.a.decodeAhead(bytes.NewReader(batch))
+	srcErr := st.ingestFrames("live ingest", src)
+	src.Stop()
 	appended := st.report.Frames - before
 	if st.err == nil && appended > 0 && st.checkpoint() == nil { // a failed checkpoint fails the session itself
 		if err := li.publishHead(); err != nil {
@@ -238,14 +246,15 @@ func (li *LiveIngest) Append(batch []byte) (int, error) {
 	return appended, srcErr
 }
 
-// publishHead atomically republishes live.index.<tag> for every subset and
-// then live.json. The order matters: readers load the head first, so an
-// index must never lag the head it is read under.
+// publishHead puts live.index.<tag> for every subset and then live.json,
+// each replaced whole in place (plfs.PutDropping). The order matters:
+// readers load the head first, so an index must never lag the head it is
+// read under.
 func (li *LiveIngest) publishHead() error {
 	st := li.st
 	a := st.a
 	for _, sw := range st.writers {
-		if err := a.republishDropping(st.logical, liveIndexPrefix+sw.tag,
+		if err := a.containers.PutDropping(st.logical, liveIndexPrefix+sw.tag,
 			sw.backend, sw.ib.Index().Marshal()); err != nil {
 			return err
 		}
@@ -256,16 +265,7 @@ func (li *LiveIngest) publishHead() error {
 	if err != nil {
 		return err
 	}
-	return a.republishDropping(st.logical, liveHeadName, a.containers.Backends()[0], data)
-}
-
-// republishDropping atomically replaces a dropping's content: write under a
-// staging name, then rename over the final name (same-backend, atomic).
-func (a *ADA) republishDropping(logical, name, backend string, data []byte) error {
-	if err := a.writeDropping(logical, stagingPrefix+name, backend, data); err != nil {
-		return err
-	}
-	return a.containers.RenameDropping(logical, stagingPrefix+name, name)
+	return a.containers.PutDropping(st.logical, liveHeadName, a.containers.Backends()[0], data)
 }
 
 // Seal converts the live dataset into an ordinary immutable container: the

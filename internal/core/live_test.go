@@ -803,14 +803,15 @@ func backendOps(reg *metrics.Registry) int64 {
 }
 
 // TestLiveAppendOpsPerBatch pins what one Append costs the backends — for a
-// five-frame batch ten subset writes, one journal checkpoint, and the
-// republish of two live indexes and the head with the container-index
-// updates under them. 59 when Append moved onto the session's frame loop
-// (cf31b60); 56 since the container store stopped keeping a byte ledger,
-// which took the stat before each of a publish's three renames over a live
-// file.
+// five-frame batch ten subset writes, one journal checkpoint, and the puts
+// of two live indexes and the head, each a temp file written and renamed
+// over the dropping with the container index left alone. 59 when Append
+// moved onto the session's frame loop (cf31b60); 56 once the container store
+// stopped keeping a byte ledger; 29 since a publish puts each dropping in
+// place instead of creating a staging copy and renaming it, which read and
+// rewrote the container index twice per dropping.
 func TestLiveAppendOpsPerBatch(t *testing.T) {
-	const pinnedOps = 56
+	const pinnedOps = 29
 	pdbBytes, traj, _ := testDataset(t, 200, 10)
 	reg := metrics.NewRegistry()
 	a := newMeteredADA(t, reg)
@@ -830,10 +831,92 @@ func TestLiveAppendOpsPerBatch(t *testing.T) {
 	}
 }
 
+// TestLiveOpsIndependentOfDecodeConfig is the live twin of
+// TestIngestOpsIndependentOfDecodeConfig: Append decodes each batch ahead (in
+// line on one core), and which it does decides only who decodes, never what
+// the backends see. A session of five-frame batches issues the same op
+// sequence and journals the same records either way, and seals to the golden
+// bytes. Every checkpoint is frame-exact: its compressed counter is the
+// summed encoded size of the frames it covers.
+func TestLiveOpsIndependentOfDecodeConfig(t *testing.T) {
+	frames := 2*journalCkptEvery + 8
+	pdbBytes, traj, _ := testDataset(t, 100, frames)
+	perFrame := splitFrames(t, traj)
+	viaLive := func(a *ADA, pdbBytes, _ []byte) error {
+		li, err := a.OpenLiveIngest("/ds", pdbBytes)
+		if err != nil {
+			return err
+		}
+		for _, b := range batchFrames(perFrame, 5) {
+			if _, err := li.Append(b); err != nil {
+				return err
+			}
+		}
+		_, err = li.Seal()
+		return err
+	}
+	journal := sameOpsEveryWay(t, pdbBytes, traj, []decodeWay{
+		{"Append", viaLive},
+		{"Append/GOMAXPROCS=1", inOneCore(viaLive)},
+	})
+	var ckpts int
+	for _, rec := range journal {
+		if rec.Type != journalCkpt {
+			continue
+		}
+		ckpts++
+		var encoded int64
+		for _, blob := range perFrame[:rec.Frames] {
+			encoded += int64(len(blob))
+		}
+		if rec.Compressed != encoded {
+			t.Errorf("checkpoint at frame %d has compressed=%d, want %d", rec.Frames, rec.Compressed, encoded)
+		}
+	}
+	if ckpts < frames/5 {
+		t.Errorf("journal holds %d checkpoints, want one per batch at least (%d)", ckpts, frames/5)
+	}
+}
+
+// TestLiveAppendReleasesBatch: the caller owns the batch again once Append
+// returns, even when a write failed mid-batch with frames still being
+// decoded ahead. The batch is several times the decoder's read buffer, so an
+// Append returning before its decoder exits could leave that goroutine
+// reading the bytes the test overwrites, a race -race reports when nothing
+// else orders the two. TestAheadReaderStopWaits checks the wait itself.
+func TestLiveAppendReleasesBatch(t *testing.T) {
+	pdbBytes, traj, _ := testDataset(t, 5, 5)
+	in := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindErr, Op: "write", Nth: 1})
+	in.SetEnabled(false)
+	store, err := plfs.New(
+		plfs.Backend{Name: "ssd", FS: faultfs.Wrap(vfs.NewMemFS(), in), Mount: "/mnt1"},
+		plfs.Backend{Name: "hdd", FS: faultfs.Wrap(vfs.NewMemFS(), in), Mount: "/mnt2"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(store, nil, Options{Metrics: metrics.NewRegistry()})
+	li, err := a.OpenLiveIngest("/ds", pdbBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Abort()
+	batch := append([]byte(nil), traj...)
+	in.SetEnabled(true)
+	if n, err := li.Append(batch); !errors.Is(err, faultfs.ErrInjected) || n != 0 {
+		t.Fatalf("append over a failing first write = %d, %v", n, err)
+	}
+	for i := range batch {
+		batch[i] = 0xff
+	}
+}
+
 // TestRemoteOpsPerIngestAndAppend pins, by op, the round trips three rpc
 // nodes under an R=2 placement cluster serve for one ingest and for one
 // five-frame Append. No write asks a file its size: the only size calls left
-// are vfs.ReadFile sizing a file it has just opened.
+// are vfs.ReadFile sizing a file it has just opened. An Append's three puts
+// read the container index once each and never write it; the ingest's
+// manifest is put too, not staged and renamed.
 func TestRemoteOpsPerIngestAndAppend(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 200, 10)
 	srvReg := metrics.NewRegistry()
@@ -894,8 +977,8 @@ func TestRemoteOpsPerIngestAndAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}), map[string]int64{
-		"close": 66, "create": 50, "mkdirall": 54, "open": 16, "read": 15,
-		"remove": 3, "rename": 48, "size": 16, "write": 86,
+		"close": 63, "create": 48, "mkdirall": 54, "open": 15, "read": 14,
+		"remove": 3, "rename": 46, "size": 15, "write": 84,
 	})
 
 	li, err := a.OpenLiveIngest("/live", pdbBytes)
@@ -908,8 +991,8 @@ func TestRemoteOpsPerIngestAndAppend(t *testing.T) {
 			t.Fatalf("append = %d, %v", n, err)
 		}
 	}), map[string]int64{
-		"close": 24, "create": 18, "mkdirall": 18, "open": 6, "read": 6,
-		"rename": 18, "size": 6, "write": 40,
+		"close": 9, "create": 6, "mkdirall": 9, "open": 3, "read": 3,
+		"rename": 6, "size": 3, "write": 28,
 	})
 }
 

@@ -130,8 +130,8 @@ func (a *ADA) moveDropping(logical, name, target string, wantCRC uint32) (int64,
 	return int64(len(data)), nil
 }
 
-// rewriteManifest atomically republishes a dataset's manifest in place
-// (staged sibling + rename on the manifest's own backend).
+// rewriteManifest atomically replaces a dataset's manifest in place, on the
+// manifest's own backend.
 func (a *ADA) rewriteManifest(logical string, m *Manifest) error {
 	data, err := m.marshal()
 	if err != nil {
@@ -141,7 +141,7 @@ func (a *ADA) rewriteManifest(logical string, m *Manifest) error {
 	if cur, err := a.containers.StatDropping(logical, droppingManifest); err == nil {
 		be = cur.Backend
 	}
-	return a.republishDropping(logical, droppingManifest, be, data)
+	return a.containers.PutDropping(logical, droppingManifest, be, data)
 }
 
 // reconcilePlacement folds the plfs index's authoritative placement back

@@ -41,7 +41,8 @@ type Dropping struct {
 }
 
 // ErrCrossBackend is returned by RenameDropping when the rename would
-// shadow a dropping owned by a different backend. A rename is atomic only
+// shadow a dropping owned by a different backend, and by PutDropping for a
+// name indexed on a backend other than the one it writes. A rename is atomic only
 // within one backend; pretending otherwise would need a non-atomic delete
 // on the other mount whose failure point corrupts the index. Cross-backend
 // replacement is ReplaceDropping's job, which orders its steps so every
@@ -397,6 +398,51 @@ func (p *FS) RenameDropping(logical, oldname, newname string) error {
 	}
 	out = append(out, Dropping{Name: newname, Backend: owner})
 	return p.writeIndexLocked(logical, out)
+}
+
+// PutDropping replaces the content of dropping name with data in one step:
+// vfs.ReplaceFile on backend (a temp sibling renamed over the name), then,
+// only if the index does not yet name it, an index entry. A dropping that is
+// rewritten whole each time — a live head, a manifest — so costs one write
+// and one rename, with no staging name and no index rewrite. A name indexed
+// on another backend is refused with ErrCrossBackend: the rename is atomic
+// only on one mount.
+//
+// A crash inside a put leaves the old content or the new, never a torn
+// file. What it can leave besides is one unindexed file — the temp sibling,
+// or a new name's file the index does not list yet — which the next put of
+// that name overwrites and SweepOrphans removes.
+func (p *FS) PutDropping(logical, name, backend string, data []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b, ok := p.byName[backend]
+	if !ok {
+		return fmt.Errorf("plfs: unknown backend %q", backend)
+	}
+	if !validName(name) {
+		return fmt.Errorf("plfs: invalid dropping name %q", name)
+	}
+	idx, err := p.readIndexLocked(logical)
+	if err != nil {
+		return err
+	}
+	indexed := false
+	for _, d := range idx {
+		if d.Name == name {
+			if d.Backend != backend {
+				return fmt.Errorf("%w: %q is on %s, not %s", ErrCrossBackend, name, d.Backend, backend)
+			}
+			indexed = true
+		}
+	}
+	if err := vfs.ReplaceFile(b.FS, path.Join(containerPath(b, logical), name), data); err != nil {
+		return fmt.Errorf("plfs: put dropping %q: %w", name, err)
+	}
+	if indexed {
+		return nil
+	}
+	p.count("backend." + backend + ".droppings_created")
+	return p.writeIndexLocked(logical, append(idx, Dropping{Name: name, Backend: backend}))
 }
 
 // RemoveDropping deletes a single dropping and its index entry. A missing

@@ -184,6 +184,70 @@ func TestRecreateDroppingRepoints(t *testing.T) {
 	}
 }
 
+// TestPutDropping: a put replaces a dropping whole, in place on its
+// backend, and writes the index only for a name it does not yet hold; a name
+// indexed on another backend is refused; and what a put torn before its
+// rename leaves — the temp sibling — is overwritten by the next put and
+// swept as an orphan.
+func TestPutDropping(t *testing.T) {
+	p, ssd, hdd := twoBackends()
+	if err := p.CreateContainer("/c"); err != nil {
+		t.Fatal(err)
+	}
+	index := func() string {
+		data, err := vfs.ReadFile(ssd, "/mnt1/c/"+indexFileName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	if err := p.PutDropping("/c", "head", "hdd", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	want := index()
+	if want != "head\thdd\n" {
+		t.Fatalf("index after the first put = %q", want)
+	}
+	// A torn earlier put left its temp sibling; the next put writes through it.
+	tear := func() {
+		if err := vfs.WriteFile(hdd, "/mnt2/c/head.tmp", []byte("torn")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tear()
+	if err := p.PutDropping("/c", "head", "hdd", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := vfs.ReadFile(ssd, "/mnt1/c/"+indexFileName); err != nil || string(got) != want {
+		t.Fatalf("index after a second put = %q, %v; want it untouched, %q", got, err, want)
+	}
+	f, err := p.OpenDropping("/c", "head")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	n, _ := f.Read(buf)
+	f.Close()
+	if string(buf[:n]) != "v2" || vfs.Exists(hdd, "/mnt2/c/head.tmp") {
+		t.Fatalf("read %q after the second put, want v2 and no temp file left", buf[:n])
+	}
+	if err := p.PutDropping("/c", "head", "ssd", []byte("v3")); !errors.Is(err, ErrCrossBackend) {
+		t.Fatalf("put onto another backend = %v, want ErrCrossBackend", err)
+	}
+	for _, bad := range []string{"", "a/b", indexFileName} {
+		if err := p.PutDropping("/c", bad, "ssd", nil); err == nil {
+			t.Errorf("put of dropping name %q should be rejected", bad)
+		}
+	}
+	if err := p.PutDropping("/c", "d", "nvme", nil); err == nil {
+		t.Error("put on an unknown backend should fail")
+	}
+	tear()
+	if removed, err := p.SweepOrphans("/c"); err != nil || fmt.Sprint(removed) != "[hdd:head.tmp]" {
+		t.Fatalf("sweep = %v, %v; want only the torn put's temp file", removed, err)
+	}
+}
+
 func TestOpenMissingDropping(t *testing.T) {
 	p, _, _ := twoBackends()
 	if err := p.CreateContainer("/c"); err != nil {
@@ -404,6 +468,7 @@ func indexOps(p *FS) []error {
 		f.Close()
 	}
 	errs = append(errs, err,
+		p.PutDropping("/c", "subset.p", "ssd", []byte("put")),
 		p.RenameDropping("/c", "staging.subset.p", "subset.q"),
 		p.ReplaceDropping("/c", "staging.subset.p", "subset.p"),
 		p.RemoveDropping("/c", "subset.p"))
@@ -432,7 +497,7 @@ func TestCorruptIndex(t *testing.T) {
 // FuzzContainerIndex writes arbitrary bytes as a container's .plfs_index and
 // runs every index-resolving operation over it. Rule: no panic, and every
 // error is typed — a corrupt index, a missing dropping, or a refused
-// cross-backend rename.
+// cross-backend rename or put.
 func FuzzContainerIndex(f *testing.F) {
 	for _, seed := range []string{
 		"subset.p\tssd\nstaging.subset.p\thdd\n",

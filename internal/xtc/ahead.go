@@ -58,6 +58,7 @@ type AheadReader struct {
 	sc   *Scanner     // nil until the first read
 	out  chan decoded // nil when decoding in line
 	quit chan struct{}
+	done chan struct{} // closed when the decoder goroutine has exited
 	once sync.Once
 	free chan *Frame // frames handed back by Recycle, to be decoded into again
 	err  error       // sticky terminal error (io.EOF included)
@@ -133,9 +134,15 @@ func (p *AheadReader) next() (*Frame, int64, error) {
 func (p *AheadReader) start(first int64) {
 	p.depth = min(maxLookahead, max(2, p.aheadBytes/int(first)))
 	p.out = make(chan decoded, p.depth)
-	p.quit = make(chan struct{})
+	p.quit, p.done = make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(p.done)
 		for {
+			select {
+			case <-p.quit:
+				return
+			default:
+			}
 			f, size, err := p.next()
 			select {
 			case p.out <- decoded{f, size, err}:
@@ -223,4 +230,15 @@ func (p *AheadReader) Close() error {
 		p.err = errAheadClosed
 	}
 	return nil
+}
+
+// Stop is Close, then a wait for the decoder goroutine to exit: once it
+// returns nothing reads the source any more, so the caller may reuse the
+// memory behind it. Only for a source whose reads return promptly — a
+// bytes.Reader — since the wait lasts as long as the read in progress.
+func (p *AheadReader) Stop() {
+	p.Close()
+	if p.done != nil {
+		<-p.done
+	}
 }

@@ -157,6 +157,54 @@ func TestParallelReaderCloseMidStream(t *testing.T) {
 	}
 }
 
+// slowSource is a source whose every Read takes a while and returns at most
+// 256 bytes, so a decoder spends most of its time inside one; reading counts
+// the Reads in progress.
+type slowSource struct {
+	r              io.Reader
+	reads, reading atomic.Int64
+}
+
+func (s *slowSource) Read(p []byte) (int, error) {
+	s.reading.Add(1)
+	defer s.reading.Add(-1)
+	s.reads.Add(1)
+	time.Sleep(time.Millisecond)
+	return s.r.Read(p[:min(len(p), 256)])
+}
+
+// TestAheadReaderStopWaits: Close returns at once, mid-read; Stop returns
+// only once the decoder has exited, so no read of the source is in progress
+// then and none starts after — what lets a caller reuse the memory behind a
+// bytes.Reader it handed in.
+func TestAheadReaderStopWaits(t *testing.T) {
+	src := &slowSource{r: bytes.NewReader(mixedStream(t, 12))}
+	pr := NewAheadReader(src)
+	if _, err := pr.ReadFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if pr.out == nil {
+		pr.Close()
+		t.Skip("one core: decoded in line")
+	}
+	for deadline := time.Now().Add(5 * time.Second); src.reading.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Microsecond)
+	}
+	pr.Stop()
+	if n := src.reading.Load(); n != 0 {
+		t.Fatalf("%d reads of the source in progress after Stop", n)
+	}
+	reads := src.reads.Load()
+	time.Sleep(20 * time.Millisecond)
+	if n := src.reads.Load(); n != reads {
+		t.Fatalf("%d reads of the source after Stop", n-reads)
+	}
+	if _, err := pr.ReadFrame(); err == nil {
+		t.Fatal("read after Stop succeeded")
+	}
+	pr.Stop() // idempotent
+}
+
 // TestParallelReaderCloseUnstarted: closing before any read is legal.
 func TestParallelReaderCloseUnstarted(t *testing.T) {
 	pr := NewAheadReader(bytes.NewReader(mixedStream(t, 2)))
