@@ -41,7 +41,8 @@ lint:
 # the xtc, dcd and trr frame decoders, the xtc frame index a dropping holds,
 # the rpc client's read-reply parser, the node's request-frame reader, the
 # placement table a peer serves, the container index every dropping
-# resolves through and the live head a tailing reader gates on (rule: no panic, a typed error or a result, allocation
+# resolves through, the live head a tailing reader gates on and the ingest
+# journal recovery and resume read (rule: no panic, a typed error or a result, allocation
 # bounded by input length; an accepted index tiles the stream with positive
 # entries whose ends fit an int64; an accepted table places any directory on
 # exactly R distinct table nodes).
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzPlacementTable ./internal/placement
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzContainerIndex ./internal/plfs
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzLiveHead ./internal/core
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzJournal ./internal/core
 
 # adabench is deterministic — a virtual clock, fixed seeds — so RESULTS.txt
 # is checked, not trusted: any change to the cost model, the simulated

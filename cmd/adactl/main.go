@@ -117,7 +117,7 @@ commands:
   extract  -name NAME -tag TAG -out FILE     write one subset as raw frames
   fsck     -name NAME                        verify a dataset's checksums
   scrub    [-rate BYTES/S]                   verify every dataset (one pass)
-  recover                                    roll back or finish interrupted
+  recover                                    roll back or cut back interrupted
                                              ingests (run after a crash)
   watch    -name NAME [-interval D] [-n N]   poll a live dataset's head:
                                              frames per tag, growth rate,

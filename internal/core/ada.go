@@ -25,8 +25,9 @@ const (
 	droppingJournal  = "ingest.journal"
 	subsetPrefix     = "subset."
 	indexPrefix      = "index."
-	// stagingPrefix marks droppings an in-flight ingest has not yet
-	// published; commit renames them to their final names, manifest last.
+	// stagingPrefix marks a copy written aside and published over its
+	// final name with plfs.ReplaceDropping: a resume's cut subset prefix, a
+	// migration's verified copy.
 	stagingPrefix = "staging."
 )
 
@@ -257,7 +258,7 @@ func (a *ADA) decodeAhead(traj io.Reader) aheadTrajectory {
 // statistics stage over the split. It returns at end of stream or on the
 // first error — a source error names its frame (op is the message's verb) —
 // and the caller decides what follows: abort, detach, or carry on (a live
-// session whose staged subsets are still whole: st.err is nil).
+// session whose subsets are still whole: st.err is nil).
 func (st *ingestState) ingestFrames(op string, src TrajectoryReader) error {
 	recycler, _ := src.(interface{ Recycle(*xtc.Frame) })
 	_, ahead := src.(aheadTrajectory) // the decoder times its own frames
@@ -288,7 +289,7 @@ func (st *ingestState) ingestFrames(op string, src TrajectoryReader) error {
 	}
 }
 
-// crcTee forwards writes to the staged dropping while maintaining the
+// crcTee forwards writes to the subset dropping while maintaining the
 // per-frame and whole-stream CRC32C. xtc.Writer issues exactly one Write
 // per frame, so `last` after a WriteFrame is that frame's checksum.
 type crcTee struct {
@@ -309,7 +310,7 @@ func (t *crcTee) Write(p []byte) (int, error) {
 
 // subsetWriter owns one tagged dropping during an ingest. The session's
 // structure analysis (or, for Recover, the journal's begin record) fills in
-// the identity fields; attach gives it the staged dropping to write.
+// the identity fields; attach gives it the subset dropping to write.
 type subsetWriter struct {
 	tag     string
 	backend string
@@ -320,7 +321,7 @@ type subsetWriter struct {
 	tee     *crcTee
 	w       *xtc.Writer
 	ib      xtc.IndexBuilder
-	// base is the byte count already durable in the staged dropping when
+	// base is the byte count already durable in the subset dropping when
 	// this writer started — zero on a fresh ingest, the last journaled
 	// checkpoint on a resumed one.
 	base int64
@@ -329,7 +330,7 @@ type subsetWriter struct {
 	sub xtc.Frame
 }
 
-// attach points the writer at its open staged dropping, which holds (or is
+// attach points the writer at its open subset dropping, which holds (or is
 // about to be given) prefix.
 func (sw *subsetWriter) attach(f vfs.File, checksums bool, prefix []byte) {
 	sw.file, sw.base = f, int64(len(prefix))
@@ -362,11 +363,11 @@ func (sw *subsetWriter) indexFrame(size int64, natoms int, crc uint32) {
 	}
 }
 
-// storedBytes is the total size of the staged dropping.
+// storedBytes is the total size of the subset dropping.
 func (sw *subsetWriter) storedBytes() int64 { return sw.base + sw.w.BytesWritten() }
 
 // ingestState is the one ingest session every writer runs on. It is opened
-// (prepareIngest: new container, journal, staged subsets) or resumed
+// (prepareIngest: new container, journal, subsets) or resumed
 // (resumeSession: an interrupted ingest cut back to its last checkpoint),
 // takes frames through ingestFrames any number of times, and ends exactly
 // one way: seal commits the dataset, detach lets go of it and leaves the
@@ -387,19 +388,15 @@ type ingestState struct {
 	charge *ingestCharge
 	// stats, when set, is the in-situ statistics stage (insitu.go).
 	stats statsStage
-	// staged lists the final dropping names (in publish order) whose
-	// staged copies commit renames into place; the manifest is not among
-	// them — its put is the commit point and always happens last.
-	staged []string
-	// checksums collects CRC32C per staged non-subset dropping for the
-	// manifest's integrity map.
+	// checksums collects CRC32C per non-subset dropping for the manifest's
+	// integrity map.
 	checksums map[string]uint32
 	// ckptFrames is the frame count at the last journaled checkpoint.
 	ckptFrames int
 	// headVersion is the version of the last published live head.
 	headVersion int64
 	// err, once set, is why the session takes no more frames: a write,
-	// checkpoint, publish or seal failed, so the staged subsets may differ in
+	// checkpoint, publish or seal failed, so the subsets may differ in
 	// frame count. Only abort, or a resume from the checkpoint, can follow.
 	err error
 }
@@ -414,12 +411,6 @@ func (a *ADA) newIngestState(logical string, natoms int, granularity string) *in
 		checksums:       map[string]uint32{},
 		report:          &IngestReport{Logical: logical, NAtoms: natoms, Subsets: map[string]int64{}},
 	}
-}
-
-// addWriter adds the next subset, in tag order.
-func (st *ingestState) addWriter(sw *subsetWriter) {
-	st.writers = append(st.writers, sw)
-	st.staged = append(st.staged, subsetPrefix+sw.tag)
 }
 
 // analyzeIngest runs the structure analysis half of opening a session, with
@@ -446,7 +437,7 @@ func (a *ADA) analyzeIngest(logical string, pdbData []byte) (*ingestState, error
 	st.pdbData, st.labels, st.charge = pdbData, labels, charge
 	for _, tag := range sortedKeys(tagRanges) {
 		ranges := tagRanges[tag]
-		st.addWriter(&subsetWriter{
+		st.writers = append(st.writers, &subsetWriter{
 			tag:     tag,
 			backend: a.backendFor(tag),
 			indices: ranges.Indices(),
@@ -458,7 +449,7 @@ func (a *ADA) analyzeIngest(logical string, pdbData []byte) (*ingestState, error
 }
 
 // prepareIngest opens a session on a new dataset: structure analysis, then
-// the container, the ingest journal, and the staged subset droppings. live
+// the container, the ingest journal, and the subset droppings. live
 // marks the journal's begin record as a streaming ingest, which flips the
 // recovery classification from roll-back to preserve-the-prefix (see
 // live.go).
@@ -468,9 +459,9 @@ func (a *ADA) prepareIngest(logical string, pdbData []byte, live bool) (*ingestS
 		return nil, err
 	}
 	// I/O determinator: create the container, start the ingest journal,
-	// then create the subset droppings under staging names. Nothing under
-	// a final name exists until commit, so a crash anywhere in here leaves
-	// only journaled staging state that Recover can classify.
+	// then create the subset droppings under their final names. Readers
+	// gate on the manifest, which only commit puts, so a crash anywhere in
+	// here leaves an uncommitted container that Recover can classify.
 	if err := a.containers.CreateContainer(logical); err != nil {
 		return nil, err
 	}
@@ -492,7 +483,7 @@ func (a *ADA) prepareIngest(logical string, pdbData []byte, live bool) (*ingestS
 		return nil, fmt.Errorf("core: ingest %s: %w", logical, err)
 	}
 	for _, sw := range st.writers {
-		f, err := a.containers.CreateDropping(logical, stagingPrefix+subsetPrefix+sw.tag, sw.backend)
+		f, err := a.containers.CreateDropping(logical, subsetPrefix+sw.tag, sw.backend)
 		if err != nil {
 			st.abort()
 			return nil, fmt.Errorf("core: ingest %s: %w", logical, err)
@@ -502,7 +493,7 @@ func (a *ADA) prepareIngest(logical string, pdbData []byte, live bool) (*ingestS
 	return st, nil
 }
 
-// closeWriters closes every attached staged subset dropping.
+// closeWriters closes every attached subset dropping.
 func (st *ingestState) closeWriters() {
 	for _, sw := range st.writers {
 		if sw.file != nil {
@@ -564,10 +555,10 @@ func (st *ingestState) writeFrame(frame *xtc.Frame, compressedBytes int64) error
 }
 
 // checkpoint journals the current durable high-water mark: frame count and
-// per-subset byte length plus running CRC32C. ResumeIngest truncates the
-// staged droppings back to the latest checkpoint and continues from there.
-// The cut is consistent because one goroutine writes every subset: when it
-// is taken each staged dropping holds exactly report.Frames frames. With no
+// per-subset byte length plus running CRC32C. ResumeIngest cuts the subsets
+// back to the latest checkpoint and continues from there. The cut is
+// consistent because one goroutine writes every subset: when it is taken
+// each subset dropping holds exactly report.Frames frames. With no
 // frame written since the last checkpoint it journals nothing — a live batch
 // that ends on the frame loop's periodic checkpoint, an empty dataset.
 func (st *ingestState) checkpoint() error {
@@ -591,14 +582,12 @@ func (st *ingestState) checkpoint() error {
 	return nil
 }
 
-// writeStaged writes one non-subset dropping under its staging name,
-// records it for the commit rename pass, and folds its CRC32C into the
-// manifest's integrity map.
-func (st *ingestState) writeStaged(name, backend string, data []byte) error {
-	if err := st.a.writeDropping(st.logical, stagingPrefix+name, backend, data); err != nil {
-		return err
+// put writes one non-subset dropping under its final name
+// (plfs.PutDropping) and folds its CRC32C into the manifest's integrity map.
+func (st *ingestState) put(name, backend string, data []byte) error {
+	if err := st.a.containers.PutDropping(st.logical, name, backend, data); err != nil {
+		return fmt.Errorf("core: write %s: %w", name, err)
 	}
-	st.staged = append(st.staged, name)
 	if !st.a.opts.DisableChecksums {
 		st.checksums[name] = xtc.CRC32C(data)
 	}
@@ -618,33 +607,31 @@ func (st *ingestState) seal() (*IngestReport, error) {
 	return st.report, nil
 }
 
-// finish stages the metadata droppings (indexes, structure, labels, any
-// in-situ statistics), then commits: journal commit
-// record, rename every staged dropping to its final name, put the
-// manifest last (the atomic commit point), and retire the journal.
+// finish puts the metadata droppings (indexes, structure, labels, any
+// in-situ statistics) and then commits the manifest built over them.
 func (st *ingestState) finish() error {
 	a := st.a
 	// Persist each subset's frame index next to its dropping, enabling
 	// random-access playback without a scan.
 	for _, sw := range st.writers {
-		if err := st.writeStaged(indexPrefix+sw.tag, sw.backend,
+		if err := st.put(indexPrefix+sw.tag, sw.backend,
 			sw.ib.Index().Marshal()); err != nil {
 			return err
 		}
 	}
 
 	// Persist structure, labels, and any in-situ statistics.
-	if err := st.writeStaged(droppingPDB, a.backendFor(TagProtein), st.pdbData); err != nil {
+	if err := st.put(droppingPDB, a.backendFor(TagProtein), st.pdbData); err != nil {
 		return err
 	}
 	labelBytes, err := st.labels.Marshal()
 	if err != nil {
 		return err
 	}
-	if err := st.writeStaged(droppingLabels, a.backendFor(TagProtein), labelBytes); err != nil {
+	if err := st.put(droppingLabels, a.backendFor(TagProtein), labelBytes); err != nil {
 		return err
 	}
-	if err := st.stats.stage(st); err != nil {
+	if err := st.stats.put(st); err != nil {
 		return err
 	}
 
@@ -684,43 +671,25 @@ func (st *ingestState) finish() error {
 	return nil
 }
 
-// commit publishes the dataset. The sequence is crash-ordered: the commit
-// record makes the ingest replayable before any final name exists, the
-// per-dropping renames are each atomic, and the manifest put — the one
-// readers gate on — happens strictly last. Whatever op a crash lands on,
-// the container is either invisible to readers or fully consistent.
-func (st *ingestState) commit(manifest *Manifest) error {
-	a := st.a
-	rec := &journalRecord{Type: journalCommit, Staged: st.staged, Manifest: manifest}
-	if err := st.journal.append(rec); err != nil {
-		return fmt.Errorf("core: commit %s: %w", st.logical, err)
-	}
+// commit publishes the dataset: the journal is closed, the manifest put —
+// the one commit point, which readers gate on — and the journal removed. A
+// crash before the put leaves an uncommitted container, one after it a
+// committed container whose leftover journal Recover sweeps.
+func (st *ingestState) commit(m *Manifest) error {
 	err := st.journal.close()
 	st.journal = nil
+	var data []byte
+	if err == nil {
+		data, err = m.marshal()
+	}
+	if err == nil {
+		err = st.a.containers.PutDropping(st.logical, droppingManifest, st.a.backendFor(TagProtein), data)
+	}
+	if err == nil {
+		err = st.a.containers.RemoveDropping(st.logical, droppingJournal)
+	}
 	if err != nil {
 		return fmt.Errorf("core: commit %s: %w", st.logical, err)
-	}
-	for _, name := range st.staged {
-		if err := a.containers.RenameDropping(st.logical, stagingPrefix+name, name); err != nil {
-			return fmt.Errorf("core: commit %s: %w", st.logical, err)
-		}
-	}
-	return a.publishManifest(st.logical, manifest)
-}
-
-// publishManifest is the tail of a commit, first time or replayed: the
-// manifest is put under its final name — the commit point — and the
-// journal, from then on only bookkeeping, is retired.
-func (a *ADA) publishManifest(logical string, m *Manifest) error {
-	data, err := m.marshal()
-	if err != nil {
-		return err
-	}
-	if err := a.containers.PutDropping(logical, droppingManifest, a.backendFor(TagProtein), data); err != nil {
-		return fmt.Errorf("core: commit %s: %w", logical, err)
-	}
-	if err := a.containers.RemoveDropping(logical, droppingJournal); err != nil {
-		return fmt.Errorf("core: commit %s: %w", logical, err)
 	}
 	return nil
 }

@@ -14,29 +14,39 @@ import (
 
 // Crash-consistent ingest.
 //
-// An in-flight ingest never touches a final dropping name. Every payload is
-// written under a "staging." name while an append-only journal dropping
-// records what the ingest is doing:
+// An ingest writes every dropping under its final name from the start, and
+// the manifest put (plfs.PutDropping, replaced whole in place) is its one
+// commit point: readers gate on manifest.json, so nothing an ingest has
+// written is visible before that put lands. Until then an append-only
+// journal dropping records what the ingest is doing:
 //
-//	begin  — identity of the ingest: tags, backends, atom ranges
-//	ckpt   — durable high-water mark: frames, per-subset bytes + CRC32C
-//	commit — the full manifest plus the list of staged droppings
+//	begin — identity of the ingest: tags, backends, atom ranges
+//	ckpt  — durable high-water mark: frames, per-subset bytes + CRC32C
 //
-// Commit then renames every staged dropping to its final name and puts the
-// manifest last (plfs.PutDropping, replaced whole in place); the manifest
-// put is the single atomic commit point readers gate on. A crash at any op therefore leaves the container in
-// exactly one of three states: invisible to readers (no manifest), fully
-// consistent (manifest present), or mid-commit with a replayable journal.
-// Recover classifies each container and rolls it back, replays the commit,
-// or sweeps leftovers; ResumeIngest instead continues an interrupted ingest
+// Commit closes the journal, puts the manifest and removes the journal. A
+// crash at any op therefore leaves the container either committed (manifest
+// present) or invisible to readers. Recover sweeps a committed container's
+// leftovers, cuts a live one back to its last checkpoint, and rolls
+// anything else back; ResumeIngest instead continues an interrupted ingest
 // from its last checkpoint.
+//
+// A container left in flight by a binary that wrote staging.* names and
+// journaled a commit record is not a supported input; finish or abort such
+// ingests before upgrading. Recover refuses one whose journal holds a
+// commit record (vfs.ErrCorrupted) and a live one past its first checkpoint
+// (no subset.<tag>: vfs.ErrNotExist); it never panics on either.
 
 // Journal record types.
 const (
-	journalBegin  = "begin"
-	journalCkpt   = "ckpt"
-	journalCommit = "commit"
+	journalBegin = "begin"
+	journalCkpt  = "ckpt"
 )
+
+// ErrNotResumable is returned by ResumeIngest and ResumeLiveIngest when the
+// container's journal does not describe an ingest the call can continue: it
+// has no begin record, began the other kind of session, or began with
+// another structure.
+var ErrNotResumable = errors.New("core: ingest not resumable")
 
 // journalCkptEvery is the ingest frame loop's checkpoint interval in frames.
 const journalCkptEvery = 32
@@ -57,9 +67,6 @@ type journalRecord struct {
 	Compressed int64                    `json:"compressed,omitempty"`
 	Raw        int64                    `json:"raw,omitempty"`
 	Subsets    map[string]journalSubset `json:"subsets,omitempty"`
-	// commit fields.
-	Staged   []string  `json:"staged,omitempty"`
-	Manifest *Manifest `json:"manifest,omitempty"`
 }
 
 // journalTag names one subset the ingest is producing.
@@ -107,7 +114,8 @@ func (j *journalWriter) close() error { return j.f.Close() }
 
 // readJournal parses a container's journal. A torn final line (the crash
 // landed mid-append) is silently dropped — everything before it is intact
-// by construction.
+// by construction. A record of any type but begin and ckpt — a commit
+// record an older binary journaled, say — is vfs.ErrCorrupted.
 func (a *ADA) readJournal(logical string) ([]journalRecord, error) {
 	data, err := a.readDropping(logical, droppingJournal)
 	if err != nil {
@@ -122,6 +130,9 @@ func (a *ADA) readJournal(logical string) ([]journalRecord, error) {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			break
 		}
+		if rec.Type != journalBegin && rec.Type != journalCkpt {
+			return nil, fmt.Errorf("core: %s journal record %d has type %q: %w", logical, len(recs), rec.Type, vfs.ErrCorrupted)
+		}
 		recs = append(recs, rec)
 	}
 	return recs, nil
@@ -133,26 +144,23 @@ type RecoveryAction string
 const (
 	// RecoveryClean: the dataset was committed; nothing to do.
 	RecoveryClean RecoveryAction = "clean"
-	// RecoverySwept: committed, but a leftover journal or staging
+	// RecoverySwept: committed, but a leftover journal, live or staging
 	// dropping from the post-commit window was removed.
 	RecoverySwept RecoveryAction = "swept"
-	// RecoveryCommitted: the crash landed after the journal's commit
-	// record; the interrupted commit was replayed to completion.
-	RecoveryCommitted RecoveryAction = "committed"
 	// RecoveryRolledBack: the ingest never reached commit; the container
 	// was removed.
 	RecoveryRolledBack RecoveryAction = "rolledback"
-	// RecoveryLive: a streaming ingest was killed mid-append; the staged
-	// subsets were truncated back to the last journaled checkpoint and the
+	// RecoveryLive: a streaming ingest was killed mid-append; its
+	// subsets were cut back to the last journaled checkpoint and the
 	// live head republished. The dataset remains live — ResumeLiveIngest
 	// continues it, Seal finishes it.
 	RecoveryLive RecoveryAction = "live"
 )
 
 // Recover classifies every container and repairs each interrupted ingest:
-// committed datasets are left alone (stray staging state swept), ingests
-// that journaled a commit record are replayed to completion, and everything
-// else is rolled back. Call it once at startup before serving reads.
+// committed datasets are left alone (post-commit leftovers swept), live
+// ones are cut back to their last checkpoint, and everything else is rolled
+// back. Call it once at startup before serving reads.
 func (a *ADA) Recover() (map[string]RecoveryAction, error) {
 	names, err := a.containers.ListContainers()
 	if err != nil {
@@ -177,14 +185,13 @@ func (a *ADA) RecoverDataset(logical string) (RecoveryAction, error) {
 		}
 	}
 	recs, err := a.readJournal(logical)
+	if errors.Is(err, vfs.ErrCorrupted) {
+		return "", err
+	}
 	if err != nil || len(recs) == 0 {
 		// No manifest and no usable journal: the crash landed before the
 		// begin record became durable. Nothing is recoverable.
 		return a.rollback(logical)
-	}
-	last := recs[len(recs)-1]
-	if last.Type == journalCommit && last.Manifest != nil {
-		return a.replayCommit(logical, &last)
 	}
 	if recs[0].Type == journalBegin && recs[0].Live {
 		return a.recoverLive(logical, &recs[0], lastCheckpoint(recs))
@@ -235,36 +242,9 @@ func (a *ADA) sweepCommitted(logical string) (RecoveryAction, error) {
 	return RecoveryClean, nil
 }
 
-// replayCommit finishes an interrupted commit idempotently: every staged
-// dropping that has not yet reached its final name is renamed, the manifest
-// is republished from the journal's commit record, and the journal retired.
-func (a *ADA) replayCommit(logical string, rec *journalRecord) (RecoveryAction, error) {
-	for _, name := range rec.Staged {
-		if _, err := a.containers.StatDropping(logical, name); err == nil {
-			continue // this rename already happened before the crash
-		}
-		if _, err := a.containers.StatDropping(logical, stagingPrefix+name); err != nil {
-			// Neither staged nor final exists: the commit record promised
-			// a dropping that is gone. Nothing trustworthy to publish.
-			return a.rollback(logical)
-		}
-		if err := a.containers.RenameDropping(logical, stagingPrefix+name, name); err != nil {
-			return "", err
-		}
-	}
-	if err := a.publishManifest(logical, rec.Manifest); err != nil {
-		return "", err
-	}
-	// A sealed live dataset's head droppings die with the commit.
-	if err := a.sweepLive(logical); err != nil {
-		return "", err
-	}
-	return RecoveryCommitted, nil
-}
-
 // ResumeIngest continues an interrupted ingest from its last journaled
-// checkpoint instead of rolling it back: the staged subsets are truncated
-// to the checkpoint (dropping any unjournaled tail), their index builders
+// checkpoint instead of rolling it back: the subsets are cut back to the
+// checkpoint (dropping any unjournaled tail), their index builders
 // and running checksums are reconstructed from the surviving bytes, the
 // already-persisted frames are skipped on the source stream, and the
 // ingest then runs to a normal atomic commit. pdbData and traj must be the
@@ -276,7 +256,7 @@ func (a *ADA) ResumeIngest(logical string, pdbData []byte, traj io.Reader) (*Ing
 	}
 	// Skip the frames the checkpoint already persisted, then run the rest
 	// through the session's frame loop. A failure leaves the container as
-	// it is — journaled and staged — for another resume.
+	// it is — journaled and uncommitted — for another resume.
 	src := a.decodeAhead(traj)
 	defer src.Close()
 	for i := 0; i < st.report.Frames; i++ {
@@ -293,32 +273,36 @@ func (a *ADA) ResumeIngest(logical string, pdbData []byte, traj io.Reader) (*Ing
 	return st.seal()
 }
 
-// checkpointedPrefix loads one staged subset cut back to its checkpoint
-// mark (the zero mark when no checkpoint was reached, which also tolerates
-// a dropping the crash predates) and verifies it: long enough, matching the
-// journaled CRC32C, and framing to exactly the checkpoint's frame count. It
-// returns the prefix and its checksummed frame index (nil when empty).
+// checkpointedPrefix loads one subset cut back to its checkpoint mark (the
+// zero mark when no checkpoint was reached, which also tolerates a dropping
+// the crash predates) and verifies it: a mark that is not negative, a
+// dropping long enough, the journaled CRC32C, and exactly the checkpoint's
+// frame count, an empty prefix holding none. It returns the prefix and its
+// checksummed frame index (nil when empty).
 func (a *ADA) checkpointedPrefix(logical, tag string, mark journalSubset, frames int) ([]byte, *xtc.Index, error) {
-	prefix, err := a.readDropping(logical, stagingPrefix+subsetPrefix+tag)
+	if mark.Bytes < 0 {
+		return nil, nil, fmt.Errorf("subset %s: checkpoint at %d bytes: %w", tag, mark.Bytes, vfs.ErrCorrupted)
+	}
+	prefix, err := a.readDropping(logical, subsetPrefix+tag)
 	if err != nil && !(mark.Bytes == 0 && errors.Is(err, vfs.ErrNotExist)) {
 		return nil, nil, fmt.Errorf("subset %s: %w", tag, err)
 	}
 	if int64(len(prefix)) < mark.Bytes {
 		// The journal promised bytes that never became durable — the
 		// backend lies about write ordering. Nothing trustworthy.
-		return nil, nil, fmt.Errorf("subset %s: staged dropping is %d bytes, checkpoint says %d: %w",
+		return nil, nil, fmt.Errorf("subset %s: dropping is %d bytes, checkpoint says %d: %w",
 			tag, len(prefix), mark.Bytes, vfs.ErrCorrupted)
 	}
 	prefix = prefix[:mark.Bytes]
 	if mark.CRC != 0 && xtc.CRC32C(prefix) != mark.CRC {
 		return nil, nil, fmt.Errorf("subset %s: checkpointed prefix fails its checksum: %w", tag, vfs.ErrCorrupted)
 	}
-	if len(prefix) == 0 {
+	if len(prefix) == 0 && frames == 0 {
 		return nil, nil, nil
 	}
 	idx, err := xtc.BuildIndexChecksummed(bytes.NewReader(prefix), int64(len(prefix)))
 	if err != nil {
-		return nil, nil, fmt.Errorf("subset %s: %w", tag, err)
+		return nil, nil, fmt.Errorf("subset %s: checkpointed prefix: %w: %w", tag, err, vfs.ErrCorrupted)
 	}
 	if idx.Frames() != frames {
 		return nil, nil, fmt.Errorf("subset %s: prefix holds %d frames, checkpoint says %d: %w",
@@ -354,27 +338,27 @@ func (a *ADA) resumeSession(logical string, pdbData []byte, live bool) (*ingestS
 		return nil, fmt.Errorf("core: resume %s: no journal (nothing to resume): %w", logical, err)
 	}
 	if len(recs) == 0 || recs[0].Type != journalBegin {
-		return nil, fmt.Errorf("core: resume %s: journal has no begin record; run Recover", logical)
+		return nil, fmt.Errorf("core: resume %s: journal has no begin record, run Recover: %w", logical, ErrNotResumable)
 	}
 	begin := &recs[0]
+	var mismatch string
 	switch {
 	case live && !begin.Live:
-		return nil, fmt.Errorf("core: resume %s: not a live ingest; use ResumeIngest", logical)
+		mismatch = "not a live ingest; use ResumeIngest"
 	case begin.Live && !live:
-		return nil, fmt.Errorf("core: resume %s: live ingest; use ResumeLiveIngest", logical)
-	case recs[len(recs)-1].Type == journalCommit:
-		return nil, fmt.Errorf("core: resume %s: ingest already committed; run Recover", logical)
+		mismatch = "live ingest; use ResumeLiveIngest"
 	case st.natoms != begin.NAtoms:
-		return nil, fmt.Errorf("core: resume %s: structure has %d atoms, journal began with %d",
-			logical, st.natoms, begin.NAtoms)
+		mismatch = fmt.Sprintf("structure has %d atoms, journal began with %d", st.natoms, begin.NAtoms)
 	case len(st.writers) != len(begin.Tags):
-		return nil, fmt.Errorf("core: resume %s: categorization yields %d tags, journal began with %d",
-			logical, len(st.writers), len(begin.Tags))
+		mismatch = fmt.Sprintf("categorization yields %d tags, journal began with %d", len(st.writers), len(begin.Tags))
 	}
 	for i, sw := range st.writers {
-		if begin.Tags[i].Tag != sw.tag || begin.Tags[i].Ranges != sw.ranges {
-			return nil, fmt.Errorf("core: resume %s: tag %q does not match the journaled ingest", logical, sw.tag)
+		if mismatch == "" && (begin.Tags[i].Tag != sw.tag || begin.Tags[i].Ranges != sw.ranges) {
+			mismatch = fmt.Sprintf("tag %q does not match the journaled ingest", sw.tag)
 		}
+	}
+	if mismatch != "" {
+		return nil, fmt.Errorf("core: resume %s: %s: %w", logical, mismatch, ErrNotResumable)
 	}
 	if err := st.cutBack(begin, lastCheckpoint(recs)); err != nil {
 		st.detach()
@@ -385,8 +369,9 @@ func (a *ADA) resumeSession(logical string, pdbData []byte, live bool) (*ingestS
 
 // cutBack cuts st's journaled container back to the checkpoint ck and
 // attaches the session to what is left; recoverLive and the two resumes
-// share it. Every staged subset is replaced by its verified checkpointed
-// prefix — by rename, never truncating in place: a live dataset's readers
+// share it. Every subset is replaced by its verified checkpointed prefix,
+// written under a staging name and published over subset.<tag> with
+// plfs.ReplaceDropping — never truncated in place: a live dataset's readers
 // may be opening it under a head the dead producer published, and must never
 // find it shorter than that head. The writer keeps the new dropping open,
 // index builder and running checksum rebuilt over the prefix; the counters
@@ -394,6 +379,10 @@ func (a *ADA) resumeSession(logical string, pdbData []byte, live bool) (*ingestS
 // and a live head's version carries over. On an error the caller detaches.
 func (st *ingestState) cutBack(begin, ck *journalRecord) error {
 	a := st.a
+	if ck.Frames < 0 || ck.Compressed < 0 || ck.Raw < 0 {
+		return fmt.Errorf("checkpoint of %d frames, %d compressed and %d raw bytes: %w",
+			ck.Frames, ck.Compressed, ck.Raw, vfs.ErrCorrupted)
+	}
 	if begin.Live {
 		if data, err := a.readDropping(st.logical, liveHeadName); err == nil {
 			if h, err := unmarshalLiveHead(data); err == nil {
@@ -406,14 +395,14 @@ func (st *ingestState) cutBack(begin, ck *journalRecord) error {
 		if err != nil {
 			return err
 		}
-		staged := stagingPrefix + subsetPrefix + sw.tag
-		f, err := a.containers.CreateDropping(st.logical, stagingPrefix+staged, sw.backend)
+		name := subsetPrefix + sw.tag
+		f, err := a.containers.CreateDropping(st.logical, stagingPrefix+name, sw.backend)
 		if err != nil {
 			return err
 		}
 		sw.attach(f, !a.opts.DisableChecksums, prefix)
 		if _, err = f.Write(prefix); err == nil {
-			err = a.containers.RenameDropping(st.logical, stagingPrefix+staged, staged)
+			err = a.containers.ReplaceDropping(st.logical, stagingPrefix+name, name)
 		}
 		if err != nil {
 			return fmt.Errorf("subset %s: %w", sw.tag, err)

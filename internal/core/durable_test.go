@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -344,10 +345,10 @@ type decodeWay struct {
 }
 
 // sameOpsEveryWay runs each way over logged backends, and again up to the
-// last kill point that still leaves its journal, which Recover then
-// finishes. Every way must issue the first way's backend op sequence,
-// journal its records and commit the golden bytes; the first way's journal
-// is returned.
+// last kill point that still leaves its journal (ending in its last
+// checkpoint), which Recover then finishes. Every way must issue the first
+// way's backend op sequence, journal its records and commit the golden
+// bytes; the first way's journal is returned.
 func sameOpsEveryWay(t *testing.T, pdbBytes, traj []byte, ways []decodeWay) []journalRecord {
 	t.Helper()
 	_, goldenBytes := goldenDroppings(t, pdbBytes, traj)
@@ -365,7 +366,7 @@ func sameOpsEveryWay(t *testing.T, pdbBytes, traj []byte, ways []decodeWay) []jo
 		if err := w.via(New(store, nil, Options{Metrics: metrics.NewRegistry()}), pdbBytes, traj); err != nil {
 			t.Fatalf("%s: %v", w.name, err)
 		}
-		a, journal := crashState(t, w.via, pdbBytes, traj, true, endsIn(journalCommit))
+		a, journal := crashState(t, w.via, pdbBytes, traj, true, endsIn(journalCkpt))
 		if _, err := a.Recover(); err != nil {
 			t.Fatal(err)
 		}
@@ -435,7 +436,7 @@ func TestIngestOpsIndependentOfDecodeConfig(t *testing.T) {
 // TestDecodeErrorLeavesExactPrefix: a source that goes bad at frame k fails
 // the frame loop naming k, with exactly frames 0..k-1 written to every
 // subset — nothing decoded ahead of k leaks in, nothing before it is lost —
-// so the journal's last checkpoint plus the staged bytes are a valid resume
+// so the journal's last checkpoint plus the subset bytes are a valid resume
 // point. It runs through ResumeIngest, which (unlike Ingest) leaves the
 // container in place on failure, twice — a failed resume is itself a valid
 // resume point — and then resumes it to the golden bytes.
@@ -458,12 +459,12 @@ func TestDecodeErrorLeavesExactPrefix(t *testing.T) {
 			t.Fatalf("attempt %d: err = %v, want a bad magic number at frame %d", attempt, err, k)
 		}
 		for _, tag := range []string{TagProtein, TagMisc} {
-			data, err := a.readDropping("/ds", stagingPrefix+subsetPrefix+tag)
+			data, err := a.readDropping("/ds", subsetPrefix+tag)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n := len(splitFrames(t, data)); n != k {
-				t.Errorf("attempt %d: staged subset %s holds %d frames, want exactly %d", attempt, tag, n, k)
+				t.Errorf("attempt %d: subset %s holds %d frames, want exactly %d", attempt, tag, n, k)
 			}
 		}
 		recs, err := a.readJournal("/ds")
@@ -513,50 +514,28 @@ func TestRecoverActions(t *testing.T) {
 		t.Error("journal survived the sweep")
 	}
 
-	// A journaled commit record is replayed: the staged dropping renamed,
-	// the manifest republished, the journal retired.
-	m, err := a.Manifest("/ds")
-	if err != nil {
+	// A container an older binary left mid-commit — staged droppings, a
+	// journaled commit record, no manifest — is refused with a typed error
+	// and left as it is, by Recover and by a resume alike.
+	if err := a.containers.CreateContainer("/legacy"); err != nil {
 		t.Fatal(err)
 	}
-	j, err := a.openJournal("/ds")
-	if err != nil {
+	if err := a.writeDropping("/legacy", stagingPrefix+subsetPrefix+TagProtein, "ssd", []byte("frames")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(&journalRecord{Type: journalBegin, Logical: "/ds", NAtoms: m.NAtoms}); err != nil {
+	writeJournal(t, a, "/legacy", []byte(`{"type":"begin","logical":"/legacy"}`),
+		[]byte(`{"type":"commit","staged":["subset.p"],"manifest":{"logical":"/legacy"}}`))
+	if _, err := a.RecoverDataset("/legacy"); !errors.Is(err, vfs.ErrCorrupted) {
+		t.Errorf("legacy mid-commit container recovered with %v, want vfs.ErrCorrupted", err)
+	}
+	if _, err := a.ResumeIngest("/legacy", pdbBytes, bytes.NewReader(traj)); !errors.Is(err, vfs.ErrCorrupted) {
+		t.Errorf("legacy mid-commit container resumed with %v, want vfs.ErrCorrupted", err)
+	}
+	if _, err := a.containers.StatDropping("/legacy", stagingPrefix+subsetPrefix+TagProtein); err != nil {
+		t.Errorf("refused legacy container lost its staged dropping: %v", err)
+	}
+	if err := a.Remove("/legacy"); err != nil {
 		t.Fatal(err)
-	}
-	rec := &journalRecord{Type: journalCommit, Staged: []string{subsetPrefix + TagMisc}, Manifest: m}
-	if err := j.append(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.containers.RenameDropping("/ds", subsetPrefix+TagMisc, stagingPrefix+subsetPrefix+TagMisc); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.containers.RemoveDropping("/ds", droppingManifest); err != nil {
-		t.Fatal(err)
-	}
-	act, err = a.RecoverDataset("/ds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if act != RecoveryCommitted {
-		t.Errorf("interrupted commit recovered as %q, want committed", act)
-	}
-	if _, err := a.Manifest("/ds"); err != nil {
-		t.Errorf("manifest not republished: %v", err)
-	}
-	if _, err := a.containers.StatDropping("/ds", subsetPrefix+TagMisc); err != nil {
-		t.Errorf("staged dropping not renamed: %v", err)
-	}
-	if _, err := a.containers.StatDropping("/ds", droppingJournal); err == nil {
-		t.Error("journal survived the replay")
-	}
-	if got := readSubsetFrames(t, a, "/ds", TagMisc); len(got) != 3 {
-		t.Errorf("replayed subset serves %d frames, want 3", len(got))
 	}
 
 	// A begin-only journal (the ingest died before commit) rolls back.
@@ -586,6 +565,68 @@ func TestRecoverActions(t *testing.T) {
 	}
 	if len(names) != 1 || names[0] != "/ds" {
 		t.Errorf("datasets after rollback = %v", names)
+	}
+}
+
+// writeJournal replaces logical's journal with the given lines.
+func writeJournal(t *testing.T, a *ADA, logical string, lines ...[]byte) {
+	t.Helper()
+	data := append(bytes.Join(lines, []byte{'\n'}), '\n')
+	if err := a.writeDropping(logical, droppingJournal, a.containers.Backends()[0], data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverRejectsBadCheckpoint journals a checkpoint the subsets cannot
+// hold under a live dataset with frames in it: a negative byte mark (which
+// once panicked Recover slicing the prefix), a negative frame count, and a
+// frame count over an empty prefix (which was once accepted, so a resume
+// skipped frames the subsets never got). Recover and the resume must each
+// return vfs.ErrCorrupted and leave the dataset in place.
+func TestRecoverRejectsBadCheckpoint(t *testing.T) {
+	pdbBytes, traj, _ := testDataset(t, 200, 3)
+	for name, edit := range map[string]func(ck *journalRecord){
+		"negative bytes":           func(ck *journalRecord) { ck.Subsets[TagProtein] = journalSubset{Bytes: -1} },
+		"negative frames":          func(ck *journalRecord) { ck.Frames = -1 },
+		"frames over empty prefix": func(ck *journalRecord) { ck.Subsets = nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
+			li, err := a.OpenLiveIngest("/ds", pdbBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := li.Append(traj); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := a.readJournal("/ds")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck := recs[len(recs)-1]
+			if ck.Type != journalCkpt || ck.Frames != 3 {
+				t.Fatalf("journal ends in %s at frame %d, want the checkpoint at 3", ck.Type, ck.Frames)
+			}
+			edit(&ck)
+			var lines [][]byte
+			for _, rec := range []journalRecord{recs[0], ck} {
+				data, err := json.Marshal(&rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines = append(lines, data)
+			}
+			writeJournal(t, a, "/ds", lines...)
+			if _, err := a.RecoverDataset("/ds"); !errors.Is(err, vfs.ErrCorrupted) {
+				t.Errorf("recover = %v, want vfs.ErrCorrupted", err)
+			}
+			if _, err := a.ResumeLiveIngest("/ds", pdbBytes); !errors.Is(err, vfs.ErrCorrupted) {
+				t.Errorf("resume = %v, want vfs.ErrCorrupted", err)
+			}
+			if names, err := a.Datasets(); err != nil || len(names) != 1 {
+				t.Errorf("datasets after refused recovery = %v, %v; want /ds kept", names, err)
+			}
+		})
 	}
 }
 
@@ -911,7 +952,7 @@ func TestFsckVerdicts(t *testing.T) {
 		t.Errorf("corrupt subset verdict does not localize the bad frame: %+v", res.Verdicts)
 	}
 
-	// A torn container (journal, staging droppings, no manifest) is all
+	// A torn container (journal, subset droppings, no manifest) is all
 	// uncommitted.
 	if err := a.containers.CreateContainer("/torn"); err != nil {
 		t.Fatal(err)
@@ -919,7 +960,7 @@ func TestFsckVerdicts(t *testing.T) {
 	if err := a.writeDropping("/torn", droppingJournal, "ssd", []byte(`{"type":"begin"}`+"\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.writeDropping("/torn", stagingPrefix+subsetPrefix+TagProtein, "ssd", []byte("half")); err != nil {
+	if err := a.writeDropping("/torn", subsetPrefix+TagProtein, "ssd", []byte("half")); err != nil {
 		t.Fatal(err)
 	}
 	res, err = a.Fsck("/torn")

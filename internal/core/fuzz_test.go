@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"runtime"
 	"strings"
 	"testing"
@@ -98,6 +100,90 @@ func FuzzLiveHead(f *testing.F) {
 		for i, err := range errs {
 			if err != nil && !typedLiveErr(err) {
 				t.Fatalf("call %d over head %q: untyped error %v", i, strings.TrimSpace(string(input)), err)
+			}
+		}
+	})
+}
+
+// FuzzJournal writes arbitrary bytes as the ingest.journal of /ds beside
+// subsets holding four frames (written by a live session, head published)
+// and runs each way back over it on its own copy: RecoverDataset,
+// ResumeIngest, and ResumeLiveIngest followed by Seal. Rule: no panic,
+// allocation bounded by the input's length, and a RecoveryAction or a typed
+// error — a corrupt journal or prefix, a missing dropping, or a journal the
+// resume cannot continue.
+func FuzzJournal(f *testing.F) {
+	pdbBytes, traj, _ := testDataset(f, 200, 4)
+	setup := func(t testing.TB) *ADA {
+		a, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
+		li, err := a.OpenLiveIngest("/ds", pdbBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := li.Append(traj); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	recs, err := setup(f).readJournal("/ds")
+	if err != nil || len(recs) != 2 || recs[1].Frames != 4 {
+		f.Fatalf("live session journal = %+v, %v; want begin and a checkpoint at frame 4", recs, err)
+	}
+	journal := func(edit func(begin, ck *journalRecord)) []byte {
+		begin, ck := recs[0], recs[1]
+		ck.Subsets = maps.Clone(ck.Subsets)
+		edit(&begin, &ck)
+		var out []byte
+		for _, rec := range []*journalRecord{&begin, &ck} {
+			data, err := json.Marshal(rec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			out = append(append(out, data...), '\n')
+		}
+		return out
+	}
+	for _, seed := range [][]byte{
+		journal(func(*journalRecord, *journalRecord) {}),
+		journal(func(begin, _ *journalRecord) { begin.Live = false }),
+		journal(func(_, ck *journalRecord) { ck.Subsets[TagProtein] = journalSubset{Bytes: -1} }),
+		journal(func(_, ck *journalRecord) { ck.Subsets[TagProtein] = journalSubset{Bytes: 1 << 40} }),
+		journal(func(_, ck *journalRecord) { ck.Frames = 1 << 40 }),
+		journal(func(_, ck *journalRecord) { ck.Subsets = nil }),
+		journal(func(begin, _ *journalRecord) { begin.Tags[0].Tag = "a/b" }),
+		append(journal(func(*journalRecord, *journalRecord) {}),
+			`{"type":"commit","staged":["subset.m","subset.p"],"manifest":{"logical":"/ds"}}`+"\n"...),
+		[]byte(`{"type":"ckpt","frames":2}` + "\n"),
+		[]byte("{\"type\":\"begin\",\"live\":true"),
+		nil,
+	} {
+		f.Add(seed)
+	}
+	ways := []func(a *ADA) error{
+		func(a *ADA) error { _, err := a.RecoverDataset("/ds"); return err },
+		func(a *ADA) error { _, err := a.ResumeIngest("/ds", pdbBytes, bytes.NewReader(traj)); return err },
+		func(a *ADA) error {
+			li, err := a.ResumeLiveIngest("/ds", pdbBytes)
+			if err == nil {
+				_, err = li.Seal()
+			}
+			return err
+		},
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		for i, way := range ways {
+			a := setup(t)
+			if err := a.writeDropping("/ds", droppingJournal, a.containers.Backends()[0], input); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			got := allocated(func() { err = way(a) })
+			if limit := uint64(32*len(input) + 1<<20); got > limit {
+				t.Fatalf("way %d over a %d-byte journal allocated %d, limit %d", i, len(input), got, limit)
+			}
+			if err != nil && !errors.Is(err, vfs.ErrCorrupted) && !errors.Is(err, vfs.ErrNotExist) &&
+				!errors.Is(err, ErrNotResumable) {
+				t.Fatalf("way %d over journal %q: untyped error %v", i, strings.TrimSpace(string(input)), err)
 			}
 		}
 	})

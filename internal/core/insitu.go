@@ -51,10 +51,10 @@ func (s statsStage) add(writers []*subsetWriter) error {
 	return nil
 }
 
-// stage writes each series as its subset's stats.<tag> dropping. It runs
+// put writes each series as its subset's stats.<tag> dropping. It runs
 // inside the session's seal, so the statistics ride the same atomic commit
-// as the subsets: staged, and published only when the manifest lands.
-func (s statsStage) stage(st *ingestState) error {
+// as the subsets: visible only once the manifest lands.
+func (s statsStage) put(st *ingestState) error {
 	for i := range s {
 		sw := st.writers[i]
 		data, err := json.MarshalIndent(&SubsetStats{
@@ -68,7 +68,7 @@ func (s statsStage) stage(st *ingestState) error {
 		if err != nil {
 			return err
 		}
-		if err := st.writeStaged(statsPrefix+sw.tag, sw.backend, data); err != nil {
+		if err := st.put(statsPrefix+sw.tag, sw.backend, data); err != nil {
 			return err
 		}
 	}

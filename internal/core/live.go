@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+
+	"repro/internal/vfs"
 )
 
 // Streaming (live) ingest.
@@ -15,9 +18,10 @@ import (
 // head. The writer is the one ingest session (ingestState, ada.go) held open
 // across calls: Append runs a batch through the session's frame loop,
 // decoded ahead by the one-shot ingest's source, Seal is the session's seal,
-// and the staged subset droppings and the journal are exactly those of an
+// and the subset droppings and the journal are exactly those of an
 // interrupted one-shot ingest, so a crash at any point recovers through the
-// same classification machinery.
+// same classification machinery. A subset keeps one name, subset.<tag>,
+// from its first append until after the seal.
 //
 // What streaming adds is a published head. After every appended batch the
 // writer journals a checkpoint and then puts two kinds of read-side
@@ -29,20 +33,21 @@ import (
 // Each put replaces the dropping whole in place (plfs.PutDropping: a temp
 // sibling renamed over it on its own backend, the container index written
 // only the first time), and readers gate on live.json, so a reader never
-// observes frames the journal has not made durable: staged bytes >=
+// observes frames the journal has not made durable: subset bytes >=
 // journaled checkpoint >= published head at every instant, which is what
 // makes every observed prefix crash-stable. A reader that loads live.json
 // at version v and then live.index.<tag> may see a NEWER index — indexes
 // are published before the head — but never an older one, and it reads
 // only head.Frames entries of it.
 //
-// Seal commits the dataset through the one-shot path (rename staged
-// droppings, put the manifest last, retire the journal) and then removes the
-// live.* droppings; the result is byte-identical to a one-shot Ingest of
-// the same frames. Recover classifies a killed live dataset as
-// RecoveryLive: the session is reopened from the journal, cut back to the
-// last checkpoint (cutBack, durable.go — the same cut ResumeLiveIngest
-// makes), republishes the head there and detaches.
+// Seal commits the dataset through the one-shot path (put the indexes,
+// structure and labels, then the manifest, retire the journal) and then
+// removes the live.* droppings. It renames nothing: the payload a reader
+// tails is the one the manifest publishes. The result is byte-identical to
+// a one-shot Ingest of the same frames. Recover classifies a killed live
+// dataset as RecoveryLive: the session is reopened from the journal, cut
+// back to the last checkpoint (cutBack, durable.go — the same cut
+// ResumeLiveIngest makes), republishes the head there and detaches.
 
 // Live dropping names. liveHeadName is the reader gate; liveIndexPrefix
 // names the per-tag published index prefixes.
@@ -126,7 +131,7 @@ type LiveIngest struct {
 }
 
 // OpenLiveIngest starts a streaming ingest: the container, journal, and
-// staged subset writers are created exactly as for a one-shot ingest, the
+// subset writers are created exactly as for a one-shot ingest, the
 // journal's begin record is marked live (so Recover preserves instead of
 // rolling back), and an empty head is published for watchers.
 func (a *ADA) OpenLiveIngest(logical string, pdbData []byte) (*LiveIngest, error) {
@@ -143,7 +148,7 @@ func (a *ADA) OpenLiveIngest(logical string, pdbData []byte) (*LiveIngest, error
 }
 
 // ResumeLiveIngest reopens a live dataset after a crash or restart: the
-// staged subsets are truncated back to the last journaled checkpoint
+// subsets are cut back to the last journaled checkpoint
 // (verifying the prefix CRC), the writers and journal are rebuilt over the
 // surviving bytes, and the head is republished at the checkpoint, its
 // version continuing from the last one published. pdbData must be the
@@ -269,11 +274,11 @@ func (li *LiveIngest) publishHead() error {
 }
 
 // Seal converts the live dataset into an ordinary immutable container: the
-// session's seal — the one-shot commit path unchanged (stage
-// indexes/structure/labels, journal the commit record, rename everything,
-// manifest last, retire the journal) — and then the live.* droppings are
-// removed. The committed container is byte-identical to a one-shot Ingest
-// of the same frames.
+// session's seal — the one-shot commit path unchanged (put
+// indexes/structure/labels, then the manifest, retire the journal) — and
+// then the live.* droppings are removed, only once the manifest has landed.
+// The committed container is byte-identical to a one-shot Ingest of the
+// same frames.
 func (li *LiveIngest) Seal() (*IngestReport, error) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
@@ -310,8 +315,8 @@ func (li *LiveIngest) Abort() error {
 	return nil
 }
 
-// sweepLive removes a container's live.* droppings (post-seal, or a
-// recovery sweep after a crash mid-seal).
+// sweepLive removes a container's live.* droppings once its manifest has
+// landed.
 func (a *ADA) sweepLive(logical string) error {
 	idx, err := a.containers.Index(logical)
 	if err != nil {
@@ -336,7 +341,10 @@ func (a *ADA) sweepLive(logical string) error {
 func (a *ADA) recoverLive(logical string, begin, ck *journalRecord) (RecoveryAction, error) {
 	st := a.newIngestState(logical, begin.NAtoms, begin.Granularity)
 	for _, jt := range begin.Tags {
-		st.addWriter(&subsetWriter{tag: jt.Tag, backend: jt.Backend, natoms: jt.NAtoms, ranges: jt.Ranges})
+		if !validTag(jt.Tag) || !slices.Contains(a.containers.Backends(), jt.Backend) {
+			return "", fmt.Errorf("recover live: journaled tag %q on backend %q: %w", jt.Tag, jt.Backend, vfs.ErrCorrupted)
+		}
+		st.writers = append(st.writers, &subsetWriter{tag: jt.Tag, backend: jt.Backend, natoms: jt.NAtoms, ranges: jt.Ranges})
 	}
 	defer st.detach()
 	if err := st.cutBack(begin, ck); err != nil {

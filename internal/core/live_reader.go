@@ -18,15 +18,6 @@ var ErrLiveClosed = errors.New("core: live reader closed")
 // transitions are noticed promptly even when no new head is published.
 const liveWaitSlice = 50 * time.Millisecond
 
-// liveSealGrace bounds how long a reader that finds Seal mid-commit waits
-// for the manifest, and liveSealPoll is how often it looks. The window is a
-// manifest write and a rename wide, so the grace only runs out when the
-// sealing process died inside it.
-const (
-	liveSealGrace = 5 * time.Second
-	liveSealPoll  = 5 * time.Millisecond
-)
-
 // liveHeadAndCRC loads the dataset's head together with the CRC32C of its
 // published bytes — the token WaitLiveHead's change detection keys on. A
 // sealed dataset (manifest present, live.json swept) reports CRC 0.
@@ -82,8 +73,10 @@ func (a *ADA) WaitLiveHead(logical string, lastCRC uint32, timeout time.Duration
 // on a frame at or past the head blocks until the producer publishes it —
 // a reader parked on head+1 needs no other notification — and once the
 // dataset seals the reader switches to the committed container and returns
-// io.EOF past the end. Safe for concurrent ReadFrameAt callers. The reader
-// holds one read path at a time: a head refresh closes the one it replaces.
+// io.EOF past the end. The payload, subset.<tag>, is the same file before
+// and after the seal; only the index it is read through changes. Safe for
+// concurrent ReadFrameAt callers. The reader holds one read path at a time:
+// a head refresh closes the one it replaces.
 type LiveReader struct {
 	a         *ADA
 	logical   string
@@ -154,26 +147,31 @@ func (lr *LiveReader) enter() error {
 // applyHeadLocked installs a freshly loaded head by opening a fresh read
 // path over its droppings (recovery may have replaced the file behind an old
 // handle, so handles are never trusted across publishes) and closing the one
-// it replaces: the staged subset and its live index while the dataset grows,
-// the committed container's final droppings once it is sealed. Either way
-// every frame is checked against the index it was opened with. The caller
-// holds lr.mu exclusively, so no ReadFrameAt is reading through the old one.
+// it replaces: subset.<tag> through its live index while the dataset grows,
+// through its committed index once it is sealed. Either way every frame is
+// checked against the index it was opened with. The caller holds lr.mu
+// exclusively, so no ReadFrameAt is reading through the old one.
 func (lr *LiveReader) applyHeadLocked(h *LiveHead, crc uint32) error {
-	payload, index := stagingPrefix+subsetPrefix+lr.tag, liveIndexPrefix+lr.tag
+	index := liveIndexPrefix + lr.tag
 	if h.Sealed {
 		if lr.sealed {
 			return nil
 		}
-		payload, index = subsetPrefix+lr.tag, indexPrefix+lr.tag
+		index = indexPrefix + lr.tag
 	} else if crc == lr.headCRC && lr.fetch != nil {
 		return nil // unchanged head
 	}
 	if _, ok := h.Subsets[lr.tag]; !ok {
 		return fmt.Errorf("%w: %q in %s", ErrUnknownTag, lr.tag, lr.logical)
 	}
-	fetch, err := lr.a.openFetch(lr.logical, lr.tag, payload, index, false)
+	fetch, err := lr.a.openFetch(lr.logical, lr.tag, index, false)
 	if !h.Sealed && errors.Is(err, vfs.ErrNotExist) {
-		return lr.awaitSealLocked(err)
+		// The live droppings go only once the manifest has landed, so the
+		// dataset has sealed since its head was loaded — or, with no
+		// manifest, it was aborted.
+		if m, merr := lr.a.Manifest(lr.logical); merr == nil {
+			return lr.applyHeadLocked(sealedHead(m), 0)
+		}
 	}
 	if err != nil {
 		return err
@@ -194,36 +192,6 @@ func (lr *LiveReader) applyHeadLocked(h *LiveHead, crc uint32) error {
 	lr.head = *h
 	lr.headCRC = crc
 	return nil
-}
-
-// awaitSealLocked handles a live dropping that is missing under an unsealed
-// head: Seal is somewhere between renaming the staged subsets to their final
-// names and sweeping live.json. The manifest is the commit point, so the
-// reader waits for it — lr.mu released between polls, so Close and other
-// callers are not held up — and then switches to the sealed droppings.
-// cause is returned when there is no commit to wait for: live.json is gone
-// too and no manifest followed it (Seal removes it only after the manifest
-// lands, so the dataset was aborted), or liveSealGrace ran out (the sealing
-// process died; Recover finishes the commit at the next start).
-func (lr *LiveReader) awaitSealLocked(cause error) error {
-	deadline := time.Now().Add(liveSealGrace)
-	for {
-		_, headErr := lr.a.containers.StatDropping(lr.logical, liveHeadName)
-		if m, err := lr.a.Manifest(lr.logical); err == nil {
-			return lr.applyHeadLocked(sealedHead(m), 0)
-		}
-		if errors.Is(headErr, vfs.ErrNotExist) || time.Now().After(deadline) {
-			return cause
-		}
-		lr.mu.Unlock()
-		select {
-		case <-lr.closed:
-			lr.mu.Lock()
-			return ErrLiveClosed
-		case <-time.After(liveSealPoll):
-		}
-		lr.mu.Lock()
-	}
 }
 
 // refreshLocked reloads the head unless the last load is within the

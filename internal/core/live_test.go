@@ -275,7 +275,7 @@ func TestLiveReaderTails(t *testing.T) {
 }
 
 // TestLiveReaderVerifiesStagedFrames flips a byte inside one published frame
-// of the staged subset. A tailing read must refuse that frame with
+// of a live subset, not yet committed. A tailing read must refuse that frame with
 // vfs.ErrCorrupted — checked against live.index.<tag> — instead of handing
 // back a wrong coordinate, still serve the frames around it, and count both.
 func TestLiveReaderVerifiesStagedFrames(t *testing.T) {
@@ -310,14 +310,14 @@ func TestLiveReaderVerifiesStagedFrames(t *testing.T) {
 		}
 	}
 
-	const staged = "/mnt1/ds/staging.subset.p"
-	data, err := vfs.ReadFile(ssd, staged)
+	const payload = "/mnt1/ds/subset.p"
+	data, err := vfs.ReadFile(ssd, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	size := len(data) / frames // raw frames of one system are all one size
 	data[bad*size+size/2] ^= 0x01
-	if err := vfs.WriteFile(ssd, staged, data); err != nil {
+	if err := vfs.WriteFile(ssd, payload, data); err != nil {
 		t.Fatal(err)
 	}
 	before := reg.Snapshot()
@@ -425,11 +425,13 @@ func (g *gateFS) Remove(name string) error {
 // TestLiveReaderSealUnderReader is the regression test for a reader that
 // reloads the head while Seal is mid-commit. The producer publishes a last
 // batch the reader has not seen and seals; Seal is parked either just before
-// it publishes the manifest (the staged subsets already renamed away) or
-// just before it sweeps live.json (the manifest already there). In both
-// windows the reader finds an unsealed head whose staged subset is gone; it
-// must wait for the manifest and read the last frame from the sealed
-// container instead of failing with ErrNotExist.
+// it publishes the manifest or just before it sweeps live.json (the manifest
+// and the live indexes already swept). Seal renames nothing, so in the first
+// window the reader serves the last frame from the live head; in the second
+// it finds an unsealed head whose live index is gone and switches to the
+// sealed container on the manifest. Either way the read is served while
+// Seal is parked, equals the sealed container's frame, and the reader ends
+// sealed.
 func TestLiveReaderSealUnderReader(t *testing.T) {
 	const frames = 10
 	pdbBytes, traj, _ := testDataset(t, 200, frames)
@@ -493,28 +495,23 @@ func TestLiveReaderSealUnderReader(t *testing.T) {
 				f, err := lr.ReadFrameAt(frames - 1)
 				got <- read{f, err}
 			}()
-			var r read
-			if tc.committed {
-				r = <-got // served while Seal is still parked
-				close(gate.release)
-			} else {
-				select {
-				case r = <-got:
-					t.Fatalf("read returned (%v) before the manifest was published", r.err)
-				case <-time.After(10 * liveSealPoll):
-				}
-				close(gate.release)
-				r = <-got
-			}
-			if err := <-sealed; err != nil {
-				t.Fatal(err)
-			}
+			r := <-got // served while Seal is still parked
 			if r.err != nil {
 				t.Fatalf("read of the last frame across the seal: %v", r.err)
+			}
+			if lr.Live() == tc.committed {
+				t.Errorf("while Seal is parked: live=%v, want %v", lr.Live(), !tc.committed)
+			}
+			close(gate.release)
+			if err := <-sealed; err != nil {
+				t.Fatal(err)
 			}
 			want := readSubsetFrames(t, a, "/ds", TagProtein)
 			if !sameFrames([]*xtc.Frame{r.f}, want[frames-1:]) {
 				t.Error("frame read across the seal differs from the sealed container's")
+			}
+			if _, err := lr.ReadFrameAt(frames); err != io.EOF {
+				t.Fatalf("read past the sealed end: %v, want io.EOF", err)
 			}
 			if lr.Live() || lr.Frames() != frames {
 				t.Errorf("after the seal: live=%v frames=%d, want sealed with %d", lr.Live(), lr.Frames(), frames)
@@ -684,15 +681,15 @@ func TestLiveRecoverKillMatrix(t *testing.T) {
 			}
 			newer("Recover", h.Version)
 			for tag, sub := range h.Subsets {
-				staged, err := a.readDropping("/ds", stagingPrefix+subsetPrefix+tag)
+				data, err := a.readDropping("/ds", subsetPrefix+tag)
 				if err != nil {
-					t.Fatalf("kill %d/%d: staged %s: %v", n, total, tag, err)
+					t.Fatalf("kill %d/%d: subset %s: %v", n, total, tag, err)
 				}
-				if int64(len(staged)) != sub.Bytes {
-					t.Fatalf("kill %d/%d: staged %s is %d bytes, head says %d",
-						n, total, tag, len(staged), sub.Bytes)
+				if int64(len(data)) != sub.Bytes {
+					t.Fatalf("kill %d/%d: subset %s is %d bytes, head says %d",
+						n, total, tag, len(data), sub.Bytes)
 				}
-				if !bytes.Equal(staged, goldenSubset[tag][:sub.Bytes]) {
+				if !bytes.Equal(data, goldenSubset[tag][:sub.Bytes]) {
 					t.Fatalf("kill %d/%d: recovered %s prefix differs from golden", n, total, tag)
 				}
 			}
@@ -721,7 +718,7 @@ func TestLiveRecoverKillMatrix(t *testing.T) {
 			}
 			assertGolden(t, a, goldenBytes, fmt.Sprintf("kill %d/%d", n, total))
 
-		case RecoveryCommitted, RecoveryClean, RecoverySwept:
+		case RecoveryClean, RecoverySwept:
 			committed++
 			assertGolden(t, a, goldenBytes, fmt.Sprintf("kill %d/%d", n, total))
 
@@ -915,8 +912,10 @@ func TestLiveAppendReleasesBatch(t *testing.T) {
 // nodes under an R=2 placement cluster serve for one ingest and for one
 // five-frame Append. No write asks a file its size: the only size calls left
 // are vfs.ReadFile sizing a file it has just opened. An Append's three puts
-// read the container index once each and never write it; the ingest's
-// manifest is put too, not staged and renamed.
+// read the container index once each and never write it; the ingest writes
+// its subsets under their final names and puts every metadata dropping and
+// the manifest, so nothing is staged and renamed and no commit record is
+// journaled.
 func TestRemoteOpsPerIngestAndAppend(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 200, 10)
 	srvReg := metrics.NewRegistry()
@@ -977,8 +976,8 @@ func TestRemoteOpsPerIngestAndAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}), map[string]int64{
-		"close": 63, "create": 48, "mkdirall": 54, "open": 15, "read": 14,
-		"remove": 3, "rename": 46, "size": 15, "write": 84,
+		"close": 45, "create": 36, "mkdirall": 48, "open": 9, "read": 8,
+		"remove": 3, "rename": 30, "size": 9, "write": 70,
 	})
 
 	li, err := a.OpenLiveIngest("/live", pdbBytes)

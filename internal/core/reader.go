@@ -45,7 +45,7 @@ func (a *ADA) OpenSubset(logical, tag string) (*SubsetReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fetch, err := a.openFetch(logical, tag, subsetPrefix+tag, indexPrefix+tag, true)
+	fetch, err := a.openFetch(logical, tag, indexPrefix+tag, true)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func (a *ADA) OpenSubsetAt(logical, tag string) (*SubsetRandomReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fetch, err := a.openFetch(logical, tag, subsetPrefix+tag, indexPrefix+tag, false)
+	fetch, err := a.openFetch(logical, tag, indexPrefix+tag, false)
 	if err != nil {
 		return nil, err
 	}

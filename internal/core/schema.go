@@ -47,6 +47,10 @@ func ParseSchema(data []byte) (*Schema, error) {
 	return &s, nil
 }
 
+// validTag reports whether tag can name a subset: it is part of the dropping
+// names subset.<tag> and index.<tag>.
+func validTag(tag string) bool { return tag != "" && !strings.ContainsAny(tag, "/\t\n ") }
+
 // Validate checks the schema for usable tags and categories.
 func (s *Schema) Validate() error {
 	if len(s.Rules) == 0 {
@@ -60,7 +64,7 @@ func (s *Schema) Validate() error {
 		if r.Tag == "" {
 			return fmt.Errorf("core: schema %q rule %d has no tag", s.Name, i)
 		}
-		if strings.ContainsAny(r.Tag, "/\t\n ") {
+		if !validTag(r.Tag) {
 			return fmt.Errorf("core: schema %q rule %d: invalid tag %q", s.Name, i, r.Tag)
 		}
 		if len(r.Residues)+len(r.Prefixes)+len(r.Elements)+len(r.Categories) == 0 && r.HetAtm == nil {

@@ -10,12 +10,15 @@ import (
 )
 
 // Tiering support: the dropping names the tier subsystem keys heat by, and
-// the migration executor its planner drives. The executor reuses the
-// durability primitives of the ingest commit protocol — staged copies under
-// "staging." names, whole-stream verification before publish, an atomic
-// index re-point as the commit point — so a migration has the same crash
-// story as an ingest: at every kill point the container index resolves each
-// dropping to exactly one complete copy and recovery sweeps the rest.
+// the migration executor its planner drives. The executor writes a copy
+// under a "staging." name, verifies it whole, and publishes it with an
+// atomic index re-point (plfs.ReplaceDropping), so at every kill point the
+// container index resolves each dropping to exactly one complete copy and
+// recovery sweeps the rest.
+
+// ManifestDropping is the name of a dataset's manifest. The container index
+// names it only once the dataset has committed.
+const ManifestDropping = droppingManifest
 
 // IndexDropping returns the dropping name of a tagged subset's frame index,
 // which MoveSubset relocates together with the payload.

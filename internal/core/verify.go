@@ -42,15 +42,15 @@ type subsetFetch struct {
 	idx  *xtc.Index
 }
 
-// openFetch opens the read path over a payload dropping and its index
-// dropping: subset.<tag> + index.<tag> for a committed dataset,
-// staging.subset.<tag> + live.index.<tag> for a live one. An index that
+// openFetch opens the read path over a subset's payload, subset.<tag>, and
+// an index dropping: index.<tag> for a committed dataset, live.index.<tag>
+// for a live one — the payload keeps its one name. An index that
 // cannot be read or parsed, or that covers more bytes than the payload
 // holds, is an error (the latter wrapping vfs.ErrCorrupted) unless rescan is
 // set; then the frames are found again by a header-only scan of the payload,
 // without their checksums, so the read is unverified (fsck reports the
 // damage).
-func (a *ADA) openFetch(logical, tag, payload, index string, rescan bool) (*subsetFetch, error) {
+func (a *ADA) openFetch(logical, tag, index string, rescan bool) (*subsetFetch, error) {
 	var idx *xtc.Index
 	idxBytes, err := a.readDropping(logical, index)
 	if err == nil {
@@ -59,7 +59,7 @@ func (a *ADA) openFetch(logical, tag, payload, index string, rescan bool) (*subs
 	if err != nil && !rescan {
 		return nil, fmt.Errorf("core: %s subset %s index: %w", logical, tag, err)
 	}
-	f, ferr := a.containers.OpenDropping(logical, payload)
+	f, ferr := a.containers.OpenDropping(logical, subsetPrefix+tag)
 	if ferr != nil {
 		return nil, ferr
 	}

@@ -62,7 +62,7 @@ const failoverBound = 20 * time.Second
 const (
 	matrixLogical = "/traj.md"
 	matrixMount   = "/clu"
-	matrixFrames  = 6
+	matrixFrames  = 21 // the mid-ingest sweep kills each node at each of its 117 ops
 	matrixScale   = 80
 )
 

@@ -15,7 +15,9 @@ import (
 
 // ReplaceDropping atomically replaces the live dropping dst with the
 // already-written dropping src — the publish step of a migration, where src
-// is a verified staging copy on the target backend. src and dst may live on
+// is a verified staging copy on the target backend, and of a resumed
+// ingest's cut subset prefix, where src shares dst's backend and the
+// replace is one rename plus the index rewrite. src and dst may live on
 // different backends. The ordering makes every crash point recoverable:
 //
 //  1. rename src -> dst on src's backend (atomic within that mount);

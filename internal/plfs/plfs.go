@@ -40,13 +40,12 @@ type Dropping struct {
 	Size    int64
 }
 
-// ErrCrossBackend is returned by RenameDropping when the rename would
-// shadow a dropping owned by a different backend, and by PutDropping for a
-// name indexed on a backend other than the one it writes. A rename is atomic only
-// within one backend; pretending otherwise would need a non-atomic delete
-// on the other mount whose failure point corrupts the index. Cross-backend
-// replacement is ReplaceDropping's job, which orders its steps so every
-// crash point is recoverable.
+// ErrCrossBackend is returned by PutDropping for a name indexed on a backend
+// other than the one it writes. A put's rename is atomic only within one
+// backend; pretending otherwise would need a non-atomic delete on the other
+// mount whose failure point corrupts the index. Cross-backend replacement is
+// ReplaceDropping's job, which orders its steps so every crash point is
+// recoverable.
 var ErrCrossBackend = errors.New("plfs: cross-backend rename")
 
 // ErrCorruptIndex is returned when a container index does not parse, names
@@ -347,57 +346,6 @@ func (p *FS) RemoveContainer(logical string) error {
 	}
 	p.count("containers_removed")
 	return nil
-}
-
-// RenameDropping atomically renames a dropping within its container and
-// re-points the index entry — the primitive the crash-consistent commit
-// protocol publishes staged droppings with. Renaming over an existing
-// dropping replaces it.
-func (p *FS) RenameDropping(logical, oldname, newname string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !validName(newname) {
-		return fmt.Errorf("plfs: invalid dropping name %q", newname)
-	}
-	idx, err := p.readIndexLocked(logical)
-	if err != nil {
-		return err
-	}
-	owner := ""
-	for _, d := range idx {
-		if d.Name == oldname {
-			owner = d.Backend
-			break
-		}
-	}
-	if owner == "" {
-		return fmt.Errorf("%w: dropping %q in container %q", vfs.ErrNotExist, oldname, logical)
-	}
-	// Refuse to shadow a dropping on another backend: the rename below is
-	// atomic only on owner's mount, and the shadowed file could only be
-	// cleaned up by a separate delete whose crash point leaves the index
-	// pointing at a removed file. Callers that mean "move across backends"
-	// use ReplaceDropping.
-	for _, d := range idx {
-		if d.Name == newname && d.Backend != owner {
-			return fmt.Errorf("%w: %q is on %s but %q is on %s",
-				ErrCrossBackend, oldname, owner, newname, d.Backend)
-		}
-	}
-	b := p.byName[owner]
-	dir := containerPath(b, logical)
-	if err := b.FS.Rename(path.Join(dir, oldname), path.Join(dir, newname)); err != nil {
-		return fmt.Errorf("plfs: rename dropping %q: %w", oldname, err)
-	}
-	out := make([]Dropping, 0, len(idx))
-	for _, d := range idx {
-		if d.Name == oldname || d.Name == newname {
-			continue
-		}
-		out = append(out, d)
-	}
-	out = append(out, Dropping{Name: newname, Backend: owner})
-	return p.writeIndexLocked(logical, out)
 }
 
 // PutDropping replaces the content of dropping name with data in one step:

@@ -469,7 +469,6 @@ func indexOps(p *FS) []error {
 	}
 	errs = append(errs, err,
 		p.PutDropping("/c", "subset.p", "ssd", []byte("put")),
-		p.RenameDropping("/c", "staging.subset.p", "subset.q"),
 		p.ReplaceDropping("/c", "staging.subset.p", "subset.p"),
 		p.RemoveDropping("/c", "subset.p"))
 	_, err = p.SweepOrphans("/c")
@@ -497,7 +496,7 @@ func TestCorruptIndex(t *testing.T) {
 // FuzzContainerIndex writes arbitrary bytes as a container's .plfs_index and
 // runs every index-resolving operation over it. Rule: no panic, and every
 // error is typed — a corrupt index, a missing dropping, or a refused
-// cross-backend rename or put.
+// cross-backend put.
 func FuzzContainerIndex(f *testing.F) {
 	for _, seed := range []string{
 		"subset.p\tssd\nstaging.subset.p\thdd\n",

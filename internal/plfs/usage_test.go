@@ -63,20 +63,20 @@ func TestUsageAccounting(t *testing.T) {
 	if got := usage(t, p)["ssd"]; got != 40 {
 		t.Fatalf("ssd usage after overwrite = %d, want 40", got)
 	}
-	// Rename moves bytes within the backend: no net change.
-	if err := p.RenameDropping("/c", "a", "a2"); err != nil {
+	// A replace within the backend moves bytes: no net change.
+	if err := p.ReplaceDropping("/c", "a", "a2"); err != nil {
 		t.Fatal(err)
 	}
 	if got := usage(t, p)["ssd"]; got != 40 {
-		t.Fatalf("ssd usage after rename = %d, want 40", got)
+		t.Fatalf("ssd usage after replace = %d, want 40", got)
 	}
-	// Rename over an existing dropping subtracts the overwritten bytes.
+	// A replace over an existing dropping subtracts the overwritten bytes.
 	putDropping(t, p, "/c", "a3", "ssd", make([]byte, 7))
-	if err := p.RenameDropping("/c", "a3", "a2"); err != nil {
+	if err := p.ReplaceDropping("/c", "a3", "a2"); err != nil {
 		t.Fatal(err)
 	}
 	if got := usage(t, p)["ssd"]; got != 7 {
-		t.Fatalf("ssd usage after rename-overwrite = %d, want 7", got)
+		t.Fatalf("ssd usage after replace-overwrite = %d, want 7", got)
 	}
 	if err := p.RemoveDropping("/c", "a2"); err != nil {
 		t.Fatal(err)
@@ -279,33 +279,6 @@ func TestSweepOrphans(t *testing.T) {
 	// Idempotent on a clean container.
 	if removed, err := p.SweepOrphans("/c"); err != nil || len(removed) != 0 {
 		t.Fatalf("second sweep: %v, %v", removed, err)
-	}
-}
-
-func TestRenameCrossBackendRejected(t *testing.T) {
-	p, ssd, hdd := twoBackends()
-	if err := p.CreateContainer("/c"); err != nil {
-		t.Fatal(err)
-	}
-	putDropping(t, p, "/c", "a", "ssd", []byte("aa"))
-	putDropping(t, p, "/c", "b", "hdd", []byte("bb"))
-	err := p.RenameDropping("/c", "a", "b")
-	if !errors.Is(err, ErrCrossBackend) {
-		t.Fatalf("err = %v, want ErrCrossBackend", err)
-	}
-	// Nothing moved: both droppings intact.
-	for _, c := range []struct {
-		fs   vfs.FS
-		path string
-		want string
-	}{
-		{ssd, "/mnt1/c/a", "aa"},
-		{hdd, "/mnt2/c/b", "bb"},
-	} {
-		got, err := vfs.ReadFile(c.fs, c.path)
-		if err != nil || string(got) != c.want {
-			t.Fatalf("%s = %q, %v; rejected rename must not touch the store", c.path, got, err)
-		}
 	}
 }
 

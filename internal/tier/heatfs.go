@@ -7,17 +7,13 @@ import (
 	"repro/internal/vfs"
 )
 
-// livePrefix marks a dataset still being ingested: its payload is
-// staging.subset.<tag> until the seal renames it to subset.<tag>.
-const livePrefix = "staging."
-
 // HeatFS decorates a served file system so that reads of subset payloads
 // feed trk: the one heat feeder. Paths follow the container layout
 // /<mount>/<logical...>/<dropping>. Read and ReadAt of subset.<tag> record
-// their bytes under that dropping, and so do reads of a live payload,
-// staging.subset.<tag>, so a tailed dataset is hot under the name it keeps
-// once sealed. Nothing else is recorded — frame indexes, manifests, staged
-// migration copies — and every other operation passes through unchanged.
+// their bytes under that dropping — a live payload too, which has that one
+// name from its first append, so a tailed dataset is hot under the name it
+// keeps once sealed. Nothing else is recorded — frame indexes, manifests,
+// staged copies — and every other operation passes through unchanged.
 func HeatFS(inner vfs.FS, trk *Tracker) vfs.FS { return &heatedFS{FS: inner, trk: trk} }
 
 type heatedFS struct {
@@ -43,7 +39,7 @@ func payloadTarget(name string) (logical, dropping string, ok bool) {
 	if len(parts) < 3 {
 		return "", "", false
 	}
-	dropping = strings.TrimPrefix(parts[len(parts)-1], livePrefix)
+	dropping = parts[len(parts)-1]
 	if _, ok := core.SubsetTag(dropping); !ok {
 		return "", "", false
 	}

@@ -17,7 +17,8 @@ func TestHeatFS(t *testing.T) {
 	mem := vfs.NewMemFS()
 	for name, n := range map[string]int{
 		"/mnt1/runs/a/subset.p":             100,
-		"/mnt1/runs/a/staging.subset.m":     40, // a live payload
+		"/mnt1/runs/a/subset.m":             40, // a live payload: the one name it keeps
+		"/mnt1/runs/a/staging.subset.m":     10, // a resume's cut prefix, not yet published
 		"/mnt1/runs/a/index.p":              10,
 		"/mnt1/runs/a/manifest.json":        10,
 		"/mnt1/runs/a/staging.mig.subset.p": 10, // a staged migration copy
@@ -58,12 +59,12 @@ func TestHeatFS(t *testing.T) {
 	}
 
 	// A live payload is heat on the name it keeps once sealed.
-	read("/mnt1/runs/a/staging.subset.m")
+	read("/mnt1/runs/a/subset.m")
 	if got := trk.Heat("/runs/a", "subset.m"); got != 40 {
 		t.Fatalf("live payload heat = %g, want 40", got)
 	}
 	for _, name := range []string{
-		"/mnt1/runs/a/index.p", "/mnt1/runs/a/manifest.json",
+		"/mnt1/runs/a/staging.subset.m", "/mnt1/runs/a/index.p", "/mnt1/runs/a/manifest.json",
 		"/mnt1/runs/a/staging.mig.subset.p", "/mnt1/subset.p",
 	} {
 		read(name)
@@ -152,8 +153,8 @@ func TestHeatFSObservesReads(t *testing.T) {
 				t.Fatal("random-access read recorded no heat")
 			}
 
-			// A tailing read is heat on the subset too, under the name it
-			// will have once sealed, not the staging name it has now.
+			// A tailing read is heat on the subset too, under the one name
+			// the payload has from its first append until after the seal.
 			li, err := a.OpenLiveIngest("/live", pdbBytes)
 			if err != nil {
 				t.Fatal(err)

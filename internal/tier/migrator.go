@@ -164,9 +164,11 @@ func NewMigrator(a *core.ADA, fs *plfs.FS, tr *Tracker, cfg Config) (*Migrator, 
 // Config returns the effective (defaulted) configuration.
 func (m *Migrator) Config() Config { return m.cfg }
 
-// candidates lists every subset of every dataset with its current owner
-// (plfs index truth, not the advisory manifest), movable byte count, and
-// decayed heat. Sorted by (logical, tag) for deterministic planning.
+// candidates lists every subset of every committed dataset with its current
+// owner (plfs index truth, not the advisory manifest), movable byte count,
+// and decayed heat. A dataset whose index names no manifest is still being
+// ingested, live or interrupted, and is left alone. Sorted by (logical, tag)
+// for deterministic planning.
 func (m *Migrator) candidates() ([]Candidate, error) {
 	datasets, err := m.a.Datasets()
 	if err != nil {
@@ -182,6 +184,9 @@ func (m *Migrator) candidates() ([]Candidate, error) {
 		sizes := map[string]int64{}
 		for _, d := range idx {
 			sizes[d.Name] = d.Size
+		}
+		if _, committed := sizes[core.ManifestDropping]; !committed {
+			continue
 		}
 		for _, d := range idx {
 			tag, ok := core.SubsetTag(d.Name)

@@ -324,6 +324,66 @@ func TestMigratorPinNever(t *testing.T) {
 	}
 }
 
+// TestMigratorSkipsUncommitted: a dataset still being ingested has no
+// manifest, so MoveSubset could only fail on it; the planner must leave it
+// alone rather than end its round. /cold is live on an over-full fast tier,
+// /hot is live on the slow one and hot enough to promote. While both are
+// live a round moves nothing and returns no error; once sealed, the same
+// rounds demote /cold and promote /hot.
+func TestMigratorSkipsUncommitted(t *testing.T) {
+	pdbBytes, traj := testDataset(t, 150, 3)
+	containers := newStore(t)
+	reg := metrics.NewRegistry()
+	var live []*core.LiveIngest
+	for logical, be := range map[string]string{"/cold": "ssd", "/hot": "hdd"} {
+		pl := core.Placement{core.TagProtein: be, core.TagMisc: be}
+		li, err := core.New(containers, nil, core.Options{Placement: pl, Metrics: reg}).OpenLiveIngest(logical, pdbBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer li.Abort()
+		if _, err := li.Append(traj); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, li)
+	}
+	a := core.New(containers, nil, core.Options{Metrics: reg})
+	trk := NewTracker((&virtualClock{}).Now, 0)
+	trk.Record("/hot", "subset."+core.TagProtein, 1<<20)
+	migrator := func(capacity int64) *Migrator {
+		m, err := NewMigrator(a, containers, trk, Config{
+			Fast: "ssd", Slow: "hdd", CapacityBytes: capacity,
+			HighWater: 0.9, LowWater: 0.1, PromoteHeat: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	demote := migrator(ssdUsage(t, containers) / 2) // hopelessly over budget
+	promote := migrator(1 << 30)
+	for _, m := range []*Migrator{demote, promote} {
+		rep, err := m.Step()
+		if err != nil {
+			t.Fatalf("round over live datasets: %v", err)
+		}
+		if len(rep.Demotions)+len(rep.Promotions) != 0 {
+			t.Fatalf("live datasets moved: demoted %+v, promoted %+v", rep.Demotions, rep.Promotions)
+		}
+	}
+	for _, li := range live {
+		if _, err := li.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep, err := demote.Step(); err != nil || len(rep.Demotions) == 0 || rep.Demotions[0].Logical != "/cold" {
+		t.Fatalf("sealed /cold on an over-full fast tier: %+v, %v", rep, err)
+	}
+	if rep, err := promote.Step(); err != nil || len(rep.Promotions) == 0 || rep.Promotions[0].Logical != "/hot" {
+		t.Fatalf("sealed hot /hot: %+v, %v", rep, err)
+	}
+}
+
 // listDownFS is a backend whose directory listings fail while down.
 type listDownFS struct {
 	vfs.FS
