@@ -38,11 +38,14 @@ lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # Ten seconds of native fuzzing per parser that takes bytes from outside —
-# the xtc, dcd and trr frame decoders, the xtc frame index a dropping holds,
+# the xtc, dcd and trr frame decoders (the xtc one differential against the
+# two-pass reference decoder), the xtc frame index a dropping holds,
 # the rpc client's read-reply parser, the node's request-frame reader, the
 # placement table a peer serves, the container index every dropping
-# resolves through, the live head a tailing reader gates on and the ingest
-# journal recovery and resume read (rule: no panic, a typed error or a result, allocation
+# resolves through, the live head a tailing reader gates on, the ingest
+# journal recovery and resume read, and the manifest and label file (with
+# their range lists) every tagged read resolves through (rule: no panic, a
+# typed error or a result, allocation
 # bounded by input length; an accepted index tiles the stream with positive
 # entries whose ends fit an int64; an accepted table places any directory on
 # exactly R distinct table nodes).
@@ -63,6 +66,8 @@ fuzz:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzContainerIndex ./internal/plfs
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzLiveHead ./internal/core
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzJournal ./internal/core
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzManifest ./internal/core
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzLabels ./internal/core
 
 # adabench is deterministic — a virtual clock, fixed seeds — so RESULTS.txt
 # is checked, not trusted: any change to the cost model, the simulated
@@ -134,11 +139,12 @@ bench-decode:
 	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_decode.json
 
-# Ingest wire-speed benchmarks (fused XTC encode, end-to-end ingest over
-# in-memory backends through both entry points of the one ingest loop)
-# rendered to BENCH_ingest.json for the CI artifact and regression tracking.
+# Ingest wire-speed benchmarks (fused XTC encode, the one-pass subset split
+# and raw encode of a full frame, end-to-end ingest over in-memory backends
+# through both entry points of the one ingest loop) rendered to
+# BENCH_ingest.json for the CI artifact and regression tracking.
 bench-ingest:
-	$(GO) test -run '^$$' -bench 'XTCEncode|IngestParallel' -benchmem . \
+	$(GO) test -run '^$$' -bench 'XTCEncode|SubsetWrite|IngestParallel' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_ingest.json
 
 # Serve-fabric latency baseline: cmd/adaload replays the standard
@@ -163,7 +169,7 @@ BENCH_MAX_REGRESS ?= 15
 bench-check:
 	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-new.json
-	$(GO) test -run '^$$' -bench 'XTCEncode|IngestParallel' -benchmem . \
+	$(GO) test -run '^$$' -bench 'XTCEncode|SubsetWrite|IngestParallel' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-ingest-new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_decode.json bench-new.json \
 		-max-regress $(BENCH_MAX_REGRESS) \

@@ -144,6 +144,38 @@ func BenchmarkXTCEncode(b *testing.B) {
 	reportCPUs(b)
 }
 
+// BenchmarkSubsetWrite measures the ingest sequencer's per-frame split and
+// encode: one full 43.5k-atom frame into the default coarse subsets (p and
+// m), each encoded raw straight from the full frame's coordinates through
+// its index list (xtc.Frame.AppendRawSubset) and checksummed as the subset
+// writer's tee does, with no file behind it. MB/s is the full frame's raw
+// size.
+func BenchmarkSubsetWrite(b *testing.B) {
+	sys, err := gpcr.Default().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := sys.InitialFrame()
+	tags := core.BuildLabels(sys.Structure).TagRanges(core.Coarse)
+	var subsets [][]int
+	for _, tag := range []string{core.TagMisc, core.TagProtein} {
+		subsets = append(subsets, tags[tag].Indices())
+	}
+	buf := make([]byte, 0, xtc.RawFrameSize(f.NAtoms()))
+	b.ReportAllocs()
+	b.SetBytes(xtc.RawFrameSize(f.NAtoms()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, idx := range subsets {
+			if buf, err = f.AppendRawSubset(buf[:0], idx); err != nil {
+				b.Fatal(err)
+			}
+			xtc.CRC32C(buf)
+		}
+	}
+	reportCPUs(b)
+}
+
 // reportCPUs records the scheduler width as a benchmark metric. The CI
 // regression gate (cmd/benchjson -compare) uses it to undo the -GOMAXPROCS
 // name suffix when diffing runs from different machines.

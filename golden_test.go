@@ -2,11 +2,14 @@ package ada_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"testing"
 
 	"repro/internal/gpcr"
 	"repro/internal/xdr"
+	"repro/internal/xtc"
 )
 
 // TestEncodeGoldenBytes pins the compressed encoding of the deterministic
@@ -41,5 +44,41 @@ func TestEncodeGoldenBytes(t *testing.T) {
 	sum := sha256.Sum256(enc)
 	if got := hex.EncodeToString(sum[:]); got != wantHash {
 		t.Errorf("encoded sha256 = %s, want %s", got, wantHash)
+	}
+}
+
+// TestDecodeGoldenBytes pins the decoder the way TestEncodeGoldenBytes pins
+// the encoder: it decodes the same deterministic 43.5k-atom frame and hashes
+// every coordinate's float bits (little-endian, atom by atom) against the
+// value the two-pass decoder produced before the fused kernel. The
+// end-to-end benchmark's reference decode goes through this same package,
+// so only a pin from outside it catches a drift in the dequantized bits.
+func TestDecodeGoldenBytes(t *testing.T) {
+	const wantHash = "5c1adf774e19617e65f1d0fea6f8caf9ddf4caf71b7e8007d6c594754232faa3"
+	sys, err := gpcr.Default().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := xdr.NewWriter(1 << 21)
+	if err := sys.InitialFrame().AppendEncoded(w); err != nil {
+		t.Fatal(err)
+	}
+	f, err := xtc.DecodeFrame(xdr.NewReader(w.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NAtoms() != 43506 {
+		t.Fatalf("decoded %d atoms, want 43506", f.NAtoms())
+	}
+	h := sha256.New()
+	var b [12]byte
+	for _, c := range f.Coords {
+		for d := 0; d < 3; d++ {
+			binary.LittleEndian.PutUint32(b[4*d:], math.Float32bits(c[d]))
+		}
+		h.Write(b[:])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantHash {
+		t.Errorf("decoded coordinate sha256 = %s, want %s", got, wantHash)
 	}
 }

@@ -230,7 +230,7 @@ func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, stats
 		return nil, err
 	}
 	if stats {
-		st.stats = make(statsStage, len(st.writers))
+		st.stats = newStatsStage(len(st.writers))
 	}
 	if overlap {
 		st.charge.overlap(len(st.writers))
@@ -279,7 +279,7 @@ func (st *ingestState) ingestFrames(op string, src TrajectoryReader) error {
 		if err := st.writeFrame(frame, consumed); err != nil {
 			return err
 		}
-		if err := st.stats.add(st.writers); err != nil {
+		if err := st.stats.add(frame, st.writers); err != nil {
 			return err
 		}
 		st.a.im.writeNS.Observe(time.Since(t1).Nanoseconds())
@@ -290,8 +290,8 @@ func (st *ingestState) ingestFrames(op string, src TrajectoryReader) error {
 }
 
 // crcTee forwards writes to the subset dropping while maintaining the
-// per-frame and whole-stream CRC32C. xtc.Writer issues exactly one Write
-// per frame, so `last` after a WriteFrame is that frame's checksum.
+// per-frame and whole-stream CRC32C. subsetWriter.writeFrame issues exactly
+// one Write per frame, so `last` after it is that frame's checksum.
 type crcTee struct {
 	f       vfs.File
 	enabled bool
@@ -319,15 +319,15 @@ type subsetWriter struct {
 	ranges  string // indices in range-list form, as journaled and published
 	file    vfs.File
 	tee     *crcTee
-	w       *xtc.Writer
 	ib      xtc.IndexBuilder
 	// base is the byte count already durable in the subset dropping when
 	// this writer started — zero on a fresh ingest, the last journaled
-	// checkpoint on a resumed one.
-	base int64
-	// sub is the split scratch frame: each writer is driven by a single
-	// goroutine, so reusing it makes the per-frame split allocation-free.
-	sub xtc.Frame
+	// checkpoint on a resumed one — and written what this writer has
+	// appended since.
+	base, written int64
+	// buf is the frame being written, reused frame to frame: each writer is
+	// driven by a single goroutine, so the split and encode allocate nothing.
+	buf []byte
 }
 
 // attach points the writer at its open subset dropping, which holds (or is
@@ -338,19 +338,24 @@ func (sw *subsetWriter) attach(f vfs.File, checksums bool, prefix []byte) {
 	if checksums {
 		sw.tee.total = xtc.CRC32C(prefix)
 	}
-	sw.w = xtc.NewRawWriter(sw.tee)
 }
 
-// writeFrame splits one full frame into this subset and appends it.
+// writeFrame splits one full frame into this subset and appends it in one
+// pass: the raw frame is encoded straight from the full frame's coordinates
+// through the subset's index list into buf, then goes out as one Write,
+// which the tee checksums while the bytes are still in cache.
 func (sw *subsetWriter) writeFrame(frame *xtc.Frame) error {
-	if err := frame.SubsetInto(sw.indices, &sw.sub); err != nil {
+	buf, err := frame.AppendRawSubset(sw.buf[:0], sw.indices)
+	if err != nil {
 		return err
 	}
-	before := sw.w.BytesWritten()
-	if err := sw.w.WriteFrame(&sw.sub); err != nil {
+	sw.buf = buf
+	n, err := sw.tee.Write(buf)
+	sw.written += int64(n)
+	if err != nil {
 		return fmt.Errorf("core: subset %s: %w", sw.tag, err)
 	}
-	sw.indexFrame(sw.w.BytesWritten()-before, sw.sub.NAtoms(), sw.tee.last)
+	sw.indexFrame(int64(len(buf)), len(sw.indices), sw.tee.last)
 	return nil
 }
 
@@ -364,7 +369,7 @@ func (sw *subsetWriter) indexFrame(size int64, natoms int, crc uint32) {
 }
 
 // storedBytes is the total size of the subset dropping.
-func (sw *subsetWriter) storedBytes() int64 { return sw.base + sw.w.BytesWritten() }
+func (sw *subsetWriter) storedBytes() int64 { return sw.base + sw.written }
 
 // ingestState is the one ingest session every writer runs on. It is opened
 // (prepareIngest: new container, journal, subsets) or resumed
@@ -387,7 +392,7 @@ type ingestState struct {
 	// charge is the session's hook into the virtual clock (cost.go).
 	charge *ingestCharge
 	// stats, when set, is the in-situ statistics stage (insitu.go).
-	stats statsStage
+	stats *statsStage
 	// checksums collects CRC32C per non-subset dropping for the manifest's
 	// integrity map.
 	checksums map[string]uint32

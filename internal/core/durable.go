@@ -360,6 +360,14 @@ func (a *ADA) resumeSession(logical string, pdbData []byte, live bool) (*ingestS
 	if mismatch != "" {
 		return nil, fmt.Errorf("core: resume %s: %s: %w", logical, mismatch, ErrNotResumable)
 	}
+	if !live {
+		// The manifest put is the commit: a journal beside it is a leftover
+		// for Recover to sweep, and cutting the committed subsets back
+		// would tear the dataset.
+		if _, err := a.Manifest(logical); err == nil {
+			return nil, fmt.Errorf("core: resume %s: already committed, run Recover: %w", logical, ErrNotResumable)
+		}
+	}
 	if err := st.cutBack(begin, lastCheckpoint(recs)); err != nil {
 		st.detach()
 		return nil, fmt.Errorf("core: resume %s: %w", logical, err)
@@ -376,7 +384,11 @@ func (a *ADA) resumeSession(logical string, pdbData []byte, live bool) (*ingestS
 // find it shorter than that head. The writer keeps the new dropping open,
 // index builder and running checksum rebuilt over the prefix; the counters
 // are restored; the journal is rewritten as begin plus that one checkpoint;
-// and a live head's version carries over. On an error the caller detaches.
+// and a live head's version carries over. A one-shot ingest that died
+// inside its seal may already have put index.<tag> over the whole subset;
+// that index goes before the shorter prefix is published, so the container
+// never holds an index past its subset's end (the seal puts it again). On
+// an error the caller detaches.
 func (st *ingestState) cutBack(begin, ck *journalRecord) error {
 	a := st.a
 	if ck.Frames < 0 || ck.Compressed < 0 || ck.Raw < 0 {
@@ -394,6 +406,12 @@ func (st *ingestState) cutBack(begin, ck *journalRecord) error {
 		prefix, idx, err := a.checkpointedPrefix(st.logical, sw.tag, ck.Subsets[sw.tag], ck.Frames)
 		if err != nil {
 			return err
+		}
+		if !begin.Live {
+			err := a.containers.RemoveDropping(st.logical, indexPrefix+sw.tag)
+			if err != nil && !errors.Is(err, vfs.ErrNotExist) {
+				return fmt.Errorf("subset %s: %w", sw.tag, err)
+			}
 		}
 		name := subsetPrefix + sw.tag
 		f, err := a.containers.CreateDropping(st.logical, stagingPrefix+name, sw.backend)

@@ -668,6 +668,85 @@ func TestResumeIngestFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestResumeAfterCrashInSeal crashes a one-shot ingest at every kill point
+// inside its seal that leaves an index.<tag> put but no manifest, and
+// resumes each. A first resume, from a source torn after the checkpoint,
+// fails once the subsets are cut back: the container it leaves must hold no
+// index reaching past its subset's end, and Fsck must find nothing corrupt.
+// A second resume commits: Fsck finds nothing corrupt and every dropping is
+// byte-identical to a one-shot ingest.
+func TestResumeAfterCrashInSeal(t *testing.T) {
+	frames := journalCkptEvery + 8
+	pdbBytes, traj, _ := testDataset(t, 200, frames)
+	_, goldenBytes := goldenDroppings(t, pdbBytes, traj)
+	noCorrupt := func(a *ADA, what string) {
+		t.Helper()
+		res, err := a.Fsck("/ds")
+		if err != nil {
+			t.Fatalf("%s: fsck: %v", what, err)
+		}
+		if res.Corrupt != 0 || res.Missing != 0 {
+			t.Fatalf("%s: fsck: %+v", what, res.Verdicts)
+		}
+	}
+	total := countOps(t, viaIngest, pdbBytes, traj)
+	cases := 0
+	for n := total; n >= 1; n-- {
+		in := faultfs.MustNew(1, faultfs.Rule{Kind: faultfs.KindKill, Nth: int(n)})
+		ssd, hdd := crashIngest(t, in, viaIngest, pdbBytes, traj)
+		a := rebootADA(t, ssd, hdd)
+		if _, err := a.Manifest("/ds"); err == nil {
+			// Committed, perhaps with the journal still beside the
+			// manifest: there is nothing to resume, and nothing is cut.
+			if _, err := a.ResumeIngest("/ds", pdbBytes, bytes.NewReader(traj)); err == nil {
+				t.Fatalf("kill %d/%d: resume of a committed dataset succeeded", n, total)
+			}
+			if _, err := a.Recover(); err != nil {
+				t.Fatalf("kill %d/%d: recover: %v", n, total, err)
+			}
+			assertGolden(t, a, goldenBytes, fmt.Sprintf("kill %d/%d, committed", n, total))
+			continue
+		}
+		_, errM := a.readDropping("/ds", indexPrefix+TagMisc)
+		_, errP := a.readDropping("/ds", indexPrefix+TagProtein)
+		if errM != nil && errP != nil {
+			break // before the seal's first put
+		}
+		cases++
+		what := fmt.Sprintf("kill %d/%d", n, total)
+		if _, err := a.ResumeIngest("/ds", pdbBytes, bytes.NewReader(traj[:len(traj)-5])); err == nil {
+			t.Fatalf("%s: resume from a torn source succeeded", what)
+		}
+		for _, tag := range []string{TagProtein, TagMisc} {
+			data, err := a.readDropping("/ds", indexPrefix+tag)
+			if err != nil {
+				continue
+			}
+			idx, err := xtc.UnmarshalIndex(data)
+			if err != nil {
+				t.Fatalf("%s: index.%s: %v", what, tag, err)
+			}
+			sub, err := a.readDropping("/ds", subsetPrefix+tag)
+			if err != nil {
+				t.Fatalf("%s: subset.%s: %v", what, tag, err)
+			}
+			if idx.TotalBytes() != int64(len(sub)) {
+				t.Fatalf("%s: index.%s covers %d bytes, subset holds %d", what, tag, idx.TotalBytes(), len(sub))
+			}
+		}
+		noCorrupt(a, what+", cut back")
+		if _, err := a.ResumeIngest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+			t.Fatalf("%s: resume: %v", what, err)
+		}
+		noCorrupt(a, what+", resumed")
+		assertGolden(t, a, goldenBytes, what)
+	}
+	if cases == 0 {
+		t.Fatalf("no kill point of %d left an index without a manifest", total)
+	}
+	t.Logf("%d kill points inside the seal", cases)
+}
+
 // handleFS counts the file handles a stack opens and closes through it.
 type handleFS struct {
 	vfs.FS

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"maps"
 	"runtime"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/pdb"
 	"repro/internal/vfs"
 )
 
@@ -185,6 +187,154 @@ func FuzzJournal(f *testing.F) {
 				!errors.Is(err, ErrNotResumable) {
 				t.Fatalf("way %d over journal %q: untyped error %v", i, strings.TrimSpace(string(input)), err)
 			}
+		}
+	})
+}
+
+// typedStoredErr reports whether err is one a reader of a stored dropping
+// can tell apart: JSON that does not parse or does not fit the schema, a
+// dropping or tag that is not there, or content that parses but does not
+// hold together.
+func typedStoredErr(err error) bool {
+	var syntax *json.SyntaxError
+	var typ *json.UnmarshalTypeError
+	return errors.As(err, &syntax) || errors.As(err, &typ) ||
+		errors.Is(err, vfs.ErrNotExist) || errors.Is(err, vfs.ErrCorrupted) ||
+		errors.Is(err, ErrUnknownTag)
+}
+
+// FuzzManifest writes arbitrary bytes as the manifest.json of a committed
+// four-frame dataset and runs what reads it: unmarshalManifest, then
+// OpenSubset on the "p" subset with every frame read, and Fsck. Rule: no
+// panic, allocation bounded by the input's length, and every error typed.
+func FuzzManifest(f *testing.F) {
+	pdbBytes, traj, _ := testDataset(f, 200, 4)
+	golden, _, _ := newADA(f, nil, Options{Metrics: metrics.NewRegistry()})
+	if _, err := golden.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+		f.Fatal(err)
+	}
+	m, err := golden.Manifest("/ds")
+	if err != nil {
+		f.Fatal(err)
+	}
+	manifest := func(edit func(*Manifest)) []byte {
+		c := *m
+		c.Subsets = maps.Clone(m.Subsets)
+		c.Checksums = maps.Clone(m.Checksums)
+		edit(&c)
+		data, err := c.marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	sub := func(edit func(*Subset)) func(*Manifest) {
+		return func(c *Manifest) {
+			s := c.Subsets[TagProtein]
+			edit(&s)
+			c.Subsets[TagProtein] = s
+		}
+	}
+	for _, seed := range [][]byte{
+		manifest(func(*Manifest) {}),
+		manifest(sub(func(s *Subset) { s.Ranges = "9-3" })),
+		manifest(sub(func(s *Subset) { s.Ranges = "0-9223372036854775807,5-7" })),
+		manifest(sub(func(s *Subset) { s.Ranges = "-4" })),
+		manifest(sub(func(s *Subset) { s.Bytes = -1 })),
+		manifest(sub(func(s *Subset) { s.Bytes = 1 << 50 })),
+		manifest(sub(func(s *Subset) { s.Backend = "nowhere" })),
+		manifest(sub(func(s *Subset) { s.CRC32C = 1 })),
+		manifest(func(c *Manifest) { delete(c.Subsets, TagProtein) }),
+		manifest(func(c *Manifest) { c.Checksums["../escape"] = 7 }),
+		[]byte(`{"subsets": {"p": 7}}`),
+		[]byte(`{"frames": 1e400}`),
+		[]byte("null"),
+		nil,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		a, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
+		if _, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.containers.PutDropping("/ds", droppingManifest, a.containers.Backends()[0], input); err != nil {
+			t.Fatal(err)
+		}
+		var errs []error
+		got := allocated(func() {
+			_, err := unmarshalManifest(input)
+			errs = append(errs, err)
+			sr, err := a.OpenSubset("/ds", TagProtein)
+			errs = append(errs, err)
+			if err == nil {
+				for {
+					if _, err := sr.ReadFrame(); err != nil {
+						if err != io.EOF {
+							errs = append(errs, err)
+						}
+						break
+					}
+				}
+				sr.Close()
+			}
+			_, err = a.Fsck("/ds")
+			errs = append(errs, err)
+		})
+		if limit := uint64(32*len(input) + 1<<20); got > limit {
+			t.Fatalf("reading a %d-byte manifest allocated %d, limit %d", len(input), got, limit)
+		}
+		for i, err := range errs {
+			if err != nil && !typedStoredErr(err) {
+				t.Fatalf("call %d over manifest %q: untyped error %v", i, strings.TrimSpace(string(input)), err)
+			}
+		}
+	})
+}
+
+// FuzzLabels holds the label file parser to the rule for bytes from
+// outside, its range-list parser included: UnmarshalLabels over arbitrary
+// bytes must not panic, must allocate in proportion to the input, and must
+// return a label set or a typed error.
+func FuzzLabels(f *testing.F) {
+	pdbBytes, _, _ := testDataset(f, 200, 1)
+	structure, err := pdb.Parse(bytes.NewReader(pdbBytes))
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, err := BuildLabels(structure).Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for _, seed := range []string{
+		`{"natoms": 10, "ranges": {"protein": "0-4,4-10"}}`,
+		`{"natoms": 10, "ranges": {"protein": "0-10", "water": "0-10"}}`,
+		`{"natoms": 3, "ranges": {"protein": "9-3"}}`,
+		`{"natoms": 3, "ranges": {"protein": "--3"}}`,
+		`{"natoms": 3, "ranges": {"protein": "0-3,"}}`,
+		`{"natoms": 3, "ranges": {"sugar": "0-3"}}`,
+		`{"natoms": -1, "ranges": {"protein": "0-9223372036854775807,1-2"}}`,
+		`{"natoms": 4, "ranges": {"protein": "6-7,4-5,2-3,0-1"}}`,
+		`{"natoms": 1e400}`,
+		`{"ranges": ["0-1"]}`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		var ls *LabelSet
+		var err error
+		got := allocated(func() { ls, err = UnmarshalLabels(input) })
+		if limit := uint64(32*len(input) + 1<<20); got > limit {
+			t.Fatalf("parsing %d bytes allocated %d, limit %d", len(input), got, limit)
+		}
+		if (ls == nil) == (err == nil) {
+			t.Fatalf("label set %v, err %v: want exactly one", ls != nil, err)
+		}
+		if err != nil && !typedStoredErr(err) {
+			t.Fatalf("labels %q: untyped error %v", strings.TrimSpace(string(input)), err)
 		}
 	})
 }

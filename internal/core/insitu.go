@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/xtc"
 )
 
 // In-situ statistics: following the related work the paper builds on
@@ -36,15 +37,31 @@ func (a *ADA) IngestWithStats(logical string, pdbData []byte, tr TrajectoryReade
 }
 
 // statsStage is a session's in-situ statistics stage: one analysis series
-// per subset writer, in writer order.
-type statsStage []analysis.TrajectoryStats
+// per subset writer, in writer order. A session without the stage has a
+// nil one, and its methods do nothing.
+type statsStage struct {
+	series []analysis.TrajectoryStats
+	// sub is the split scratch: the writers encode each subset straight
+	// from the full frame, so the stage splits the frame for itself,
+	// reusing sub frame to frame (Add copies what it retains).
+	sub xtc.Frame
+}
 
-// add folds the frame the session just wrote into every series. writeFrame
-// split it into each writer's sub; the analysis pass reuses that scratch
-// instead of re-splitting (Add copies what it retains).
-func (s statsStage) add(writers []*subsetWriter) error {
-	for i := range s {
-		if err := s[i].Add(&writers[i].sub); err != nil {
+// newStatsStage returns a stage for n subset writers.
+func newStatsStage(n int) *statsStage {
+	return &statsStage{series: make([]analysis.TrajectoryStats, n)}
+}
+
+// add folds the frame the session just wrote into every series.
+func (s *statsStage) add(frame *xtc.Frame, writers []*subsetWriter) error {
+	if s == nil {
+		return nil
+	}
+	for i := range s.series {
+		if err := frame.SubsetInto(writers[i].indices, &s.sub); err != nil {
+			return fmt.Errorf("core: in-situ stats %s: %w", writers[i].tag, err)
+		}
+		if err := s.series[i].Add(&s.sub); err != nil {
 			return fmt.Errorf("core: in-situ stats %s: %w", writers[i].tag, err)
 		}
 	}
@@ -54,16 +71,19 @@ func (s statsStage) add(writers []*subsetWriter) error {
 // put writes each series as its subset's stats.<tag> dropping. It runs
 // inside the session's seal, so the statistics ride the same atomic commit
 // as the subsets: visible only once the manifest lands.
-func (s statsStage) put(st *ingestState) error {
-	for i := range s {
-		sw := st.writers[i]
+func (s *statsStage) put(st *ingestState) error {
+	if s == nil {
+		return nil
+	}
+	for i := range s.series {
+		ts, sw := &s.series[i], st.writers[i]
 		data, err := json.MarshalIndent(&SubsetStats{
 			Tag:    sw.tag,
-			Frames: s[i].Frames,
-			RGyr:   s[i].RGyr,
-			RMSD:   s[i].RMSD,
-			MSD:    s[i].MSD,
-			MeanRG: analysis.Mean(s[i].RGyr),
+			Frames: ts.Frames,
+			RGyr:   ts.RGyr,
+			RMSD:   ts.RMSD,
+			MSD:    ts.MSD,
+			MeanRG: analysis.Mean(ts.RGyr),
 		}, "", "  ")
 		if err != nil {
 			return err

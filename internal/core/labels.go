@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/pdb"
 	"repro/internal/rangelist"
+	"repro/internal/vfs"
 )
 
 // Coarse tags from the paper's prototype.
@@ -153,11 +154,11 @@ func UnmarshalLabels(data []byte) (*LabelSet, error) {
 	for name, ranges := range lf.Ranges {
 		cat, err := pdb.ParseCategory(name)
 		if err != nil {
-			return nil, fmt.Errorf("core: label file: %w", err)
+			return nil, fmt.Errorf("core: label file: %w: %w", err, vfs.ErrCorrupted)
 		}
 		l, err := rangelist.Parse(ranges)
 		if err != nil {
-			return nil, fmt.Errorf("core: label file category %s: %w", name, err)
+			return nil, fmt.Errorf("core: label file category %s: %w: %w", name, err, vfs.ErrCorrupted)
 		}
 		ls.ByCategory[cat] = l
 	}
@@ -166,7 +167,7 @@ func UnmarshalLabels(data []byte) (*LabelSet, error) {
 		total += l.Count()
 	}
 	if total != lf.NAtoms {
-		return nil, fmt.Errorf("core: label file covers %d atoms, header says %d", total, lf.NAtoms)
+		return nil, fmt.Errorf("core: label file covers %d atoms, header says %d: %w", total, lf.NAtoms, vfs.ErrCorrupted)
 	}
 	return ls, nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/rangelist"
+	"repro/internal/vfs"
 	"repro/internal/xtc"
 )
 
@@ -32,7 +33,7 @@ func (a *ADA) resolveSubset(logical, tag string) (Subset, *rangelist.List, error
 	}
 	ranges, err := rangelist.Parse(info.Ranges)
 	if err != nil {
-		return Subset{}, nil, fmt.Errorf("core: subset %s ranges: %w", tag, err)
+		return Subset{}, nil, fmt.Errorf("core: subset %s ranges: %w: %w", tag, err, vfs.ErrCorrupted)
 	}
 	return info, ranges, nil
 }

@@ -8,11 +8,16 @@
 package rangelist
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// ErrSyntax is wrapped by every error Parse returns.
+var ErrSyntax = errors.New("rangelist: syntax error")
 
 // Range is a half-open interval [Begin, End).
 type Range struct {
@@ -65,8 +70,14 @@ func (l *List) Add(begin, end int) {
 			end = l.ranges[j-1].End
 		}
 	}
-	merged := Range{begin, end}
-	l.ranges = append(l.ranges[:i], append([]Range{merged}, l.ranges[j:]...)...)
+	// In place: the list grows by at most one range, so building a list
+	// range by range allocates in proportion to its length, in any order.
+	if i == j {
+		l.ranges = slices.Insert(l.ranges, i, Range{begin, end})
+		return
+	}
+	l.ranges[i] = Range{begin, end}
+	l.ranges = slices.Delete(l.ranges, i+1, j)
 }
 
 // Append adds [begin, end) which must start at or after the current end of
@@ -217,18 +228,18 @@ func Parse(s string) (*List, error) {
 	for _, part := range strings.Split(s, ",") {
 		lohi := strings.SplitN(strings.TrimSpace(part), "-", 2)
 		if len(lohi) != 2 {
-			return nil, fmt.Errorf("rangelist: bad range %q", part)
+			return nil, fmt.Errorf("%w: bad range %q", ErrSyntax, part)
 		}
 		lo, err := strconv.Atoi(lohi[0])
 		if err != nil {
-			return nil, fmt.Errorf("rangelist: bad begin in %q: %w", part, err)
+			return nil, fmt.Errorf("%w: bad begin in %q: %w", ErrSyntax, part, err)
 		}
 		hi, err := strconv.Atoi(lohi[1])
 		if err != nil {
-			return nil, fmt.Errorf("rangelist: bad end in %q: %w", part, err)
+			return nil, fmt.Errorf("%w: bad end in %q: %w", ErrSyntax, part, err)
 		}
 		if hi < lo {
-			return nil, fmt.Errorf("rangelist: inverted range %q", part)
+			return nil, fmt.Errorf("%w: inverted range %q", ErrSyntax, part)
 		}
 		l.Add(lo, hi)
 	}

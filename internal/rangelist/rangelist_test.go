@@ -204,3 +204,30 @@ func TestQuickIntersectComplement(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAddAllocatesLinearly: a list built range by range, in descending
+// order so every range lands at the front, allocates in proportion to its
+// length — a label file or manifest is parsed this way, and its bytes come
+// from outside.
+func TestAddAllocatesLinearly(t *testing.T) {
+	const n = 2000
+	allocs := testing.AllocsPerRun(3, func() {
+		l := New()
+		for k := n; k > 0; k-- {
+			l.Add(3*k, 3*k+1)
+		}
+		if l.NumRanges() != n {
+			t.Fatalf("%d ranges, want %d", l.NumRanges(), n)
+		}
+	})
+	if allocs > 64 {
+		t.Errorf("building %d ranges took %.0f allocations", n, allocs)
+	}
+	l := New()
+	for _, r := range []Range{{6, 7}, {0, 1}, {3, 4}, {1, 3}, {8, 9}, {4, 8}} {
+		l.Add(r.Begin, r.End)
+	}
+	if got := l.String(); got != "0-9" {
+		t.Errorf("merged list = %s, want 0-9", got)
+	}
+}

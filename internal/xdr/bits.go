@@ -139,6 +139,15 @@ func mask64(nbits uint) uint64 {
 	return 1<<nbits - 1
 }
 
+// lowMask[n] is mask64(n) as a table: the load costs the inliner less than
+// the shift, which keeps ReadBits64's fast path within its budget.
+var lowMask = func() (t [65]uint64) {
+	for n := range t {
+		t[n] = mask64(uint(n))
+	}
+	return t
+}()
+
 // ReadBits reads nbits bits (MSB first) and returns them right-aligned.
 // nbits must be in [0, 32]. On underflow it records an error and returns 0.
 func (r *BitReader) ReadBits(nbits uint) uint32 {
@@ -154,13 +163,21 @@ func (r *BitReader) ReadBits(nbits uint) uint32 {
 
 // ReadBits64 reads nbits bits (MSB first) right-aligned into a uint64.
 // nbits must be in [0, 64]. On underflow it records an error and returns 0.
+// The accumulator hit is small enough to inline into the XTC decode loop;
+// the drain-and-refill lives out of line in readBits64Slow.
 func (r *BitReader) ReadBits64(nbits uint) uint64 {
-	if nbits > 64 {
-		panic(fmt.Sprintf("xdr: ReadBits64 width %d out of range", nbits))
-	}
 	if nbits <= r.n {
 		r.n -= nbits
-		return r.acc >> r.n & mask64(nbits)
+		return r.acc >> r.n & lowMask[nbits]
+	}
+	return r.readBits64Slow(nbits)
+}
+
+// readBits64Slow is ReadBits64 when the accumulator holds fewer than nbits
+// bits: it also rejects a width over 64, which no accumulator can hold.
+func (r *BitReader) readBits64Slow(nbits uint) uint64 {
+	if nbits > 64 {
+		panic(fmt.Sprintf("xdr: ReadBits64 width %d out of range", nbits))
 	}
 	if r.err != nil {
 		return 0

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // ErrShortBuffer is returned when a Reader runs out of input mid-value.
@@ -61,6 +62,15 @@ func (w *Writer) Float32(v float32) { w.Uint32(math.Float32bits(v)) }
 
 // Float64 appends v in IEEE-754 double precision.
 func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
+
+// Extend appends n bytes and returns them for the caller to fill in place:
+// the bulk form of a run of Uint32 calls, for an encoder that already
+// knows its exact size.
+func (w *Writer) Extend(n int) []byte {
+	w.buf = slices.Grow(w.buf, n)
+	w.buf = w.buf[:len(w.buf)+n]
+	return w.buf[len(w.buf)-n:]
+}
 
 // Opaque appends fixed-length opaque data padded with zero bytes to a
 // four-byte boundary. The length itself is not written; use VarOpaque for

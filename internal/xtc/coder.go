@@ -31,10 +31,11 @@ type coderState struct {
 	smallIdx  int
 	minIdx    int
 	maxIdx    int
-	smallNum  int32  // half of magicints[smallIdx]
-	sizeSmall uint32 // magicints[smallIdx]
-	smaller   int32  // half of magicints[smallIdx-1]
-	nbitsRun  uint   // bits for one delta triplet at smallIdx
+	smallNum  int32   // half of magicints[smallIdx]
+	sizeSmall uint32  // magicints[smallIdx]
+	smaller   int32   // half of magicints[smallIdx-1]
+	nbitsRun  uint    // bits for one delta triplet at smallIdx
+	div       divisor // divides by magicints[smallIdx]
 }
 
 func newCoderState(smallIdx int) coderState {
@@ -59,8 +60,48 @@ func (s *coderState) refresh() {
 		prev = firstIdx
 	}
 	s.smaller = int32(magicints[prev] / 2)
-	sizes := [3]uint32{s.sizeSmall, s.sizeSmall, s.sizeSmall}
-	s.nbitsRun = sizeOfInts(sizes[:])
+	s.nbitsRun = runBits[s.smallIdx]
+	s.div = magicDivs[s.smallIdx]
+}
+
+// runBits[i] is the width of one delta triplet at table index i,
+// sizeOfInts of three magicints[i].
+var runBits = func() (t [len(magicints)]uint) {
+	for i := firstIdx; i <= lastIdx; i++ {
+		m := magicints[i]
+		t[i] = sizeOfInts([]uint32{m, m, m})
+	}
+	return t
+}()
+
+// magicDivs[i] divides by magicints[i]: one reciprocal per table entry, so
+// an adapting coder switches divisors with a load.
+var magicDivs = func() (t [len(magicints)]divisor) {
+	for i := firstIdx; i <= lastIdx; i++ {
+		t[i] = newDivisor(magicints[i])
+	}
+	return t
+}()
+
+// divisor divides a uint64 by a fixed d >= 1 without a divide instruction
+// (Granlund–Montgomery): the quotient estimate is the high word of n times
+// m = floor((2^64-1)/d). Since d*m lies in (2^64-d, 2^64), the estimate is
+// the true quotient or one less, and one correction step settles it.
+type divisor struct{ d, m uint64 }
+
+func newDivisor(d uint32) divisor {
+	return divisor{d: uint64(d), m: math.MaxUint64 / uint64(d)}
+}
+
+// divmod returns n/d and n%d.
+func (v divisor) divmod(n uint64) (q, r uint64) {
+	q, _ = bits.Mul64(n, v.m)
+	r = n - q*v.d
+	if r >= v.d {
+		q++
+		r -= v.d
+	}
+	return q, r
 }
 
 // adjust moves the small index by dir (-1, 0, +1), clamped to the window
@@ -331,8 +372,15 @@ func compressCoords(w *xdr.BitWriter, ints []int32, minInt [3]int32, sizeInt [3]
 	return smallIdx
 }
 
-// decompressCoords is the inverse of compressCoords.
-func decompressCoords(blob []byte, natoms int, minInt [3]int32, sizeInt [3]uint32, smallIdx int, out []int32) error {
+// decompressCoords is the inverse of quantize and compressCoords in one
+// pass: it decodes the bit stream into the running integer triplet and
+// writes each atom to out as soon as it has it, dequantized as
+// float32(float64(q) * (1/precision)) — the expression the stored float
+// bits are pinned to (TestDecodeGoldenBytes). The divisions that split a
+// packed triplet are multiplies by a reciprocal (divisor): the small-delta
+// divisor comes from the magicints table, the absolute atom's two from this
+// frame's extents. len(out) is the atom count.
+func decompressCoords(blob []byte, minInt [3]int32, sizeInt [3]uint32, smallIdx int, precision float32, out []Vec3) error {
 	if smallIdx < firstIdx || smallIdx > lastIdx {
 		return fmt.Errorf("xtc: small index %d out of range [%d,%d]", smallIdx, firstIdx, lastIdx)
 	}
@@ -341,6 +389,7 @@ func decompressCoords(blob []byte, natoms int, minInt [3]int32, sizeInt [3]uint3
 		return fmt.Errorf("xtc: empty coordinate extent %v", sizeInt)
 	}
 	st := newCoderState(smallIdx)
+	inv := 1.0 / float64(precision)
 
 	bitSize := uint(0)
 	var bitSizeInt [3]uint
@@ -351,29 +400,34 @@ func decompressCoords(blob []byte, natoms int, minInt [3]int32, sizeInt [3]uint3
 	} else {
 		bitSize = sizeOfInts(sizeInt[:])
 	}
+	div1, div2 := newDivisor(sizeInt[1]), newDivisor(sizeInt[2])
 
 	r := xdr.NewBitReader(blob)
-	readAbs := func(i int) {
+	natoms := len(out)
+	i := 0
+	for i < natoms {
+		// Absolutely coded atom: the combined triplet split by this
+		// frame's extents, or (huge boxes) three fixed-width fields.
 		var vals [3]uint32
-		if bitSize == 0 {
+		switch {
+		case bitSize == 0:
 			for d := 0; d < 3; d++ {
 				vals[d] = r.ReadBits(bitSizeInt[d])
 			}
-		} else {
-			unpackInts(r, bitSize, sizeInt[:], vals[:])
+		case bitSize <= 64:
+			q, rz := div2.divmod(r.ReadBits64(bitSize))
+			qx, ry := div1.divmod(q)
+			vals = [3]uint32{uint32(qx), uint32(ry), uint32(rz)}
+		default:
+			unpackIntsBig(r, bitSize, sizeInt[:], vals[:])
 		}
-		for d := 0; d < 3; d++ {
-			out[i*3+d] = int32(int64(vals[d]) + int64(minInt[d]))
-		}
-	}
-
-	i := 0
-	for i < natoms {
-		readAbs(i)
-		prev := [3]int32{out[i*3], out[i*3+1], out[i*3+2]}
+		x := int32(vals[0]) + minInt[0]
+		y := int32(vals[1]) + minInt[1]
+		z := int32(vals[2]) + minInt[2]
+		out[i] = Vec3{float32(float64(x) * inv), float32(float64(y) * inv), float32(float64(z) * inv)}
 		i++
 
-		field := r.ReadBits(5)
+		field := r.ReadBits64(5)
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -382,50 +436,33 @@ func decompressCoords(blob []byte, natoms int, minInt [3]int32, sizeInt [3]uint3
 		if run < 0 || run > maxRunAtoms || i+run > natoms {
 			return fmt.Errorf("xtc: corrupt run field %d at atom %d/%d", field, i, natoms)
 		}
+		sn := st.smallNum
 		if st.nbitsRun <= 64 {
-			// Fused small-delta path: the whole triplet is one <=64-bit
-			// accumulator read split by two divisions, decoded straight
-			// into out without the per-value call and slice traffic of
-			// the generic unpackInts. This loop is the decode hot spot.
-			small := uint64(st.sizeSmall)
-			nb, sn := st.nbitsRun, st.smallNum
+			// Fused small-delta path, the decode hot spot: the whole
+			// triplet is one <=64-bit accumulator read split by two
+			// reciprocal divisions and written out as floats.
+			div, nb := st.div, st.nbitsRun
 			for k := 0; k < run; k++ {
-				v := r.ReadBits64(nb)
-				q := v / small
-				z := int32(v - q*small)
-				x64 := q / small
-				y := int32(q - x64*small)
-				prev[0] += int32(x64) - sn
-				prev[1] += y - sn
-				prev[2] += z - sn
-				out[i*3] = prev[0]
-				out[i*3+1] = prev[1]
-				out[i*3+2] = prev[2]
+				q, rz := div.divmod(r.ReadBits64(nb))
+				qx, ry := div.divmod(q)
+				x += int32(qx) - sn
+				y += int32(ry) - sn
+				z += int32(rz) - sn
+				out[i] = Vec3{float32(float64(x) * inv), float32(float64(y) * inv), float32(float64(z) * inv)}
 				i++
 			}
 		} else {
 			sizes := [3]uint32{st.sizeSmall, st.sizeSmall, st.sizeSmall}
 			for k := 0; k < run; k++ {
-				var vals [3]uint32
-				unpackInts(r, st.nbitsRun, sizes[:], vals[:])
-				for d := 0; d < 3; d++ {
-					prev[d] += int32(vals[d]) - st.smallNum
-					out[i*3+d] = prev[d]
-				}
+				unpackIntsBig(r, st.nbitsRun, sizes[:], vals[:])
+				x += int32(vals[0]) - sn
+				y += int32(vals[1]) - sn
+				z += int32(vals[2]) - sn
+				out[i] = Vec3{float32(float64(x) * inv), float32(float64(y) * inv), float32(float64(z) * inv)}
 				i++
 			}
 		}
 		st.adjust(dir)
 	}
 	return r.Err()
-}
-
-// dequantize converts quantized integers back to float coordinates.
-func dequantize(ints []int32, precision float32, out []Vec3) {
-	inv := 1.0 / float64(precision)
-	for i := range out {
-		for d := 0; d < 3; d++ {
-			out[i][d] = float32(float64(ints[i*3+d]) * inv)
-		}
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/xdr"
 )
@@ -90,18 +91,63 @@ func (f *Frame) AppendEncoded(w *xdr.Writer) error {
 // of the paper's "D-" (decompressed) datasets and of ADA's pre-processed
 // subsets.
 func (f *Frame) AppendRaw(w *xdr.Writer) {
-	w.Int32(MagicRaw)
-	w.Int32(int32(len(f.Coords)))
-	w.Int32(f.Step)
-	w.Float32(f.Time)
-	for _, b := range f.Box {
-		w.Float32(b)
+	f.putRaw(w.Extend(int(RawFrameSize(len(f.Coords)))), nil) // nil: every atom, cannot fail
+}
+
+// AppendRawSubset appends to buf the uncompressed encoding of the frame of
+// f's atoms that idx selects, and returns the extended buffer: SubsetInto
+// and AppendRaw in one pass, with no sub-frame between them. The
+// coordinates go from f.Coords through idx straight into buf, so an ingest
+// splits and encodes each subset while the bytes are in cache. A nil idx
+// selects every atom. On error buf comes back unextended.
+func (f *Frame) AppendRawSubset(buf []byte, idx []int) ([]byte, error) {
+	natoms := len(idx)
+	if idx == nil {
+		natoms = len(f.Coords)
 	}
-	for _, c := range f.Coords {
-		for d := 0; d < 3; d++ {
-			w.Float32(c[d])
+	n := int(RawFrameSize(natoms))
+	buf = slices.Grow(buf, n)
+	if err := f.putRaw(buf[len(buf):len(buf)+n], idx); err != nil {
+		return buf, err
+	}
+	return buf[:len(buf)+n], nil
+}
+
+// putRaw writes the raw frame of the atoms idx selects (every atom when idx
+// is nil) into p, which is exactly that frame's size: the header, then each
+// coordinate as a big-endian float in one twelve-byte window per atom.
+func (f *Frame) putRaw(p []byte, idx []int) error {
+	be := binary.BigEndian
+	hdr := p[:headerLen]
+	natoms := (len(p) - headerLen) / 12
+	be.PutUint32(hdr[0:], MagicRaw)
+	be.PutUint32(hdr[4:], uint32(natoms))
+	be.PutUint32(hdr[8:], uint32(f.Step))
+	be.PutUint32(hdr[12:], math.Float32bits(f.Time))
+	for d, b := range f.Box {
+		be.PutUint32(hdr[16+4*d:], math.Float32bits(b))
+	}
+	body := p[headerLen:]
+	if idx == nil {
+		for i, c := range f.Coords {
+			putVec(body[i*12:i*12+12], c)
 		}
+		return nil
 	}
+	for i, a := range idx {
+		if uint(a) >= uint(len(f.Coords)) {
+			return fmt.Errorf("xtc: subset index %d out of range (natoms=%d)", a, len(f.Coords))
+		}
+		putVec(body[i*12:i*12+12], f.Coords[a])
+	}
+	return nil
+}
+
+// putVec writes one atom's coordinates as three big-endian floats.
+func putVec(b []byte, c Vec3) {
+	binary.BigEndian.PutUint32(b[0:], math.Float32bits(c[0]))
+	binary.BigEndian.PutUint32(b[4:], math.Float32bits(c[1]))
+	binary.BigEndian.PutUint32(b[8:], math.Float32bits(c[2]))
 }
 
 // DefaultPrecision is the customary XTC quantization (1/1000 nm).
@@ -177,12 +223,9 @@ func decodeFrameInto(r *xdr.Reader, f *Frame) (*Frame, error) {
 		if f.Precision <= 0 {
 			return nil, fmt.Errorf("xtc: invalid precision %g", f.Precision)
 		}
-		ints := getInts(natoms * 3)
-		defer putInts(ints)
-		if err := decompressCoords(blob, natoms, minInt, sizeInt, smallIdx, ints); err != nil {
+		if err := decompressCoords(blob, minInt, sizeInt, smallIdx, f.Precision, f.Coords); err != nil {
 			return nil, err
 		}
-		dequantize(ints, f.Precision, f.Coords)
 		return f, nil
 
 	case MagicRaw:

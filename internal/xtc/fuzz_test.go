@@ -92,12 +92,19 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 
 // FuzzDecodeFrame holds the decoder to the rule for bytes from outside: no
 // panic, an error or a frame, and memory in proportion to the input — an
-// atom is at least a bit of input and at most 24 bytes decoded (12 of
-// coordinates, 12 of quantized scratch), so 256 bytes per input byte plus
-// slack for the fixed-size pieces covers every honest frame.
+// atom is at least a bit of input and at most its 12 bytes of coordinates
+// decoded (the kernel keeps no per-atom scratch), so 128 bytes per input
+// byte plus slack for the fixed-size pieces covers every honest frame. It is
+// also differential: the fused kernel and the two-pass reference decoder
+// (refdecode_test.go) must return the same coordinate bits, or both fail.
+// The seeds include kernelPathFrames, so the wide-box (bitSize == 0) and
+// over-64-bit arms are mutated from the start.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
+	}
+	for _, p := range kernelPathFrames(f) {
+		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, input []byte) {
 		var fr *Frame
@@ -106,8 +113,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		if (fr == nil) == (err == nil) {
 			t.Fatalf("frame %v, err %v: want exactly one", fr != nil, err)
 		}
-		if limit := uint64(256*len(input) + 1<<20); got > limit {
+		if limit := uint64(128*len(input) + 1<<20); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(input), got, limit)
+		}
+		want, werr := refDecodeBytes(input)
+		if err := sameDecode(fr, err, want, werr); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

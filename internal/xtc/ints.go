@@ -8,7 +8,7 @@ import "repro/internal/xdr"
 // nbits must come from sizeOfInts(sizes). Combined values of up to 64 bits
 // — every delta run and almost every absolute triplet — take a fused fast
 // path: two uint64 multiplies and one accumulator write, the exact inverse
-// of unpackInts' divide fast path.
+// of decompressCoords' two reciprocal divisions.
 func packInts(w *xdr.BitWriter, nbits uint, sizes, vals []uint32) {
 	if nbits <= 64 && len(sizes) == 3 {
 		v := (uint64(vals[0])*uint64(sizes[1])+uint64(vals[1]))*uint64(sizes[2]) + uint64(vals[2])
@@ -48,25 +48,6 @@ func packIntsBig(w *xdr.BitWriter, nbits uint, sizes, vals []uint32) {
 		}
 	}
 	w.WriteBitsBig(be[:total], nbits)
-}
-
-// unpackInts reads nbits bits from r and splits them back into len(sizes)
-// values via repeated division, the inverse of packInts. Combined values of
-// up to 64 bits — every delta run and almost every absolute triplet — take
-// a fused fast path: one accumulator read plus two uint64 divisions, instead
-// of byte-at-a-time multi-precision arithmetic.
-func unpackInts(r *xdr.BitReader, nbits uint, sizes []uint32, vals []uint32) {
-	if nbits <= 64 && len(sizes) == 3 {
-		v := r.ReadBits64(nbits)
-		s1, s2 := uint64(sizes[1]), uint64(sizes[2])
-		q := v / s2
-		vals[2] = uint32(v - q*s2)
-		v = q / s1
-		vals[1] = uint32(q - v*s1)
-		vals[0] = uint32(v)
-		return
-	}
-	unpackIntsBig(r, nbits, sizes, vals)
 }
 
 // unpackIntsBig is the general multi-precision path for combined values
