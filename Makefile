@@ -43,12 +43,14 @@ lint:
 # the rpc client's read-reply parser, the node's request-frame reader, the
 # placement table a peer serves, the container index every dropping
 # resolves through, the live head a tailing reader gates on, the ingest
-# journal recovery and resume read, and the manifest and label file (with
-# their range lists) every tagged read resolves through (rule: no panic, a
+# journal recovery and resume read, the manifest and label file (with
+# their range lists) every tagged read resolves through, the PDB structure
+# ingest and `mol new` parse, and adanode's -tier-spec (rule: no panic, a
 # typed error or a result, allocation
 # bounded by input length; an accepted index tiles the stream with positive
 # entries whose ends fit an int64; an accepted table places any directory on
-# exactly R distinct table nodes).
+# exactly R distinct table nodes; an accepted tier spec has finite
+# watermarks with 0 < low <= high <= 1).
 # The seed corpora already run under plain `go test`; this looks past them.
 # Minimization is capped per input: at its 60 s default, shrinking the first
 # coverage-expanding DCD stream outlasts the whole run (measured: 118
@@ -68,6 +70,8 @@ fuzz:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzJournal ./internal/core
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzManifest ./internal/core
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzLabels ./internal/core
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzPDBParse ./internal/pdb
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzTierSpec ./internal/tier
 
 # adabench is deterministic — a virtual clock, fixed seeds — so RESULTS.txt
 # is checked, not trusted: any change to the cost model, the simulated
@@ -109,12 +113,14 @@ test-stream:
 		./internal/core/ ./internal/rpc/ ./internal/serve/ ./cmd/adactl/
 
 # The scheduling-dependent tests — the decode-ahead lookahead bound (the
-# consumer held, then Close mid-stream), Stop waiting out the decoder, a
-# live Append handing its batch back with no decoder still reading it, and
-# tailing readers across a seal and a kill — repeated, so a regression in
-# any shows up in CI rather than once a week.
+# consumer held, then Close mid-stream), Stop waiting out the decoder, the
+# sequential readers' fetch ahead (Close mid-stream and mid-read, a corrupt
+# frame's sticky error), a live Append handing its batch back with no
+# decoder still reading it, and tailing readers across a seal and a kill —
+# repeated, so a regression in any shows up in CI rather than once a week.
 test-deflaked:
 	$(GO) test -race -count=10 -run 'TestAheadReaderLookaheadBounded|TestAheadReaderStopWaits' ./internal/xtc/
+	$(GO) test -race -count=10 -run 'TestSubsetReaderCloseMidStream|TestSubsetReaderCorruptFrameIsSticky|TestFullReaderCloseWhileFetching' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestLiveAppendReleasesBatch' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestTailSeesEveryPrefix' ./internal/stream/
 
@@ -133,10 +139,11 @@ bench: bench-decode bench-ingest bench-serve bench-tier
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # Decode benchmarks rendered to BENCH_decode.json (ns/op, MB/s, allocs/op,
-# cpus: one frame, and a stream serial vs decoded ahead) for the CI artifact
-# and regression tracking.
+# cpus: one frame, a stream serial vs decoded ahead, and a tagged subset
+# loaded over three loopback rpc nodes) for the CI artifact and regression
+# tracking.
 bench-decode:
-	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode' -benchmem . \
+	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode|SubsetLoad' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_decode.json
 
 # Ingest wire-speed benchmarks (fused XTC encode, the one-pass subset split
@@ -167,7 +174,7 @@ bench-serve:
 # end-to-end benchmark's live_tail workload (bench-e2e), not a gate here.
 BENCH_MAX_REGRESS ?= 15
 bench-check:
-	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode' -benchmem . \
+	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode|SubsetLoad' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-new.json
 	$(GO) test -run '^$$' -bench 'XTCEncode|SubsetWrite|IngestParallel' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-ingest-new.json

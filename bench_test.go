@@ -10,7 +10,9 @@ package ada_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -21,8 +23,11 @@ import (
 	"repro/internal/device"
 	"repro/internal/gpcr"
 	"repro/internal/metrics"
+	"repro/internal/osfs"
+	"repro/internal/placement"
 	"repro/internal/platform"
 	"repro/internal/plfs"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/xdr"
@@ -307,6 +312,82 @@ func BenchmarkStreamDecode(b *testing.B) {
 			reportCPUs(b)
 		})
 	}
+}
+
+// BenchmarkSubsetLoad is `mol addfile … tag p` below vmd: OpenSubset of the
+// protein subset and every ReadFrame of a 43.5k-atom dataset, ingested once
+// onto three loopback rpc storage nodes (osfs in temporary directories) at
+// replication 2 — the read path the end-to-end benchmark's turnaround_p_s
+// times, without the harness. MB/s is the subset's decoded coordinates. The
+// frames read are kept, as a viewer keeps them: the decode side of the
+// overlap includes the memory a loaded trajectory takes.
+func BenchmarkSubsetLoad(b *testing.B) {
+	const frames = 100
+	pdbBytes, traj, err := generate(gpcr.Default(), frames)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl := &placement.Table{Version: 1, Replication: 2}
+	nodes := map[string]vfs.FS{}
+	for _, name := range []string{"n1", "n2", "n3"} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		base, err := osfs.New(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := rpc.NewServer(base, nil)
+		srv.SetMetrics(nil)
+		go srv.Serve(ln)
+		cl := rpc.DialLazy(ln.Addr().String(), nil, rpc.DefaultRetryPolicy())
+		b.Cleanup(func() { cl.Close(); srv.Close() })
+		tbl.Nodes = append(tbl.Nodes, placement.Node{Name: name, Addr: ln.Addr().String()})
+		nodes[name] = cl
+	}
+	clu, err := placement.NewCluster(tbl, nodes, placement.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := plfs.New(plfs.Backend{Name: "clu", FS: clu, Mount: "/clu"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := core.New(store, nil, core.Options{})
+	if _, err := a.Ingest("/g", pdbBytes, bytes.NewReader(traj)); err != nil {
+		b.Fatal(err)
+	}
+	load := func() (raw int64) {
+		sr, err := a.OpenSubset("/g", core.TagProtein)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sr.Close()
+		kept := make([]*xtc.Frame, 0, frames)
+		for {
+			f, err := sr.ReadFrame()
+			if err == io.EOF {
+				if len(kept) != frames {
+					b.Fatalf("read %d frames, want %d", len(kept), frames)
+				}
+				return raw
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			kept = append(kept, f)
+			raw += int64(12 * f.NAtoms())
+		}
+	}
+	b.SetBytes(load())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
+	}
+	b.StopTimer()
+	reportCPUs(b)
 }
 
 // --- Ablation benches ----------------------------------------------------

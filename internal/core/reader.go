@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -11,13 +12,17 @@ import (
 
 // SubsetReader streams the decompressed frames of one tagged subset — the
 // I/O retriever's answer to `mol addfile bar.xtc tag p`. It is the one read
-// path (subsetFetch) with a cursor.
+// path (subsetFetch) with a cursor, fetching ahead of its consumer (see
+// fetchAhead): the next frames' stored bytes are read and verified while the
+// current one decodes. A SubsetReader is for one consumer goroutine.
 type SubsetReader struct {
 	Tag    string
 	Info   Subset
 	Ranges *rangelist.List
 	fetch  *subsetFetch
-	next   int
+	ahead  fetchAhead
+	next   int   // frames handed out
+	err    error // sticky: the first error, or errReaderClosed
 }
 
 // resolveSubset is the indexer's half of an open: the tag's manifest entry
@@ -50,30 +55,178 @@ func (a *ADA) OpenSubset(logical, tag string) (*SubsetReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SubsetReader{Tag: tag, Info: info, Ranges: ranges, fetch: fetch}, nil
+	s := &SubsetReader{Tag: tag, Info: info, Ranges: ranges, fetch: fetch}
+	s.ahead.s = fetch
+	return s, nil
 }
 
-// ReadFrame returns the next subset frame, or io.EOF.
+// ReadFrame returns the next subset frame, or io.EOF. After any other error
+// the reader is done and returns that error forever.
 func (s *SubsetReader) ReadFrame() (*xtc.Frame, error) { return s.readFrameInto(&xtc.Frame{}) }
 
-// readFrameInto is ReadFrame decoding into dst (see subsetFetch.frameInto).
+// readFrameInto is ReadFrame decoding into dst, whose Coords are overwritten
+// and reused: for a reader that copies out of each frame and keeps none.
 func (s *SubsetReader) readFrameInto(dst *xtc.Frame) (*xtc.Frame, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
 	if s.next >= s.fetch.idx.Frames() {
 		return nil, io.EOF
 	}
-	f, err := s.fetch.frameInto(s.next, dst)
+	b, err := s.ahead.take()
+	if err == nil {
+		dst, err = xtc.DecodeFrameBytesInto(b, dst)
+		s.ahead.recycle(b)
+		if err != nil {
+			err = fmt.Errorf("core: subset %s frame %d: %w", s.Tag, s.next, err)
+		}
+	}
 	if err != nil {
+		s.err = err
 		return nil, err
 	}
 	s.next++
-	return f, nil
+	return dst, nil
 }
 
-// Close releases the underlying dropping handle.
-func (s *SubsetReader) Close() error { return s.fetch.close() }
+// Close stops the fetch ahead, waiting for a read in progress to return, and
+// then releases the underlying dropping handle: once it returns the reader
+// issues no backend op.
+func (s *SubsetReader) Close() error {
+	s.ahead.stop()
+	if s.err == nil {
+		s.err = errReaderClosed
+	}
+	return s.fetch.close()
+}
 
 // Size returns the subset's stored byte size.
 func (s *SubsetReader) Size() int64 { return s.fetch.idx.TotalBytes() }
+
+// aheadBytes is the stored bytes a sequential reader fetches ahead, as
+// xtc.AheadReader decodes ahead on the write side; maxAhead caps the frames.
+const (
+	aheadBytes = 3 << 20
+	maxAhead   = 64
+)
+
+// errReaderClosed is what a read after Close returns.
+var errReaderClosed = errors.New("core: reader closed")
+
+// fetched is one frame's verified stored bytes, or the error that ended the
+// fetch.
+type fetched struct {
+	b   []byte
+	err error
+}
+
+// fetchAhead reads a subset's frames in stream order through the verified
+// read subsetFetch.frame makes (one vfs.ReadAtVerified per frame, each
+// copy judged by accept, so failover is unchanged) and hands the bytes to
+// the consumer to decode. Like xtc.AheadReader, the first take fetches in
+// line and, on more than one core, starts one goroutine on the frames after
+// it, aheadBytes ahead; an error arrives after every frame before it. In
+// order because blockfs charges a seek to a read that does not continue its
+// handle's last one.
+type fetchAhead struct {
+	s  *subsetFetch
+	i  int               // the frame fetchNext reads next
+	ok func([]byte) bool // subsetFetch.accept for frame i, bound once
+
+	out        chan fetched // nil while fetching in line
+	free       chan []byte  // consumed buffers, to be fetched into again
+	quit, done chan struct{}
+}
+
+// fetchNext reads and verifies frame i's stored bytes into a recycled buffer.
+func (f *fetchAhead) fetchNext() fetched {
+	if f.ok == nil {
+		f.ok = func(b []byte) bool { return f.s.accept(f.i, b) }
+		// Every buffer in flight can come back: the channel's, the
+		// fetcher's and the consumer's.
+		f.free = make(chan []byte, maxAhead+2)
+	}
+	var b []byte
+	select {
+	case b = <-f.free:
+	default:
+	}
+	n := int(f.s.idx.Size(f.i))
+	if cap(b) < n {
+		b = make([]byte, n, n+n/8) // headroom for the frames after it
+	}
+	b = b[:n]
+	if err := vfs.ReadAtVerified(f.s.file, b, f.s.idx.Offset(f.i), f.ok); err != nil {
+		return fetched{err: fmt.Errorf("core: subset %s frame %d: %w", f.s.tag, f.i, err)}
+	}
+	f.i++
+	return fetched{b: b}
+}
+
+// take returns the next frame's verified bytes, the consumer's until it
+// hands them back with recycle.
+func (f *fetchAhead) take() ([]byte, error) {
+	if f.out != nil {
+		d := <-f.out
+		return d.b, d.err
+	}
+	d := f.fetchNext()
+	if d.err == nil && f.i == 1 && f.i < f.s.idx.Frames() && xtc.DefaultWorkers(0) > 1 {
+		f.start(len(d.b))
+	}
+	return d.b, d.err
+}
+
+// start sizes the channel from the first frame's stored size and starts the
+// fetch on the frames after it. Its buffers are allocated here in one piece,
+// so a short read allocates nothing per frame either.
+func (f *fetchAhead) start(first int) {
+	depth := min(maxAhead, max(2, aheadBytes/first))
+	f.out = make(chan fetched, depth)
+	slot := first + first/8
+	slots := min(depth+1, f.s.idx.Frames()-f.i) // the channel's and the fetcher's
+	slab := make([]byte, slots*slot)
+	for k := range slots {
+		f.free <- slab[k*slot : (k+1)*slot : (k+1)*slot]
+	}
+	f.quit, f.done = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(f.done)
+		for f.i < f.s.idx.Frames() {
+			select {
+			case <-f.quit:
+				return
+			default:
+			}
+			d := f.fetchNext()
+			select {
+			case f.out <- d:
+			case <-f.quit:
+				return
+			}
+			if d.err != nil {
+				return
+			}
+		}
+	}()
+}
+
+// recycle hands b, bytes take returned, back to be fetched into again.
+func (f *fetchAhead) recycle(b []byte) {
+	select {
+	case f.free <- b:
+	default:
+	}
+}
+
+// stop ends the fetch and waits for it: a read in progress returns first.
+func (f *fetchAhead) stop() {
+	if f.quit != nil {
+		close(f.quit)
+		<-f.done
+		f.quit = nil
+	}
+}
 
 // SubsetRandomReader provides random access to one tagged subset's frames
 // using the index persisted at ingest — what interactive playback

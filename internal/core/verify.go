@@ -10,8 +10,11 @@ import (
 
 // The one read path. Every frame any reader hands out — sequential, random
 // access, merged, tailing a live dataset or reading it sealed — comes from
-// subsetFetch.frame: index entry → the frame's stored bytes → CRC32C check
-// when the index carries one → decode. Redundancy is not core's business:
+// a subsetFetch: index entry → the frame's stored bytes → CRC32C check when
+// the index carries one (accept) → decode. The random-access and tailing
+// readers do all four per call (frame); the sequential ones fetch and check
+// the next frames ahead while the consumer decodes (fetchAhead, reader.go).
+// Redundancy is not core's business:
 // the bytes are read with vfs.ReadAtVerified, so a dropping stored on a
 // placement replica set retries a copy that fails the check on its other
 // copies, and the caller sees the frames a healthy store would have served.
@@ -83,12 +86,8 @@ func (a *ADA) openFetch(logical, tag, index string, rescan bool) (*subsetFetch, 
 // frame fetches, checks and decodes frame i into a new Frame, the caller's to
 // keep. A dataset ingested without checksums takes the same path; its index
 // has nothing to check against.
-func (s *subsetFetch) frame(i int) (*xtc.Frame, error) { return s.frameInto(i, &xtc.Frame{}) }
-
-// frameInto is frame into dst, whose Coords are overwritten and reused: for a
-// reader that copies out of each frame and keeps none.
-func (s *subsetFetch) frameInto(i int, dst *xtc.Frame) (*xtc.Frame, error) {
-	f, err := s.idx.ReadFrame(i, dst, func(p []byte, off int64) error {
+func (s *subsetFetch) frame(i int) (*xtc.Frame, error) {
+	f, err := s.idx.ReadFrame(i, &xtc.Frame{}, func(p []byte, off int64) error {
 		return vfs.ReadAtVerified(s.file, p, off, func(b []byte) bool { return s.accept(i, b) })
 	})
 	if err != nil {

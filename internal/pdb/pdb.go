@@ -9,6 +9,7 @@ package pdb
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -150,11 +151,19 @@ func (s *Structure) CategoryCounts() [NumCategories]int {
 // CategoryOf returns the category of atom index i.
 func (s *Structure) CategoryOf(i int) Category { return s.Atoms[i].Category }
 
+// ErrSyntax is what every error Parse returns for malformed input wraps: a
+// record whose fields do not parse, or a line longer than maxLine.
+var ErrSyntax = errors.New("pdb: syntax error")
+
+// maxLine bounds a line; a PDB record is 80 columns.
+const maxLine = 1 << 20
+
 // Parse reads a PDB file from r.
 func Parse(r io.Reader) (*Structure, error) {
 	s := &Structure{}
+	var title strings.Builder // TITLE lines, each after the first joined by a space
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	sc.Buffer(make([]byte, 0, 1<<16), maxLine)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -168,19 +177,18 @@ func Parse(r io.Reader) (*Structure, error) {
 		case "ATOM", "HETATM":
 			a, err := parseAtomLine(line, rec == "HETATM")
 			if err != nil {
-				return nil, fmt.Errorf("pdb: line %d: %w", lineno, err)
+				return nil, fmt.Errorf("%w: line %d: %w", ErrSyntax, lineno, err)
 			}
 			s.Atoms = append(s.Atoms, a)
 		case "TITLE":
-			t := strings.TrimSpace(line[6:])
-			if s.Title == "" {
-				s.Title = t
-			} else {
-				s.Title += " " + t
+			if title.Len() > 0 {
+				title.WriteByte(' ')
 			}
+			title.WriteString(strings.TrimSpace(line[len(rec):]))
 		case "END", "ENDMDL":
 			// Single-model structures only; stop at the first END.
 			if rec == "END" {
+				s.Title = title.String()
 				return s, nil
 			}
 		default:
@@ -188,8 +196,12 @@ func Parse(r io.Reader) (*Structure, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("%w: line %d is longer than %d bytes", ErrSyntax, lineno+1, maxLine)
+		}
 		return nil, fmt.Errorf("pdb: %w", err)
 	}
+	s.Title = title.String()
 	return s, nil
 }
 

@@ -55,7 +55,8 @@ func (c Config) validate() error {
 	if c.CapacityBytes <= 0 {
 		return fmt.Errorf("tier: capacity (cap=) must be positive (got %d)", c.CapacityBytes)
 	}
-	if c.LowWater <= 0 || c.HighWater > 1 || c.LowWater > c.HighWater {
+	// Written so that NaN, for which every comparison is false, fails it.
+	if !(0 < c.LowWater && c.LowWater <= c.HighWater && c.HighWater <= 1) {
 		return fmt.Errorf("tier: watermarks must satisfy 0 < low <= high <= 1 (got low=%g high=%g)",
 			c.LowWater, c.HighWater)
 	}

@@ -69,6 +69,10 @@ func TestParseSpecErrors(t *testing.T) {
 		"fast=a,slow=b,cap=1M,max=-1",          // negative move cap
 		"fast=a,slow=b,cap=18014398509481985K", // wraps to 1 KiB
 		"fast=a,slow=b,cap=1M,promote=-1K",     // would promote zero heat
+		"fast=a,slow=b,cap=1M,high=NaN",        // every comparison false
+		"fast=a,slow=b,cap=1M,low=NaN",         // every comparison false
+		"fast=a,slow=b,cap=1M,low=-Inf",        // below zero
+		"fast=a,slow=b,cap=1M,high=+Inf",       // above one
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded", spec)

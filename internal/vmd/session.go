@@ -1,9 +1,9 @@
 package vmd
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dcd"
@@ -129,7 +129,7 @@ func (s *Session) molNewBytes(path string, data []byte) error {
 	if s.cost.PDBParseBps > 0 {
 		s.charge("pdbparse", float64(len(data))/(s.cost.PDBParseBps*s.cost.factor()))
 	}
-	structure, err := pdb.Parse(strings.NewReader(string(data)))
+	structure, err := pdb.Parse(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("vmd: mol new %s: %w", path, err)
 	}

@@ -22,3 +22,7 @@ func CRC32CUpdate(crc uint32, p []byte) uint32 {
 // Writer.WriteFrame, or sliced out of a stream at an Index offset) using
 // the pooled decode scratch.
 func DecodeFrameBytes(p []byte) (*Frame, error) { return decodeBytes(p) }
+
+// DecodeFrameBytesInto is DecodeFrameBytes into dst, whose Coords are
+// overwritten and reused; the decoded frame keeps no reference to p.
+func DecodeFrameBytesInto(p []byte, dst *Frame) (*Frame, error) { return decodeBytesInto(p, dst) }
