@@ -116,13 +116,16 @@ test-stream:
 # consumer held, then Close mid-stream), Stop waiting out the decoder, the
 # sequential readers' fetch ahead (Close mid-stream and mid-read, a corrupt
 # frame's sticky error), a live Append handing its batch back with no
-# decoder still reading it, and tailing readers across a seal and a kill —
+# decoder still reading it, tailing readers across a seal and a kill, and
+# the serve fabric's read-ahead (a waiter on a failed ahead flight, Close
+# with ahead flights queued and in service, counts taken once idle) —
 # repeated, so a regression in any shows up in CI rather than once a week.
 test-deflaked:
 	$(GO) test -race -count=10 -run 'TestAheadReaderLookaheadBounded|TestAheadReaderStopWaits' ./internal/xtc/
 	$(GO) test -race -count=10 -run 'TestSubsetReaderCloseMidStream|TestSubsetReaderCorruptFrameIsSticky|TestFullReaderCloseWhileFetching' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestLiveAppendReleasesBatch' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestTailSeesEveryPrefix' ./internal/stream/
+	$(GO) test -race -count=10 -run 'TestReadAhead|TestAheadFailureNotInherited|TestLiveHandleNeverReadsAhead|TestCloseWithAheadFlights|TestFabricServesAndCaches|TestSimAndFabricAgree' ./internal/serve/
 
 # Heat-driven tiering suite: tracker/planner/spec units, the HeatFS feeder,
 # the deterministic two-dataset migration end-to-end, read-during-migration
@@ -139,11 +142,11 @@ bench: bench-decode bench-ingest bench-serve bench-tier
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # Decode benchmarks rendered to BENCH_decode.json (ns/op, MB/s, allocs/op,
-# cpus: one frame, a stream serial vs decoded ahead, and a tagged subset
-# loaded over three loopback rpc nodes) for the CI artifact and regression
-# tracking.
+# cpus: one frame, a serial stream, a tagged subset loaded and a cold viewer
+# playing it in order through a serve fabric, both over three loopback rpc
+# nodes) for the CI artifact and regression tracking.
 bench-decode:
-	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode|SubsetLoad' -benchmem . \
+	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode|SubsetLoad|FabricPlayback' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_decode.json
 
 # Ingest wire-speed benchmarks (fused XTC encode, the one-pass subset split
@@ -174,7 +177,7 @@ bench-serve:
 # end-to-end benchmark's live_tail workload (bench-e2e), not a gate here.
 BENCH_MAX_REGRESS ?= 15
 bench-check:
-	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode|SubsetLoad' -benchmem . \
+	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode|SubsetLoad|FabricPlayback' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-new.json
 	$(GO) test -run '^$$' -bench 'XTCEncode|SubsetWrite|IngestParallel' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-ingest-new.json

@@ -28,6 +28,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/plfs"
 	"repro/internal/rpc"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/xdr"
@@ -277,52 +278,31 @@ func streamDecodeInput(b *testing.B) ([]byte, int64) {
 	return decStream, decRaw
 }
 
-// BenchmarkStreamDecode measures multi-frame stream decode throughput: the
-// serial Reader against the AheadReader ingest uses. The stream is fully
-// preloaded in memory (bytes.Reader), so the numbers are pure decode with no
-// I/O confound, and MB/s is raw coordinate payload. The consumer here does
-// no work, so the ahead row prices the decoder's hand-off, not the overlap
-// an ingest gets from it: that shows in BenchmarkIngestParallel and in the
-// end-to-end benchmark's ingest_mbps.
+// BenchmarkStreamDecode measures multi-frame stream decode throughput
+// through the serial Reader. The stream is fully preloaded in memory
+// (bytes.Reader), so the numbers are pure decode with no I/O confound, and
+// MB/s is raw coordinate payload. What ingest gains from decoding ahead
+// shows in BenchmarkIngestParallel and in the end-to-end benchmark's
+// ingest_mbps.
 func BenchmarkStreamDecode(b *testing.B) {
 	stream, raw := streamDecodeInput(b)
-	for _, tc := range []struct {
-		name string
-		read func() error
-	}{
-		{"serial", func() error {
-			_, err := xtc.NewReader(bytes.NewReader(stream)).ReadAll()
-			return err
-		}},
-		{"ahead", func() error {
-			pr := xtc.NewAheadReader(bytes.NewReader(stream))
-			defer pr.Close()
-			_, err := pr.ReadAll()
-			return err
-		}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(raw)
-			for i := 0; i < b.N; i++ {
-				if err := tc.read(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(raw)
+		for i := 0; i < b.N; i++ {
+			if _, err := xtc.NewReader(bytes.NewReader(stream)).ReadAll(); err != nil {
+				b.Fatal(err)
 			}
-			reportCPUs(b)
-		})
-	}
+		}
+		reportCPUs(b)
+	})
 }
 
-// BenchmarkSubsetLoad is `mol addfile … tag p` below vmd: OpenSubset of the
-// protein subset and every ReadFrame of a 43.5k-atom dataset, ingested once
-// onto three loopback rpc storage nodes (osfs in temporary directories) at
-// replication 2 — the read path the end-to-end benchmark's turnaround_p_s
-// times, without the harness. MB/s is the subset's decoded coordinates. The
-// frames read are kept, as a viewer keeps them: the decode side of the
-// overlap includes the memory a loaded trajectory takes.
-func BenchmarkSubsetLoad(b *testing.B) {
-	const frames = 100
+// loopbackCluster ingests a 43.5k-atom dataset of the given frames, once,
+// as /g onto three loopback rpc storage nodes (osfs in temporary
+// directories) at replication 2.
+func loopbackCluster(b *testing.B, frames int) *core.ADA {
+	b.Helper()
 	pdbBytes, traj, err := generate(gpcr.Default(), frames)
 	if err != nil {
 		b.Fatal(err)
@@ -358,6 +338,18 @@ func BenchmarkSubsetLoad(b *testing.B) {
 	if _, err := a.Ingest("/g", pdbBytes, bytes.NewReader(traj)); err != nil {
 		b.Fatal(err)
 	}
+	return a
+}
+
+// BenchmarkSubsetLoad is `mol addfile … tag p` below vmd: OpenSubset of the
+// protein subset and every ReadFrame of the loopback cluster's dataset —
+// the read path the end-to-end benchmark's turnaround_p_s times, without
+// the harness. MB/s is the subset's decoded coordinates. The frames read
+// are kept, as a viewer keeps them: the decode side of the overlap includes
+// the memory a loaded trajectory takes.
+func BenchmarkSubsetLoad(b *testing.B) {
+	const frames = 100
+	a := loopbackCluster(b, frames)
 	load := func() (raw int64) {
 		sr, err := a.OpenSubset("/g", core.TagProtein)
 		if err != nil {
@@ -385,6 +377,47 @@ func BenchmarkSubsetLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		load()
+	}
+	b.StopTimer()
+	reportCPUs(b)
+}
+
+// BenchmarkFabricPlayback is a cold viewer below vmd: OpenSubsetAt of the
+// protein subset on the loopback cluster, a fresh serve fabric whose cache
+// holds half the subset, and every ReadFrameAt in order through it — the
+// path the end-to-end benchmark's playback_cold times, without the harness.
+// The fabric reads ahead of the viewer, so a frame's fetch and decode
+// overlap the wait for the one before. MB/s is the subset's decoded
+// coordinates.
+func BenchmarkFabricPlayback(b *testing.B) {
+	const frames = 100
+	a := loopbackCluster(b, frames)
+	play := func() (raw int64) {
+		rr, err := a.OpenSubsetAt("/g", core.TagProtein)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer rr.Close()
+		fab := serve.New(serve.Config{
+			CacheBytes: frames / 2 * xtc.RawFrameSize(rr.Info.NAtoms),
+			Metrics:    metrics.NewRegistry(),
+		})
+		defer fab.Close()
+		h := fab.Open("viewer", "/g", core.TagProtein, rr.Info.NAtoms, rr)
+		for i := 0; i < frames; i++ {
+			f, err := h.ReadFrameAt(i)
+			if err != nil {
+				b.Fatal(err)
+			}
+			raw += int64(12 * f.NAtoms())
+		}
+		return raw
+	}
+	b.SetBytes(play())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		play()
 	}
 	b.StopTimer()
 	reportCPUs(b)

@@ -91,6 +91,7 @@ func (cfg *config) interactiveSessions() []serve.SimSession {
 			Logical: fmt.Sprintf("/ia%d", n),
 			Tag:     "p",
 			NAtoms:  cfg.iaAtoms,
+			Frames:  cfg.window,
 			Pattern: vmd.BackAndForth(cfg.window, cfg.sweeps),
 			Think:   cfg.thinkMS / 1e3,
 			Start:   float64(n) * 0.001,
@@ -114,6 +115,7 @@ func (cfg *config) bulkSessions() []serve.SimSession {
 			Logical: fmt.Sprintf("/bulk%d", n),
 			Tag:     "misc",
 			NAtoms:  cfg.bulkAtoms,
+			Frames:  cfg.scanFrames,
 			Pattern: pattern,
 		})
 	}
@@ -155,8 +157,8 @@ func emitScenario(w io.Writer, cfg *config, name string, sessions []serve.SimSes
 		fmt.Fprintf(w, "BenchmarkServe/%s/%s/p50 \t%d\t%d ns/op\n", name, label, h.Count, h.P50)
 		fmt.Fprintf(w, "BenchmarkServe/%s/%s/p99 \t%d\t%d ns/op\n", name, label, h.Count, h.P99)
 	}
-	fmt.Fprintf(w, "BenchmarkServe/%s/makespan \t%d\t%d ns/op \t%d decodes \t%d coalesced \t%d hits\n",
-		name, rep.Reads, int64(rep.Makespan*1e9), rep.Decodes, rep.Coalesced, rep.Hits)
+	fmt.Fprintf(w, "BenchmarkServe/%s/makespan \t%d\t%d ns/op \t%d decodes \t%d coalesced \t%d hits \t%d ahead\n",
+		name, rep.Reads, int64(rep.Makespan*1e9), rep.Decodes, rep.Coalesced, rep.Hits, rep.Ahead)
 	return rep
 }
 
@@ -168,11 +170,11 @@ func run(cfg *config, stdout, stderr io.Writer) error {
 		name string
 		rep  serve.SimReport
 	}{{"solo", solo}, {"contended", cont}} {
-		fmt.Fprintf(stderr, "adaload %s: reads=%d hits=%d decodes=%d coalesced=%d evictions=%d makespan=%.3fs\n",
-			s.name, s.rep.Reads, s.rep.Hits, s.rep.Decodes, s.rep.Coalesced, s.rep.Evictions, s.rep.Makespan)
-		if s.rep.Reads != s.rep.Hits+s.rep.Decodes+s.rep.Coalesced {
-			return fmt.Errorf("adaload %s: accounting broken: reads=%d != hits+decodes+coalesced=%d",
-				s.name, s.rep.Reads, s.rep.Hits+s.rep.Decodes+s.rep.Coalesced)
+		fmt.Fprintf(stderr, "adaload %s: reads=%d ahead=%d hits=%d decodes=%d coalesced=%d evictions=%d makespan=%.3fs\n",
+			s.name, s.rep.Reads, s.rep.Ahead, s.rep.Hits, s.rep.Decodes, s.rep.Coalesced, s.rep.Evictions, s.rep.Makespan)
+		if s.rep.Reads+s.rep.Ahead != s.rep.Hits+s.rep.Decodes+s.rep.Coalesced {
+			return fmt.Errorf("adaload %s: accounting broken: reads+ahead=%d != hits+decodes+coalesced=%d",
+				s.name, s.rep.Reads+s.rep.Ahead, s.rep.Hits+s.rep.Decodes+s.rep.Coalesced)
 		}
 	}
 	return nil

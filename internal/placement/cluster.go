@@ -225,17 +225,22 @@ func (c *Cluster) order(buf []int, reps []string, pref int) []int {
 	return buf
 }
 
+// errReadClosed is what a clusterFile read's op returns when the handle
+// closed under a copy it was reading: the copy failed for that, not for
+// anything its replica did, so firstReplica tries no other.
+var errReadClosed = errors.New("placement: handle closed mid-read")
+
 // firstReplica runs op on each replica of reps in turn (see order) until one
 // answers, noting every outcome against its node's health. It returns nil on
-// the first success, else the first error.
+// the first success, errReadClosed as soon as op does, else the first error.
 func (c *Cluster) firstReplica(reps []string, pref int, op func(i int) error) error {
 	var buf [4]int // replica sets are small: the order stays on the stack
 	var firstErr error
 	for _, i := range c.order(buf[:0], reps, pref) {
 		err := op(i)
 		c.note(reps[i], err)
-		if err == nil {
-			return nil
+		if err == nil || err == errReadClosed {
+			return err
 		}
 		if firstErr == nil {
 			firstErr = err
@@ -610,15 +615,19 @@ func (f *clusterFile) ReadAtVerified(p []byte, off int64, ok func([]byte) bool) 
 	return err
 }
 
-// readAt reads from the replica set in turn, the preferred replica first,
-// failing over on any error or on bytes a non-nil ok rejects.
-func (f *clusterFile) readAt(p []byte, off int64, ok func([]byte) bool) (int, error) {
+func (f *clusterFile) isClosed() bool {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	defer f.mu.Unlock()
+	return f.closed
+}
+
+// readAt reads from the replica set in turn, the preferred replica first,
+// failing over on any error or on bytes a non-nil ok rejects. A read that
+// loses a race with Close is vfs.ErrClosed, with no failover counted.
+func (f *clusterFile) readAt(p []byte, off int64, ok func([]byte) bool) (int, error) {
+	if f.isClosed() {
 		return 0, vfs.ErrClosed
 	}
-	f.mu.Unlock()
 	f.c.m.reads.Inc()
 	start := time.Now()
 	var n, tried int
@@ -635,11 +644,17 @@ func (f *clusterFile) readAt(p []byte, off int64, ok func([]byte) bool) (int, er
 			}
 		}
 		f.dropHandle(i)
+		if f.isClosed() {
+			return errReadClosed
+		}
 		if tried < len(f.reps) {
 			f.c.m.failovers.Inc()
 		}
 		return err
 	})
+	if err == errReadClosed {
+		return 0, vfs.ErrClosed
+	}
 	if err != nil {
 		return 0, fmt.Errorf("placement: read %s: all replicas failed: %w", f.name, err)
 	}

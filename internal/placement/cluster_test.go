@@ -299,6 +299,76 @@ func TestClusterReadHandleNeverMixesVersions(t *testing.T) {
 	}
 }
 
+// stallFS hands out files whose ReadAt announces itself on entered, then
+// blocks until released and fails the way an rpc read on a handle the node
+// has already closed does.
+type stallFS struct {
+	vfs.FS
+	entered chan<- struct{}
+	release <-chan struct{}
+	reads   *atomic.Int64
+}
+
+func (s stallFS) Open(name string) (vfs.File, error) {
+	f, err := s.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return stallFile{File: f, fs: s}, nil
+}
+
+type stallFile struct {
+	vfs.File
+	fs stallFS
+}
+
+func (f stallFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.reads.Add(1)
+	f.fs.entered <- struct{}{}
+	<-f.fs.release
+	return 0, errors.New("rpc: unknown handle 3")
+}
+
+// TestClusterReadLosingToCloseIsClosed: a read whose copy fails because
+// Close ran under it is vfs.ErrClosed. It tries no other replica and counts
+// no failover: no replica did anything wrong.
+func TestClusterReadLosingToCloseIsClosed(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c, mems := newTestCluster(t, Config{Metrics: reg})
+	name := "/c/set-k/dropping"
+	if err := vfs.WriteFile(c, name, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	var reads atomic.Int64
+	for _, n := range c.Table().Place(name) {
+		c.AddNode(n, stallFS{FS: mems[n], entered: entered, release: release, reads: &reads})
+	}
+	f, err := c.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.ReadAt(make([]byte, 7), 0)
+		done <- err
+	}()
+	<-entered
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-done; !errors.Is(err, vfs.ErrClosed) || strings.Contains(err.Error(), "all replicas failed") {
+		t.Errorf("read that lost to Close = %v, want vfs.ErrClosed", err)
+	}
+	if n := reads.Load(); n != 1 {
+		t.Errorf("%d copies read, want the one Close ran under", n)
+	}
+	if n := reg.Counter("placement.failover.reads").Value(); n != 0 {
+		t.Errorf("placement.failover.reads = %d, want 0", n)
+	}
+}
+
 // TestClusterHealthyReadAtAllocs pins the cost of the per-frame path under a
 // zero Config, the one a deployment gets by default: a read its preferred
 // replica answers allocates nothing — no goroutine, no private buffer.

@@ -36,6 +36,7 @@ func interactiveSessions() []SimSession {
 			Logical: fmt.Sprintf("/ia%d", n),
 			Tag:     "p",
 			NAtoms:  iaAtoms,
+			Frames:  24,
 			Pattern: vmd.BackAndForth(24, 4),
 			Think:   0.005,
 			Start:   float64(n) * 0.001,
@@ -59,6 +60,7 @@ func bulkSessions() []SimSession {
 			Logical: fmt.Sprintf("/bulk%d", n),
 			Tag:     "misc",
 			NAtoms:  bulkAtoms,
+			Frames:  len(pattern),
 			Pattern: pattern,
 		})
 	}
@@ -107,12 +109,16 @@ func TestFairShareBoundsInteractiveP99(t *testing.T) {
 	}
 
 	// Accounting identity: every read is exactly one of cache hit, decode
-	// originator, or coalesced attach — coalesced demands never re-count a
-	// decode.
+	// originator, or coalesced attach, and every ahead flight is one more
+	// decode — coalesced demands never re-count a decode. Both tenants read
+	// ahead here, the bulk one charged to its own share.
 	for _, r := range []SimReport{solo, cont} {
-		if r.Reads != r.Hits+r.Decodes+r.Coalesced {
-			t.Errorf("reads=%d != hits=%d + decodes=%d + coalesced=%d",
-				r.Reads, r.Hits, r.Decodes, r.Coalesced)
+		if r.Ahead == 0 {
+			t.Errorf("no read-ahead in %+v", r)
+		}
+		if r.Reads+r.Ahead != r.Hits+r.Decodes+r.Coalesced {
+			t.Errorf("reads=%d + ahead=%d != hits=%d + decodes=%d + coalesced=%d",
+				r.Reads, r.Ahead, r.Hits, r.Decodes, r.Coalesced)
 		}
 	}
 	if snap.Counters["serve.decodes"] != cont.Decodes ||

@@ -74,10 +74,13 @@ func TestOneFrameCache(t *testing.T) {
 }
 
 // TestSimAndFabricAgree replays one closed-loop session — back and forth
-// over a cache smaller than the subset — through the simulator and through a
-// live one-worker fabric: sharing the request path, the two harnesses count
-// the same hits, decodes, evictions and rejections, and each keeps
-// requests = hits + decodes + coalesced.
+// over a cache smaller than the subset, reading ahead — through the
+// simulator and through a live one-worker fabric: sharing the request path,
+// the two harnesses count the same hits, decodes, ahead flights, evictions
+// and rejections, and each keeps requests + ahead = hits + decodes +
+// coalesced. The schedule is one both reproduce: the simulated session
+// thinks for longer than its ahead flights take to decode, and the live
+// session waits for the fabric to go idle between reads.
 func TestSimAndFabricAgree(t *testing.T) {
 	const frames, natoms = 8, 10
 	pattern := vmd.BackAndForth(frames, 5)
@@ -91,8 +94,9 @@ func TestSimAndFabricAgree(t *testing.T) {
 	}
 
 	simReg := metrics.NewRegistry()
+	think := 10 * aheadDepth * float64(xtc.RawFrameSize(natoms)) / DefaultCostModel.DecodeBps
 	rep := Simulate(cfg(simReg), DefaultCostModel, []SimSession{{
-		Tenant: "alice", Logical: "/ds", Tag: "p", NAtoms: natoms, Pattern: pattern,
+		Tenant: "alice", Logical: "/ds", Tag: "p", NAtoms: natoms, Frames: frames, Pattern: pattern, Think: think,
 	}})
 
 	src := &stubSource{frames: frames, natoms: natoms}
@@ -102,6 +106,7 @@ func TestSimAndFabricAgree(t *testing.T) {
 		if _, err := h.ReadFrameAt(i); err != nil {
 			t.Fatal(err)
 		}
+		waitIdle(t, f)
 	}
 
 	live := liveReg.Snapshot().Counters
@@ -113,6 +118,7 @@ func TestSimAndFabricAgree(t *testing.T) {
 		{"serve.cache.hits", rep.Hits},
 		{"serve.decodes", rep.Decodes},
 		{"serve.coalesced", rep.Coalesced},
+		{"serve.ahead", rep.Ahead},
 		{"serve.cache.evictions", rep.Evictions},
 		{"serve.cache.rejected", rep.Rejected},
 	} {
@@ -123,12 +129,12 @@ func TestSimAndFabricAgree(t *testing.T) {
 			t.Errorf("%s: simulator's registry %d, its report %d", c.name, got, c.sim)
 		}
 	}
-	if rep.Hits == 0 || rep.Evictions == 0 {
-		t.Fatalf("session never hit or never evicted (%+v); nothing compared", rep)
+	if rep.Hits == 0 || rep.Evictions == 0 || rep.Ahead == 0 {
+		t.Fatalf("session never hit, never evicted or never read ahead (%+v); nothing compared", rep)
 	}
-	if rep.Reads != rep.Hits+rep.Decodes+rep.Coalesced || rep.Reads != int64(len(pattern)) {
-		t.Errorf("identity broken: %d reads of %d, %d hits + %d decodes + %d coalesced",
-			rep.Reads, len(pattern), rep.Hits, rep.Decodes, rep.Coalesced)
+	if rep.Reads+rep.Ahead != rep.Hits+rep.Decodes+rep.Coalesced || rep.Reads != int64(len(pattern)) {
+		t.Errorf("identity broken: %d reads of %d, %d ahead, %d hits + %d decodes + %d coalesced",
+			rep.Reads, len(pattern), rep.Ahead, rep.Hits, rep.Decodes, rep.Coalesced)
 	}
 	if got := src.reads.Load(); got != rep.Decodes {
 		t.Errorf("source saw %d reads, %d decodes counted", got, rep.Decodes)

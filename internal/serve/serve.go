@@ -11,9 +11,11 @@
 // A session opens a Handle naming its tenant and subset; the handle
 // satisfies vmd.FrameSource, so existing playback code plugs in unchanged —
 // sessions become views into the shared fabric instead of owning caches.
-// Cache hits bypass the scheduler entirely; misses queue as flights, and
-// every flight is dispatched by the fair-share scheduler and decoded once
-// regardless of how many sessions wait on it.
+// Cache hits bypass the scheduler entirely; misses queue as flights, which
+// the fair-share scheduler dispatches. A handle reading frame after frame in
+// one direction also reads ahead: the lookup queues the next few frames as
+// flights with no waiter, behind the demand and charged to the same tenant,
+// so they decode on idle workers while the viewer shows the current frame.
 //
 // One request path (state.lookup, state.complete) runs in two harnesses: the
 // live Fabric (goroutine workers, wall clock) and Simulate (single-threaded
@@ -146,17 +148,21 @@ func (f *Fabric) Close() {
 
 // Open returns a tenant's handle onto one subset of one dataset. natoms
 // sizes the subset's frames — the unit of fair-share and admission accounting.
-// The handle satisfies vmd.FrameSource and is safe for concurrent use.
+// The handle satisfies vmd.FrameSource and is safe for concurrent use. A
+// sealed source's frame count is read here, once, to bound read-ahead; a
+// source live at Open is never read ahead.
 func (f *Fabric) Open(tenant, logical, tag string, natoms int, src FrameSource) *Handle {
 	h := &Handle{
 		f:        f,
-		tenant:   tenant,
 		logical:  logical,
 		tag:      tag,
 		dropping: droppingPrefix + tag,
-		cost:     xtc.RawFrameSize(natoms),
 		src:      src,
 		tm:       newTenantMetrics(f.reg, tenant),
+	}
+	h.reader = reader{tenant: tenant, cost: xtc.RawFrameSize(natoms), prev: -1, h: h}
+	if !h.Live() {
+		h.frames = src.Frames()
 	}
 	if cs, ok := src.(concurrentSource); !ok || !cs.ConcurrentFrameReads() {
 		h.srcMu = &sync.Mutex{}
@@ -165,14 +171,14 @@ func (f *Fabric) Open(tenant, logical, tag string, natoms int, src FrameSource) 
 }
 
 // Handle is one tenant's view into the fabric: a FrameSource whose reads go
-// through the shared cache, the fair-share scheduler, and coalescing.
+// through the shared cache, the fair-share scheduler, and coalescing. Its
+// reader state is guarded by the fabric's mutex.
 type Handle struct {
+	reader
 	f        *Fabric
-	tenant   string
 	logical  string
 	tag      string
 	dropping string // the subset's heat name, built once
-	cost     int64
 	src      FrameSource
 	srcMu    *sync.Mutex
 	tm       tenantMetrics
@@ -216,29 +222,37 @@ func (h *Handle) read(i int) (*xtc.Frame, error) {
 // ReadFrameAt returns frame i through the fabric: a cache hit is immediate;
 // a miss waits for the flight the lookup attached it to or submitted.
 func (h *Handle) ReadFrameAt(i int) (*xtc.Frame, error) {
-	f := h.f
 	start := time.Now()
 	h.tm.requests.Inc()
-
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, ErrClosed
-	}
-	fr, fl, submitted := f.st.lookup(Key{Logical: h.logical, Tag: h.tag, Frame: i}, h.dropping, h.tenant, h.cost)
-	if submitted {
-		fl.h, fl.done = h, make(chan struct{})
-		f.cond.Signal()
-	}
-	f.mu.Unlock()
-
-	var err error
+	fr, fl, err := h.lookup(i)
 	if fl != nil {
-		<-fl.done
-		fr, err = fl.frame, fl.err
+		if fr, err = fl.wait(); err != nil && fl.ahead {
+			// An ahead flight read through the source of the handle that
+			// predicted it, which may have closed since: its failure is
+			// nobody's. Demand the frame once more, through this handle.
+			if fr, fl, err = h.lookup(i); fl != nil {
+				fr, err = fl.wait()
+			}
+		}
 	}
 	h.tm.readNS.Observe(time.Since(start).Nanoseconds())
 	return fr, err
+}
+
+// lookup runs one demand through the request path under the fabric's lock
+// and wakes a dispatcher for each flight it queued.
+func (h *Handle) lookup(i int) (*xtc.Frame, *flight, error) {
+	f := h.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return nil, nil, ErrClosed
+	}
+	fr, fl, submitted := f.st.lookup(Key{Logical: h.logical, Tag: h.tag, Frame: i}, h.dropping, &h.reader)
+	for ; submitted > 0; submitted-- {
+		f.cond.Signal()
+	}
+	return fr, fl, nil
 }
 
 // worker is one decode dispatcher: it pulls flights off the fair-share

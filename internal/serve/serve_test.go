@@ -234,9 +234,29 @@ func newTestFabric(t *testing.T, cfg Config) (*Fabric, *metrics.Registry) {
 	return f, reg
 }
 
+// waitIdle returns once the fabric has no flight queued or in service, so
+// every ahead flight a test's reads set off has completed.
+func waitIdle(t *testing.T, f *Fabric) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		f.mu.Lock()
+		busy := len(f.st.flights)
+		f.mu.Unlock()
+		if busy == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fabric still has %d flights", busy)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestFabricServesAndCaches: reads come back with the right content, repeat
 // reads hit the shared cache without touching the source, and a second
-// tenant's handle shares the same residency.
+// tenant's handle shares the same residency. The first tenant's sequential
+// reads also read two frames past the last one it asked for.
 func TestFabricServesAndCaches(t *testing.T) {
 	src := &stubSource{frames: 16, natoms: 10}
 	f, reg := newTestFabric(t, Config{Workers: 2})
@@ -250,20 +270,31 @@ func TestFabricServesAndCaches(t *testing.T) {
 			t.Fatalf("frame %d came back as step %d", i, fr.Step)
 		}
 	}
+	waitIdle(t, f)
 	decodes := src.reads.Load()
+	before := reg.Snapshot().Counters
+	if decodes != 8+aheadDepth || before["serve.decodes"] != decodes {
+		t.Errorf("%d source reads, %d decodes counted, want %d: each frame once, and %d ahead",
+			decodes, before["serve.decodes"], 8+aheadDepth, aheadDepth)
+	}
 	h2 := f.Open("bob", "/ds", "p", src.natoms, src)
 	for i := 0; i < 8; i++ {
 		if _, err := h2.ReadFrameAt(i); err != nil {
 			t.Fatal(err)
 		}
 	}
+	waitIdle(t, f)
 	if got := src.reads.Load(); got != decodes {
 		t.Errorf("second tenant re-decoded: %d source reads, want %d", got, decodes)
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["serve.cache.hits"] != 8 || snap.Counters["serve.decodes"] != 8 {
-		t.Errorf("hits=%d decodes=%d, want 8/8",
-			snap.Counters["serve.cache.hits"], snap.Counters["serve.decodes"])
+	if hits := snap.Counters["serve.cache.hits"] - before["serve.cache.hits"]; hits != 8 {
+		t.Errorf("second tenant hit %d times, want 8", hits)
+	}
+	c := snap.Counters
+	if c["serve.requests"]+c["serve.ahead"] != c["serve.cache.hits"]+c["serve.decodes"]+c["serve.coalesced"] {
+		t.Errorf("requests %d + ahead %d != hits %d + decodes %d + coalesced %d", c["serve.requests"],
+			c["serve.ahead"], c["serve.cache.hits"], c["serve.decodes"], c["serve.coalesced"])
 	}
 	if snap.Counters["serve.tenant.alice.requests"] != 8 ||
 		snap.Counters["serve.tenant.bob.requests"] != 8 {

@@ -29,6 +29,7 @@ type SimSession struct {
 	Logical string
 	Tag     string
 	NAtoms  int
+	Frames  int     // the subset's frame count, which bounds read-ahead; 0 turns it off
 	Pattern []int   // frame numbers to demand, in order
 	Think   float64 // seconds between a read completing and the next demand
 	Start   float64 // virtual start time
@@ -43,6 +44,7 @@ type SimReport struct {
 	Hits      int64
 	Decodes   int64
 	Coalesced int64
+	Ahead     int64 // flights the predictor submitted: Reads + Ahead = Hits + Decodes + Coalesced
 	Evictions int64
 	Rejected  int64
 	Makespan  float64
@@ -77,8 +79,8 @@ func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h 
 
 type simSess struct {
 	SimSession
+	reader
 	step    int
-	cost    int64
 	tm      tenantMetrics
 	classNS *metrics.Histogram
 }
@@ -97,14 +99,16 @@ func (m serveMetrics) counted(base SimReport) SimReport {
 		Hits:      m.hits.Value() - base.Hits,
 		Decodes:   m.decodes.Value() - base.Decodes,
 		Coalesced: m.coalesced.Value() - base.Coalesced,
+		Ahead:     m.ahead.Value() - base.Ahead,
 		Evictions: m.evictions.Value() - base.Evictions,
 		Rejected:  m.rejected.Value() - base.Rejected,
 	}
 }
 
 // Simulate replays the given sessions against one fabric — the live path's
-// own lookup and completion, over the same scheduler, cache, and admission —
-// as a single-threaded discrete-event simulation on a virtual clock. One
+// own lookup (read-ahead included) and completion, over the same scheduler,
+// cache, and admission — as a single-threaded discrete-event simulation on
+// a virtual clock. One
 // virtual decode server models the node's decode bandwidth
 // (CostModel.DecodeBps); cache hits are served off-queue at HitBps. The run
 // is fully deterministic: identical inputs produce identical latency
@@ -139,7 +143,7 @@ func Simulate(cfg Config, cost CostModel, sessions []SimSession) SimReport {
 		if s.Class == "" {
 			s.Class = s.Tenant
 		}
-		s.cost = xtc.RawFrameSize(s.NAtoms)
+		s.reader = reader{tenant: s.Tenant, cost: xtc.RawFrameSize(s.NAtoms), frames: s.Frames, prev: -1}
 		s.tm = newTenantMetrics(reg, s.Tenant)
 		s.classNS = reg.Histogram(fmt.Sprintf("serve.class.%s.read_ns", s.Class))
 		if len(s.Pattern) > 0 {
@@ -179,14 +183,14 @@ func Simulate(cfg Config, cost CostModel, sessions []SimSession) SimReport {
 			s := e.sess
 			k := Key{Logical: s.Logical, Tag: s.Tag, Frame: s.Pattern[s.step]}
 			s.step++
-			_, fl, submitted := st.lookup(k, k.dropping(), s.Tenant, s.cost)
+			_, fl, submitted := st.lookup(k, k.dropping(), &s.reader)
 			if fl == nil {
 				lat := float64(s.cost) / cost.HitBps
 				served(s, lat, now+lat)
-				continue
+			} else {
+				waiters[fl] = append(waiters[fl], simWaiter{sess: s, issued: now})
 			}
-			waiters[fl] = append(waiters[fl], simWaiter{sess: s, issued: now})
-			if submitted {
+			if submitted > 0 {
 				pump()
 			}
 		case evDone:

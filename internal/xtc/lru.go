@@ -33,6 +33,12 @@ func (c *FrameLRU[K]) Get(k K) (*Frame, bool) {
 	return e.Value.(*lruEntry[K]).frame, true
 }
 
+// Contains reports whether k is resident, leaving its recency alone.
+func (c *FrameLRU[K]) Contains(k K) bool {
+	_, ok := c.lookup[k]
+	return ok
+}
+
 // Admit inserts the frame if it fits the budget after evicting LRU victims,
 // asking evictOK before each eviction. A false answer — the victim is worth
 // more than the incoming frame — rejects the insertion instead. Returns
