@@ -40,9 +40,9 @@ lint:
 # Ten seconds of native fuzzing per parser that takes bytes from outside —
 # the xtc, dcd and trr frame decoders (the xtc one differential against the
 # two-pass reference decoder), the xtc frame index a dropping holds,
-# the rpc client's read-reply parser, the node's request-frame reader, the
-# placement table a peer serves, the container index every dropping
-# resolves through, the live head a tailing reader gates on, the ingest
+# the rpc client's read-reply parser, the node's request-frame reader and
+# its per-op request decoding, the placement table a peer serves, the
+# container index every dropping resolves through, the live head a tailing reader gates on, the ingest
 # journal recovery and resume read, the manifest and label file (with
 # their range lists) every tagged read resolves through, the PDB structure
 # ingest and `mol new` parse, and adanode's -tier-spec (rule: no panic, a
@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzTRRReader ./internal/trr
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzReadReply ./internal/rpc
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzReadFrame ./internal/rpc
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzDispatch ./internal/rpc
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzPlacementTable ./internal/placement
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzContainerIndex ./internal/plfs
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzLiveHead ./internal/core
@@ -142,11 +143,12 @@ bench: bench-decode bench-ingest bench-serve bench-tier
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # Decode benchmarks rendered to BENCH_decode.json (ns/op, MB/s, allocs/op,
-# cpus: one frame, a serial stream, a tagged subset loaded and a cold viewer
-# playing it in order through a serve fabric, both over three loopback rpc
-# nodes) for the CI artifact and regression tracking.
+# cpus: one frame, a serial stream, a tagged subset loaded, the whole dataset
+# reassembled from its subsets, and a cold viewer playing the subset in order
+# through a serve fabric, the last three over three loopback rpc nodes) for
+# the CI artifact and regression tracking.
 bench-decode:
-	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode|SubsetLoad|FabricPlayback' -benchmem . \
+	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode|SubsetLoad|FullLoad|FabricPlayback' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_decode.json
 
 # Ingest wire-speed benchmarks (fused XTC encode, the one-pass subset split
@@ -177,7 +179,7 @@ bench-serve:
 # end-to-end benchmark's live_tail workload (bench-e2e), not a gate here.
 BENCH_MAX_REGRESS ?= 15
 bench-check:
-	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode|SubsetLoad|FabricPlayback' -benchmem . \
+	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode|SubsetLoad|FullLoad|FabricPlayback' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-new.json
 	$(GO) test -run '^$$' -bench 'XTCEncode|SubsetWrite|IngestParallel' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-ingest-new.json

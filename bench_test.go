@@ -382,6 +382,47 @@ func BenchmarkSubsetLoad(b *testing.B) {
 	reportCPUs(b)
 }
 
+// BenchmarkFullLoad is the "ADA (all)" load below vmd: OpenFull of the
+// loopback cluster's dataset and every ReadFrame, each subset's stored bytes
+// converted straight into the full frame — the read path the end-to-end
+// benchmark's turnaround_all_s times, without the harness. MB/s is the full
+// frames' decoded coordinates, and the frames read are kept, as a viewer
+// keeps them.
+func BenchmarkFullLoad(b *testing.B) {
+	const frames = 100
+	a := loopbackCluster(b, frames)
+	load := func() (raw int64) {
+		fr, err := a.OpenFull("/g")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer fr.Close()
+		kept := make([]*xtc.Frame, 0, frames)
+		for {
+			f, err := fr.ReadFrame()
+			if err == io.EOF {
+				if len(kept) != frames {
+					b.Fatalf("read %d frames, want %d", len(kept), frames)
+				}
+				return raw
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			kept = append(kept, f)
+			raw += int64(12 * f.NAtoms())
+		}
+	}
+	b.SetBytes(load())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
+	}
+	b.StopTimer()
+	reportCPUs(b)
+}
+
 // BenchmarkFabricPlayback is a cold viewer below vmd: OpenSubsetAt of the
 // protein subset on the loopback cluster, a fresh serve fabric whose cache
 // holds half the subset, and every ReadFrameAt in order through it — the

@@ -9,8 +9,10 @@ import (
 
 	"repro/internal/gpcr"
 	"repro/internal/mdsim"
+	"repro/internal/metrics"
 	"repro/internal/pdb"
 	"repro/internal/plfs"
+	"repro/internal/rangelist"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/xtc"
@@ -170,45 +172,131 @@ func TestSubsetReadMatchesOriginal(t *testing.T) {
 	}
 }
 
+// TestOpenFullReassembles: every full frame equals the source trajectory's
+// reference decode bit for bit — coordinates, step, time and box — on Coarse
+// (one atom run per subset) and on Fine over a structure that interleaves
+// the categories (several runs per tag), so each run of each subset lands
+// where its atoms belong.
 func TestOpenFullReassembles(t *testing.T) {
-	pdbBytes, traj, _ := testDataset(t, 200, 3)
-	a, _, _ := newADA(t, nil, Options{Granularity: Fine})
-	if _, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
-		t.Fatal(err)
-	}
+	const frames = 3
+	pdbBytes, traj, sys := testDataset(t, 200, frames)
 	orig, err := xtc.NewReader(bytes.NewReader(traj)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := a.OpenFull("/ds")
-	if err != nil {
+	// The synthetic system lists each category's atoms together; for Fine,
+	// the structure lists the even-numbered atoms and then the odd, so every
+	// category is at least two runs. The trajectory stays as it is: the
+	// reassembly only needs the structure to split the atoms.
+	var interleaved bytes.Buffer
+	split := *sys.Structure
+	split.Atoms = nil
+	for _, parity := range []int{0, 1} {
+		for i := parity; i < len(sys.Structure.Atoms); i += 2 {
+			split.Atoms = append(split.Atoms, sys.Structure.Atoms[i])
+		}
+	}
+	if err := pdb.Write(&interleaved, &split); err != nil {
 		t.Fatal(err)
 	}
-	defer fr.Close()
-	tol := xtc.MaxError(xtc.DefaultPrecision) + 1e-6
-	for k := 0; ; k++ {
-		full, err := fr.ReadFrame()
-		if err == io.EOF {
-			if k != 3 {
-				t.Fatalf("full reader has %d frames", k)
-			}
-			break
+	for g, structure := range map[Granularity][]byte{Coarse: pdbBytes, Fine: interleaved.Bytes()} {
+		a, _, _ := newADA(t, nil, Options{Granularity: g})
+		if _, err := a.Ingest("/ds", structure, bytes.NewReader(traj)); err != nil {
+			t.Fatal(err)
 		}
+		fr, err := a.OpenFull("/ds")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full.NAtoms() != orig[k].NAtoms() {
-			t.Fatalf("frame %d natoms = %d", k, full.NAtoms())
+		runs := 0
+		for _, sr := range fr.subsets {
+			runs = max(runs, sr.Ranges.NumRanges())
 		}
-		for i := range full.Coords {
-			for d := 0; d < 3; d++ {
-				diff := math.Abs(float64(full.Coords[i][d] - orig[k].Coords[i][d]))
-				if diff > tol {
-					t.Fatalf("frame %d atom %d: diff %g", k, i, diff)
+		if (g == Fine) != (runs > 1) {
+			t.Errorf("%v: a subset has %d atom runs", g, runs)
+		}
+		for k := 0; ; k++ {
+			full, err := fr.ReadFrame()
+			if err == io.EOF {
+				if k != frames {
+					t.Fatalf("%v: full reader has %d frames, want %d", g, k, frames)
+				}
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := orig[k]
+			if full.Step != want.Step || math.Float32bits(full.Time) != math.Float32bits(want.Time) || full.Box != want.Box {
+				t.Fatalf("%v frame %d: header step %d time %g box %v, want %d %g %v",
+					g, k, full.Step, full.Time, full.Box, want.Step, want.Time, want.Box)
+			}
+			if full.NAtoms() != want.NAtoms() {
+				t.Fatalf("%v frame %d: natoms = %d, want %d", g, k, full.NAtoms(), want.NAtoms())
+			}
+			for i, c := range full.Coords {
+				for d := range c {
+					if math.Float32bits(c[d]) != math.Float32bits(want.Coords[i][d]) {
+						t.Fatalf("%v frame %d atom %d dim %d: %g, want %g", g, k, i, d, c[d], want.Coords[i][d])
+					}
 				}
 			}
 		}
+		fr.Close()
 	}
+}
+
+// TestOpenFullRefusesUntiledRanges: ReadFrame writes each subset's atoms
+// run by run, so OpenFull refuses a manifest whose subsets' ranges do not
+// cover [0, NAtoms) exactly once — an overlap, a gap, or a run past NAtoms —
+// as corrupt, before any frame is read.
+func TestOpenFullRefusesUntiledRanges(t *testing.T) {
+	pdbBytes, traj, _ := testDataset(t, 200, 2)
+	for _, tc := range []struct {
+		name string
+		edit func(m *Manifest, split int)
+	}{
+		{"overlap", func(m *Manifest, split int) { setRanges(m, TagProtein, 0, split+1) }},
+		{"gap", func(m *Manifest, split int) { setRanges(m, TagProtein, 0, split-1) }},
+		{"past natoms", func(m *Manifest, split int) { m.NAtoms-- }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
+			if _, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+				t.Fatal(err)
+			}
+			m, err := a.Manifest("/ds")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := rangelist.Parse(m.Subsets[TagProtein].Ranges)
+			if err != nil || p.NumRanges() != 1 || p.Ranges()[0].Begin != 0 {
+				t.Fatalf("protein ranges %q (%v): want one run from atom 0", m.Subsets[TagProtein].Ranges, err)
+			}
+			tc.edit(m, p.Ranges()[0].End)
+			data, err := m.marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.containers.PutDropping("/ds", droppingManifest, a.containers.Backends()[0], data); err != nil {
+				t.Fatal(err)
+			}
+			fr, err := a.OpenFull("/ds")
+			if !errors.Is(err, vfs.ErrCorrupted) {
+				if err == nil {
+					fr.Close()
+				}
+				t.Fatalf("OpenFull over %s ranges: %v, want vfs.ErrCorrupted", tc.name, err)
+			}
+		})
+	}
+}
+
+// setRanges sets the atom ranges of subset tag to the one run [begin, end).
+func setRanges(m *Manifest, tag string, begin, end int) {
+	s := m.Subsets[tag]
+	s.Ranges = rangelist.FromRanges(rangelist.Range{Begin: begin, End: end}).String()
+	m.Subsets[tag] = s
 }
 
 func TestOpenSubsetUnknownTag(t *testing.T) {

@@ -67,15 +67,29 @@ func (s *SubsetReader) ReadFrame() (*xtc.Frame, error) { return s.readFrameInto(
 // readFrameInto is ReadFrame decoding into dst, whose Coords are overwritten
 // and reused: for a reader that copies out of each frame and keeps none.
 func (s *SubsetReader) readFrameInto(dst *xtc.Frame) (*xtc.Frame, error) {
+	err := s.readStored(func(b []byte) (err error) {
+		dst, err = xtc.DecodeFrameBytesInto(b, dst)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// readStored hands the next frame's verified stored bytes to use, which must
+// not keep them, and moves past that frame: io.EOF after the last one. An
+// error from the fetch or from use ends the reader.
+func (s *SubsetReader) readStored(use func([]byte) error) error {
 	if s.err != nil {
-		return nil, s.err
+		return s.err
 	}
 	if s.next >= s.fetch.idx.Frames() {
-		return nil, io.EOF
+		return io.EOF
 	}
 	b, err := s.ahead.take()
 	if err == nil {
-		dst, err = xtc.DecodeFrameBytesInto(b, dst)
+		err = use(b)
 		s.ahead.recycle(b)
 		if err != nil {
 			err = fmt.Errorf("core: subset %s frame %d: %w", s.Tag, s.next, err)
@@ -83,10 +97,10 @@ func (s *SubsetReader) readFrameInto(dst *xtc.Frame) (*xtc.Frame, error) {
 	}
 	if err != nil {
 		s.err = err
-		return nil, err
+		return err
 	}
 	s.next++
-	return dst, nil
+	return nil
 }
 
 // Close stops the fetch ahead, waiting for a read in progress to return, and
@@ -267,22 +281,22 @@ func (s *SubsetRandomReader) Close() error { return s.fetch.close() }
 
 // FullReader reassembles complete frames (every atom, original order) from
 // all of a dataset's subsets — the "ADA (all)" scenario of the evaluation.
+// Each subset's stored bytes convert straight into the full frame, one run
+// of its atom ranges at a time.
 type FullReader struct {
 	NAtoms  int
 	subsets []*SubsetReader
-	indices [][]int
-	// scratch[i] is what subset i's frames decode into on their way to being
-	// scattered into the full frame: none of them outlives a ReadFrame.
-	scratch []xtc.Frame
 }
 
-// OpenFull opens every subset of the dataset and merges them.
+// OpenFull opens every subset of the dataset and merges them. Subsets whose
+// atom ranges overlap, leave a gap or pass NAtoms make the manifest corrupt.
 func (a *ADA) OpenFull(logical string) (*FullReader, error) {
 	m, err := a.Manifest(logical)
 	if err != nil {
 		return nil, err
 	}
 	fr := &FullReader{NAtoms: m.NAtoms}
+	var ranges []*rangelist.List
 	for _, tag := range m.Tags() {
 		sr, err := a.OpenSubset(logical, tag)
 		if err != nil {
@@ -290,45 +304,49 @@ func (a *ADA) OpenFull(logical string) (*FullReader, error) {
 			return nil, err
 		}
 		fr.subsets = append(fr.subsets, sr)
-		fr.indices = append(fr.indices, sr.Ranges.Indices())
+		ranges = append(ranges, sr.Ranges)
 	}
 	if len(fr.subsets) == 0 {
 		return nil, fmt.Errorf("core: dataset %s has no subsets", logical)
 	}
-	fr.scratch = make([]xtc.Frame, len(fr.subsets))
+	if err := rangelist.Tile(m.NAtoms, ranges...); err != nil {
+		fr.Close()
+		return nil, fmt.Errorf("core: dataset %s subset ranges: %w: %w", logical, err, vfs.ErrCorrupted)
+	}
 	return fr, nil
 }
 
-// ReadFrame returns the next full frame, or io.EOF when every subset is
-// exhausted. A dataset whose subsets have diverging frame counts is
-// corrupt and yields an error.
+// ReadFrame returns the next full frame, the caller's, or io.EOF when every
+// subset is exhausted. A dataset whose subsets have diverging frame counts
+// is corrupt and yields an error.
 func (f *FullReader) ReadFrame() (*xtc.Frame, error) {
 	var out *xtc.Frame
 	eofs := 0
-	for i, sr := range f.subsets {
-		sub, err := sr.readFrameInto(&f.scratch[i])
+	for _, sr := range f.subsets {
+		err := sr.readStored(func(b []byte) error {
+			v, err := xtc.ParseFrame(b)
+			if err != nil {
+				return err
+			}
+			if n, want := v.NAtoms(), sr.Ranges.Count(); n != want {
+				return fmt.Errorf("frame has %d atoms, ranges cover %d", n, want)
+			}
+			if out == nil {
+				out = &xtc.Frame{Step: v.Step, Time: v.Time, Box: v.Box, Coords: make([]xtc.Vec3, f.NAtoms)}
+			}
+			k := 0
+			for _, r := range sr.Ranges.Ranges() {
+				v.CoordsInto(out.Coords[r.Begin:r.End], k)
+				k += r.Len()
+			}
+			return nil
+		})
 		if err == io.EOF {
 			eofs++
 			continue
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: subset %s: %w", sr.Tag, err)
-		}
-		if out == nil {
-			out = &xtc.Frame{
-				Step:   sub.Step,
-				Time:   sub.Time,
-				Box:    sub.Box,
-				Coords: make([]xtc.Vec3, f.NAtoms),
-			}
-		}
-		idx := f.indices[i]
-		if len(idx) != sub.NAtoms() {
-			return nil, fmt.Errorf("core: subset %s frame has %d atoms, ranges cover %d",
-				sr.Tag, sub.NAtoms(), len(idx))
-		}
-		for j, atom := range idx {
-			out.Coords[atom] = sub.Coords[j]
+			return nil, err
 		}
 	}
 	if out == nil {

@@ -114,10 +114,9 @@ func TestReadFrameAtAllocs(t *testing.T) {
 
 // TestFullReaderAllocatesOneFrame pins what reassembling a full frame costs
 // in memory: the frame handed out, and nothing else of a frame's size. Each
-// subset's frame decodes into scratch the reader keeps, where it used to
-// arrive as a fresh frame dropped right after the scatter — the dataset's
-// atoms allocated twice a ReadFrame. The frames handed out stay the caller's:
-// a later ReadFrame must not reach back into an earlier one.
+// subset's stored bytes convert straight into the full frame, one atom run at
+// a time, with no subset frame between them. The frames handed out stay the
+// caller's: a later ReadFrame must not reach back into an earlier one.
 func TestFullReaderAllocatesOneFrame(t *testing.T) {
 	const frames = 9
 	pdbBytes, traj, _ := testDataset(t, 100, frames)
@@ -130,7 +129,7 @@ func TestFullReaderAllocatesOneFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fr.Close()
-	first, err := fr.ReadFrame() // sizes the scratch
+	first, err := fr.ReadFrame() // starts the fetch ahead, sizing its buffers
 	if err != nil {
 		t.Fatal(err)
 	}

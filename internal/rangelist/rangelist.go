@@ -8,6 +8,7 @@
 package rangelist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -194,6 +195,33 @@ func (l *List) Complement(n int) *List {
 		out.Append(prev, n)
 	}
 	return out
+}
+
+// Tile returns nil when lists cover [0, n) exactly once between them, and
+// otherwise an error naming the first integer covered twice, left out, or
+// at or past n.
+func Tile(n int, lists ...*List) error {
+	var all []Range
+	for _, l := range lists {
+		all = append(all, l.ranges...)
+	}
+	slices.SortFunc(all, func(a, b Range) int { return cmp.Compare(a.Begin, b.Begin) })
+	covered := 0
+	for _, r := range all {
+		switch {
+		case r.Begin < covered:
+			return fmt.Errorf("rangelist: %d covered twice", r.Begin)
+		case r.Begin > covered:
+			return fmt.Errorf("rangelist: %d not covered", covered)
+		case r.End > n:
+			return fmt.Errorf("rangelist: %v reaches past %d", r, n)
+		}
+		covered = r.End
+	}
+	if covered != n {
+		return fmt.Errorf("rangelist: covers [0, %d), not [0, %d)", covered, n)
+	}
+	return nil
 }
 
 // Equal reports whether two lists cover the same set.

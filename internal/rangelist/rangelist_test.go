@@ -6,6 +6,35 @@ import (
 	"testing/quick"
 )
 
+func TestTile(t *testing.T) {
+	lists := func(ranges ...Range) []*List {
+		var out []*List
+		for _, r := range ranges {
+			out = append(out, FromRanges(r))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		n     int
+		lists []*List
+		ok    bool
+	}{
+		{10, lists(Range{4, 10}, Range{0, 4}), true},
+		{10, []*List{FromRanges(Range{0, 2}, Range{5, 10}), FromRanges(Range{2, 5})}, true},
+		{0, nil, true},
+		{10, lists(Range{0, 5}, Range{4, 10}), false}, // overlap
+		{10, lists(Range{0, 4}, Range{5, 10}), false}, // gap
+		{10, lists(Range{1, 10}), false},              // gap at 0
+		{10, lists(Range{0, 9}), false},               // short of n
+		{9, lists(Range{0, 4}, Range{4, 10}), false},  // past n
+		{-1, nil, false},
+	} {
+		if err := Tile(tc.n, tc.lists...); (err == nil) != tc.ok {
+			t.Errorf("Tile(%d, %v): %v, want ok %v", tc.n, tc.lists, err, tc.ok)
+		}
+	}
+}
+
 func TestAddMerging(t *testing.T) {
 	l := New()
 	l.Add(5, 10)

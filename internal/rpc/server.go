@@ -426,6 +426,20 @@ func (s *Server) dispatch(cs *connState, payload []byte) []byte {
 		if err != nil {
 			return respondErr(err)
 		}
+		// A read too large for the kept reply buffer gets a buffer of its
+		// own, sized by what the file can return rather than by what was
+		// asked: a 20-byte request must not make the node allocate
+		// MaxPayload/2. The reads playback and ingest make fit the kept
+		// buffer and pay for no Size.
+		short := false
+		if readReplyHead+xdrPadded(int(n)) > maxKeptRequestBuf {
+			if off < 0 {
+				return respondErr(fmt.Errorf("rpc: read at negative offset %d", off))
+			}
+			if rest := max(f.Size()-off, 0); int64(n) > rest {
+				n, short = uint32(rest), true
+			}
+		}
 		// The file is read straight into the reply, behind the head its
 		// outcome is then patched into: [len|status|eof|n|data|pad], the bytes
 		// respondOK + VarOpaque would produce with the data copied only once.
@@ -433,6 +447,9 @@ func (s *Server) dispatch(cs *connState, payload []byte) []byte {
 		got, err := f.ReadAt(resp[readReplyHead:readReplyHead+int(n)], off)
 		if err != nil && err != io.EOF {
 			return respondErr(err)
+		}
+		if short {
+			err = io.EOF // the file ended before the read: what ReadAt past it says
 		}
 		if cs.ts != nil {
 			if d := s.chargeRead(cs.ts, int64(got)); d > 0 {

@@ -229,35 +229,99 @@ func decodeFrameInto(r *xdr.Reader, f *Frame) (*Frame, error) {
 		return f, nil
 
 	case MagicRaw:
-		natoms := decodeHeader(r, f)
-		if err := r.Err(); err != nil {
+		body, err := rawBody(r, f)
+		if err != nil {
 			return nil, err
 		}
-		if natoms < 0 {
-			return nil, fmt.Errorf("xtc: negative atom count %d", natoms)
-		}
-		if err := atomsFit(r, natoms, natoms*12); err != nil {
-			return nil, err
-		}
-		// The coordinates are one run of big-endian floats, taken whole and
-		// converted in twelve-byte windows: a bounds check an atom, where
-		// r.Float32 tests the reader's sticky error three times.
-		body := r.Opaque(natoms * 12)
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		f.Coords = growCoords(f.Coords, natoms)
-		for i := range f.Coords {
-			b := body[i*12 : i*12+12]
-			f.Coords[i][0] = math.Float32frombits(binary.BigEndian.Uint32(b))
-			f.Coords[i][1] = math.Float32frombits(binary.BigEndian.Uint32(b[4:]))
-			f.Coords[i][2] = math.Float32frombits(binary.BigEndian.Uint32(b[8:]))
-		}
+		f.Coords = growCoords(f.Coords, len(body)/12)
+		convertRaw(f.Coords, body)
 		return f, nil
 
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadMagic, magic)
 	}
+}
+
+// rawBody reads a raw frame's header, after the magic, into f and returns
+// its coordinates: natoms twelve-byte windows of big-endian floats, checked
+// to be there before anything is sized from natoms.
+func rawBody(r *xdr.Reader, f *Frame) ([]byte, error) {
+	natoms := decodeHeader(r, f)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if natoms < 0 {
+		return nil, fmt.Errorf("xtc: negative atom count %d", natoms)
+	}
+	if err := atomsFit(r, natoms, natoms*12); err != nil {
+		return nil, err
+	}
+	body := r.Opaque(natoms * 12)
+	return body, r.Err()
+}
+
+// convertRaw converts the first len(dst) atoms of a raw frame's body into
+// dst. The coordinates are taken as one run and converted in twelve-byte
+// windows: a bounds check an atom, where r.Float32 tests the reader's sticky
+// error three times.
+func convertRaw(dst []Vec3, body []byte) {
+	body = body[:len(dst)*12]
+	for i := range dst {
+		b := body[i*12 : i*12+12]
+		dst[i][0] = math.Float32frombits(binary.BigEndian.Uint32(b))
+		dst[i][1] = math.Float32frombits(binary.BigEndian.Uint32(b[4:]))
+		dst[i][2] = math.Float32frombits(binary.BigEndian.Uint32(b[8:]))
+	}
+}
+
+// FrameView is one encoded frame parsed and checked as DecodeFrameBytes
+// would, for a reader that converts its atoms straight to where they belong
+// rather than into a Frame of their own. A raw frame's coordinates stay its
+// stored bytes until CoordsInto converts them; a compressed frame's are
+// decoded by ParseFrame and copied.
+type FrameView struct {
+	Step    int32
+	Time    float32
+	Box     [9]float32
+	raw     []byte // a raw frame's NAtoms twelve-byte windows, within the parsed bytes
+	decoded []Vec3 // a compressed frame's atoms
+}
+
+// ParseFrame parses the frame p: magic, header, and an atom count the bytes
+// can back. A raw frame's view refers into p.
+func ParseFrame(p []byte) (FrameView, error) {
+	r := xdr.NewReader(p)
+	if magic := r.Int32(); r.Err() != nil || magic != MagicRaw {
+		f, err := decodeBytes(p) // a compressed frame, or the decoder's error
+		if err != nil {
+			return FrameView{}, err
+		}
+		return FrameView{Step: f.Step, Time: f.Time, Box: f.Box, decoded: f.Coords}, nil
+	}
+	var hdr Frame
+	body, err := rawBody(r, &hdr)
+	if err != nil {
+		return FrameView{}, err
+	}
+	return FrameView{Step: hdr.Step, Time: hdr.Time, Box: hdr.Box, raw: body}, nil
+}
+
+// NAtoms returns the number of atoms in the frame.
+func (v *FrameView) NAtoms() int {
+	if v.decoded != nil {
+		return len(v.decoded)
+	}
+	return len(v.raw) / 12
+}
+
+// CoordsInto puts the frame's atoms first, first+1, … into dst, one an
+// element; dst must not reach past the frame's last atom.
+func (v *FrameView) CoordsInto(dst []Vec3, first int) {
+	if v.decoded != nil {
+		copy(dst, v.decoded[first:first+len(dst)])
+		return
+	}
+	convertRaw(dst, v.raw[first*12:])
 }
 
 // atomsFit bounds a header's atom count by the bytes left to back it, before

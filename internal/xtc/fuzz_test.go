@@ -98,7 +98,8 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 // also differential: the fused kernel and the two-pass reference decoder
 // (refdecode_test.go) must return the same coordinate bits, or both fail.
 // The seeds include kernelPathFrames, so the wide-box (bitSize == 0) and
-// over-64-bit arms are mutated from the start.
+// over-64-bit arms are mutated from the start. ParseFrame, the decode a
+// full-frame reader converts by runs through, must agree with both.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -119,6 +120,22 @@ func FuzzDecodeFrame(f *testing.F) {
 		want, werr := refDecodeBytes(input)
 		if err := sameDecode(fr, err, want, werr); err != nil {
 			t.Fatal(err)
+		}
+		// ParseFrame is the same parse: it accepts what the decoder accepts,
+		// and its view converts to the same bits however the atoms are split
+		// into runs.
+		v, verr := ParseFrame(input)
+		if (verr == nil) != (err == nil) {
+			t.Fatalf("ParseFrame err %v, DecodeFrameBytes err %v", verr, err)
+		}
+		if err == nil {
+			viewed := &Frame{Step: v.Step, Time: v.Time, Box: v.Box, Precision: fr.Precision, Coords: make([]Vec3, v.NAtoms())}
+			half := len(viewed.Coords) / 2
+			v.CoordsInto(viewed.Coords[half:], half)
+			v.CoordsInto(viewed.Coords[:half], 0)
+			if err := sameDecode(viewed, nil, fr, nil); err != nil {
+				t.Fatalf("ParseFrame: %v", err)
+			}
 		}
 	})
 }
