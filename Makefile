@@ -117,14 +117,17 @@ test-stream:
 # consumer held, then Close mid-stream), Stop waiting out the decoder, the
 # sequential readers' fetch ahead (Close mid-stream and mid-read, a corrupt
 # frame's sticky error), a live Append handing its batch back with no
-# decoder still reading it, tailing readers across a seal and a kill, and
+# decoder still reading it, a live Append returning while its head lands in
+# the background (the next Append waiting for it, a failed put sticky, Abort
+# and Seal waiting it out, frames reused across batches), tailing readers
+# across a seal and a kill, and
 # the serve fabric's read-ahead (a waiter on a failed ahead flight, Close
 # with ahead flights queued and in service, counts taken once idle) —
 # repeated, so a regression in any shows up in CI rather than once a week.
 test-deflaked:
 	$(GO) test -race -count=10 -run 'TestAheadReaderLookaheadBounded|TestAheadReaderStopWaits' ./internal/xtc/
 	$(GO) test -race -count=10 -run 'TestSubsetReaderCloseMidStream|TestSubsetReaderCorruptFrameIsSticky|TestFullReaderCloseWhileFetching' ./internal/core/
-	$(GO) test -race -count=20 -run 'TestLiveAppendReleasesBatch' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestLiveAppendReleasesBatch|TestLiveAppendReturnsWhileHeadLands|TestLiveFailedHeadPutIsSticky|TestLiveEndWithHeadInFlight|TestLiveAppendReusesFrames' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestTailSeesEveryPrefix' ./internal/stream/
 	$(GO) test -race -count=10 -run 'TestReadAhead|TestAheadFailureNotInherited|TestLiveHandleNeverReadsAhead|TestCloseWithAheadFlights|TestFabricServesAndCaches|TestSimAndFabricAgree' ./internal/serve/
 
@@ -153,10 +156,11 @@ bench-decode:
 
 # Ingest wire-speed benchmarks (fused XTC encode, the one-pass subset split
 # and raw encode of a full frame, end-to-end ingest over in-memory backends
-# through both entry points of the one ingest loop) rendered to
+# through both entry points of the one ingest loop, and a live session's
+# five-frame Appends and Seal over three loopback rpc nodes) rendered to
 # BENCH_ingest.json for the CI artifact and regression tracking.
 bench-ingest:
-	$(GO) test -run '^$$' -bench 'XTCEncode|SubsetWrite|IngestParallel' -benchmem . \
+	$(GO) test -run '^$$' -bench 'XTCEncode|SubsetWrite|IngestParallel|LiveAppend' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_ingest.json
 
 # Serve-fabric latency baseline: cmd/adaload replays the standard
@@ -175,13 +179,15 @@ bench-serve:
 # in bench-delta.txt and bench-ingest-delta.txt for the CI artifact. The
 # serve-fabric baseline is exact, not a percentage: serve-check. After an
 # intentional perf change, refresh the baselines with `make bench-decode
-# bench-ingest` and commit BENCH_decode.json / BENCH_ingest.json. Live append speed is the
-# end-to-end benchmark's live_tail workload (bench-e2e), not a gate here.
+# bench-ingest` and commit BENCH_decode.json / BENCH_ingest.json. Live append
+# speed is gated here by BenchmarkLiveAppend (the producer alone); with a
+# tailer beside it, it is the end-to-end benchmark's live_tail workload
+# (bench-e2e).
 BENCH_MAX_REGRESS ?= 15
 bench-check:
 	$(GO) test -run '^$$' -bench 'StreamDecode|XTCDecode|SubsetLoad|FullLoad|FabricPlayback' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-new.json
-	$(GO) test -run '^$$' -bench 'XTCEncode|SubsetWrite|IngestParallel' -benchmem . \
+	$(GO) test -run '^$$' -bench 'XTCEncode|SubsetWrite|IngestParallel|LiveAppend' -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-ingest-new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_decode.json bench-new.json \
 		-max-regress $(BENCH_MAX_REGRESS) \

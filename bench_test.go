@@ -307,6 +307,17 @@ func loopbackCluster(b *testing.B, frames int) *core.ADA {
 	if err != nil {
 		b.Fatal(err)
 	}
+	a := loopbackNodes(b)
+	if _, err := a.Ingest("/g", pdbBytes, bytes.NewReader(traj)); err != nil {
+		b.Fatal(err)
+	}
+	return a
+}
+
+// loopbackNodes is an empty store on three loopback rpc storage nodes (osfs
+// in temporary directories) at replication 2.
+func loopbackNodes(b *testing.B) *core.ADA {
+	b.Helper()
 	tbl := &placement.Table{Version: 1, Replication: 2}
 	nodes := map[string]vfs.FS{}
 	for _, name := range []string{"n1", "n2", "n3"} {
@@ -334,11 +345,7 @@ func loopbackCluster(b *testing.B, frames int) *core.ADA {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := core.New(store, nil, core.Options{})
-	if _, err := a.Ingest("/g", pdbBytes, bytes.NewReader(traj)); err != nil {
-		b.Fatal(err)
-	}
-	return a
+	return core.New(store, nil, core.Options{})
 }
 
 // BenchmarkSubsetLoad is `mol addfile … tag p` below vmd: OpenSubset of the
@@ -461,6 +468,54 @@ func BenchmarkFabricPlayback(b *testing.B) {
 		play()
 	}
 	b.StopTimer()
+	reportCPUs(b)
+}
+
+// BenchmarkLiveAppend is a running simulation's ingest: a live session on
+// the loopback nodes taking 300 frames of the 43.5k-atom system in
+// five-frame Appends, each checkpointed and its head published, then Seal —
+// the producer side of the end-to-end benchmark's live_tail, without the
+// tailer. MB/s is the frames' decoded coordinates; B/op is what the session
+// allocates. Each sealed dataset is removed untimed.
+func BenchmarkLiveAppend(b *testing.B) {
+	const frames, batch = 300, 5
+	pdbBytes, traj, err := generate(gpcr.Default(), frames)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := xtc.BuildIndex(bytes.NewReader(traj), int64(len(traj)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var batches [][]byte
+	for i := 0; i < frames; i += batch {
+		end := idx.Offset(i+batch-1) + idx.Size(i+batch-1)
+		batches = append(batches, traj[idx.Offset(i):end])
+	}
+	a := loopbackNodes(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		li, err := a.OpenLiveIngest("/live", pdbBytes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, bt := range batches {
+			if _, err := li.Append(bt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rep, err := li.Seal()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		b.SetBytes(rep.Raw)
+		if err := a.Remove("/live"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 	reportCPUs(b)
 }
 

@@ -245,7 +245,13 @@ func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, stats
 // decodeAhead returns the frame source of an XTC ingest. Callers defer its
 // Close, so no exit path leaves a decode goroutine behind.
 func (a *ADA) decodeAhead(traj io.Reader) aheadTrajectory {
-	pr := xtc.NewAheadReader(traj)
+	return a.decodeAheadRecycling(traj, xtc.NewRecycleList())
+}
+
+// decodeAheadRecycling is decodeAhead decoding into the frames free holds: a
+// live session's batches share one list.
+func (a *ADA) decodeAheadRecycling(traj io.Reader, free xtc.RecycleList) aheadTrajectory {
+	pr := xtc.NewAheadReaderRecycling(traj, free)
 	pr.Observe = a.im.decodeNS.Observe
 	pr.SetMetrics(a.reg)
 	return aheadTrajectory{pr}

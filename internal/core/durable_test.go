@@ -599,6 +599,7 @@ func TestRecoverRejectsBadCheckpoint(t *testing.T) {
 			if _, err := li.Append(traj); err != nil {
 				t.Fatal(err)
 			}
+			waitHead(t, a, "/ds", li.Head().Version)
 			recs, err := a.readJournal("/ds")
 			if err != nil {
 				t.Fatal(err)

@@ -79,6 +79,7 @@ func FuzzLiveHead(f *testing.F) {
 		if _, err := li.Append(traj); err != nil {
 			t.Fatal(err)
 		}
+		waitHead(t, a, "/ds", li.Head().Version) // the fuzzed head replaces the landed one
 		if err := a.containers.PutDropping("/ds", liveHeadName, a.containers.Backends()[0], input); err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func FuzzLiveHead(f *testing.F) {
 }
 
 // FuzzJournal writes arbitrary bytes as the ingest.journal of /ds beside
-// subsets holding four frames (written by a live session, head published)
+// subsets holding four frames (written by a live session, head landed)
 // and runs each way back over it on its own copy: RecoverDataset,
 // ResumeIngest, and ResumeLiveIngest followed by Seal. Rule: no panic,
 // allocation bounded by the input's length, and a RecoveryAction or a typed
@@ -125,6 +126,7 @@ func FuzzJournal(f *testing.F) {
 		if _, err := li.Append(traj); err != nil {
 			t.Fatal(err)
 		}
+		waitHead(t, a, "/ds", li.Head().Version)
 		return a
 	}
 	recs, err := setup(f).readJournal("/ds")

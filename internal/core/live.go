@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/vfs"
+	"repro/internal/xtc"
 )
 
 // Streaming (live) ingest.
@@ -25,7 +26,8 @@ import (
 //
 // What streaming adds is a published head. After every appended batch the
 // writer journals a checkpoint and then puts two kinds of read-side
-// droppings, strictly in this order:
+// droppings, strictly in this order, on one background goroutine while the
+// producer goes on to its next batch:
 //
 //	live.index.<tag> — the subset's frame index up to the checkpoint
 //	live.json        — the head: version, frame count, per-subset sizes
@@ -39,6 +41,13 @@ import (
 // at version v and then live.index.<tag> may see a NEWER index — indexes
 // are published before the head — but never an older one, and it reads
 // only head.Frames entries of it.
+//
+// The puts are snapshotted under the session lock when Append hands them
+// off, so the head they publish is that batch's. The next Append decodes its
+// batch while they run but issues its first backend op only once they have
+// landed, and Seal and Abort wait for them too: the backends see the same
+// op sequence as if every Append published before it returned, and one put
+// in flight at a time keeps the published version increasing.
 //
 // Seal commits the dataset through the one-shot path (put the indexes,
 // structure and labels, then the manifest, retire the journal) and then
@@ -124,10 +133,32 @@ func unmarshalLiveHead(data []byte) (*LiveHead, error) {
 // concurrently from others. Tailers learn of new heads through WaitLiveHead.
 type LiveIngest struct {
 	st *ingestState
+	// free is the session's one recycle list: each batch decodes into the
+	// frames the batches before it wrote out and handed back.
+	free xtc.RecycleList
 
 	mu      sync.Mutex
 	sealed  bool
 	aborted bool
+	// pub is the head publication in flight, nil when none is.
+	pub *publication
+}
+
+// publication is one head's puts running in the background: done closes
+// once they have all landed or one has failed with err.
+type publication struct {
+	done chan struct{}
+	err  error
+}
+
+// livePut is one read-side dropping of a head, snapshotted for its put.
+type livePut struct {
+	name, backend string
+	data          []byte
+}
+
+func newLiveIngest(st *ingestState) *LiveIngest {
+	return &LiveIngest{st: st, free: xtc.NewRecycleList()}
 }
 
 // OpenLiveIngest starts a streaming ingest: the container, journal, and
@@ -139,7 +170,7 @@ func (a *ADA) OpenLiveIngest(logical string, pdbData []byte) (*LiveIngest, error
 	if err != nil {
 		return nil, err
 	}
-	li := &LiveIngest{st: st}
+	li := newLiveIngest(st)
 	if err := li.publishHead(); err != nil {
 		st.abort()
 		return nil, fmt.Errorf("core: live ingest %s: %w", logical, err)
@@ -159,7 +190,7 @@ func (a *ADA) ResumeLiveIngest(logical string, pdbData []byte) (*LiveIngest, err
 	if err != nil {
 		return nil, err
 	}
-	li := &LiveIngest{st: st}
+	li := newLiveIngest(st)
 	if err := li.publishHead(); err != nil {
 		st.detach()
 		return nil, fmt.Errorf("core: resume live %s: %w", logical, err)
@@ -167,14 +198,17 @@ func (a *ADA) ResumeLiveIngest(logical string, pdbData []byte) (*LiveIngest, err
 	return li, nil
 }
 
-// Frames returns the number of frames appended (and published) so far.
+// Frames returns the number of frames appended (and checkpointed) so far.
+// The head publishing the last batch's may still be landing: Head.
 func (li *LiveIngest) Frames() int {
 	li.mu.Lock()
 	defer li.mu.Unlock()
 	return li.st.report.Frames
 }
 
-// Head returns the currently published head.
+// Head returns the head of the last appended batch: the one published, or
+// the one its background put is publishing — tailers see it through
+// WaitLiveHead once it has landed.
 func (li *LiveIngest) Head() LiveHead {
 	li.mu.Lock()
 	defer li.mu.Unlock()
@@ -212,15 +246,20 @@ func (li *LiveIngest) closedLocked() error {
 }
 
 // Append runs one XTC-encoded batch of whole frames through the session's
-// frame loop, then journals a checkpoint and publishes the new head. It
-// returns the number of frames appended. A torn final frame fails the call
-// after the batch's complete frames have been published; the producer
-// re-sends the frame intact. A failed write, checkpoint or publish instead
-// ends the session — the subsets may no longer hold the same frames — and
-// every later Append or Seal returns that error; Abort, or ResumeLiveIngest
-// from the last checkpoint, is what is left. The byte stream across all
-// Appends must be exactly what a one-shot Ingest of the dataset would have
-// consumed, which is what makes Seal's output indistinguishable from it.
+// frame loop and journals a checkpoint: once it returns, the batch is
+// durable. It hands the batch's head to a background put and returns the
+// number of frames appended; tailers see the head once the put has landed,
+// which the next Append, Seal or Abort waits for before its first backend op
+// (the next Append decodes its batch meanwhile). A torn final frame fails
+// the call after the batch's complete frames have been appended and their
+// head handed off; the producer re-sends the frame intact. A failed write,
+// checkpoint or head put instead ends the session — the subsets may no
+// longer hold the same frames, or the head no longer describe them — and
+// every later Append or Seal returns that error (a failed put, from the call
+// after the one that handed it off); Abort, or ResumeLiveIngest from the
+// last checkpoint, is what is left. The byte stream across all Appends must
+// be exactly what a one-shot Ingest of the dataset would have consumed,
+// which is what makes Seal's output indistinguishable from it.
 func (li *LiveIngest) Append(batch []byte) (int, error) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
@@ -230,19 +269,27 @@ func (li *LiveIngest) Append(batch []byte) (int, error) {
 	st := li.st
 	before := st.report.Frames
 	// The batch is decoded ahead, by the one-shot ingest's source (in line
-	// on one core). It reports each frame's exact encoded size, so the
-	// journaled Compressed counter stays exact at every checkpoint — which
-	// is what keeps a post-crash resume's manifest byte-identical to a
-	// one-shot ingest. Stop, not Close: the caller owns batch again once
-	// Append returns, so the decoder must have stopped reading it, and a
-	// bytes.Reader never blocks the wait.
-	src := st.a.decodeAhead(bytes.NewReader(batch))
+	// on one core), into the frames earlier batches handed back. It reports
+	// each frame's exact encoded size, so the journaled Compressed counter
+	// stays exact at every checkpoint — which is what keeps a post-crash
+	// resume's manifest byte-identical to a one-shot ingest. Decoding starts
+	// while the previous head is still landing. Stop, not Close: the caller
+	// owns batch again once Append returns, so the decoder must have stopped
+	// reading it, and a bytes.Reader never blocks the wait.
+	src := st.a.decodeAheadRecycling(bytes.NewReader(batch), li.free)
+	src.Start()
+	if err := li.landLocked(); err != nil {
+		src.Stop()
+		return 0, err
+	}
 	srcErr := st.ingestFrames("live ingest", src)
 	src.Stop()
 	appended := st.report.Frames - before
 	if st.err == nil && appended > 0 && st.checkpoint() == nil { // a failed checkpoint fails the session itself
-		if err := li.publishHead(); err != nil {
+		if puts, err := li.headPuts(); err != nil {
 			st.fail(fmt.Errorf("core: live ingest %s: %w", st.logical, err))
+		} else {
+			li.publishAsync(puts)
 		}
 	}
 	if st.err != nil {
@@ -251,38 +298,83 @@ func (li *LiveIngest) Append(batch []byte) (int, error) {
 	return appended, srcErr
 }
 
-// publishHead puts live.index.<tag> for every subset and then live.json,
-// each replaced whole in place (plfs.PutDropping). The order matters:
-// readers load the head first, so an index must never lag the head it is
-// read under.
-func (li *LiveIngest) publishHead() error {
+// headPuts snapshots the next head: live.index.<tag> for every subset, then
+// live.json at the next version. They go out in that order, each replaced
+// whole in place (plfs.PutDropping): readers load the head first, so an
+// index must never lag the head it is read under.
+func (li *LiveIngest) headPuts() ([]livePut, error) {
 	st := li.st
-	a := st.a
+	puts := make([]livePut, 0, len(st.writers)+1)
 	for _, sw := range st.writers {
-		if err := a.containers.PutDropping(st.logical, liveIndexPrefix+sw.tag,
-			sw.backend, sw.ib.Index().Marshal()); err != nil {
-			return err
-		}
+		puts = append(puts, livePut{liveIndexPrefix + sw.tag, sw.backend, sw.ib.Index().Marshal()})
 	}
 	st.headVersion++
 	head := li.headLocked()
 	data, err := json.Marshal(&head)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return a.containers.PutDropping(st.logical, liveHeadName, a.containers.Backends()[0], data)
+	return append(puts, livePut{liveHeadName, st.a.containers.Backends()[0], data}), nil
 }
 
-// Seal converts the live dataset into an ordinary immutable container: the
-// session's seal — the one-shot commit path unchanged (put
-// indexes/structure/labels, then the manifest, retire the journal) — and
-// then the live.* droppings are removed, only once the manifest has landed.
-// The committed container is byte-identical to a one-shot Ingest of the
-// same frames.
+// putHead runs one head's puts in order.
+func (st *ingestState) putHead(puts []livePut) error {
+	for _, p := range puts {
+		if err := st.a.containers.PutDropping(st.logical, p.name, p.backend, p.data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// publishHead publishes the next head before it returns: how a session
+// opens, resumes or is recovered.
+func (li *LiveIngest) publishHead() error {
+	puts, err := li.headPuts()
+	if err != nil {
+		return err
+	}
+	return li.st.putHead(puts)
+}
+
+// publishAsync hands puts to the background: the one publication in flight.
+func (li *LiveIngest) publishAsync(puts []livePut) {
+	p := &publication{done: make(chan struct{})}
+	li.pub = p
+	go func() {
+		defer close(p.done)
+		p.err = li.st.putHead(puts)
+	}()
+}
+
+// landLocked waits for the publication in flight, if any, and fails the
+// session with its error.
+func (li *LiveIngest) landLocked() error {
+	p := li.pub
+	if p == nil {
+		return nil
+	}
+	<-p.done
+	li.pub = nil
+	if p.err != nil {
+		return li.st.fail(fmt.Errorf("core: live ingest %s: %w", li.st.logical, p.err))
+	}
+	return nil
+}
+
+// Seal converts the live dataset into an ordinary immutable container: once
+// the last head has landed, the session's seal — the one-shot commit path
+// unchanged (put indexes/structure/labels, then the manifest, retire the
+// journal) — and then the live.* droppings are removed, only once the
+// manifest has landed. The committed container is byte-identical to a
+// one-shot Ingest of the same frames.
 func (li *LiveIngest) Seal() (*IngestReport, error) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
 	if err := li.closedLocked(); err != nil {
+		return nil, err
+	}
+	if err := li.landLocked(); err != nil {
 		return nil, err
 	}
 	st := li.st
@@ -302,8 +394,9 @@ func (li *LiveIngest) Seal() (*IngestReport, error) {
 	return report, nil
 }
 
-// Abort tears the live dataset down entirely: writers closed, journal
-// closed, container removed. Readers see the dataset vanish.
+// Abort tears the live dataset down entirely: the head in flight lands (or
+// fails), then writers closed, journal closed, container removed. Readers
+// see the dataset vanish.
 func (li *LiveIngest) Abort() error {
 	li.mu.Lock()
 	defer li.mu.Unlock()
@@ -311,6 +404,7 @@ func (li *LiveIngest) Abort() error {
 		return nil
 	}
 	li.aborted = true
+	li.landLocked() // a failed put no longer matters: the container goes
 	li.st.abort()
 	return nil
 }
@@ -350,8 +444,7 @@ func (a *ADA) recoverLive(logical string, begin, ck *journalRecord) (RecoveryAct
 	if err := st.cutBack(begin, ck); err != nil {
 		return "", fmt.Errorf("recover live: %w", err)
 	}
-	li := &LiveIngest{st: st}
-	if err := li.publishHead(); err != nil {
+	if err := newLiveIngest(st).publishHead(); err != nil {
 		return "", err
 	}
 	return RecoveryLive, nil

@@ -53,6 +53,41 @@ func batchFrames(frames [][]byte, n int) [][]byte {
 	return out
 }
 
+// waitHead waits, through WaitLiveHead, until a sees logical's head at
+// version or later, and returns it: Append hands its head to a background
+// put, so a head read straight after it may still be the one before. It
+// looks every 20µs rather than at the watch's 2 ms poll, which would add
+// that much to every wait.
+func waitHead(t testing.TB, a *ADA, logical string, version int64) *LiveHead {
+	t.Helper()
+	var crc uint32
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Microsecond) {
+		h, c, changed, err := a.WaitLiveHead(logical, crc, 0)
+		if err != nil {
+			t.Fatalf("wait for head %d of %s: %v", version, logical, err)
+		}
+		if changed {
+			if crc = c; h.Sealed || h.Version >= version {
+				return h
+			}
+		}
+	}
+	t.Fatalf("head of %s did not reach version %d", logical, version)
+	return nil
+}
+
+// landed waits for li's head put in flight, if any, to finish. Tests that
+// count backend ops wait on it rather than on the head: a tailer can see
+// live.json once its first replica is renamed, an op before the put ends.
+func landed(li *LiveIngest) {
+	li.mu.Lock()
+	p := li.pub
+	li.mu.Unlock()
+	if p != nil {
+		<-p.done
+	}
+}
+
 // TestLiveSealMatchesIngest drives a live session batch by batch and
 // requires Seal's output to be byte-identical to a one-shot Ingest of the
 // same stream — every dropping, the manifest included.
@@ -84,6 +119,7 @@ func TestLiveSealMatchesIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		total += n
+		waitHead(t, a, "/ds", li.Head().Version)
 		h, err := a.LiveHead("/ds")
 		if err != nil {
 			t.Fatal(err)
@@ -707,6 +743,7 @@ func TestLiveRecoverKillMatrix(t *testing.T) {
 				if _, err := li.Append(f); err != nil {
 					t.Fatalf("kill %d/%d: resumed append: %v", n, total, err)
 				}
+				waitHead(t, a, "/ds", li.Head().Version)
 				if h, err := a.LiveHead("/ds"); err != nil {
 					t.Fatalf("kill %d/%d: head after resumed append: %v", n, total, err)
 				} else {
@@ -822,6 +859,7 @@ func TestLiveAppendOpsPerBatch(t *testing.T) {
 		if n, err := li.Append(batch); err != nil || n != 5 {
 			t.Fatalf("append %d = %d, %v", i, n, err)
 		}
+		landed(li) // the head's puts count with the batch
 		if got := backendOps(reg) - before; got != pinnedOps {
 			t.Errorf("append %d issued %d backend ops, pinned at %d", i, got, pinnedOps)
 		}
@@ -910,8 +948,9 @@ func TestLiveAppendReleasesBatch(t *testing.T) {
 
 // TestRemoteOpsPerIngestAndAppend pins, by op, the round trips three rpc
 // nodes under an R=2 placement cluster serve for one ingest and for one
-// five-frame Append. No write asks a file its size: the only size calls left
-// are vfs.ReadFile sizing a file it has just opened. An Append's three puts
+// five-frame Append. No write asks a file its size, and nothing asks a file
+// it has just opened: the cluster takes that size from the node's open
+// reply, so no size call is left. An Append's three puts
 // read the container index once each and never write it; the ingest writes
 // its subsets under their final names and puts every metadata dropping and
 // the manifest, so nothing is staged and renamed and no commit record is
@@ -977,7 +1016,7 @@ func TestRemoteOpsPerIngestAndAppend(t *testing.T) {
 		}
 	}), map[string]int64{
 		"close": 45, "create": 36, "mkdirall": 48, "open": 9, "read": 8,
-		"remove": 3, "rename": 30, "size": 9, "write": 70,
+		"remove": 3, "rename": 30, "write": 70,
 	})
 
 	li, err := a.OpenLiveIngest("/live", pdbBytes)
@@ -989,9 +1028,10 @@ func TestRemoteOpsPerIngestAndAppend(t *testing.T) {
 		if n, err := li.Append(batchFrames(splitFrames(t, traj), 5)[0]); err != nil || n != 5 {
 			t.Fatalf("append = %d, %v", n, err)
 		}
+		landed(li)
 	}), map[string]int64{
 		"close": 9, "create": 6, "mkdirall": 9, "open": 3, "read": 3,
-		"rename": 6, "size": 3, "write": 28,
+		"rename": 6, "write": 28,
 	})
 }
 
@@ -1026,6 +1066,7 @@ func TestLiveFailedWriteIsSticky(t *testing.T) {
 		if _, err := li.Append(batches[0]); err != nil {
 			t.Fatal(err)
 		}
+		waitHead(t, a, "/ds", li.Head().Version) // arm the fault for the frame writes, not the head's puts
 		in.SetEnabled(true)
 		n, werr := li.Append(batches[1])
 		if !errors.Is(werr, faultfs.ErrInjected) || n != 0 {

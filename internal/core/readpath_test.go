@@ -36,6 +36,7 @@ func TestReadOpsMatchParent(t *testing.T) {
 	if _, err := li.Append(traj); err != nil {
 		t.Fatal(err)
 	}
+	landed(li) // its puts land before any count starts
 
 	for how, read := range map[string]func() int{
 		"OpenSubset": func() int {

@@ -291,13 +291,22 @@ func (c *Cluster) Open(name string) (vfs.File, error) {
 		if err != nil {
 			return err
 		}
-		f.files[i], f.pref, f.size = h, i, h.Size()
+		f.files[i], f.pref, f.size = h, i, openSize(h)
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("placement: open %s: %w", name, err)
 	}
 	return f, nil
+}
+
+// openSize is a just-opened handle's size: the one its open reply carried,
+// when a node's client keeps it (rpc), else a Size call.
+func openSize(h vfs.File) int64 {
+	if o, ok := h.(interface{ OpenSize() int64 }); ok {
+		return o.OpenSize()
+	}
+	return h.Size()
 }
 
 // WatchFile long-polls name until its content differs from lastCRC or the
@@ -555,7 +564,7 @@ func (f *clusterFile) handle(i int) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if size := h.Size(); size != f.size {
+	if size := openSize(h); size != f.size {
 		h.Close()
 		return nil, fmt.Errorf("placement: %s on %s is %d bytes, this handle opened %d: another version",
 			f.name, f.reps[i], size, f.size)

@@ -483,7 +483,7 @@ func (c *Client) openLike(op uint32, name string) (vfs.File, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return &remoteFile{c: c, name: vfs.Clean(name), fd: fd, size: size}, nil
+	return &remoteFile{c: c, name: vfs.Clean(name), fd: fd, size: size, opened: size}, nil
 }
 
 // Create implements vfs.FS.
@@ -551,11 +551,17 @@ type remoteFile struct {
 	name   string
 	fd     uint32
 	size   int64
+	opened int64 // size at open, from the open reply
 	off    int64
 	closed bool
 }
 
 func (f *remoteFile) Name() string { return f.name }
+
+// OpenSize is the file's size as the open reply carried it, at no round
+// trip: what a caller that has just opened the file wants. Size asks the
+// node afresh.
+func (f *remoteFile) OpenSize() int64 { return f.opened }
 
 func (f *remoteFile) Size() int64 {
 	req := request(opSize)

@@ -348,6 +348,9 @@ func TestMigratorSkipsUncommitted(t *testing.T) {
 		live = append(live, li)
 	}
 	a := core.New(containers, nil, core.Options{Metrics: reg})
+	for _, li := range live {
+		waitLanded(t, a, li) // walk the backends only once nothing is being put
+	}
 	trk := NewTracker((&virtualClock{}).Now, 0)
 	trk.Record("/hot", "subset."+core.TagProtein, 1<<20)
 	migrator := func(capacity int64) *Migrator {
@@ -382,6 +385,26 @@ func TestMigratorSkipsUncommitted(t *testing.T) {
 	if rep, err := promote.Step(); err != nil || len(rep.Promotions) == 0 || rep.Promotions[0].Logical != "/hot" {
 		t.Fatalf("sealed hot /hot: %+v, %v", rep, err)
 	}
+}
+
+// waitLanded waits until a sees li's last head: Append publishes it in the
+// background.
+func waitLanded(t *testing.T, a *core.ADA, li *core.LiveIngest) {
+	t.Helper()
+	want := li.Head()
+	var crc uint32
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		h, c, changed, err := a.WaitLiveHead(want.Logical, crc, time.Until(deadline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if changed {
+			if crc = c; h.Version >= want.Version {
+				return
+			}
+		}
+	}
+	t.Fatalf("head %d of %s never landed", want.Version, want.Logical)
 }
 
 // listDownFS is a backend whose directory listings fail while down.

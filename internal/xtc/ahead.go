@@ -55,14 +55,26 @@ type AheadReader struct {
 	aheadBytes int
 	depth      int // frames the channel holds; 0 until the decoder starts
 
-	sc   *Scanner     // nil until the first read
-	out  chan decoded // nil when decoding in line
-	quit chan struct{}
-	done chan struct{} // closed when the decoder goroutine has exited
-	once sync.Once
-	free chan *Frame // frames handed back by Recycle, to be decoded into again
-	err  error       // sticky terminal error (io.EOF included)
+	sc     *Scanner     // nil until Start
+	first  decoded      // the frame Start decoded, until the first read takes it
+	primed bool         // first is not yet read
+	out    chan decoded // nil when decoding in line
+	quit   chan struct{}
+	done   chan struct{} // closed when the decoder goroutine has exited
+	once   sync.Once
+	free   RecycleList // frames handed back by Recycle, to be decoded into again
+	err    error       // sticky terminal error (io.EOF included)
 }
+
+// RecycleList holds decoded frames handed back for reuse. Every reader
+// decodes into the frames its own list holds; readers that take turns over
+// one stream cut into pieces — a live session's batches — share one list, so
+// each piece decodes into the frames the pieces before it handed back.
+type RecycleList chan *Frame
+
+// NewRecycleList returns a list with room for every frame one reader can
+// have in flight.
+func NewRecycleList() RecycleList { return make(RecycleList, maxLookahead) }
 
 // decoded is one frame off the decoder, or the stream's terminal error.
 type decoded struct {
@@ -90,8 +102,12 @@ func DefaultWorkers(n int) int {
 }
 
 // NewAheadReader returns a reader over r decoding ahead of its consumer.
-func NewAheadReader(r io.Reader) *AheadReader {
-	return &AheadReader{r: r, aheadBytes: aheadBytes, free: make(chan *Frame, maxLookahead)}
+func NewAheadReader(r io.Reader) *AheadReader { return NewAheadReaderRecycling(r, NewRecycleList()) }
+
+// NewAheadReaderRecycling is NewAheadReader decoding into, and recycling to,
+// free, which other readers may have filled. Only one of them reads at a time.
+func NewAheadReaderRecycling(r io.Reader, free RecycleList) *AheadReader {
+	return &AheadReader{r: r, aheadBytes: aheadBytes, free: free}
 }
 
 // SetMetrics records the xtc.decode.frames and xtc.decode.ns runtime metrics
@@ -156,6 +172,24 @@ func (p *AheadReader) start(first int64) {
 	}()
 }
 
+// Start begins decoding, as the first read would: the first frame in line,
+// then the decoder goroutine on the frames after it. The first read returns
+// the frame decoded here. A consumer calls it to have decoding under way
+// while it waits on something else. Start after Close, or a second Start,
+// does nothing.
+func (p *AheadReader) Start() {
+	if p.sc != nil || p.err != nil {
+		return
+	}
+	p.sc = NewScanner(p.r)
+	d := &p.first
+	d.f, d.size, d.err = p.next()
+	p.primed = true
+	if d.err == nil && DefaultWorkers(0) > 1 {
+		p.start(d.size)
+	}
+}
+
 // ReadFrameSize decodes the next frame and reports its encoded byte length.
 // Semantics match Reader.ReadFrame: io.EOF at a clean end of stream,
 // io.ErrUnexpectedEOF for truncation. After any error the reader is done and
@@ -164,16 +198,13 @@ func (p *AheadReader) ReadFrameSize() (*Frame, int64, error) {
 	if p.err != nil {
 		return nil, 0, p.err
 	}
+	p.Start()
 	var d decoded
 	switch {
+	case p.primed:
+		d, p.first, p.primed = p.first, decoded{}, false
 	case p.out != nil:
 		d = <-p.out
-	case p.sc == nil:
-		p.sc = NewScanner(p.r)
-		d.f, d.size, d.err = p.next()
-		if d.err == nil && DefaultWorkers(0) > 1 {
-			p.start(d.size)
-		}
 	default:
 		d.f, d.size, d.err = p.next()
 	}

@@ -2,6 +2,7 @@ package xtc
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"runtime"
@@ -419,6 +420,61 @@ func TestParallelReaderRecycle(t *testing.T) {
 		if bound := pr.depth + 2; len(distinct) > bound {
 			t.Errorf("ahead=%d: %d distinct frames for %d read, want <= %d", ahead, len(distinct), frames, bound)
 		}
+	}
+}
+
+// TestAheadReaderStartAndSharedList: a stream cut into pieces, each read by
+// its own reader that is Started before its first read, decodes exactly as
+// one serial reader does, and with one RecycleList shared across the
+// pieces every piece after the first decodes into frames the pieces before
+// it handed back: no more than depth+2 distinct frames for the whole
+// stream, however many pieces.
+func TestAheadReaderStartAndSharedList(t *testing.T) {
+	const frames, piece = 40, 5
+	stream := mixedStream(t, frames)
+	want, err := NewReader(bytes.NewReader(stream)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := BuildIndex(bytes.NewReader(stream), int64(len(stream)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := NewRecycleList()
+	distinct := map[*Frame]bool{}
+	depth := 2
+	for k := 0; k < frames; k += piece {
+		end := idx.Offset(k+piece-1) + idx.Size(k+piece-1)
+		pr := NewAheadReaderRecycling(bytes.NewReader(stream[idx.Offset(k):end]), free)
+		pr.Start()
+		pr.Start() // a second Start finds nothing to do
+		for i := k; ; i++ {
+			f, err := pr.ReadFrame()
+			if err == io.EOF {
+				if i != k+piece {
+					t.Fatalf("piece at %d ended after %d frames", k, i-k)
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			framesEqual(t, []*Frame{f}, want[i:i+1])
+			distinct[f] = true
+			pr.Recycle(f)
+		}
+		pr.Stop()
+		depth = max(depth, pr.depth)
+	}
+	if len(distinct) > depth+2 {
+		t.Errorf("%d distinct frames over %d pieces, want <= %d", len(distinct), frames/piece, depth+2)
+	}
+
+	pr := NewAheadReader(bytes.NewReader(stream))
+	pr.Close()
+	pr.Start()
+	if f, err := pr.ReadFrame(); f != nil || !errors.Is(err, errAheadClosed) {
+		t.Fatalf("Start then read after Close = %v, %v", f, err)
 	}
 }
 
