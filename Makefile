@@ -116,7 +116,11 @@ test-stream:
 # The scheduling-dependent tests — the decode-ahead lookahead bound (the
 # consumer held, then Close mid-stream), Stop waiting out the decoder, the
 # sequential readers' fetch ahead (Close mid-stream and mid-read, a corrupt
-# frame's sticky error), a live Append handing its batch back with no
+# frame's sticky error, two reads in flight on a real store and one in
+# stream order under a virtual clock), a node sending read replies from the
+# file (the wire bytes of the copy path, one handle read on two
+# connections, a file cut under a read; the send counted by Instrument and
+# HeatFS), a live Append handing its batch back with no
 # decoder still reading it, a live Append returning while its head lands in
 # the background (the next Append waiting for it, a failed put sticky, Abort
 # and Seal waiting it out, frames reused across batches), tailing readers
@@ -126,7 +130,11 @@ test-stream:
 # repeated, so a regression in any shows up in CI rather than once a week.
 test-deflaked:
 	$(GO) test -race -count=10 -run 'TestAheadReaderLookaheadBounded|TestAheadReaderStopWaits' ./internal/xtc/
-	$(GO) test -race -count=10 -run 'TestSubsetReaderCloseMidStream|TestSubsetReaderCorruptFrameIsSticky|TestFullReaderCloseWhileFetching' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestSubsetReaderCloseMidStream|TestSubsetReaderCorruptFrameIsSticky|TestFullReaderCloseWhileFetching|TestSubsetReaderTwoReadsInFlight|TestSubsetReaderVirtualClockReadsInOrder' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestSendfile' ./internal/rpc/
+	$(GO) test -race -count=20 -run 'TestSendRange' ./internal/osfs/
+	$(GO) test -race -count=20 -run 'TestInstrumentForwardsSend' ./internal/vfs/
+	$(GO) test -race -count=20 -run 'TestHeatFSRecordsSends' ./internal/tier/
 	$(GO) test -race -count=20 -run 'TestLiveAppendReleasesBatch|TestLiveAppendReturnsWhileHeadLands|TestLiveFailedHeadPutIsSticky|TestLiveEndWithHeadInFlight|TestLiveAppendReusesFrames' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestTailSeesEveryPrefix' ./internal/stream/
 	$(GO) test -race -count=10 -run 'TestReadAhead|TestAheadFailureNotInherited|TestLiveHandleNeverReadsAhead|TestCloseWithAheadFlights|TestFabricServesAndCaches|TestSimAndFabricAgree' ./internal/serve/

@@ -245,13 +245,15 @@ func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, stats
 // decodeAhead returns the frame source of an XTC ingest. Callers defer its
 // Close, so no exit path leaves a decode goroutine behind.
 func (a *ADA) decodeAhead(traj io.Reader) aheadTrajectory {
-	return a.decodeAheadRecycling(traj, xtc.NewRecycleList())
+	return a.decodeAheadRecycling(traj, xtc.NewRecycleList(), nil)
 }
 
-// decodeAheadRecycling is decodeAhead decoding into the frames free holds: a
-// live session's batches share one list.
-func (a *ADA) decodeAheadRecycling(traj io.Reader, free xtc.RecycleList) aheadTrajectory {
+// decodeAheadRecycling is decodeAhead decoding into the frames free holds
+// and, when sc is not nil, scanning with sc: a live session's batches share
+// one list and one Scanner.
+func (a *ADA) decodeAheadRecycling(traj io.Reader, free xtc.RecycleList, sc *xtc.Scanner) aheadTrajectory {
 	pr := xtc.NewAheadReaderRecycling(traj, free)
+	pr.ScanWith(sc)
 	pr.Observe = a.im.decodeNS.Observe
 	pr.SetMetrics(a.reg)
 	return aheadTrajectory{pr}

@@ -65,6 +65,18 @@ func (c StorageCost) decompressTime(n int64) float64 { return c.seconds(n, c.Dec
 // categorizeTime returns the virtual seconds to split n raw bytes by tag.
 func (c StorageCost) categorizeTime(n int64) float64 { return c.seconds(n, c.CategorizeBps) }
 
+// readFetchers is how many reads a sequential reader keeps in flight
+// (fetchAhead): two on a real store, where one frame's round trip overlaps
+// the next one's, and one under a virtual clock, in stream order, because
+// blockfs charges a seek to a read that does not continue its handle's last
+// one and two interleaved streams would pay one on every frame.
+func (a *ADA) readFetchers() int {
+	if a.env != nil {
+		return 1
+	}
+	return 2
+}
+
 // ingestCharge is an ingest session's one hook into the virtual clock: every
 // storage-node CPU charge of the write path and the Elapsed read go through
 // it, and no other file of this package touches the sim.Env. Without an Env

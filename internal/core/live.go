@@ -134,8 +134,10 @@ func unmarshalLiveHead(data []byte) (*LiveHead, error) {
 type LiveIngest struct {
 	st *ingestState
 	// free is the session's one recycle list: each batch decodes into the
-	// frames the batches before it wrote out and handed back.
+	// frames the batches before it wrote out and handed back. sc is its one
+	// Scanner, whose read and frame buffers every batch reuses.
 	free xtc.RecycleList
+	sc   *xtc.Scanner
 
 	mu      sync.Mutex
 	sealed  bool
@@ -158,7 +160,7 @@ type livePut struct {
 }
 
 func newLiveIngest(st *ingestState) *LiveIngest {
-	return &LiveIngest{st: st, free: xtc.NewRecycleList()}
+	return &LiveIngest{st: st, free: xtc.NewRecycleList(), sc: xtc.NewScanner(nil)}
 }
 
 // OpenLiveIngest starts a streaming ingest: the container, journal, and
@@ -274,9 +276,10 @@ func (li *LiveIngest) Append(batch []byte) (int, error) {
 	// stays exact at every checkpoint — which is what keeps a post-crash
 	// resume's manifest byte-identical to a one-shot ingest. Decoding starts
 	// while the previous head is still landing. Stop, not Close: the caller
-	// owns batch again once Append returns, so the decoder must have stopped
-	// reading it, and a bytes.Reader never blocks the wait.
-	src := st.a.decodeAheadRecycling(bytes.NewReader(batch), li.free)
+	// owns batch again once Append returns, and the next batch scans with the
+	// same Scanner, so the decoder must have stopped reading; a bytes.Reader
+	// never blocks the wait.
+	src := st.a.decodeAheadRecycling(bytes.NewReader(batch), li.free, li.sc)
 	src.Start()
 	if err := li.landLocked(); err != nil {
 		src.Stop()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/plfs"
+	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/xtc"
 )
@@ -141,8 +142,10 @@ func TestSubsetReaderCloseMidStream(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return once the read in progress did")
 	}
+	// At most the parked read, the other fetcher's read of the frame after
+	// it, and one more that fetcher claimed before the parked read began.
 	reads := ssd.reads.Load()
-	if reads > k+2 {
+	if reads > k+4 {
 		t.Errorf("%d payload reads for %d frames consumed: the fetch went on past the parked read", reads, k)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -293,8 +296,9 @@ func TestSubsetReaderInlineOnOneCore(t *testing.T) {
 			t.Fatal(err)
 		}
 		got = append(got, f)
-		if n := runtime.NumGoroutine(); n != base || sr.ahead.out != nil {
-			t.Fatalf("frame %d: %d goroutines (%d before the open), fetch channel %v", len(got)-1, n, base, sr.ahead.out)
+		if n := runtime.NumGoroutine(); n != base || sr.ahead.n != 0 || sr.ahead.ring != nil {
+			t.Fatalf("frame %d: %d goroutines (%d before the open), %d fetchers, a %d-slot ring",
+				len(got)-1, n, base, sr.ahead.n, len(sr.ahead.ring))
 		}
 	}
 	if !sameFrames(got, want) {
@@ -325,12 +329,12 @@ func TestFullReaderCloseWhileFetching(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sr := range fr.subsets {
-			if sr.ahead.quit == nil {
+			if sr.ahead.n == 0 {
 				t.Fatalf("subset %s: no fetcher after the first frame", sr.Tag)
 			}
-			for deadline := time.Now().Add(5 * time.Second); full && len(sr.ahead.out) < cap(sr.ahead.out); {
+			for deadline := time.Now().Add(5 * time.Second); full && !ringFull(&sr.ahead); {
 				if time.Now().After(deadline) {
-					t.Fatalf("subset %s: the fetch channel never filled", sr.Tag)
+					t.Fatalf("subset %s: the fetch ring never filled", sr.Tag)
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -351,6 +355,16 @@ func TestFullReaderCloseWhileFetching(t *testing.T) {
 	if n := settledGoroutines(base); n > base {
 		t.Errorf("%d goroutines after two closed FullReaders, %d before", n, base)
 	}
+}
+
+// ringFull reports whether every slot of the fetch ring holds a frame.
+func ringFull(f *fetchAhead) bool {
+	for _, slot := range f.ring {
+		if len(slot) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSubsetReaderSteadyStateAllocs pins the sequential read's memory: once
@@ -416,5 +430,148 @@ func TestSubsetReaderSteadyStateAllocs(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// orderFS records, for every subset payload opened through it, the offsets
+// its reads ask for in the order they are issued, and the most reads ever in
+// flight at once; each read takes at least delay.
+type orderFS struct {
+	vfs.FS
+	delay    time.Duration
+	mu       sync.Mutex
+	offsets  []int64
+	inFlight int
+	maxIn    int
+}
+
+func (o *orderFS) Open(name string) (vfs.File, error) {
+	f, err := o.FS.Open(name)
+	if err != nil || !strings.Contains(name, "/"+subsetPrefix+TagProtein) {
+		return f, err
+	}
+	return &orderFile{File: f, o: o}, nil
+}
+
+type orderFile struct {
+	vfs.File
+	o *orderFS
+}
+
+func (f *orderFile) ReadAt(p []byte, off int64) (int, error) {
+	o := f.o
+	o.mu.Lock()
+	o.offsets = append(o.offsets, off)
+	o.inFlight++
+	o.maxIn = max(o.maxIn, o.inFlight)
+	o.mu.Unlock()
+	time.Sleep(o.delay)
+	defer func() {
+		o.mu.Lock()
+		o.inFlight--
+		o.mu.Unlock()
+	}()
+	return f.File.ReadAt(p, off)
+}
+
+// orderADA is newADA with the ssd backend behind an orderFS, and env as its
+// clock.
+func orderADA(t *testing.T, env *sim.Env, delay time.Duration) (*ADA, *orderFS) {
+	t.Helper()
+	ssd := &orderFS{FS: vfs.NewMemFS(), delay: delay}
+	store, err := plfs.New(
+		plfs.Backend{Name: "ssd", FS: ssd, Mount: "/mnt1"},
+		plfs.Backend{Name: "hdd", FS: vfs.NewMemFS(), Mount: "/mnt2"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(store, env, Options{}), ssd
+}
+
+// readOrdered ingests frames, reads the protein subset back through a
+// SubsetReader and returns the fetcher count, the frames, and the payload
+// offsets read in issue order.
+func readOrdered(t *testing.T, a *ADA, o *orderFS, frames int) (int, []*xtc.Frame, []int64) {
+	t.Helper()
+	pdbBytes, traj, _ := testDataset(t, 200, frames)
+	if _, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatal(err)
+	}
+	o.mu.Lock()
+	o.offsets, o.maxIn = nil, 0
+	o.mu.Unlock()
+	sr, err := a.OpenSubset("/ds", TagProtein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	var got []*xtc.Frame
+	for {
+		f, err := sr.ReadFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, f)
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return sr.ahead.n, got, append([]int64(nil), o.offsets...)
+}
+
+// TestSubsetReaderTwoReadsInFlight: on a real store two fetchers read each
+// frame once, never more than two reads at a time and two at a time at
+// some point, and the frames come out in stream order.
+func TestSubsetReaderTwoReadsInFlight(t *testing.T) {
+	needAhead(t)
+	const frames = 40
+	a, o := orderADA(t, nil, 300*time.Microsecond)
+	n, got, offsets := readOrdered(t, a, o, frames)
+	if n != 2 {
+		t.Fatalf("%d fetchers on a real store, want 2", n)
+	}
+	b, _, _ := newADA(t, nil, Options{})
+	pdbBytes, traj, _ := testDataset(t, 200, frames)
+	if _, err := b.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatal(err)
+	}
+	if want := readSubsetFrames(t, b, "/ds", TagProtein); !sameFrames(got, want) {
+		t.Error("frames read by two fetchers differ from the stored frames, or come out of order")
+	}
+	seen := map[int64]bool{}
+	for _, off := range offsets {
+		if seen[off] {
+			t.Errorf("offset %d read twice", off)
+		}
+		seen[off] = true
+	}
+	if len(seen) != frames {
+		t.Errorf("%d distinct frames read, want %d", len(seen), frames)
+	}
+	if o.maxIn != 2 {
+		t.Errorf("at most %d reads in flight, want 2", o.maxIn)
+	}
+}
+
+// TestSubsetReaderVirtualClockReadsInOrder: under a virtual clock one
+// fetcher reads the payload strictly in stream order, one read at a time —
+// blockfs charges a seek to any read that does not continue the last.
+func TestSubsetReaderVirtualClockReadsInOrder(t *testing.T) {
+	needAhead(t)
+	a, o := orderADA(t, sim.NewEnv(), 0)
+	n, got, offsets := readOrdered(t, a, o, 30)
+	if n != 1 || len(got) != 30 {
+		t.Fatalf("%d fetchers, %d frames under a virtual clock; want 1 and 30", n, len(got))
+	}
+	for i := 1; i < len(offsets); i++ {
+		if offsets[i] <= offsets[i-1] {
+			t.Fatalf("read %d at offset %d after one at %d: out of stream order", i, offsets[i], offsets[i-1])
+		}
+	}
+	if o.maxIn != 1 {
+		t.Errorf("%d reads in flight under a virtual clock, want 1", o.maxIn)
 	}
 }

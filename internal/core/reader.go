@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/rangelist"
 	"repro/internal/vfs"
@@ -134,95 +137,213 @@ type fetched struct {
 	err error
 }
 
-// fetchAhead reads a subset's frames in stream order through the verified
-// read subsetFetch.frame makes (one vfs.ReadAtVerified per frame, each
-// copy judged by accept, so failover is unchanged) and hands the bytes to
-// the consumer to decode. Like xtc.AheadReader, the first take fetches in
-// line and, on more than one core, starts one goroutine on the frames after
-// it, aheadBytes ahead; an error arrives after every frame before it. In
-// order because blockfs charges a seek to a read that does not continue its
+// fetchAhead reads a subset's frames through the verified read
+// subsetFetch.frame makes (one vfs.ReadAtVerified per frame, each copy
+// judged by accept, so failover is unchanged) and hands the bytes to the
+// consumer to decode, in stream order. Like xtc.AheadReader, the first take
+// fetches in line and, on more than one core, starts fetchers on the frames
+// after it, aheadBytes ahead; an error arrives after every frame before it.
+//
+// On a real store two fetchers keep two reads in flight, so one frame's
+// round trip overlaps the next one's. They claim frames in stream order, so
+// the reads are issued in that order, and a frame is claimed only while the
+// other fetcher is reading nothing or the frame before it: at most two
+// reads are in flight, and a read that hangs stops the fetch one frame
+// later. Each frame lands in its slot of a ring the consumer empties in
+// order. A claim takes no lock, and an idle fetcher holds no claim, so
+// either fetcher goes on alone while the other waits for the scheduler.
+// Under a virtual clock one fetcher reads in stream order (readFetchers),
+// because blockfs charges a seek to a read that does not continue its
 // handle's last one.
 type fetchAhead struct {
-	s  *subsetFetch
-	i  int               // the frame fetchNext reads next
-	ok func([]byte) bool // subsetFetch.accept for frame i, bound once
+	s    *subsetFetch
+	ft   [2]fetcher // ft[0] alone while fetching in line
+	n    int        // fetchers started; 0 while fetching in line
+	next int        // the frame take returns next
 
-	out        chan fetched // nil while fetching in line
-	free       chan []byte  // consumed buffers, to be fetched into again
-	quit, done chan struct{}
+	free   chan []byte    // consumed buffers, to be fetched into again
+	ring   []chan fetched // frame j's bytes, in ring[j%len(ring)]
+	room   chan struct{}  // a token per ring slot free to claim
+	claims atomic.Uint64  // the claim state (claimNext)
+	ended  atomic.Bool    // stop, or a fetcher's error: claim nothing more
+	quit   chan struct{}
+	wg     sync.WaitGroup
 }
 
-// fetchNext reads and verifies frame i's stored bytes into a recycled buffer.
-func (f *fetchAhead) fetchNext() fetched {
-	if f.ok == nil {
-		f.ok = func(b []byte) bool { return f.s.accept(f.i, b) }
-		// Every buffer in flight can come back: the channel's, the
-		// fetcher's and the consumer's.
-		f.free = make(chan []byte, maxAhead+2)
-	}
+// fetcher is one fetcher's frame, the verdict bound to it, and the kick
+// that wakes it when the other fetcher finishes a read.
+type fetcher struct {
+	i    int               // the frame it reads
+	ok   func([]byte) bool // subsetFetch.accept for frame i, bound once
+	kick chan struct{}
+}
+
+// The claim state is one word: the frame claimed next (from claimShift up),
+// whether fetcher 1 claimed the frame before it (claimLast), and which
+// fetchers are reading (claimBusy<<k).
+const (
+	claimBusy  = 1
+	claimLast  = 4
+	claimShift = 3
+)
+
+// buffer returns a recycled buffer, or a new one, for frame i's stored bytes.
+func (f *fetchAhead) buffer(i int) []byte {
 	var b []byte
 	select {
 	case b = <-f.free:
 	default:
 	}
-	n := int(f.s.idx.Size(f.i))
+	n := int(f.s.idx.Size(i))
 	if cap(b) < n {
 		b = make([]byte, n, n+n/8) // headroom for the frames after it
 	}
-	b = b[:n]
-	if err := vfs.ReadAtVerified(f.s.file, b, f.s.idx.Offset(f.i), f.ok); err != nil {
-		return fetched{err: fmt.Errorf("core: subset %s frame %d: %w", f.s.tag, f.i, err)}
+	return b[:n]
+}
+
+// bind points ft's verdict at the frame it reads.
+func (f *fetchAhead) bind(ft *fetcher) {
+	ft.ok = func(b []byte) bool { return f.s.accept(ft.i, b) }
+}
+
+// read reads and verifies frame ft.i's stored bytes into a recycled buffer.
+func (f *fetchAhead) read(ft *fetcher) fetched {
+	b := f.buffer(ft.i)
+	if err := vfs.ReadAtVerified(f.s.file, b, f.s.idx.Offset(ft.i), ft.ok); err != nil {
+		return fetched{err: fmt.Errorf("core: subset %s frame %d: %w", f.s.tag, ft.i, err)}
 	}
-	f.i++
 	return fetched{b: b}
 }
 
 // take returns the next frame's verified bytes, the consumer's until it
 // hands them back with recycle.
 func (f *fetchAhead) take() ([]byte, error) {
-	if f.out != nil {
-		d := <-f.out
+	if f.n > 0 {
+		d := <-f.ring[f.next%len(f.ring)]
+		f.next++
+		f.room <- struct{}{}
 		return d.b, d.err
 	}
-	d := f.fetchNext()
-	if d.err == nil && f.i == 1 && f.i < f.s.idx.Frames() && xtc.DefaultWorkers(0) > 1 {
+	if f.free == nil {
+		// Every buffer in flight can come back: the ring's, a claimed
+		// frame's and the consumer's.
+		f.free = make(chan []byte, maxAhead+2)
+		f.bind(&f.ft[0])
+	}
+	d := f.read(&f.ft[0])
+	if d.err != nil {
+		return nil, d.err
+	}
+	f.ft[0].i++
+	f.next++
+	if f.next == 1 && f.next < f.s.idx.Frames() && xtc.DefaultWorkers(0) > 1 {
 		f.start(len(d.b))
 	}
-	return d.b, d.err
+	return d.b, nil
 }
 
-// start sizes the channel from the first frame's stored size and starts the
-// fetch on the frames after it. Its buffers are allocated here in one piece,
-// so a short read allocates nothing per frame either.
+// start sizes the ring from the first frame's stored size and starts the
+// fetchers on the frames after it. Their buffers are allocated here in one
+// piece, so a short read allocates nothing per frame either.
 func (f *fetchAhead) start(first int) {
 	depth := min(maxAhead, max(2, aheadBytes/first))
-	f.out = make(chan fetched, depth)
 	slot := first + first/8
-	slots := min(depth+1, f.s.idx.Frames()-f.i) // the channel's and the fetcher's
+	slots := min(depth+1, f.s.idx.Frames()-f.next) // the ring's and a claim's
 	slab := make([]byte, slots*slot)
 	for k := range slots {
 		f.free <- slab[k*slot : (k+1)*slot : (k+1)*slot]
 	}
-	f.quit, f.done = make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(f.done)
-		for f.i < f.s.idx.Frames() {
-			select {
-			case <-f.quit:
-				return
-			default:
-			}
-			d := f.fetchNext()
-			select {
-			case f.out <- d:
-			case <-f.quit:
-				return
-			}
-			if d.err != nil {
-				return
-			}
+	f.ring = make([]chan fetched, depth)
+	f.room = make(chan struct{}, depth)
+	for k := range f.ring {
+		f.ring[k] = make(chan fetched, 1)
+		f.room <- struct{}{}
+	}
+	f.claims.Store(uint64(f.next) << claimShift)
+	f.quit = make(chan struct{})
+	f.n = f.s.a.readFetchers()
+	// Everything a fetcher uses is made here, before any runs, so the
+	// fetch allocates nothing once it is under way.
+	for k := range f.n {
+		f.ft[k].kick = make(chan struct{}, 1)
+		if f.ft[k].ok == nil {
+			f.bind(&f.ft[k])
 		}
-	}()
+	}
+	f.wg.Add(f.n)
+	for k := range f.n {
+		go f.fetch(k)
+	}
+}
+
+// fetch is fetcher k: it claims the next frame once its ring slot is free
+// and the other fetcher allows, reads it into the slot, and goes on until
+// the frames or the fetch end.
+func (f *fetchAhead) fetch(k int) {
+	defer f.wg.Done()
+	ft := &f.ft[k]
+	for {
+		select {
+		case <-f.room:
+		case <-f.quit:
+			return
+		}
+		var ok bool
+		if ft.i, ok = f.claimNext(k); !ok {
+			return
+		}
+		d := f.read(ft)
+		f.ring[ft.i%len(f.ring)] <- d // free: the room token said so
+		if d.err != nil {
+			f.ended.Store(true)
+		}
+		for s := f.claims.Load(); !f.claims.CompareAndSwap(s, s&^(claimBusy<<k)); s = f.claims.Load() {
+		}
+		select {
+		case f.ft[1-k].kick <- struct{}{}:
+		default:
+		}
+		if d.err != nil {
+			return
+		}
+	}
+}
+
+// claimYields is how often a fetcher that may not claim yet yields its P
+// before it parks on its kick. The other fetcher's read is then mostly done
+// and it is waiting for a P; a park would cost a wake-up and, after a
+// collection has emptied the runtime's caches, an allocation.
+const claimYields = 16
+
+// claimNext claims the next frame for fetcher k, waiting while the other
+// fetcher is reading a frame before the one before it; false when the
+// frames or the fetch have ended.
+func (f *fetchAhead) claimNext(k int) (int, bool) {
+	for tries := 0; ; tries++ {
+		s := f.claims.Load()
+		next := int(s >> claimShift)
+		if next >= f.s.idx.Frames() || f.ended.Load() {
+			return 0, false
+		}
+		otherBusy := s&(claimBusy<<(1-k)) != 0
+		otherLast := (s&claimLast != 0) == (k == 0) // the other claimed next-1
+		if !otherBusy || otherLast {
+			claimed := uint64(next+1)<<claimShift | s&(claimBusy<<(1-k)) | claimBusy<<k | uint64(k)*claimLast
+			if f.claims.CompareAndSwap(s, claimed) {
+				return next, true
+			}
+			continue
+		}
+		if tries < claimYields {
+			runtime.Gosched()
+			continue
+		}
+		select {
+		case <-f.ft[k].kick:
+		case <-f.quit:
+			return 0, false
+		}
+	}
 }
 
 // recycle hands b, bytes take returned, back to be fetched into again.
@@ -235,11 +356,13 @@ func (f *fetchAhead) recycle(b []byte) {
 
 // stop ends the fetch and waits for it: a read in progress returns first.
 func (f *fetchAhead) stop() {
-	if f.quit != nil {
-		close(f.quit)
-		<-f.done
-		f.quit = nil
+	if f.quit == nil {
+		return
 	}
+	f.ended.Store(true)
+	close(f.quit)
+	f.wg.Wait()
+	f.quit = nil
 }
 
 // SubsetRandomReader provides random access to one tagged subset's frames

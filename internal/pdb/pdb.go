@@ -9,6 +9,7 @@ package pdb
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -158,24 +159,35 @@ var ErrSyntax = errors.New("pdb: syntax error")
 // maxLine bounds a line; a PDB record is 80 columns.
 const maxLine = 1 << 20
 
-// Parse reads a PDB file from r.
+// atomLineBytes is a full ATOM record's length with its newline, a little
+// short of it: what Parse sizes Atoms by when r knows its length, so a
+// structure file takes one allocation of Atoms, not a doubling series.
+const atomLineBytes = 78
+
+// Parse reads a PDB file from r. Records are parsed from the scanner's
+// bytes, and the names they carry are interned: a structure holds one
+// string per distinct atom, residue and element name, not a line per atom.
 func Parse(r io.Reader) (*Structure, error) {
 	s := &Structure{}
-	var title strings.Builder // TITLE lines, each after the first joined by a space
+	if sized, ok := r.(interface{ Len() int }); ok {
+		s.Atoms = make([]Atom, 0, sized.Len()/atomLineBytes+1)
+	}
+	p := parser{names: map[string]string{}}
+	var title bytes.Buffer // TITLE lines, each after the first joined by a space
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), maxLine)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := sc.Text()
+		line := sc.Bytes()
 		rec := line
 		if len(rec) > 6 {
 			rec = rec[:6]
 		}
-		rec = strings.TrimRight(rec, " ")
-		switch rec {
+		rec = bytes.TrimRight(rec, " ")
+		switch string(rec) {
 		case "ATOM", "HETATM":
-			a, err := parseAtomLine(line, rec == "HETATM")
+			a, err := p.atom(line, len(rec) == len("HETATM"))
 			if err != nil {
 				return nil, fmt.Errorf("%w: line %d: %w", ErrSyntax, lineno, err)
 			}
@@ -184,10 +196,10 @@ func Parse(r io.Reader) (*Structure, error) {
 			if title.Len() > 0 {
 				title.WriteByte(' ')
 			}
-			title.WriteString(strings.TrimSpace(line[len(rec):]))
+			title.Write(bytes.TrimSpace(line[len(rec):]))
 		case "END", "ENDMDL":
 			// Single-model structures only; stop at the first END.
-			if rec == "END" {
+			if len(rec) == len("END") {
 				s.Title = title.String()
 				return s, nil
 			}
@@ -205,32 +217,48 @@ func Parse(r io.Reader) (*Structure, error) {
 	return s, nil
 }
 
-func field(line string, lo, hi int) string {
+// parser holds one Parse's interned names.
+type parser struct {
+	names map[string]string
+}
+
+// name returns b as a string, the same one for every equal b.
+func (p *parser) name(b []byte) string {
+	if s, ok := p.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	p.names[s] = s
+	return s
+}
+
+// field is columns [lo, hi) of line, clipped to it, spaces trimmed.
+func field(line []byte, lo, hi int) []byte {
 	if len(line) < lo {
-		return ""
+		return nil
 	}
 	if len(line) < hi {
 		hi = len(line)
 	}
-	return strings.TrimSpace(line[lo:hi])
+	return bytes.TrimSpace(line[lo:hi])
 }
 
-func parseAtomLine(line string, het bool) (Atom, error) {
+func (p *parser) atom(line []byte, het bool) (Atom, error) {
 	var a Atom
 	a.HetAtm = het
 	var err error
-	if s := field(line, 6, 11); s != "" {
-		if a.Serial, err = strconv.Atoi(s); err != nil {
+	if s := field(line, 6, 11); len(s) != 0 {
+		if a.Serial, err = strconv.Atoi(string(s)); err != nil {
 			return a, fmt.Errorf("bad serial %q", s)
 		}
 	}
-	a.Name = field(line, 12, 16)
-	a.ResName = field(line, 17, 21) // col 21 tolerated for 4-char lipid names
+	a.Name = p.name(field(line, 12, 16))
+	a.ResName = p.name(field(line, 17, 21)) // col 21 tolerated for 4-char lipid names
 	if len(line) > 21 && line[21] != ' ' {
 		a.ChainID = line[21]
 	}
-	if s := field(line, 22, 26); s != "" {
-		if a.ResSeq, err = strconv.Atoi(s); err != nil {
+	if s := field(line, 22, 26); len(s) != 0 {
+		if a.ResSeq, err = strconv.Atoi(string(s)); err != nil {
 			return a, fmt.Errorf("bad residue number %q", s)
 		}
 	}
@@ -238,14 +266,14 @@ func parseAtomLine(line string, het bool) (Atom, error) {
 	cols := [3][2]int{{30, 38}, {38, 46}, {46, 54}}
 	for i, c := range cols {
 		s := field(line, c[0], c[1])
-		if s == "" {
+		if len(s) == 0 {
 			return a, fmt.Errorf("missing coordinate %d", i)
 		}
-		if *coords[i], err = strconv.ParseFloat(s, 64); err != nil {
+		if *coords[i], err = strconv.ParseFloat(string(s), 64); err != nil {
 			return a, fmt.Errorf("bad coordinate %q", s)
 		}
 	}
-	a.Element = field(line, 76, 78)
+	a.Element = p.name(field(line, 76, 78))
 	a.Category = Classify(a.ResName, het)
 	return a, nil
 }

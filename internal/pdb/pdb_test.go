@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 const samplePDB = `TITLE     CB1-LIKE TEST SYSTEM
@@ -192,5 +193,37 @@ func TestCategoryCounts(t *testing.T) {
 		if counts[c] != n {
 			t.Errorf("count[%v] = %d, want %d", c, counts[c], n)
 		}
+	}
+}
+
+// TestParseAllocationsDoNotGrowWithAtoms: a sized reader's structure takes
+// one Atoms allocation and one string per distinct name, so parsing 10 000
+// atoms allocates about what parsing 100 does, and equal names share one
+// string.
+func TestParseAllocationsDoNotGrowWithAtoms(t *testing.T) {
+	text := func(n int) string {
+		var buf bytes.Buffer
+		if err := Write(&buf, benchStructure(n)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	small, large := text(100), text(10000)
+	allocs := func(in string) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Parse(strings.NewReader(in)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(small), allocs(large); b > a+4 {
+		t.Errorf("parsing 100 atoms allocates %.0f times, 10000 atoms %.0f", a, b)
+	}
+	s, err := Parse(strings.NewReader(large))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := s.Atoms[0].Name, s.Atoms[len(s.Atoms)-1].Name; a != b || unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Errorf("atom names %q and %q are not one interned string", a, b)
 	}
 }

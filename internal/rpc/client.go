@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -553,7 +554,7 @@ type remoteFile struct {
 	size   int64
 	opened int64 // size at open, from the open reply
 	off    int64
-	closed bool
+	closed atomic.Bool // Close may race a ReadAt on another goroutine
 }
 
 func (f *remoteFile) Name() string { return f.name }
@@ -581,7 +582,7 @@ func (f *remoteFile) Size() int64 {
 const ioChunk = MaxPayload / 4
 
 func (f *remoteFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.closed {
+	if f.closed.Load() {
 		return 0, vfs.ErrClosed
 	}
 	total := 0
@@ -619,7 +620,7 @@ func (f *remoteFile) Read(p []byte) (int, error) {
 }
 
 func (f *remoteFile) Write(p []byte) (int, error) {
-	if f.closed {
+	if f.closed.Load() {
 		return 0, vfs.ErrClosed
 	}
 	total := 0
@@ -650,10 +651,9 @@ func (f *remoteFile) Write(p []byte) (int, error) {
 }
 
 func (f *remoteFile) Close() error {
-	if f.closed {
+	if f.closed.Swap(true) {
 		return vfs.ErrClosed
 	}
-	f.closed = true
 	req := request(opClose)
 	req.Uint32(f.fd)
 	_, err := f.c.call(req)

@@ -19,9 +19,13 @@
 // and the n payload bytes plus XDR pad follow straight from the caller's
 // slice as one vectored write (sendFrame). An opRead reply is
 // [length|status|eof|n] with the n bytes and pad behind it: the node reads
-// the file into that frame (connState.readReply), and the client takes the
-// head in one conn read and the bytes in the next, into the slice its caller
-// wants filled (readReply). Either way a payload is copied once per side.
+// the file into that frame (connState.readReply) or, for a file that sends
+// its own bytes to a TCP connection (vfs.SendRange: sendfile(2) in osfs),
+// writes the head and has the file send the range and the pad behind it
+// (Server.sendRead), and the client takes the head in one conn read and the
+// bytes in the next, into the slice its caller wants filled (readReply). A
+// write's payload is copied once per side; a read's once on the client, and
+// on the node once, or not at all when the file sends it.
 package rpc
 
 import (

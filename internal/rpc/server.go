@@ -294,7 +294,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.logf("rpc: client %s connected", conn.RemoteAddr())
 	// cs carries per-connection state across dispatches: the tenant the
 	// connection identified as (opIdent), if any.
-	cs := &connState{}
+	cs := &connState{conn: conn}
 	// buf is this connection's request buffer, reused from one request to
 	// the next: a stream of opWrites lands in the same memory instead of a
 	// fresh payload-sized allocation each. dispatch only borrows it — see
@@ -330,14 +330,21 @@ func (s *Server) handleConn(conn net.Conn) {
 		if binary.BigEndian.Uint32(resp[frameHeader:]) != 0 {
 			s.m.errors.Inc()
 		}
-		binary.BigEndian.PutUint32(resp, uint32(len(resp)-frameHeader))
-		if _, err := conn.Write(resp); err != nil {
+		tail := cs.send
+		cs.send = rangeSend{}
+		binary.BigEndian.PutUint32(resp, uint32(len(resp)-frameHeader+xdrPadded(tail.n)))
+		_, err = conn.Write(resp)
+		sent := 0
+		if err == nil && tail.f != nil {
+			sent, err = sendTail(conn, tail)
+		}
+		if err != nil {
 			if !s.closing() && !errors.Is(err, net.ErrClosed) {
 				s.logf("rpc: client %s write: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
-		s.m.bytesOut.Add(int64(len(resp)))
+		s.m.bytesOut.Add(int64(len(resp) + sent))
 		s.m.responses.Inc()
 		if s.closing() {
 			return
@@ -349,9 +356,65 @@ func (s *Server) handleConn(conn net.Conn) {
 // anonymous; an opIdent binds it to a tenant, and every later read on it is
 // accounted (and, under SetTenantQuota, throttled) against that tenant.
 type connState struct {
+	conn   net.Conn // nil when dispatch is called without one (a fuzz target)
 	tenant string
 	ts     *tenantState
-	reply  []byte // opRead's reply frame, reused from one read to the next
+	reply  []byte    // opRead's reply frame, reused from one read to the next
+	send   rangeSend // file bytes to send behind the reply head; zero: none
+}
+
+// rangeSend is an opRead reply's data, sent from the file straight to the
+// connection (vfs.SendRange) behind the head dispatch returned.
+type rangeSend struct {
+	f   vfs.File
+	off int64
+	n   int
+}
+
+// sendRead answers an opRead of n > 0 bytes at off >= 0 from a file that
+// sends its own bytes to the connection. n comes from the file's size, as the
+// oversized-read path has it, so the head [len|status|eof|n] can go first;
+// the connection loop then sends the range and the XDR pad: the bytes the
+// copy path would produce. The tenant is charged before anything is sent.
+func (s *Server) sendRead(cs *connState, f vfs.File, off int64, n uint32) []byte {
+	eof := false
+	if rest := max(f.Size()-off, 0); int64(n) > rest {
+		n, eof = uint32(rest), true
+	}
+	if cs.ts != nil {
+		if d := s.chargeRead(cs.ts, int64(n)); d > 0 {
+			s.m.throttleNS.Observe(int64(d))
+			time.Sleep(d)
+		}
+	}
+	resp := cs.readReply(readReplyHead)
+	binary.BigEndian.PutUint32(resp[frameHeader:], 0)
+	binary.BigEndian.PutUint32(resp[frameHeader+4:], boolWord(eof))
+	binary.BigEndian.PutUint32(resp[frameHeader+8:], n)
+	if n > 0 {
+		cs.send = rangeSend{f: f, off: off, n: int(n)}
+	}
+	return resp
+}
+
+// sendTail sends the range an opRead reply's head announced, then its pad.
+// Fewer bytes than announced — the file shrank after its size was taken —
+// cannot be patched into a head already sent, so that is an error, and the
+// caller ends the connection: the client sees a broken reply and retries,
+// never a frame of the wrong bytes.
+func sendTail(conn net.Conn, rs rangeSend) (int, error) {
+	sent, err := vfs.SendRange(rs.f, conn, rs.off, int64(rs.n))
+	if err == nil && sent < int64(rs.n) {
+		err = fmt.Errorf("rpc: read of %d bytes sent %d: the file shrank", rs.n, sent)
+	}
+	if err != nil {
+		return int(sent), err
+	}
+	pad := xdrPadded(rs.n) - rs.n
+	if pad > 0 {
+		_, err = conn.Write(zeroPad[:pad])
+	}
+	return rs.n + pad, err
 }
 
 // maxKeptRequestBuf is the largest request buffer, and the largest read-reply
@@ -425,6 +488,9 @@ func (s *Server) dispatch(cs *connState, payload []byte) []byte {
 		f, err := s.handle(fd)
 		if err != nil {
 			return respondErr(err)
+		}
+		if off >= 0 && n > 0 && cs.conn != nil && vfs.CanSendRange(f, cs.conn) {
+			return s.sendRead(cs, f, off, n)
 		}
 		// A read too large for the kept reply buffer gets a buffer of its
 		// own, sized by what the file can return rather than by what was

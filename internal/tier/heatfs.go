@@ -1,6 +1,7 @@
 package tier
 
 import (
+	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -9,7 +10,7 @@ import (
 
 // HeatFS decorates a served file system so that reads of subset payloads
 // feed trk: the one heat feeder. Paths follow the container layout
-// /<mount>/<logical...>/<dropping>. Read and ReadAt of subset.<tag> record
+// /<mount>/<logical...>/<dropping>. Read, ReadAt and SendRange of subset.<tag> record
 // their bytes under that dropping — a live payload too, which has that one
 // name from its first append, so a tailed dataset is hot under the name it
 // keeps once sealed. Nothing else is recorded — frame indexes, manifests,
@@ -62,4 +63,14 @@ func (f *heatFile) ReadAt(p []byte, off int64) (int, error) {
 	n, err := f.File.ReadAt(p, off)
 	f.trk.Record(f.logical, f.dropping, int64(n))
 	return n, err
+}
+
+// CanSendRange and SendRange forward the inner file's send (a node serving
+// a read with sendfile), which heats the payload as the read it is.
+func (f *heatFile) CanSendRange(w io.Writer) bool { return vfs.CanSendRange(f.File, w) }
+
+func (f *heatFile) SendRange(w io.Writer, off, n int64) (int64, error) {
+	sent, err := vfs.SendRange(f.File, w, off, n)
+	f.trk.Record(f.logical, f.dropping, sent)
+	return sent, err
 }

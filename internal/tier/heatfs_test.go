@@ -3,11 +3,13 @@ package tier
 import (
 	"bytes"
 	"io"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/osfs"
 	"repro/internal/vfs"
 )
 
@@ -179,5 +181,57 @@ func TestHeatFSObservesReads(t *testing.T) {
 				t.Fatal("tailing read recorded under the staging name")
 			}
 		})
+	}
+}
+
+// TestHeatFSRecordsSends: a served payload sent straight to a TCP connection
+// (osfs, sendfile(2)) heats its subset exactly as reading the same bytes
+// does, and the send reaches the connection through the wrapper.
+func TestHeatFSRecordsSends(t *testing.T) {
+	base, err := osfs.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat([]byte("frame"), 20000)
+	if err := vfs.WriteFile(base, "/mnt1/runs/a/subset.p", content); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			io.Copy(io.Discard, c)
+			c.Close()
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	trk := NewTracker((&virtualClock{}).Now, 0)
+	f, err := HeatFS(base, trk).Open("/mnt1/runs/a/subset.p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if !vfs.CanSendRange(f, conn) {
+		t.Fatal("HeatFS hides the payload's send")
+	}
+	if sent, err := vfs.SendRange(f, conn, 1000, 50000); sent != 50000 || err != nil {
+		t.Fatalf("SendRange = %d, %v", sent, err)
+	}
+	if got := trk.Heat("/runs/a", "subset.p"); got != 50000 {
+		t.Errorf("heat after a 50000-byte send = %g", got)
+	}
+	if _, err := f.ReadAt(make([]byte, 50000), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := trk.Heat("/runs/a", "subset.p"); got != 100000 {
+		t.Errorf("heat after a send and a read of 50000 bytes each = %g, want 100000", got)
 	}
 }

@@ -17,7 +17,7 @@ import (
 //	<prefix>.ops.<op>       counter, one per Create/Open/Stat/ReadDir/MkdirAll/Remove/Rename
 //	<prefix>.errors         counter, failed operations (file I/O included)
 //	<prefix>.<op>.ns        histogram, per-op latency
-//	<prefix>.bytes_read     counter (Read + ReadAt on files)
+//	<prefix>.bytes_read     counter (Read, ReadAt and SendRange on files)
 //	<prefix>.bytes_written  counter
 //	<prefix>.read.ns        histogram, per-call file read latency
 //	<prefix>.write.ns       histogram, per-call file write latency
@@ -190,6 +190,21 @@ func (f *instrumentedFile) ReadAtVerified(p []byte, off int64, ok func([]byte) b
 	}
 	f.m.bytesRead.Add(int64(len(p)))
 	return nil
+}
+
+// CanSendRange and SendRange forward the inner file's send, so instrumenting
+// a file does not hide it; a send is accounted as the read it is.
+func (f *instrumentedFile) CanSendRange(w io.Writer) bool { return CanSendRange(f.File, w) }
+
+func (f *instrumentedFile) SendRange(w io.Writer, off, n int64) (int64, error) {
+	start := time.Now()
+	sent, err := SendRange(f.File, w, off, n)
+	f.m.readNS.Observe(time.Since(start).Nanoseconds())
+	f.m.bytesRead.Add(sent)
+	if err != nil {
+		f.m.errors.Inc()
+	}
+	return sent, err
 }
 
 func (f *instrumentedFile) Write(p []byte) (int, error) {

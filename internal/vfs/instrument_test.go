@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"reflect"
@@ -93,3 +94,62 @@ func TestInstrumentTransparent(t *testing.T) {
 
 func errOnly(_ File, err error) error      { return err }
 func errOnly2(_ FileInfo, err error) error { return err }
+
+// sendFS serves MemFS files that send their own bytes, as an osfs file does
+// to a TCP connection.
+type sendFS struct{ *MemFS }
+
+func (s sendFS) Open(name string) (File, error) {
+	f, err := s.MemFS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return sendFile{f}, nil
+}
+
+type sendFile struct{ File }
+
+func (sendFile) CanSendRange(io.Writer) bool { return true }
+
+func (f sendFile) SendRange(w io.Writer, off, n int64) (int64, error) {
+	return io.Copy(w, io.NewSectionReader(f.File, off, n))
+}
+
+// TestInstrumentForwardsSend: an instrumented file sends when its file can,
+// accounted as the one read it is (one read latency, its bytes), and a file
+// that cannot send still cannot through the wrapper.
+func TestInstrumentForwardsSend(t *testing.T) {
+	reg := metrics.NewRegistry()
+	inner := sendFS{NewMemFS()}
+	if err := WriteFile(inner, "/f", []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	wrapped := Instrument(inner, reg, "fs.test")
+	f, err := wrapped.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if !CanSendRange(f, &buf) {
+		t.Fatal("the instrumented file hides its file's send")
+	}
+	if sent, err := SendRange(f, &buf, 2, 5); sent != 5 || err != nil || buf.String() != "23456" {
+		t.Fatalf("SendRange = %d, %v, %q", sent, err, buf.String())
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["fs.test.bytes_read"] != 5 || snap.Histograms["fs.test.read.ns"].Count != 1 || snap.Counters["fs.test.errors"] != 0 {
+		t.Errorf("bytes_read %d, read.ns count %d, errors %d; want 5, 1, 0",
+			snap.Counters["fs.test.bytes_read"], snap.Histograms["fs.test.read.ns"].Count, snap.Counters["fs.test.errors"])
+	}
+	plain := Instrument(NewMemFS(), metrics.NewRegistry(), "fs.plain")
+	if err := WriteFile(plain, "/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	g, err := plain.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if CanSendRange(g, &buf) {
+		t.Error("an instrumented MemFS file claims to send")
+	}
+}

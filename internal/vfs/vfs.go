@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -125,6 +126,33 @@ func ReadAtVerified(f File, p []byte, off int64, ok func([]byte) bool) error {
 		return ErrCorrupted
 	}
 	return nil
+}
+
+// rangeSender is the optional capability of a File to send a byte range of
+// itself to a connection without staging it in a buffer of the caller's.
+type rangeSender interface {
+	CanSendRange(w io.Writer) bool
+	SendRange(w io.Writer, off, n int64) (int64, error)
+}
+
+// CanSendRange reports whether f sends its bytes to w itself (osfs on Linux:
+// sendfile(2) to a TCP connection). A caller that must know how many bytes
+// will follow before it sends them — a reply whose length goes ahead of its
+// data — asks first, and copies when the answer is no.
+func CanSendRange(f File, w io.Writer) bool {
+	s, is := f.(rangeSender)
+	return is && s.CanSendRange(w)
+}
+
+// SendRange writes n bytes of f, from offset off, to w and returns how many
+// it wrote: fewer than n, with a nil error, when the file ends first. A file
+// that CanSendRange(w) sends them itself; any other is read and written. It
+// neither uses nor moves f's own read offset.
+func SendRange(f File, w io.Writer, off, n int64) (int64, error) {
+	if CanSendRange(f, w) {
+		return f.(rangeSender).SendRange(w, off, n)
+	}
+	return io.Copy(w, io.NewSectionReader(f, off, n))
 }
 
 // watchPoll is how often WatchFile re-reads a file it has to poll itself.
@@ -447,7 +475,7 @@ type memFile struct {
 	node     *memNode
 	off      int64
 	writable bool
-	closed   bool
+	closed   atomic.Bool // Close may race a ReadAt on another goroutine
 }
 
 func (f *memFile) Name() string { return f.name }
@@ -459,7 +487,7 @@ func (f *memFile) Size() int64 {
 }
 
 func (f *memFile) Read(p []byte) (int, error) {
-	if f.closed {
+	if f.closed.Load() {
 		return 0, ErrClosed
 	}
 	f.fs.mu.RLock()
@@ -473,7 +501,7 @@ func (f *memFile) Read(p []byte) (int, error) {
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.closed {
+	if f.closed.Load() {
 		return 0, ErrClosed
 	}
 	f.fs.mu.RLock()
@@ -492,7 +520,7 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *memFile) Write(p []byte) (int, error) {
-	if f.closed {
+	if f.closed.Load() {
 		return 0, ErrClosed
 	}
 	if !f.writable {
@@ -523,9 +551,8 @@ func (f *memFile) Write(p []byte) (int, error) {
 }
 
 func (f *memFile) Close() error {
-	if f.closed {
+	if f.closed.Swap(true) {
 		return ErrClosed
 	}
-	f.closed = true
 	return nil
 }

@@ -102,8 +102,8 @@ type Reader struct {
 func NewReader(p []byte) *Reader { return &Reader{buf: p} }
 
 // Reset rewinds the Reader onto p, clearing any sticky error. It lets one
-// Reader decode many buffers without reallocating (the codec hot path keeps
-// a pool of them).
+// Reader decode many buffers without reallocating, and a zero Reader on the
+// stack decode one (the codec hot path does).
 func (r *Reader) Reset(p []byte) {
 	r.buf = p
 	r.off = 0

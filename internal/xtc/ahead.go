@@ -56,6 +56,7 @@ type AheadReader struct {
 	depth      int // frames the channel holds; 0 until the decoder starts
 
 	sc     *Scanner     // nil until Start
+	reuse  *Scanner     // the Scanner Start resets onto r, when ScanWith gave one
 	first  decoded      // the frame Start decoded, until the first read takes it
 	primed bool         // first is not yet read
 	out    chan decoded // nil when decoding in line
@@ -109,6 +110,12 @@ func NewAheadReader(r io.Reader) *AheadReader { return NewAheadReaderRecycling(r
 func NewAheadReaderRecycling(r io.Reader, free RecycleList) *AheadReader {
 	return &AheadReader{r: r, aheadBytes: aheadBytes, free: free}
 }
+
+// ScanWith has the reader scan its source with sc, reset onto it, instead
+// of a new Scanner: a live session's batches share one, as they share their
+// RecycleList. Call before the first read; sc is the reader's until Stop
+// returns.
+func (p *AheadReader) ScanWith(sc *Scanner) { p.reuse = sc }
 
 // SetMetrics records the xtc.decode.frames and xtc.decode.ns runtime metrics
 // into reg. Call before the first ReadFrame.
@@ -181,7 +188,11 @@ func (p *AheadReader) Start() {
 	if p.sc != nil || p.err != nil {
 		return
 	}
-	p.sc = NewScanner(p.r)
+	if p.sc = p.reuse; p.sc != nil {
+		p.sc.Reset(p.r)
+	} else {
+		p.sc = NewScanner(p.r)
+	}
 	d := &p.first
 	d.f, d.size, d.err = p.next()
 	p.primed = true

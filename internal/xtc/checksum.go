@@ -19,8 +19,7 @@ func CRC32CUpdate(crc uint32, p []byte) uint32 {
 }
 
 // DecodeFrameBytes decodes one encoded frame blob (as produced by
-// Writer.WriteFrame, or sliced out of a stream at an Index offset) using
-// the pooled decode scratch.
+// Writer.WriteFrame, or sliced out of a stream at an Index offset).
 func DecodeFrameBytes(p []byte) (*Frame, error) { return decodeBytes(p) }
 
 // DecodeFrameBytesInto is DecodeFrameBytes into dst, whose Coords are

@@ -23,6 +23,14 @@ func NewScanner(r io.Reader) *Scanner {
 	return &Scanner{br: bufio.NewReaderSize(r, 1<<16)}
 }
 
+// Reset points s at r as if it were new, keeping its read and frame
+// buffers: readers that take turns over one stream cut into pieces — a live
+// session's batches — scan every piece with one Scanner.
+func (s *Scanner) Reset(r io.Reader) {
+	s.br.Reset(r)
+	s.buf, s.natoms, s.frames = s.buf[:0], 0, 0
+}
+
 // fill extends buf by n bytes read from the stream. On a read error the
 // buffer is returned at its original length.
 func (s *Scanner) fill(buf []byte, n int) ([]byte, error) {

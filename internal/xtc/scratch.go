@@ -6,11 +6,12 @@ import (
 	"repro/internal/xdr"
 )
 
-// Scratch pools for the codec hot path. Encoding and decoding a frame both
-// need an O(natoms) []int32 workspace plus an xdr.Reader, and a trajectory
-// touches those once per frame — pooling them removes the dominant per-frame
-// allocations without changing the public API. Decoded Frames are freshly
-// allocated, since callers retain them, unless a caller hands them back
+// Scratch pools for the codec hot path. Encoding and decoding a compressed
+// frame both need an O(natoms) []int32 workspace, and a trajectory touches
+// it once per frame — pooling it removes the dominant per-frame allocations
+// without changing the public API. A decode's xdr.Reader is not pooled: it
+// lives on decodeBytesInto's stack. Decoded Frames are freshly allocated,
+// since callers retain them, unless a caller hands them back
 // (AheadReader.Recycle).
 
 // intsPool recycles quantization workspaces. Entries are stored as
@@ -60,19 +61,15 @@ func getBitWriter() *xdr.BitWriter {
 
 func putBitWriter(w *xdr.BitWriter) { bitWriterPool.Put(w) }
 
-// xdrReaderPool recycles xdr.Readers so each decoded frame does not allocate
-// one.
-var xdrReaderPool = sync.Pool{New: func() any { return xdr.NewReader(nil) }}
-
-// decodeBytes decodes one encoded frame from p using a pooled xdr.Reader.
+// decodeBytes decodes one encoded frame from p.
 func decodeBytes(p []byte) (*Frame, error) { return decodeBytesInto(p, &Frame{}) }
 
-// decodeBytesInto is decodeBytes into f (see decodeFrameInto).
+// decodeBytesInto is decodeBytes into f (see decodeFrameInto). Its
+// xdr.Reader lives on the stack: decodeFrameInto keeps no pointer to it, so a
+// frame decodes without allocating one, and no pool a collection can empty
+// stands between a reused frame and zero allocations.
 func decodeBytesInto(p []byte, f *Frame) (*Frame, error) {
-	rd := xdrReaderPool.Get().(*xdr.Reader)
+	var rd xdr.Reader
 	rd.Reset(p)
-	f, err := decodeFrameInto(rd, f)
-	rd.Reset(nil)
-	xdrReaderPool.Put(rd)
-	return f, err
+	return decodeFrameInto(&rd, f)
 }
