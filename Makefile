@@ -32,9 +32,12 @@ test-crash:
 	$(GO) test -race -count=1 -run 'Crash|Recover|Resume|Failover|Fsck|Scrub|Checksum' ./internal/core/
 
 # lint = vet + gofmt cleanliness. gofmt -l prints offending files; the
-# test -z turns any output into a nonzero exit.
+# test -z turns any output into a nonzero exit. The second vet builds for a
+# big-endian target (s390x), so the raw conversion's per-atom fallback, the
+# path such a host takes, keeps compiling.
 lint:
 	$(GO) vet ./...
+	GOARCH=s390x $(GO) vet ./...
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # Ten seconds of native fuzzing per parser that takes bytes from outside —
@@ -120,7 +123,8 @@ test-stream:
 # stream order under a virtual clock), a node sending read replies from the
 # file (the wire bytes of the copy path, one handle read on two
 # connections, a file cut under a read; the send counted by Instrument and
-# HeatFS), a live Append handing its batch back with no
+# HeatFS), a replica read that fails and drops its handle sparing a read
+# still in flight on it, a live Append handing its batch back with no
 # decoder still reading it, a live Append returning while its head lands in
 # the background (the next Append waiting for it, a failed put sticky, Abort
 # and Seal waiting it out, frames reused across batches), tailing readers
@@ -135,6 +139,7 @@ test-deflaked:
 	$(GO) test -race -count=20 -run 'TestSendRange' ./internal/osfs/
 	$(GO) test -race -count=20 -run 'TestInstrumentForwardsSend' ./internal/vfs/
 	$(GO) test -race -count=20 -run 'TestHeatFSRecordsSends' ./internal/tier/
+	$(GO) test -race -count=20 -run 'TestClusterFailedCopySparesOtherReads' ./internal/placement/
 	$(GO) test -race -count=20 -run 'TestLiveAppendReleasesBatch|TestLiveAppendReturnsWhileHeadLands|TestLiveFailedHeadPutIsSticky|TestLiveEndWithHeadInFlight|TestLiveAppendReusesFrames' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestTailSeesEveryPrefix' ./internal/stream/
 	$(GO) test -race -count=10 -run 'TestReadAhead|TestAheadFailureNotInherited|TestLiveHandleNeverReadsAhead|TestCloseWithAheadFlights|TestFabricServesAndCaches|TestSimAndFabricAgree' ./internal/serve/

@@ -27,6 +27,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/platform"
 	"repro/internal/plfs"
+	"repro/internal/rangelist"
 	"repro/internal/rpc"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -152,8 +153,8 @@ func BenchmarkXTCEncode(b *testing.B) {
 
 // BenchmarkSubsetWrite measures the ingest sequencer's per-frame split and
 // encode: one full 43.5k-atom frame into the default coarse subsets (p and
-// m), each encoded raw straight from the full frame's coordinates through
-// its index list (xtc.Frame.AppendRawSubset) and checksummed as the subset
+// m), each encoded raw straight from the full frame's coordinates run by
+// run (xtc.Frame.AppendRawSubset) and checksummed as the subset
 // writer's tee does, with no file behind it. MB/s is the full frame's raw
 // size.
 func BenchmarkSubsetWrite(b *testing.B) {
@@ -163,17 +164,17 @@ func BenchmarkSubsetWrite(b *testing.B) {
 	}
 	f := sys.InitialFrame()
 	tags := core.BuildLabels(sys.Structure).TagRanges(core.Coarse)
-	var subsets [][]int
+	var subsets [][]rangelist.Range
 	for _, tag := range []string{core.TagMisc, core.TagProtein} {
-		subsets = append(subsets, tags[tag].Indices())
+		subsets = append(subsets, tags[tag].Ranges())
 	}
 	buf := make([]byte, 0, xtc.RawFrameSize(f.NAtoms()))
 	b.ReportAllocs()
 	b.SetBytes(xtc.RawFrameSize(f.NAtoms()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, idx := range subsets {
-			if buf, err = f.AppendRawSubset(buf[:0], idx); err != nil {
+		for _, runs := range subsets {
+			if buf, err = f.AppendRawSubset(buf[:0], runs); err != nil {
 				b.Fatal(err)
 			}
 			xtc.CRC32C(buf)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gpcr"
 	"repro/internal/xdr"
 	"repro/internal/xtc"
@@ -81,4 +82,47 @@ func TestDecodeGoldenBytes(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != wantHash {
 		t.Errorf("decoded coordinate sha256 = %s, want %s", got, wantHash)
 	}
+}
+
+// TestRawSubsetGoldenBytes pins the raw bytes every subset dropping holds:
+// the staged 43.5k-atom frame encoded by AppendRawSubset for the default
+// coarse subsets (p and m), and by AppendRaw whole, each hashed against the
+// value the per-atom encode loop produced before the word kernel replaced
+// it. Stored subsets are XDR big-endian whatever the host, so a drift here
+// is a format change, not a speed-up.
+func TestRawSubsetGoldenBytes(t *testing.T) {
+	want := map[string]string{
+		core.TagProtein: "cacedf13d4a69ff4f2e218ca3cb9b95d10bc7243961e44914a059189c6cb596f",
+		core.TagMisc:    "4afc7764c921f7633bace322afd28ef0015531a330a2dd7f0217589e95a4f3f3",
+		"full":          "3ac63e72e1e0d229f345dbd49f9df31c635660eb41d7d566871b38b80d12b49c",
+	}
+	sys, err := gpcr.Default().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := sys.InitialFrame()
+	if f.NAtoms() != 43506 {
+		t.Fatalf("staged frame has %d atoms, want 43506", f.NAtoms())
+	}
+	check := func(name string, enc []byte, natoms int) {
+		t.Helper()
+		if int64(len(enc)) != xtc.RawFrameSize(natoms) {
+			t.Errorf("%s: encoded %d bytes, want %d", name, len(enc), xtc.RawFrameSize(natoms))
+		}
+		sum := sha256.Sum256(enc)
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s: raw sha256 = %s, want %s", name, got, want[name])
+		}
+	}
+	tags := core.BuildLabels(sys.Structure).TagRanges(core.Coarse)
+	for _, tag := range []string{core.TagProtein, core.TagMisc} {
+		enc, err := f.AppendRawSubset(nil, tags[tag].Ranges())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(tag, enc, tags[tag].Count())
+	}
+	w := xdr.NewWriter(int(xtc.RawFrameSize(f.NAtoms())))
+	f.AppendRaw(w)
+	check("full", w.Bytes(), f.NAtoms())
 }

@@ -57,7 +57,7 @@ func Measure(cfg gpcr.Config, sampleFrames int) (*DataModel, error) {
 		return nil, err
 	}
 	labels := core.BuildLabels(sys.Structure)
-	protIdx := labels.CategoryRanges(pdb.Protein).Indices()
+	protRuns := labels.CategoryRanges(pdb.Protein)
 
 	var full, prot bytes.Buffer
 	fw := xtc.NewWriter(&full)
@@ -67,7 +67,7 @@ func Measure(cfg gpcr.Config, sampleFrames int) (*DataModel, error) {
 		if err := fw.WriteFrame(f); err != nil {
 			return nil, err
 		}
-		sub, err := f.Subset(protIdx)
+		sub, err := f.Subset(protRuns.Ranges())
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +77,7 @@ func Measure(cfg gpcr.Config, sampleFrames int) (*DataModel, error) {
 	}
 
 	nAtoms := sys.Structure.NAtoms()
-	nProt := len(protIdx)
+	nProt := protRuns.Count()
 	dm := &DataModel{
 		NAtoms:       nAtoms,
 		ProteinAtoms: nProt,

@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pdb"
 	"repro/internal/plfs"
+	"repro/internal/rangelist"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/xtc"
@@ -322,9 +323,9 @@ func (t *crcTee) Write(p []byte) (int, error) {
 type subsetWriter struct {
 	tag     string
 	backend string
-	indices []int  // atoms of a full frame this subset takes; nil when Recover reopened it
-	natoms  int    // atoms in the subset
-	ranges  string // indices in range-list form, as journaled and published
+	runs    []rangelist.Range // atoms of a full frame this subset takes, by run; nil when Recover reopened it
+	natoms  int               // atoms in the subset
+	ranges  string            // runs in range-list form, as journaled and published
 	file    vfs.File
 	tee     *crcTee
 	ib      xtc.IndexBuilder
@@ -350,10 +351,10 @@ func (sw *subsetWriter) attach(f vfs.File, checksums bool, prefix []byte) {
 
 // writeFrame splits one full frame into this subset and appends it in one
 // pass: the raw frame is encoded straight from the full frame's coordinates
-// through the subset's index list into buf, then goes out as one Write,
+// into buf, one kernel call per run of the subset, then goes out as one Write,
 // which the tee checksums while the bytes are still in cache.
 func (sw *subsetWriter) writeFrame(frame *xtc.Frame) error {
-	buf, err := frame.AppendRawSubset(sw.buf[:0], sw.indices)
+	buf, err := frame.AppendRawSubset(sw.buf[:0], sw.runs)
 	if err != nil {
 		return err
 	}
@@ -363,7 +364,7 @@ func (sw *subsetWriter) writeFrame(frame *xtc.Frame) error {
 	if err != nil {
 		return fmt.Errorf("core: subset %s: %w", sw.tag, err)
 	}
-	sw.indexFrame(int64(len(buf)), len(sw.indices), sw.tee.last)
+	sw.indexFrame(int64(len(buf)), sw.natoms, sw.tee.last)
 	return nil
 }
 
@@ -453,7 +454,7 @@ func (a *ADA) analyzeIngest(logical string, pdbData []byte) (*ingestState, error
 		st.writers = append(st.writers, &subsetWriter{
 			tag:     tag,
 			backend: a.backendFor(tag),
-			indices: ranges.Indices(),
+			runs:    ranges.Ranges(),
 			natoms:  ranges.Count(),
 			ranges:  ranges.String(),
 		})

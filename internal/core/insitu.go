@@ -58,7 +58,7 @@ func (s *statsStage) add(frame *xtc.Frame, writers []*subsetWriter) error {
 		return nil
 	}
 	for i := range s.series {
-		if err := frame.SubsetInto(writers[i].indices, &s.sub); err != nil {
+		if err := frame.SubsetInto(writers[i].runs, &s.sub); err != nil {
 			return fmt.Errorf("core: in-situ stats %s: %w", writers[i].tag, err)
 		}
 		if err := s.series[i].Add(&s.sub); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -370,12 +371,16 @@ func ringFull(f *fetchAhead) bool {
 // TestSubsetReaderSteadyStateAllocs pins the sequential read's memory: once
 // its buffers circulate, a frame read into a frame the reader reuses
 // allocates nothing — fetching ahead or in line — and ReadFrame allocates
-// only the frame it hands out (the Frame and its coordinates).
+// only the frame it hands out (the Frame and its coordinates). Mallocs is
+// process-wide, so a window can also catch the runtime's own allocations
+// (the unique map's cleanup after a collection, sudogs for parked
+// goroutines): the bar holds the median of five windows of the same reads,
+// each on a fresh reader.
 func TestSubsetReaderSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled decode scratch")
 	}
-	const frames, warm = 60, 4
+	const frames, warm, windows = 60, 4, 5
 	pdbBytes, traj, _ := testDataset(t, 200, frames)
 	a, _, _ := newADA(t, nil, Options{})
 	if _, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
@@ -391,42 +396,46 @@ func TestSubsetReaderSteadyStateAllocs(t *testing.T) {
 	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, keep := range []bool{false, true} {
-			sr, err := a.OpenSubset("/ds", TagProtein)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var dst xtc.Frame
-			read := func() {
-				var err error
-				if keep {
-					_, err = sr.ReadFrame()
-				} else {
-					_, err = sr.readFrameInto(&dst)
-				}
+			counts := make([]uint64, windows)
+			for w := range counts {
+				sr, err := a.OpenSubset("/ds", TagProtein)
 				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			// A collection that begins before the window and ends in it
-			// empties the pooled decode scratch, and the read that refills
-			// it allocates: settle the collector before the warm reads.
-			runtime.GC()
-			for i := 0; i < warm; i++ {
-				read()
-			}
-			n := mallocs(func() {
-				for i := warm; i < frames; i++ {
+				var dst xtc.Frame
+				read := func() {
+					var err error
+					if keep {
+						_, err = sr.ReadFrame()
+					} else {
+						_, err = sr.readFrameInto(&dst)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				// A collection that begins before the window and ends in it
+				// empties the pooled decode scratch, and the read that refills
+				// it allocates: settle the collector before the warm reads.
+				runtime.GC()
+				for i := 0; i < warm; i++ {
 					read()
 				}
-			})
-			sr.Close()
+				counts[w] = mallocs(func() {
+					for i := warm; i < frames; i++ {
+						read()
+					}
+				})
+				sr.Close()
+			}
 			want := uint64(0)
 			if keep {
 				want = 2 * (frames - warm)
 			}
-			if n > want {
-				t.Errorf("GOMAXPROCS %d, keep %v: %d allocations over %d frames, want at most %d",
-					procs, keep, n, frames-warm, want)
+			slices.Sort(counts)
+			if n := counts[windows/2]; n > want {
+				t.Errorf("GOMAXPROCS %d, keep %v: median %d allocations over %d frames (windows %v), want at most %d",
+					procs, keep, n, frames-warm, counts, want)
 			}
 		}
 		runtime.GOMAXPROCS(prev)

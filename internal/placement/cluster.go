@@ -285,13 +285,13 @@ func (c *Cluster) Create(name string) (vfs.File, error) {
 // the replica set.
 func (c *Cluster) Open(name string) (vfs.File, error) {
 	reps := c.place(name)
-	f := &clusterFile{c: c, name: vfs.Clean(name), reps: reps, files: make([]vfs.File, len(reps))}
+	f := &clusterFile{c: c, name: vfs.Clean(name), reps: reps, files: make([]*replicaHandle, len(reps))}
 	err := c.firstReplica(reps, -1, func(i int) error {
 		h, err := c.fs(reps[i]).Open(name)
 		if err != nil {
 			return err
 		}
-		f.files[i], f.pref, f.size = h, i, openSize(h)
+		f.files[i], f.pref, f.size = &replicaHandle{File: h}, i, openSize(h)
 		return nil
 	})
 	if err != nil {
@@ -529,8 +529,8 @@ type clusterFile struct {
 	reps []string
 
 	mu     sync.Mutex
-	files  []vfs.File // indexed like reps; nil = not open
-	pref   int        // preferred replica index
+	files  []*replicaHandle // indexed like reps; nil = not open
+	pref   int              // preferred replica index
 	size   int64
 	off    int64 // sequential Read cursor
 	closed bool
@@ -548,39 +548,54 @@ func (f *clusterFile) Write(p []byte) (int, error) {
 	return 0, fmt.Errorf("placement: %s opened read-only (writes go through Create)", f.name)
 }
 
-// handle returns the open handle for replica i, opening it on demand. A
-// copy that is not the size this handle was opened at has been replaced (or
-// not yet replaced) since: it is refused rather than read.
-func (f *clusterFile) handle(i int) (vfs.File, error) {
+// replicaHandle is one replica's open handle and the reads in flight on it,
+// both guarded by the clusterFile's mu.
+type replicaHandle struct {
+	vfs.File
+	reads   int  // reads begun by handle and not yet released
+	dropped bool // taken out of files after a failed read: the last read closes it
+}
+
+// handle returns the open handle for replica i, opening it on demand, with
+// one more read counted on it; release ends that read. A copy that is not
+// the size this handle was opened at has been replaced (or not yet
+// replaced) since: it is refused rather than read.
+func (f *clusterFile) handle(i int) (*replicaHandle, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return nil, vfs.ErrClosed
 	}
-	if f.files[i] != nil {
-		return f.files[i], nil
+	if f.files[i] == nil {
+		h, err := f.c.fs(f.reps[i]).Open(f.name)
+		if err != nil {
+			return nil, err
+		}
+		if size := openSize(h); size != f.size {
+			h.Close()
+			return nil, fmt.Errorf("placement: %s on %s is %d bytes, this handle opened %d: another version",
+				f.name, f.reps[i], size, f.size)
+		}
+		f.files[i] = &replicaHandle{File: h}
 	}
-	h, err := f.c.fs(f.reps[i]).Open(f.name)
-	if err != nil {
-		return nil, err
-	}
-	if size := openSize(h); size != f.size {
-		h.Close()
-		return nil, fmt.Errorf("placement: %s on %s is %d bytes, this handle opened %d: another version",
-			f.name, f.reps[i], size, f.size)
-	}
-	f.files[i] = h
-	return h, nil
+	f.files[i].reads++
+	return f.files[i], nil
 }
 
-// dropHandle discards replica i's handle after a failure (its state is
-// suspect; a later attempt reopens).
-func (f *clusterFile) dropHandle(i int) {
+// release ends one read on replica i's handle h. A failed read drops h (its
+// state is suspect; a later read reopens), but only h: if the slot already
+// holds a handle another read reopened, that one stays. A dropped handle is
+// closed once the last read on it has returned, so a read still in flight
+// on it is not cut off.
+func (f *clusterFile) release(i int, h *replicaHandle, failed bool) {
 	f.mu.Lock()
-	h := f.files[i]
-	f.files[i] = nil
+	h.reads--
+	if failed && f.files[i] == h {
+		f.files[i], h.dropped = nil, true
+	}
+	last := h.dropped && h.reads == 0
 	f.mu.Unlock()
-	if h != nil {
+	if last {
 		h.Close()
 	}
 }
@@ -646,13 +661,14 @@ func (f *clusterFile) readAt(p []byte, off int64, ok func([]byte) bool) (int, er
 		h, err := f.handle(i)
 		if err == nil {
 			n, err = h.ReadAt(p, off)
-			if err = checked(ok, p, n, err); err == nil || err == io.EOF {
+			err = checked(ok, p, n, err)
+			f.release(i, h, err != nil && err != io.EOF)
+			if err == nil || err == io.EOF {
 				eof = err
 				f.setPreferred(i)
 				return nil
 			}
 		}
-		f.dropHandle(i)
 		if f.isClosed() {
 			return errReadClosed
 		}
@@ -687,7 +703,7 @@ func (f *clusterFile) Close() error {
 		return vfs.ErrClosed
 	}
 	f.closed = true
-	open := make([]vfs.File, 0, len(f.files))
+	open := make([]*replicaHandle, 0, len(f.files))
 	for i, h := range f.files {
 		if h != nil {
 			open = append(open, h)

@@ -369,6 +369,100 @@ func TestClusterReadLosingToCloseIsClosed(t *testing.T) {
 	}
 }
 
+// parkFS hands out files whose first ReadAt announces itself on entered and
+// waits for release before it reads, noting the result it got in parkedErr;
+// closes counts the handles closed.
+type parkFS struct {
+	vfs.FS
+	entered   chan<- struct{}
+	release   <-chan struct{}
+	reads     *atomic.Int64
+	closes    *atomic.Int64
+	parkedErr *error
+}
+
+func (s parkFS) Open(name string) (vfs.File, error) {
+	f, err := s.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return parkFile{File: f, fs: s}, nil
+}
+
+type parkFile struct {
+	vfs.File
+	fs parkFS
+}
+
+func (f parkFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.fs.reads.Add(1) > 1 {
+		return f.File.ReadAt(p, off)
+	}
+	f.fs.entered <- struct{}{}
+	<-f.fs.release
+	n, err := f.File.ReadAt(p, off)
+	*f.fs.parkedErr = err
+	return n, err
+}
+
+func (f parkFile) Close() error {
+	f.fs.closes.Add(1)
+	return f.File.Close()
+}
+
+// TestClusterFailedCopySparesOtherReads: read A is parked inside a ReadAt on
+// the primary's handle while read B's copy of the same bytes, read through
+// that handle, is rejected by B's check. B fails over to the mirror; the
+// handle it drops must stay open for A, which then returns its bytes from
+// the primary with no failover of its own, and the dropped handle is closed
+// once A is done with it.
+func TestClusterFailedCopySparesOtherReads(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c, mems := newTestCluster(t, Config{Metrics: reg})
+	name := "/c/set-a/dropping"
+	want := []byte("shared payload")
+	if err := vfs.WriteFile(c, name, want); err != nil {
+		t.Fatal(err)
+	}
+	reps := c.Table().Place(name)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var reads, closes atomic.Int64
+	var parkedErr error
+	c.AddNode(reps[0], parkFS{FS: mems[reps[0]], entered: entered, release: release,
+		reads: &reads, closes: &closes, parkedErr: &parkedErr})
+	f, err := c.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gotA := make([]byte, len(want))
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.ReadAt(gotA, 0)
+		done <- err
+	}()
+	<-entered
+	checks := 0
+	rejectFirst := func(p []byte) bool { checks++; return checks > 1 && bytes.Equal(p, want) }
+	gotB := make([]byte, len(want))
+	if err := vfs.ReadAtVerified(f, gotB, 0, rejectFirst); err != nil || !bytes.Equal(gotB, want) {
+		t.Fatalf("read B = %q, %v; want the mirror's bytes", gotB, err)
+	}
+	close(release)
+	if err := <-done; err != nil || !bytes.Equal(gotA, want) {
+		t.Fatalf("read A = %q, %v; want its bytes", gotA, err)
+	}
+	if parkedErr != nil {
+		t.Errorf("read A's copy on the primary = %v, want its bytes", parkedErr)
+	}
+	if n := reg.Counter("placement.failover.reads").Value(); n != 1 {
+		t.Errorf("placement.failover.reads = %d, want 1 (read B's)", n)
+	}
+	if n := closes.Load(); n != 1 {
+		t.Errorf("primary handles closed = %d once both reads returned, want the dropped one", n)
+	}
+}
+
 // TestClusterHealthyReadAtAllocs pins the cost of the per-frame path under a
 // zero Config, the one a deployment gets by default: a read its preferred
 // replica answers allocates nothing — no goroutine, no private buffer.

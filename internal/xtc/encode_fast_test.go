@@ -2,6 +2,7 @@ package xtc
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -157,7 +158,7 @@ func TestSubsetInto(t *testing.T) {
 	idx := []int{0, 7, 42, 99, 7}
 
 	var dst Frame
-	if err := f.SubsetInto(idx, &dst); err != nil {
+	if err := f.SubsetInto(singletons(idx...), &dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Step != f.Step || dst.Time != f.Time || dst.Precision != f.Precision || dst.Box != f.Box {
@@ -171,7 +172,7 @@ func TestSubsetInto(t *testing.T) {
 
 	// Shrinking reuse: a smaller subset into the same dst must reuse the
 	// backing array and not allocate.
-	small := idx[:2]
+	small := singletons(idx[:2]...)
 	avg := testing.AllocsPerRun(20, func() {
 		if err := f.SubsetInto(small, &dst); err != nil {
 			t.Fatal(err)
@@ -186,18 +187,18 @@ func TestSubsetInto(t *testing.T) {
 
 	// Out-of-range indices error.
 	for _, bad := range [][]int{{-1}, {100}, {0, 1, 1000}} {
-		if err := f.SubsetInto(bad, &dst); err == nil {
-			t.Errorf("SubsetInto(%v) did not error", bad)
+		if err := f.SubsetInto(singletons(bad...), &dst); !errors.Is(err, ErrAtomRange) {
+			t.Errorf("SubsetInto(%v) = %v, want ErrAtomRange", bad, err)
 		}
 	}
 
 	// Subset delegates and matches.
-	g, err := f.Subset(idx)
+	g, err := f.Subset(singletons(idx...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var h Frame
-	if err := f.SubsetInto(idx, &h); err != nil {
+	if err := f.SubsetInto(singletons(idx...), &h); err != nil {
 		t.Fatal(err)
 	}
 	for i := range g.Coords {

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"unsafe"
 
+	"repro/internal/rangelist"
 	"repro/internal/xdr"
 )
 
@@ -91,35 +94,54 @@ func (f *Frame) AppendEncoded(w *xdr.Writer) error {
 // of the paper's "D-" (decompressed) datasets and of ADA's pre-processed
 // subsets.
 func (f *Frame) AppendRaw(w *xdr.Writer) {
-	f.putRaw(w.Extend(int(RawFrameSize(len(f.Coords)))), nil) // nil: every atom, cannot fail
+	p := w.Extend(int(RawFrameSize(len(f.Coords))))
+	f.putHeader(p, len(f.Coords))
+	putRaw(p[headerLen:], f.Coords)
 }
 
+// ErrAtomRange is wrapped by the error for a subset run that reaches outside
+// the frame's atoms.
+var ErrAtomRange = errors.New("xtc: subset atoms out of range")
+
 // AppendRawSubset appends to buf the uncompressed encoding of the frame of
-// f's atoms that idx selects, and returns the extended buffer: SubsetInto
-// and AppendRaw in one pass, with no sub-frame between them. The
-// coordinates go from f.Coords through idx straight into buf, so an ingest
-// splits and encodes each subset while the bytes are in cache. A nil idx
-// selects every atom. On error buf comes back unextended.
-func (f *Frame) AppendRawSubset(buf []byte, idx []int) ([]byte, error) {
-	natoms := len(idx)
-	if idx == nil {
-		natoms = len(f.Coords)
+// f's atoms that runs select, in order, and returns the extended buffer:
+// SubsetInto and AppendRaw in one pass, with no sub-frame between them. Each
+// run goes from f.Coords straight into buf in one kernel call, so an ingest
+// splits and encodes each subset while the bytes are in cache. On error buf
+// comes back unextended.
+func (f *Frame) AppendRawSubset(buf []byte, runs []rangelist.Range) ([]byte, error) {
+	natoms, err := f.runAtoms(runs)
+	if err != nil {
+		return buf, err
 	}
 	n := int(RawFrameSize(natoms))
 	buf = slices.Grow(buf, n)
-	if err := f.putRaw(buf[len(buf):len(buf)+n], idx); err != nil {
-		return buf, err
+	p := buf[len(buf) : len(buf)+n]
+	f.putHeader(p, natoms)
+	body := p[headerLen:]
+	for _, r := range runs {
+		putRaw(body, f.Coords[r.Begin:r.End])
+		body = body[r.Len()*12:]
 	}
 	return buf[:len(buf)+n], nil
 }
 
-// putRaw writes the raw frame of the atoms idx selects (every atom when idx
-// is nil) into p, which is exactly that frame's size: the header, then each
-// coordinate as a big-endian float in one twelve-byte window per atom.
-func (f *Frame) putRaw(p []byte, idx []int) error {
+// runAtoms counts the atoms runs select, each run checked to lie within f.
+func (f *Frame) runAtoms(runs []rangelist.Range) (int, error) {
+	n := 0
+	for _, r := range runs {
+		if r.Begin < 0 || r.End < r.Begin || r.End > len(f.Coords) {
+			return 0, fmt.Errorf("%w: %d-%d (natoms=%d)", ErrAtomRange, r.Begin, r.End, len(f.Coords))
+		}
+		n += r.Len()
+	}
+	return n, nil
+}
+
+// putHeader writes the header of f's raw frame of natoms atoms into p.
+func (f *Frame) putHeader(p []byte, natoms int) {
 	be := binary.BigEndian
 	hdr := p[:headerLen]
-	natoms := (len(p) - headerLen) / 12
 	be.PutUint32(hdr[0:], MagicRaw)
 	be.PutUint32(hdr[4:], uint32(natoms))
 	be.PutUint32(hdr[8:], uint32(f.Step))
@@ -127,27 +149,85 @@ func (f *Frame) putRaw(p []byte, idx []int) error {
 	for d, b := range f.Box {
 		be.PutUint32(hdr[16+4*d:], math.Float32bits(b))
 	}
-	body := p[headerLen:]
-	if idx == nil {
-		for i, c := range f.Coords {
-			putVec(body[i*12:i*12+12], c)
-		}
-		return nil
-	}
-	for i, a := range idx {
-		if uint(a) >= uint(len(f.Coords)) {
-			return fmt.Errorf("xtc: subset index %d out of range (natoms=%d)", a, len(f.Coords))
-		}
-		putVec(body[i*12:i*12+12], f.Coords[a])
-	}
-	return nil
 }
 
-// putVec writes one atom's coordinates as three big-endian floats.
-func putVec(b []byte, c Vec3) {
-	binary.BigEndian.PutUint32(b[0:], math.Float32bits(c[0]))
-	binary.BigEndian.PutUint32(b[4:], math.Float32bits(c[1]))
-	binary.BigEndian.PutUint32(b[8:], math.Float32bits(c[2]))
+// littleEndian is the host's byte order. The word kernel is written for a
+// little-endian host; a big-endian one takes the per-atom loops.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// putRaw writes atoms into body as big-endian floats, twelve bytes an atom.
+func putRaw(body []byte, atoms []Vec3) {
+	if !littleEndian {
+		putRawAtoms(body, atoms)
+		return
+	}
+	swapWords(body[:len(atoms)*12], atomBytes(atoms))
+}
+
+// convertRaw converts the first len(dst) atoms of a raw frame's body into dst.
+func convertRaw(dst []Vec3, body []byte) {
+	body = body[:len(dst)*12]
+	if !littleEndian {
+		convertRawAtoms(dst, body)
+		return
+	}
+	swapWords(atomBytes(dst), body)
+}
+
+// atomBytes views a run of atoms as the bytes the host stores them in, for
+// the word kernel to read or write. unsafe is confined here: Vec3 holds no
+// pointers, so the view is plain memory, and no caller keeps it past the
+// call that made it.
+func atomBytes(atoms []Vec3) []byte {
+	if len(atoms) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&atoms[0])), len(atoms)*12)
+}
+
+// swapWords is the word kernel: it writes src's four-byte floats into dst
+// (as long as src, a multiple of four bytes) with each float's bytes reversed,
+// eight bytes at a time, four words an iteration. A big-endian load, a
+// rotate that puts the word's two floats back in order and a little-endian
+// store turn two XDR floats into the host's; the same permutation turns the
+// host's back into XDR, so one kernel serves decode and encode. A run of an
+// odd number of floats ends with one four-byte swap.
+func swapWords(dst, src []byte) {
+	be, le := binary.BigEndian, binary.LittleEndian
+	for len(dst) >= 32 && len(src) >= 32 {
+		le.PutUint64(dst[0:], bits.RotateLeft64(be.Uint64(src[0:]), 32))
+		le.PutUint64(dst[8:], bits.RotateLeft64(be.Uint64(src[8:]), 32))
+		le.PutUint64(dst[16:], bits.RotateLeft64(be.Uint64(src[16:]), 32))
+		le.PutUint64(dst[24:], bits.RotateLeft64(be.Uint64(src[24:]), 32))
+		dst, src = dst[32:], src[32:]
+	}
+	for len(dst) >= 8 && len(src) >= 8 {
+		le.PutUint64(dst, bits.RotateLeft64(be.Uint64(src), 32))
+		dst, src = dst[8:], src[8:]
+	}
+	if len(dst) >= 4 && len(src) >= 4 {
+		le.PutUint32(dst, be.Uint32(src))
+	}
+}
+
+// putRawAtoms and convertRawAtoms are the per-atom loops: right on any
+// host, and the kernel's fallback on a big-endian one.
+func putRawAtoms(body []byte, atoms []Vec3) {
+	for i, c := range atoms {
+		b := body[i*12 : i*12+12]
+		binary.BigEndian.PutUint32(b[0:], math.Float32bits(c[0]))
+		binary.BigEndian.PutUint32(b[4:], math.Float32bits(c[1]))
+		binary.BigEndian.PutUint32(b[8:], math.Float32bits(c[2]))
+	}
+}
+
+func convertRawAtoms(dst []Vec3, body []byte) {
+	for i := range dst {
+		b := body[i*12 : i*12+12]
+		dst[i][0] = math.Float32frombits(binary.BigEndian.Uint32(b))
+		dst[i][1] = math.Float32frombits(binary.BigEndian.Uint32(b[4:]))
+		dst[i][2] = math.Float32frombits(binary.BigEndian.Uint32(b[8:]))
+	}
 }
 
 // DefaultPrecision is the customary XTC quantization (1/1000 nm).
@@ -260,20 +340,6 @@ func rawBody(r *xdr.Reader, f *Frame) ([]byte, error) {
 	return body, r.Err()
 }
 
-// convertRaw converts the first len(dst) atoms of a raw frame's body into
-// dst. The coordinates are taken as one run and converted in twelve-byte
-// windows: a bounds check an atom, where r.Float32 tests the reader's sticky
-// error three times.
-func convertRaw(dst []Vec3, body []byte) {
-	body = body[:len(dst)*12]
-	for i := range dst {
-		b := body[i*12 : i*12+12]
-		dst[i][0] = math.Float32frombits(binary.BigEndian.Uint32(b))
-		dst[i][1] = math.Float32frombits(binary.BigEndian.Uint32(b[4:]))
-		dst[i][2] = math.Float32frombits(binary.BigEndian.Uint32(b[8:]))
-	}
-}
-
 // FrameView is one encoded frame parsed and checked as DecodeFrameBytes
 // would, for a reader that converts its atoms straight to where they belong
 // rather than into a Frame of their own. A raw frame's coordinates stay its
@@ -344,32 +410,30 @@ func growCoords(c []Vec3, n int) []Vec3 {
 	return make([]Vec3, n)
 }
 
-// Subset returns a new frame containing only the atoms whose indices are
-// listed in idx (which must be sorted ascending for meaningful trajectories,
-// though any order is accepted).
-func (f *Frame) Subset(idx []int) (*Frame, error) {
+// Subset returns a new frame containing only the atoms runs select, in
+// order.
+func (f *Frame) Subset(runs []rangelist.Range) (*Frame, error) {
 	g := &Frame{}
-	if err := f.SubsetInto(idx, g); err != nil {
+	if err := f.SubsetInto(runs, g); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// SubsetInto fills dst with the atoms of f selected by idx, reusing
+// SubsetInto fills dst with the atoms of f that runs select, reusing
 // dst.Coords' capacity. It is the allocation-free form of Subset for hot
-// paths that split every frame once per tagged subset; on error dst's
-// contents are unspecified.
-func (f *Frame) SubsetInto(idx []int, dst *Frame) error {
-	dst.Step, dst.Time, dst.Box, dst.Precision = f.Step, f.Time, f.Box, f.Precision
-	if cap(dst.Coords) < len(idx) {
-		dst.Coords = make([]Vec3, len(idx))
+// paths that split every frame once per tagged subset; on error dst is left
+// as it was.
+func (f *Frame) SubsetInto(runs []rangelist.Range, dst *Frame) error {
+	natoms, err := f.runAtoms(runs)
+	if err != nil {
+		return err
 	}
-	dst.Coords = dst.Coords[:len(idx)]
-	for i, a := range idx {
-		if a < 0 || a >= len(f.Coords) {
-			return fmt.Errorf("xtc: subset index %d out of range (natoms=%d)", a, len(f.Coords))
-		}
-		dst.Coords[i] = f.Coords[a]
+	dst.Step, dst.Time, dst.Box, dst.Precision = f.Step, f.Time, f.Box, f.Precision
+	dst.Coords = growCoords(dst.Coords, natoms)
+	at := 0
+	for _, r := range runs {
+		at += copy(dst.Coords[at:], f.Coords[r.Begin:r.End])
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package xtc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -99,7 +100,8 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 // (refdecode_test.go) must return the same coordinate bits, or both fail.
 // The seeds include kernelPathFrames, so the wide-box (bitSize == 0) and
 // over-64-bit arms are mutated from the start. ParseFrame, the decode a
-// full-frame reader converts by runs through, must agree with both.
+// full-frame reader converts by runs through, must agree with both, and a
+// raw frame re-encoded with AppendRaw must give back its input bytes.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -135,6 +137,13 @@ func FuzzDecodeFrame(f *testing.F) {
 			v.CoordsInto(viewed.Coords[:half], 0)
 			if err := sameDecode(viewed, nil, fr, nil); err != nil {
 				t.Fatalf("ParseFrame: %v", err)
+			}
+			if binary.BigEndian.Uint32(input) == MagicRaw {
+				w := xdr.NewWriter(len(input))
+				fr.AppendRaw(w)
+				if !bytes.Equal(w.Bytes(), input[:len(w.Bytes())]) {
+					t.Fatalf("raw frame of %d atoms re-encodes to different bytes", fr.NAtoms())
+				}
 			}
 		}
 	})

@@ -355,17 +355,17 @@ func TestStreamBadMagic(t *testing.T) {
 
 func TestSubset(t *testing.T) {
 	f := &Frame{Coords: []Vec3{{0, 0, 0}, {1, 1, 1}, {2, 2, 2}, {3, 3, 3}}}
-	g, err := f.Subset([]int{1, 3})
+	g, err := f.Subset(singletons(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NAtoms() != 2 || g.Coords[0] != (Vec3{1, 1, 1}) || g.Coords[1] != (Vec3{3, 3, 3}) {
 		t.Errorf("subset = %v", g.Coords)
 	}
-	if _, err := f.Subset([]int{4}); err == nil {
+	if _, err := f.Subset(singletons(4)); err == nil {
 		t.Error("out-of-range subset index should fail")
 	}
-	if _, err := f.Subset([]int{-1}); err == nil {
+	if _, err := f.Subset(singletons(-1)); err == nil {
 		t.Error("negative subset index should fail")
 	}
 }
