@@ -42,7 +42,8 @@ lint:
 
 # Ten seconds of native fuzzing per parser that takes bytes from outside —
 # the xtc, dcd and trr frame decoders (the xtc one differential against the
-# two-pass reference decoder), the xtc frame index a dropping holds,
+# two-pass reference decoder), the positional bit reader the xtc decoder
+# reads through (against a bit-at-a-time reference), the xtc frame index a dropping holds,
 # the rpc client's read-reply parser, the node's request-frame reader and
 # its per-op request decoding, the placement table a peer serves, the
 # container index every dropping resolves through, the live head a tailing reader gates on, the ingest
@@ -62,6 +63,7 @@ FUZZTIME ?= 10s
 FUZZFLAGS = -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 fuzz:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzDecodeFrame ./internal/xtc
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzBitReader ./internal/xdr
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzUnmarshalIndex ./internal/xtc
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzDCDReader ./internal/dcd
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzTRRReader ./internal/trr
@@ -140,7 +142,7 @@ test-deflaked:
 	$(GO) test -race -count=20 -run 'TestInstrumentForwardsSend' ./internal/vfs/
 	$(GO) test -race -count=20 -run 'TestHeatFSRecordsSends' ./internal/tier/
 	$(GO) test -race -count=20 -run 'TestClusterFailedCopySparesOtherReads' ./internal/placement/
-	$(GO) test -race -count=20 -run 'TestLiveAppendReleasesBatch|TestLiveAppendReturnsWhileHeadLands|TestLiveFailedHeadPutIsSticky|TestLiveEndWithHeadInFlight|TestLiveAppendReusesFrames' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestLiveAppendReleasesBatch|TestLiveAppendReturnsWhileHeadLands|TestLiveFailedHeadPutIsSticky|TestLiveEndWithHeadInFlight|TestLiveAppendReusesFrames|TestFailedStartLeavesNoDecoder' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestTailSeesEveryPrefix' ./internal/stream/
 	$(GO) test -race -count=10 -run 'TestReadAhead|TestAheadFailureNotInherited|TestLiveHandleNeverReadsAhead|TestCloseWithAheadFlights|TestFabricServesAndCaches|TestSimAndFabricAgree' ./internal/serve/
 

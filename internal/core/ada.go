@@ -199,6 +199,11 @@ type IngestReport struct {
 // encoded input decoded ahead (never more than 64, never fewer than two),
 // plus the one being decoded and the one being written, refilled once
 // written, not allocated anew; on one core a single frame, as in the paper.
+//
+// Decoding starts first: the first frame is decoded and the decoder
+// goroutine is under way before the structure is parsed and the session
+// opened, so a failed start (a structure that does not parse, a backend
+// error) may have consumed part of traj.
 func (a *ADA) Ingest(logical string, pdbData []byte, traj io.Reader) (*IngestReport, error) {
 	src := a.decodeAhead(traj)
 	defer src.Close()
@@ -243,8 +248,10 @@ func (a *ADA) ingest(logical string, pdbData []byte, src TrajectoryReader, stats
 	return st.seal()
 }
 
-// decodeAhead returns the frame source of an XTC ingest. Callers defer its
-// Close, so no exit path leaves a decode goroutine behind.
+// decodeAhead returns the frame source of an XTC ingest, already decoding:
+// every entry point calls it before it opens its session, so the session's
+// setup runs while the first frames decode. Callers defer its Close, so no
+// exit path leaves a decode goroutine behind.
 func (a *ADA) decodeAhead(traj io.Reader) aheadTrajectory {
 	return a.decodeAheadRecycling(traj, xtc.NewRecycleList(), nil)
 }
@@ -257,6 +264,7 @@ func (a *ADA) decodeAheadRecycling(traj io.Reader, free xtc.RecycleList, sc *xtc
 	pr.ScanWith(sc)
 	pr.Observe = a.im.decodeNS.Observe
 	pr.SetMetrics(a.reg)
+	pr.Start()
 	return aheadTrajectory{pr}
 }
 

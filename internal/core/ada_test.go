@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/gpcr"
 	"repro/internal/mdsim"
@@ -384,6 +386,68 @@ func TestIngestErrors(t *testing.T) {
 	pdbBytes3, traj3, _ := testDataset(t, 400, 2)
 	if _, err := a.Ingest("/y", pdbBytes3, bytes.NewReader(traj3[:len(traj3)-10])); err == nil {
 		t.Error("truncated trajectory should fail")
+	}
+}
+
+// readCounter counts the bytes read through it.
+type readCounter struct {
+	r io.Reader
+	n int64
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestFailedStartLeavesNoDecoder: the one-shot entry points start decoding
+// before they parse the structure or open the session, so a start that then
+// fails — a structure that does not parse, a resume of a dataset already
+// committed — has read its source and started the decoder. It must still
+// return its typed error, and leave no decoder goroutine behind: the
+// source is longer than the lookahead holds, so the decoder is blocked on a
+// full channel when the call fails, and only the call's Close ends it.
+func TestFailedStartLeavesNoDecoder(t *testing.T) {
+	pdbBytes, traj, _ := testDataset(t, 200, 100)
+	a, _, _ := newADA(t, nil, Options{})
+	if _, err := a.Ingest("/done", pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatal(err)
+	}
+	garbage := []byte("ATOM  garbage")
+	for _, tc := range []struct {
+		name string
+		run  func(io.Reader) error
+		want error
+	}{
+		{"Ingest, unparseable structure", func(r io.Reader) error {
+			_, err := a.Ingest("/new", garbage, r)
+			return err
+		}, pdb.ErrSyntax},
+		{"IngestParallel, unparseable structure", func(r io.Reader) error {
+			_, err := a.IngestParallel("/new", garbage, r, 0)
+			return err
+		}, pdb.ErrSyntax},
+		{"ResumeIngest, committed dataset (its journal is gone)", func(r io.Reader) error {
+			_, err := a.ResumeIngest("/done", pdbBytes, r)
+			return err
+		}, vfs.ErrNotExist},
+	} {
+		before := runtime.NumGoroutine()
+		src := &readCounter{r: bytes.NewReader(traj)}
+		if err := tc.run(src); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if src.n == 0 {
+			t.Errorf("%s: the source was not read: decoding did not start first", tc.name)
+		}
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > before {
+			t.Errorf("%s: %d goroutines after the failed start, %d before it", tc.name, n, before)
+		}
 	}
 }
 

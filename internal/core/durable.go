@@ -248,8 +248,12 @@ func (a *ADA) sweepCommitted(logical string) (RecoveryAction, error) {
 // and running checksums are reconstructed from the surviving bytes, the
 // already-persisted frames are skipped on the source stream, and the
 // ingest then runs to a normal atomic commit. pdbData and traj must be the
-// same inputs the interrupted ingest was given.
+// same inputs the interrupted ingest was given. As in Ingest, decoding
+// starts before the session is resumed, so a failed resume may have
+// consumed part of traj.
 func (a *ADA) ResumeIngest(logical string, pdbData []byte, traj io.Reader) (*IngestReport, error) {
+	src := a.decodeAhead(traj)
+	defer src.Close()
 	st, err := a.resumeSession(logical, pdbData, false)
 	if err != nil {
 		return nil, err
@@ -257,8 +261,6 @@ func (a *ADA) ResumeIngest(logical string, pdbData []byte, traj io.Reader) (*Ing
 	// Skip the frames the checkpoint already persisted, then run the rest
 	// through the session's frame loop. A failure leaves the container as
 	// it is — journaled and uncommitted — for another resume.
-	src := a.decodeAhead(traj)
-	defer src.Close()
 	for i := 0; i < st.report.Frames; i++ {
 		if _, _, err := src.ReadFrameSize(); err != nil {
 			st.detach()

@@ -280,7 +280,6 @@ func (li *LiveIngest) Append(batch []byte) (int, error) {
 	// same Scanner, so the decoder must have stopped reading; a bytes.Reader
 	// never blocks the wait.
 	src := st.a.decodeAheadRecycling(bytes.NewReader(batch), li.free, li.sc)
-	src.Start()
 	if err := li.landLocked(); err != nil {
 		src.Stop()
 		return 0, err

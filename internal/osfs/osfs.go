@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"repro/internal/vfs"
 )
@@ -62,7 +63,7 @@ func (s *FS) Create(name string) (vfs.File, error) {
 	if err != nil {
 		return nil, mapErr(err)
 	}
-	return &file{f: f, name: vfs.Clean(name)}, nil
+	return newFile(f, name), nil
 }
 
 // Open implements vfs.FS.
@@ -76,7 +77,7 @@ func (s *FS) Open(name string) (vfs.File, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: %s", vfs.ErrIsDir, name)
 	}
-	return &file{f: f, name: vfs.Clean(name)}, nil
+	return newFile(f, name), nil
 }
 
 // Stat implements vfs.FS.
@@ -127,6 +128,12 @@ func (s *FS) Rename(oldname, newname string) error {
 type file struct {
 	f    *os.File
 	name string
+	raw  syscall.RawConn // f's descriptor, taken once for SendRange; nil if f has none
+}
+
+func newFile(f *os.File, name string) *file {
+	raw, _ := f.SyscallConn()
+	return &file{f: f, name: vfs.Clean(name), raw: raw}
 }
 
 func (f *file) Name() string { return f.name }

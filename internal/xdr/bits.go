@@ -98,15 +98,54 @@ func (w *BitWriter) Bytes() []byte {
 // BitLen returns the number of bits written so far.
 func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.n) }
 
-// BitReader unpacks values written by BitWriter. It keeps a 64-bit
-// accumulator refilled a byte at a time from the buffer, so the common
-// small-width reads on the XTC decode hot path are a shift and a mask
-// instead of a per-byte loop.
+// bitsAt returns the nbits bits of p (MSB first, nbits at most 64) that
+// start at bit offset pos, right-aligned. Bits past the end of p read as
+// zero, so a caller tells a read that ran past the end by its offset:
+// pos+nbits > 8*len(p). No offset, however far past the end, panics.
+func bitsAt(p []byte, pos, nbits uint) uint64 {
+	if i := pos >> 3; nbits <= MaxLoadBits && i+8 <= uint(len(p)) {
+		return LoadBits(p, pos, nbits)
+	}
+	// A wider field can reach a ninth byte, and one near the end of p has
+	// fewer than eight: read the bytes it can touch from a zero-padded copy.
+	if nbits > 64 {
+		panic(fmt.Sprintf("xdr: bit read width %d out of range", nbits))
+	}
+	var w [9]byte
+	if i := pos >> 3; i < uint(len(p)) {
+		copy(w[:], p[i:])
+	}
+	s := pos & 7
+	return (binary.BigEndian.Uint64(w[:])<<s | uint64(w[8])>>(8-s)) >> (64 - nbits)
+}
+
+// MaxLoadBits is the widest field LoadBits reads: one that starts on the
+// last bit of a byte still ends within the 8 bytes from that byte.
+const MaxLoadBits = 57
+
+// LoadBits is bitsAt for a field of at most MaxLoadBits bits with 8 bytes of
+// p at its first byte: one big-endian 8-byte load, one shift and a mask,
+// small enough to inline into a decode loop that keeps pos in a register.
+// Fewer than 8 bytes there panic (index out of range).
+func LoadBits(p []byte, pos, nbits uint) uint64 {
+	return binary.BigEndian.Uint64(p[pos>>3:]) >> ((64 - nbits - pos&7) & 63) & lowMask[nbits&63]
+}
+
+// lowMask[n] is mask64(n) as a table, so LoadBits masks with a load rather
+// than a second variable shift; the & 63 on the shift and the index spare
+// it the range checks a wider count would need.
+var lowMask = func() (t [64]uint64) {
+	for n := range t {
+		t[n] = mask64(uint(n))
+	}
+	return t
+}()
+
+// BitReader unpacks values written by BitWriter. It reads positionally with
+// bitsAt: it keeps only the bit offset of the next field.
 type BitReader struct {
 	buf []byte
-	off int    // next byte of buf to load into acc
-	acc uint64 // low n bits are valid, MSB-first stream order
-	n   uint   // valid bits in acc
+	pos uint // bit offset of the next read
 	err error
 }
 
@@ -116,37 +155,11 @@ func NewBitReader(p []byte) *BitReader { return &BitReader{buf: p} }
 // Err returns the first error encountered.
 func (r *BitReader) Err() error { return r.err }
 
-// fill tops up the accumulator from the buffer.
-func (r *BitReader) fill() {
-	if free := (64 - r.n) &^ 7; free >= 8 && r.off+8 <= len(r.buf) {
-		// Bulk path: one 8-byte load supplies every whole byte of space.
-		w := binary.BigEndian.Uint64(r.buf[r.off:])
-		r.acc = r.acc<<free | w>>(64-free)
-		r.off += int(free / 8)
-		r.n += free
-		return
-	}
-	for r.n <= 56 && r.off < len(r.buf) {
-		r.acc = r.acc<<8 | uint64(r.buf[r.off])
-		r.off++
-		r.n += 8
-	}
-}
-
 // mask64 returns a mask of the low nbits bits; nbits may be 64.
 func mask64(nbits uint) uint64 {
 	// Go defines shifts >= width as 0, so nbits == 64 yields ^uint64(0).
 	return 1<<nbits - 1
 }
-
-// lowMask[n] is mask64(n) as a table: the load costs the inliner less than
-// the shift, which keeps ReadBits64's fast path within its budget.
-var lowMask = func() (t [65]uint64) {
-	for n := range t {
-		t[n] = mask64(uint(n))
-	}
-	return t
-}()
 
 // ReadBits reads nbits bits (MSB first) and returns them right-aligned.
 // nbits must be in [0, 32]. On underflow it records an error and returns 0.
@@ -154,47 +167,26 @@ func (r *BitReader) ReadBits(nbits uint) uint32 {
 	if nbits > 32 {
 		panic(fmt.Sprintf("xdr: ReadBits width %d out of range", nbits))
 	}
-	if nbits <= r.n {
-		r.n -= nbits
-		return uint32(r.acc >> r.n & mask64(nbits))
-	}
 	return uint32(r.ReadBits64(nbits))
 }
 
 // ReadBits64 reads nbits bits (MSB first) right-aligned into a uint64.
-// nbits must be in [0, 64]. On underflow it records an error and returns 0.
-// The accumulator hit is small enough to inline into the XTC decode loop;
-// the drain-and-refill lives out of line in readBits64Slow.
+// nbits must be in [0, 64]. On underflow it records an error and returns 0,
+// and so does every read after it: the offset stays past the end.
 func (r *BitReader) ReadBits64(nbits uint) uint64 {
-	if nbits <= r.n {
-		r.n -= nbits
-		return r.acc >> r.n & lowMask[nbits]
+	v := bitsAt(r.buf, r.pos, nbits)
+	if r.pos += nbits; r.pos > uint(len(r.buf))*8 {
+		return r.overrun()
 	}
-	return r.readBits64Slow(nbits)
+	return v
 }
 
-// readBits64Slow is ReadBits64 when the accumulator holds fewer than nbits
-// bits: it also rejects a width over 64, which no accumulator can hold.
-func (r *BitReader) readBits64Slow(nbits uint) uint64 {
-	if nbits > 64 {
-		panic(fmt.Sprintf("xdr: ReadBits64 width %d out of range", nbits))
-	}
-	if r.err != nil {
-		return 0
-	}
-	// Drain the accumulator, refill, and take the remainder. One refill
-	// always suffices: after the drain the accumulator is empty, so fill
-	// loads at least 57 bits when the buffer has them, and need < 64.
-	v := r.acc & mask64(r.n)
-	need := nbits - r.n
-	r.acc, r.n = 0, 0
-	r.fill()
-	if need > r.n {
+// overrun records the error of a read past the end of the buffer.
+func (r *BitReader) overrun() uint64 {
+	if r.err == nil {
 		r.err = fmt.Errorf("%w: bit read past end (%d bytes)", ErrShortBuffer, len(r.buf))
-		return 0
 	}
-	r.n -= need
-	return v<<need | r.acc>>r.n&mask64(need)
+	return 0
 }
 
 // ReadBitsBig reads nbits bits into dst in big-endian byte order.

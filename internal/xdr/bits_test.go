@@ -1,6 +1,8 @@
 package xdr
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -290,4 +292,112 @@ func TestBitLen(t *testing.T) {
 	if w.BitLen() != 16 {
 		t.Errorf("BitLen = %d, want 16", w.BitLen())
 	}
+}
+
+// refBits reads the nbits bits of p at bit offset pos one bit at a time,
+// bits past the end reading as zero; ok reports whether p holds them all.
+func refBits(p []byte, pos, nbits uint) (v uint64, ok bool) {
+	for k := pos; k < pos+nbits; k++ {
+		v <<= 1
+		if k/8 < uint(len(p)) {
+			v |= uint64(p[k/8]>>(7-k%8)) & 1
+		}
+	}
+	return v, pos+nbits <= uint(len(p))*8
+}
+
+// TestBitsMatchByteReference holds the positional reader to the bit-at-a-
+// time reference at every offset of random buffers of 0 to 19 bytes (every
+// start bit 0–7, at every byte, past the end too) and every width 0–64:
+// bitsAt gives the reference's zero-padded value, LoadBits the same wherever
+// it applies, and a BitReader that skipped to the offset gives the value
+// while the bits are there — reads that end on the last bit included — and
+// from one bit past, a typed xdr.ErrShortBuffer and 0 on every read.
+func TestBitsMatchByteReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 20; n++ {
+		p := make([]byte, n)
+		rng.Read(p)
+		for pos := uint(0); pos <= uint(n)*8+9; pos++ {
+			for nbits := uint(0); nbits <= 64; nbits++ {
+				want, ok := refBits(p, pos, nbits)
+				if got := bitsAt(p, pos, nbits); got != want {
+					t.Fatalf("%d bytes: bitsAt(%d, %d) = %#x, want %#x", n, pos, nbits, got, want)
+				}
+				if nbits <= MaxLoadBits && pos/8+8 <= uint(n) {
+					if got := LoadBits(p, pos, nbits); got != want {
+						t.Fatalf("%d bytes: LoadBits(%d, %d) = %#x, want %#x", n, pos, nbits, got, want)
+					}
+				}
+				r := NewBitReader(p)
+				for skip := pos; skip > 0; skip -= min(skip, 64) {
+					r.ReadBits64(min(skip, 64))
+				}
+				skipped := r.Err() == nil
+				got := r.ReadBits64(nbits)
+				switch {
+				case skipped && ok:
+					if got != want || r.Err() != nil {
+						t.Fatalf("%d bytes: read %d at %d = %#x, %v; want %#x", n, nbits, pos, got, r.Err(), want)
+					}
+				case got != 0 || !errors.Is(r.Err(), ErrShortBuffer):
+					t.Fatalf("%d bytes: read %d at %d past the end = %#x, %v; want 0, ErrShortBuffer", n, nbits, pos, got, r.Err())
+				}
+				if !ok {
+					if again := r.ReadBits64(min(nbits, 1)); again != 0 || !errors.Is(r.Err(), ErrShortBuffer) {
+						t.Fatalf("%d bytes: read after a failed one = %#x, %v", n, again, r.Err())
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzBitReader reads arbitrary widths from arbitrary bytes: every read of
+// a BitReader, and bitsAt at the same offset, agree with the bit-at-a-time
+// reference; the first read past the end, and every one after it, gives 0
+// and a typed xdr.ErrShortBuffer; nothing panics. ReadBitsBig takes the
+// widths over 64.
+func FuzzBitReader(f *testing.F) {
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef}, []byte{3, 64, 5, 0, 57, 58})
+	f.Add([]byte{0xff, 0x01, 0x80, 0x7f, 0x55, 0xaa, 0x12, 0x34, 0x56}, []byte{1, 7, 64, 8, 1})
+	f.Add(make([]byte, 17), []byte{63, 63, 9, 72})
+	f.Fuzz(func(t *testing.T, data, widths []byte) {
+		r := NewBitReader(data)
+		pos, failed := uint(0), false
+		for _, w := range widths {
+			nbits := uint(w) % 97
+			want, ok := refBits(data, pos, nbits)
+			if nbits <= 64 {
+				if got := bitsAt(data, pos, nbits); got != want {
+					t.Fatalf("bitsAt(%d, %d) = %#x, want %#x", pos, nbits, got, want)
+				}
+			}
+			var got uint64
+			if nbits > 64 {
+				dst := make([]byte, (nbits+7)/8)
+				r.ReadBitsBig(dst, nbits)
+				hi, _ := refBits(data, pos, nbits-64)
+				lo, _ := refBits(data, pos+nbits-64, 64)
+				var wantBig [16]byte
+				binary.BigEndian.PutUint64(wantBig[:], hi)
+				binary.BigEndian.PutUint64(wantBig[8:], lo)
+				if !failed && ok && !bytes.Equal(dst, wantBig[16-len(dst):]) {
+					t.Fatalf("ReadBitsBig(%d) at %d = %x, want %x", nbits, pos, dst, wantBig[16-len(dst):])
+				}
+			} else {
+				got = r.ReadBits64(nbits)
+			}
+			failed = failed || !ok
+			switch {
+			case failed:
+				if got != 0 || !errors.Is(r.Err(), ErrShortBuffer) {
+					t.Fatalf("read %d at %d past the end = %#x, %v", nbits, pos, got, r.Err())
+				}
+			case got != want && nbits <= 64, r.Err() != nil:
+				t.Fatalf("read %d at %d = %#x, %v; want %#x", nbits, pos, got, r.Err(), want)
+			}
+			pos += nbits
+		}
+	})
 }

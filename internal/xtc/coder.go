@@ -372,6 +372,17 @@ func compressCoords(w *xdr.BitWriter, ints []int32, minInt [3]int32, sizeInt [3]
 	return smallIdx
 }
 
+// iterBits bounds the bits one outer iteration of decompressCoords reads:
+// an absolutely coded atom, its 5-bit run field and up to maxRunAtoms delta
+// triplets, none of the four wider than three 32-bit values.
+const iterBits = 3*32 + 5 + maxRunAtoms*3*32
+
+// tailBytes sizes the zero-padded copy of a blob's end that decompressCoords
+// reads its last iterations from: what is left when it switches (under
+// iterBits+64 bits and a byte), the iterBits a corrupt run may read past
+// the end before its run field is checked, and an 8-byte load beyond that.
+const tailBytes = (2*iterBits+72)/8 + 8
+
 // decompressCoords is the inverse of quantize and compressCoords in one
 // pass: it decodes the bit stream into the running integer triplet and
 // writes each atom to out as soon as it has it, dequantized as
@@ -380,6 +391,14 @@ func compressCoords(w *xdr.BitWriter, ints []int32, minInt [3]int32, sizeInt [3]
 // packed triplet are multiplies by a reciprocal (divisor): the small-delta
 // divisor comes from the magicints table, the absolute atom's two from this
 // frame's extents. len(out) is the atom count.
+//
+// Fields are read positionally: pos, a local, is the bit offset of the next
+// field in buf, and each field is one xdr.LoadBits, so no field's offset
+// waits on a refill branch and the loads of one run overlap. LoadBits needs
+// 8 bytes of buf at a field's first byte; once an iteration could reach
+// within 8 bytes of the blob's end, buf becomes tail, a zero-padded copy of
+// what is left. A read past the end then reads zeros, and the offset tells:
+// pos is checked against end at every run field and once at the end.
 func decompressCoords(blob []byte, minInt [3]int32, sizeInt [3]uint32, smallIdx int, precision float32, out []Vec3) error {
 	if smallIdx < firstIdx || smallIdx > lastIdx {
 		return fmt.Errorf("xtc: small index %d out of range [%d,%d]", smallIdx, firstIdx, lastIdx)
@@ -402,24 +421,35 @@ func decompressCoords(blob []byte, minInt [3]int32, sizeInt [3]uint32, smallIdx 
 	}
 	div1, div2 := newDivisor(sizeInt[1]), newDivisor(sizeInt[2])
 
-	r := xdr.NewBitReader(blob)
+	buf, pos, end := blob, uint(0), uint(len(blob))*8
+	var tail [tailBytes]byte
+	padded := false
 	natoms := len(out)
 	i := 0
 	for i < natoms {
+		if !padded && pos+iterBits+64 > uint(len(buf))*8 {
+			copy(tail[:], buf[pos>>3:])
+			buf, padded = tail[:], true
+			end -= pos &^ 7
+			pos &= 7
+		}
 		// Absolutely coded atom: the combined triplet split by this
 		// frame's extents, or (huge boxes) three fixed-width fields.
 		var vals [3]uint32
 		switch {
 		case bitSize == 0:
 			for d := 0; d < 3; d++ {
-				vals[d] = r.ReadBits(bitSizeInt[d])
+				vals[d] = uint32(xdr.LoadBits(buf, pos, bitSizeInt[d]))
+				pos += bitSizeInt[d]
 			}
-		case bitSize <= 64:
-			q, rz := div2.divmod(r.ReadBits64(bitSize))
+		case bitSize <= xdr.MaxLoadBits:
+			q, rz := div2.divmod(xdr.LoadBits(buf, pos, bitSize))
 			qx, ry := div1.divmod(q)
 			vals = [3]uint32{uint32(qx), uint32(ry), uint32(rz)}
+			pos += bitSize
 		default:
-			unpackIntsBig(r, bitSize, sizeInt[:], vals[:])
+			vals = unpackWide(buf, pos, bitSize, sizeInt[1], sizeInt[2])
+			pos += bitSize
 		}
 		x := int32(vals[0]) + minInt[0]
 		y := int32(vals[1]) + minInt[1]
@@ -427,42 +457,52 @@ func decompressCoords(blob []byte, minInt [3]int32, sizeInt [3]uint32, smallIdx 
 		out[i] = Vec3{float32(float64(x) * inv), float32(float64(y) * inv), float32(float64(z) * inv)}
 		i++
 
-		field := r.ReadBits64(5)
-		if r.Err() != nil {
-			return r.Err()
+		field := xdr.LoadBits(buf, pos, 5)
+		if pos += 5; pos > end {
+			return errPastEnd(blob)
 		}
 		dir := int(field%3) - 1
 		run := (int(field) - (dir + 1)) / 3
 		if run < 0 || run > maxRunAtoms || i+run > natoms {
 			return fmt.Errorf("xtc: corrupt run field %d at atom %d/%d", field, i, natoms)
 		}
-		sn := st.smallNum
-		if st.nbitsRun <= 64 {
+		sn, dst := st.smallNum, out[i:i+run]
+		if nb := st.nbitsRun; nb <= xdr.MaxLoadBits {
 			// Fused small-delta path, the decode hot spot: the whole
-			// triplet is one <=64-bit accumulator read split by two
-			// reciprocal divisions and written out as floats.
-			div, nb := st.div, st.nbitsRun
-			for k := 0; k < run; k++ {
-				q, rz := div.divmod(r.ReadBits64(nb))
+			// triplet is one load split by two reciprocal divisions and
+			// written out as floats.
+			div := st.div
+			for k := range dst {
+				q, rz := div.divmod(xdr.LoadBits(buf, pos, nb))
+				pos += nb
 				qx, ry := div.divmod(q)
 				x += int32(qx) - sn
 				y += int32(ry) - sn
 				z += int32(rz) - sn
-				out[i] = Vec3{float32(float64(x) * inv), float32(float64(y) * inv), float32(float64(z) * inv)}
-				i++
+				dst[k] = Vec3{float32(float64(x) * inv), float32(float64(y) * inv), float32(float64(z) * inv)}
 			}
 		} else {
-			sizes := [3]uint32{st.sizeSmall, st.sizeSmall, st.sizeSmall}
-			for k := 0; k < run; k++ {
-				unpackIntsBig(r, st.nbitsRun, sizes[:], vals[:])
+			for k := range dst {
+				vals = unpackWide(buf, pos, nb, st.sizeSmall, st.sizeSmall)
+				pos += nb
 				x += int32(vals[0]) - sn
 				y += int32(vals[1]) - sn
 				z += int32(vals[2]) - sn
-				out[i] = Vec3{float32(float64(x) * inv), float32(float64(y) * inv), float32(float64(z) * inv)}
-				i++
+				dst[k] = Vec3{float32(float64(x) * inv), float32(float64(y) * inv), float32(float64(z) * inv)}
 			}
 		}
-		st.adjust(dir)
+		i += run
+		if dir != 0 {
+			st.adjust(dir)
+		}
 	}
-	return r.Err()
+	if pos > end {
+		return errPastEnd(blob)
+	}
+	return nil
+}
+
+// errPastEnd is the error of a frame whose bit stream ends before its atoms.
+func errPastEnd(blob []byte) error {
+	return fmt.Errorf("%w: bit read past end (%d bytes)", xdr.ErrShortBuffer, len(blob))
 }

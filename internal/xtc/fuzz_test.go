@@ -99,7 +99,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 // also differential: the fused kernel and the two-pass reference decoder
 // (refdecode_test.go) must return the same coordinate bits, or both fail.
 // The seeds include kernelPathFrames, so the wide-box (bitSize == 0) and
-// over-64-bit arms are mutated from the start. ParseFrame, the decode a
+// wide-triplet (unpackWide) arms are mutated from the start. ParseFrame, the decode a
 // full-frame reader converts by runs through, must agree with both, and a
 // raw frame re-encoded with AppendRaw must give back its input bytes.
 func FuzzDecodeFrame(f *testing.F) {

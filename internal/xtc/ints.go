@@ -1,6 +1,10 @@
 package xtc
 
-import "repro/internal/xdr"
+import (
+	"math/bits"
+
+	"repro/internal/xdr"
+)
 
 // packInts combines vals (each in [0, sizes[i])) into one multi-precision
 // integer N = ((vals[0]*sizes[1]) + vals[1])*sizes[2] + vals[2] ... and
@@ -50,32 +54,24 @@ func packIntsBig(w *xdr.BitWriter, nbits uint, sizes, vals []uint32) {
 	w.WriteBitsBig(be[:total], nbits)
 }
 
-// unpackIntsBig is the general multi-precision path for combined values
-// wider than 64 bits (huge per-frame bounding boxes).
-func unpackIntsBig(r *xdr.BitReader, nbits uint, sizes []uint32, vals []uint32) {
-	total := int((nbits + 7) / 8)
-	var be [16]byte
-	r.ReadBitsBig(be[:total], nbits)
-	// Convert to little-endian working form.
-	var bytes [16]byte
-	for i := 0; i < total; i++ {
-		bytes[i] = be[total-1-i]
-	}
-	nbytes := total
-	for i := len(sizes) - 1; i > 0; i-- {
-		// vals[i] = bytes % sizes[i]; bytes /= sizes[i]
-		var rem uint64
-		for j := nbytes - 1; j >= 0; j-- {
-			rem = rem<<8 | uint64(bytes[j])
-			q := rem / uint64(sizes[i])
-			bytes[j] = byte(q)
-			rem -= q * uint64(sizes[i])
-		}
-		vals[i] = uint32(rem)
-	}
-	var v uint64
-	for j := nbytes - 1; j >= 0; j-- {
-		v = v<<8 | uint64(bytes[j])
-	}
-	vals[0] = uint32(v)
+// unpackWide splits a packed triplet of more than xdr.MaxLoadBits bits (up
+// to 96: sparse or huge boxes), the nbits at bit offset pos of buf, into its
+// three values, the inverse of packInts: two loads assemble it as a 128-bit
+// h:l, which two long divisions split by s2 and then s1. Like LoadBits, it
+// needs 8 bytes of buf at each load's first byte.
+func unpackWide(buf []byte, pos, nbits uint, s1, s2 uint32) [3]uint32 {
+	const low = 48
+	hi := xdr.LoadBits(buf, pos, nbits-low)
+	h, l := hi>>(64-low), hi<<low|xdr.LoadBits(buf, pos+nbits-low, low)
+	h, l, z := div128(h, l, s2)
+	_, l, y := div128(h, l, s1)
+	return [3]uint32{uint32(l), y, z}
+}
+
+// div128 divides h:l by s and returns the quotient and the remainder.
+func div128(h, l uint64, s uint32) (qh, ql uint64, r uint32) {
+	d := uint64(s)
+	qh, rh := h/d, h%d
+	ql, rl := bits.Div64(rh, l, d)
+	return qh, ql, uint32(rl)
 }

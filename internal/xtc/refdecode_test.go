@@ -1,6 +1,8 @@
 package xtc
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,7 +13,10 @@ import (
 
 // The reference decoder the fused kernel is held to: every atom is decoded
 // into a natoms×3 int32 scratch with two divide instructions per packed
-// triplet, and a second pass dequantizes the scratch into floats.
+// triplet, and a second pass dequantizes the scratch into floats. It reads
+// its bits with its own reader, refBitReader, the accumulator the kernel
+// used before it read positionally, and splits triplets wider than 64 bits
+// byte by byte, so it shares no bit-reading code with the kernel.
 // decompressCoords must return the same coordinate bits, or fail where this
 // fails.
 
@@ -80,7 +85,7 @@ func refDecompressCoords(blob []byte, natoms int, minInt [3]int32, sizeInt [3]ui
 		bitSize = sizeOfInts(sizeInt[:])
 	}
 
-	r := xdr.NewBitReader(blob)
+	r := &refBitReader{buf: blob}
 	readAbs := func(i int) {
 		var vals [3]uint32
 		if bitSize == 0 {
@@ -137,7 +142,7 @@ func refDequantize(ints []int32, precision float32, out []Vec3) {
 
 // unpackInts reads nbits bits from r and splits them back into len(sizes)
 // values by division, the inverse of packInts.
-func unpackInts(r *xdr.BitReader, nbits uint, sizes []uint32, vals []uint32) {
+func unpackInts(r *refBitReader, nbits uint, sizes []uint32, vals []uint32) {
 	if nbits <= 64 && len(sizes) == 3 {
 		v := r.ReadBits64(nbits)
 		s1, s2 := uint64(sizes[1]), uint64(sizes[2])
@@ -148,7 +153,108 @@ func unpackInts(r *xdr.BitReader, nbits uint, sizes []uint32, vals []uint32) {
 		vals[0] = uint32(v)
 		return
 	}
-	unpackIntsBig(r, nbits, sizes, vals)
+	refUnpackIntsBig(r, nbits, sizes, vals)
+}
+
+// refUnpackIntsBig is the multi-precision split of a combined value wider
+// than 64 bits, a byte at a time.
+func refUnpackIntsBig(r *refBitReader, nbits uint, sizes []uint32, vals []uint32) {
+	total := int((nbits + 7) / 8)
+	var be [16]byte
+	r.ReadBitsBig(be[:total], nbits)
+	// Convert to little-endian working form.
+	var bytes [16]byte
+	for i := 0; i < total; i++ {
+		bytes[i] = be[total-1-i]
+	}
+	nbytes := total
+	for i := len(sizes) - 1; i > 0; i-- {
+		// vals[i] = bytes % sizes[i]; bytes /= sizes[i]
+		var rem uint64
+		for j := nbytes - 1; j >= 0; j-- {
+			rem = rem<<8 | uint64(bytes[j])
+			q := rem / uint64(sizes[i])
+			bytes[j] = byte(q)
+			rem -= q * uint64(sizes[i])
+		}
+		vals[i] = uint32(rem)
+	}
+	var v uint64
+	for j := nbytes - 1; j >= 0; j-- {
+		v = v<<8 | uint64(bytes[j])
+	}
+	vals[0] = uint32(v)
+}
+
+// refBitReader reads bits MSB first through a 64-bit accumulator refilled
+// from the buffer, a whole 8-byte load when there is room and otherwise a
+// byte at a time.
+type refBitReader struct {
+	buf []byte
+	off int    // next byte of buf to load into acc
+	acc uint64 // low n bits are valid, MSB-first stream order
+	n   uint   // valid bits in acc
+	err error
+}
+
+// Err returns the first error encountered.
+func (r *refBitReader) Err() error { return r.err }
+
+// fill tops up the accumulator from the buffer.
+func (r *refBitReader) fill() {
+	if free := (64 - r.n) &^ 7; free >= 8 && r.off+8 <= len(r.buf) {
+		w := binary.BigEndian.Uint64(r.buf[r.off:])
+		r.acc = r.acc<<free | w>>(64-free)
+		r.off += int(free / 8)
+		r.n += free
+		return
+	}
+	for r.n <= 56 && r.off < len(r.buf) {
+		r.acc = r.acc<<8 | uint64(r.buf[r.off])
+		r.off++
+		r.n += 8
+	}
+}
+
+// ReadBits reads nbits (at most 32) bits.
+func (r *refBitReader) ReadBits(nbits uint) uint32 { return uint32(r.ReadBits64(nbits)) }
+
+// ReadBits64 reads nbits (at most 64) bits; on underflow it records an
+// error and returns 0.
+func (r *refBitReader) ReadBits64(nbits uint) uint64 {
+	if nbits <= r.n {
+		r.n -= nbits
+		return r.acc >> r.n & (1<<nbits - 1)
+	}
+	if r.err != nil {
+		return 0
+	}
+	// Drain the accumulator, refill, and take the remainder. One refill
+	// always suffices: after the drain the accumulator is empty, so fill
+	// loads at least 57 bits when the buffer has them, and need < 64.
+	v := r.acc & (1<<r.n - 1)
+	need := nbits - r.n
+	r.acc, r.n = 0, 0
+	r.fill()
+	if need > r.n {
+		r.err = fmt.Errorf("%w: bit read past end (%d bytes)", xdr.ErrShortBuffer, len(r.buf))
+		return 0
+	}
+	r.n -= need
+	return v<<need | r.acc>>r.n&(1<<need-1)
+}
+
+// ReadBitsBig reads nbits bits into dst in big-endian byte order.
+func (r *refBitReader) ReadBitsBig(dst []byte, nbits uint) {
+	n := int((nbits + 7) / 8)
+	idx := 0
+	if rem := nbits % 8; rem != 0 {
+		dst[0] = byte(r.ReadBits(rem))
+		idx = 1
+	}
+	for ; idx < n; idx++ {
+		dst[idx] = byte(r.ReadBits(8))
+	}
 }
 
 // sameDecode reports how the kernel's result differs from the reference's:
@@ -181,10 +287,12 @@ func sameDecode(got *Frame, gotErr error, want *Frame, wantErr error) error {
 }
 
 // kernelPathFrames are encoded frames that between them take every arm of
-// decompressCoords: a water-like cluster (fused ≤64-bit absolute and delta
-// triplets), a box too wide for a combined triplet (bitSize == 0: three
-// fixed-width fields), and a sparse box whose absolute triplet and delta
-// runs both need more than 64 bits (unpackIntsBig on both sides).
+// decompressCoords: a water-like cluster (absolute and delta triplets each
+// one xdr.LoadBits), a box too wide for a combined triplet (bitSize == 0:
+// three fixed-width fields), a sparse box whose absolute triplet and delta
+// runs both need more than 64 bits, and one whose absolute triplet needs
+// 58 to 64 bits (unpackWide, the last three, for a field a single load
+// cannot hold).
 func kernelPathFrames(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(11))
@@ -201,6 +309,7 @@ func kernelPathFrames(tb testing.TB) map[string][]byte {
 		"cluster": {Step: 1, Time: 2, Precision: 1000, Coords: makeCluster(rng, 3000, 4)},
 		"huge":    {Step: 2, Time: 4, Precision: 1000, Coords: uniform(400, -20000, 20000)},
 		"wide":    {Step: 3, Time: 6, Precision: 1000, Coords: uniform(400, 0, 5000)},
+		"sparse":  {Step: 4, Time: 8, Precision: 1000, Coords: uniform(400, 0, 800)},
 	}
 	// The sparse box only crosses 64 bits per delta triplet if its atoms
 	// come in runs of near neighbours: pair each atom with a close copy.
@@ -242,7 +351,7 @@ func TestKernelPaths(t *testing.T) {
 		absBits := sizeOfInts(sizeInt[:])
 		switch name {
 		case "cluster":
-			if wide || absBits > 64 || runBits[smallIdx] > 64 {
+			if wide || absBits > xdr.MaxLoadBits || runBits[smallIdx] > xdr.MaxLoadBits {
 				t.Errorf("%s: extents %v small index %d leave the fused arms", name, sizeInt, smallIdx)
 			}
 		case "huge":
@@ -254,6 +363,10 @@ func TestKernelPaths(t *testing.T) {
 				t.Errorf("%s: extents %v (%d bits) small index %d (%d bits) do not exceed 64 bits",
 					name, sizeInt, absBits, smallIdx, runBits[smallIdx])
 			}
+		case "sparse":
+			if wide || absBits <= xdr.MaxLoadBits || absBits > 64 {
+				t.Errorf("%s: extents %v need %d bits, not 58 to 64", name, sizeInt, absBits)
+			}
 		}
 		got, gerr := DecodeFrameBytes(p)
 		want, werr := refDecodeBytes(p)
@@ -262,6 +375,38 @@ func TestKernelPaths(t *testing.T) {
 		}
 		if err := sameDecode(got, gerr, want, werr); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// cutBlob returns the encoded compressed frame p with its coordinate blob
+// cut short by k bytes: the length word rewritten and the padding redone,
+// so the frame still parses and only the bit stream ends early.
+func cutBlob(p []byte, k int) []byte {
+	off := headerLen + 4 + 12 + 12 + 4
+	n := int(binary.BigEndian.Uint32(p[off:])) - k
+	q := binary.BigEndian.AppendUint32(append([]byte(nil), p[:off]...), uint32(n))
+	q = append(q, p[off+4:off+4+n]...)
+	return append(q, make([]byte, (4-n%4)%4)...)
+}
+
+// TestDecodeCutBlob: a bit stream that ends before its last atoms must fail
+// as a short buffer, in the kernel as in the reference, however few bytes
+// are missing. The last byte a writer flushes holds at least one field
+// bit, so a cut of one byte already takes real bits, and the kernel must
+// tell from its offset alone, while it reads the zero-padded tail.
+func TestDecodeCutBlob(t *testing.T) {
+	for name, p := range kernelPathFrames(t) {
+		for k := 1; k <= 24; k++ {
+			q := cutBlob(p, k)
+			got, gerr := DecodeFrameBytes(q)
+			want, werr := refDecodeBytes(q)
+			if !errors.Is(werr, xdr.ErrShortBuffer) {
+				t.Fatalf("%s cut by %d: reference err %v, want a short buffer", name, k, werr)
+			}
+			if err := sameDecode(got, gerr, want, werr); err != nil || !errors.Is(gerr, xdr.ErrShortBuffer) {
+				t.Errorf("%s cut by %d: kernel err %v (%v)", name, k, gerr, err)
+			}
 		}
 	}
 }
